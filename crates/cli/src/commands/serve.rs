@@ -229,7 +229,8 @@ fn run_check(client: &mut Client, out: &mut String) -> Result<(), String> {
         }
         other => return Err(format!("classify failed: {other:?}")),
     }
-    // 2. Repeated predict: bit-identical lines, second reply a cache hit.
+    // 2. Repeated predict: bit-identical lines, and the `stats` counters
+    //    move by exactly one hit and no miss across the second request.
     let predict = numa_serve::encode(&Request::Predict {
         device: None,
         target: 7,
@@ -237,34 +238,40 @@ fn run_check(client: &mut Client, out: &mut String) -> Result<(), String> {
         mix: vec![(6, 1), (2, 1)],
     });
     let first = client.call_raw(&predict).map_err(|e| e.to_string())?;
+    let (hits0, misses0) = hit_counts(client)?;
     let second = client.call_raw(&predict).map_err(|e| e.to_string())?;
+    let (hits, misses) = hit_counts(client)?;
     if first != second {
         return Err(format!(
             "repeated predict not bit-identical:\n  {first}\n  {second}"
         ));
     }
-    match numa_serve::decode_response(&second).map_err(|e| e.to_string())? {
-        Response::Predict {
-            cached: true,
-            predicted_gbps,
-            ..
-        } => {
-            let _ = writeln!(
-                out,
-                "predict OK: {predicted_gbps:.3} Gbit/s, bit-identical, second request a cache hit"
-            );
-        }
-        other => return Err(format!("second predict was not a cache hit: {other:?}")),
+    let Response::Predict { predicted_gbps, .. } =
+        numa_serve::decode_response(&second).map_err(|e| e.to_string())?
+    else {
+        return Err(format!("predict failed: {second}"));
+    };
+    if (hits - hits0, misses - misses0) != (1, 0) {
+        return Err(format!(
+            "second predict was not a cache hit: stats moved from \
+             {hits0} hits / {misses0} misses to {hits} / {misses}"
+        ));
     }
-    // 3. The hit is visible in the counters.
-    match client.call(&Request::Stats).map_err(|e| e.to_string())? {
-        Response::Stats { hits, misses, .. } if hits >= 1 => {
-            let _ = writeln!(out, "stats OK: {hits} hits / {misses} misses");
-        }
-        other => return Err(format!("stats show no cache hit: {other:?}")),
-    }
+    let _ = writeln!(
+        out,
+        "predict OK: {predicted_gbps:.3} Gbit/s, bit-identical, second request a cache hit"
+    );
+    let _ = writeln!(out, "stats OK: {hits} hits / {misses} misses");
     let _ = writeln!(out, "serve check OK");
     Ok(())
+}
+
+/// The server's `(hits, misses)` cache counters, from a `stats` request.
+fn hit_counts(client: &mut Client) -> Result<(u64, u64), String> {
+    match client.call(&Request::Stats).map_err(|e| e.to_string())? {
+        Response::Stats { hits, misses, .. } => Ok((hits, misses)),
+        other => Err(format!("stats failed: {other:?}")),
+    }
 }
 
 /// `--batch N`: one `predict_batch` of N deterministic mixes answered in

@@ -1,23 +1,30 @@
-//! The memoized characterization cache: characterize once per
-//! `(backend label, topology hash, fault-view hash)`, then answer from
-//! memory until drift or a fault-view change invalidates that one key.
+//! The memoized characterization cache: characterize once per view
+//! `(backend label, topology hash, fault-view hash, host shard)`, then
+//! answer from memory until drift or a fault-view change invalidates that
+//! one view.
 //!
 //! This is the §V discipline made long-running: the paper characterizes a
 //! host once and reuses the model for every placement/prediction decision;
 //! Bergstrom's STREAM study and bandwidth-aware placement work assume the
-//! same memoize-don't-remeasure contract. The cache key deliberately
+//! same memoize-don't-remeasure contract. The view key deliberately
 //! captures everything a characterization depends on — which backend
 //! measured it, what machine shape it saw, and which fault view was
 //! applied — so invalidation can be *targeted*: arming a fault plan evicts
-//! exactly the stale key, never the whole cache.
+//! exactly the stale view, never the whole cache.
 //!
-//! Within one key, models are memoized **lazily per `(target, mode)`**: a
-//! `classify` against node 7's write model characterizes exactly that
-//! model, nothing else. This is what lets the service run over a partial
-//! replay fixture (e.g. the shipped `dl585.jsonl`, which records only the
-//! write direction against node 7) — a request the fixture covers is
-//! answered and cached; one it doesn't is a typed error, not a panic. The
-//! full [`Atlas`] is assembled only when asked for, then cached too.
+//! Every lookup addresses one **slot** of a view through a [`ModelKey`]:
+//! either one `(device, target, mode)` model or the assembled full
+//! [`Atlas`]. Models are characterized lazily: a `classify` against node
+//! 7's write model characterizes exactly that model, nothing else. This is
+//! what lets the service run over a partial replay fixture (e.g. the
+//! shipped `dl585.jsonl`, which records only the write direction against
+//! node 7) — a request the fixture covers is answered and cached; one it
+//! doesn't is a typed error, not a panic.
+//!
+//! There are two lookups. [`CharacterizationCache::peek`] is the warm
+//! probe: one shared-lock read, no span, no event, hits counted.
+//! [`CharacterizationCache::get`] is the traced path that characterizes on
+//! a miss.
 
 use crate::error::ServeError;
 use crate::fast_hash::FxHashMap;
@@ -27,8 +34,8 @@ use numa_par::json;
 use numa_par::rng::{fnv1a64, FNV1A64_INIT};
 use numa_topology::{NodeId, Topology};
 use numio_core::{
-    characterize_storage, recharacterize_and_diff, Atlas, IoModeler, IoPerfModel, Platform,
-    StorageConfig, TransferMode,
+    characterize_storage, recharacterize_and_diff, Atlas, DeviceSelector, IoModeler, IoPerfModel,
+    Platform, TransferMode,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -54,7 +61,8 @@ pub fn fault_view_hash(faults: &[FaultKind]) -> u64 {
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CacheKey {
     /// `Platform::label()` of the backend that measured (or would measure).
-    pub backend: String,
+    /// Shared, so building a [`ModelKey`] per request copies no string.
+    pub backend: Arc<str>,
     /// [`topology_hash`] of the machine shape, or a node-count fallback
     /// for topology-less backends.
     pub topology_hash: u64,
@@ -66,29 +74,96 @@ pub struct CacheKey {
     pub host: u64,
 }
 
-/// One answered atlas lookup: the atlas, whether it was served from
-/// memory, and the key it lives under.
-#[derive(Debug, Clone)]
-pub struct CacheLookup {
-    /// The (shared) full-host characterization.
-    pub atlas: Arc<Atlas>,
-    /// `true` when served from memory, `false` on the cold miss that
-    /// computed it.
-    pub hit: bool,
-    /// The key the atlas is cached under.
-    pub key: CacheKey,
+impl CacheKey {
+    /// The view a `(platform, fault view)` pair caches under in shard
+    /// `host`: 0 for the service's own backend, `i + 1` for generated
+    /// fleet host `i`. Backends without a topology key on their node
+    /// count, so they still cache — the characterization itself will fail
+    /// with a typed `NoTopology` error if the modeler needs one.
+    pub fn new<P: Platform>(platform: &P, faults: &[FaultKind], host: u64) -> Self {
+        let topology_hash = match platform.topology() {
+            Some(t) => topology_hash(t),
+            None => fnv1a64(
+                FNV1A64_INIT,
+                format!("nodes:{}", platform.num_nodes()).as_bytes(),
+            ),
+        };
+        CacheKey {
+            backend: platform.label().into(),
+            topology_hash,
+            fault_hash: fault_view_hash(faults),
+            host,
+        }
+    }
 }
 
-/// One answered single-model lookup.
+/// Which slot of a view a lookup addresses.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Slot {
+    /// One model: the probe path or a storage operating point, against
+    /// one target in one direction.
+    Model {
+        /// The device view the model describes.
+        device: DeviceSelector,
+        /// Device node; always 0 under a storage selector.
+        target: u16,
+        /// Transfer direction.
+        mode: TransferMode,
+    },
+    /// The assembled full-host probe atlas.
+    Atlas,
+}
+
+/// One lookup: a view plus the slot within it. Built only through
+/// [`ModelKey::model`] and [`ModelKey::atlas`], so a storage slot is always
+/// keyed target-free.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct ModelKey {
+    view: CacheKey,
+    slot: Slot,
+}
+
+impl ModelKey {
+    /// The `(device, target, mode)` model under `view`. A storage selector
+    /// ignores `target` — the SSDs' attach node is the target by
+    /// construction — so every target addresses the same storage slot.
+    pub fn model(
+        view: CacheKey,
+        device: DeviceSelector,
+        target: NodeId,
+        mode: TransferMode,
+    ) -> Self {
+        let target = match device {
+            DeviceSelector::Probe => target.0,
+            DeviceSelector::Ssd(_) => 0,
+        };
+        ModelKey {
+            view,
+            slot: Slot::Model {
+                device,
+                target,
+                mode,
+            },
+        }
+    }
+
+    /// The assembled full-host atlas under `view`.
+    pub fn atlas(view: CacheKey) -> Self {
+        ModelKey {
+            view,
+            slot: Slot::Atlas,
+        }
+    }
+}
+
+/// What a slot holds, handed out shared: a [`ModelKey::model`] slot holds
+/// a model, the [`ModelKey::atlas`] slot the atlas.
 #[derive(Debug, Clone)]
-pub struct ModelLookup {
-    /// The (shared) model for the requested `(target, mode)`.
-    pub model: Arc<IoPerfModel>,
-    /// `true` when served from memory, `false` on the cold miss that
-    /// characterized it.
-    pub hit: bool,
-    /// The view key the model is cached under.
-    pub key: CacheKey,
+pub enum Cached {
+    /// One characterized model.
+    Model(Arc<IoPerfModel>),
+    /// The assembled full-host atlas.
+    Atlas(Arc<Atlas>),
 }
 
 /// Monotonic cache counters (mirrored as obs metrics).
@@ -147,48 +222,20 @@ pub enum DriftOutcome {
     },
 }
 
-/// Everything cached under one view key: the per-`(target, mode)` models
-/// characterized so far, the storage-tier models per
-/// `(StorageConfig, mode)` (the device dimension of the key — a
-/// `classify` against `ssd0:sync-buffered` and one against the probe
-/// model are distinct slots under the same view), plus the assembled
-/// full atlas once it has been asked for (so repeated `atlas` requests
-/// share one `Arc`).
-#[derive(Default)]
-struct ViewEntry {
-    models: FxHashMap<(u16, TransferMode), Arc<IoPerfModel>>,
-    storage: FxHashMap<(StorageConfig, TransferMode), Arc<IoPerfModel>>,
-    full: Option<Arc<Atlas>>,
-}
-
-#[cfg(test)]
-impl ViewEntry {
-    fn from_atlas(atlas: Atlas) -> Self {
-        let models = atlas
-            .models()
-            .iter()
-            .map(|m| ((m.target.0, m.mode), Arc::new(m.clone())))
-            .collect();
-        ViewEntry {
-            models,
-            storage: FxHashMap::default(),
-            full: Some(Arc::new(atlas)),
-        }
-    }
-}
+/// Everything cached under one view key, by slot.
+type ViewEntry = FxHashMap<Slot, Cached>;
 
 /// Thread-safe memoization of characterizations.
 ///
 /// Reads take a shared lock; the cold path characterizes while holding the
-/// write lock, so concurrent first requests for one model pay exactly one
+/// write lock, so concurrent first requests for one slot pay exactly one
 /// characterization and the miss counter increments exactly once.
 ///
-/// Both maps (view keys and per-view model slots) use the crate's
-/// [`FxHashMap`](crate::fast_hash::FxHashMap): keys are server-derived,
-/// never attacker-controlled, and every request hashes them at least once,
-/// so SipHash overhead is pure hot-path tax. The `numio_serve_cache_*`
-/// counter handles are resolved once (registry lookup is a lock + hash)
-/// and reused from then on.
+/// Both maps (views and the slots within a view) use the crate's Fx hash:
+/// keys are server-derived, never attacker-controlled, and every request
+/// hashes them at least once, so SipHash overhead is pure hot-path tax.
+/// The `numio_serve_cache_*` counter handles are resolved once (registry
+/// lookup is a lock + hash) and reused from then on.
 pub struct CharacterizationCache {
     entries: RwLock<FxHashMap<CacheKey, ViewEntry>>,
     shards: RwLock<FxHashMap<u64, ShardCounters>>,
@@ -232,312 +279,78 @@ impl CharacterizationCache {
         self
     }
 
-    /// The key a `(platform, fault view)` pair caches under. Backends
-    /// without a topology key on their node count, so they still cache —
-    /// the characterization itself will fail with a typed `NoTopology`
-    /// error if the modeler needs one.
-    pub fn key_for<P: Platform>(&self, platform: &P, faults: &[FaultKind]) -> CacheKey {
-        self.key_for_host(platform, faults, 0)
-    }
-
-    /// The [`Self::key_for`] variant for a specific host shard: shard 0
-    /// is the service's own backend, fleet lookups key generated host
-    /// `i` under shard `i + 1`.
-    pub fn key_for_host<P: Platform>(
-        &self,
-        platform: &P,
-        faults: &[FaultKind],
-        host: u64,
-    ) -> CacheKey {
-        let topology_hash = match platform.topology() {
-            Some(t) => topology_hash(t),
-            None => fnv1a64(FNV1A64_INIT, format!("nodes:{}", platform.num_nodes()).as_bytes()),
-        };
-        CacheKey {
-            backend: platform.label(),
-            topology_hash,
-            fault_hash: fault_view_hash(faults),
-            host,
-        }
-    }
-
-    /// The warm-path lookup: serve the `(target, mode)` model cached under
-    /// a **precomputed** view key, or `None` without counting anything.
+    /// The warm-path lookup: the slot's value, or `None` without counting
+    /// anything.
     ///
-    /// This is the zero-allocation fast path the request loop tries first:
-    /// one shared-lock acquisition, two Fx-hash map probes, no key
-    /// re-derivation (no topology serialization), no event emission, and no
-    /// stage span. A hit still counts in the `hits` atomic and the
-    /// `numio_serve_cache_hits_total` counter, so stats and Prometheus
-    /// series stay consistent with the slow path; a miss counts nothing —
-    /// the caller falls back to [`get_or_model`](Self::get_or_model), which
-    /// does the full traced cold path (and its own hit/miss accounting).
-    pub fn peek_model(
-        &self,
-        key: &CacheKey,
-        target: NodeId,
-        mode: TransferMode,
-    ) -> Option<Arc<IoPerfModel>> {
-        let model = self
-            .read_entries()
-            .get(key)
-            .and_then(|e| e.models.get(&(target.0, mode)))
-            .map(Arc::clone)?;
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        self.hits_counter.inc();
-        self.bump_shard(key.host, |s| &s.hits);
-        Some(model)
+    /// This is what the request loop tries first: one shared-lock
+    /// acquisition, two Fx-hash map probes, no key derivation (the caller
+    /// holds a precomputed view), no event and no stage span. A hit still
+    /// counts in the `hits` atomic, the `numio_serve_cache_hits_total`
+    /// counter and its shard, so stats and Prometheus series stay
+    /// consistent with [`Self::get`]; on `None` the caller falls back to
+    /// [`Self::get`], which does its own accounting.
+    pub fn peek(&self, key: &ModelKey) -> Option<Cached> {
+        let found = self.read_entries().get(&key.view)?.get(&key.slot)?.clone();
+        self.tally_hit(key.view.host);
+        Some(found)
     }
 
-    /// Serve the `(target, mode)` model for `(platform, fault view)`,
-    /// characterizing exactly that model on the cold miss. A non-empty
-    /// fault view characterizes the degraded what-if backend
-    /// ([`degraded_backend`]) instead of the base one.
+    /// The traced lookup: serve the slot from memory, or characterize it on
+    /// the cold miss. `faults` must be the fault view `key.view` was built
+    /// from: a non-empty view characterizes the degraded what-if backend
+    /// ([`degraded_backend`]), whose fabric carries the derates — so a
+    /// `device_stall` shows up in cached storage tables exactly as it does
+    /// in the dynamic injection path.
     ///
-    /// Only this model's probes are needed, so partial backends (a replay
-    /// fixture recorded for one target and direction) serve the requests
-    /// they cover and fail the rest with a typed error.
-    pub fn get_or_model<P: Platform>(
+    /// A model slot needs only its own probes, so partial backends (a
+    /// replay fixture recorded for one target and direction) serve the
+    /// requests they cover and fail the rest with a typed error. The atlas
+    /// slot characterizes every probe model the view hasn't cached yet,
+    /// reusing those it has, and counts as one lookup.
+    pub fn get<P: Platform>(
         &self,
+        key: &ModelKey,
         platform: &P,
         modeler: &IoModeler,
         faults: &[FaultKind],
-        target: NodeId,
-        mode: TransferMode,
-    ) -> Result<ModelLookup, ServeError> {
-        self.get_or_model_sharded(platform, modeler, faults, target, mode, 0)
-    }
-
-    /// The [`Self::get_or_model`] variant for a specific host shard:
-    /// identical memoization, but the view key (and hence the hit/miss/
-    /// invalidation accounting) belongs to `host`. This is what fleet
-    /// ops use so each generated host caches — and invalidates —
-    /// independently of the service's own backend (shard 0).
-    pub fn get_or_model_sharded<P: Platform>(
-        &self,
-        platform: &P,
-        modeler: &IoModeler,
-        faults: &[FaultKind],
-        target: NodeId,
-        mode: TransferMode,
-        host: u64,
-    ) -> Result<ModelLookup, ServeError> {
+    ) -> Result<Cached, ServeError> {
         let _stage = self.obs.stage_span("cache");
-        let key = self.key_for_host(platform, faults, host);
-        let slot = (target.0, mode);
-        if let Some(model) = self
+        let warm = self
             .read_entries()
-            .get(&key)
-            .and_then(|e| e.models.get(&slot))
-        {
-            let model = Arc::clone(model);
-            self.count_hit(&key);
-            return Ok(ModelLookup {
-                model,
-                hit: true,
-                key,
-            });
+            .get(&key.view)
+            .and_then(|e| e.get(&key.slot))
+            .cloned();
+        if let Some(found) = warm {
+            self.count_hit(&key.view);
+            return Ok(found);
         }
         let mut entries = self.write_entries();
         // Double-checked: another worker may have filled the slot while we
         // waited for the write lock — that is a hit, not a second miss.
-        if let Some(model) = entries.get(&key).and_then(|e| e.models.get(&slot)) {
-            let model = Arc::clone(model);
-            self.count_hit(&key);
-            return Ok(ModelLookup {
-                model,
-                hit: true,
-                key,
-            });
+        if let Some(found) = entries.get(&key.view).and_then(|e| e.get(&key.slot)) {
+            let found = found.clone();
+            self.count_hit(&key.view);
+            return Ok(found);
         }
-        self.count_miss(&key);
+        self.count_miss(&key.view);
         let _span = self.obs.stage_span("characterize");
-        let model = if faults.is_empty() {
-            modeler.try_characterize(platform, target, mode)?
+        let entry = entries.entry(key.view.clone()).or_default();
+        let found = if faults.is_empty() {
+            fill(entry, key.slot, platform, modeler)
         } else {
-            let degraded = degraded_backend(platform, faults)?;
-            modeler.try_characterize(&degraded, target, mode)?
+            degraded_backend(platform, faults)
+                .map_err(ServeError::from)
+                .and_then(|degraded| fill(entry, key.slot, &degraded, modeler))
         };
-        let model = Arc::new(model);
-        entries
-            .entry(key.clone())
-            .or_default()
-            .models
-            .insert(slot, Arc::clone(&model));
-        Ok(ModelLookup {
-            model,
-            hit: false,
-            key,
-        })
+        // A view whose first characterization failed is not cached.
+        if entry.is_empty() {
+            entries.remove(&key.view);
+        }
+        found
     }
 
-    /// The storage-tier [`Self::peek_model`]: serve the
-    /// `(StorageConfig, mode)` storage model cached under a precomputed
-    /// view key, or `None` without counting anything. Same contract as
-    /// the probe peek — one shared-lock read, hits counted, misses free.
-    pub fn peek_storage_model(
-        &self,
-        key: &CacheKey,
-        cfg: StorageConfig,
-        mode: TransferMode,
-    ) -> Option<Arc<IoPerfModel>> {
-        let model = self
-            .read_entries()
-            .get(key)
-            .and_then(|e| e.storage.get(&(cfg, mode)))
-            .map(Arc::clone)?;
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        self.hits_counter.inc();
-        self.bump_shard(key.host, |s| &s.hits);
-        Some(model)
-    }
-
-    /// Serve the storage-tier model for `(platform, fault view, config,
-    /// mode)`, characterizing it on the cold miss. A non-empty fault view
-    /// characterizes against the degraded what-if backend, whose fabric
-    /// carries any `device_stall` derates — so a stalled SSD card shows
-    /// up in the cached storage tables exactly as it does in the dynamic
-    /// injection path.
-    pub fn get_or_storage_model<P: Platform>(
-        &self,
-        platform: &P,
-        modeler: &IoModeler,
-        faults: &[FaultKind],
-        cfg: StorageConfig,
-        mode: TransferMode,
-    ) -> Result<ModelLookup, ServeError> {
-        self.get_or_storage_model_sharded(platform, modeler, faults, cfg, mode, 0)
-    }
-
-    /// The [`Self::get_or_storage_model`] variant for a specific host
-    /// shard (see [`Self::get_or_model_sharded`]).
-    pub fn get_or_storage_model_sharded<P: Platform>(
-        &self,
-        platform: &P,
-        modeler: &IoModeler,
-        faults: &[FaultKind],
-        cfg: StorageConfig,
-        mode: TransferMode,
-        host: u64,
-    ) -> Result<ModelLookup, ServeError> {
-        let _stage = self.obs.stage_span("cache");
-        let key = self.key_for_host(platform, faults, host);
-        let slot = (cfg, mode);
-        if let Some(model) = self
-            .read_entries()
-            .get(&key)
-            .and_then(|e| e.storage.get(&slot))
-        {
-            let model = Arc::clone(model);
-            self.count_hit(&key);
-            return Ok(ModelLookup {
-                model,
-                hit: true,
-                key,
-            });
-        }
-        let mut entries = self.write_entries();
-        if let Some(model) = entries.get(&key).and_then(|e| e.storage.get(&slot)) {
-            let model = Arc::clone(model);
-            self.count_hit(&key);
-            return Ok(ModelLookup {
-                model,
-                hit: true,
-                key,
-            });
-        }
-        self.count_miss(&key);
-        let _span = self.obs.stage_span("characterize");
-        let model = if faults.is_empty() {
-            characterize_storage(modeler, platform, cfg, mode)?
-        } else {
-            let degraded = degraded_backend(platform, faults)?;
-            characterize_storage(modeler, &degraded, cfg, mode)?
-        };
-        let model = Arc::new(model);
-        entries
-            .entry(key.clone())
-            .or_default()
-            .storage
-            .insert(slot, Arc::clone(&model));
-        Ok(ModelLookup {
-            model,
-            hit: false,
-            key,
-        })
-    }
-
-    /// Serve the full-host atlas for `(platform, fault view)`. The cold
-    /// path characterizes every `(target, mode)` the view hasn't cached
-    /// yet — reusing single-model results already in the entry — then
-    /// memoizes the assembled [`Atlas`], so the request counts as one
-    /// lookup (one miss cold, one hit warm) and repeats share one `Arc`.
-    pub fn get_or_characterize<P: Platform>(
-        &self,
-        platform: &P,
-        modeler: &IoModeler,
-        faults: &[FaultKind],
-    ) -> Result<CacheLookup, ServeError> {
-        let _stage = self.obs.stage_span("cache");
-        let key = self.key_for(platform, faults);
-        if let Some(atlas) = self.read_entries().get(&key).and_then(|e| e.full.clone()) {
-            self.count_hit(&key);
-            return Ok(CacheLookup {
-                atlas,
-                hit: true,
-                key,
-            });
-        }
-        let mut entries = self.write_entries();
-        if let Some(atlas) = entries.get(&key).and_then(|e| e.full.clone()) {
-            self.count_hit(&key);
-            return Ok(CacheLookup {
-                atlas,
-                hit: true,
-                key,
-            });
-        }
-        self.count_miss(&key);
-        let _span = self.obs.stage_span("characterize");
-        let entry = entries.entry(key.clone()).or_default();
-        // Same slot order as `characterize_full_host`: targets ascending,
-        // write before read — the assembled atlas is bit-stable.
-        let degraded = if faults.is_empty() {
-            None
-        } else {
-            Some(degraded_backend(platform, faults)?)
-        };
-        let mut models = Vec::with_capacity(2 * platform.num_nodes());
-        for k in 0..2 * platform.num_nodes() {
-            let target = NodeId::new(k / 2);
-            let mode = TransferMode::ALL[k % 2];
-            let slot = (target.0, mode);
-            let model = match entry.models.get(&slot) {
-                Some(m) => Arc::clone(m),
-                None => {
-                    let fresh = match &degraded {
-                        Some(d) => modeler.try_characterize(d, target, mode)?,
-                        None => modeler.try_characterize(platform, target, mode)?,
-                    };
-                    let fresh = Arc::new(fresh);
-                    entry.models.insert(slot, Arc::clone(&fresh));
-                    fresh
-                }
-            };
-            models.push((*model).clone());
-        }
-        let atlas = Arc::new(Atlas::new(models)?);
-        entry.full = Some(Arc::clone(&atlas));
-        Ok(CacheLookup {
-            atlas,
-            hit: false,
-            key,
-        })
-    }
-
-    /// Evict one view key (all its models and its atlas). Returns whether
-    /// an entry was actually removed (and only then counts an
-    /// invalidation).
+    /// Evict one view key (all its slots). Returns whether an entry was
+    /// actually removed (and only then counts an invalidation).
     pub fn invalidate(&self, key: &CacheKey) -> bool {
         let removed = self.write_entries().remove(key).is_some();
         if removed {
@@ -557,11 +370,7 @@ impl CharacterizationCache {
     pub fn invalidate_host(&self, host: u64) -> usize {
         let removed: Vec<CacheKey> = {
             let mut entries = self.write_entries();
-            let keys: Vec<CacheKey> = entries
-                .keys()
-                .filter(|k| k.host == host)
-                .cloned()
-                .collect();
+            let keys: Vec<CacheKey> = entries.keys().filter(|k| k.host == host).cloned().collect();
             for key in &keys {
                 entries.remove(key);
             }
@@ -576,9 +385,10 @@ impl CharacterizationCache {
         removed.len()
     }
 
-    /// Re-measure one representative cached model against the live backend
-    /// and evict the key if the drift exceeds `threshold` (relative delta,
-    /// e.g. `0.1` = 10%). Deterministic backends (sim, replay) are always
+    /// Re-measure one representative cached probe model — one against an
+    /// I/O node (`Platform::io_nodes`), write first, else the lowest cached
+    /// slot — against the live backend and evict the shard-0 view if the
+    /// drift exceeds `threshold` (relative delta, e.g. `0.1` = 10%). Deterministic backends (sim, replay) are always
     /// stable; this is the hook a host deployment runs periodically.
     pub fn check_drift<P: Platform>(
         &self,
@@ -588,21 +398,13 @@ impl CharacterizationCache {
         threshold: f64,
     ) -> Result<DriftOutcome, ServeError> {
         let _stage = self.obs.stage_span("cache");
-        let key = self.key_for(platform, faults);
-        // Deterministic representative: the lowest cached (target, mode).
-        let old = {
-            let entries = self.read_entries();
-            let Some(entry) = entries.get(&key) else {
-                return Ok(DriftOutcome::NotCached);
-            };
-            let Some(slot) = entry
-                .models
-                .keys()
-                .min_by_key(|(t, m)| (*t, *m == TransferMode::Read))
-            else {
-                return Ok(DriftOutcome::NotCached);
-            };
-            Arc::clone(&entry.models[slot])
+        let view = CacheKey::new(platform, faults, 0);
+        let old = self
+            .read_entries()
+            .get(&view)
+            .and_then(|e| drift_representative(e, &platform.io_nodes()));
+        let Some(old) = old else {
+            return Ok(DriftOutcome::NotCached);
         };
         let diff = if faults.is_empty() {
             recharacterize_and_diff(&old, platform, modeler)?
@@ -614,7 +416,7 @@ impl CharacterizationCache {
         if diff.is_stable(threshold) {
             Ok(DriftOutcome::Stable { max_rel_delta })
         } else {
-            self.invalidate(&key);
+            self.invalidate(&view);
             Ok(DriftOutcome::Invalidated { max_rel_delta })
         }
     }
@@ -662,15 +464,21 @@ impl CharacterizationCache {
         self.read_entries().contains_key(key)
     }
 
-    /// Number of individual models cached under `key`.
+    /// Number of model slots (probe and storage) cached under `key`.
     pub fn models_cached(&self, key: &CacheKey) -> usize {
-        self.read_entries().get(key).map_or(0, |e| e.models.len())
+        self.read_entries().get(key).map_or(0, |e| {
+            e.keys().filter(|s| matches!(s, Slot::Model { .. })).count()
+        })
+    }
+
+    fn tally_hit(&self, host: u64) {
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        self.hits_counter.inc();
+        self.bump_shard(host, |s| &s.hits);
     }
 
     fn count_hit(&self, key: &CacheKey) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        self.hits_counter.inc();
-        self.bump_shard(key.host, |s| &s.hits);
+        self.tally_hit(key.host);
         self.emit("cache_hit", key);
     }
 
@@ -701,7 +509,7 @@ impl CharacterizationCache {
             name,
             seq as f64,
             &[
-                ("backend", key.backend.as_str().into()),
+                ("backend", (&*key.backend).into()),
                 ("topology_hash", numa_obs::Value::U64(key.topology_hash)),
                 ("fault_hash", numa_obs::Value::U64(key.fault_hash)),
                 ("host", numa_obs::Value::U64(key.host)),
@@ -728,118 +536,207 @@ impl Default for CharacterizationCache {
     }
 }
 
+/// Characterize `slot` on `platform` (the base backend or its degraded
+/// what-if view) and memoize it, plus every probe model an atlas had to
+/// characterize on the way, into `entry`.
+fn fill<Q: Platform>(
+    entry: &mut ViewEntry,
+    slot: Slot,
+    platform: &Q,
+    modeler: &IoModeler,
+) -> Result<Cached, ServeError> {
+    let found = match slot {
+        Slot::Model {
+            device,
+            target,
+            mode,
+        } => Cached::Model(Arc::new(match device {
+            DeviceSelector::Probe => modeler.try_characterize(platform, NodeId(target), mode)?,
+            DeviceSelector::Ssd(cfg) => characterize_storage(modeler, platform, cfg, mode)?,
+        })),
+        Slot::Atlas => {
+            // Same slot order as `characterize_full_host`: targets
+            // ascending, write before read — the assembled atlas is
+            // bit-stable.
+            let mut models = Vec::with_capacity(2 * platform.num_nodes());
+            for k in 0..2 * platform.num_nodes() {
+                let (target, mode) = (NodeId::new(k / 2), TransferMode::ALL[k % 2]);
+                let probe = Slot::Model {
+                    device: DeviceSelector::Probe,
+                    target: target.0,
+                    mode,
+                };
+                let model = match entry.get(&probe) {
+                    Some(Cached::Model(m)) => Arc::clone(m),
+                    _ => {
+                        let fresh = Arc::new(modeler.try_characterize(platform, target, mode)?);
+                        entry.insert(probe, Cached::Model(Arc::clone(&fresh)));
+                        fresh
+                    }
+                };
+                models.push((*model).clone());
+            }
+            Cached::Atlas(Arc::new(Atlas::new(models)?))
+        }
+    };
+    entry.insert(slot, found.clone());
+    Ok(found)
+}
+
+/// The probe model a drift check re-measures: a cached model whose target
+/// is one of the backend's I/O nodes, preferring write, else the lowest
+/// cached probe slot. Models against the I/O node are the ones Tables
+/// IV/V describe and the ones a degraded link into that node shows up in;
+/// a model against another target can measure identically on a changed
+/// fabric.
+fn drift_representative(entry: &ViewEntry, io_nodes: &[NodeId]) -> Option<Arc<IoPerfModel>> {
+    let probes = || {
+        entry
+            .iter()
+            .filter_map(|(slot, found)| match (slot, found) {
+                (
+                    Slot::Model {
+                        device: DeviceSelector::Probe,
+                        target,
+                        mode,
+                    },
+                    Cached::Model(m),
+                ) => Some((*target, *mode == TransferMode::Read, m)),
+                _ => None,
+            })
+    };
+    probes()
+        .filter(|(target, ..)| io_nodes.contains(&NodeId(*target)))
+        .min_by_key(|&(target, read, _)| (read, target))
+        .or_else(|| probes().min_by_key(|&(target, read, _)| (target, read)))
+        .map(|(.., m)| Arc::clone(m))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use numio_core::SimPlatform;
+    use numio_core::{SimPlatform, StorageConfig};
+
+    const W: TransferMode = TransferMode::Write;
+    const R: TransferMode = TransferMode::Read;
 
     fn modeler() -> IoModeler {
         IoModeler::new().reps(3)
     }
 
+    /// The healthy shard-0 view of `p`.
+    fn view(p: &SimPlatform) -> CacheKey {
+        CacheKey::new(p, &[], 0)
+    }
+
+    fn probe(view: CacheKey, target: u16, mode: TransferMode) -> ModelKey {
+        ModelKey::model(view, DeviceSelector::Probe, NodeId(target), mode)
+    }
+
+    fn storage(view: CacheKey, cfg: StorageConfig, mode: TransferMode) -> ModelKey {
+        ModelKey::model(view, DeviceSelector::Ssd(cfg), NodeId(7), mode)
+    }
+
+    /// A traced lookup that must succeed.
+    fn get<P: Platform>(
+        cache: &CharacterizationCache,
+        p: &P,
+        key: &ModelKey,
+        faults: &[FaultKind],
+    ) -> Cached {
+        cache.get(key, p, &modeler(), faults).unwrap()
+    }
+
+    fn model(found: Cached) -> Arc<IoPerfModel> {
+        match found {
+            Cached::Model(m) => m,
+            other => panic!("expected a model, got {other:?}"),
+        }
+    }
+
+    fn atlas(found: Cached) -> Arc<Atlas> {
+        match found {
+            Cached::Atlas(a) => a,
+            other => panic!("expected an atlas, got {other:?}"),
+        }
+    }
+
+    /// `(hits, misses)` so far.
+    fn counts(cache: &CharacterizationCache) -> (u64, u64) {
+        let s = cache.stats();
+        (s.hits, s.misses)
+    }
+
     #[test]
     fn cold_miss_then_hits_share_one_atlas() {
-        let cache = CharacterizationCache::new();
-        let p = SimPlatform::dl585();
-        let first = cache.get_or_characterize(&p, &modeler(), &[]).unwrap();
-        assert!(!first.hit);
-        let second = cache.get_or_characterize(&p, &modeler(), &[]).unwrap();
-        assert!(second.hit);
-        assert!(Arc::ptr_eq(&first.atlas, &second.atlas));
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
+        let (cache, p) = (CharacterizationCache::new(), SimPlatform::dl585());
+        let key = ModelKey::atlas(view(&p));
+        let first = atlas(get(&cache, &p, &key, &[]));
+        assert_eq!(counts(&cache), (0, 1));
+        let second = atlas(get(&cache, &p, &key, &[]));
+        assert_eq!(counts(&cache), (1, 1));
+        assert!(Arc::ptr_eq(&first, &second));
+        assert_eq!(cache.stats().entries, 1);
     }
 
     #[test]
     fn single_model_lookups_characterize_only_that_model() {
-        let cache = CharacterizationCache::new();
-        let p = SimPlatform::dl585();
-        let first = cache
-            .get_or_model(&p, &modeler(), &[], NodeId(7), TransferMode::Write)
-            .unwrap();
-        assert!(!first.hit);
+        let (cache, p) = (CharacterizationCache::new(), SimPlatform::dl585());
+        let write = probe(view(&p), 7, W);
+        let first = model(get(&cache, &p, &write, &[]));
+        assert_eq!(counts(&cache), (0, 1));
         assert_eq!(
-            cache.models_cached(&first.key),
+            cache.models_cached(&write.view),
             1,
             "nothing else characterized"
         );
-        let second = cache
-            .get_or_model(&p, &modeler(), &[], NodeId(7), TransferMode::Write)
-            .unwrap();
-        assert!(second.hit);
-        assert!(Arc::ptr_eq(&first.model, &second.model));
+        let second = model(get(&cache, &p, &write, &[]));
+        assert_eq!(counts(&cache), (1, 1));
+        assert!(Arc::ptr_eq(&first, &second));
         // A different direction is its own slot under the same view key.
-        let read = cache
-            .get_or_model(&p, &modeler(), &[], NodeId(7), TransferMode::Read)
-            .unwrap();
-        assert!(!read.hit);
-        assert_eq!(read.key, first.key);
-        assert_eq!(cache.models_cached(&first.key), 2);
+        get(&cache, &p, &probe(view(&p), 7, R), &[]);
+        assert_eq!(counts(&cache), (1, 2));
+        assert_eq!(cache.models_cached(&write.view), 2);
         assert_eq!(cache.len(), 1, "slots share one view key");
-        assert_eq!(cache.stats().misses, 2);
     }
 
     #[test]
     fn atlas_reuses_models_cached_by_single_lookups() {
-        let cache = CharacterizationCache::new();
-        let p = SimPlatform::dl585();
-        let single = cache
-            .get_or_model(&p, &modeler(), &[], NodeId(7), TransferMode::Write)
-            .unwrap();
-        let atlas = cache.get_or_characterize(&p, &modeler(), &[]).unwrap();
-        assert!(!atlas.hit, "the full atlas was not cached yet");
+        let (cache, p) = (CharacterizationCache::new(), SimPlatform::dl585());
+        let single = model(get(&cache, &p, &probe(view(&p), 7, W), &[]));
+        let full = atlas(get(&cache, &p, &ModelKey::atlas(view(&p)), &[]));
+        assert_eq!(counts(&cache), (0, 2), "the full atlas was not cached yet");
         assert_eq!(
-            atlas.atlas.model(NodeId(7), TransferMode::Write).unwrap(),
-            &*single.model,
+            full.model(NodeId(7), W).unwrap(),
+            &*single,
             "the atlas reuses the already-characterized model bit-for-bit"
         );
         // And the filled slots now serve single lookups as hits.
-        assert!(
-            cache
-                .get_or_model(&p, &modeler(), &[], NodeId(3), TransferMode::Read)
-                .unwrap()
-                .hit
-        );
+        get(&cache, &p, &probe(view(&p), 3, R), &[]);
+        assert_eq!(counts(&cache), (1, 2));
     }
 
     #[test]
     fn storage_models_slot_under_the_device_dimension() {
-        let cache = CharacterizationCache::new();
-        let p = SimPlatform::dl585();
-        let cfg = StorageConfig::paper();
-        let key = cache.key_for(&p, &[]);
-        assert!(cache
-            .peek_storage_model(&key, cfg, TransferMode::Write)
-            .is_none());
-        let cold = cache
-            .get_or_storage_model(&p, &modeler(), &[], cfg, TransferMode::Write)
-            .unwrap();
-        assert!(!cold.hit);
-        assert_eq!(cold.key, key, "storage slots share the probe view key");
-        let warm = cache
-            .get_or_storage_model(&p, &modeler(), &[], cfg, TransferMode::Write)
-            .unwrap();
-        assert!(warm.hit);
-        assert!(Arc::ptr_eq(&cold.model, &warm.model));
-        assert!(Arc::ptr_eq(
-            &cache
-                .peek_storage_model(&key, cfg, TransferMode::Write)
-                .unwrap(),
-            &cold.model
-        ));
-        // A different operating point is its own slot under the same key,
-        // and the probe slot map is untouched.
+        let (cache, p) = (CharacterizationCache::new(), SimPlatform::dl585());
+        let key = storage(view(&p), StorageConfig::paper(), W);
+        assert!(cache.peek(&key).is_none());
+        let cold = model(get(&cache, &p, &key, &[]));
+        assert_eq!(counts(&cache), (0, 1));
+        let warm = model(get(&cache, &p, &key, &[]));
+        assert_eq!(counts(&cache), (1, 1));
+        assert!(Arc::ptr_eq(&cold, &warm));
+        assert!(Arc::ptr_eq(&model(cache.peek(&key).unwrap()), &cold));
+        // A different operating point is its own slot under the same view,
+        // and the probe slot stays empty.
         let sync = StorageConfig::parse("sync-buffered").unwrap();
-        let other = cache
-            .get_or_storage_model(&p, &modeler(), &[], sync, TransferMode::Write)
-            .unwrap();
-        assert!(!other.hit);
-        assert_eq!(other.key, key);
-        assert_eq!(cache.models_cached(&key), 0, "probe slots untouched");
-        assert_eq!(cache.len(), 1);
+        get(&cache, &p, &storage(view(&p), sync, W), &[]);
+        assert_eq!(counts(&cache), (2, 2));
+        assert_eq!(cache.models_cached(&key.view), 2);
+        assert!(cache.peek(&probe(view(&p), 7, W)).is_none());
+        assert_eq!(cache.len(), 1, "storage slots share the probe view key");
         // Table IV partition, straight off the cached storage model.
         let classes: Vec<Vec<u16>> = cold
-            .model
             .classes()
             .iter()
             .map(|c| c.nodes.iter().map(|n| n.0).collect())
@@ -848,41 +745,59 @@ mod tests {
     }
 
     #[test]
+    fn storage_selectors_ignore_the_target_and_shards_key_separately() {
+        let (cache, p) = (CharacterizationCache::new(), SimPlatform::dl585());
+        let ssd = DeviceSelector::Ssd(StorageConfig::paper());
+        // Every target addresses the one storage slot; probe slots don't
+        // collapse.
+        assert_eq!(
+            ModelKey::model(view(&p), ssd, NodeId(7), W),
+            ModelKey::model(view(&p), ssd, NodeId(3), W)
+        );
+        assert_ne!(probe(view(&p), 7, W), probe(view(&p), 3, W));
+        // A fleet host shard over the same platform is a view of its own.
+        let host1 = probe(CacheKey::new(&p, &[], 1), 7, W);
+        assert_ne!(probe(view(&p), 7, W), host1);
+        get(&cache, &p, &probe(view(&p), 7, W), &[]);
+        get(&cache, &p, &host1, &[]);
+        assert_eq!(counts(&cache), (0, 2));
+        assert_eq!(cache.len(), 2);
+    }
+
+    #[test]
     fn device_stall_views_derate_cached_storage_models() {
-        let cache = CharacterizationCache::new();
-        let p = SimPlatform::dl585();
+        let (cache, p) = (CharacterizationCache::new(), SimPlatform::dl585());
         let cfg = StorageConfig::paper();
-        let base = cache
-            .get_or_storage_model(&p, &modeler(), &[], cfg, TransferMode::Write)
-            .unwrap();
+        let base = storage(view(&p), cfg, W);
         let stall = [FaultKind::DeviceStall {
             device: 1,
             factor: 0.5,
         }];
-        let faulted = cache
-            .get_or_storage_model(&p, &modeler(), &stall, cfg, TransferMode::Write)
-            .unwrap();
-        assert_ne!(base.key, faulted.key, "fault views key separately");
+        let faulted = storage(CacheKey::new(&p, &stall, 0), cfg, W);
+        assert_ne!(base.view, faulted.view, "fault views key separately");
+        let base = model(get(&cache, &p, &base, &[]));
+        let faulted = model(get(&cache, &p, &faulted, &stall));
         // One of two cards at 50%: the aggregate keeps 75%.
-        let ratio = faulted.model.node_gbps(NodeId(7)) / base.model.node_gbps(NodeId(7));
+        let ratio = faulted.node_gbps(NodeId(7)) / base.node_gbps(NodeId(7));
         assert!((ratio - 0.75).abs() < 1e-9, "{ratio}");
     }
 
     #[test]
     fn fault_view_changes_the_key_not_the_base_entry() {
-        let cache = CharacterizationCache::new();
-        let p = SimPlatform::dl585();
-        let base = cache.get_or_characterize(&p, &modeler(), &[]).unwrap();
-        let faulted = cache
-            .get_or_characterize(&p, &modeler(), &[FaultKind::LinkDown { from: 6, to: 7 }])
-            .unwrap();
-        assert_ne!(base.key, faulted.key);
-        assert_eq!(cache.stats().misses, 2);
+        let (cache, p) = (CharacterizationCache::new(), SimPlatform::dl585());
+        let down = [FaultKind::LinkDown { from: 6, to: 7 }];
+        let base = ModelKey::atlas(view(&p));
+        let faulted = ModelKey::atlas(CacheKey::new(&p, &down, 0));
+        get(&cache, &p, &base, &[]);
+        get(&cache, &p, &faulted, &down);
+        assert_ne!(base.view, faulted.view);
+        assert_eq!(counts(&cache), (0, 2));
         assert_eq!(cache.len(), 2);
         // Evicting the faulted view leaves the base entry hot.
-        assert!(cache.invalidate(&faulted.key));
-        assert!(cache.contains(&base.key));
-        assert!(cache.get_or_characterize(&p, &modeler(), &[]).unwrap().hit);
+        assert!(cache.invalidate(&faulted.view));
+        assert!(cache.contains(&base.view));
+        get(&cache, &p, &base, &[]);
+        assert_eq!(counts(&cache), (1, 2));
     }
 
     #[test]
@@ -914,13 +829,12 @@ mod tests {
 
     #[test]
     fn deterministic_backend_never_drifts() {
-        let cache = CharacterizationCache::new();
-        let p = SimPlatform::dl585();
+        let (cache, p) = (CharacterizationCache::new(), SimPlatform::dl585());
         assert_eq!(
             cache.check_drift(&p, &modeler(), &[], 0.1).unwrap(),
             DriftOutcome::NotCached
         );
-        cache.get_or_characterize(&p, &modeler(), &[]).unwrap();
+        get(&cache, &p, &ModelKey::atlas(view(&p)), &[]);
         match cache.check_drift(&p, &modeler(), &[], 0.1).unwrap() {
             DriftOutcome::Stable { max_rel_delta } => assert!(max_rel_delta < 1e-12),
             other => panic!("expected stable, got {other:?}"),
@@ -930,24 +844,27 @@ mod tests {
 
     #[test]
     fn drift_past_threshold_evicts_exactly_the_stale_key() {
-        let cache = CharacterizationCache::new();
-        // Characterize the split-I/O machine but cache it under the dl585
-        // key: a re-check against the real dl585 then shows real drift.
-        let dl585 = SimPlatform::dl585();
-        let split = SimPlatform::new(numa_fabric::calibration::dl585_split_io_fabric());
-        let other = cache.get_or_characterize(&split, &modeler(), &[]).unwrap();
-        let key = cache.key_for(&dl585, &[]);
-        let planted = Atlas::characterize(&split, &modeler()).unwrap();
-        cache
-            .write_entries()
-            .insert(key.clone(), ViewEntry::from_atlas(planted));
+        let (cache, dl585) = (CharacterizationCache::new(), SimPlatform::dl585());
+        // Characterize the dl585 with its 6→7 link degraded, then plant
+        // that view under the healthy key: a re-check against the healthy
+        // dl585 shows real drift on the I/O node's models (node 7), while
+        // the models against node 0 measure the same on both fabrics.
+        let degrade = [FaultKind::LinkDegrade {
+            from: 6,
+            to: 7,
+            factor: 0.5,
+        }];
+        let degraded = ModelKey::atlas(CacheKey::new(&dl585, &degrade, 0));
+        get(&cache, &dl585, &degraded, &degrade);
+        let planted = cache.read_entries()[&degraded.view].clone();
+        cache.write_entries().insert(view(&dl585), planted);
         match cache.check_drift(&dl585, &modeler(), &[], 1e-6).unwrap() {
             DriftOutcome::Invalidated { max_rel_delta } => assert!(max_rel_delta > 1e-6),
             other => panic!("expected invalidation, got {other:?}"),
         }
-        assert!(!cache.contains(&key));
+        assert!(!cache.contains(&view(&dl585)));
         // The unrelated entry is untouched.
-        assert!(cache.contains(&other.key));
+        assert!(cache.contains(&degraded.view));
         assert_eq!(cache.stats().invalidations, 1);
     }
 
@@ -957,74 +874,60 @@ mod tests {
         // Record only node 7's write-direction probes — the shape of the
         // shipped results/fixtures/dl585.jsonl.
         let rec = RecordingPlatform::new(SimPlatform::dl585());
-        let live = modeler().characterize(&rec, NodeId(7), TransferMode::Write);
+        let live = modeler().characterize(&rec, NodeId(7), W);
         let replay = ReplayPlatform::from_jsonl(&rec.fixture().to_jsonl()).unwrap();
+        let view = CacheKey::new(&replay, &[], 0);
+        let write = probe(view.clone(), 7, W);
 
         let cache = CharacterizationCache::new();
+        // An uncovered model is a typed error. It pays its miss, but a view
+        // whose first characterization failed is not cached.
+        let read = probe(view.clone(), 7, R);
+        assert!(cache.get(&read, &replay, &modeler(), &[]).is_err());
+        assert_eq!((counts(&cache), cache.len()), ((0, 1), 0));
         // The covered model serves, caches, and matches the live run.
-        let lookup = cache
-            .get_or_model(&replay, &modeler(), &[], NodeId(7), TransferMode::Write)
-            .unwrap();
-        assert_eq!(*lookup.model, live);
-        assert!(cache
-            .get_or_model(&replay, &modeler(), &[], NodeId(7), TransferMode::Read)
-            .is_err());
-        // An uncovered model — and the full atlas — are typed errors, and
+        assert_eq!(*model(get(&cache, &replay, &write, &[])), live);
+        // The uncovered model — and the full atlas — stay typed errors, and
         // the covered model stays served from cache afterwards.
-        assert!(cache.get_or_characterize(&replay, &modeler(), &[]).is_err());
-        assert!(
-            cache
-                .get_or_model(&replay, &modeler(), &[], NodeId(7), TransferMode::Write)
-                .unwrap()
-                .hit
-        );
+        assert!(cache.get(&read, &replay, &modeler(), &[]).is_err());
+        let full = ModelKey::atlas(view);
+        assert!(cache.get(&full, &replay, &modeler(), &[]).is_err());
+        let before = counts(&cache);
+        get(&cache, &replay, &write, &[]);
+        assert_eq!(counts(&cache), (before.0 + 1, before.1));
     }
 
     #[test]
     fn peek_serves_warm_models_without_rekeying_and_counts_hits() {
         let obs = Obs::new();
-        let cache = CharacterizationCache::new().with_obs(&obs);
-        let p = SimPlatform::dl585();
-        let key = cache.key_for(&p, &[]);
+        let (cache, p) = (
+            CharacterizationCache::new().with_obs(&obs),
+            SimPlatform::dl585(),
+        );
+        let key = probe(view(&p), 7, W);
         // Cold: nothing cached — peek counts neither a hit nor a miss.
-        assert!(cache
-            .peek_model(&key, NodeId(7), TransferMode::Write)
-            .is_none());
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses), (0, 0));
+        assert!(cache.peek(&key).is_none());
+        assert_eq!(counts(&cache), (0, 0));
 
-        let cold = cache
-            .get_or_model(&p, &modeler(), &[], NodeId(7), TransferMode::Write)
-            .unwrap();
-        let warm = cache
-            .peek_model(&key, NodeId(7), TransferMode::Write)
-            .unwrap();
-        assert!(Arc::ptr_eq(&cold.model, &warm));
+        let cold = model(get(&cache, &p, &key, &[]));
+        let warm = model(cache.peek(&key).unwrap());
+        assert!(Arc::ptr_eq(&cold, &warm));
         // A different slot under the same key is still cold to peek.
-        assert!(cache
-            .peek_model(&key, NodeId(7), TransferMode::Read)
-            .is_none());
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses), (1, 1));
+        assert!(cache.peek(&probe(view(&p), 7, R)).is_none());
+        assert_eq!(counts(&cache), (1, 1));
         assert_eq!(obs.counter("numio_serve_cache_hits_total", &[]).get(), 1);
     }
 
     #[test]
     fn shard_counters_split_per_host_and_invalidate_independently() {
-        let cache = CharacterizationCache::new();
-        let p = SimPlatform::dl585();
+        let (cache, p) = (CharacterizationCache::new(), SimPlatform::dl585());
+        let key = |host| probe(CacheKey::new(&p, &[], host), 7, W);
         // Shard 0 (the service's own view) and two fleet host shards.
-        cache
-            .get_or_model(&p, &modeler(), &[], NodeId(7), TransferMode::Write)
-            .unwrap();
+        get(&cache, &p, &key(0), &[]);
         for host in [1u64, 2] {
-            cache
-                .get_or_model_sharded(&p, &modeler(), &[], NodeId(7), TransferMode::Write, host)
-                .unwrap();
+            get(&cache, &p, &key(host), &[]);
             // Warm repeat: a hit charged to the same shard.
-            cache
-                .get_or_model_sharded(&p, &modeler(), &[], NodeId(7), TransferMode::Write, host)
-                .unwrap();
+            get(&cache, &p, &key(host), &[]);
         }
         assert_eq!(cache.len(), 3, "one view key per shard");
         let shards = cache.shard_stats();
@@ -1047,33 +950,23 @@ mod tests {
         assert_eq!(shards[1].invalidations, 1);
         assert_eq!(shards[2].invalidations, 0);
         assert_eq!(cache.stats().invalidations, 1);
-        assert!(cache
-            .get_or_model_sharded(&p, &modeler(), &[], NodeId(7), TransferMode::Write, 2)
-            .unwrap()
-            .hit);
-        assert!(!cache
-            .get_or_model_sharded(&p, &modeler(), &[], NodeId(7), TransferMode::Write, 1)
-            .unwrap()
-            .hit);
-    }
-
-    #[test]
-    fn key_for_is_host_shard_zero() {
-        let cache = CharacterizationCache::new();
-        let p = SimPlatform::dl585();
-        assert_eq!(
-            cache.key_for(&p, &[]),
-            cache.key_for_host(&p, &[], 0)
-        );
+        get(&cache, &p, &key(2), &[]);
+        get(&cache, &p, &key(1), &[]);
+        let shards = cache.shard_stats();
+        assert_eq!((shards[2].hits, shards[2].misses), (2, 1));
+        assert_eq!((shards[1].hits, shards[1].misses), (1, 2));
     }
 
     #[test]
     fn obs_counters_mirror_the_stats() {
         let obs = Obs::new();
-        let cache = CharacterizationCache::new().with_obs(&obs);
-        let p = SimPlatform::dl585();
-        cache.get_or_characterize(&p, &modeler(), &[]).unwrap();
-        cache.get_or_characterize(&p, &modeler(), &[]).unwrap();
+        let (cache, p) = (
+            CharacterizationCache::new().with_obs(&obs),
+            SimPlatform::dl585(),
+        );
+        let key = ModelKey::atlas(view(&p));
+        get(&cache, &p, &key, &[]);
+        get(&cache, &p, &key, &[]);
         assert_eq!(obs.counter("numio_serve_cache_hits_total", &[]).get(), 1);
         assert_eq!(obs.counter("numio_serve_cache_misses_total", &[]).get(), 1);
     }

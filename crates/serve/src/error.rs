@@ -27,13 +27,6 @@ pub enum ServeError {
         /// Label of the fabric-less backend.
         label: String,
     },
-    /// The cached atlas has no model for the requested (target, mode).
-    NoModel {
-        /// Requested device node.
-        target: u16,
-        /// Requested direction, as its wire name.
-        mode: &'static str,
-    },
     /// The request was structurally valid JSON but semantically wrong
     /// (empty mix, zero counts, unknown node, ...).
     BadRequest {
@@ -76,12 +69,6 @@ impl fmt::Display for ServeError {
                 f,
                 "backend '{label}' exposes no simulator fabric; `place` needs a sim backend"
             ),
-            ServeError::NoModel { target, mode } => {
-                write!(
-                    f,
-                    "no model for target node {target} mode {mode} in the cached atlas"
-                )
-            }
             ServeError::BadRequest { reason } => write!(f, "bad request: {reason}"),
             ServeError::Protocol { reason } => write!(f, "protocol: {reason}"),
             ServeError::Io { reason } => write!(f, "io: {reason}"),
@@ -165,11 +152,6 @@ mod tests {
             label: "replay:f.jsonl".into(),
         };
         assert!(e.to_string().contains("replay:f.jsonl"));
-        let e = ServeError::NoModel {
-            target: 9,
-            mode: "write",
-        };
-        assert!(e.to_string().contains("target node 9"));
         let e: ServeError = PlatformError::ZeroReps.into();
         assert!(matches!(e, ServeError::Platform(PlatformError::ZeroReps)));
         let e = ServeError::Overloaded { limit: 4 };

@@ -21,7 +21,7 @@ const K: u64 = 0x9e37_79b9_7f4a_7c15;
 /// collision-resistant against adversaries — see the module docs for why
 /// that is acceptable for cache-internal keys.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct FxHasher {
+pub(crate) struct FxHasher {
     hash: u64,
 }
 
@@ -88,10 +88,10 @@ impl Hasher for FxHasher {
 }
 
 /// `BuildHasher` plugging [`FxHasher`] into `HashMap`.
-pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
+pub(crate) type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 /// A `HashMap` keyed with the fast hasher.
-pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
+pub(crate) type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 
 #[cfg(test)]
 mod tests {

@@ -11,12 +11,15 @@
 //!
 //! ## Pieces
 //!
-//! * [`CharacterizationCache`] — characterizations memoized per
+//! * [`CharacterizationCache`] — characterizations memoized per view
 //!   `(backend label, topology hash, fault-view hash, host shard)` behind
-//!   an `RwLock`; within a key, models are cached lazily per
-//!   `(target, mode)` (so partial replay fixtures serve what they cover)
-//!   and the full atlas is assembled on demand; cold misses characterize
-//!   via the generic [`Platform`](numio_core::Platform) pipeline;
+//!   an `RwLock`. One [`ModelKey`] addresses every slot of a view: a
+//!   `(device, target, mode)` model, cached lazily (so partial replay
+//!   fixtures serve what they cover), or the full atlas, assembled on
+//!   demand. There are two lookups: the warm
+//!   [`CharacterizationCache::peek`] and the traced
+//!   [`CharacterizationCache::get`], whose cold misses characterize via
+//!   the generic [`Platform`](numio_core::Platform) pipeline;
 //!   invalidation is *targeted* (one key, or one host shard via
 //!   [`CharacterizationCache::invalidate_host`]) on drift past a
 //!   threshold or a fault-view swap. Hit/miss/invalidation counters are
@@ -29,12 +32,12 @@
 //!   in the `numio_serve_request_seconds{op,backend,outcome}` histogram
 //!   family, and append to a bounded flight recorder dumped by the
 //!   `dump` op (or frozen as an incident on error replies and overload).
-//!   Warm `predict`/`classify` requests take a raw-speed path: the fault
-//!   view's cache key is precomputed (no per-request topology rehash),
-//!   the model comes from a single shared-lock
-//!   [`CharacterizationCache::peek_model`], Eq. 1 runs straight off the
-//!   wire pairs without a `WorkloadMix` allocation, and metric handles
-//!   are pre-resolved — while hit counters stay exact.
+//!   Every model-backed op goes through one resolve step. Warm
+//!   requests take a raw-speed path: the fault view's cache key is
+//!   precomputed (no per-request topology rehash), the model comes from a
+//!   single shared-lock [`CharacterizationCache::peek`], Eq. 1 runs
+//!   straight off the wire pairs without a `WorkloadMix` allocation, and
+//!   metric handles are pre-resolved — while hit counters stay exact.
 //! * [`spawn`] / [`spawn_with`] / [`ServerHandle`] — sharded worker-pool
 //!   TCP server: an accept loop distributes connections across
 //!   [`ServeConfig::workers`] workers (default `min(cores, 8)`), each
@@ -49,7 +52,9 @@
 //!   [`Client::predict_batch`] helper for the `predict_batch` op, which
 //!   resolves the cached view once and evaluates thousands of Eq. 1
 //!   mixes bit-identically to sequential predicts.
-//! * [`Request`] / [`Response`] — the wire vocabulary.
+//! * [`Request`] / [`Response`] — the wire vocabulary. Replies carry no
+//!   hit/miss flag, so every client sees the same bytes; the `stats`
+//!   reply's counters say how a request was served.
 //!
 //! ## Quickstart
 //!
@@ -65,12 +70,16 @@
 //! let mut client = Client::connect(&server.addr().to_string()).unwrap();
 //! // First classify pays the characterization; the repeat is a cache hit.
 //! let req = Request::Classify { device: None, node: 2, target: 7, mode: Default::default() };
-//! client.call(&req).unwrap();
-//! match client.call(&req).unwrap() {
-//!     Response::Classify { class, cached, .. } => {
-//!         assert_eq!(class, 2); // Table IV: {6,7} > {0,1,4,5} > {2,3}
-//!         assert!(cached);
-//!     }
+//! let cold = client.call(&req).unwrap();
+//! let warm = client.call(&req).unwrap();
+//! assert_eq!(cold, warm);
+//! match warm {
+//!     // Table IV: {6,7} > {0,1,4,5} > {2,3}
+//!     Response::Classify { class, .. } => assert_eq!(class, 2),
+//!     other => panic!("{other:?}"),
+//! }
+//! match client.call(&Request::Stats).unwrap() {
+//!     Response::Stats { hits, misses, .. } => assert_eq!((hits, misses), (1, 1)),
 //!     other => panic!("{other:?}"),
 //! }
 //! server.shutdown();
@@ -79,18 +88,17 @@
 pub mod cache;
 pub mod client;
 pub mod error;
-pub mod fast_hash;
+mod fast_hash;
 pub mod proto;
 pub mod server;
 pub mod service;
 
 pub use cache::{
-    fault_view_hash, topology_hash, CacheKey, CacheLookup, CacheStats, CharacterizationCache,
-    DriftOutcome, HostShardStats, ModelLookup,
+    fault_view_hash, topology_hash, CacheKey, CacheStats, Cached, CharacterizationCache,
+    DriftOutcome, HostShardStats, ModelKey,
 };
 pub use client::Client;
 pub use error::ServeError;
-pub use fast_hash::{FxBuildHasher, FxHashMap, FxHasher};
 pub use proto::{
     decode_request, decode_response, encode, LatencySummary, Request, Response, WireMode,
 };

@@ -5,13 +5,14 @@
 //!
 //! ```text
 //! -> {"op":"classify","node":2}
-//! <- {"reply":"classify","node":2,"class":2,"classes":3,...,"cached":true}
+//! <- {"reply":"classify","node":2,"class":2,"classes":3,"class_nodes":[2,3],"avg_gbps":26.65}
 //! -> {"op":"predict","target":7,"mode":"read","mix":[[2,2],[0,2]]}
-//! <- {"reply":"predict","predicted_gbps":20.017,...,"cached":true}
+//! <- {"reply":"predict","predicted_gbps":20.017,"target":7,"mode":"read"}
 //! ```
 //!
-//! Every cache-touching reply carries `cached`: `false` exactly on the
-//! cold request that paid the characterization. Failures come back as
+//! A reply is the same bytes whichever request paid the characterization:
+//! hits and misses are reported by the `stats` and `fleet_stats` counters
+//! (and the `cache` trace span), not per reply. Failures come back as
 //! `{"reply":"error","message":"..."}` — the connection stays usable.
 
 use crate::cache::HostShardStats;
@@ -254,8 +255,6 @@ numa_par::json_enum! {
             target: u16,
             /// Echo of the direction.
             mode: WireMode,
-            /// Served from the characterization cache?
-            cached: bool,
         },
         /// Eq. 1 predictions for a whole batch, in mix order.
         PredictBatch {
@@ -266,8 +265,6 @@ numa_par::json_enum! {
             target: u16,
             /// Echo of the direction.
             mode: WireMode,
-            /// Served from the characterization cache?
-            cached: bool,
         },
         /// Class membership of one node.
         Classify {
@@ -281,15 +278,11 @@ numa_par::json_enum! {
             class_nodes: Vec<u16>,
             /// Class average bandwidth, Gbit/s.
             avg_gbps: f64,
-            /// Served from the characterization cache?
-            cached: bool,
         },
         /// Placement decision: binding node per task, in order.
         Place {
             /// Chosen nodes.
             nodes: Vec<u16>,
-            /// Served from the characterization cache?
-            cached: bool,
         },
         /// Workload simulation outcome.
         Simulate {
@@ -337,8 +330,6 @@ numa_par::json_enum! {
         Atlas {
             /// Every (target, mode) model of the host.
             atlas: Atlas,
-            /// Served from the characterization cache?
-            cached: bool,
         },
         /// Service counters.
         Stats {
@@ -560,7 +551,6 @@ mod tests {
             classes: 3,
             class_nodes: vec![2, 3],
             avg_gbps: 9.7,
-            cached: true,
         };
         let line = encode(&resp);
         assert_eq!(decode_response(&line).unwrap(), resp);
@@ -568,6 +558,20 @@ mod tests {
             message: "bad request: empty mix".into(),
         };
         assert_eq!(decode_response(&encode(&err)).unwrap(), err);
+    }
+
+    #[test]
+    fn replies_from_servers_that_sent_cached_still_decode() {
+        let line =
+            r#"{"reply":"predict","predicted_gbps":33.4,"target":7,"mode":"write","cached":true}"#;
+        assert_eq!(
+            decode_response(line).unwrap(),
+            Response::Predict {
+                predicted_gbps: 33.4,
+                target: 7,
+                mode: WireMode::Write,
+            }
+        );
     }
 
     #[test]

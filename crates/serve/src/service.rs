@@ -2,7 +2,7 @@
 //! worker threads, answering every protocol op from the characterization
 //! cache.
 
-use crate::cache::{CacheKey, CacheLookup, CharacterizationCache, DriftOutcome, ModelLookup};
+use crate::cache::{CacheKey, Cached, CharacterizationCache, DriftOutcome, ModelKey};
 use crate::error::ServeError;
 use crate::proto::{self, LatencySummary, Request, Response, WireMode};
 use numa_faults::{FaultKind, FaultPlan};
@@ -13,7 +13,7 @@ use numa_obs::{buckets, Counter, FlightRecorder, Histogram, Obs};
 use numa_sched::policy::{ActiveView, SchedContext};
 use numa_sched::{ClassRanked, IoTask, Policy, TaskId};
 use numa_topology::NodeId;
-use numio_core::{DeviceSelector, IoModeler, IoPerfModel, Platform, StorageConfig, TransferMode};
+use numio_core::{Atlas, DeviceSelector, IoModeler, IoPerfModel, Platform, TransferMode};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
@@ -112,13 +112,12 @@ impl<P: Platform> ModelService<P> {
     /// Serve `platform` with the default modeler (the same probe plan
     /// `iomodel record` captures, so replay fixtures line up).
     pub fn new(platform: P) -> Self {
-        let cache = CharacterizationCache::new();
-        let key = cache.key_for(&platform, &[]);
+        let key = CacheKey::new(&platform, &[], 0);
         let obs = Obs::new();
         let hot = HotMetrics::resolve(&obs, platform.backend_kind());
         ModelService {
             modeler: IoModeler::new(),
-            cache,
+            cache: CharacterizationCache::new(),
             faults: RwLock::new(FaultState {
                 kinds: Vec::new(),
                 key,
@@ -224,71 +223,43 @@ impl<P: Platform> ModelService<P> {
     /// characterizes whatever the view hasn't cached yet). Needs the
     /// backend to cover every `(target, mode)` — partial replay fixtures
     /// answer single-model ops but fail this one with a typed error.
-    pub fn atlas(&self) -> Result<CacheLookup, ServeError> {
-        let faults = self.fault_view();
-        self.cache
-            .get_or_characterize(&self.platform, &self.modeler, &faults)
-    }
-
-    /// Serve one `(target, mode)` model for the current fault view,
-    /// characterizing exactly that model on the cold miss. This is what
-    /// `predict`/`classify`/`place` run on, so a replay fixture recorded
-    /// for a single target and direction still serves those requests.
-    pub fn model_view(&self, target: u16, mode: WireMode) -> Result<ModelLookup, ServeError> {
-        let nodes = self.platform.num_nodes() as u16;
-        if target >= nodes {
-            return Err(ServeError::BadRequest {
-                reason: format!("target {target} out of range (backend has {nodes} nodes)"),
-            });
-        }
-        let faults = self.fault_view();
-        self.cache.get_or_model(
-            &self.platform,
-            &self.modeler,
-            &faults,
-            NodeId(target),
-            TransferMode::from(mode),
-        )
-    }
-
-    /// The warm-request model lookup: try the precomputed-view-key
-    /// [`CharacterizationCache::peek_model`] first (no topology rehash, no
-    /// stage span, no event — one shared-lock read), fall back to the
-    /// fully traced [`Self::model_view`] cold path. Returns
-    /// `(model, cached)`.
-    fn model_fast(&self, target: u16, mode: WireMode) -> Result<(Arc<IoPerfModel>, bool), ServeError> {
-        let nodes = self.platform.num_nodes() as u16;
-        if target >= nodes {
-            return Err(ServeError::BadRequest {
-                reason: format!("target {target} out of range (backend has {nodes} nodes)"),
-            });
-        }
-        {
+    pub fn atlas(&self) -> Result<Arc<Atlas>, ServeError> {
+        let (view, faults) = {
             let state = self.read_faults();
-            if let Some(model) =
-                self.cache.peek_model(&state.key, NodeId(target), TransferMode::from(mode))
-            {
-                return Ok((model, true));
-            }
+            (state.key.clone(), state.kinds.clone())
+        };
+        let key = ModelKey::atlas(view);
+        match self
+            .cache
+            .get(&key, &self.platform, &self.modeler, &faults)?
+        {
+            Cached::Atlas(atlas) => Ok(atlas),
+            Cached::Model(_) => unreachable!("the atlas slot holds the atlas"),
         }
-        let lookup = self.model_view(target, mode)?;
-        Ok((lookup.model, lookup.hit))
     }
 
-    /// Resolve the model a request addresses: the probe path model by
-    /// default, or — when a `device` selector names the storage tier —
-    /// the SSD model at the named operating point. With a storage
-    /// selector the request's `target` is moot (the SSDs' attach node is
-    /// the target by construction); unknown selectors are a
-    /// [`ServeError::BadRequest`], and storage against a fabric-less
-    /// backend surfaces the typed [`ServeError::Storage`] error.
-    fn device_model(
+    /// Resolve the model a request addresses under the current fault view:
+    /// the probe path model by default, or — when a `device` selector names
+    /// the storage tier — the SSD model at the named operating point, whose
+    /// `target` is moot (the SSDs' attach node is the target by
+    /// construction). Unknown selectors and out-of-range probe targets are
+    /// a [`ServeError::BadRequest`]; storage against a fabric-less backend
+    /// surfaces the typed [`ServeError::Storage`] error.
+    ///
+    /// The key is built from the fault view's precomputed [`CacheKey`], so
+    /// a warm request is one [`CharacterizationCache::peek`] (no topology
+    /// rehash, no stage span, no event); a miss falls back to the traced
+    /// [`CharacterizationCache::get`], which characterizes exactly that
+    /// model. This is what `predict`/`classify`/`place` run on, so a replay
+    /// fixture recorded for a single target and direction still serves
+    /// those requests.
+    fn resolve(
         &self,
         target: u16,
         mode: WireMode,
         device: Option<&str>,
-    ) -> Result<(Arc<IoPerfModel>, bool), ServeError> {
-        let selector = match device {
+    ) -> Result<Arc<IoPerfModel>, ServeError> {
+        let device = match device {
             None => DeviceSelector::Probe,
             Some(s) => DeviceSelector::parse(s).ok_or_else(|| ServeError::BadRequest {
                 reason: format!(
@@ -297,32 +268,29 @@ impl<P: Platform> ModelService<P> {
                 ),
             })?,
         };
-        match selector {
-            DeviceSelector::Probe => self.model_fast(target, mode),
-            DeviceSelector::Ssd(cfg) => self.storage_fast(cfg, mode),
+        let nodes = self.platform.num_nodes() as u16;
+        if device == DeviceSelector::Probe && target >= nodes {
+            return Err(ServeError::BadRequest {
+                reason: format!("target {target} out of range (backend has {nodes} nodes)"),
+            });
         }
-    }
-
-    /// The storage-tier [`Self::model_fast`]: peek the warm
-    /// `(config, mode)` slot under the precomputed view key first, fall
-    /// back to the fully traced cold path.
-    fn storage_fast(
-        &self,
-        cfg: StorageConfig,
-        mode: WireMode,
-    ) -> Result<(Arc<IoPerfModel>, bool), ServeError> {
-        let mode = TransferMode::from(mode);
-        {
+        // Key and fault kinds come from one read of the view, so a
+        // concurrent swap can never cache one view's model under another.
+        let (key, faults) = {
             let state = self.read_faults();
-            if let Some(model) = self.cache.peek_storage_model(&state.key, cfg, mode) {
-                return Ok((model, true));
+            let key = ModelKey::model(state.key.clone(), device, NodeId(target), mode.into());
+            if let Some(Cached::Model(model)) = self.cache.peek(&key) {
+                return Ok(model);
             }
+            (key, state.kinds.clone())
+        };
+        match self
+            .cache
+            .get(&key, &self.platform, &self.modeler, &faults)?
+        {
+            Cached::Model(model) => Ok(model),
+            Cached::Atlas(_) => unreachable!("a model slot holds a model"),
         }
-        let faults = self.fault_view();
-        let lookup =
-            self.cache
-                .get_or_storage_model(&self.platform, &self.modeler, &faults, cfg, mode)?;
-        Ok((lookup.model, lookup.hit))
     }
 
     /// Arm a fault plan: answers now reflect the degraded view. The *old*
@@ -339,7 +307,7 @@ impl<P: Platform> ModelService<P> {
     }
 
     fn swap_fault_view(&self, new: Vec<FaultKind>) -> (usize, bool) {
-        let new_key = self.cache.key_for(&self.platform, &new);
+        let new_key = CacheKey::new(&self.platform, &new, 0);
         let old = {
             let mut guard = self.write_faults();
             if guard.kinds == new {
@@ -579,25 +547,20 @@ impl<P: Platform> ModelService<P> {
                     events: events.iter().map(|e| e.to_json_line()).collect(),
                 })
             }
-            Request::Atlas => {
-                let lookup = self.atlas()?;
-                Ok(Response::Atlas {
-                    atlas: (*lookup.atlas).clone(),
-                    cached: lookup.hit,
-                })
-            }
+            Request::Atlas => Ok(Response::Atlas {
+                atlas: (*self.atlas()?).clone(),
+            }),
             Request::Predict {
                 target,
                 mode,
                 device,
                 mix,
             } => {
-                let (model, cached) = self.device_model(*target, *mode, device.as_deref())?;
+                let model = self.resolve(*target, *mode, device.as_deref())?;
                 Ok(Response::Predict {
                     predicted_gbps: predict_pairs(&model, mix)?,
                     target: *target,
                     mode: *mode,
-                    cached,
                 })
             }
             Request::PredictBatch {
@@ -611,7 +574,7 @@ impl<P: Platform> ModelService<P> {
                         reason: "empty batch".into(),
                     });
                 }
-                let (model, cached) = self.device_model(*target, *mode, device.as_deref())?;
+                let model = self.resolve(*target, *mode, device.as_deref())?;
                 self.hot.batch_size.observe(mixes.len() as f64);
                 let mut predicted = Vec::with_capacity(mixes.len());
                 for (i, mix) in mixes.iter().enumerate() {
@@ -627,7 +590,6 @@ impl<P: Platform> ModelService<P> {
                     predicted_gbps: predicted,
                     target: *target,
                     mode: *mode,
-                    cached,
                 })
             }
             Request::Classify {
@@ -636,7 +598,7 @@ impl<P: Platform> ModelService<P> {
                 mode,
                 device,
             } => {
-                let (model, cached) = self.device_model(*target, *mode, device.as_deref())?;
+                let model = self.resolve(*target, *mode, device.as_deref())?;
                 let class =
                     model
                         .try_class_of(NodeId(*node))
@@ -650,7 +612,6 @@ impl<P: Platform> ModelService<P> {
                     classes: model.classes().len(),
                     class_nodes: c.nodes.iter().map(|n| n.0).collect(),
                     avg_gbps: c.avg_gbps,
-                    cached,
                 })
             }
             Request::Place {
@@ -666,8 +627,8 @@ impl<P: Platform> ModelService<P> {
                         reason: "place needs at least one task".into(),
                     });
                 }
-                let (write_model, write_hit) = self.model_fast(*target, WireMode::Write)?;
-                let (read_model, read_hit) = self.model_fast(*target, WireMode::Read)?;
+                let write_model = self.resolve(*target, WireMode::Write, None)?;
+                let read_model = self.resolve(*target, WireMode::Read, None)?;
                 let mut policy = ClassRanked::from_models(&write_model, &read_model);
                 let op = if *to_device {
                     NicOp::RdmaWrite
@@ -691,10 +652,7 @@ impl<P: Platform> ModelService<P> {
                     });
                     nodes.push(node.0);
                 }
-                Ok(Response::Place {
-                    nodes,
-                    cached: write_hit && read_hit,
-                })
+                Ok(Response::Place { nodes })
             }
             Request::Simulate { workload } => {
                 let fabric = self.platform.fabric().ok_or_else(|| ServeError::NoFabric {
@@ -750,14 +708,13 @@ impl<P: Platform> ModelService<P> {
                 // every shard's miss into a hit, which `fleet_stats`
                 // (and the `stats` reply's `shards` block) surfaces.
                 for host in fleet.hosts() {
-                    self.cache.get_or_model_sharded(
-                        host.platform(),
-                        &self.modeler,
-                        &[],
+                    let key = ModelKey::model(
+                        CacheKey::new(host.platform(), &[], host.id as u64 + 1),
+                        DeviceSelector::Probe,
                         host.io_node(),
                         TransferMode::Write,
-                        host.id as u64 + 1,
-                    )?;
+                    );
+                    self.cache.get(&key, host.platform(), &self.modeler, &[])?;
                 }
                 let report = numa_fleet::ClusterScheduler::new(&fleet)
                     .run(&numa_fleet::StreamSpec::workload(*streams, *seed), policy.as_mut())
@@ -862,35 +819,68 @@ mod tests {
         ModelService::new(SimPlatform::dl585()).with_modeler(IoModeler::new().reps(3))
     }
 
+    fn classify(node: u16, target: u16, mode: WireMode, device: Option<&str>) -> Request {
+        let device = device.map(String::from);
+        Request::Classify {
+            node,
+            target,
+            mode,
+            device,
+        }
+    }
+
+    fn predict(target: u16, mode: WireMode, device: Option<&str>, mix: Vec<(u16, u32)>) -> Request {
+        let device = device.map(String::from);
+        Request::Predict {
+            target,
+            mode,
+            device,
+            mix,
+        }
+    }
+
+    fn batch(mode: WireMode, mixes: Vec<Vec<(u16, u32)>>) -> Request {
+        Request::PredictBatch {
+            target: 7,
+            mode,
+            device: None,
+            mixes,
+        }
+    }
+
+    /// The prediction a `predict` reply carries.
+    fn gbps(resp: &Response) -> f64 {
+        match resp {
+            Response::Predict { predicted_gbps, .. } => *predicted_gbps,
+            other => panic!("unexpected reply: {other:?}"),
+        }
+    }
+
+    /// `(hits, misses)` so far: what the `stats` reply reports.
+    fn counts(svc: &ModelService<SimPlatform>) -> (u64, u64) {
+        let s = svc.cache().stats();
+        (s.hits, s.misses)
+    }
+
     #[test]
     fn classify_reproduces_table_iv_from_the_cache() {
         let svc = service();
-        let cold = svc.handle(&Request::Classify {
-            device: None,
-            node: 2,
-            target: 7,
-            mode: WireMode::Write,
-        });
-        let warm = svc.handle(&Request::Classify {
-            device: None,
-            node: 2,
-            target: 7,
-            mode: WireMode::Write,
-        });
+        let cold = svc.handle(&classify(2, 7, WireMode::Write, None));
+        assert_eq!(counts(&svc), (0, 1), "the first classify pays the miss");
+        let warm = svc.handle(&classify(2, 7, WireMode::Write, None));
+        assert_eq!(counts(&svc), (1, 1), "the repeat is a hit");
         match (&cold, &warm) {
             (
                 Response::Classify {
                     class: c0,
                     classes: n0,
                     class_nodes: k0,
-                    cached: false,
                     ..
                 },
                 Response::Classify {
                     class: c1,
                     classes: n1,
                     class_nodes: k1,
-                    cached: true,
                     ..
                 },
             ) => {
@@ -912,71 +902,38 @@ mod tests {
         // pin the storage-specific read view instead: node 4 alone at the
         // bottom (Table V analogue), which the probe read model does NOT
         // show as a singleton bottom class.
-        let resp = svc.handle(&Request::Classify {
-            node: 4,
-            target: 7,
-            mode: WireMode::Read,
-            device: Some("ssd0".into()),
-        });
+        let resp = svc.handle(&classify(4, 7, WireMode::Read, Some("ssd0")));
         let Response::Classify {
             class,
             classes,
             class_nodes,
-            cached: false,
             ..
-        } = resp
+        } = &resp
         else {
             panic!("unexpected reply: {resp:?}");
         };
-        assert_eq!(class, classes - 1, "node 4 is the bottom storage class");
-        assert_eq!(class_nodes, vec![4]);
-        // Warm repeat serves from the storage slot.
-        let resp = svc.handle(&Request::Classify {
-            node: 4,
-            target: 7,
-            mode: WireMode::Read,
-            device: Some("ssd0".into()),
-        });
-        assert!(
-            matches!(resp, Response::Classify { cached: true, .. }),
-            "{resp:?}"
-        );
+        assert_eq!(counts(&svc), (0, 1));
+        assert_eq!(*class, classes - 1, "node 4 is the bottom storage class");
+        assert_eq!(class_nodes, &vec![4]);
+        // The repeat serves from the one storage slot, whatever its
+        // target: the SSDs' attach node is the target by construction.
+        let warm = svc.handle(&classify(4, 3, WireMode::Read, Some("ssd0")));
+        assert_eq!(warm, resp);
+        assert_eq!(counts(&svc), (1, 1), "one miss, then one hit");
+        let view = CacheKey::new(svc.platform(), &[], 0);
+        assert_eq!(svc.cache().models_cached(&view), 1, "one slot");
         // `device: "probe"` is the default path, bit-identical to None.
-        let explicit = svc.handle(&Request::Predict {
-            target: 7,
-            mode: WireMode::Write,
-            device: Some("probe".into()),
-            mix: vec![(6, 1), (2, 1)],
-        });
-        let implicit = svc.handle(&Request::Predict {
-            target: 7,
-            mode: WireMode::Write,
-            device: None,
-            mix: vec![(6, 1), (2, 1)],
-        });
-        match (explicit, implicit) {
-            (
-                Response::Predict {
-                    predicted_gbps: a, ..
-                },
-                Response::Predict {
-                    predicted_gbps: b, ..
-                },
-            ) => assert_eq!(a.to_bits(), b.to_bits()),
-            other => panic!("unexpected replies: {other:?}"),
-        }
+        let mix = vec![(6, 1), (2, 1)];
+        let explicit = gbps(&svc.handle(&predict(7, WireMode::Write, Some("probe"), mix.clone())));
+        let implicit = gbps(&svc.handle(&predict(7, WireMode::Write, None, mix)));
+        assert_eq!(explicit.to_bits(), implicit.to_bits());
     }
 
     #[test]
     fn unknown_devices_are_error_replies() {
         let svc = service();
         for device in ["ssd9", "ssd0:warp9", "nvme0", ""] {
-            let resp = svc.handle(&Request::Classify {
-                node: 0,
-                target: 7,
-                mode: WireMode::Write,
-                device: Some(device.into()),
-            });
+            let resp = svc.handle(&classify(0, 7, WireMode::Write, Some(device)));
             let Response::Error { message } = resp else {
                 panic!("device '{device}' should fail, got {resp:?}");
             };
@@ -988,12 +945,7 @@ mod tests {
     fn storage_predictions_follow_the_device_stall_view() {
         let svc = service();
         let mix = vec![(6u16, 1u32), (0, 1)];
-        let base = svc.handle(&Request::Predict {
-            target: 7,
-            mode: WireMode::Write,
-            device: Some("ssd0".into()),
-            mix: mix.clone(),
-        });
+        let base = gbps(&svc.handle(&predict(7, WireMode::Write, Some("ssd0"), mix.clone())));
         let plan = FaultPlan::new(5).with(numa_faults::FaultWindow::permanent(
             FaultKind::DeviceStall {
                 device: 1,
@@ -1001,26 +953,12 @@ mod tests {
             },
         ));
         svc.handle(&Request::SetFaults { plan });
-        let stalled = svc.handle(&Request::Predict {
-            target: 7,
-            mode: WireMode::Write,
-            device: Some("ssd0".into()),
-            mix,
-        });
-        match (base, stalled) {
-            (
-                Response::Predict {
-                    predicted_gbps: b, ..
-                },
-                Response::Predict {
-                    predicted_gbps: s, ..
-                },
-            ) => {
-                let ratio = s / b;
-                assert!((ratio - 0.75).abs() < 1e-9, "one of two cards at 50%: {ratio}");
-            }
-            other => panic!("unexpected replies: {other:?}"),
-        }
+        let stalled = gbps(&svc.handle(&predict(7, WireMode::Write, Some("ssd0"), mix)));
+        let ratio = stalled / base;
+        assert!(
+            (ratio - 0.75).abs() < 1e-9,
+            "one card of two at 50%: {ratio}"
+        );
     }
 
     #[test]
@@ -1056,37 +994,19 @@ mod tests {
     #[test]
     fn predict_is_bit_identical_and_cached_on_repeat() {
         let svc = service();
-        let req = Request::Predict {
-            device: None,
-            target: 7,
-            mode: WireMode::Read,
-            mix: vec![(2, 2), (0, 2)],
-        };
-        let a = svc.handle(&req);
-        let b = svc.handle(&req);
-        match (a, b) {
-            (
-                Response::Predict {
-                    predicted_gbps: p0,
-                    cached: false,
-                    ..
-                },
-                Response::Predict {
-                    predicted_gbps: p1,
-                    cached: true,
-                    ..
-                },
-            ) => assert_eq!(p0.to_bits(), p1.to_bits()),
-            other => panic!("unexpected replies: {other:?}"),
-        }
-        assert_eq!(svc.cache().stats().misses, 1);
+        let req = predict(7, WireMode::Read, None, vec![(2, 2), (0, 2)]);
+        let a = gbps(&svc.handle(&req));
+        assert_eq!(counts(&svc), (0, 1));
+        let b = gbps(&svc.handle(&req));
+        assert_eq!(counts(&svc), (1, 1));
+        assert_eq!(a.to_bits(), b.to_bits());
     }
 
     #[test]
     fn predict_pairs_matches_the_workload_mix_path_bit_for_bit() {
         use numio_core::{predict_for_mix, WorkloadMix};
         let svc = service();
-        let (model, _) = svc.model_fast(7, WireMode::Read).unwrap();
+        let model = svc.resolve(7, WireMode::Read, None).unwrap();
         for mix in [
             vec![(2u16, 2u32), (0, 2)],
             vec![(6, 1)],
@@ -1113,38 +1033,16 @@ mod tests {
             vec![(6, 1)],
             vec![(0, 1), (2, 1), (6, 2)],
         ];
-        // Warm the (7, read) model so the batch reply reports cached=true.
-        svc.handle(&Request::Predict {
-            device: None,
-            target: 7,
-            mode: WireMode::Read,
-            mix: mixes[0].clone(),
-        });
-        let resp = svc.handle(&Request::PredictBatch {
-            device: None,
-            target: 7,
-            mode: WireMode::Read,
-            mixes: mixes.clone(),
-        });
-        let Response::PredictBatch {
-            predicted_gbps,
-            cached: true,
-            ..
-        } = resp
-        else {
+        // Warm the (7, read) model so the batch is one cache hit.
+        svc.handle(&predict(7, WireMode::Read, None, mixes[0].clone()));
+        let resp = svc.handle(&batch(WireMode::Read, mixes.clone()));
+        assert_eq!(counts(&svc), (1, 1), "the whole batch is one lookup");
+        let Response::PredictBatch { predicted_gbps, .. } = resp else {
             panic!("unexpected reply: {resp:?}");
         };
         assert_eq!(predicted_gbps.len(), mixes.len());
         for (mix, batch_p) in mixes.iter().zip(&predicted_gbps) {
-            let resp = svc.handle(&Request::Predict {
-                device: None,
-                target: 7,
-                mode: WireMode::Read,
-                mix: mix.clone(),
-            });
-            let Response::Predict { predicted_gbps: p, .. } = resp else {
-                panic!("unexpected reply: {resp:?}");
-            };
+            let p = gbps(&svc.handle(&predict(7, WireMode::Read, None, mix.clone())));
             assert_eq!(p.to_bits(), batch_p.to_bits(), "{mix:?}");
         }
         // One characterization served the whole batch.
@@ -1154,22 +1052,12 @@ mod tests {
     #[test]
     fn predict_batch_rejects_bad_batches_with_the_mix_index() {
         let svc = service();
-        let resp = svc.handle(&Request::PredictBatch {
-            device: None,
-            target: 7,
-            mode: WireMode::Write,
-            mixes: vec![],
-        });
+        let resp = svc.handle(&batch(WireMode::Write, vec![]));
         let Response::Error { message } = resp else {
             panic!("unexpected reply: {resp:?}");
         };
         assert!(message.contains("empty batch"), "{message}");
-        let resp = svc.handle(&Request::PredictBatch {
-            device: None,
-            target: 7,
-            mode: WireMode::Write,
-            mixes: vec![vec![(0, 1)], vec![(99, 1)]],
-        });
+        let resp = svc.handle(&batch(WireMode::Write, vec![vec![(0, 1)], vec![(99, 1)]]));
         let Response::Error { message } = resp else {
             panic!("unexpected reply: {resp:?}");
         };
@@ -1201,36 +1089,11 @@ mod tests {
     fn bad_requests_are_error_replies_not_panics() {
         let svc = service();
         for req in [
-            Request::Predict {
-                device: None,
-                target: 7,
-                mode: WireMode::Write,
-                mix: vec![],
-            },
-            Request::Predict {
-                device: None,
-                target: 7,
-                mode: WireMode::Write,
-                mix: vec![(0, 0)],
-            },
-            Request::Predict {
-                device: None,
-                target: 7,
-                mode: WireMode::Write,
-                mix: vec![(99, 1)],
-            },
-            Request::Classify {
-                device: None,
-                node: 99,
-                target: 7,
-                mode: WireMode::Write,
-            },
-            Request::Classify {
-                device: None,
-                node: 0,
-                target: 99,
-                mode: WireMode::Write,
-            },
+            predict(7, WireMode::Write, None, vec![]),
+            predict(7, WireMode::Write, None, vec![(0, 0)]),
+            predict(7, WireMode::Write, None, vec![(99, 1)]),
+            classify(99, 7, WireMode::Write, None),
+            classify(0, 99, WireMode::Write, None),
             Request::Place {
                 target: 7,
                 tasks: 0,
@@ -1373,12 +1236,13 @@ mod tests {
             }
         );
         // The faulted view characterizes fresh (a miss), then hits.
+        let before = counts(&svc);
         let cold = svc.handle(&Request::Atlas);
+        assert_eq!(counts(&svc), (before.0, before.1 + 1));
         let warm = svc.handle(&Request::Atlas);
-        match (cold, warm) {
-            (Response::Atlas { cached: false, .. }, Response::Atlas { cached: true, .. }) => {}
-            other => panic!("unexpected replies: {other:?}"),
-        }
+        assert_eq!(counts(&svc), (before.0 + 1, before.1 + 1));
+        assert!(matches!(cold, Response::Atlas { .. }), "{cold:?}");
+        assert_eq!(cold, warm);
     }
 
     #[test]
@@ -1388,12 +1252,7 @@ mod tests {
             .with_modeler(IoModeler::new().reps(3))
             .with_obs(&obs);
         assert_eq!(svc.handle(&Request::Ping), Response::Pong);
-        svc.handle(&Request::Classify {
-            device: None,
-            node: 6,
-            target: 7,
-            mode: WireMode::Write,
-        });
+        svc.handle(&classify(6, 7, WireMode::Write, None));
         let resp = svc.handle(&Request::Stats);
         let Response::Stats {
             requests,
@@ -1449,12 +1308,7 @@ mod tests {
     #[test]
     fn stats_is_a_one_shot_health_view() {
         let svc = service();
-        svc.handle(&Request::Classify {
-            device: None,
-            node: 6,
-            target: 7,
-            mode: WireMode::Write,
-        });
+        svc.handle(&classify(6, 7, WireMode::Write, None));
         svc.handle_line(3, "{broken");
         let resp = svc.handle(&Request::Stats);
         let Response::Stats {
@@ -1500,12 +1354,7 @@ mod tests {
             "{events:?}"
         );
         // Now an error reply captures the incident.
-        svc.handle(&Request::Predict {
-            device: None,
-            target: 7,
-            mode: WireMode::Write,
-            mix: vec![],
-        });
+        svc.handle(&predict(7, WireMode::Write, None, vec![]));
         let resp = svc.handle(&Request::Dump);
         let Response::Dump {
             reason: Some(reason),
@@ -1532,12 +1381,7 @@ mod tests {
             let svc = ModelService::new(SimPlatform::dl585())
                 .with_modeler(IoModeler::new().reps(3))
                 .with_obs(&obs);
-            svc.handle(&Request::Classify {
-                device: None,
-                node: 2,
-                target: 7,
-                mode: WireMode::Write,
-            });
+            svc.handle(&classify(2, 7, WireMode::Write, None));
             obs.jsonl()
         };
         let trace = run();

@@ -6,6 +6,7 @@ use numio::core::{IoModeler, SimPlatform};
 use numio::faults::FaultPlan;
 use numio::serve::{encode, spawn, Client, ModelService, Request, Response, WireMode};
 use numio::prelude::CharacterizationCache;
+use numio::serve::{CacheKey, ModelKey};
 use std::sync::Arc;
 
 fn service(reps: u32) -> Arc<ModelService<SimPlatform>> {
@@ -65,31 +66,36 @@ fn invalidation_evicts_exactly_one_key() {
     // Warm two views: the healthy machine and a degraded one.
     let base_faults: &[numio::faults::FaultKind] = &[];
     let demo_faults = FaultPlan::demo(42).kinds();
-    let base = cache.get_or_characterize(&platform, &modeler, base_faults).unwrap();
-    let faulted = cache.get_or_characterize(&platform, &modeler, &demo_faults).unwrap();
-    assert!(!base.hit);
-    assert!(!faulted.hit);
-    assert_ne!(base.key, faulted.key, "fault views must key separately");
+    let base = CacheKey::new(&platform, base_faults, 0);
+    let faulted = CacheKey::new(&platform, &demo_faults, 0);
+    let atlas = |view: &CacheKey, faults| {
+        let key = ModelKey::atlas(view.clone());
+        cache.get(&key, &platform, &modeler, faults).unwrap();
+    };
+    atlas(&base, base_faults);
+    atlas(&faulted, &demo_faults);
+    assert_eq!(cache.stats().hits, 0, "both views are cold");
+    assert_ne!(base, faulted, "fault views must key separately");
     assert_eq!(cache.len(), 2);
     assert_eq!(cache.stats().misses, 2, "each cold view counts one miss");
 
     // Targeted invalidation: the base key leaves, the faulted key stays hot.
-    assert!(cache.invalidate(&base.key));
-    assert!(!cache.contains(&base.key));
-    assert!(cache.contains(&faulted.key));
+    assert!(cache.invalidate(&base));
+    assert!(!cache.contains(&base));
+    assert!(cache.contains(&faulted));
     assert_eq!(cache.len(), 1);
     assert_eq!(cache.stats().invalidations, 1);
     // Invalidating an absent key is a no-op, not a second eviction.
-    assert!(!cache.invalidate(&base.key));
+    assert!(!cache.invalidate(&base));
     assert_eq!(cache.stats().invalidations, 1);
 
     // The surviving view answers from cache; the evicted one re-characterizes
     // (one more miss, counted once).
-    assert!(cache.get_or_characterize(&platform, &modeler, &demo_faults).unwrap().hit);
-    let rebuilt = cache.get_or_characterize(&platform, &modeler, base_faults).unwrap();
-    assert!(!rebuilt.hit);
-    assert_eq!(rebuilt.key, base.key, "same view must map to the same key");
-    assert_eq!(cache.stats().misses, 3);
+    atlas(&faulted, &demo_faults);
+    assert_eq!((cache.stats().hits, cache.stats().misses), (1, 2));
+    atlas(&base, base_faults);
+    assert_eq!((cache.stats().hits, cache.stats().misses), (1, 3));
+    assert!(cache.contains(&base), "same view must map to the same key");
     assert_eq!(cache.len(), 2);
 }
 
@@ -100,11 +106,17 @@ fn arming_a_fault_plan_over_the_wire_swaps_views_without_flushing() {
     let mut client = Client::connect(&server.addr().to_string()).unwrap();
     let predict = Request::Predict { device: None, target: 7, mode: WireMode::Write, mix: vec![(6, 1)] };
 
+    // (hits, misses) as the `stats` reply reports them.
+    let counts = || {
+        let s = svc.cache().stats();
+        (s.hits, s.misses)
+    };
     // Warm the healthy view.
     let healthy = match client.call(&predict).unwrap() {
-        Response::Predict { predicted_gbps, cached: false, .. } => predicted_gbps,
+        Response::Predict { predicted_gbps, .. } => predicted_gbps,
         other => panic!("unexpected reply: {other:?}"),
     };
+    assert_eq!(counts(), (0, 1), "the healthy view paid one miss");
     // Arm the demo plan: the old (healthy) key is the one eviction.
     match client.call(&Request::SetFaults { plan: FaultPlan::demo(42) }).unwrap() {
         Response::Faults { active, invalidated } => {
@@ -115,20 +127,22 @@ fn arming_a_fault_plan_over_the_wire_swaps_views_without_flushing() {
     }
     // The degraded view characterizes fresh and answers differently.
     let degraded = match client.call(&predict).unwrap() {
-        Response::Predict { predicted_gbps, cached: false, .. } => predicted_gbps,
+        Response::Predict { predicted_gbps, .. } => predicted_gbps,
         other => panic!("unexpected reply: {other:?}"),
     };
+    assert_eq!(counts(), (0, 2), "the degraded view paid its own miss");
     assert!(
         degraded < healthy,
         "demo faults (link degrade + IRQ storm) must cost bandwidth: {degraded} vs {healthy}"
     );
     // And the degraded view is itself memoized.
     match client.call(&predict).unwrap() {
-        Response::Predict { predicted_gbps, cached: true, .. } => {
+        Response::Predict { predicted_gbps, .. } => {
             assert_eq!(predicted_gbps.to_bits(), degraded.to_bits());
         }
         other => panic!("unexpected reply: {other:?}"),
     }
+    assert_eq!(counts(), (1, 2), "the repeat is a hit");
     assert_eq!(svc.cache().stats().invalidations, 1);
     server.shutdown();
 }
