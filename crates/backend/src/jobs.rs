@@ -43,8 +43,8 @@ mod tests {
     fn sim_backends_run_jobs() {
         let platform = SimPlatform::dl585();
         let job = JobSpec::nic(numa_iodev::NicOp::RdmaWrite, NodeId(3)).numjobs(2);
-        let direct = numa_fio::run_jobs(platform.fabric(), &[job.clone()]).unwrap();
-        let through = run_jobs(&platform, &[job.clone()]).unwrap();
+        let direct = numa_fio::run_jobs(platform.fabric(), std::slice::from_ref(&job)).unwrap();
+        let through = run_jobs(&platform, std::slice::from_ref(&job)).unwrap();
         assert_eq!(through, direct);
         // A recording wrapper still exposes the fabric.
         let rec = RecordingPlatform::new(SimPlatform::dl585());

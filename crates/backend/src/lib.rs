@@ -1,12 +1,12 @@
 #![warn(missing_docs)]
 //! # numa-backend
 //!
-//! The pluggable measurement-backend layer: one [`Platform`] pipeline for
+//! The pluggable measurement-backend layer: one [`Platform`](numio_core::Platform) pipeline for
 //! the simulator, the real host, and record/replay.
 //!
 //! The paper's methodology (§V, Algorithm 1) is a *measurement
 //! procedure*; what executes a probe should be swappable. `numio-core`
-//! defines the [`Platform`] trait and two executors (`SimPlatform`,
+//! defines the [`Platform`](numio_core::Platform) trait and two executors (`SimPlatform`,
 //! `HostPlatform`); this crate adds the capture side:
 //!
 //! * [`RecordingPlatform`] wraps any backend and logs every `(CopySpec,

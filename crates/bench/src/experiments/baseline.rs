@@ -1,4 +1,4 @@
-//! Baseline comparison: the cbench/STREAM cost model ([18], [27]) vs the
+//! Baseline comparison: the cbench/STREAM cost model (\[18\], \[27\]) vs the
 //! paper's memcpy methodology, as placement engines.
 //!
 //! §IV-B is the paper's argument that STREAM-derived models mis-place I/O;

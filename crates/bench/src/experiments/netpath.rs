@@ -1,4 +1,4 @@
-//! Two-host end-to-end composition (Fig. 2's real setup; intro ref. [3]).
+//! Two-host end-to-end composition (Fig. 2's real setup; intro ref. \[3\]).
 
 use crate::Experiment;
 use numa_fabric::calibration::dl585_fabric;

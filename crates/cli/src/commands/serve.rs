@@ -3,6 +3,7 @@
 
 use crate::backend;
 use crate::opts::Opts;
+use numa_par::rng::SplitMix64;
 use numa_serve::{Client, ModelService, Request, Response};
 use numio_core::IoModeler;
 use std::fmt::Write as _;
@@ -279,18 +280,11 @@ fn hit_counts(client: &mut Client) -> Result<(u64, u64), String> {
 /// sequential `predict`s — the wire-level proof that batching changes
 /// throughput, never answers.
 fn run_batch(client: &mut Client, n: usize, out: &mut String) -> Result<(), String> {
-    let mut state = 0x00c0_ffee_u64;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
+    let mut rng = SplitMix64::new(0x00c0_ffee);
     let mixes: Vec<Vec<(u16, u32)>> = (0..n)
         .map(|_| {
-            let entries = 1 + (next() % 3) as usize;
-            let mut mix: Vec<(u16, u32)> = (0..entries)
-                .map(|_| ((next() % 8) as u16, 1 + (next() % 4) as u32))
+            let mut mix: Vec<(u16, u32)> = (0..1 + rng.below(3))
+                .map(|_| (rng.below(8) as u16, 1 + rng.below(4) as u32))
                 .collect();
             mix.sort();
             mix.dedup_by_key(|e| e.0);

@@ -65,14 +65,15 @@ mod opts;
 
 use opts::Opts;
 
-/// Run the CLI against an argument list (excluding argv[0]); returns the
+/// Run the CLI against an argument list (excluding `argv[0]`); returns the
 /// rendered output or a usage error.
 ///
 /// Extracts the global observability flags (`--trace <path>`,
 /// `--metrics <path>`, `--profile`) before subcommand parsing, runs the
 /// command through [`dispatch`], then writes the requested exports.
 pub fn run(args: &[String]) -> Result<String, String> {
-    let (core_args, trace_path, metrics_path, profile) = extract_global(args)?;
+    let Globals { rest: core_args, trace: trace_path, metrics: metrics_path, profile } =
+        extract_global(args)?;
     let obs = numa_obs::Obs::new();
     obs.set_profiling(profile);
     let mut out = dispatch(&core_args, &obs)?;
@@ -140,11 +141,17 @@ pub fn dispatch(args: &[String], obs: &numa_obs::Obs) -> Result<String, String> 
     }
 }
 
+/// The global observability flags, and the arguments left for the command.
+struct Globals {
+    rest: Vec<String>,
+    trace: Option<String>,
+    metrics: Option<String>,
+    profile: bool,
+}
+
 /// Split the global observability flags out of the raw argument list so
 /// they work uniformly on every subcommand.
-fn extract_global(
-    args: &[String],
-) -> Result<(Vec<String>, Option<String>, Option<String>, bool), String> {
+fn extract_global(args: &[String]) -> Result<Globals, String> {
     let mut rest = Vec::with_capacity(args.len());
     let mut trace = None;
     let mut metrics = None;
@@ -174,7 +181,7 @@ fn extract_global(
             }
         }
     }
-    Ok((rest, trace, metrics, profile))
+    Ok(Globals { rest, trace, metrics, profile })
 }
 
 fn usage() -> String {

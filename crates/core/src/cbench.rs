@@ -1,5 +1,5 @@
 //! The baseline the paper argues against: a cbench-style memory-access
-//! cost model built from STREAM ([18], [27]), used for I/O placement.
+//! cost model built from STREAM (\[18\], \[27\]), used for I/O placement.
 //!
 //! McCormick et al. built empirical memory cost models from STREAM and
 //! packaged them as `cbench`; §IV-B examines exactly this approach and

@@ -21,7 +21,7 @@
 //!   `memcpy` on the machine running this code; the `numa-backend` crate
 //!   adds record/replay wrappers over any of them.
 //! * [`IoModeler`] — Algorithm 1, verbatim structure.
-//! * [`IoPerfModel`] / [`classify`] — per-node bandwidths + gap-based class
+//! * [`IoPerfModel`] / [`classify()`] — per-node bandwidths + gap-based class
 //!   construction with the paper's local+neighbour rule.
 //! * [`predict_aggregate`] — Eq. 1 and its workload helpers.
 //! * [`characterize_storage`] — the storage tier: the same probes mapped

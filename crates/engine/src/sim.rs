@@ -408,7 +408,7 @@ impl<'f> Simulation<'f> {
         self.run_impl(None).map(|(report, _)| report)
     }
 
-    /// Run to completion, recording an event [`Trace`].
+    /// Run to completion, recording an event [`Trace`](crate::trace::Trace).
     pub fn run_traced(self) -> Result<(SimReport, crate::trace::Trace), SimError> {
         self.run_impl(Some(crate::trace::Trace::new()))
             .map(|(report, trace)| (report, trace.expect("trace requested")))

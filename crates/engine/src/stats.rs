@@ -31,15 +31,19 @@ impl Summary {
             return Summary::empty();
         }
         let n = samples.len();
+        // The mean is taken about the first sample, so identical samples
+        // average to exactly that sample (a plain sum of 100 x 27.3 over
+        // 100 is 27.300000000000022).
+        let first = samples[0];
         let mut min = f64::INFINITY;
         let mut max = f64::NEG_INFINITY;
-        let mut sum = 0.0;
+        let mut offset = 0.0;
         for &s in samples {
             min = min.min(s);
             max = max.max(s);
-            sum += s;
+            offset += s - first;
         }
-        let mean = sum / n as f64;
+        let mean = first + offset / n as f64;
         let var = samples.iter().map(|s| (s - mean) * (s - mean)).sum::<f64>() / n as f64;
         Summary { n, min, max, mean, std: var.sqrt() }
     }
@@ -85,6 +89,13 @@ mod tests {
         let s = Summary::from(&[5.0; 10]);
         assert_eq!(s.std, 0.0);
         assert_eq!(s.rel_spread(), 0.0);
+    }
+
+    #[test]
+    fn identical_samples_average_to_that_sample_exactly() {
+        let s = Summary::from(&[27.3; 100]);
+        assert_eq!(s.mean.to_bits(), 27.3f64.to_bits());
+        assert_eq!(s.std, 0.0);
     }
 
     #[test]

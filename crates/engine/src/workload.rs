@@ -176,7 +176,7 @@ impl Workload {
         if n == 0 {
             return Err("workload needs n >= 1".to_string());
         }
-        if !(gbit > 0.0) {
+        if gbit.is_nan() || gbit <= 0.0 {
             return Err("workload needs gbit > 0".to_string());
         }
         let template = FlowSpec::dma(NodeId::new(src), NodeId::new(dst))
@@ -185,7 +185,7 @@ impl Workload {
         match kind {
             "batch" => Ok(Workload::batch(vec![template; n])),
             "poisson" => {
-                if !(rate > 0.0) {
+                if rate.is_nan() || rate <= 0.0 {
                     return Err("poisson needs rate > 0".to_string());
                 }
                 Ok(Workload::poisson(vec![template], n, rate, seed))
@@ -235,7 +235,7 @@ mod tests {
         let mut last = 0.0;
         for f in &flows {
             let gap = f.arrival_s - last;
-            assert!(gap >= 0.01 - 1e-12 && gap <= 0.5 + 1e-12, "{gap}");
+            assert!((0.01 - 1e-12..=0.5 + 1e-12).contains(&gap), "{gap}");
             last = f.arrival_s;
         }
     }
@@ -287,5 +287,14 @@ mod tests {
         assert!(Workload::parse("poisson:bogus=1").is_err());
         assert!(Workload::parse("batch:n=0").is_err());
         assert!(Workload::parse("pareto:min=2.0,max=1.0").is_err());
+    }
+
+    #[test]
+    fn parse_rejects_nan_volume_and_rate() {
+        // "NaN" parses as an f64, so the range checks must reject it.
+        assert!(Workload::parse("batch:gbit=NaN").is_err());
+        assert!(Workload::parse("poisson:gbit=NaN").is_err());
+        assert!(Workload::parse("poisson:rate=NaN").is_err());
+        assert!(Workload::parse("poisson:rate=-NaN").is_err());
     }
 }

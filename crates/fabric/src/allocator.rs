@@ -106,7 +106,7 @@ impl MaxMinProblem {
 /// (`res_idx`/`res_off`); `solve` runs the filling loop against
 /// preallocated scratch (`rate`, `remaining`, `load`, the compact active
 /// list), so after the first call repeated solves perform **zero heap
-/// allocation**. Input invariants are checked once by [`validate`]
+/// allocation**. Input invariants are checked once by [`validate`](Self::validate)
 /// (`debug_assert` only inside the hot loop), not on every solve.
 ///
 /// Between solves callers may retune the instance with

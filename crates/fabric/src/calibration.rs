@@ -28,7 +28,7 @@ use numa_topology::{presets, Locality, NodeId, Topology};
 /// The narrow 3→7 / 2→6 request channels and the narrow 5→4 response
 /// channel are the "number of request and response buffers, and link width
 /// configuration" asymmetries the paper attributes to the AMD platform
-/// (§IV-A citing HT 3.0 spec [20] and the BKDG [26]).
+/// (§IV-A citing HT 3.0 spec \[20\] and the BKDG \[26\]).
 pub const DL585_DMA_EDGE_CAPS: &[(u16, u16, f64)] = &[
     // toward node 7 (device-write direction)
     (0, 4, 42.9),

@@ -2,7 +2,7 @@
 //!
 //! The paper defines the NUMA factor as "the ratio between remote access
 //! latency versus local one" and quotes (from Red Hat's scalability data,
-//! its ref. [2]) 1.5 for an Intel 4-socket/4-node host up to 5.5 for a
+//! its ref. \[2\]) 1.5 for an Intel 4-socket/4-node host up to 5.5 for a
 //! 32-node blade system. [`LatencyModel`] assigns latencies by locality and
 //! [`numa_factor`] computes the host-average ratio.
 

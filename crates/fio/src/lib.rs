@@ -4,13 +4,13 @@
 //! A Flexible-I/O-Tester-style benchmark harness over the simulated host.
 //!
 //! The paper drives all of its device measurements with `fio` (plus the
-//! authors' RDMA engine extension [25]): N processes, each pinned with
+//! authors' RDMA engine extension \[25\]): N processes, each pinned with
 //! `numactl`, each transferring 400 GBytes in 128 KiB blocks, reporting the
 //! average aggregate bandwidth (§III-B2, Table III). This crate mirrors
 //! that workflow: [`JobSpec`] describes a job the way an fio job file
 //! would, [`run_jobs`] lowers jobs to simulator flows (with device ports,
 //! CPU budgets, IRQ derating and class ceilings attached) and reports
-//! aggregates, and [`sweep`] regenerates the multi-stream curves of
+//! aggregates, and [`sweep()`] regenerates the multi-stream curves of
 //! Figs. 5–7.
 //!
 //! ## Example

@@ -6,7 +6,7 @@
 //! the minimum of the sender-side class level, the receiver-side class
 //! level (in its own direction), the wire, and — for wide-area paths —
 //! the window/RTT product. This reproduces the paper's intro citation
-//! ([3]): "the placement of the process on remote CPU cores, at either
+//! (\[3\]): "the placement of the process on remote CPU cores, at either
 //! sender or receiver side, can lead to as much as a 30% loss of the
 //! overall TCP bandwidth performance."
 
@@ -44,7 +44,7 @@ impl TwoHostPath {
     }
 
     /// The same hosts across a wide-area path (the authors' companion work
-    /// [25] moves this testbed onto 50+ ms RTT circuits).
+    /// \[25\] moves this testbed onto 50+ ms RTT circuits).
     pub fn wide_area(rtt_ms: f64) -> Self {
         TwoHostPath { rtt_ms, ..Self::paper() }
     }

@@ -5,7 +5,7 @@ use numa_fabric::Fabric;
 use numa_topology::{DeviceKind, NodeId, PcieInterface};
 
 /// Network operations the paper benchmarks (§III-B2: fio's TCP engine plus
-/// the authors' RDMA engine extension [25]).
+/// the authors' RDMA engine extension \[25\]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NicOp {
     /// TCP send: host stack, DMA *reads* host memory (device-write class).

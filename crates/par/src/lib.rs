@@ -189,7 +189,7 @@ mod tests {
 
     #[test]
     fn closure_may_capture_shared_state() {
-        let base = vec![10, 20, 30];
+        let base = [10, 20, 30];
         let got = map_indexed(base.len(), |i| base[i] + 1);
         assert_eq!(got, vec![11, 21, 31]);
     }

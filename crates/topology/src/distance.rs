@@ -1,7 +1,7 @@
 //! Hop-distance and SLIT-style distance matrices.
 //!
 //! `numactl --hardware` prints an ACPI SLIT table: 10 for local access and
-//! firmware-chosen larger values for remote nodes. The paper (citing [18])
+//! firmware-chosen larger values for remote nodes. The paper (citing \[18\])
 //! notes this table is "often inaccurate" — firmware routinely reports a
 //! flat 16 or 20 for every remote node regardless of actual cost. We expose
 //! both an *ideal* SLIT derived from true hop counts and a *flattened* one

@@ -71,7 +71,7 @@ impl Wiring {
             Wiring::FullMesh => sockets >= 1,
             // A 2-socket "ring" degenerates to a duplicate pair.
             Wiring::SocketRing => sockets >= 3,
-            Wiring::Ladder => sockets >= 4 && sockets % 2 == 0,
+            Wiring::Ladder => sockets >= 4 && sockets.is_multiple_of(2),
             Wiring::BoardRing => sockets >= 2,
         }
     }

@@ -85,7 +85,7 @@ pub fn fig1c() -> Topology {
     b.build().expect("fig1c is valid")
 }
 
-/// Figure 1(d): the variant reported by Dumitru et al. [3] — long diagonals
+/// Figure 1(d): the variant reported by Dumitru et al. \[3\] — long diagonals
 /// pairing opposite packages.
 pub fn fig1d() -> Topology {
     let (mut b, _) = four_p_base("fig1d");

@@ -162,7 +162,7 @@ pub struct Discovered {
     /// The raw SLIT matrix as reported by firmware.
     pub slit: Vec<Vec<u32>>,
     /// True when the SLIT was flat (all remote distances equal) — the
-    /// "often inaccurate" case the paper cites [18]: wiring cannot even be
+    /// "often inaccurate" case the paper cites \[18\]: wiring cannot even be
     /// approximated, so a full mesh is emitted.
     pub slit_was_flat: bool,
 }

@@ -12,10 +12,10 @@ const FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/results/fixtures/dl5
 
 #[test]
 fn shipped_fixture_reproduces_table_iv_partition_bit_identically() {
-    let replay = ReplayPlatform::from_file(FIXTURE).unwrap();
+    let obs = numio::obs::Obs::new();
+    let replay = ReplayPlatform::from_file(FIXTURE).unwrap().with_obs(obs.clone());
     assert_eq!(replay.label(), "sim:dl585-g7");
     assert!(replay.deterministic());
-    let obs = numio::obs::Obs::new();
     let topo = Platform::topology(&replay).unwrap().clone();
     let modeler = IoModeler::new();
     let model = modeler

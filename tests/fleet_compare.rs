@@ -1,14 +1,16 @@
 //! The fleet acceptance gate: `compare` runs all three placement
 //! policies on a seeded 8-host heterogeneous fleet and must be
-//! bit-identical across same-seed runs — the workspace-level pin behind
-//! `iomodel fleet compare --check` and the `perf_baseline`
-//! `fleet_policy_deterministic` anchor.
+//! bit-identical across same-seed runs and land on pinned FCT digests —
+//! the workspace-level pin behind `iomodel fleet compare --check`.
 
 use numio::fleet::{ClusterScheduler, Fleet, FleetReport, StreamSpec, POLICY_NAMES};
 
 const HOSTS: usize = 8;
 const STREAMS: usize = 64;
 const SEED: u64 = 42;
+/// FCT digest per policy, in `POLICY_NAMES` order (class-ranked,
+/// bandwidth-aware, adaptive).
+const DIGESTS: [&str; 3] = ["6b8d519fd0e25294", "b0b4fb0c8d554848", "5f587eda061bc0a8"];
 
 fn compare_once() -> Vec<FleetReport> {
     // Regenerate the fleet from scratch each run: the gate covers the
@@ -33,6 +35,8 @@ fn eight_host_compare_is_bit_identical_across_runs() {
         assert_eq!(ra.aggregate_gbps.to_bits(), rb.aggregate_gbps.to_bits());
         assert_eq!(format!("{ra:?}"), format!("{rb:?}"));
     }
+    let digests: Vec<String> = a.iter().map(|r| format!("{:016x}", r.digest)).collect();
+    assert_eq!(digests, DIGESTS);
 }
 
 #[test]

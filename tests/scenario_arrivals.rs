@@ -117,3 +117,17 @@ fn closed_loop_batch_matches_legacy_simulation_bitwise() {
     assert_eq!(legacy, via_batch);
     assert_eq!(legacy.fct_digest(), via_batch.fct_digest());
 }
+
+/// The engine's open-loop anchor: 2000 seeded Poisson flows at 2000/s
+/// into the DL585 fabric land on one fixed FCT digest. A refactor of the
+/// event loop or the max-min solver that moves a single completion time
+/// moves this literal. (At `n=10000` on the same spec the digest is
+/// `61ef087aad8d7541`; that run is too slow for a debug test.)
+#[test]
+fn poisson_2k_fct_digest_is_pinned() {
+    let platform = SimPlatform::dl585();
+    let workload = Workload::parse("poisson:n=2000,rate=2000,seed=42").unwrap();
+    let report = Scenario::on(platform.fabric()).workload(workload).run().unwrap();
+    assert_eq!(report.flows.len(), 2_000);
+    assert_eq!(format!("{:016x}", report.fct_digest()), "b49190345191d944");
+}

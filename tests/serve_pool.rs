@@ -2,14 +2,20 @@
 //! pool's capacity get typed overload replies with exact counter
 //! accounting, hung-up connections free their slots for reuse, pipelined
 //! bursts answer in request order, `predict_batch` is bit-identical to
-//! sequential predicts over the wire, and the OS thread count stays
-//! bounded by the pool — never by the client count.
+//! sequential predicts over the wire, a seeded multi-client mix against
+//! a warmed pool is error-free and answers exactly as in process, and the
+//! OS thread count stays bounded by the pool — never by the client count.
 
 use numio::core::{IoModeler, SimPlatform};
 use numio::obs::Obs;
+use numa_par::rng::SplitMix64;
 use numio::serve::{spawn_with, Client, ModelService, Request, Response, ServeConfig, WireMode};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+
+/// Held by the test that counts this process's OS threads and by the one
+/// that runs 16 client threads, so the second never inflates the first.
+static THREAD_COUNT: Mutex<()> = Mutex::new(());
 
 fn service(reps: u32) -> Arc<ModelService<SimPlatform>> {
     Arc::new(ModelService::new(SimPlatform::dl585()).with_modeler(IoModeler::new().reps(reps)))
@@ -241,6 +247,95 @@ fn wire_batch_predict_is_bit_identical_to_sequential_predicts() {
     server.shutdown();
 }
 
+/// One predict mix: 1-3 distinct nodes of 8, each with 1-4 streams.
+fn seeded_mix(rng: &mut SplitMix64) -> Vec<(u16, u32)> {
+    let mut mix: Vec<(u16, u32)> = (0..1 + rng.below(3))
+        .map(|_| (rng.below(8) as u16, 1 + rng.below(4) as u32))
+        .collect();
+    mix.sort();
+    mix.dedup_by_key(|e| e.0);
+    mix
+}
+
+/// One client's seeded requests: write and read `predict`s, `predict_batch`
+/// bursts of 8 mixes, `classify` and `stats`, all against target 7, so the
+/// warmed write and read models answer every one of them.
+fn seeded_requests(seed: u64, n: usize) -> Vec<Request> {
+    let mut rng = SplitMix64::new(seed);
+    (0..n)
+        .map(|_| {
+            let roll = rng.below(100);
+            let mode = if roll.is_multiple_of(2) { WireMode::Write } else { WireMode::Read };
+            match roll {
+                0..=74 => Request::Predict { device: None, target: 7, mode, mix: seeded_mix(&mut rng) },
+                75..=84 => Request::PredictBatch {
+                    device: None,
+                    target: 7,
+                    mode,
+                    mixes: (0..8).map(|_| seeded_mix(&mut rng)).collect(),
+                },
+                85..=94 => Request::Classify {
+                    device: None,
+                    node: rng.below(8) as u16,
+                    target: 7,
+                    mode: WireMode::Write,
+                },
+                _ => Request::Stats,
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn seeded_client_mix_over_a_warm_pool_is_clean_and_answers_as_in_process() {
+    const CLIENTS: u64 = 16;
+    const REQUESTS: usize = 32;
+    let _threads = THREAD_COUNT.lock().unwrap_or_else(|e| e.into_inner());
+    let svc = service(3);
+    for mode in [WireMode::Write, WireMode::Read] {
+        svc.handle(&Request::Predict { device: None, target: 7, mode, mix: vec![(0, 1)] });
+    }
+    let server = spawn_with(
+        Arc::clone(&svc),
+        "127.0.0.1:0",
+        ServeConfig { workers: 2, ..ServeConfig::default() },
+    )
+    .unwrap();
+    let addr = server.addr().to_string();
+    let mixes: Vec<Vec<Request>> = (0..CLIENTS).map(|c| seeded_requests(42 + c, REQUESTS)).collect();
+    assert_eq!(mixes, (0..CLIENTS).map(|c| seeded_requests(42 + c, REQUESTS)).collect::<Vec<_>>());
+
+    let replies: Vec<Vec<Response>> = std::thread::scope(|scope| {
+        let threads: Vec<_> = mixes
+            .iter()
+            .map(|reqs| {
+                let addr = &addr;
+                scope.spawn(move || {
+                    let mut client = Client::connect(addr).unwrap();
+                    reqs.iter().map(|r| client.call(r).unwrap()).collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        threads.into_iter().map(|t| t.join().unwrap()).collect()
+    });
+    server.shutdown();
+
+    let errors: Vec<&Response> =
+        replies.iter().flatten().filter(|r| matches!(r, Response::Error { .. })).collect();
+    assert!(errors.is_empty(), "error replies: {errors:?}");
+    assert_eq!(svc.cache().stats().misses, 2, "only the two warm-up characterizations miss");
+    // Every non-`stats` reply equals the same request answered in process;
+    // Debug prints floats shortest round-trip, so equal text is equal bits.
+    for (reqs, answers) in mixes.iter().zip(&replies) {
+        assert_eq!(answers.len(), REQUESTS);
+        for (req, reply) in reqs.iter().zip(answers) {
+            if *req != Request::Stats {
+                assert_eq!(format!("{reply:?}"), format!("{:?}", svc.handle(req)), "{req:?}");
+            }
+        }
+    }
+}
+
 #[cfg(target_os = "linux")]
 #[test]
 fn os_thread_count_is_bounded_by_the_pool_not_the_clients() {
@@ -252,6 +347,7 @@ fn os_thread_count_is_bounded_by_the_pool_not_the_clients() {
             .and_then(|v| v.trim().parse().ok())
             .expect("Threads: line in /proc/self/status")
     }
+    let _threads = THREAD_COUNT.lock().unwrap_or_else(|e| e.into_inner());
     let svc = service(3);
     // Warm so the 32 pings below never characterize.
     svc.handle(&Request::Predict {
