@@ -8,12 +8,9 @@
 use crate::Experiment;
 use numa_fio::{run_jobs, JobSpec};
 use numa_iodev::NicOp;
-use numa_sched::policy::{ModelDriven, StreamGreedy};
-use numa_sched::{trace, Scheduler};
+use numa_sched::{trace, ClassRanked, Scheduler};
 use numa_topology::NodeId;
-use numio_core::{
-    IoModeler, MemCostModel, ScheduleAdvisor, SimPlatform, StreamAdvisor, TransferMode,
-};
+use numio_core::SimPlatform;
 use std::fmt::Write as _;
 
 /// Run the bake-off.
@@ -22,17 +19,12 @@ pub fn run() -> Experiment {
     let fabric = platform.fabric();
     let mut text = String::new();
 
-    // ---- Static placement: 6 RDMA_READ users spread by each model.
-    let stream_advisor = StreamAdvisor::new(MemCostModel::from_stream(&platform));
-    let read_model = IoModeler::new().characterize(&platform, NodeId(7), TransferMode::Read);
-    let ours = ScheduleAdvisor { equivalence_tolerance: 0.12, avoid_irq_node: true };
-
-    let stream_nodes = {
-        let mut pool = vec![NodeId(7), NodeId(6)];
-        pool.extend(stream_advisor.spread_candidates(NodeId(7), 3));
-        pool
-    };
-    let our_nodes = ours.eligible_nodes(&read_model);
+    // ---- Static placement: 6 RDMA_READ users spread over each
+    // scheduler's read-direction pool.
+    let stream_greedy = ClassRanked::stream_greedy(&platform).expect("the DL585 has an I/O node");
+    let model_driven = ClassRanked::model_driven(&platform).expect("the DL585 characterizes");
+    let stream_nodes = &stream_greedy.ranking(false)[0];
+    let our_nodes = &model_driven.ranking(false)[0];
     let _ = writeln!(text, "placement pools for RDMA_READ users (data at node 7):");
     let _ = writeln!(text, "  STREAM/cbench baseline: {stream_nodes:?}");
     let _ = writeln!(text, "  memcpy methodology    : {our_nodes:?}\n");
@@ -47,8 +39,8 @@ pub fn run() -> Experiment {
             .collect();
         run_jobs(fabric, &jobs).unwrap().aggregate_gbps
     };
-    let baseline_bw = run_spread(&stream_nodes);
-    let ours_bw = run_spread(&our_nodes);
+    let baseline_bw = run_spread(stream_nodes);
+    let ours_bw = run_spread(our_nodes);
     let _ = writeln!(
         text,
         "aggregate over 6 concurrent RDMA_READ users:\n\
@@ -61,10 +53,10 @@ pub fn run() -> Experiment {
     let tasks = trace::burst(10, trace::MixProfile::Ingest, 11);
     let scheduler = Scheduler::new(&platform);
     let stream_ep = scheduler
-        .run(tasks.clone(), StreamGreedy::from_platform(&platform))
+        .run(tasks.clone(), stream_greedy)
         .unwrap();
     let model_ep = scheduler
-        .run(tasks, ModelDriven::from_platform(&platform))
+        .run(tasks, model_driven)
         .unwrap();
     let _ = writeln!(text, "online scheduling, 10-task ingest burst:");
     let _ = writeln!(text, "  {}", stream_ep.summary());

@@ -4,8 +4,9 @@
 use crate::Experiment;
 use numa_fio::{run_jobs, JobSpec};
 use numa_iodev::NicOp;
+use numa_sched::ClassRanked;
 use numa_topology::NodeId;
-use numio_core::{IoModeler, ScheduleAdvisor, SimPlatform, TransferMode};
+use numio_core::SimPlatform;
 use std::fmt::Write as _;
 
 fn dtn_jobs(read_nodes: &[NodeId], write_nodes: &[NodeId]) -> Vec<JobSpec> {
@@ -28,15 +29,14 @@ fn dtn_jobs(read_nodes: &[NodeId], write_nodes: &[NodeId]) -> Vec<JobSpec> {
 pub fn run() -> Experiment {
     let platform = SimPlatform::dl585();
     let fabric = platform.fabric();
-    let advisor = ScheduleAdvisor { equivalence_tolerance: 0.12, avoid_irq_node: true };
-    let read_model = IoModeler::new().characterize(&platform, NodeId(7), TransferMode::Read);
-    let write_model = IoModeler::new().characterize(&platform, NodeId(7), TransferMode::Write);
-    let read_nodes = advisor.eligible_nodes(&read_model);
-    let write_nodes = advisor.eligible_nodes(&write_model);
+    // The model-driven scheduler's per-direction spreading sets.
+    let model_driven = ClassRanked::model_driven(&platform).expect("the DL585 characterizes");
+    let read_nodes = &model_driven.ranking(false)[0];
+    let write_nodes = &model_driven.ranking(true)[0];
 
     let local = [NodeId(7)];
     let naive = run_jobs(fabric, &dtn_jobs(&local, &local)).unwrap();
-    let spread = run_jobs(fabric, &dtn_jobs(&read_nodes, &write_nodes)).unwrap();
+    let spread = run_jobs(fabric, &dtn_jobs(read_nodes, write_nodes)).unwrap();
 
     let mut text = String::new();
     let _ = writeln!(

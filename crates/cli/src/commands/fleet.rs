@@ -3,12 +3,10 @@
 //! the cluster-level placement policy bench.
 
 use crate::opts::Opts;
-use numa_fleet::{policy_by_name, ClusterScheduler, Fleet, FleetReport, StreamSpec};
+use numa_sched::fleet::{
+    check_bounds, ClusterScheduler, Fleet, FleetPolicy, FleetReport, StreamSpec, POLICY_NAMES,
+};
 use std::fmt::Write as _;
-
-/// Matches the serve layer's `MAX_FLEET_HOSTS`: generation characterizes
-/// every host, so the cap keeps a typo'd `--hosts` from hanging the CLI.
-const MAX_HOSTS: usize = 64;
 
 /// * `gen [--hosts N] [--seed N]` — generate a fleet and print each
 ///   host's sampled shape, capacity scale, and best I/O class.
@@ -26,9 +24,9 @@ pub(crate) fn cmd_fleet(args: &[String], obs: &numa_obs::Obs) -> Result<String, 
     let opts = Opts::parse(rest)?;
     let hosts: usize = opts.num("hosts", 4)?;
     let seed: u64 = opts.num("seed", 42)?;
-    if hosts == 0 || hosts > MAX_HOSTS {
-        return Err(format!("--hosts must be in 1..={MAX_HOSTS}, got {hosts}"));
-    }
+    // The serve layer's bounds: generation characterizes every host, so
+    // they keep a typo'd `--hosts` or `--streams` from hanging the CLI.
+    check_bounds(hosts, opts.num("streams", 32)?).map_err(|e| e.to_string())?;
     let fleet = Fleet::generate(hosts, seed).map_err(|e| e.to_string())?;
     match action {
         "gen" => render_gen(&fleet),
@@ -100,10 +98,10 @@ fn run_episode(
     let streams: usize = opts.num("streams", 32)?;
     let rounds: usize = opts.num("rounds", 4)?;
     let workload = StreamSpec::workload(streams, fleet.seed());
-    let mut policy = policy_by_name(policy, fleet.len()).map_err(|e| e.to_string())?;
+    let mut policy = FleetPolicy::by_name(policy, fleet.len()).map_err(|e| e.to_string())?;
     let report = ClusterScheduler::new(fleet)
         .rounds(rounds)
-        .run(&workload, policy.as_mut())
+        .run(&workload, &mut policy)
         .map_err(|e| e.to_string())?;
     obs.event(
         "fleet_episode",
@@ -120,7 +118,7 @@ fn run_episode(
 
 fn render_compare(fleet: &Fleet, opts: &Opts, obs: &numa_obs::Obs) -> Result<String, String> {
     let run = || -> Result<Vec<FleetReport>, String> {
-        ["class-ranked", "bandwidth-aware", "adaptive"]
+        POLICY_NAMES
             .iter()
             .map(|name| run_episode(fleet, opts, name, obs))
             .collect()

@@ -3,8 +3,8 @@
 
 use crate::backend;
 use crate::opts::Opts;
-use numa_sched::policy::{HopGreedy, LocalOnly, ModelDriven, ModelDrivenMigrating, SpreadAll};
-use numa_sched::{metrics, trace, Scheduler};
+use numa_sched::policy::{HopGreedy, LocalOnly, ModelDrivenMigrating, SpreadAll};
+use numa_sched::{metrics, trace, ClassRanked, Scheduler};
 
 pub(crate) fn cmd_sched(opts: &Opts, obs: &numa_obs::Obs) -> Result<String, String> {
     let tasks_n: usize = opts.num("tasks", 12)?;
@@ -29,6 +29,7 @@ pub(crate) fn cmd_sched(opts: &Opts, obs: &numa_obs::Obs) -> Result<String, Stri
     } else {
         trace::poisson(tasks_n, gap, mix, seed)
     };
+    let model_driven = ClassRanked::model_driven(&platform).map_err(|e| e.to_string())?;
     let reports = vec![
         scheduler
             .run(tasks.clone(), LocalOnly::new())
@@ -40,12 +41,12 @@ pub(crate) fn cmd_sched(opts: &Opts, obs: &numa_obs::Obs) -> Result<String, Stri
             .run(tasks.clone(), SpreadAll::new())
             .map_err(|e| e.to_string())?,
         scheduler
-            .run(tasks.clone(), ModelDriven::from_platform(&platform))
+            .run(tasks.clone(), model_driven.clone())
             .map_err(|e| e.to_string())?,
         scheduler
             .run(
                 tasks,
-                ModelDrivenMigrating::new(ModelDriven::from_platform(&platform), 2.0, 3),
+                ModelDrivenMigrating::new(model_driven, 2.0, 3),
             )
             .map_err(|e| e.to_string())?,
     ];

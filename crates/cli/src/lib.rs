@@ -270,6 +270,14 @@ mod tests {
     }
 
     #[test]
+    fn fleet_place_caps_streams_before_generating() {
+        let e = run_str(&["fleet", "place", "--streams", "4097"]).unwrap_err();
+        assert_eq!(e, "streams must be in 1..=4096, got 4097");
+        let e = run_str(&["fleet", "gen", "--hosts", "65"]).unwrap_err();
+        assert_eq!(e, "hosts must be in 1..=64, got 65");
+    }
+
+    #[test]
     fn topo_lists_hops_and_devices() {
         let out = run_str(&["topo"]).unwrap();
         assert!(out.contains("dl585-g7"));

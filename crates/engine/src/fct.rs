@@ -9,6 +9,7 @@
 //! seeded scenario's determinism can be pinned by a single value.
 
 use crate::flow::FlowResult;
+use numa_obs::nearest_rank;
 use numa_par::rng::{fnv1a64, FNV1A64_INIT};
 
 /// Summary of a flow-completion-time distribution.
@@ -90,14 +91,6 @@ impl FctStats {
             self.mean_slowdown
         )
     }
-}
-
-/// Nearest-rank percentile over an ascending-sorted slice: the value at
-/// rank `ceil(q * n)` (1-based), clamped to the first element.
-fn nearest_rank(sorted: &[f64], q: f64) -> f64 {
-    debug_assert!(!sorted.is_empty());
-    let rank = ((q * sorted.len() as f64).ceil() as usize).max(1);
-    sorted[rank.min(sorted.len()) - 1]
 }
 
 /// Order-sensitive FNV-1a digest over the exact FCT bit patterns, in

@@ -233,6 +233,10 @@ numio_makespan_seconds{policy=\"local-only\"} 8
         }
         let s = obs.report();
         assert!(s.contains("p50=0.5 p90=0.9 p99=0.99"), "{s}");
+        // The shared rule's edges: rank clamps to the first element, and
+        // an empty slice is 0.0 rather than a panic.
+        assert_eq!(crate::nearest_rank(&[1.0, 2.0, 3.0], 0.0), 1.0);
+        assert_eq!(crate::nearest_rank(&[], 0.99), 0.0);
     }
 
     #[test]

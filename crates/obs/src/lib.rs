@@ -46,7 +46,7 @@ pub mod trace;
 pub use clock::{Clock, ManualClock, WallClock};
 pub use event::{Event, Value};
 pub use flight::{FlightRecorder, Incident, DEFAULT_FLIGHT_CAPACITY};
-pub use registry::{Counter, Gauge, Histogram, Registry, RECENT_SAMPLES};
+pub use registry::{nearest_rank, Counter, Gauge, Histogram, Registry, RECENT_SAMPLES};
 pub use span::{buckets, Span, OP_SECONDS_BUCKETS, OP_SECONDS_METRIC};
 pub use trace::ReqSpan;
 

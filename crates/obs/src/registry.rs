@@ -171,9 +171,17 @@ impl Histogram {
     }
 }
 
-/// Nearest-rank percentile of an ascending-sorted, non-empty slice.
-pub(crate) fn nearest_rank(sorted: &[f64], q: f64) -> f64 {
+/// Nearest-rank percentile of an ascending-sorted slice (`q` in
+/// `(0, 1]`): the value at 1-based rank `ceil(q * n)`, clamped to the
+/// first element; 0.0 when the slice is empty. The workspace's one
+/// percentile rule, shared by the registry, FCT statistics and the
+/// scheduler reports.
+#[inline]
+pub fn nearest_rank(sorted: &[f64], q: f64) -> f64 {
     let n = sorted.len();
+    if n == 0 {
+        return 0.0;
+    }
     let rank = (q * n as f64).ceil() as usize;
     sorted[rank.clamp(1, n) - 1]
 }

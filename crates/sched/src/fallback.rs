@@ -3,10 +3,15 @@
 //! classes when the preferred nodes are saturated or administratively
 //! banned (e.g. a node under an IRQ storm, §IV-B2).
 
-use crate::policy::{Policy, SchedContext};
-use crate::task::IoTask;
+use crate::error::SchedError;
+use crate::policy::{ActiveView, Policy, SchedContext};
+use crate::task::{IoTask, TaskId};
+use numa_fabric::Fabric;
 use numa_topology::NodeId;
-use numio_core::{IoModeler, IoPerfModel, Platform, TransferMode};
+use numio_core::{
+    IoModeler, IoPerfModel, MemCostModel, Platform, ScheduleAdvisor, SimPlatform, StreamAdvisor,
+    TransferMode,
+};
 
 /// Deterministic retry-with-backoff for transient allocation failures.
 ///
@@ -53,18 +58,21 @@ impl Default for RetryPolicy {
     }
 }
 
-/// Placement with explicit class fallback: scan the model's performance
-/// classes best-first and bind to the least-loaded *open* node of the
-/// first class that has one; when a class is saturated (every open node
-/// already carries [`ClassRanked::spill_streams`] streams) spill to the
-/// next class instead of piling on.
+/// Class-ranked placement, the one rule behind every class-based policy:
+/// scan the model's performance classes best-first and bind to the
+/// least-loaded *open* node of the first class that has one; when a class
+/// is saturated (every open node already carries
+/// [`ClassRanked::spill_streams`] streams) spill to the next class instead
+/// of piling on.
 ///
-/// Unlike [`crate::policy::ModelDriven`], which only ever considers the
-/// equivalent top classes, this policy keeps the *full* ranking, so it
-/// still produces a placement when faults ban or saturate the entire top
-/// tier — graceful degradation rather than a panic.
+/// [`ClassRanked::from_models`] keeps the *full* ranking, so it still
+/// produces a placement when faults ban or saturate the entire top tier —
+/// graceful degradation rather than a panic. [`ClassRanked::model_driven`]
+/// and [`ClassRanked::stream_greedy`] are one-class rankings with no spill
+/// limit: the least-loaded node of a fixed pool.
 #[derive(Debug, Clone)]
 pub struct ClassRanked {
+    name: &'static str,
     write_classes: Vec<Vec<NodeId>>,
     read_classes: Vec<Vec<NodeId>>,
     banned: Vec<NodeId>,
@@ -80,6 +88,7 @@ impl ClassRanked {
             m.classes().iter().map(|c| c.nodes.clone()).collect()
         };
         ClassRanked {
+            name: "class-fallback",
             write_classes: ranked(write),
             read_classes: ranked(read),
             banned: Vec::new(),
@@ -87,19 +96,41 @@ impl ClassRanked {
         }
     }
 
-    /// Characterize any backend in both directions and keep the rankings.
-    /// Panics when the backend has no I/O node or no topology, like
-    /// [`IoModeler::characterize`].
-    pub fn from_platform<P: Platform>(platform: &P) -> Self {
-        let target = platform
-            .io_nodes()
-            .first()
-            .copied()
-            .expect("platform has an I/O node");
-        let modeler = IoModeler::new().reps(10);
-        let write = modeler.characterize(platform, target, TransferMode::Write);
-        let read = modeler.characterize(platform, target, TransferMode::Read);
-        Self::from_models(&write, &read)
+    /// Characterize any backend's first I/O node in both directions and
+    /// keep the rankings.
+    pub fn from_platform<P: Platform>(platform: &P) -> Result<Self, SchedError> {
+        let (write, read) = characterize_both(platform, first_io_node(platform)?, 10)?;
+        Ok(Self::from_models(&write, &read))
+    }
+
+    /// Model-driven placement (the §V-B recommendation, automated): the
+    /// least-loaded node within the per-direction equivalent top classes
+    /// the [`ScheduleAdvisor`] keeps (sorted, device node last).
+    pub fn model_driven<P: Platform>(platform: &P) -> Result<Self, SchedError> {
+        let (write, read) = characterize_both(platform, first_io_node(platform)?, 10)?;
+        let advisor = ScheduleAdvisor { equivalence_tolerance: 0.12, avoid_irq_node: true };
+        let (write, read) = (advisor.eligible_nodes(&write), advisor.eligible_nodes(&read));
+        Ok(Self::pool("model-driven", write, read))
+    }
+
+    /// The cbench baseline as a scheduler: the least-loaded node among the
+    /// device node, its package neighbour and the STREAM cost model's top
+    /// spread candidates. Direction-blind by construction — STREAM's copy
+    /// has source and sink on one node (§IV-C), so the model cannot
+    /// distinguish Table IV from Table V, and it inherits the §IV-B
+    /// mis-rankings.
+    pub fn stream_greedy(platform: &SimPlatform) -> Result<Self, SchedError> {
+        let target = first_io_node(platform)?;
+        let advisor = StreamAdvisor::new(MemCostModel::from_stream(platform));
+        let mut pool = vec![target, NodeId(target.0 ^ 1)];
+        pool.extend(advisor.spread_candidates(target, 3));
+        Ok(Self::pool("stream-cbench", pool.clone(), pool))
+    }
+
+    /// A one-class ranking per direction with no spill limit.
+    fn pool(name: &'static str, write: Vec<NodeId>, read: Vec<NodeId>) -> Self {
+        let (write_classes, read_classes, banned) = (vec![write], vec![read], Vec::new());
+        ClassRanked { name, write_classes, read_classes, banned, spill_streams: u32::MAX }
     }
 
     /// Ban a node in both directions (a faulted or drained node). Banned
@@ -126,9 +157,11 @@ impl ClassRanked {
         }
     }
 
-    fn pick(&self, ranked: &[Vec<NodeId>], ctx: &SchedContext<'_>) -> NodeId {
+    /// The node for one more task in direction `to_device`, given the load
+    /// in `ctx`.
+    pub(crate) fn pick(&self, to_device: bool, ctx: &SchedContext<'_>) -> NodeId {
         // Best-first class scan over open (unbanned) nodes.
-        for class in ranked {
+        for class in self.ranking(to_device) {
             let best = class
                 .iter()
                 .copied()
@@ -151,24 +184,52 @@ impl ClassRanked {
             .or_else(|| all.iter().copied().min_by_key(|&n| (ctx.load(n), n)))
             .unwrap_or(NodeId(0))
     }
+
+    /// Place `n` copies of `task` one at a time on an otherwise idle
+    /// `fabric`, each seeing the ones placed before it as load.
+    pub fn place_n(&mut self, task: &IoTask, n: u32, fabric: &Fabric) -> Vec<NodeId> {
+        let mut active: Vec<ActiveView> = Vec::with_capacity(n as usize);
+        for i in 0..n {
+            let node = self.place(task, &SchedContext { fabric, active: &active });
+            let to_device = task.to_device();
+            active.push(ActiveView { id: TaskId(i), node, streams: task.streams, to_device });
+        }
+        active.into_iter().map(|a| a.node).collect()
+    }
 }
 
 impl Policy for ClassRanked {
     fn name(&self) -> &'static str {
-        "class-fallback"
+        self.name
     }
 
     fn place(&mut self, task: &IoTask, ctx: &SchedContext<'_>) -> NodeId {
-        let ranked = self.ranking(task.to_device()).to_vec();
-        self.pick(&ranked, ctx)
+        self.pick(task.to_device(), ctx)
     }
+}
+
+/// The first I/O node of a backend, or a typed error when it has none.
+fn first_io_node<P: Platform>(platform: &P) -> Result<NodeId, SchedError> {
+    let label = || SchedError::NoIoNode { label: platform.label() };
+    platform.io_nodes().first().copied().ok_or_else(label)
+}
+
+/// Characterize `target` in both directions: (write model, read model).
+pub(crate) fn characterize_both<P: Platform>(
+    platform: &P,
+    target: NodeId,
+    reps: u32,
+) -> Result<(IoPerfModel, IoPerfModel), SchedError> {
+    let modeler = IoModeler::new().reps(reps);
+    Ok((
+        modeler.try_characterize(platform, target, TransferMode::Write)?,
+        modeler.try_characterize(platform, target, TransferMode::Read)?,
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::ActiveView;
-    use crate::task::TaskId;
     use numa_fio::Workload;
     use numa_iodev::NicOp;
     use numio_core::SimPlatform;
@@ -191,7 +252,7 @@ mod tests {
     fn top_class_first_then_spill_on_saturation() {
         let platform = SimPlatform::dl585();
         let fabric = platform.fabric();
-        let mut p = ClassRanked::from_platform(&platform);
+        let mut p = ClassRanked::from_platform(&platform).unwrap();
         let top = p.ranking(true)[0].clone();
         // Empty machine: a top-class write node.
         let empty = SchedContext { fabric, active: &[] };
@@ -218,7 +279,7 @@ mod tests {
     fn banned_nodes_are_skipped_even_when_idle() {
         let platform = SimPlatform::dl585();
         let fabric = platform.fabric();
-        let base = ClassRanked::from_platform(&platform);
+        let base = ClassRanked::from_platform(&platform).unwrap();
         let top = base.ranking(true)[0].clone();
         let mut p = base;
         for &n in &top {
@@ -234,7 +295,7 @@ mod tests {
     fn fully_banned_machine_still_places_somewhere() {
         let platform = SimPlatform::dl585();
         let fabric = platform.fabric();
-        let mut p = ClassRanked::from_platform(&platform);
+        let mut p = ClassRanked::from_platform(&platform).unwrap();
         for i in 0..fabric.num_nodes() {
             p = p.ban(NodeId::new(i));
         }
@@ -248,7 +309,7 @@ mod tests {
     fn episode_completes_under_class_fallback() {
         let platform = SimPlatform::dl585();
         let tasks = crate::trace::poisson(10, 1.0, crate::trace::MixProfile::Uniform, 17);
-        let p = ClassRanked::from_platform(&platform);
+        let p = ClassRanked::from_platform(&platform).unwrap();
         let report = crate::Scheduler::new(&platform).run(tasks, p).unwrap();
         assert_eq!(report.outcomes.len(), 10);
         assert_eq!(report.policy, "class-fallback");

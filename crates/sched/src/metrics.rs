@@ -29,11 +29,7 @@ impl EpisodeReport {
     pub fn p95_latency_s(&self) -> f64 {
         let mut lat: Vec<f64> = self.outcomes.iter().map(TaskOutcome::latency_s).collect();
         lat.sort_by(f64::total_cmp);
-        if lat.is_empty() {
-            return 0.0;
-        }
-        let rank = ((0.95 * lat.len() as f64).ceil() as usize).clamp(1, lat.len());
-        lat[rank - 1]
+        numa_obs::nearest_rank(&lat, 0.95)
     }
 
     /// Episode-level throughput: volume over makespan.

@@ -1,9 +1,9 @@
 //! Placement and migration policies.
 
+use crate::fallback::ClassRanked;
 use crate::task::{IoTask, TaskId};
 use numa_fabric::Fabric;
 use numa_topology::NodeId;
-use numio_core::{IoModeler, Platform, ScheduleAdvisor, SimPlatform, TransferMode};
 
 /// What a policy sees when deciding: the machine and the running tasks.
 #[derive(Debug, Clone)]
@@ -155,124 +155,13 @@ impl Policy for SpreadAll {
     }
 }
 
-/// Model-driven placement: least-loaded node within the per-direction
-/// equivalent top classes (the §V-B recommendation, automated).
-#[derive(Debug, Clone)]
-pub struct ModelDriven {
-    write_nodes: Vec<NodeId>,
-    read_nodes: Vec<NodeId>,
-}
-
-impl ModelDriven {
-    /// Characterize the backend's device node in both directions and keep
-    /// the advisor-eligible node sets. Works over any [`Platform`] that
-    /// carries a topology (sim, replay, discovered host); panics when the
-    /// backend has no I/O node or no topology, like
-    /// [`IoModeler::characterize`].
-    pub fn from_platform<P: Platform>(platform: &P) -> Self {
-        let target = platform
-            .io_nodes()
-            .first()
-            .copied()
-            .expect("platform has an I/O node");
-        let modeler = IoModeler::new().reps(10);
-        let advisor = ScheduleAdvisor { equivalence_tolerance: 0.12, avoid_irq_node: true };
-        let write = modeler.characterize(platform, target, TransferMode::Write);
-        let read = modeler.characterize(platform, target, TransferMode::Read);
-        ModelDriven {
-            write_nodes: advisor.eligible_nodes(&write),
-            read_nodes: advisor.eligible_nodes(&read),
-        }
-    }
-
-    /// Build from explicit node sets (for tests).
-    pub fn with_sets(write_nodes: Vec<NodeId>, read_nodes: Vec<NodeId>) -> Self {
-        assert!(!write_nodes.is_empty() && !read_nodes.is_empty());
-        ModelDriven { write_nodes, read_nodes }
-    }
-
-    fn eligible(&self, to_device: bool) -> &[NodeId] {
-        if to_device {
-            &self.write_nodes
-        } else {
-            &self.read_nodes
-        }
-    }
-
-    fn least_loaded(&self, nodes: &[NodeId], ctx: &SchedContext<'_>) -> NodeId {
-        *nodes
-            .iter()
-            .min_by_key(|&&n| (ctx.load(n), n))
-            .expect("eligible set non-empty")
-    }
-}
-
-impl Policy for ModelDriven {
-    fn name(&self) -> &'static str {
-        "model-driven"
-    }
-
-    fn place(&mut self, task: &IoTask, ctx: &SchedContext<'_>) -> NodeId {
-        let nodes = self.eligible(task.to_device()).to_vec();
-        self.least_loaded(&nodes, ctx)
-    }
-}
-
-/// The cbench baseline as a scheduler: place on the least-loaded node
-/// among the STREAM cost model's top-ranked nodes for the device's data.
-/// Direction-blind by construction — STREAM's copy has source and sink on
-/// one node (§IV-C), so the model cannot distinguish Table IV from Table V,
-/// and it inherits the §IV-B mis-rankings.
-#[derive(Debug, Clone)]
-pub struct StreamGreedy {
-    pool: Vec<NodeId>,
-}
-
-impl StreamGreedy {
-    /// Build from a platform: the device node plus the STREAM model's top
-    /// spread candidates.
-    pub fn from_platform(platform: &SimPlatform) -> Self {
-        use numio_core::{MemCostModel, StreamAdvisor};
-        let target = platform
-            .fabric()
-            .topology()
-            .io_hub_nodes()
-            .first()
-            .copied()
-            .expect("platform has an I/O node");
-        let advisor = StreamAdvisor::new(MemCostModel::from_stream(platform));
-        let mut pool = vec![target, NodeId(target.0 ^ 1)];
-        pool.extend(advisor.spread_candidates(target, 3));
-        StreamGreedy { pool }
-    }
-
-    /// The node pool (tests).
-    pub fn pool(&self) -> &[NodeId] {
-        &self.pool
-    }
-}
-
-impl Policy for StreamGreedy {
-    fn name(&self) -> &'static str {
-        "stream-cbench"
-    }
-
-    fn place(&mut self, _task: &IoTask, ctx: &SchedContext<'_>) -> NodeId {
-        *self
-            .pool
-            .iter()
-            .min_by_key(|&&n| (ctx.load(n), n))
-            .expect("pool non-empty")
-    }
-}
-
 /// Model-driven placement plus epoch rebalancing: when the load spread
-/// inside a direction's eligible set exceeds `imbalance`, move one task
-/// from the hottest to the coolest node (paying the scheduler's migration
-/// cost).
+/// inside a direction's top class (`ranking(dir)[0]`, the eligible set of
+/// [`ClassRanked::model_driven`]) exceeds `imbalance`, move one task from
+/// the hottest to the coolest node (paying the scheduler's migration cost).
 #[derive(Debug, Clone)]
 pub struct ModelDrivenMigrating {
-    inner: ModelDriven,
+    inner: ClassRanked,
     /// Rebalance period, seconds.
     pub epoch_s: f64,
     /// Stream-count spread that triggers a migration.
@@ -280,8 +169,8 @@ pub struct ModelDrivenMigrating {
 }
 
 impl ModelDrivenMigrating {
-    /// Wrap a [`ModelDriven`] policy.
-    pub fn new(inner: ModelDriven, epoch_s: f64, imbalance: u32) -> Self {
+    /// Wrap a class-ranked policy, normally [`ClassRanked::model_driven`].
+    pub fn new(inner: ClassRanked, epoch_s: f64, imbalance: u32) -> Self {
         assert!(epoch_s > 0.0);
         assert!(imbalance >= 1);
         ModelDrivenMigrating { inner, epoch_s, imbalance }
@@ -304,7 +193,7 @@ impl Policy for ModelDrivenMigrating {
     fn rebalance(&mut self, ctx: &SchedContext<'_>) -> Vec<(TaskId, NodeId)> {
         let mut moves = Vec::new();
         for dir in [true, false] {
-            let nodes = self.inner.eligible(dir).to_vec();
+            let nodes = &self.inner.ranking(dir)[0];
             let hottest = nodes.iter().max_by_key(|&&n| ctx.load(n)).copied();
             let coolest = nodes.iter().min_by_key(|&&n| ctx.load(n)).copied();
             if let (Some(hot), Some(cool)) = (hottest, coolest) {
@@ -378,7 +267,8 @@ mod tests {
     #[test]
     fn model_driven_respects_directions_and_load() {
         let platform = SimPlatform::dl585();
-        let mut p = ModelDriven::from_platform(&platform);
+        let mut p = ClassRanked::model_driven(&platform).unwrap();
+        assert_eq!(p.name(), "model-driven");
         let fabric = platform.fabric();
         let ctx = ctx_with(fabric, &[]);
         // Write direction avoids the starved {2,3}.
@@ -397,19 +287,23 @@ mod tests {
     #[test]
     fn stream_greedy_pool_misses_the_read_class2_nodes() {
         let platform = SimPlatform::dl585();
-        let p = StreamGreedy::from_platform(&platform);
+        let p = ClassRanked::stream_greedy(&platform).unwrap();
+        assert_eq!(p.name(), "stream-cbench");
         // The baseline pool skips {2,3} (STREAM ranks them poorly for node
-        // 7 data) although they are read-direction class 2.
-        assert!(!p.pool().contains(&NodeId(2)), "{:?}", p.pool());
-        assert!(!p.pool().contains(&NodeId(3)), "{:?}", p.pool());
-        assert!(p.pool().contains(&NodeId(7)));
+        // 7 data) although they are read-direction class 2. It is
+        // direction-blind: one pool for both directions.
+        let pool = &p.ranking(false)[0];
+        assert_eq!(p.ranking(true), p.ranking(false));
+        assert!(!pool.contains(&NodeId(2)), "{pool:?}");
+        assert!(!pool.contains(&NodeId(3)), "{pool:?}");
+        assert!(pool.contains(&NodeId(7)));
     }
 
     #[test]
     fn migrating_policy_moves_from_hot_to_cool() {
         let platform = SimPlatform::dl585();
-        let inner = ModelDriven::from_platform(&platform);
-        let hot = inner.eligible(true)[0];
+        let inner = ClassRanked::model_driven(&platform).unwrap();
+        let hot = inner.ranking(true)[0][0];
         let mut p = ModelDrivenMigrating::new(inner, 1.0, 2);
         assert_eq!(p.epoch_s(), Some(1.0));
         let active = [
@@ -428,12 +322,10 @@ mod tests {
     #[test]
     fn migrating_policy_is_quiet_when_balanced() {
         let platform = SimPlatform::dl585();
-        let inner = ModelDriven::from_platform(&platform);
+        let inner = ClassRanked::model_driven(&platform).unwrap();
         let mut p = ModelDrivenMigrating::new(inner, 0.5, 2);
         let fabric = platform.fabric();
         let ctx = ctx_with(fabric, &[]);
         assert!(p.rebalance(&ctx).is_empty());
     }
-
-    use numa_fabric::Fabric;
 }

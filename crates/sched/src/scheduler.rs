@@ -1,5 +1,6 @@
 //! The online scheduling episode simulator.
 
+use crate::error::SchedError;
 use crate::fallback::RetryPolicy;
 use crate::metrics::EpisodeReport;
 use crate::policy::{ActiveView, Policy, SchedContext};
@@ -9,86 +10,33 @@ use numa_fio::{steady_job_rates, JobSpec, Workload};
 use numa_topology::NodeId;
 use numio_core::{Platform, SimPlatform};
 
-/// Scheduler failures.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SchedError {
-    /// Empty trace.
-    NoTasks,
-    /// A task can never progress (zero rate, nothing pending).
-    Starved {
-        /// The stuck task.
-        task: TaskId,
-    },
-    /// Event-count safety valve tripped.
-    EventLimit,
-    /// An allocation round kept failing after every retry (the machine
-    /// degraded under the episode — e.g. the NIC vanished mid-run).
-    AllocFailed {
-        /// Attempts made, including the first.
-        attempts: u32,
-        /// The last underlying failure, rendered.
-        last_error: String,
-    },
-    /// The selected measurement backend exposes no simulator fabric, so
-    /// there is nothing to run episodes against (episodes are fluid
-    /// simulations over the fabric's max-min allocator).
-    NoFabric {
-        /// The backend's label.
-        label: String,
-    },
-}
-
-impl std::fmt::Display for SchedError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SchedError::NoTasks => write!(f, "trace has no tasks"),
-            SchedError::Starved { task } => write!(f, "task {task:?} starved"),
-            SchedError::EventLimit => write!(f, "scheduler event limit exceeded"),
-            SchedError::AllocFailed { attempts, last_error } => {
-                write!(f, "allocation failed after {attempts} attempts: {last_error}")
-            }
-            SchedError::NoFabric { label } => {
-                write!(f, "backend '{label}' exposes no fabric to schedule over")
-            }
-        }
-    }
-}
-
-impl std::error::Error for SchedError {}
-
 /// Maximum processed events per episode.
 pub const MAX_EVENTS: usize = 200_000;
 
 #[derive(Debug, Clone)]
 struct Active {
     id: TaskId,
-    workload: Workload,
-    streams: u32,
+    task: IoTask,
     node: NodeId,
-    volume_gbit: f64,
     remaining_gbit: f64,
-    arrival_s: f64,
     migrations: u32,
     paused_until: f64,
-    weight: f64,
-    deadline_s: Option<f64>,
 }
 
 impl Active {
     fn job(&self) -> JobSpec {
-        let base = match &self.workload {
+        let base = match &self.task.workload {
             Workload::Nic(op) => JobSpec::nic(*op, self.node),
-            Workload::Ssd { write, engine, direct } => {
-                let mut j = JobSpec::ssd(*write, self.node);
-                j.workload = Workload::Ssd { write: *write, engine: *engine, direct: *direct };
-                j
+            Workload::Ssd { write, .. } => {
+                JobSpec { workload: self.task.workload.clone(), ..JobSpec::ssd(*write, self.node) }
             }
         };
-        base.numjobs(self.streams).size_gbytes(1.0).weight(self.weight)
+        base.numjobs(self.task.streams).size_gbytes(1.0).weight(self.task.weight)
     }
 
-    fn view(&self, to_device: bool) -> ActiveView {
-        ActiveView { id: self.id, node: self.node, streams: self.streams, to_device }
+    fn view(&self) -> ActiveView {
+        let (id, node, streams) = (self.id, self.node, self.task.streams);
+        ActiveView { id, node, streams, to_device: self.task.to_device() }
     }
 }
 
@@ -148,18 +96,10 @@ impl<'a> Scheduler<'a> {
     /// [`Scheduler::observe`]).
     pub fn run<P: Policy>(
         &self,
-        tasks: Vec<IoTask>,
-        policy: P,
-    ) -> Result<EpisodeReport, SchedError> {
-        self.run_impl(tasks, policy, self.obs.as_ref())
-    }
-
-    fn run_impl<P: Policy>(
-        &self,
         mut tasks: Vec<IoTask>,
         mut policy: P,
-        obs: Option<&numa_obs::Obs>,
     ) -> Result<EpisodeReport, SchedError> {
+        let obs = self.obs.as_ref();
         if tasks.is_empty() {
             return Err(SchedError::NoTasks);
         }
@@ -201,21 +141,9 @@ impl<'a> Scheduler<'a> {
                         Ok(r) => break r,
                         Err(e) => {
                             attempt += 1;
-                            if let Some(o) = obs {
-                                o.counter(
-                                    "numio_sched_retries_total",
-                                    &[("component", "sched")],
-                                )
-                                .inc();
-                                o.event(
-                                    "alloc_retry",
-                                    t,
-                                    &[
-                                        ("attempt", numa_obs::Value::from(attempt)),
-                                        ("error", e.to_string().into()),
-                                    ],
-                                );
-                            }
+                            emit(obs, Some("numio_sched_retries_total"), "alloc_retry", t, || {
+                                vec![("attempt", attempt.into()), ("error", e.to_string().into())]
+                            });
                             if attempt >= self.retry.max_attempts {
                                 return Err(SchedError::AllocFailed {
                                     attempts: attempt,
@@ -227,17 +155,9 @@ impl<'a> Scheduler<'a> {
                     }
                 };
                 drop(alloc_span);
-                if let Some(o) = obs {
-                    o.counter("numio_alloc_rounds_total", &[("component", "sched")]).inc();
-                    o.event(
-                        "alloc_round",
-                        t,
-                        &[
-                            ("component", "sched".into()),
-                            ("tasks", numa_obs::Value::from(runnable.len())),
-                        ],
-                    );
-                }
+                emit(obs, Some("numio_alloc_rounds_total"), "alloc_round", t, || {
+                    vec![("component", "sched".into()), ("tasks", runnable.len().into())]
+                });
                 r
             };
 
@@ -276,34 +196,25 @@ impl<'a> Scheduler<'a> {
             while i < active.len() {
                 if active[i].remaining_gbit <= 1e-9 {
                     let done = active.swap_remove(i);
-                    let latency_s = t - done.arrival_s;
+                    let latency_s = t - done.task.arrival_s;
                     if let Some(o) = obs {
-                        o.counter("numio_flow_completions_total", &[("component", "sched")])
-                            .inc();
-                        o.histogram(
-                            "numio_episode_latency_seconds",
-                            &[("policy", policy.name())],
-                            numa_obs::buckets::LATENCY_SECONDS,
-                        )
-                        .observe(latency_s);
-                        o.event(
-                            "task_finished",
-                            t,
-                            &[
-                                ("task", numa_obs::Value::from(done.id.0)),
-                                ("node", done.node.to_string().into()),
-                                ("latency_s", numa_obs::Value::from(latency_s)),
-                            ],
-                        );
+                        let buckets = numa_obs::buckets::LATENCY_SECONDS;
+                        let labels = [("policy", policy.name())];
+                        o.histogram("numio_episode_latency_seconds", &labels, buckets)
+                            .observe(latency_s);
                     }
+                    emit(obs, Some("numio_flow_completions_total"), "task_finished", t, || {
+                        let (task, node) = (done.id.0.into(), done.node.to_string().into());
+                        vec![("task", task), ("node", node), ("latency_s", latency_s.into())]
+                    });
                     outcomes.push(TaskOutcome {
                         id: done.id,
                         node: done.node,
-                        arrival_s: done.arrival_s,
+                        arrival_s: done.task.arrival_s,
                         finish_s: t,
-                        volume_gbit: done.volume_gbit,
+                        volume_gbit: done.task.volume_gbytes * 8.0,
                         migrations: done.migrations,
-                        deadline_s: done.deadline_s,
+                        deadline_s: done.task.deadline_s,
                     });
                 } else {
                     i += 1;
@@ -316,45 +227,21 @@ impl<'a> Scheduler<'a> {
                 .is_some_and(|(_, task)| task.arrival_s <= t + 1e-12)
             {
                 let (id, task) = pending.pop_front().unwrap();
-                let views: Vec<ActiveView> = active
-                    .iter()
-                    .map(|a| a.view(direction(&a.workload)))
-                    .collect();
+                let views: Vec<ActiveView> = active.iter().map(Active::view).collect();
                 let ctx = SchedContext { fabric, active: &views };
                 let node = policy.place(&task, &ctx);
-                if let Some(o) = obs {
-                    o.event(
-                        "task_placed",
-                        t,
-                        &[
-                            ("task", numa_obs::Value::from(id.0)),
-                            ("node", node.to_string().into()),
-                            ("policy", policy.name().into()),
-                        ],
-                    );
-                }
-                active.push(Active {
-                    id,
-                    workload: task.workload.clone(),
-                    streams: task.streams,
-                    node,
-                    volume_gbit: task.volume_gbytes * 8.0,
-                    remaining_gbit: task.volume_gbytes * 8.0,
-                    arrival_s: task.arrival_s,
-                    migrations: 0,
-                    paused_until: t,
-                    weight: task.weight,
-                    deadline_s: task.deadline_s,
+                emit(obs, None, "task_placed", t, || {
+                    let (node, policy) = (node.to_string().into(), policy.name().into());
+                    vec![("task", id.0.into()), ("node", node), ("policy", policy)]
                 });
+                let (remaining_gbit, paused_until) = (task.volume_gbytes * 8.0, t);
+                active.push(Active { id, task, node, remaining_gbit, migrations: 0, paused_until });
             }
 
             // Epoch rebalancing.
             if t + 1e-12 >= next_epoch {
                 if let Some(period) = policy.epoch_s() {
-                    let views: Vec<ActiveView> = active
-                        .iter()
-                        .map(|a| a.view(direction(&a.workload)))
-                        .collect();
+                    let views: Vec<ActiveView> = active.iter().map(Active::view).collect();
                     let ctx = SchedContext { fabric, active: &views };
                     for (tid, new_node) in policy.rebalance(&ctx) {
                         if let Some(a) = active.iter_mut().find(|a| a.id == tid) {
@@ -364,22 +251,11 @@ impl<'a> Scheduler<'a> {
                                 a.migrations += 1;
                                 a.paused_until = t + self.migration_pause_s;
                                 migrations_total += 1;
-                                if let Some(o) = obs {
-                                    o.counter(
-                                        "numio_migrations_total",
-                                        &[("component", "sched")],
-                                    )
-                                    .inc();
-                                    o.event(
-                                        "task_migrated",
-                                        t,
-                                        &[
-                                            ("task", numa_obs::Value::from(tid.0)),
-                                            ("from", from.to_string().into()),
-                                            ("to", new_node.to_string().into()),
-                                        ],
-                                    );
-                                }
+                                emit(obs, Some("numio_migrations_total"), "task_migrated", t, || {
+                                    let from = from.to_string().into();
+                                    let to = new_node.to_string().into();
+                                    vec![("task", tid.0.into()), ("from", from), ("to", to)]
+                                });
                             }
                         }
                     }
@@ -392,18 +268,14 @@ impl<'a> Scheduler<'a> {
         }
 
         outcomes.sort_by_key(|o| o.id);
-        if let Some(o) = obs {
-            o.event(
-                "episode_finished",
-                t,
-                &[
-                    ("policy", policy.name().into()),
-                    ("tasks", numa_obs::Value::from(outcomes.len())),
-                    ("makespan_s", numa_obs::Value::from(t)),
-                    ("migrations", numa_obs::Value::from(migrations_total)),
-                ],
-            );
-        }
+        emit(obs, None, "episode_finished", t, || {
+            vec![
+                ("policy", policy.name().into()),
+                ("tasks", outcomes.len().into()),
+                ("makespan_s", t.into()),
+                ("migrations", migrations_total.into()),
+            ]
+        });
         Ok(EpisodeReport {
             policy: policy.name().to_string(),
             outcomes,
@@ -414,17 +286,29 @@ impl<'a> Scheduler<'a> {
     }
 }
 
-fn direction(w: &Workload) -> bool {
-    match w {
-        Workload::Nic(op) => op.to_device(),
-        Workload::Ssd { write, .. } => *write,
+/// When an observability handle is attached: bump `counter` (labelled
+/// `component="sched"`) if one is given, then emit `event` at simulation
+/// time `t`. `fields` is only built when observed.
+fn emit(
+    obs: Option<&numa_obs::Obs>,
+    counter: Option<&str>,
+    event: &str,
+    t: f64,
+    fields: impl FnOnce() -> Vec<(&'static str, numa_obs::Value)>,
+) {
+    if let Some(o) = obs {
+        if let Some(name) = counter {
+            o.counter(name, &[("component", "sched")]).inc();
+        }
+        o.event(event, t, &fields());
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{LocalOnly, ModelDriven, ModelDrivenMigrating, SpreadAll};
+    use crate::policy::{LocalOnly, ModelDrivenMigrating, SpreadAll};
+    use crate::ClassRanked;
     use crate::trace::{burst, poisson, MixProfile};
 
     fn platform() -> SimPlatform {
@@ -458,7 +342,7 @@ mod tests {
             Scheduler::new(&p).run(tasks.clone(), LocalOnly::new()).unwrap(),
             Scheduler::new(&p).run(tasks.clone(), SpreadAll::new()).unwrap(),
             Scheduler::new(&p)
-                .run(tasks.clone(), ModelDriven::from_platform(&p))
+                .run(tasks.clone(), ClassRanked::model_driven(&p).unwrap())
                 .unwrap(),
         ] {
             assert_eq!(report.outcomes.len(), 10, "{}", report.policy);
@@ -471,7 +355,7 @@ mod tests {
 
     #[test]
     fn model_driven_beats_local_only_on_bursts_on_average() {
-        // ModelDriven / LocalOnly mean latency over 32 burst seeds: the
+        // model-driven / LocalOnly mean latency over 32 burst seeds: the
         // measured mean ratio is 0.959, ranging 0.90-1.02 per seed, so the
         // model wins on average but not on every burst.
         let p = platform();
@@ -479,7 +363,8 @@ mod tests {
             .map(|seed| {
                 let tasks = burst(10, MixProfile::Ingest, seed);
                 let naive = Scheduler::new(&p).run(tasks.clone(), LocalOnly::new()).unwrap();
-                let smart = Scheduler::new(&p).run(tasks, ModelDriven::from_platform(&p)).unwrap();
+                let policy = ClassRanked::model_driven(&p).unwrap();
+                let smart = Scheduler::new(&p).run(tasks, policy).unwrap();
                 smart.mean_latency_s() / naive.mean_latency_s()
             })
             .collect();
@@ -493,7 +378,7 @@ mod tests {
         // Staggered arrivals onto an initially empty machine create the
         // imbalance the migrator corrects.
         let tasks = poisson(12, 0.5, MixProfile::Ingest, 21);
-        let policy = ModelDrivenMigrating::new(ModelDriven::from_platform(&p), 1.0, 2);
+        let policy = ModelDrivenMigrating::new(ClassRanked::model_driven(&p).unwrap(), 1.0, 2);
         let report = Scheduler::new(&p).run(tasks, policy).unwrap();
         assert_eq!(report.outcomes.len(), 12);
         // Migration accounting is consistent.
@@ -532,7 +417,7 @@ mod tests {
     fn observed_migrations_emit_events() {
         let p = platform();
         let tasks = poisson(12, 0.5, MixProfile::Ingest, 21);
-        let policy = ModelDrivenMigrating::new(ModelDriven::from_platform(&p), 1.0, 2);
+        let policy = ModelDrivenMigrating::new(ClassRanked::model_driven(&p).unwrap(), 1.0, 2);
         let obs = numa_obs::Obs::new();
         let report = Scheduler::new(&p).observe(obs.clone()).run(tasks, policy).unwrap();
         assert_eq!(
@@ -559,16 +444,15 @@ mod tests {
         // the claim is counterfactual: the same trace with weights
         // stripped misses at least as many deadlines, and every premium
         // task finishes no later with its weight than without.
-        use crate::policy::ModelDriven;
         let p = platform();
         let tasks = crate::trace::premium_burst(9, crate::trace::MixProfile::Ingest, 2);
         let stripped: Vec<IoTask> =
             tasks.iter().cloned().map(|mut t| { t.weight = 1.0; t }).collect();
         let weighted = Scheduler::new(&p)
-            .run(tasks.clone(), ModelDriven::from_platform(&p))
+            .run(tasks.clone(), ClassRanked::model_driven(&p).unwrap())
             .unwrap();
         let unweighted = Scheduler::new(&p)
-            .run(stripped, ModelDriven::from_platform(&p))
+            .run(stripped, ClassRanked::model_driven(&p).unwrap())
             .unwrap();
         assert!(
             weighted.deadline_misses() <= unweighted.deadline_misses(),
@@ -635,7 +519,8 @@ mod tests {
 
     #[test]
     fn retry_policy_is_tunable_and_deterministic() {
-        use crate::fallback::RetryPolicy;
+        use crate::error::SchedError;
+use crate::fallback::RetryPolicy;
         use numa_iodev::NicOp;
         let p = deviceless_platform();
         let tasks = vec![IoTask::new(0.0, Workload::Nic(NicOp::RdmaWrite), 1, 1.0)];

@@ -2,8 +2,8 @@
 //! `CASES` cases, case `c` drawing from `SplitMix64::new(c)`.
 
 use numa_par::rng::SplitMix64;
-use numa_sched::policy::{LocalOnly, ModelDriven, ModelDrivenMigrating, SpreadAll};
-use numa_sched::{trace, Scheduler};
+use numa_sched::policy::{LocalOnly, ModelDrivenMigrating, SpreadAll};
+use numa_sched::{trace, ClassRanked, Scheduler};
 use numio_core::SimPlatform;
 
 const CASES: u64 = 16;
@@ -20,7 +20,7 @@ fn every_trace_drains_under_every_policy() {
         for report in [
             scheduler.run(tasks.clone(), LocalOnly::new()).unwrap(),
             scheduler.run(tasks.clone(), SpreadAll::new()).unwrap(),
-            scheduler.run(tasks.clone(), ModelDriven::from_platform(&platform)).unwrap(),
+            scheduler.run(tasks.clone(), ClassRanked::model_driven(&platform).unwrap()).unwrap(),
         ] {
             assert_eq!(report.outcomes.len(), n, "case {case}: {}", report.policy);
             // Conservation: total volume equals the trace volume.
@@ -48,7 +48,7 @@ fn latency_never_beats_the_device_physics() {
         let n = 1 + rng.below(5) as usize;
         let tasks = trace::burst(n, trace::MixProfile::Uniform, rng.next_u64());
         let report = Scheduler::new(&platform)
-            .run(tasks.clone(), ModelDriven::from_platform(&platform))
+            .run(tasks.clone(), ClassRanked::model_driven(&platform).unwrap())
             .unwrap();
         for (o, task) in report.outcomes.iter().zip(&tasks) {
             let floor = task.volume_gbytes * 8.0 / 34.7;
@@ -68,7 +68,8 @@ fn migration_counts_are_consistent() {
     for case in 0..CASES {
         let seed = SplitMix64::new(case).next_u64();
         let tasks = trace::poisson(8, 0.6, trace::MixProfile::Ingest, seed);
-        let policy = ModelDrivenMigrating::new(ModelDriven::from_platform(&platform), 1.0, 2);
+        let inner = ClassRanked::model_driven(&platform).unwrap();
+        let policy = ModelDrivenMigrating::new(inner, 1.0, 2);
         let report = Scheduler::new(&platform).run(tasks, policy).unwrap();
         let per_task: u32 = report.outcomes.iter().map(|o| o.migrations).sum();
         assert_eq!(per_task, report.migrations, "case {case}");

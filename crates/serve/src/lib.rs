@@ -105,5 +105,5 @@ pub use proto::{
 pub use server::{spawn, spawn_with, ServeConfig, ServerHandle};
 pub use service::{
     write_response, ModelService, BATCH_SIZE_METRIC, DEFAULT_DRIFT_THRESHOLD,
-    MAX_FLEET_HOSTS, MAX_FLEET_STREAMS, SERVE_SECONDS_METRIC,
+    SERVE_SECONDS_METRIC,
 };

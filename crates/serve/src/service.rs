@@ -7,11 +7,10 @@ use crate::error::ServeError;
 use crate::proto::{self, LatencySummary, Request, Response, WireMode};
 use numa_faults::{FaultKind, FaultPlan};
 use numa_fio::Workload;
-use numa_fleet::{policy_by_name, Fleet};
 use numa_iodev::NicOp;
 use numa_obs::{buckets, Counter, FlightRecorder, Histogram, Obs};
-use numa_sched::policy::{ActiveView, SchedContext};
-use numa_sched::{ClassRanked, IoTask, Policy, TaskId};
+use numa_sched::fleet::{self, ClusterScheduler, Fleet, FleetPolicy, StreamSpec};
+use numa_sched::{ClassRanked, IoTask};
 use numa_topology::NodeId;
 use numio_core::{Atlas, DeviceSelector, IoModeler, IoPerfModel, Platform, TransferMode};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -28,13 +27,6 @@ pub const SERVE_SECONDS_METRIC: &str = "numio_serve_request_seconds";
 /// Histogram family recording how many mixes each `predict_batch` request
 /// carried, labelled `{backend}`.
 pub const BATCH_SIZE_METRIC: &str = "numio_serve_batch_size";
-
-/// Upper bound on `fleet_place` fleet size: generation characterizes
-/// every host, so the cap keeps one request from monopolizing a worker.
-pub const MAX_FLEET_HOSTS: usize = 64;
-
-/// Upper bound on `fleet_place` workload size.
-pub const MAX_FLEET_STREAMS: usize = 4096;
 
 /// The active fault view plus its **precomputed** cache key. Deriving the
 /// key costs a full topology serialization + FNV pass, which used to run
@@ -635,24 +627,11 @@ impl<P: Platform> ModelService<P> {
                 } else {
                     NicOp::RdmaRead
                 };
-                let mut active: Vec<ActiveView> = Vec::with_capacity(*tasks as usize);
-                let mut nodes = Vec::with_capacity(*tasks as usize);
-                for i in 0..*tasks {
-                    let task = IoTask::new(0.0, Workload::Nic(op), 1, 1.0);
-                    let ctx = SchedContext {
-                        fabric,
-                        active: &active,
-                    };
-                    let node = policy.place(&task, &ctx);
-                    active.push(ActiveView {
-                        id: TaskId(i),
-                        node,
-                        streams: 1,
-                        to_device: *to_device,
-                    });
-                    nodes.push(node.0);
-                }
-                Ok(Response::Place { nodes })
+                let task = IoTask::new(0.0, Workload::Nic(op), 1, 1.0);
+                let nodes = policy.place_n(&task, *tasks, fabric);
+                Ok(Response::Place {
+                    nodes: nodes.iter().map(|n| n.0).collect(),
+                })
             }
             Request::Simulate { workload } => {
                 let fabric = self.platform.fabric().ok_or_else(|| ServeError::NoFabric {
@@ -685,24 +664,14 @@ impl<P: Platform> ModelService<P> {
                 policy,
                 seed,
             } => {
-                if *hosts == 0 || *hosts > MAX_FLEET_HOSTS {
-                    return Err(ServeError::BadRequest {
-                        reason: format!("hosts must be in 1..={MAX_FLEET_HOSTS}, got {hosts}"),
-                    });
-                }
-                if *streams == 0 || *streams > MAX_FLEET_STREAMS {
-                    return Err(ServeError::BadRequest {
-                        reason: format!(
-                            "streams must be in 1..={MAX_FLEET_STREAMS}, got {streams}"
-                        ),
-                    });
-                }
-                // Resolve the policy first: an unknown name must not pay
-                // for fleet generation.
-                let mut policy = policy_by_name(policy, *hosts)
-                    .map_err(|e| ServeError::BadRequest { reason: e.to_string() })?;
-                let fleet = Fleet::generate(*hosts, *seed)
-                    .map_err(|e| ServeError::BadRequest { reason: e.to_string() })?;
+                let bad = |e: numa_sched::SchedError| ServeError::BadRequest {
+                    reason: e.to_string(),
+                };
+                // Check the bounds and resolve the policy first: a bad
+                // input must not pay for fleet generation.
+                fleet::check_bounds(*hosts, *streams).map_err(bad)?;
+                let mut policy = FleetPolicy::by_name(policy, *hosts).map_err(bad)?;
+                let fleet = Fleet::generate(*hosts, *seed).map_err(bad)?;
                 // Warm each generated host's write model under its own
                 // cache shard: a same-seed repeat of this request turns
                 // every shard's miss into a hit, which `fleet_stats`
@@ -716,9 +685,9 @@ impl<P: Platform> ModelService<P> {
                     );
                     self.cache.get(&key, host.platform(), &self.modeler, &[])?;
                 }
-                let report = numa_fleet::ClusterScheduler::new(&fleet)
-                    .run(&numa_fleet::StreamSpec::workload(*streams, *seed), policy.as_mut())
-                    .map_err(|e| ServeError::BadRequest { reason: e.to_string() })?;
+                let report = ClusterScheduler::new(&fleet)
+                    .run(&StreamSpec::workload(*streams, *seed), &mut policy)
+                    .map_err(bad)?;
                 Ok(Response::FleetPlace {
                     policy: report.policy,
                     hosts: report.hosts,
@@ -1185,7 +1154,7 @@ mod tests {
                 seed: 0,
             },
             Request::FleetPlace {
-                hosts: MAX_FLEET_HOSTS + 1,
+                hosts: numa_sched::fleet::MAX_HOSTS + 1,
                 streams: 8,
                 policy: "class-ranked".into(),
                 seed: 0,

@@ -20,8 +20,7 @@
 use numio::core::diff_models;
 use numio::faults::degraded_platform;
 use numio::prelude::*;
-use numio::sched::policy::{ActiveView, SchedContext};
-use numio::sched::{IoTask, TaskId};
+use numio::sched::IoTask;
 
 fn write_model(p: &SimPlatform) -> IoPerfModel {
     IoModeler::new().reps(10).characterize(p, NodeId(7), TransferMode::Write)
@@ -72,13 +71,10 @@ fn main() {
     // Step 4: the class-ranked fallback policy, built from the *degraded*
     // model, places four write streams without touching the damaged path.
     let read = IoModeler::new().reps(10).characterize(&degraded, NodeId(7), TransferMode::Read);
-    let mut policy = ClassRanked::from_models(&after, &read);
     let dfab = numio::faults::degraded_fabric(healthy.fabric(), &faults).unwrap();
-    let mut views: Vec<ActiveView> = Vec::new();
-    for i in 0..4u32 {
-        let task = IoTask::new(0.0, Workload::Nic(numio::iodev::NicOp::RdmaWrite), 1, 50.0);
-        let node = policy.place(&task, &SchedContext { fabric: &dfab, active: &views });
-        views.push(ActiveView { id: TaskId(i), node, streams: 1, to_device: true });
+    let task = IoTask::new(0.0, Workload::Nic(numio::iodev::NicOp::RdmaWrite), 1, 50.0);
+    let placed = ClassRanked::from_models(&after, &read).place_n(&task, 4, &dfab);
+    for (i, node) in placed.iter().enumerate() {
         println!("stream {i} -> node {}", node.0);
     }
 

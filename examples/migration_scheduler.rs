@@ -7,12 +7,13 @@
 //! ```
 
 use numio::prelude::*;
-use numio::sched::policy::{HopGreedy, LocalOnly, ModelDriven, ModelDrivenMigrating, SpreadAll};
+use numio::sched::policy::{HopGreedy, LocalOnly, ModelDrivenMigrating, SpreadAll};
 use numio::sched::{metrics, trace};
 
 fn main() {
     let platform = SimPlatform::dl585();
     let scheduler = Scheduler::new(&platform);
+    let model_driven = ClassRanked::model_driven(&platform).expect("DL585 characterizes");
 
     for (label, tasks) in [
         ("steady Poisson arrivals (ingest mix)", trace::poisson(16, 1.2, trace::MixProfile::Ingest, 2013)),
@@ -25,12 +26,12 @@ fn main() {
             scheduler.run(tasks.clone(), HopGreedy::new()).expect("episode"),
             scheduler.run(tasks.clone(), SpreadAll::new()).expect("episode"),
             scheduler
-                .run(tasks.clone(), ModelDriven::from_platform(&platform))
+                .run(tasks.clone(), model_driven.clone())
                 .expect("episode"),
             scheduler
                 .run(
                     tasks.clone(),
-                    ModelDrivenMigrating::new(ModelDriven::from_platform(&platform), 2.0, 3),
+                    ModelDrivenMigrating::new(model_driven.clone(), 2.0, 3),
                 )
                 .expect("episode"),
         ];

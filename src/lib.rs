@@ -27,17 +27,19 @@
 //! * [`backend`] — backend selection plus record/replay: capture every
 //!   probe a characterization makes into a versioned JSONL fixture and
 //!   replay it bit-identically.
-//! * [`sched`] — online placement/migration episodes driven by the model.
+//! * [`sched`] — the one placement layer: online placement/migration
+//!   episodes driven by the model, one [`Policy`](sched::Policy) trait and
+//!   one class-ranked rule.
 //! * [`faults`] — deterministic fault injection: degraded links, IRQ
 //!   storms, device stalls, and scheduled inject/heal timelines.
 //! * [`serve`] — long-running TCP/JSONL prediction service with a
 //!   memoized characterization cache: characterize once, answer
 //!   `predict`/`classify`/`place`/`atlas` requests from the cache until
 //!   drift or an armed fault plan invalidates the affected key.
-//! * [`fleet`] — warehouse scale: seeded generation of heterogeneous hosts
-//!   (via [`topology::hostgen`]), per-host characterization profiles, and a
-//!   cluster scheduler comparing class-ranked, bandwidth-aware, and
-//!   adaptive placement policies.
+//! * [`fleet`] — `numa_sched::fleet`, warehouse scale: seeded generation
+//!   of heterogeneous hosts (via [`topology::hostgen`]), per-host
+//!   characterization profiles, and a cluster scheduler comparing the
+//!   class-ranked, bandwidth-aware, and adaptive host rules.
 //!
 //! Fallible entry points across the workspace return per-crate error
 //! types; the workspace-level [`Error`] unifies them (every one converts
@@ -59,7 +61,6 @@
 pub use numa_backend as backend;
 pub use numa_engine as engine;
 pub use numa_faults as faults;
-pub use numa_fleet as fleet;
 pub use numa_obs as obs;
 pub use numa_fabric as fabric;
 pub use numa_fio as fio;
@@ -67,6 +68,7 @@ pub use numa_iodev as iodev;
 pub use numa_memsys as memsys;
 pub use numa_topology as topology;
 pub use numa_sched as sched;
+pub use numa_sched::fleet;
 pub use numa_serve as serve;
 pub use numio_core as core;
 
@@ -87,7 +89,8 @@ pub enum Error {
     Sim(engine::SimError),
     /// Building or running a [`engine::Scenario`] failed ([`engine`]).
     Scenario(engine::ScenarioError),
-    /// A scheduling episode failed ([`sched`]).
+    /// Placement failed: a scheduling episode, a policy's
+    /// characterization, fleet generation or a cluster episode ([`sched`]).
     Sched(sched::SchedError),
     /// Lowering or running a benchmark job set failed ([`fio`]).
     Fio(fio::FioError),
@@ -111,8 +114,6 @@ pub enum Error {
     Atlas(core::AtlasError),
     /// The prediction service failed ([`serve`]).
     Serve(serve::ServeError),
-    /// Fleet generation or cluster scheduling failed ([`fleet`]).
-    Fleet(fleet::FleetError),
 }
 
 impl std::fmt::Display for Error {
@@ -134,7 +135,6 @@ impl std::fmt::Display for Error {
             Error::Fault(e) => write!(f, "faults: {e}"),
             Error::Atlas(e) => write!(f, "atlas: {e}"),
             Error::Serve(e) => write!(f, "serve: {e}"),
-            Error::Fleet(e) => write!(f, "fleet: {e}"),
         }
     }
 }
@@ -158,7 +158,6 @@ impl std::error::Error for Error {
             Error::Fault(e) => Some(e),
             Error::Atlas(e) => Some(e),
             Error::Serve(e) => Some(e),
-            Error::Fleet(e) => Some(e),
         }
     }
 }
@@ -190,7 +189,6 @@ impl_from_error!(
     Fault(faults::FaultError),
     Atlas(core::AtlasError),
     Serve(serve::ServeError),
-    Fleet(fleet::FleetError),
 );
 
 /// Convenience alias: `Result` with the workspace [`Error`].
@@ -212,7 +210,7 @@ pub mod prelude {
     pub use numa_fabric::{Fabric, TrafficClass};
     pub use numa_faults::{FaultInjector, FaultKind, FaultPlan, FaultWindow};
     pub use numa_fio::{FioError, JobSpec, Workload};
-    pub use numa_fleet::{ClusterScheduler, Fleet, FleetError, FleetReport, StreamSpec};
+    pub use numa_sched::fleet::{ClusterScheduler, Fleet, FleetReport, StreamSpec};
     pub use numa_sched::{ClassRanked, Policy, RetryPolicy, SchedError, Scheduler};
     pub use numa_serve::{CharacterizationCache, ModelService, ServeError};
     pub use numa_topology::{DeviceId, DirectedEdge, NodeId, Topology};

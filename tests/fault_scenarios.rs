@@ -8,13 +8,11 @@
 use numio::core::{
     diff_models, predict_aggregate, relative_error, IoModeler, SimPlatform, TransferMode,
 };
-use numio::fabric::Fabric;
 use numio::faults::{degraded_fabric, degraded_platform, FaultKind, FaultPlan};
 use numio::fio::{run_jobs, JobSpec};
 use numio::iodev::{NicModel, NicOp};
 use numio::prelude::NodeId;
-use numio::sched::policy::{ActiveView, SchedContext};
-use numio::sched::{ClassRanked, IoTask, Policy, TaskId};
+use numio::sched::{ClassRanked, IoTask};
 
 /// The acceptance plan: the 6->7 hop at quarter capacity plus an IRQ storm
 /// halving node 7's copy throughput.
@@ -68,24 +66,6 @@ fn seeded_faults_reorder_table_iv_classes_and_drift_detects_it() {
     assert!(d.rel_delta[7] < -0.3, "rel_delta[7] = {}", d.rel_delta[7]);
 }
 
-/// Place `tasks` single-stream RDMA-write tasks one at a time with the
-/// class-ranked fallback policy, tracking load like the scheduler would.
-fn fallback_placements(policy: &mut ClassRanked, fabric: &Fabric, tasks: u32) -> Vec<NodeId> {
-    let mut views: Vec<ActiveView> = Vec::new();
-    let mut placed = Vec::new();
-    for i in 0..tasks {
-        let task =
-            IoTask::new(0.0, numio::fio::Workload::Nic(NicOp::RdmaWrite), 1, 50.0);
-        let node = {
-            let ctx = SchedContext { fabric, active: &views };
-            policy.place(&task, &ctx)
-        };
-        views.push(ActiveView { id: TaskId(i), node, streams: 1, to_device: true });
-        placed.push(node);
-    }
-    placed
-}
-
 #[test]
 fn class_fallback_keeps_eq1_prediction_within_10_percent_post_fault() {
     let healthy = SimPlatform::dl585();
@@ -96,8 +76,8 @@ fn class_fallback_keeps_eq1_prediction_within_10_percent_post_fault() {
 
     // Fallback placement on the degraded model steers around the damage:
     // no task lands on a node whose write path crosses the throttled hop.
-    let mut policy = ClassRanked::from_models(&w, &r);
-    let placed = fallback_placements(&mut policy, &dfab, 4);
+    let task = IoTask::new(0.0, numio::fio::Workload::Nic(NicOp::RdmaWrite), 1, 50.0);
+    let placed = ClassRanked::from_models(&w, &r).place_n(&task, 4, &dfab);
     for n in &placed {
         assert!(
             ![NodeId(0), NodeId(2), NodeId(4), NodeId(6)].contains(n),
