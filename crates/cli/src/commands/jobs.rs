@@ -20,7 +20,7 @@ pub(crate) fn cmd_run(opts: &Opts, obs: &numa_obs::Obs) -> Result<String, String
         // raw simulator output into the standard per-job report.
         let plan = super::faults::load_fault_plan(plan_path)?;
         let (sim, flow_job) = numa_fio::build_sim(&fabric, &jobs).map_err(|e| e.to_string())?;
-        let raw = numa_engine::Scenario::from_simulation(sim)
+        let raw = sim
             .observe(obs.clone())
             .faults(plan)
             .run()

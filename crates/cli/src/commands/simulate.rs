@@ -1,9 +1,9 @@
-//! `simulate`: run a generated workload through the engine's unified
-//! [`Scenario`](numa_engine::Scenario) builder and report FCT statistics.
+//! `simulate`: run a generated workload through a
+//! [`Simulation`](numa_engine::Simulation) and report FCT statistics.
 
 use crate::backend;
 use crate::opts::Opts;
-use numa_engine::{Scenario, Workload};
+use numa_engine::{Simulation, Workload};
 use std::fmt::Write as _;
 
 pub(crate) fn cmd_simulate(opts: &Opts, obs: &numa_obs::Obs) -> Result<String, String> {
@@ -14,7 +14,7 @@ pub(crate) fn cmd_simulate(opts: &Opts, obs: &numa_obs::Obs) -> Result<String, S
     let workload = Workload::parse(spec)?;
     let fabric = backend::fabric_for(opts)?;
     let run = || {
-        Scenario::on(&fabric)
+        Simulation::new(&fabric)
             .workload(workload.clone())
             .observe(obs.clone())
             .run()

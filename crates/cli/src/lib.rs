@@ -671,6 +671,14 @@ mod tests {
     }
 
     #[test]
+    fn simulate_rejects_arrivals_that_overflow() {
+        // A rate this small makes the first gap `inf`: a typed error, not
+        // a panic in the flow builder.
+        let err = run_str(&["simulate", "--workload", "poisson:n=3,rate=1e-320"]).unwrap_err();
+        assert!(err.contains("non-finite"), "{err}");
+    }
+
+    #[test]
     fn faults_demo_renders_and_is_deterministic() {
         let a = run_str(&["faults", "demo", "--seed", "11"]).unwrap();
         let b = run_str(&["faults", "demo", "--seed", "11"]).unwrap();

@@ -6,8 +6,7 @@
 //! *completions* are endogenous: the fluid integrator derives them from
 //! `remaining / rate` each round (a completion time moves whenever the
 //! allocation changes, so it cannot be pinned in the calendar ahead of
-//! time); the [`Event::FlowCompletion`] variant exists for layers that
-//! want to post a known completion into a calendar of their own.
+//! time).
 //!
 //! Ordering is fully deterministic: `(tick, exact seconds, kind rank,
 //! insertion sequence)`. The integer tick decides almost every
@@ -35,12 +34,6 @@ pub enum Event {
         /// The arriving flow.
         flow: FlowId,
     },
-    /// A flow finished (posted by layers that know a completion time;
-    /// the engine itself derives completions from the fluid model).
-    FlowCompletion {
-        /// The completed flow.
-        flow: FlowId,
-    },
     /// A resource's capacity is reset (fault injection, healing,
     /// planned maintenance windows).
     CapacityChange {
@@ -62,8 +55,7 @@ impl Event {
         match self {
             Event::JitterTick => 0,
             Event::FlowArrival { .. } => 1,
-            Event::FlowCompletion { .. } => 2,
-            Event::CapacityChange { .. } => 3,
+            Event::CapacityChange { .. } => 2,
         }
     }
 }
@@ -142,11 +134,6 @@ impl Schedule {
         self.heap.peek().map(|e| e.at_s)
     }
 
-    /// The next entry's integer instant, if any.
-    pub fn peek_time(&self) -> Option<Time> {
-        self.heap.peek().map(|e| e.at)
-    }
-
     /// Pop the next entry if its timestamp is at or before `t_s`
     /// (inclusive within the integrator's `eps` slack).
     pub fn pop_due(&mut self, t_s: f64, eps: f64) -> Option<Entry> {
@@ -217,7 +204,7 @@ mod tests {
         let mut s = Schedule::new();
         s.push(1.0 + 2e-13, Event::FlowArrival { flow: FlowId(1) });
         s.push(1.0, Event::FlowArrival { flow: FlowId(0) });
-        assert_eq!(s.peek_time(), Some(Time::from_seconds(1.0)));
+        assert_eq!(Time::from_seconds(1.0 + 2e-13), Time::from_seconds(1.0));
         assert!(matches!(s.pop().unwrap().event, Event::FlowArrival { flow: FlowId(0) }));
         assert!(matches!(s.pop().unwrap().event, Event::FlowArrival { flow: FlowId(1) }));
     }
@@ -225,11 +212,11 @@ mod tests {
     #[test]
     fn pop_due_respects_epsilon() {
         let mut s = Schedule::new();
-        s.push(1.0, Event::FlowCompletion { flow: FlowId(0) });
+        s.push(1.0, Event::FlowArrival { flow: FlowId(0) });
         assert!(s.pop_due(0.5, 1e-12).is_none());
         assert_eq!(s.len(), 1);
         let e = s.pop_due(1.0 - 1e-13, 1e-12).unwrap();
-        assert!(matches!(e.event, Event::FlowCompletion { flow: FlowId(0) }));
+        assert!(matches!(e.event, Event::FlowArrival { flow: FlowId(0) }));
         assert!(s.pop_due(10.0, 0.0).is_none());
     }
 }

@@ -1,8 +1,11 @@
-//! The discrete-event simulation loop.
+//! The simulation: one fabric, its flows and workloads, optional fault
+//! sources and an observability handle, and the discrete-event loop that
+//! runs them.
 
 use crate::flow::{FlowId, FlowResult, FlowSpec};
 use crate::jitter::{JitterCfg, JitterState};
 use crate::resources::{ResourceHandle, ResourceKey, ResourceRegistry};
+use crate::workload::Workload;
 use numa_fabric::{Fabric, MaxMinSolver, TrafficClass};
 use numa_topology::NodeId;
 
@@ -25,6 +28,17 @@ pub enum SimError {
         /// The endpoint outside the fabric.
         node: NodeId,
     },
+    /// A workload's summed interarrival gaps overflow to a non-finite
+    /// arrival time (e.g. a Poisson rate so small that one gap is `inf`).
+    ArrivalOverflow {
+        /// Position of the first such flow within its workload.
+        index: usize,
+    },
+    /// A fault source could not arm its plan against the simulation.
+    Faults {
+        /// What the fault layer reported.
+        reason: String,
+    },
 }
 
 impl std::fmt::Display for SimError {
@@ -36,11 +50,26 @@ impl std::fmt::Display for SimError {
             SimError::UnknownNode { flow, node } => {
                 write!(f, "flow {flow:?} names node {node}, which the fabric does not have")
             }
+            SimError::ArrivalOverflow { index } => {
+                write!(f, "workload flow {index} arrives at a non-finite time")
+            }
+            SimError::Faults { reason } => write!(f, "fault plan failed: {reason}"),
         }
     }
 }
 
 impl std::error::Error for SimError {}
+
+/// Something that can arm fault timelines on a simulation — implemented
+/// by `numa_faults::{FaultPlan, FaultInjector}`. The engine defines the
+/// trait (rather than naming a fault type) so the dependency keeps
+/// pointing from faults to engine.
+pub trait FaultSource {
+    /// Schedule this source's capacity events on `sim` (whose fabric is
+    /// reachable via [`Simulation::fabric`]). Returns how many events
+    /// were armed.
+    fn arm_scenario(&self, sim: &mut Simulation<'_>) -> Result<usize, String>;
+}
 
 /// Hard cap on processed events.
 pub const MAX_EVENTS: usize = 1_000_000;
@@ -125,42 +154,89 @@ struct CapEvent {
     tag: String,
 }
 
-/// A configured simulation over one fabric.
-#[derive(Debug, Clone)]
+/// A simulation over one fabric: explicit flows, [`Workload`]s, fault
+/// sources and an observability handle, built up and then run.
+///
+/// Workload flows materialize after the explicit flows, and fault sources
+/// arm after the endpoint check, when [`run`](Self::run),
+/// [`steady_rates`](Self::steady_rates) or
+/// [`bottlenecks`](Self::bottlenecks) starts.
 pub struct Simulation<'f> {
     fabric: &'f Fabric,
     registry: ResourceRegistry,
     flows: Vec<FlowSpec>,
+    workloads: Vec<Workload>,
+    faults: Vec<Box<dyn FaultSource + 'f>>,
     jitter: JitterCfg,
     obs: Option<numa_obs::Obs>,
     cap_events: Vec<CapEvent>,
 }
 
 impl<'f> Simulation<'f> {
-    /// New simulation with no jitter.
+    /// Empty simulation on `fabric`, with no jitter.
     pub fn new(fabric: &'f Fabric) -> Self {
         Simulation {
             fabric,
             registry: ResourceRegistry::new(),
             flows: Vec::new(),
+            workloads: Vec::new(),
+            faults: Vec::new(),
             jitter: JitterCfg::none(),
             obs: None,
             cap_events: Vec::new(),
         }
     }
 
-    /// Enable jitter.
-    pub fn with_jitter(mut self, cfg: JitterCfg) -> Self {
+    /// Same as [`Simulation::new`]; it exists for `perf/` and goes with
+    /// the next benchmark change.
+    pub fn on(fabric: &'f Fabric) -> Self {
+        Simulation::new(fabric)
+    }
+
+    /// Identity; it exists for `perf/` and goes with the next benchmark
+    /// change.
+    pub fn from_simulation(sim: Simulation<'f>) -> Self {
+        sim
+    }
+
+    /// Enable rate jitter.
+    pub fn jitter(mut self, cfg: JitterCfg) -> Self {
         self.jitter = cfg;
         self
     }
 
-    /// Internal obs attach used by [`crate::scenario::Scenario::observe`]:
-    /// the run emits `alloc_round` / `flow_finished` / `jitter_refresh`
-    /// events (timestamped with simulation time, so seeded runs trace
-    /// identically) and feeds the `numio_*` engine metric series.
-    pub(crate) fn set_obs(&mut self, obs: numa_obs::Obs) {
+    /// Attach an observability handle: the run emits `alloc_round` /
+    /// `flow_arrived` / `flow_finished` / `jitter_refresh` events
+    /// (timestamped with simulation time, so seeded runs trace
+    /// identically) and feeds the `numio_*` engine metric series
+    /// (including the `numio_fct_seconds` histogram).
+    pub fn observe(mut self, obs: numa_obs::Obs) -> Self {
         self.obs = Some(obs);
+        self
+    }
+
+    /// Attach a workload; its flows are materialized (arrival times
+    /// stamped) when the simulation starts. May be called repeatedly —
+    /// workloads append in order.
+    pub fn workload(mut self, w: Workload) -> Self {
+        self.workloads.push(w);
+        self
+    }
+
+    /// Add explicit flows (closed-loop unless their specs carry
+    /// arrival times).
+    pub fn flows(mut self, flows: impl IntoIterator<Item = FlowSpec>) -> Self {
+        for f in flows {
+            self.add_flow(f);
+        }
+        self
+    }
+
+    /// Arm a fault source (a `numa_faults::FaultPlan` or anything else
+    /// implementing [`FaultSource`]) when the simulation starts.
+    pub fn faults(mut self, source: impl FaultSource + 'f) -> Self {
+        self.faults.push(Box::new(source));
+        self
     }
 
     /// The fabric this simulation runs over. The returned reference
@@ -174,12 +250,6 @@ impl<'f> Simulation<'f> {
     /// node's CPU protocol budget.
     pub fn register(&mut self, key: ResourceKey, cap: f64) -> ResourceHandle {
         self.registry.ensure(key, cap)
-    }
-
-    /// Overwrite a registered resource's capacity (e.g. derate node 7's
-    /// CPU for interrupt handling).
-    pub fn set_capacity(&mut self, h: ResourceHandle, cap: f64) {
-        self.registry.set_capacity(h, cap);
     }
 
     /// Look up an already-registered resource by key. Fault injectors use
@@ -211,14 +281,10 @@ impl<'f> Simulation<'f> {
         self.cap_events.push(CapEvent { at_s, h, cap, tag: event.to_string() });
     }
 
-    /// Number of scheduled capacity events.
-    pub fn num_capacity_events(&self) -> usize {
-        self.cap_events.len()
-    }
-
     /// Add a flow; returns its id. The flow becomes active at its
     /// [`FlowSpec::arrival_s`] (0.0 — the closed-loop default — means it
-    /// competes from simulation start).
+    /// competes from simulation start). Ids are assigned before workload
+    /// flows, which materialize when the simulation starts.
     pub fn add_flow(&mut self, spec: FlowSpec) -> FlowId {
         assert!(spec.volume_gbit > 0.0, "flow volume must be positive");
         assert!(
@@ -229,19 +295,24 @@ impl<'f> Simulation<'f> {
         FlowId(self.flows.len() as u32 - 1)
     }
 
-    /// Number of flows added so far.
-    pub fn num_flows(&self) -> usize {
-        self.flows.len()
-    }
-
-    /// Check that every flow's endpoints are nodes of the fabric; lowering
-    /// indexes per-node tables and routes with them.
-    pub(crate) fn check_nodes(&self) -> Result<(), SimError> {
+    /// The shared start of every run and analysis view: materialize the
+    /// workloads after the explicit flows, check every endpoint against
+    /// the fabric (lowering indexes per-node tables and routes with
+    /// them), then arm the fault sources.
+    fn prepare(&mut self) -> Result<(), SimError> {
+        for w in std::mem::take(&mut self.workloads) {
+            for flow in w.materialize()? {
+                self.add_flow(flow);
+            }
+        }
         let n = self.fabric.num_nodes();
         for (i, spec) in self.flows.iter().enumerate() {
             if let Some(&node) = [spec.src, spec.dst].iter().find(|v| v.index() >= n) {
                 return Err(SimError::UnknownNode { flow: FlowId(i as u32), node });
             }
+        }
+        for f in std::mem::take(&mut self.faults) {
+            f.arm_scenario(self).map_err(|reason| SimError::Faults { reason })?;
         }
         Ok(())
     }
@@ -367,19 +438,22 @@ impl<'f> Simulation<'f> {
         }
     }
 
-    /// Instantaneous max-min rates with all flows active (no volumes, no
-    /// jitter) — the steady-state allocation.
-    pub fn steady_rates(&mut self) -> Vec<f64> {
+    /// Instantaneous max-min rates with all flows (explicit and
+    /// workload-generated) active, no volumes and no jitter — the
+    /// steady-state allocation.
+    pub fn steady_rates(mut self) -> Result<Vec<f64>, SimError> {
+        self.prepare()?;
         let (resource_lists, base_ceilings) = self.lower_flows();
         let mut solver = self.solver_for(&resource_lists, &base_ceilings);
-        solver.solve().to_vec()
+        Ok(solver.solve().to_vec())
     }
 
     /// Steady-state resource utilization: for every registered resource,
     /// `(key, used Gbit/s, capacity, utilization)` with all flows active,
     /// sorted most-loaded first. The contention-analysis view: the top
     /// entries are the hardware a placement change must relieve.
-    pub fn bottlenecks(&mut self) -> Vec<(ResourceKey, f64, f64, f64)> {
+    pub fn bottlenecks(mut self) -> Result<Vec<(ResourceKey, f64, f64, f64)>, SimError> {
+        self.prepare()?;
         // Lower once; the same lists feed both the solve and the
         // per-resource usage sums.
         let (resource_lists, base_ceilings) = self.lower_flows();
@@ -400,30 +474,17 @@ impl<'f> Simulation<'f> {
             })
             .collect();
         report.sort_by(|a, b| b.3.total_cmp(&a.3));
-        report
+        Ok(report)
     }
 
     /// Run to completion.
-    pub fn run(self) -> Result<SimReport, SimError> {
-        self.run_impl(None).map(|(report, _)| report)
-    }
-
-    /// Run to completion, recording an event [`Trace`](crate::trace::Trace).
-    pub fn run_traced(self) -> Result<(SimReport, crate::trace::Trace), SimError> {
-        self.run_impl(Some(crate::trace::Trace::new()))
-            .map(|(report, trace)| (report, trace.expect("trace requested")))
-    }
-
-    fn run_impl(
-        mut self,
-        mut trace: Option<crate::trace::Trace>,
-    ) -> Result<(SimReport, Option<crate::trace::Trace>), SimError> {
+    pub fn run(mut self) -> Result<SimReport, SimError> {
         use crate::schedule::{Event, Schedule};
 
+        self.prepare()?;
         if self.flows.is_empty() {
             return Err(SimError::NoFlows);
         }
-        self.check_nodes()?;
         let (resource_lists, base_ceilings) = self.lower_flows();
         let n = self.flows.len();
         // Lower into the solver once; between rounds only ceilings move
@@ -502,12 +563,6 @@ impl<'f> Simulation<'f> {
                     ],
                 );
             }
-            if let Some(tr) = trace.as_mut() {
-                tr.push(crate::trace::TraceEvent::Rates {
-                    time_s: t,
-                    rates: live.iter().map(|&i| (FlowId(i as u32), rates[i])).collect(),
-                });
-            }
 
             // Time to the next completion.
             let mut dt_complete = f64::INFINITY;
@@ -558,12 +613,6 @@ impl<'f> Simulation<'f> {
                         )
                         .observe(t - self.flows[i].arrival_s);
                     }
-                    if let Some(tr) = trace.as_mut() {
-                        tr.push(crate::trace::TraceEvent::Finished {
-                            time_s: t,
-                            flow: FlowId(i as u32),
-                        });
-                    }
                     false
                 } else {
                     true
@@ -578,9 +627,6 @@ impl<'f> Simulation<'f> {
                         calendar.push(entry.at_s + jitter.refresh_s(), Event::JitterTick);
                         if let Some(o) = &self.obs {
                             o.event("jitter_refresh", t, &[]);
-                        }
-                        if let Some(tr) = trace.as_mut() {
-                            tr.push(crate::trace::TraceEvent::JitterRefresh { time_s: t });
                         }
                     }
                     Event::FlowArrival { flow } => {
@@ -603,13 +649,7 @@ impl<'f> Simulation<'f> {
                                 ],
                             );
                         }
-                        if let Some(tr) = trace.as_mut() {
-                            tr.push(crate::trace::TraceEvent::Arrival { time_s: t, flow });
-                        }
                     }
-                    // The engine derives completions from the fluid model;
-                    // a posted completion is already recorded above.
-                    Event::FlowCompletion { .. } => {}
                     Event::CapacityChange { resource, cap_gbps, tag } => {
                         // Apply to both the registry (analysis views) and
                         // the solver, which retunes incrementally without
@@ -668,18 +708,25 @@ impl<'f> Simulation<'f> {
             })
             .collect();
         let fct = crate::fct::FctStats::from_flows(&flows);
-        Ok((
-            SimReport {
-                flows,
-                makespan_s: makespan,
-                aggregate_gbps: if makespan > 0.0 { total_gbit / makespan } else { 0.0 },
-                total_gbit,
-                fct_p50_s: fct.p50_s,
-                fct_p99_s: fct.p99_s,
-                mean_slowdown: fct.mean_slowdown,
-            },
-            trace,
-        ))
+        Ok(SimReport {
+            flows,
+            makespan_s: makespan,
+            aggregate_gbps: if makespan > 0.0 { total_gbit / makespan } else { 0.0 },
+            total_gbit,
+            fct_p50_s: fct.p50_s,
+            fct_p99_s: fct.p99_s,
+            mean_slowdown: fct.mean_slowdown,
+        })
+    }
+}
+
+impl std::fmt::Debug for Simulation<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Simulation")
+            .field("flows", &self.flows.len())
+            .field("workloads", &self.workloads)
+            .field("fault_sources", &self.faults.len())
+            .finish()
     }
 }
 
@@ -720,7 +767,7 @@ mod tests {
         // Both 4->7 and 6->7 traverse edge 6->7 (46.5).
         sim.add_flow(FlowSpec::dma(NodeId(4), NodeId(7)).gbits(100.0));
         sim.add_flow(FlowSpec::dma(NodeId(6), NodeId(7)).gbits(100.0));
-        let rates = sim.steady_rates();
+        let rates = sim.steady_rates().unwrap();
         assert!((rates[0] - 23.25).abs() < 1e-6, "{rates:?}");
         assert!((rates[1] - 23.25).abs() < 1e-6);
     }
@@ -731,7 +778,7 @@ mod tests {
         let mut sim = Simulation::new(&f);
         sim.add_flow(FlowSpec::dma(NodeId(3), NodeId(7)).gbits(100.0)); // 26.0 path
         sim.add_flow(FlowSpec::dma(NodeId(0), NodeId(1)).gbits(100.0)); // intra-package
-        let rates = sim.steady_rates();
+        let rates = sim.steady_rates().unwrap();
         assert!((rates[0] - 26.0).abs() < 1e-6);
         assert!((rates[1] - 51.2).abs() < 1e-6);
     }
@@ -752,26 +799,29 @@ mod tests {
         let port = sim.register(ResourceKey::Custom(0), 20.0);
         sim.add_flow(FlowSpec::dma(NodeId(6), NodeId(7)).gbits(100.0).charge(port));
         sim.add_flow(FlowSpec::dma(NodeId(5), NodeId(7)).gbits(100.0).charge(port));
-        let rates = sim.steady_rates();
+        let rates = sim.steady_rates().unwrap();
         assert!((rates[0] + rates[1] - 20.0).abs() < 1e-6, "{rates:?}");
     }
 
     #[test]
     fn duplicate_extra_charges_count_once() {
         let f = fabric();
-        let mut sim = Simulation::new(&f);
-        let port = sim.register(ResourceKey::Custom(0), 20.0);
-        // The same handle charged twice: lowering canonicalizes the
-        // resource list, so the flow is billed once per unit of rate
-        // (the raw solver contract is charge-per-listing).
-        sim.add_flow(
-            FlowSpec::dma(NodeId(6), NodeId(7)).gbits(100.0).charge(port).charge(port),
-        );
-        let rates = sim.steady_rates();
+        let build = || {
+            let mut sim = Simulation::new(&f);
+            let port = sim.register(ResourceKey::Custom(0), 20.0);
+            // The same handle charged twice: lowering canonicalizes the
+            // resource list, so the flow is billed once per unit of rate
+            // (the raw solver contract is charge-per-listing).
+            sim.add_flow(
+                FlowSpec::dma(NodeId(6), NodeId(7)).gbits(100.0).charge(port).charge(port),
+            );
+            sim
+        };
+        let rates = build().steady_rates().unwrap();
         assert!((rates[0] - 20.0).abs() < 1e-9, "{rates:?}");
         // The usage report agrees: the port is exactly saturated, not
         // accounted at twice the flow rate.
-        let report = sim.bottlenecks();
+        let report = build().bottlenecks().unwrap();
         let (key, used, cap, util) = report[0];
         assert_eq!(key, ResourceKey::Custom(0));
         assert!((used - 20.0).abs() < 1e-9);
@@ -841,7 +891,7 @@ mod tests {
         let f = fabric();
         let run = |seed| {
             let mut sim =
-                Simulation::new(&f).with_jitter(JitterCfg { amplitude: 0.05, refresh_s: 0.5, seed });
+                Simulation::new(&f).jitter(JitterCfg { amplitude: 0.05, refresh_s: 0.5, seed });
             sim.add_flow(FlowSpec::dma(NodeId(6), NodeId(7)).gbits(100.0));
             sim.run().unwrap().aggregate_gbps
         };
@@ -870,7 +920,7 @@ mod tests {
         // first hops do not.
         sim.add_flow(FlowSpec::dma(NodeId(4), NodeId(7)).gbits(10.0));
         sim.add_flow(FlowSpec::dma(NodeId(6), NodeId(7)).gbits(10.0));
-        let report = sim.bottlenecks();
+        let report = sim.bottlenecks().unwrap();
         let (key, used, cap, util) = report[0];
         assert_eq!(
             key,
@@ -886,30 +936,36 @@ mod tests {
     }
 
     #[test]
-    fn traced_run_records_rounds_and_finishes() {
+    fn observed_run_records_rounds_and_finishes() {
         let f = fabric();
-        let mut sim = Simulation::new(&f);
-        let id0 = sim.add_flow(FlowSpec::dma(NodeId(4), NodeId(7)).gbits(23.25));
-        let id1 = sim.add_flow(FlowSpec::dma(NodeId(6), NodeId(7)).gbits(46.5));
-        let (report, trace) = sim.run_traced().unwrap();
-        // Two allocation rounds: both active, then flow 1 alone.
-        assert_eq!(trace.rounds(), 2);
-        assert_eq!(trace.finish_of(id0), Some(report.flows[0].finish_s));
-        assert_eq!(trace.finish_of(id1), Some(report.flows[1].finish_s));
-        // Fair share while contended, full rate after.
-        assert!((trace.rate_at(id1, 0.5).unwrap() - 23.25).abs() < 1e-9);
-        assert!((trace.rate_at(id1, 1.2).unwrap() - 46.5).abs() < 1e-9);
-        assert!(trace.render().contains("finish"));
+        let obs = numa_obs::Obs::new();
+        let mut sim = Simulation::new(&f).observe(obs.clone());
+        sim.add_flow(FlowSpec::dma(NodeId(4), NodeId(7)).gbits(23.25));
+        sim.add_flow(FlowSpec::dma(NodeId(6), NodeId(7)).gbits(46.5));
+        let report = sim.run().unwrap();
+        // Two allocation rounds: both active at t=0, then flow 1 alone
+        // from flow 0's finish.
+        let events = obs.events();
+        let rounds: Vec<_> = events.iter().filter(|e| e.name == "alloc_round").collect();
+        assert_eq!(rounds.len(), 2);
+        assert_eq!(rounds[1].time_s, report.flows[0].finish_s);
+        let finishes: Vec<f64> =
+            events.iter().filter(|e| e.name == "flow_finished").map(|e| e.time_s).collect();
+        assert_eq!(finishes, [report.flows[0].finish_s, report.flows[1].finish_s]);
+        // Fair share while contended (flow 0's 23.25 Gbit take 1 s), then
+        // full rate: flow 1's last 23.25 Gbit take 0.5 s at 46.5.
+        assert!((report.flows[0].mean_gbps - 23.25).abs() < 1e-9);
+        assert!((report.flows[1].finish_s - report.flows[0].finish_s - 0.5).abs() < 1e-9);
     }
 
     #[test]
     fn observed_run_emits_events_and_metrics() {
         let f = fabric();
         let obs = numa_obs::Obs::new();
-        let mut sc = crate::scenario::Scenario::on(&f).observe(obs.clone());
-        sc.add_flow(FlowSpec::dma(NodeId(4), NodeId(7)).gbits(23.25).label("a"));
-        sc.add_flow(FlowSpec::dma(NodeId(6), NodeId(7)).gbits(46.5).label("b"));
-        let r = sc.run().unwrap();
+        let mut sim = Simulation::new(&f).observe(obs.clone());
+        sim.add_flow(FlowSpec::dma(NodeId(4), NodeId(7)).gbits(23.25).label("a"));
+        sim.add_flow(FlowSpec::dma(NodeId(6), NodeId(7)).gbits(46.5).label("b"));
+        let r = sim.run().unwrap();
         assert_eq!(
             obs.counter("numio_alloc_rounds_total", &[("component", "engine")]).get(),
             2
@@ -939,25 +995,8 @@ mod tests {
             sim
         };
         let plain = build().run().unwrap();
-        let observed = crate::scenario::Scenario::from_simulation(build())
-            .observe(numa_obs::Obs::new())
-            .run()
-            .unwrap();
+        let observed = build().observe(numa_obs::Obs::new()).run().unwrap();
         assert_eq!(plain, observed);
-    }
-
-    #[test]
-    fn traced_and_untraced_agree() {
-        let f = fabric();
-        let build = || {
-            let mut sim = Simulation::new(&f);
-            sim.add_flow(FlowSpec::dma(NodeId(0), NodeId(7)).gbits(30.0));
-            sim.add_flow(FlowSpec::dma(NodeId(3), NodeId(7)).gbits(30.0));
-            sim
-        };
-        let plain = build().run().unwrap();
-        let (traced, _) = build().run_traced().unwrap();
-        assert_eq!(plain, traced);
     }
 
     #[test]
@@ -984,7 +1023,7 @@ mod tests {
         // Two flows over the same 6->7 edge (46.5): weight 3 vs weight 1.
         sim.add_flow(FlowSpec::dma(NodeId(6), NodeId(7)).gbits(100.0).weight(3.0));
         sim.add_flow(FlowSpec::dma(NodeId(6), NodeId(7)).gbits(100.0));
-        let rates = sim.steady_rates();
+        let rates = sim.steady_rates().unwrap();
         assert!((rates[0] - 34.875).abs() < 1e-9, "{rates:?}");
         assert!((rates[1] - 11.625).abs() < 1e-9);
         assert!((rates[0] / rates[1] - 3.0).abs() < 1e-9);
@@ -1038,13 +1077,13 @@ mod tests {
     fn capacity_events_emit_tagged_obs_events() {
         let f = fabric();
         let obs = numa_obs::Obs::new();
-        let mut sc = crate::scenario::Scenario::on(&f).observe(obs.clone());
+        let mut sim = Simulation::new(&f).observe(obs.clone());
         let e = numa_topology::DirectedEdge::new(NodeId(6), NodeId(7));
-        let h = sc.register(ResourceKey::Edge(e), 46.5);
-        sc.simulation_mut().schedule_capacity_as(h, 0.5, 10.0, "fault_injected");
-        sc.simulation_mut().schedule_capacity_as(h, 1.5, 46.5, "fault_healed");
-        sc.add_flow(FlowSpec::dma(NodeId(6), NodeId(7)).gbits(60.0));
-        sc.run().unwrap();
+        let h = sim.register(ResourceKey::Edge(e), 46.5);
+        sim.schedule_capacity_as(h, 0.5, 10.0, "fault_injected");
+        sim.schedule_capacity_as(h, 1.5, 46.5, "fault_healed");
+        sim.add_flow(FlowSpec::dma(NodeId(6), NodeId(7)).gbits(60.0));
+        sim.run().unwrap();
         assert_eq!(
             obs.counter("numio_capacity_events_total", &[("component", "engine")]).get(),
             2
@@ -1137,5 +1176,216 @@ mod tests {
         let slowest = r.flows.iter().map(|x| x.finish_s).fold(0.0, f64::max);
         assert_eq!(r.makespan_s, slowest);
         assert!(r.mean_flow_gbps() > 0.0);
+    }
+
+    #[test]
+    fn batch_workload_matches_explicit_flows_bitwise() {
+        let f = fabric();
+        let specs = vec![
+            FlowSpec::dma(NodeId(4), NodeId(7)).gbits(23.25).label("a"),
+            FlowSpec::dma(NodeId(6), NodeId(7)).gbits(46.5).label("b"),
+        ];
+        let explicit = Simulation::new(&f).flows(specs.clone()).run().unwrap();
+        let batch = Simulation::new(&f).workload(Workload::batch(specs)).run().unwrap();
+        assert_eq!(explicit, batch, "same flows, same bits");
+        assert_eq!(explicit.fct_digest(), batch.fct_digest());
+    }
+
+    #[test]
+    fn arrivals_stagger_completion() {
+        let f = fabric();
+        // Two identical flows over the 6->7 edge (46.5): the second
+        // arrives exactly when the first finishes, so neither ever
+        // shares the edge.
+        let report = Simulation::new(&f)
+            .flows([
+                FlowSpec::dma(NodeId(6), NodeId(7)).gbits(46.5),
+                FlowSpec::dma(NodeId(6), NodeId(7)).gbits(46.5).arrival(1.0),
+            ])
+            .run()
+            .unwrap();
+        assert!((report.flows[0].finish_s - 1.0).abs() < 1e-9, "{:?}", report.flows[0]);
+        assert!((report.flows[1].finish_s - 2.0).abs() < 1e-9, "{:?}", report.flows[1]);
+        assert!((report.flows[1].fct_s - 1.0).abs() < 1e-9);
+        assert!((report.flows[1].start_s - 1.0).abs() < 1e-12);
+        // Full rate both times: no contention, slowdown 1.0.
+        assert!((report.flows[1].mean_gbps - 46.5).abs() < 1e-6);
+        assert!((report.mean_slowdown - 1.0).abs() < 1e-9, "{}", report.mean_slowdown);
+        assert!((report.makespan_s - 2.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn contended_batch_reports_slowdown() {
+        let f = fabric();
+        // Two equal flows sharing the 6->7 edge: each takes twice its
+        // isolated time.
+        let report = Simulation::new(&f)
+            .flows([
+                FlowSpec::dma(NodeId(6), NodeId(7)).gbits(46.5),
+                FlowSpec::dma(NodeId(6), NodeId(7)).gbits(46.5),
+            ])
+            .run()
+            .unwrap();
+        assert!((report.mean_slowdown - 2.0).abs() < 1e-9, "{}", report.mean_slowdown);
+        assert!((report.fct_p50_s - 2.0).abs() < 1e-9);
+        assert!((report.fct_p99_s - 2.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn explicit_flows_keep_the_low_ids() {
+        // Workload flows materialize at run time, after every explicit
+        // flow, whichever builder call came first.
+        let f = fabric();
+        let report = Simulation::new(&f)
+            .workload(Workload::batch(vec![FlowSpec::dma(NodeId(6), NodeId(7)).label("w")]))
+            .flows([FlowSpec::dma(NodeId(4), NodeId(7)).label("x")])
+            .run()
+            .unwrap();
+        let labels: Vec<&str> = report.flows.iter().map(|r| r.label.as_str()).collect();
+        assert_eq!(labels, ["x", "w"]);
+    }
+
+    #[test]
+    fn same_seed_open_loop_is_bit_identical() {
+        let f = fabric();
+        let run = || {
+            let template = FlowSpec::dma(NodeId(6), NodeId(7)).gbits(2.0).label("w");
+            Simulation::new(&f)
+                .workload(Workload::poisson(vec![template], 200, 50.0, 42))
+                .run()
+                .unwrap()
+        };
+        let a = run();
+        let b = run();
+        assert_eq!(a, b);
+        assert_eq!(a.fct_digest(), b.fct_digest());
+        assert_eq!(a.flows.len(), 200);
+    }
+
+    #[test]
+    fn observe_emits_arrival_events() {
+        let f = fabric();
+        let obs = numa_obs::Obs::new();
+        let template = FlowSpec::dma(NodeId(6), NodeId(7)).gbits(1.0).label("open");
+        Simulation::new(&f)
+            .workload(Workload::poisson(vec![template], 5, 100.0, 1))
+            .observe(obs.clone())
+            .run()
+            .unwrap();
+        assert_eq!(
+            obs.counter("numio_flow_arrivals_total", &[("component", "engine")]).get(),
+            5
+        );
+        assert_eq!(
+            obs.counter("numio_flow_completions_total", &[("component", "engine")]).get(),
+            5
+        );
+        let arrived = obs.events().iter().filter(|e| e.name == "flow_arrived").count();
+        assert_eq!(arrived, 5);
+    }
+
+    #[test]
+    fn workload_outside_the_fabric_is_a_typed_error() {
+        // The DL585 has nodes 0-7; lowering would index node 8's tables.
+        let f = fabric();
+        let w = Workload::parse("poisson:n=3,dst=8").unwrap();
+        let want = SimError::UnknownNode { flow: FlowId(0), node: NodeId(8) };
+        assert_eq!(Simulation::new(&f).workload(w.clone()).run().unwrap_err(), want);
+        assert_eq!(Simulation::new(&f).workload(w.clone()).steady_rates().unwrap_err(), want);
+        assert_eq!(Simulation::new(&f).workload(w).bottlenecks().unwrap_err(), want);
+    }
+
+    #[test]
+    fn analysis_views_reject_a_flow_outside_the_fabric() {
+        let f = fabric();
+        let build = || {
+            let mut sim = Simulation::new(&f);
+            sim.add_flow(FlowSpec::dma(NodeId(0), NodeId(9)));
+            sim
+        };
+        let want = SimError::UnknownNode { flow: FlowId(0), node: NodeId(9) };
+        assert_eq!(build().steady_rates().unwrap_err(), want);
+        assert_eq!(build().bottlenecks().unwrap_err(), want);
+    }
+
+    #[test]
+    fn overflowing_arrivals_are_a_typed_error() {
+        let f = fabric();
+        let w = Workload::parse("poisson:n=3,rate=1e-320").unwrap();
+        assert_eq!(
+            Simulation::new(&f).workload(w).run().unwrap_err(),
+            SimError::ArrivalOverflow { index: 0 }
+        );
+        // Every gap is finite, but the second arrival sums past f64::MAX.
+        let t = FlowSpec::dma(NodeId(6), NodeId(7)).gbits(1.0);
+        let w = Workload::bounded_pareto(vec![t], 3, 1.5, 1e308, 1.7e308, 1);
+        assert_eq!(
+            Simulation::new(&f).workload(w).steady_rates().unwrap_err(),
+            SimError::ArrivalOverflow { index: 1 }
+        );
+    }
+
+    #[test]
+    fn failing_fault_source_is_typed() {
+        struct Broken;
+        impl FaultSource for Broken {
+            fn arm_scenario(&self, _sim: &mut Simulation<'_>) -> Result<usize, String> {
+                Err("no such device".to_string())
+            }
+        }
+        let f = fabric();
+        let err = Simulation::new(&f)
+            .flows([FlowSpec::dma(NodeId(6), NodeId(7)).gbits(1.0)])
+            .faults(Broken)
+            .run()
+            .unwrap_err();
+        assert_eq!(err, SimError::Faults { reason: "no such device".to_string() });
+        assert!(err.to_string().contains("no such device"));
+    }
+
+    #[test]
+    fn working_fault_source_schedules_capacity_events() {
+        struct Throttle;
+        impl FaultSource for Throttle {
+            fn arm_scenario(&self, sim: &mut Simulation<'_>) -> Result<usize, String> {
+                let e = numa_topology::DirectedEdge::new(NodeId(6), NodeId(7));
+                let cap = sim.fabric().edge_capacity(e, TrafficClass::Dma);
+                let h = sim.register(ResourceKey::Edge(e), cap);
+                sim.schedule_capacity(h, 1.0, cap / 2.0);
+                Ok(1)
+            }
+        }
+        let f = fabric();
+        // 93 Gbit over 6->7: 46.5 for 1 s, then 23.25 => done at 3 s.
+        let report = Simulation::new(&f)
+            .flows([FlowSpec::dma(NodeId(6), NodeId(7)).gbits(93.0)])
+            .faults(Throttle)
+            .run()
+            .unwrap();
+        assert!((report.makespan_s - 3.0).abs() < 1e-9, "{}", report.makespan_s);
+    }
+
+    #[test]
+    fn steady_rates_and_bottlenecks_cover_workload_flows() {
+        let f = fabric();
+        let flows = vec![
+            FlowSpec::dma(NodeId(4), NodeId(7)).gbits(10.0),
+            FlowSpec::dma(NodeId(6), NodeId(7)).gbits(10.0),
+        ];
+        let rates = Simulation::new(&f)
+            .workload(Workload::batch(flows.clone()))
+            .steady_rates()
+            .unwrap();
+        assert!((rates[0] - 23.25).abs() < 1e-6, "{rates:?}");
+        let report = Simulation::new(&f)
+            .workload(Workload::batch(flows))
+            .bottlenecks()
+            .unwrap();
+        let (key, _, _, util) = report[0];
+        assert_eq!(
+            key,
+            ResourceKey::Edge(numa_topology::DirectedEdge::new(NodeId(6), NodeId(7)))
+        );
+        assert!((util - 1.0).abs() < 1e-9);
     }
 }

@@ -21,54 +21,12 @@ pub const TICKS_PER_SECOND: u64 = 1_000_000_000;
 pub struct Time(pub u64);
 
 impl Time {
-    /// The start of simulated time.
-    pub const ZERO: Time = Time(0);
-
-    /// Largest representable instant (used as an "never" sentinel).
-    pub const MAX: Time = Time(u64::MAX);
-
     /// Quantize a non-negative time in seconds onto the tick clock,
     /// rounding to the nearest tick. Deterministic: the same `f64` input
     /// always maps to the same tick on every platform.
     pub fn from_seconds(s: f64) -> Time {
         debug_assert!(s >= 0.0 && s.is_finite(), "time must be finite and >= 0: {s}");
         Time((s * TICKS_PER_SECOND as f64).round() as u64)
-    }
-
-    /// This instant in seconds (for rendering; the integrator keeps its
-    /// own exact `f64` timeline).
-    pub fn as_seconds(self) -> f64 {
-        self.0 as f64 / TICKS_PER_SECOND as f64
-    }
-
-    /// The instant `d` after this one, saturating at [`Time::MAX`].
-    pub fn after(self, d: Delta) -> Time {
-        Time(self.0.saturating_add(d.0))
-    }
-
-    /// Elapsed ticks since `earlier` (saturating at zero).
-    pub fn since(self, earlier: Time) -> Delta {
-        Delta(self.0.saturating_sub(earlier.0))
-    }
-}
-
-/// A span between two instants, in integer nanoseconds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
-pub struct Delta(pub u64);
-
-impl Delta {
-    /// Zero-length span.
-    pub const ZERO: Delta = Delta(0);
-
-    /// Quantize a non-negative duration in seconds (nearest tick).
-    pub fn from_seconds(s: f64) -> Delta {
-        debug_assert!(s >= 0.0 && s.is_finite(), "delta must be finite and >= 0: {s}");
-        Delta((s * TICKS_PER_SECOND as f64).round() as u64)
-    }
-
-    /// This span in seconds.
-    pub fn as_seconds(self) -> f64 {
-        self.0 as f64 / TICKS_PER_SECOND as f64
     }
 }
 
@@ -77,11 +35,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn seconds_round_trip_at_tick_resolution() {
-        let t = Time::from_seconds(1.25);
-        assert_eq!(t, Time(1_250_000_000));
-        assert_eq!(t.as_seconds(), 1.25);
-        assert_eq!(Delta::from_seconds(0.5), Delta(500_000_000));
+    fn seconds_quantize_at_tick_resolution() {
+        assert_eq!(Time::from_seconds(1.25), Time(1_250_000_000));
+        assert_eq!(Time::from_seconds(0.5), Time(500_000_000));
     }
 
     #[test]
@@ -91,13 +47,5 @@ mod tests {
         let b = Time::from_seconds(1.0 + 1e-13);
         assert_eq!(a, b);
         assert!(Time::from_seconds(1.0) < Time::from_seconds(1.0 + 1e-8));
-    }
-
-    #[test]
-    fn arithmetic_saturates() {
-        assert_eq!(Time::MAX.after(Delta(1)), Time::MAX);
-        assert_eq!(Time::ZERO.since(Time(5)), Delta::ZERO);
-        assert_eq!(Time(7).since(Time(2)), Delta(5));
-        assert_eq!(Time(3).after(Delta(4)), Time(7));
     }
 }

@@ -2,7 +2,7 @@
 //! arrival processes.
 //!
 //! A [`Workload`] turns a small set of template flows into the full flow
-//! list a [`crate::Scenario`] runs: either a closed-loop **batch** (every
+//! list a [`crate::Simulation`] runs: either a closed-loop **batch** (every
 //! flow present from t=0 — exactly the engine's historical behavior) or
 //! an **open-loop** process where flow `i` arrives after a seeded random
 //! interarrival gap (Poisson/exponential, or bounded-Pareto for
@@ -20,6 +20,7 @@
 //! ```
 
 use crate::flow::FlowSpec;
+use crate::sim::SimError;
 use numa_par::rng::SplitMix64;
 use numa_topology::NodeId;
 
@@ -108,34 +109,38 @@ impl Workload {
 
     /// Generate the concrete flow list: template `i % templates` with
     /// the process's arrival time stamped on. Deterministic for a given
-    /// workload value.
-    pub fn materialize(&self) -> Vec<FlowSpec> {
+    /// workload value. Fails with [`SimError::ArrivalOverflow`] when the
+    /// summed gaps leave the finite range.
+    pub fn materialize(&self) -> Result<Vec<FlowSpec>, SimError> {
         match self.arrivals {
-            Arrivals::Batch => self.templates.clone(),
+            Arrivals::Batch => Ok(self.templates.clone()),
             Arrivals::Poisson { rate_hz, seed } => {
                 let mut rng = SplitMix64::new(seed);
-                let mut t = 0.0_f64;
-                (0..self.count)
-                    .map(|i| {
-                        t += -rng.u01().ln() / rate_hz;
-                        self.templates[i % self.templates.len()].clone().arrival(t)
-                    })
-                    .collect()
+                self.stamp(|| -rng.u01().ln() / rate_hz)
             }
             Arrivals::BoundedPareto { alpha, min_s, max_s, seed } => {
                 let mut rng = SplitMix64::new(seed);
                 // Inverse CDF of the bounded Pareto on [L, H]:
                 // x = L * (1 - u * (1 - (L/H)^a))^(-1/a).
                 let k = 1.0 - (min_s / max_s).powf(alpha);
-                let mut t = 0.0_f64;
-                (0..self.count)
-                    .map(|i| {
-                        t += min_s * (1.0 - rng.u01() * k).powf(-1.0 / alpha);
-                        self.templates[i % self.templates.len()].clone().arrival(t)
-                    })
-                    .collect()
+                self.stamp(|| min_s * (1.0 - rng.u01() * k).powf(-1.0 / alpha))
             }
         }
+    }
+
+    /// Cycle the templates over `count` flows, each arriving `gap()`
+    /// seconds after the previous one.
+    fn stamp(&self, mut gap: impl FnMut() -> f64) -> Result<Vec<FlowSpec>, SimError> {
+        let mut flows = Vec::with_capacity(self.count);
+        let mut t = 0.0_f64;
+        for i in 0..self.count {
+            t += gap();
+            if !t.is_finite() {
+                return Err(SimError::ArrivalOverflow { index: i });
+            }
+            flows.push(self.templates[i % self.templates.len()].clone().arrival(t));
+        }
+        Ok(flows)
     }
 
     /// Parse the shared CLI/wire workload grammar:
@@ -211,8 +216,8 @@ mod tests {
     fn poisson_arrivals_are_increasing_and_seed_deterministic() {
         let t = FlowSpec::dma(NodeId(6), NodeId(7)).gbits(1.0);
         let w = Workload::poisson(vec![t.clone()], 100, 50.0, 42);
-        let a = w.materialize();
-        let b = w.materialize();
+        let a = w.materialize().unwrap();
+        let b = w.materialize().unwrap();
         assert_eq!(a, b, "same workload value, same flows");
         assert_eq!(a.len(), 100);
         let mut last = 0.0;
@@ -223,7 +228,7 @@ mod tests {
         // Mean gap should be in the ballpark of 1/rate.
         let mean_gap = last / 100.0;
         assert!((mean_gap - 0.02).abs() < 0.01, "{mean_gap}");
-        let c = Workload::poisson(vec![t], 100, 50.0, 43).materialize();
+        let c = Workload::poisson(vec![t], 100, 50.0, 43).materialize().unwrap();
         assert_ne!(a, c, "seed changes the sequence");
     }
 
@@ -231,7 +236,7 @@ mod tests {
     fn bounded_pareto_gaps_respect_bounds() {
         let t = FlowSpec::dma(NodeId(6), NodeId(7)).gbits(1.0);
         let w = Workload::bounded_pareto(vec![t], 200, 1.5, 0.01, 0.5, 7);
-        let flows = w.materialize();
+        let flows = w.materialize().unwrap();
         let mut last = 0.0;
         for f in &flows {
             let gap = f.arrival_s - last;
@@ -247,7 +252,7 @@ mod tests {
             FlowSpec::dma(NodeId(6), NodeId(7)).gbits(6.0).label("b"),
         ];
         let w = Workload::batch(flows.clone());
-        assert_eq!(w.materialize(), flows);
+        assert_eq!(w.materialize().unwrap(), flows);
         assert_eq!(w.count(), 2);
     }
 
@@ -255,7 +260,7 @@ mod tests {
     fn round_robin_cycles_templates() {
         let a = FlowSpec::dma(NodeId(3), NodeId(7)).gbits(1.0).label("a");
         let b = FlowSpec::dma(NodeId(6), NodeId(7)).gbits(1.0).label("b");
-        let flows = Workload::poisson(vec![a, b], 4, 100.0, 1).materialize();
+        let flows = Workload::poisson(vec![a, b], 4, 100.0, 1).materialize().unwrap();
         assert_eq!(flows[0].label, "a");
         assert_eq!(flows[1].label, "b");
         assert_eq!(flows[2].label, "a");
@@ -267,7 +272,7 @@ mod tests {
         let w = Workload::parse("poisson:rate=200,n=10,seed=7,src=3,dst=7,gbit=2.0").unwrap();
         assert_eq!(w.count(), 10);
         assert_eq!(w.arrivals(), &Arrivals::Poisson { rate_hz: 200.0, seed: 7 });
-        let flows = w.materialize();
+        let flows = w.materialize().unwrap();
         assert_eq!(flows[0].volume_gbit, 2.0);
         assert_eq!(flows[0].src, NodeId(3));
 
@@ -276,7 +281,7 @@ mod tests {
 
         let w = Workload::parse("batch:n=3,gbit=40.0").unwrap();
         assert_eq!(w.arrivals(), &Arrivals::Batch);
-        assert_eq!(w.materialize().len(), 3);
+        assert_eq!(w.materialize().unwrap().len(), 3);
     }
 
     #[test]

@@ -88,7 +88,7 @@ fn steady_rates_are_feasible_per_flow() {
     let fabric = dl585_fabric();
     for case in 0..CASES {
         let flows = arb_flows(case);
-        let rates = build(&fabric, &flows).steady_rates();
+        let rates = build(&fabric, &flows).steady_rates().unwrap();
         for (&rate, &(s, d, _)) in rates.iter().zip(&flows) {
             let solo = fabric.dma_path_bandwidth(NodeId(s), NodeId(d));
             assert!(rate <= solo + 1e-6, "case {case}: flow {s}->{d}: {rate} > {solo}");
@@ -119,7 +119,7 @@ fn equal_twin_flows_tie() {
 // constant below is the `fct_digest` the scenario produced before the
 // loop tracked only live flows.
 
-use numa_engine::{FlowId, JitterCfg, ResourceKey, Scenario, ScenarioError, SimError, Workload};
+use numa_engine::{FlowId, JitterCfg, ResourceKey, SimError, Workload};
 use numa_fabric::TrafficClass;
 use numa_topology::DirectedEdge;
 
@@ -136,7 +136,7 @@ fn open_loop_templates(gbit: f64) -> Vec<FlowSpec> {
 
 /// Run `workload` with contention jitter (unless `jitter_seed` is 0) and
 /// a `(throttle_at, cap, heal_at)` pair of capacity events on the 6->7
-/// edge; the digest must not depend on tracing or observation.
+/// edge; the digest must not depend on observation.
 fn open_loop_digest(
     fabric: &Fabric,
     workload: Workload,
@@ -145,22 +145,20 @@ fn open_loop_digest(
 ) -> u64 {
     let (throttle_at, cap, heal_at) = fault;
     let build = || {
-        let mut sc = Scenario::on(fabric).workload(workload.clone());
+        let mut sim = Simulation::new(fabric).workload(workload.clone());
         if jitter_seed != 0 {
-            sc = sc.jitter(JitterCfg::contention(jitter_seed));
+            sim = sim.jitter(JitterCfg::contention(jitter_seed));
         }
         let e = DirectedEdge::new(NodeId(6), NodeId(7));
         let full = fabric.edge_capacity(e, TrafficClass::Dma);
-        let h = sc.register(ResourceKey::Edge(e), full);
-        sc.schedule_capacity(h, throttle_at, cap);
-        sc.schedule_capacity(h, heal_at, full);
-        sc
+        let h = sim.register(ResourceKey::Edge(e), full);
+        sim.schedule_capacity(h, throttle_at, cap);
+        sim.schedule_capacity(h, heal_at, full);
+        sim
     };
     let plain = build().run().unwrap();
     assert_eq!(plain.flows.len(), workload.count());
-    let (traced, _) = build().run_traced().unwrap();
     let observed = build().observe(numa_obs::Obs::new()).run().unwrap();
-    assert_eq!(plain, traced);
     assert_eq!(plain, observed);
     plain.fct_digest()
 }
@@ -196,12 +194,12 @@ fn bounded_pareto_with_jitter_and_throttle_pins_its_digest() {
 #[test]
 fn open_loop_dead_resource_starves_the_lowest_index_stuck_flow() {
     let fabric = dl585_fabric();
-    let mut sc = Scenario::on(&fabric);
-    let dead = sc.register(ResourceKey::Custom(9), 0.0);
+    let mut sim = Simulation::new(&fabric);
+    let dead = sim.register(ResourceKey::Custom(9), 0.0);
     let live = FlowSpec::dma(NodeId(6), NodeId(7)).gbits(0.02);
     let stuck = FlowSpec::dma(NodeId(4), NodeId(7)).gbits(0.02).charge(dead);
     // Flows 2, 5, 8, ... charge the dead port; the others all finish
     // before the calendar drains.
-    let sc = sc.workload(Workload::poisson(vec![live.clone(), live, stuck], 30, 2000.0, 5));
-    assert_eq!(sc.run().unwrap_err(), ScenarioError::Sim(SimError::Starved { flow: FlowId(2) }));
+    let sim = sim.workload(Workload::poisson(vec![live.clone(), live, stuck], 30, 2000.0, 5));
+    assert_eq!(sim.run().unwrap_err(), SimError::Starved { flow: FlowId(2) });
 }

@@ -101,8 +101,8 @@ impl FaultInjector {
     }
 }
 
-/// A [`FaultInjector`] plugs into the engine's unified scenario builder:
-/// `Scenario::on(fabric).faults(FaultInjector::new(plan))`.
+/// A [`FaultInjector`] plugs into the engine's builder:
+/// `Simulation::new(fabric).faults(FaultInjector::new(plan))`.
 impl numa_engine::FaultSource for FaultInjector {
     fn arm_scenario(&self, sim: &mut Simulation<'_>) -> Result<usize, String> {
         let fabric = sim.fabric();
@@ -111,7 +111,7 @@ impl numa_engine::FaultSource for FaultInjector {
 }
 
 /// A bare [`FaultPlan`] is also a fault source — the common case:
-/// `Scenario::on(fabric).faults(plan)`.
+/// `Simulation::new(fabric).faults(plan)`.
 impl numa_engine::FaultSource for FaultPlan {
     fn arm_scenario(&self, sim: &mut Simulation<'_>) -> Result<usize, String> {
         numa_engine::FaultSource::arm_scenario(&FaultInjector::new(self.clone()), sim)
@@ -196,7 +196,7 @@ mod tests {
     }
 
     #[test]
-    fn fault_plan_arms_through_the_scenario_builder() {
+    fn fault_plan_arms_through_the_simulation_builder() {
         let f = dl585_fabric();
         let plan = FaultPlan::new(0).with(FaultWindow::permanent(FaultKind::LinkDegrade {
             from: 6,
@@ -205,22 +205,22 @@ mod tests {
         }));
         // Same throttle as `armed_throttle_slows_the_run`, via the
         // unified front door.
-        let report = numa_engine::Scenario::on(&f)
+        let report = Simulation::new(&f)
             .flows([FlowSpec::dma(NodeId(6), NodeId(7)).gbits(93.0)])
             .faults(plan)
             .run()
             .unwrap();
         assert!((report.makespan_s - 4.0).abs() < 1e-9, "{}", report.makespan_s);
 
-        // A broken plan surfaces as a typed scenario error.
+        // A broken plan surfaces as a typed simulation error.
         let bad =
             FaultPlan::new(0).with(FaultWindow::permanent(FaultKind::LinkDown { from: 0, to: 7 }));
-        let err = numa_engine::Scenario::on(&f)
+        let err = Simulation::new(&f)
             .flows([FlowSpec::dma(NodeId(6), NodeId(7)).gbits(1.0)])
             .faults(bad)
             .run()
             .unwrap_err();
-        assert!(matches!(err, numa_engine::ScenarioError::Faults { .. }), "{err:?}");
+        assert!(matches!(err, numa_engine::SimError::Faults { .. }), "{err:?}");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use crate::apply::FaultError;
 use crate::inject::FaultInjector;
 use crate::plan::FaultPlan;
-use numa_engine::{FlowSpec, Scenario, ScenarioError, SimReport, Simulation};
+use numa_engine::{FlowSpec, SimReport, Simulation};
 use numa_fabric::Fabric;
 use numa_topology::NodeId;
 
@@ -86,24 +86,18 @@ pub fn run_plan(
     demo_flows(&mut baseline, fabric.num_nodes(), target);
     let baseline = baseline.run()?;
 
-    // The faulted run goes through the unified scenario builder. The
-    // injector is armed eagerly (not via `Scenario::faults`) so arming
-    // failures keep their typed `FaultError` shape.
+    // The injector is armed eagerly (not via `Simulation::faults`) so
+    // arming failures keep their typed `FaultError` shape.
     let mut sim = Simulation::new(fabric);
     demo_flows(&mut sim, fabric.num_nodes(), target);
     FaultInjector::new(plan.clone()).arm(&mut sim, fabric)?;
-    let mut faulted = Scenario::from_simulation(sim);
     if let Some(o) = obs {
-        faulted = faulted.observe(o.clone());
+        sim = sim.observe(o.clone());
         for w in &plan.faults {
             o.counter("numio_faults_total", &[("kind", w.kind.name())]).inc();
         }
     }
-    let faulted = faulted.run().map_err(|e| match e {
-        ScenarioError::Sim(s) => FaultError::from(s),
-        // No fault sources were attached to the scenario.
-        ScenarioError::Faults { reason } => unreachable!("{reason}"),
-    })?;
+    let faulted = sim.run()?;
 
     Ok(ScenarioReport { plan: plan.clone(), baseline, faulted })
 }

@@ -1,9 +1,7 @@
 //! Lower fio jobs onto the flow simulator and report aggregates.
 
 use crate::job::{JobSpec, Workload};
-use numa_engine::{
-    FlowSpec, JitterCfg, ResourceKey, Scenario, ScenarioError, SimError, SimReport, Simulation,
-};
+use numa_engine::{FlowSpec, JitterCfg, ResourceKey, SimError, SimReport, Simulation};
 use numa_fabric::Fabric;
 use numa_iodev::{NicModel, NicOp, SsdModel};
 use numa_topology::NodeId;
@@ -97,7 +95,7 @@ pub fn build_sim_with<'f>(
         .map(|j| j.jitter)
         .find(|j| !j.is_none())
         .unwrap_or(JitterCfg::none());
-    let mut sim = Simulation::new(fabric).with_jitter(jitter);
+    let mut sim = Simulation::new(fabric).jitter(jitter);
 
     // Run-level noise on device-side capacities (protocol engines, class
     // ceilings, card channels): real runs land anywhere inside the ranges
@@ -332,8 +330,8 @@ pub fn run_jobs_with(
     Ok(assemble_report(jobs, report, &flow_job))
 }
 
-/// [`run_jobs`] with an observability handle, routed through the engine's
-/// unified [`Scenario`] builder. Engine-level events (allocation rounds,
+/// [`run_jobs`] with an observability handle attached to the
+/// [`Simulation`]. Engine-level events (allocation rounds,
 /// flow completions) carry each flow's `job<i>.<stream> <describe>` label,
 /// so the stream is already tagged with job metadata; on top of that, each
 /// job's aggregate is emitted as a `job_finished` event at its makespan.
@@ -343,14 +341,7 @@ pub fn run_jobs_scenario(
     obs: &numa_obs::Obs,
 ) -> Result<FioReport, FioError> {
     let (sim, flow_job) = build_sim(fabric, jobs)?;
-    let report = Scenario::from_simulation(sim)
-        .observe(obs.clone())
-        .run()
-        .map_err(|e| match e {
-            ScenarioError::Sim(s) => FioError::Sim(s),
-            // No workloads or fault sources are attached here.
-            ScenarioError::Faults { reason } => unreachable!("{reason}"),
-        })?;
+    let report = sim.observe(obs.clone()).run().map_err(FioError::Sim)?;
     let out = assemble_report(jobs, report, &flow_job);
     for (ji, j) in out.jobs.iter().enumerate() {
         obs.counter("numio_jobs_completed_total", &[("component", "fio")]).inc();
@@ -402,8 +393,8 @@ pub fn assemble_report(jobs: &[JobSpec], report: SimReport, flow_job: &[usize]) 
 /// Instantaneous max-min aggregate rate of each job with every stream
 /// active — what an online scheduler observes right after (re)placement.
 pub fn steady_job_rates(fabric: &Fabric, jobs: &[JobSpec]) -> Result<Vec<f64>, FioError> {
-    let (mut sim, flow_job) = build_sim(fabric, jobs)?;
-    let rates = sim.steady_rates();
+    let (sim, flow_job) = build_sim(fabric, jobs)?;
+    let rates = sim.steady_rates().map_err(FioError::Sim)?;
     let mut per_job = vec![0.0; jobs.len()];
     for (rate, &ji) in rates.iter().zip(&flow_job) {
         per_job[ji] += rate;

@@ -2,6 +2,7 @@
 //! construction and the fleet.
 
 use crate::task::TaskId;
+use numa_engine::SimError;
 use numa_topology::TopologyError;
 use numio_core::PlatformError;
 use std::fmt;
@@ -43,12 +44,12 @@ pub enum SchedError {
     Topology(TopologyError),
     /// Characterization failed (a fleet host or a policy's backend).
     Platform(PlatformError),
-    /// A per-host scenario run failed.
-    Scenario {
+    /// A per-host engine run failed.
+    Sim {
         /// The host whose episode failed.
         host: usize,
-        /// The underlying scenario error, rendered.
-        reason: String,
+        /// The engine's error.
+        error: SimError,
     },
     /// A fleet needs at least one host.
     EmptyFleet,
@@ -85,8 +86,8 @@ impl fmt::Display for SchedError {
             SchedError::NoIoNode { label } => write!(f, "backend '{label}' has no I/O node"),
             SchedError::Topology(e) => write!(f, "host generation failed: {e}"),
             SchedError::Platform(e) => write!(f, "host characterization failed: {e}"),
-            SchedError::Scenario { host, reason } => {
-                write!(f, "scenario on host {host} failed: {reason}")
+            SchedError::Sim { host, error } => {
+                write!(f, "simulation on host {host} failed: {error}")
             }
             SchedError::EmptyFleet => write!(f, "fleet has no hosts"),
             SchedError::NoStreams => write!(f, "episode has no streams"),
@@ -126,7 +127,7 @@ mod tests {
         let e = SchedError::UnknownPolicy { name: "magic".into() };
         assert!(e.to_string().contains("magic"));
         assert!(e.to_string().contains("class-ranked"));
-        let e = SchedError::Scenario { host: 3, reason: "boom".into() };
+        let e = SchedError::Sim { host: 3, error: SimError::NoFlows };
         assert!(e.to_string().contains("host 3"));
     }
 

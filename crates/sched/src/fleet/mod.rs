@@ -12,7 +12,7 @@
 //! [`HostProfile`]) is placed on by a [`FleetPolicy`] — three host rules,
 //! with `class-ranked` delegating the node to
 //! [`ClassRanked`](crate::ClassRanked) — and the [`ClusterScheduler`] runs
-//! the episodes in rounds through the engine's `Scenario`, reporting each
+//! the episodes in rounds through the engine's `Simulation`, reporting each
 //! rule as a [`FleetReport`].
 //!
 //! ```

@@ -6,7 +6,7 @@ use super::{Fleet, FleetPolicy, StreamSpec, POLICY_NAMES};
 use crate::error::SchedError;
 use crate::policy::ActiveView;
 use crate::task::TaskId;
-use numa_engine::{fct_digest, FctStats, FlowResult, FlowSpec, Scenario};
+use numa_engine::{fct_digest, FctStats, FlowResult, FlowSpec, Simulation};
 use numa_obs::nearest_rank;
 
 /// What one policy achieved on one episode.
@@ -111,13 +111,13 @@ impl<'f> ClusterScheduler<'f> {
                 }
                 let host = self.fleet.host(host_id);
                 let io = host.io_node();
-                let report = Scenario::on(host.fabric())
+                let report = Simulation::new(host.fabric())
                     .flows(queue.iter().map(|a| {
                         let s = &streams[a.id.index()];
                         FlowSpec::dma(a.node, io).gbytes(s.gbytes).label(format!("s{}", s.id))
                     }))
                     .run()
-                    .map_err(|e| SchedError::Scenario { host: host_id, reason: e.to_string() })?;
+                    .map_err(|error| SchedError::Sim { host: host_id, error })?;
                 round_makespan = round_makespan.max(report.makespan_s);
                 // Flows come back in submission order.
                 for (a, flow) in queue.iter().zip(report.flows) {

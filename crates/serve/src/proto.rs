@@ -146,7 +146,7 @@ numa_par::json_enum! {
             #[json(default = default_to_device)]
             to_device: bool,
         },
-        /// Run a generated workload through the engine's `Scenario` builder
+        /// Run a generated workload through the engine's `Simulation`
         /// and return FCT statistics (needs a sim fabric).
         Simulate {
             /// Workload spec in the shared grammar, e.g.

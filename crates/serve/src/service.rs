@@ -640,10 +640,10 @@ impl<P: Platform> ModelService<P> {
                 let workload = numa_engine::Workload::parse(workload)
                     .map_err(|reason| ServeError::BadRequest { reason })?;
                 // Simulation always runs against the healthy fabric: the
-                // fault view degrades *characterizations*, while scenario
+                // fault view degrades *characterizations*, while timed
                 // fault plans are armed by the caller inside the workload
                 // spec's own world (CLI `run --faults`).
-                let report = numa_engine::Scenario::on(fabric)
+                let report = numa_engine::Simulation::new(fabric)
                     .workload(workload)
                     .run()
                     .map_err(|e| ServeError::BadRequest { reason: e.to_string() })?;

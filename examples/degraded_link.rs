@@ -79,7 +79,7 @@ fn main() {
     }
 
     // Step 5: the same plan, injected mid-transfer. Two DMA flows into the
-    // NIC node; the scenario arms the plan on the engine's event calendar,
+    // NIC node; the simulation arms the plan on the engine's event calendar,
     // so capacity drops exactly when the timeline says.
     let fabric = healthy.fabric();
     let flows = || {
@@ -88,8 +88,8 @@ fn main() {
             FlowSpec::dma(NodeId(1), NodeId(7)).gbytes(4.0),
         ]
     };
-    let healthy_report = Scenario::on(fabric).flows(flows()).run().expect("flows admitted");
-    let faulted_report = Scenario::on(fabric)
+    let healthy_report = Simulation::new(fabric).flows(flows()).run().expect("flows admitted");
+    let faulted_report = Simulation::new(fabric)
         .flows(flows())
         .faults(FaultInjector::new(plan))
         .run()

@@ -1,5 +1,5 @@
-//! Open-loop workloads and flow completion times through the `Scenario`
-//! front door.
+//! Open-loop workloads and flow completion times through the engine's
+//! `Simulation`.
 //!
 //! The paper's 400 GB batch runs measure *aggregate* bandwidth; latency
 //! questions ("what does the p99 transfer time look like under Poisson
@@ -27,7 +27,7 @@ fn main() {
     ];
 
     // Closed loop: all 400 flows at t=0, the paper's batch regime.
-    let batch = Scenario::on(fabric)
+    let batch = Simulation::new(fabric)
         .workload(Workload::batch(
             (0..400).map(|i| templates[i % 2].clone()).collect(),
         ))
@@ -40,7 +40,7 @@ fn main() {
     // Open loop: the same 400 transfers as a seeded Poisson process at
     // 40 flows/s. Arrival gaps come from a deterministic splitmix64
     // stream — same seed, same calendar, same FCT vector.
-    let report = Scenario::on(fabric)
+    let report = Simulation::new(fabric)
         .workload(Workload::poisson(templates, 400, 40.0, 42))
         .run()
         .expect("workload admitted");
@@ -53,7 +53,7 @@ fn main() {
 
     // The digest is the reproducibility anchor: a second run is the
     // same bits, not just statistically similar.
-    let again = Scenario::on(fabric)
+    let again = Simulation::new(fabric)
         .workload(Workload::poisson(
             vec![
                 FlowSpec::dma(NodeId(6), NodeId(7)).gbits(4.0).label("near"),

@@ -29,7 +29,7 @@ fn main() {
 
     // Bottleneck check: with writers on 2 and 3, the narrow links saturate.
     let fabric = before.fabric();
-    let bottlenecks = Scenario::on(fabric)
+    let bottlenecks = Simulation::new(fabric)
         .flows([
             FlowSpec::dma(NodeId(2), NodeId(7)).gbytes(4.0),
             FlowSpec::dma(NodeId(3), NodeId(7)).gbytes(4.0),

@@ -13,7 +13,8 @@
 //!   max-min fair sharing, latency / NUMA factor.
 //! * [`engine`] — discrete-event flow simulator: an event-calendar core
 //!   with open-loop workload generators, flow-completion-time records,
-//!   and the unified [`Scenario`](engine::Scenario) front door.
+//!   and one [`Simulation`](engine::Simulation) type that builds and runs
+//!   them.
 //! * [`memsys`] — memory subsystem: policies, numastat, STREAM simulation.
 //! * [`iodev`] — NIC (TCP/RDMA) and SSD device models.
 //! * [`fio`] — fio-like benchmark job harness.
@@ -85,10 +86,8 @@ pub enum Error {
     Topology(topology::TopologyError),
     /// Reading a Linux sysfs snapshot failed ([`topology::sysfs`]).
     Sysfs(topology::sysfs::SysfsError),
-    /// The flow simulation failed ([`engine`]).
+    /// Building or running a [`engine::Simulation`] failed ([`engine`]).
     Sim(engine::SimError),
-    /// Building or running a [`engine::Scenario`] failed ([`engine`]).
-    Scenario(engine::ScenarioError),
     /// Placement failed: a scheduling episode, a policy's
     /// characterization, fleet generation or a cluster episode ([`sched`]).
     Sched(sched::SchedError),
@@ -122,7 +121,6 @@ impl std::fmt::Display for Error {
             Error::Topology(e) => write!(f, "topology: {e}"),
             Error::Sysfs(e) => write!(f, "sysfs: {e}"),
             Error::Sim(e) => write!(f, "simulation: {e}"),
-            Error::Scenario(e) => write!(f, "scenario: {e}"),
             Error::Sched(e) => write!(f, "scheduler: {e}"),
             Error::Fio(e) => write!(f, "fio: {e}"),
             Error::JobFile(e) => write!(f, "job file: {e}"),
@@ -145,7 +143,6 @@ impl std::error::Error for Error {
             Error::Topology(e) => Some(e),
             Error::Sysfs(e) => Some(e),
             Error::Sim(e) => Some(e),
-            Error::Scenario(e) => Some(e),
             Error::Sched(e) => Some(e),
             Error::Fio(e) => Some(e),
             Error::JobFile(e) => Some(e),
@@ -176,7 +173,6 @@ impl_from_error!(
     Topology(topology::TopologyError),
     Sysfs(topology::sysfs::SysfsError),
     Sim(engine::SimError),
-    Scenario(engine::ScenarioError),
     Sched(sched::SchedError),
     Fio(fio::FioError),
     JobFile(fio::JobFileError),
@@ -204,9 +200,7 @@ pub type Result<T> = std::result::Result<T, Error>;
 pub mod prelude {
     pub use crate::Error;
     pub use numa_backend::{AnyPlatform, BackendError, RecordingPlatform, ReplayPlatform};
-    pub use numa_engine::{
-        FctStats, FlowSpec, Scenario, ScenarioError, SimError, SimReport, Simulation,
-    };
+    pub use numa_engine::{FctStats, FlowSpec, SimError, SimReport, Simulation};
     pub use numa_fabric::{Fabric, TrafficClass};
     pub use numa_faults::{FaultInjector, FaultKind, FaultPlan, FaultWindow};
     pub use numa_fio::{FioError, JobSpec, Workload};
@@ -234,8 +228,8 @@ mod tests {
             Error::Sim(engine::SimError::NoFlows)
         ));
         assert!(matches!(
-            roundtrip(engine::ScenarioError::Faults { reason: "x".into() }),
-            Error::Scenario(_)
+            roundtrip(engine::SimError::Faults { reason: "x".into() }),
+            Error::Sim(engine::SimError::Faults { .. })
         ));
         assert!(matches!(roundtrip(sched::SchedError::NoTasks), Error::Sched(_)));
         assert!(matches!(roundtrip(fio::FioError::NoNic), Error::Fio(_)));

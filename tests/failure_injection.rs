@@ -41,7 +41,7 @@ fn runaway_jitter_trips_the_event_limit_valve() {
     // A pathological jitter refresh period floods the event loop; the
     // MAX_EVENTS valve converts an infinite loop into an error.
     let fabric = dl585_fabric();
-    let mut sim = Simulation::new(&fabric).with_jitter(JitterCfg {
+    let mut sim = Simulation::new(&fabric).jitter(JitterCfg {
         amplitude: 0.01,
         refresh_s: 1e-9,
         seed: 1,

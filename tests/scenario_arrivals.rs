@@ -1,14 +1,14 @@
-//! Scenario determinism and compatibility guarantees.
+//! Simulation determinism and compatibility guarantees.
 //!
 //! The event-calendar engine promises two things at once: seeded
 //! open-loop workloads replay **bit-identically** (same event order,
 //! same FCT vector, same observability stream — regardless of the
-//! worker-thread count), and the closed-loop batch path through the new
-//! [`Scenario`](numio::engine::Scenario) front door reproduces the
-//! legacy `Simulation` output bit-for-bit.
+//! worker-thread count), and a closed-loop batch given through
+//! [`Simulation::flows`](numio::engine::Simulation::flows) or a batch
+//! [`Workload`] reproduces the `add_flow` output bit-for-bit.
 
 use numio::core::SimPlatform;
-use numio::engine::{FlowSpec, Scenario, Simulation, Workload};
+use numio::engine::{FlowSpec, Simulation, Workload};
 use numio::topology::NodeId;
 
 /// A mixed-template open-loop workload with enough flows to exercise
@@ -26,7 +26,7 @@ fn same_seed_poisson_is_bit_identical() {
     let platform = SimPlatform::dl585();
     let run = || {
         let obs = numio::obs::Obs::new();
-        let report = Scenario::on(platform.fabric())
+        let report = Simulation::new(platform.fabric())
             .workload(poisson_workload())
             .observe(obs.clone())
             .run()
@@ -56,7 +56,7 @@ fn same_seed_poisson_is_bit_identical() {
 fn worker_thread_count_does_not_change_the_fct_stream() {
     let platform = SimPlatform::dl585();
     let digest = || {
-        Scenario::on(platform.fabric())
+        Simulation::new(platform.fabric())
             .workload(poisson_workload())
             .run()
             .unwrap()
@@ -77,7 +77,7 @@ fn bounded_pareto_arrivals_are_seed_deterministic() {
     let platform = SimPlatform::dl585();
     let run = || {
         let template = FlowSpec::dma(NodeId(6), NodeId(7)).gbits(1.0);
-        Scenario::on(platform.fabric())
+        Simulation::new(platform.fabric())
             .workload(Workload::bounded_pareto(vec![template], 100, 1.5, 1e-3, 0.5, 7))
             .run()
             .unwrap()
@@ -92,9 +92,9 @@ fn bounded_pareto_arrivals_are_seed_deterministic() {
     assert!(stats.mean_slowdown >= 1.0 - 1e-9, "{}", stats.mean_slowdown);
 }
 
-/// Acceptance anchor: a closed-loop batch through the new API is the
-/// same computation as the pre-scenario `Simulation` entry points —
-/// same floats, not just close ones.
+/// Acceptance anchor: a closed-loop batch through the builder is the
+/// same computation as flow-by-flow `add_flow` — same floats, not just
+/// close ones.
 #[test]
 fn closed_loop_batch_matches_legacy_simulation_bitwise() {
     let platform = SimPlatform::dl585();
@@ -108,8 +108,8 @@ fn closed_loop_batch_matches_legacy_simulation_bitwise() {
         sim.add_flow(s.clone());
     }
     let legacy = sim.run().unwrap();
-    let via_flows = Scenario::on(platform.fabric()).flows(specs.clone()).run().unwrap();
-    let via_batch = Scenario::on(platform.fabric())
+    let via_flows = Simulation::new(platform.fabric()).flows(specs.clone()).run().unwrap();
+    let via_batch = Simulation::new(platform.fabric())
         .workload(Workload::batch(specs))
         .run()
         .unwrap();
@@ -127,7 +127,7 @@ fn closed_loop_batch_matches_legacy_simulation_bitwise() {
 fn poisson_2k_fct_digest_is_pinned() {
     let platform = SimPlatform::dl585();
     let workload = Workload::parse("poisson:n=2000,rate=2000,seed=42").unwrap();
-    let report = Scenario::on(platform.fabric()).workload(workload).run().unwrap();
+    let report = Simulation::new(platform.fabric()).workload(workload).run().unwrap();
     assert_eq!(report.flows.len(), 2_000);
     assert_eq!(format!("{:016x}", report.fct_digest()), "b49190345191d944");
 }

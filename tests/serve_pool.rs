@@ -247,6 +247,20 @@ fn wire_batch_predict_is_bit_identical_to_sequential_predicts() {
     server.shutdown();
 }
 
+#[test]
+fn overflowing_simulate_gets_an_error_reply_and_the_connection_lives() {
+    let svc = service(3);
+    let server = spawn_with(Arc::clone(&svc), "127.0.0.1:0", ServeConfig::default()).unwrap();
+    let mut client = Client::connect(&server.addr().to_string()).unwrap();
+    let reply = client.call(&Request::Simulate { workload: "poisson:n=3,rate=1e-320".into() });
+    match reply {
+        Ok(Response::Error { message }) => assert!(message.contains("non-finite"), "{message}"),
+        other => panic!("{other:?}"),
+    }
+    assert_eq!(client.call(&Request::Ping).unwrap(), Response::Pong);
+    server.shutdown();
+}
+
 /// One predict mix: 1-3 distinct nodes of 8, each with 1-4 streams.
 fn seeded_mix(rng: &mut SplitMix64) -> Vec<(u16, u32)> {
     let mut mix: Vec<(u16, u32)> = (0..1 + rng.below(3))

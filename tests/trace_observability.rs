@@ -1,8 +1,8 @@
-//! Observability: the engine's event trace makes contention dynamics
-//! inspectable through the fio lowering, end to end — and the `numa-obs`
-//! exporters turn deterministic runs into byte-stable artifacts.
+//! Observability: the engine's obs events and the steady-state view make
+//! contention dynamics inspectable through the fio lowering, end to end —
+//! and the `numa-obs` exporters turn deterministic runs into byte-stable
+//! artifacts.
 
-use numio::engine::TraceEvent;
 use numio::fio::{build_sim, JobSpec};
 use numio::iodev::NicOp;
 use numio::core::SimPlatform;
@@ -12,7 +12,7 @@ use numio::topology::NodeId;
 fn trace_shows_fair_sharing_then_recovery() {
     // Two RDMA_READ jobs against the shared adapter: a class-2 stream
     // (node 2, small volume) and a class-4 stream (node 4, large volume).
-    // The trace must show (a) the mixture-limited port splitting rates
+    // The run must show (a) the mixture-limited port splitting rates
     // *equally* while both run (max-min fairness — neither class level is
     // reachable under contention), then (b) the survivor recovering to its
     // own class level (16.1) once the port frees up.
@@ -23,36 +23,41 @@ fn trace_shows_fair_sharing_then_recovery() {
     ];
     let (sim, flow_job) = build_sim(platform.fabric(), &jobs).unwrap();
     assert_eq!(flow_job, vec![0, 1]);
-    let (report, trace) = sim.run_traced().unwrap();
+    let obs = numio::obs::Obs::new();
+    let report = sim.observe(obs.clone()).run().unwrap();
 
-    let fast = report.flows[0].id;
-    let slow = report.flows[1].id;
-    assert!(trace.finish_of(fast).unwrap() < trace.finish_of(slow).unwrap());
+    let (fast, slow) = (&report.flows[0], &report.flows[1]);
+    assert!(fast.finish_s < slow.finish_s);
 
     // (a): fair split of the mixed-class engine (~18.5 Gbps / 2 each),
-    // well below both class levels.
-    let early_fast = trace.rate_at(fast, 0.01).unwrap();
-    let early_slow = trace.rate_at(slow, 0.01).unwrap();
+    // well below both class levels. The steady-state allocation is the
+    // first round's; the fast stream holds it for its whole run.
+    let early = build_sim(platform.fabric(), &jobs).unwrap().0.steady_rates().unwrap();
+    let (early_fast, early_slow) = (early[0], early[1]);
     assert!((early_fast - early_slow).abs() < 1e-9, "max-min splits equally");
     assert!(early_fast < 10.0, "mixture throttles: {early_fast}");
+    assert!((fast.mean_gbps - early_fast).abs() < 1e-9, "{} vs {early_fast}", fast.mean_gbps);
 
     // (b): after the fast stream leaves, the slow one recovers to its own
-    // class level (16.1).
-    let t_mid = (trace.finish_of(fast).unwrap() + trace.finish_of(slow).unwrap()) / 2.0;
-    let late_slow = trace.rate_at(slow, t_mid).unwrap();
+    // class level (16.1): its remaining volume over its remaining time.
+    let left = slow.volume_gbit - early_slow * fast.finish_s;
+    let late_slow = left / (slow.finish_s - fast.finish_s);
     assert!(late_slow > early_slow * 1.5, "{early_slow} -> {late_slow}");
     assert!((late_slow - 16.1).abs() < 0.2, "{late_slow}");
 
-    // Trace bookkeeping is consistent with the report.
-    assert_eq!(trace.rounds(), 2, "two allocation regimes");
-    for e in trace.events() {
-        assert!(e.time_s() <= report.makespan_s + 1e-9);
+    // The event stream is consistent with the report: two allocation
+    // regimes, the first at t=0, nothing after the makespan.
+    let events = obs.events();
+    assert_eq!(events.iter().filter(|e| e.name == "alloc_round").count(), 2);
+    for e in &events {
+        assert!(e.time_s <= report.makespan_s + 1e-9);
     }
-    assert!(matches!(trace.events()[0], TraceEvent::Rates { .. }));
+    assert_eq!(events[0].name, "alloc_round");
+    assert_eq!(events[0].time_s, 0.0);
 }
 
 #[test]
-fn traced_fio_run_matches_untraced_aggregates() {
+fn observed_fio_run_matches_unobserved_aggregates() {
     let platform = SimPlatform::dl585();
     let jobs = [
         JobSpec::ssd(true, NodeId(6)).numjobs(2).size_gbytes(5.0),
@@ -61,9 +66,10 @@ fn traced_fio_run_matches_untraced_aggregates() {
     let (sim_a, _) = build_sim(platform.fabric(), &jobs).unwrap();
     let (sim_b, _) = build_sim(platform.fabric(), &jobs).unwrap();
     let plain = sim_a.run().unwrap();
-    let (traced, trace) = sim_b.run_traced().unwrap();
-    assert_eq!(plain, traced);
-    assert!(trace.rounds() >= 1);
+    let obs = numio::obs::Obs::new();
+    let observed = sim_b.observe(obs.clone()).run().unwrap();
+    assert_eq!(plain, observed);
+    assert!(obs.events().iter().any(|e| e.name == "alloc_round"));
 }
 
 // ---- numa-obs exporter golden tests -----------------------------------
@@ -72,13 +78,13 @@ fn traced_fio_run_matches_untraced_aggregates() {
 /// exact byte stream (simulation timestamps, insertion-ordered fields).
 #[test]
 fn jsonl_export_golden() {
-    use numio::engine::{FlowSpec, Scenario};
+    use numio::engine::{FlowSpec, Simulation};
     let platform = SimPlatform::dl585();
     let obs = numio::obs::Obs::new();
     // Both flows cross the shared 46.5 Gbps edge 6->7: max-min splits it
     // 23.25 each, flow "a" (93 Gbit) finishes at t=4, then "b" runs alone
     // at 46.5 and its remaining 46.5 Gbit take one more second.
-    Scenario::on(platform.fabric())
+    Simulation::new(platform.fabric())
         .observe(obs.clone())
         .flows([
             FlowSpec::dma(NodeId(4), NodeId(7)).gbits(93.0).label("a"),
@@ -99,10 +105,10 @@ fn jsonl_export_golden() {
 /// text format.
 #[test]
 fn prometheus_export_golden() {
-    use numio::engine::{FlowSpec, Scenario};
+    use numio::engine::{FlowSpec, Simulation};
     let platform = SimPlatform::dl585();
     let obs = numio::obs::Obs::new();
-    Scenario::on(platform.fabric())
+    Simulation::new(platform.fabric())
         .observe(obs.clone())
         .flows([
             FlowSpec::dma(NodeId(4), NodeId(7)).gbits(93.0),

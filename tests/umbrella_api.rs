@@ -7,7 +7,7 @@ use numio::core::{
     HostPlatform, IoModeler, IoPerfModel, MemCostModel, PerfClass, Placement, Platform,
     ScheduleAdvisor, SimPlatform, StreamAdvisor, TransferMode, WorkloadMix,
 };
-use numio::engine::{FlowSpec, JitterCfg, SimReport, Simulation, Summary, Trace};
+use numio::engine::{FlowSpec, JitterCfg, SimReport, Simulation, Summary};
 use numio::fabric::{numa_factor, solve_max_min, Fabric, LatencyModel, TrafficClass};
 use numio::fio::{parse_jobfile, run_jobs, steady_job_rates, JobSpec, NetTestParams, Workload};
 use numio::iodev::{IoEngine, NicModel, NicOp, RateMap, SsdModel, TwoHostPath};
@@ -42,11 +42,10 @@ fn every_layer_composes_through_the_facade() {
     assert_eq!(TrafficClass::ALL.len(), 2);
 
     // engine
-    let mut sim = Simulation::new(&fabric).with_jitter(JitterCfg::none());
+    let mut sim = Simulation::new(&fabric).jitter(JitterCfg::none());
     sim.add_flow(FlowSpec::dma(NodeId(6), NodeId(7)).gbits(4.65));
     let report: SimReport = sim.run().unwrap();
     assert!((report.makespan_s - 0.1).abs() < 1e-9);
-    let _t: Trace = Trace::new();
     assert_eq!(Summary::from(&[1.0, 3.0]).mean, 2.0);
 
     // memsys
