@@ -14,8 +14,9 @@ pub enum AnyPlatform {
     Sim(SimPlatform),
     /// Real memcpy on the machine running this code.
     Host(HostPlatform),
-    /// A recorded fixture, replayed bit-identically.
-    Replay(ReplayPlatform),
+    /// A recorded fixture, replayed bit-identically (boxed: it carries
+    /// the fixture's tables, several times a simulator's size).
+    Replay(Box<ReplayPlatform>),
 }
 
 impl AnyPlatform {
@@ -39,7 +40,7 @@ impl AnyPlatform {
             return Ok(AnyPlatform::Host(HostPlatform::new(nodes)));
         }
         if let Some(path) = spec.strip_prefix("replay:") {
-            return Ok(AnyPlatform::Replay(ReplayPlatform::from_file(path)?));
+            return Ok(ReplayPlatform::from_file(path)?.into());
         }
         Err(BackendError::UnknownBackend { spec: spec.to_string() })
     }
@@ -48,7 +49,7 @@ impl AnyPlatform {
     /// emission); sim and host pass through unchanged.
     pub fn with_obs(self, obs: Obs) -> Self {
         match self {
-            AnyPlatform::Replay(r) => AnyPlatform::Replay(r.with_obs(obs)),
+            AnyPlatform::Replay(r) => r.with_obs(obs).into(),
             other => other,
         }
     }
@@ -68,7 +69,7 @@ impl From<HostPlatform> for AnyPlatform {
 
 impl From<ReplayPlatform> for AnyPlatform {
     fn from(p: ReplayPlatform) -> Self {
-        AnyPlatform::Replay(p)
+        AnyPlatform::Replay(Box::new(p))
     }
 }
 
@@ -77,7 +78,10 @@ macro_rules! delegate {
         match $self {
             AnyPlatform::Sim($p) => $body,
             AnyPlatform::Host($p) => $body,
-            AnyPlatform::Replay($p) => $body,
+            AnyPlatform::Replay($p) => {
+                let $p: &ReplayPlatform = $p;
+                $body
+            }
         }
     };
 }

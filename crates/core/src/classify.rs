@@ -32,8 +32,12 @@ impl Default for ClassifyParams {
 /// * remaining nodes are sorted by mean, descending, and split at relative
 ///   gaps larger than `params.gap_threshold`.
 ///
-/// Classes are returned best-first (class 1 first, then remote classes in
-/// descending bandwidth order).
+/// Classes are returned local pair first: class 1 (the target and its
+/// package neighbours) leads whatever its bandwidth, then the remote
+/// classes in descending bandwidth order. With `force_local_class1`,
+/// class 1 can average below a remote class (on the healthy DL585 at
+/// target 4 write, and after a fault on a local-pair path), so the order
+/// is not best-first.
 pub fn classify(
     topo: &Topology,
     target: NodeId,

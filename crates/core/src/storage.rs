@@ -357,7 +357,8 @@ mod tests {
             characterize_storage(&m, &sim, StorageConfig::paper(), TransferMode::Write).unwrap();
         // Stall card 1 (topology device 1) at 50%: the two-card aggregate
         // keeps (1 + 0.5) / 2 = 75%.
-        let mut stalled = SimPlatform::new(sim.fabric().with_device_derate(1, 0.5));
+        let stall = numa_fabric::CapChange::Device { device: 1, factor: 0.5 };
+        let mut stalled = SimPlatform::new(sim.fabric().with(stall).unwrap());
         stalled.noise = sim.noise;
         stalled.seed = sim.seed;
         let faulted =

@@ -3,6 +3,82 @@
 use crate::traffic::TrafficClass;
 use numa_topology::{DirectedEdge, HtWidth, Locality, NodeId, RouteTable, Topology};
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
+
+/// One capacity change on a fabric resource: the lowered form of a fault
+/// or a what-if upgrade. Apply it in place with [`Fabric::apply`], or to a
+/// copy with [`Fabric::with`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum CapChange {
+    /// One directed edge's DMA capacity becomes `gbps`.
+    Edge {
+        /// The directed link.
+        edge: DirectedEdge,
+        /// Its new DMA capacity, Gbit/s.
+        gbps: f64,
+    },
+    /// One node's local copy ceiling becomes `gbps` — the knob an IRQ
+    /// storm turns (§IV-C: interrupt handling steals memory-controller
+    /// bandwidth on the device node).
+    NodeCopy {
+        /// The node.
+        node: NodeId,
+        /// Its new copy ceiling, Gbit/s.
+        gbps: f64,
+    },
+    /// One node's protocol-CPU budget retains `factor` (see
+    /// [`Fabric::node_cpu_derate`]).
+    NodeCpu {
+        /// The node.
+        node: NodeId,
+        /// Remaining fraction, in `(0, 1]`.
+        factor: f64,
+    },
+    /// One device's PCIe port retains `factor` in both directions (see
+    /// [`Fabric::device_derate`]).
+    Device {
+        /// Index into [`Topology::devices`].
+        device: u16,
+        /// Remaining fraction, in `(0, 1]`.
+        factor: f64,
+    },
+}
+
+/// Why a [`CapChange`] cannot apply to a fabric.
+#[derive(Debug, Clone, PartialEq)]
+pub enum FabricError {
+    /// The directed edge is not a link of the topology.
+    UnknownLink(DirectedEdge),
+    /// The node is outside the machine.
+    NodeOutOfRange {
+        /// The offending node.
+        node: NodeId,
+        /// Number of nodes present.
+        nodes: usize,
+    },
+    /// The device index is outside [`Topology::devices`].
+    UnknownDevice(u16),
+    /// A capacity that is not a positive finite number of Gbit/s.
+    BadCapacity(f64),
+    /// A derate factor outside `(0, 1]`.
+    BadFactor(f64),
+}
+
+impl std::fmt::Display for FabricError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FabricError::UnknownLink(e) => write!(f, "no link {e:?}"),
+            FabricError::NodeOutOfRange { node, nodes } => {
+                write!(f, "node {node:?} out of range on a {nodes}-node machine")
+            }
+            FabricError::UnknownDevice(d) => write!(f, "device {d} out of range"),
+            FabricError::BadCapacity(g) => write!(f, "capacity {g} Gbit/s must be positive"),
+            FabricError::BadFactor(x) => write!(f, "derate factor {x} must be in (0, 1]"),
+        }
+    }
+}
+
+impl std::error::Error for FabricError {}
 
 /// How PIO (CPU load/store) bandwidth between node pairs is modelled.
 ///
@@ -32,11 +108,16 @@ pub enum PioModel {
     },
 }
 
-/// Immutable performance model of one machine's interconnect.
+/// Performance model of one machine's interconnect.
+///
+/// The topology, the routing table and the PIO model are immutable after
+/// [`FabricBuilder::build`] and shared behind [`Arc`]: a clone shares them
+/// and copies only the DMA capacity and derate tables, so a what-if view
+/// ([`Self::with`], or a clone plus [`Self::apply`]) is cheap.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Fabric {
-    topo: Topology,
-    routes: RouteTable,
+    topo: Arc<Topology>,
+    routes: Arc<RouteTable>,
     /// Calibrated per-directed-edge DMA capacities (Gbit/s). Edges not
     /// listed fall back to width defaults.
     dma_caps: HashMap<DirectedEdge, f64>,
@@ -57,8 +138,12 @@ pub struct Fabric {
     /// of a `device_stall` fault. Keys index [`Topology::devices`].
     /// Devices not listed run at full capacity.
     device_derate: BTreeMap<u16, f64>,
-    /// PIO model.
-    pio: PioModel,
+    /// Per-node protocol-CPU derate in `(0, 1]` — the what-if counterpart
+    /// of the CPU share an IRQ storm steals. Nodes not listed keep their
+    /// full budget.
+    node_cpu_derate: BTreeMap<NodeId, f64>,
+    /// PIO model (no what-if changes it, so clones share it too).
+    pio: Arc<PioModel>,
 }
 
 impl Fabric {
@@ -155,7 +240,7 @@ impl Fabric {
     /// PIO (STREAM-style) bandwidth for threads on `cpu` accessing arrays
     /// on `mem`, Gbit/s (aggregate over a node's worth of threads).
     pub fn pio_bandwidth(&self, cpu: NodeId, mem: NodeId) -> f64 {
-        match &self.pio {
+        match &*self.pio {
             PioModel::Matrix(m) => m[cpu.index()][mem.index()],
             PioModel::ByLocality {
                 local,
@@ -193,59 +278,85 @@ impl Fabric {
             .collect()
     }
 
-    /// What-if query: a copy of this fabric with one directed edge's DMA
-    /// capacity overridden — e.g. "what if firmware retrained the 3->7
-    /// link to full width?" Feed the result back through the modeler and
-    /// diff the models to see which nodes change class.
-    pub fn with_edge_cap(&self, e: DirectedEdge, gbps: f64) -> Fabric {
-        assert!(
-            self.topo.link_between(e.from, e.to).is_some(),
-            "no link {e:?} to override"
-        );
-        assert!(gbps > 0.0, "capacity must be positive");
-        let mut f = self.clone();
-        f.dma_caps.insert(e, gbps);
-        f
-    }
-
-    /// What-if query: a copy of this fabric with one node's local copy
-    /// ceiling overridden — the knob an IRQ storm turns (§IV-C: interrupt
-    /// handling steals memory-controller bandwidth on the device node).
-    pub fn with_node_copy_cap(&self, n: NodeId, gbps: f64) -> Fabric {
-        assert!(n.index() < self.num_nodes(), "node {n:?} out of range");
-        assert!(gbps > 0.0, "capacity must be positive");
-        let mut f = self.clone();
-        f.node_copy_cap[n.index()] = gbps;
-        f
-    }
-
     /// Remaining capacity fraction of one device's PCIe port, in `(0, 1]`.
-    /// `1.0` unless a [`Self::with_device_derate`] what-if (the static view
-    /// of a `device_stall` fault) touched the device. Device harnesses
+    /// `1.0` unless a [`CapChange::Device`] (the static view of a
+    /// `device_stall` fault) touched the device. Device harnesses
     /// multiply their lowered port capacities by this, which keeps the
     /// static what-if path and dynamic injection numerically identical.
     pub fn device_derate(&self, device: u16) -> f64 {
         self.device_derate.get(&device).copied().unwrap_or(1.0)
     }
 
-    /// What-if query: a copy of this fabric with one device's PCIe port
-    /// retaining only `factor` of its capacity — the static view of a
-    /// `device_stall` fault (protocol-engine hiccup, thermal throttling).
-    /// Repeated derates on the same device compose multiplicatively.
-    ///
-    /// Panics when the device index is outside [`Topology::devices`] or
-    /// the factor is outside `(0, 1]`; fault layers validate first and
-    /// return typed errors instead.
-    pub fn with_device_derate(&self, device: u16, factor: f64) -> Fabric {
-        assert!(
-            (device as usize) < self.topo.devices().len(),
-            "device {device} out of range"
-        );
-        assert!(factor > 0.0 && factor <= 1.0, "derate factor must be in (0, 1]");
+    /// Remaining fraction of one node's protocol-CPU budget, in `(0, 1]`.
+    /// `1.0` unless a [`CapChange::NodeCpu`] (the CPU share of an IRQ
+    /// storm) touched the node. Harnesses that lower a CPU budget (TCP)
+    /// multiply it by this, as they do with [`Self::device_derate`].
+    pub fn node_cpu_derate(&self, node: NodeId) -> f64 {
+        self.node_cpu_derate.get(&node).copied().unwrap_or(1.0)
+    }
+
+    /// Apply one capacity change in place. Edge and copy capacities are
+    /// overwritten; derates compose multiplicatively. An invalid change
+    /// is a typed error and leaves the fabric untouched.
+    pub fn apply(&mut self, change: CapChange) -> Result<(), FabricError> {
+        let positive = |gbps: f64| {
+            if gbps > 0.0 && gbps.is_finite() {
+                Ok(gbps)
+            } else {
+                Err(FabricError::BadCapacity(gbps))
+            }
+        };
+        let fraction = |x: f64| {
+            if x > 0.0 && x <= 1.0 {
+                Ok(x)
+            } else {
+                Err(FabricError::BadFactor(x))
+            }
+        };
+        match change {
+            CapChange::Edge { edge, gbps } => {
+                if self.topo.link_between(edge.from, edge.to).is_none() {
+                    return Err(FabricError::UnknownLink(edge));
+                }
+                self.dma_caps.insert(edge, positive(gbps)?);
+            }
+            CapChange::NodeCopy { node, gbps } => {
+                self.check_node(node)?;
+                self.node_copy_cap[node.index()] = positive(gbps)?;
+            }
+            CapChange::NodeCpu { node, factor } => {
+                self.check_node(node)?;
+                let factor = fraction(factor)?;
+                *self.node_cpu_derate.entry(node).or_insert(1.0) *= factor;
+            }
+            CapChange::Device { device, factor } => {
+                if device as usize >= self.topo.devices().len() {
+                    return Err(FabricError::UnknownDevice(device));
+                }
+                let factor = fraction(factor)?;
+                *self.device_derate.entry(device).or_insert(1.0) *= factor;
+            }
+        }
+        Ok(())
+    }
+
+    fn check_node(&self, node: NodeId) -> Result<(), FabricError> {
+        let nodes = self.num_nodes();
+        if node.index() < nodes {
+            Ok(())
+        } else {
+            Err(FabricError::NodeOutOfRange { node, nodes })
+        }
+    }
+
+    /// What-if query: a copy of this fabric with one change applied —
+    /// e.g. "what if firmware retrained the 3->7 link to full width?"
+    /// Feed the result back through the modeler and diff the models to
+    /// see which nodes change class.
+    pub fn with(&self, change: CapChange) -> Result<Fabric, FabricError> {
         let mut f = self.clone();
-        let slot = f.device_derate.entry(device).or_insert(1.0);
-        *slot *= factor;
-        f
+        f.apply(change)?;
+        Ok(f)
     }
 
     /// Per-class path bandwidth; dispatches to DMA min-cut or PIO model.
@@ -352,15 +463,16 @@ impl FabricBuilder {
             }
         }
         Fabric {
-            topo: self.topo,
-            routes: self.routes,
+            topo: Arc::new(self.topo),
+            routes: Arc::new(self.routes),
             dma_caps: self.dma_caps,
             dma_default_w16: self.dma_default_w16,
             dma_default_w8: self.dma_default_w8,
             node_copy_cap: self.node_copy_cap,
             dma_hop_decay: self.dma_hop_decay,
             device_derate: BTreeMap::new(),
-            pio: self.pio,
+            node_cpu_derate: BTreeMap::new(),
+            pio: Arc::new(self.pio),
         }
     }
 }
@@ -539,7 +651,8 @@ mod tests {
     fn what_if_edge_override_is_isolated() {
         let (t, r) = tiny();
         let f = Fabric::builder(t, r).dma_cap(1, 2, 20.0).build();
-        let upgraded = f.with_edge_cap(DirectedEdge::new(NodeId(1), NodeId(2)), 40.0);
+        let edge = DirectedEdge::new(NodeId(1), NodeId(2));
+        let upgraded = f.with(CapChange::Edge { edge, gbps: 40.0 }).unwrap();
         assert_eq!(upgraded.dma_path_bandwidth(NodeId(1), NodeId(2)), 40.0);
         // Original untouched; reverse direction untouched.
         assert_eq!(f.dma_path_bandwidth(NodeId(1), NodeId(2)), 20.0);
@@ -547,11 +660,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "no link")]
     fn what_if_rejects_phantom_edges() {
         let (t, r) = tiny();
         let f = Fabric::builder(t, r).build();
-        let _ = f.with_edge_cap(DirectedEdge::new(NodeId(0), NodeId(2)), 10.0);
+        let e = DirectedEdge::new(NodeId(0), NodeId(2));
+        let err = f.with(CapChange::Edge { edge: e, gbps: 10.0 }).unwrap_err();
+        assert_eq!(err, FabricError::UnknownLink(e));
+        assert!(err.to_string().contains("no link"), "{err}");
     }
 
     #[test]
@@ -572,7 +687,7 @@ mod tests {
     fn what_if_node_copy_override_is_isolated() {
         let (t, r) = tiny();
         let f = Fabric::builder(t, r).node_copy_caps(53.5).build();
-        let derated = f.with_node_copy_cap(NodeId(1), 26.75);
+        let derated = f.with(CapChange::NodeCopy { node: NodeId(1), gbps: 26.75 }).unwrap();
         assert_eq!(derated.node_copy_cap(NodeId(1)), 26.75);
         assert_eq!(derated.dma_path_bandwidth(NodeId(0), NodeId(1)), 26.75);
         assert_eq!(f.node_copy_cap(NodeId(1)), 53.5, "original untouched");
@@ -580,11 +695,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "out of range")]
     fn node_copy_override_rejects_bad_node() {
         let (t, r) = tiny();
         let f = Fabric::builder(t, r).build();
-        let _ = f.with_node_copy_cap(NodeId(9), 10.0);
+        let err = f.with(CapChange::NodeCopy { node: NodeId(9), gbps: 10.0 }).unwrap_err();
+        assert_eq!(err, FabricError::NodeOutOfRange { node: NodeId(9), nodes: 3 });
+        assert!(err.to_string().contains("out of range"), "{err}");
     }
 
     fn tiny_with_device() -> Fabric {
@@ -603,10 +719,11 @@ mod tests {
     fn device_derate_defaults_to_unity_and_composes() {
         let f = tiny_with_device();
         assert_eq!(f.device_derate(0), 1.0);
-        let d = f.with_device_derate(0, 0.5);
+        let half = CapChange::Device { device: 0, factor: 0.5 };
+        let d = f.with(half).unwrap();
         assert_eq!(d.device_derate(0), 0.5);
         assert_eq!(f.device_derate(0), 1.0, "original untouched");
-        let dd = d.with_device_derate(0, 0.5);
+        let dd = d.with(half).unwrap();
         assert!((dd.device_derate(0) - 0.25).abs() < 1e-12, "derates compose");
         // Paths and edges are untouched: the stall lives on the device
         // port, not in the interconnect.
@@ -617,16 +734,55 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "out of range")]
     fn device_derate_rejects_phantom_device() {
         let f = tiny_with_device();
-        let _ = f.with_device_derate(9, 0.5);
+        let err = f.with(CapChange::Device { device: 9, factor: 0.5 }).unwrap_err();
+        assert_eq!(err, FabricError::UnknownDevice(9));
+        assert!(err.to_string().contains("out of range"), "{err}");
     }
 
     #[test]
-    #[should_panic(expected = "must be in (0, 1]")]
     fn device_derate_rejects_bad_factor() {
         let f = tiny_with_device();
-        let _ = f.with_device_derate(0, 0.0);
+        let err = f.with(CapChange::Device { device: 0, factor: 0.0 }).unwrap_err();
+        assert_eq!(err, FabricError::BadFactor(0.0));
+        assert!(err.to_string().contains("must be in (0, 1]"), "{err}");
+    }
+
+    #[test]
+    fn invalid_changes_leave_the_fabric_untouched() {
+        let mut f = tiny_with_device();
+        let before = f.clone();
+        let e = DirectedEdge::new(NodeId(0), NodeId(1));
+        for (change, err) in [
+            (CapChange::Edge { edge: e, gbps: 0.0 }, FabricError::BadCapacity(0.0)),
+            (
+                CapChange::NodeCopy { node: NodeId(0), gbps: f64::INFINITY },
+                FabricError::BadCapacity(f64::INFINITY),
+            ),
+            (CapChange::NodeCpu { node: NodeId(1), factor: 1.5 }, FabricError::BadFactor(1.5)),
+            (CapChange::Device { device: 0, factor: -0.5 }, FabricError::BadFactor(-0.5)),
+        ] {
+            assert_eq!(f.apply(change).unwrap_err(), err);
+            assert_eq!(f, before, "{change:?} left a trace");
+        }
+    }
+
+    #[test]
+    fn node_cpu_derate_defaults_to_unity_and_composes() {
+        let mut f = tiny_with_device();
+        assert_eq!(f.node_cpu_derate(NodeId(1)), 1.0);
+        f.apply(CapChange::NodeCpu { node: NodeId(1), factor: 0.5 }).unwrap();
+        f.apply(CapChange::NodeCpu { node: NodeId(1), factor: 0.5 }).unwrap();
+        assert_eq!(f.node_cpu_derate(NodeId(1)), 0.25);
+        assert_eq!(f.node_cpu_derate(NodeId(0)), 1.0, "other nodes untouched");
+    }
+
+    #[test]
+    fn clones_share_topology_and_routes() {
+        let f = tiny_with_device();
+        let g = f.with(CapChange::NodeCopy { node: NodeId(0), gbps: 10.0 }).unwrap();
+        assert!(std::ptr::eq(f.topology(), g.topology()));
+        assert!(std::ptr::eq(f.routes(), g.routes()));
     }
 }

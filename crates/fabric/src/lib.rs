@@ -48,7 +48,7 @@ pub mod latency;
 pub mod traffic;
 
 pub use allocator::{solve_max_min, FlowSpec, MaxMinProblem, MaxMinSolver};
-pub use fabric::{Fabric, FabricBuilder, PioModel};
+pub use fabric::{CapChange, Fabric, FabricBuilder, FabricError, PioModel};
 
 pub use latency::{numa_factor, LatencyModel};
 pub use traffic::TrafficClass;

@@ -2,8 +2,8 @@
 
 use crate::plan::FaultKind;
 use numa_engine::SimError;
-use numa_fabric::{Fabric, TrafficClass};
-use numa_topology::{DirectedEdge, NodeId};
+use numa_fabric::{Fabric, FabricError};
+use numa_topology::NodeId;
 use numio_core::SimPlatform;
 
 /// Residual capacity of a downed link, Gbit/s. Not exactly zero: the
@@ -31,7 +31,8 @@ pub enum FaultError {
         /// Number of nodes present.
         nodes: usize,
     },
-    /// The plan references a device port the simulation never registered.
+    /// The plan references a device outside the topology, or one whose
+    /// port the simulation never registered.
     UnknownDevice {
         /// The offending device index.
         device: u16,
@@ -103,57 +104,38 @@ impl From<SimError> for FaultError {
     }
 }
 
+impl From<FabricError> for FaultError {
+    fn from(e: FabricError) -> Self {
+        match e {
+            FabricError::UnknownLink(e) => FaultError::UnknownLink { from: e.from, to: e.to },
+            FabricError::NodeOutOfRange { node, nodes } => {
+                FaultError::NodeOutOfRange { node, nodes }
+            }
+            FabricError::UnknownDevice(device) => FaultError::UnknownDevice { device },
+            FabricError::BadCapacity(value) | FabricError::BadFactor(value) => {
+                FaultError::BadFactor { value }
+            }
+        }
+    }
+}
+
 /// A what-if copy of `base` with every fault applied at full strength —
 /// the machine as it looks *while* the faults are active. Feed it back
 /// through [`numio_core::IoModeler`] and `numio_core::drift::diff` to see
 /// which nodes change performance class.
 ///
-/// [`FaultKind::DeviceStall`] lands on the fabric's per-device derate
-/// table: the paper's `memcpy` probes never touch devices, so memcpy
-/// models are unaffected, but every device harness (fio lowering, storage
-/// characterization) multiplies its lowered port capacities by
-/// [`Fabric::device_derate`] — the same `base * factor` the dynamic
-/// [`crate::FaultInjector`] schedules, so the two paths agree bit for
-/// bit.
+/// One shallow clone of `base`, then each fault's [`FaultKind::lower`]ing
+/// applied in place, in plan order (a second fault on one resource
+/// degrades what the first left). Derates land in
+/// [`Fabric::device_derate`] and [`Fabric::node_cpu_derate`], which
+/// `memcpy` probes never read and device harnesses fold into the port and
+/// CPU capacities they lower — the `base * factor` the dynamic
+/// [`crate::FaultInjector`] schedules, so the paths agree bit for bit.
 pub fn degraded_fabric(base: &Fabric, faults: &[FaultKind]) -> Result<Fabric, FaultError> {
     let mut out = base.clone();
-    for &k in faults {
-        match k {
-            FaultKind::LinkDegrade { from, to, factor } => {
-                if !(factor > 0.0 && factor <= 1.0) {
-                    return Err(FaultError::BadFactor { value: factor });
-                }
-                let e = DirectedEdge::new(NodeId(from), NodeId(to));
-                let cap = out
-                    .edge_cap(e, TrafficClass::Dma)
-                    .ok_or(FaultError::UnknownLink { from: NodeId(from), to: NodeId(to) })?;
-                out = out.with_edge_cap(e, cap * factor);
-            }
-            FaultKind::LinkDown { from, to } => {
-                let e = DirectedEdge::new(NodeId(from), NodeId(to));
-                out.edge_cap(e, TrafficClass::Dma)
-                    .ok_or(FaultError::UnknownLink { from: NodeId(from), to: NodeId(to) })?;
-                out = out.with_edge_cap(e, LINK_DOWN_GBPS);
-            }
-            FaultKind::IrqStorm { node, intensity } => {
-                if !(0.0..1.0).contains(&intensity) {
-                    return Err(FaultError::BadFactor { value: intensity });
-                }
-                let n = NodeId(node);
-                if n.index() >= out.num_nodes() {
-                    return Err(FaultError::NodeOutOfRange { node: n, nodes: out.num_nodes() });
-                }
-                out = out.with_node_copy_cap(n, out.node_copy_cap(n) * (1.0 - intensity));
-            }
-            FaultKind::DeviceStall { device, factor } => {
-                if !(factor > 0.0 && factor <= 1.0) {
-                    return Err(FaultError::BadFactor { value: factor });
-                }
-                if (device as usize) >= out.topology().devices().len() {
-                    return Err(FaultError::UnknownDevice { device });
-                }
-                out = out.with_device_derate(device, factor);
-            }
+    for k in faults {
+        for change in k.lower(&out)? {
+            out.apply(change)?;
         }
     }
     Ok(out)
@@ -191,6 +173,8 @@ pub fn degraded_backend<P: numio_core::Platform>(
 mod tests {
     use super::*;
     use numa_fabric::calibration::dl585_fabric;
+    use numa_fabric::TrafficClass;
+    use numa_topology::DirectedEdge;
 
     #[test]
     fn degraded_backend_needs_a_fabric() {
@@ -214,32 +198,21 @@ mod tests {
     #[test]
     fn degrade_scales_one_direction_only() {
         let base = dl585_fabric();
-        let f = degraded_fabric(
-            &base,
-            &[FaultKind::LinkDegrade { from: 6, to: 7, factor: 0.5 }],
-        )
-        .unwrap();
+        let half = FaultKind::LinkDegrade { from: 6, to: 7, factor: 0.5 };
         let e = DirectedEdge::new(NodeId(6), NodeId(7));
         let back = DirectedEdge::new(NodeId(7), NodeId(6));
-        assert!(
-            (f.edge_cap(e, TrafficClass::Dma).unwrap()
-                - 0.5 * base.edge_cap(e, TrafficClass::Dma).unwrap())
-            .abs()
-                < 1e-12
-        );
-        assert_eq!(
-            f.edge_cap(back, TrafficClass::Dma),
-            base.edge_cap(back, TrafficClass::Dma),
-            "reverse direction untouched"
-        );
-    }
-
-    #[test]
-    fn link_down_leaves_a_residual_trickle() {
-        let f = dl585_fabric();
-        let d = degraded_fabric(&f, &[FaultKind::LinkDown { from: 6, to: 7 }]).unwrap();
-        let e = DirectedEdge::new(NodeId(6), NodeId(7));
-        assert_eq!(d.edge_cap(e, TrafficClass::Dma), Some(LINK_DOWN_GBPS));
+        let cap = |f: &Fabric, e| f.edge_cap(e, TrafficClass::Dma).unwrap();
+        let once = degraded_fabric(&base, &[half]).unwrap();
+        assert_eq!(cap(&once, e), cap(&base, e) * 0.5);
+        assert_eq!(cap(&once, back), cap(&base, back), "reverse direction untouched");
+        // A second fault on the link degrades what the first left.
+        let twice = degraded_fabric(&base, &[half, half]).unwrap();
+        assert_eq!(cap(&twice, e), cap(&base, e) * 0.5 * 0.5);
+        // The view shares the healthy fabric's topology and routes.
+        assert!(std::ptr::eq(once.topology(), base.topology()));
+        // A downed link keeps a residual trickle.
+        let down = degraded_fabric(&base, &[FaultKind::LinkDown { from: 6, to: 7 }]).unwrap();
+        assert_eq!(cap(&down, e), LINK_DOWN_GBPS);
     }
 
     #[test]
@@ -248,29 +221,8 @@ mod tests {
         let d = degraded_fabric(&f, &[FaultKind::IrqStorm { node: 7, intensity: 0.5 }]).unwrap();
         assert!((d.node_copy_cap(NodeId(7)) - 0.5 * f.node_copy_cap(NodeId(7))).abs() < 1e-12);
         assert_eq!(d.node_copy_cap(NodeId(6)), f.node_copy_cap(NodeId(6)));
-    }
-
-    #[test]
-    fn phantom_link_is_a_typed_error_not_a_panic() {
-        let f = dl585_fabric();
-        let err =
-            degraded_fabric(&f, &[FaultKind::LinkDown { from: 0, to: 7 }]).unwrap_err();
-        assert_eq!(err, FaultError::UnknownLink { from: NodeId(0), to: NodeId(7) });
-    }
-
-    #[test]
-    fn bad_node_and_bad_factor_are_typed_errors() {
-        let f = dl585_fabric();
-        assert_eq!(
-            degraded_fabric(&f, &[FaultKind::IrqStorm { node: 99, intensity: 0.5 }])
-                .unwrap_err(),
-            FaultError::NodeOutOfRange { node: NodeId(99), nodes: 8 }
-        );
-        assert_eq!(
-            degraded_fabric(&f, &[FaultKind::LinkDegrade { from: 6, to: 7, factor: 0.0 }])
-                .unwrap_err(),
-            FaultError::BadFactor { value: 0.0 }
-        );
+        assert_eq!(d.node_cpu_derate(NodeId(7)), 0.5);
+        assert_eq!(d.node_cpu_derate(NodeId(6)), 1.0);
     }
 
     #[test]
@@ -286,26 +238,6 @@ mod tests {
         assert_eq!(d.device_derate(1), 1.0, "other devices untouched");
         // The interconnect itself is untouched: probes see no change.
         assert_eq!(d.dma_matrix(), f.dma_matrix());
-    }
-
-    #[test]
-    fn device_stall_fields_are_validated() {
-        let f = dl585_fabric();
-        assert_eq!(
-            degraded_fabric(&f, &[FaultKind::DeviceStall { device: 9, factor: 0.5 }])
-                .unwrap_err(),
-            FaultError::UnknownDevice { device: 9 }
-        );
-        assert_eq!(
-            degraded_fabric(&f, &[FaultKind::DeviceStall { device: 0, factor: 0.0 }])
-                .unwrap_err(),
-            FaultError::BadFactor { value: 0.0 }
-        );
-        assert_eq!(
-            degraded_fabric(&f, &[FaultKind::DeviceStall { device: 0, factor: 1.5 }])
-                .unwrap_err(),
-            FaultError::BadFactor { value: 1.5 }
-        );
     }
 
     #[test]

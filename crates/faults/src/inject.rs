@@ -1,10 +1,10 @@
 //! Dynamic application: lower a fault plan onto a running simulation.
 
-use crate::apply::{FaultError, LINK_DOWN_GBPS};
-use crate::plan::{FaultKind, FaultPlan};
-use numa_engine::{ResourceKey, Simulation};
-use numa_fabric::{Fabric, TrafficClass};
-use numa_topology::{DeviceId, DirectedEdge, NodeId};
+use crate::apply::FaultError;
+use crate::plan::FaultPlan;
+use numa_engine::{ResourceHandle, ResourceKey, Simulation};
+use numa_fabric::{CapChange, Fabric, TrafficClass};
+use numa_topology::DeviceId;
 
 /// Lowers a [`FaultPlan`] onto a [`Simulation`] as scheduled capacity
 /// events (`fault_injected` at each window's start, `fault_healed` at its
@@ -21,71 +21,49 @@ impl FaultInjector {
         FaultInjector { plan }
     }
 
-    /// The wrapped plan.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// Schedule every fault window onto `sim`; returns the number of
     /// capacity events added (one per injection, one more per heal).
     ///
-    /// Link and node resources are registered here at their fabric base
-    /// capacities (idempotent with the engine's own lowering), so arming
-    /// works before or after flows are added; device ports must already
-    /// exist, else [`FaultError::UnknownDevice`].
+    /// Each window's [`crate::FaultKind::lower`]ing maps onto engine
+    /// resources. Links and copy ceilings are registered at their fabric
+    /// base (idempotent with the engine's own lowering); derates scale
+    /// what the harness registered: a TCP CPU budget if any, and a
+    /// device's ports, which must exist, else [`FaultError::UnknownDevice`].
     pub fn arm(&self, sim: &mut Simulation<'_>, fabric: &Fabric) -> Result<usize, FaultError> {
         self.plan.validate()?;
         let mut events = 0usize;
         for w in &self.plan.faults {
             // (handle, degraded capacity, base capacity) per resource the
             // fault touches.
-            let mut touched: Vec<(numa_engine::ResourceHandle, f64, f64)> = Vec::new();
-            match w.kind {
-                FaultKind::LinkDegrade { from, to, factor } => {
-                    let e = DirectedEdge::new(NodeId(from), NodeId(to));
-                    let base = fabric
-                        .edge_cap(e, TrafficClass::Dma)
-                        .ok_or(FaultError::UnknownLink { from: NodeId(from), to: NodeId(to) })?;
-                    let h = sim.register(ResourceKey::Edge(e), base);
-                    touched.push((h, base * factor, base));
-                }
-                FaultKind::LinkDown { from, to } => {
-                    let e = DirectedEdge::new(NodeId(from), NodeId(to));
-                    let base = fabric
-                        .edge_cap(e, TrafficClass::Dma)
-                        .ok_or(FaultError::UnknownLink { from: NodeId(from), to: NodeId(to) })?;
-                    let h = sim.register(ResourceKey::Edge(e), base);
-                    touched.push((h, LINK_DOWN_GBPS, base));
-                }
-                FaultKind::IrqStorm { node, intensity } => {
-                    let n = NodeId(node);
-                    if n.index() >= fabric.num_nodes() {
-                        return Err(FaultError::NodeOutOfRange {
-                            node: n,
-                            nodes: fabric.num_nodes(),
-                        });
+            let mut touched: Vec<(ResourceHandle, f64, f64)> = Vec::new();
+            for change in w.kind.lower(fabric)? {
+                let (keys, factor) = match change {
+                    CapChange::Edge { edge, gbps } => {
+                        let base = fabric.edge_capacity(edge, TrafficClass::Dma);
+                        touched.push((sim.register(ResourceKey::Edge(edge), base), gbps, base));
+                        continue;
                     }
-                    let base = fabric.node_copy_cap(n);
-                    let h = sim.register(ResourceKey::NodeCopy(n), base);
-                    touched.push((h, base * (1.0 - intensity), base));
-                    // Interrupt handling also burns the node's protocol-CPU
-                    // budget when one was lowered (TCP workloads).
-                    if let Some(h) = sim.resource(ResourceKey::NodeCpu(n)) {
-                        let cpu_base = sim.capacity(h);
-                        touched.push((h, cpu_base * (1.0 - intensity), cpu_base));
+                    CapChange::NodeCopy { node, gbps } => {
+                        let base = fabric.node_copy_cap(node);
+                        touched.push((sim.register(ResourceKey::NodeCopy(node), base), gbps, base));
+                        continue;
                     }
-                }
-                FaultKind::DeviceStall { device, factor } => {
-                    for to_device in [true, false] {
-                        let key = ResourceKey::DevicePort { dev: DeviceId(device), to_device };
-                        if let Some(h) = sim.resource(key) {
-                            let base = sim.capacity(h);
-                            touched.push((h, base * factor, base));
+                    CapChange::NodeCpu { node, factor } => {
+                        (vec![ResourceKey::NodeCpu(node)], factor)
+                    }
+                    CapChange::Device { device, factor } => {
+                        let dev = DeviceId(device);
+                        let port = |to_device| ResourceKey::DevicePort { dev, to_device };
+                        let ports = vec![port(true), port(false)];
+                        if ports.iter().all(|&k| sim.resource(k).is_none()) {
+                            return Err(FaultError::UnknownDevice { device });
                         }
+                        (ports, factor)
                     }
-                    if touched.is_empty() {
-                        return Err(FaultError::UnknownDevice { device });
-                    }
+                };
+                for h in keys.into_iter().filter_map(|k| sim.resource(k)) {
+                    let base = sim.capacity(h);
+                    touched.push((h, base * factor, base));
                 }
             }
             for (h, degraded, base) in touched {
@@ -121,9 +99,10 @@ impl numa_engine::FaultSource for FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::FaultWindow;
+    use crate::plan::{FaultKind, FaultWindow};
     use numa_engine::FlowSpec;
     use numa_fabric::calibration::dl585_fabric;
+    use numa_topology::NodeId;
 
     #[test]
     fn armed_throttle_slows_the_run() {
@@ -174,14 +153,16 @@ mod tests {
             FaultInjector::new(plan).arm(&mut sim, &f).unwrap_err(),
             FaultError::UnknownLink { from: NodeId(0), to: NodeId(7) }
         );
-        let plan = FaultPlan::new(0).with(FaultWindow::permanent(FaultKind::DeviceStall {
-            device: 3,
-            factor: 0.5,
-        }));
-        assert_eq!(
-            FaultInjector::new(plan).arm(&mut sim, &f).unwrap_err(),
-            FaultError::UnknownDevice { device: 3 }
-        );
+        // Device 3 is not in the topology; device 0 (the NIC) is, but this
+        // simulation registered no port for it.
+        for device in [3, 0] {
+            let stall = FaultKind::DeviceStall { device, factor: 0.5 };
+            let plan = FaultPlan::new(0).with(FaultWindow::permanent(stall));
+            assert_eq!(
+                FaultInjector::new(plan).arm(&mut sim, &f).unwrap_err(),
+                FaultError::UnknownDevice { device }
+            );
+        }
     }
 
     #[test]

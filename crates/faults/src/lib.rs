@@ -11,15 +11,17 @@
 //!
 //! * [`FaultPlan`] — a seedable, JSON-serializable timeline of
 //!   [`FaultKind`]s with inject/heal windows ([`FaultWindow`]).
-//! * [`degraded_fabric`] / [`degraded_platform`] — the *static* view: a
-//!   what-if copy of a fabric or probe platform with the faults applied,
-//!   ready for re-characterization ([`numio_core::IoModeler`]) and drift
-//!   detection (`numio_core::drift::diff`).
-//! * [`FaultInjector`] — the *dynamic* view: lowers a plan onto a running
-//!   [`numa_engine::Simulation`] as scheduled capacity events, so link
-//!   throttles, IRQ storms and device stalls hit mid-transfer and heal on
-//!   schedule. The engine emits `fault_injected` / `fault_healed` obs
-//!   events when each change fires.
+//! * [`FaultKind::lower`] — the one lowering: a fault becomes the
+//!   [`numa_fabric::CapChange`]s of the resources it touches, validated
+//!   once.
+//! * [`degraded_fabric`] / [`degraded_platform`] — the *static* view: the
+//!   changes applied to one shallow fabric copy, ready for
+//!   re-characterization ([`numio_core::IoModeler`]) and drift detection
+//!   (`numio_core::drift::diff`).
+//! * [`FaultInjector`] — the *dynamic* view: the same changes scheduled as
+//!   capacity events on a running [`numa_engine::Simulation`], so they hit
+//!   mid-transfer and heal on schedule (`fault_injected` /
+//!   `fault_healed` obs events).
 //! * [`scenario`] — a canned baseline-vs-faulted comparison used by the
 //!   CLI's `faults demo` subcommand and the determinism tests.
 //!

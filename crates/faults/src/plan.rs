@@ -1,7 +1,9 @@
 //! Fault plans: what breaks, when, and for how long.
 
-use crate::apply::FaultError;
+use crate::apply::{FaultError, LINK_DOWN_GBPS};
+use numa_fabric::{CapChange, Fabric, TrafficClass};
 use numa_par::rng::mix64;
+use numa_topology::{DirectedEdge, NodeId};
 
 numa_par::json_enum! {
     #[json(tag = "kind")]
@@ -30,8 +32,8 @@ numa_par::json_enum! {
             to: u16,
         },
         /// Interrupt-handling background load steals memory-controller
-        /// bandwidth on one node — the paper's node-7 IRQ derating (§IV-C),
-        /// dialled up.
+        /// bandwidth and protocol-CPU time on one node — the paper's node-7
+        /// IRQ derating (§IV-C), dialled up.
         IrqStorm {
             /// The stormed node (usually the device-local node).
             node: u16,
@@ -56,6 +58,59 @@ numa_par::json_enum! {
 }
 
 impl FaultKind {
+    /// Lower this fault onto `fabric`: every resource it touches, with its
+    /// degraded capacity (links, copy ceilings) or derate factor (protocol
+    /// CPU, device ports). The one place a fault is validated; both
+    /// [`crate::degraded_fabric`] and [`crate::FaultInjector`] consume it.
+    /// An IRQ storm lowers to two changes: the node's copy ceiling and its
+    /// protocol-CPU budget both keep `1 - intensity`.
+    pub fn lower(&self, fabric: &Fabric) -> Result<Vec<CapChange>, FaultError> {
+        self.check_range()?;
+        Ok(match *self {
+            FaultKind::LinkDegrade { from, to, .. } | FaultKind::LinkDown { from, to } => {
+                let edge = DirectedEdge::new(NodeId(from), NodeId(to));
+                let cap = fabric
+                    .edge_cap(edge, TrafficClass::Dma)
+                    .ok_or(FaultError::UnknownLink { from: NodeId(from), to: NodeId(to) })?;
+                let gbps = match *self {
+                    FaultKind::LinkDegrade { factor, .. } => cap * factor,
+                    _ => LINK_DOWN_GBPS,
+                };
+                vec![CapChange::Edge { edge, gbps }]
+            }
+            FaultKind::IrqStorm { node, intensity } => {
+                let (node, nodes, factor) = (NodeId(node), fabric.num_nodes(), 1.0 - intensity);
+                if node.index() >= nodes {
+                    return Err(FaultError::NodeOutOfRange { node, nodes });
+                }
+                let gbps = fabric.node_copy_cap(node) * factor;
+                vec![CapChange::NodeCopy { node, gbps }, CapChange::NodeCpu { node, factor }]
+            }
+            FaultKind::DeviceStall { device, factor } => {
+                if device as usize >= fabric.topology().devices().len() {
+                    return Err(FaultError::UnknownDevice { device });
+                }
+                vec![CapChange::Device { device, factor }]
+            }
+        })
+    }
+
+    /// The machine-free part of validation: a factor in `(0, 1]`, an
+    /// intensity in `[0, 1)`.
+    fn check_range(&self) -> Result<(), FaultError> {
+        match *self {
+            FaultKind::LinkDegrade { factor: x, .. } | FaultKind::DeviceStall { factor: x, .. }
+                if !(x > 0.0 && x <= 1.0) =>
+            {
+                Err(FaultError::BadFactor { value: x })
+            }
+            FaultKind::IrqStorm { intensity: x, .. } if !(0.0..1.0).contains(&x) => {
+                Err(FaultError::BadFactor { value: x })
+            }
+            _ => Ok(()),
+        }
+    }
+
     /// Short label for metrics and reports.
     pub fn name(&self) -> &'static str {
         match self {
@@ -124,8 +179,8 @@ impl FaultPlan {
     }
 
     /// Structural validation that needs no machine: factors and
-    /// intensities in range, windows ordered. Link/node existence is
-    /// checked against a fabric at apply/arm time.
+    /// intensities in range, windows ordered. Link, node and device
+    /// existence is checked against a fabric by [`FaultKind::lower`].
     pub fn validate(&self) -> Result<(), FaultError> {
         if self.faults.is_empty() {
             return Err(FaultError::EmptyPlan);
@@ -139,19 +194,7 @@ impl FaultPlan {
                     return Err(FaultError::BadWindow { start_s: w.start_s, end_s: w.end_s });
                 }
             }
-            match w.kind {
-                FaultKind::LinkDegrade { factor, .. } | FaultKind::DeviceStall { factor, .. } => {
-                    if !(factor > 0.0 && factor <= 1.0) {
-                        return Err(FaultError::BadFactor { value: factor });
-                    }
-                }
-                FaultKind::IrqStorm { intensity, .. } => {
-                    if !(0.0..1.0).contains(&intensity) {
-                        return Err(FaultError::BadFactor { value: intensity });
-                    }
-                }
-                FaultKind::LinkDown { .. } => {}
-            }
+            w.kind.check_range()?;
         }
         Ok(())
     }
@@ -201,6 +244,43 @@ impl FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::degraded_fabric;
+    use numa_fabric::calibration::dl585_fabric;
+
+    #[test]
+    fn invalid_faults_are_typed_errors_not_panics() {
+        let f = dl585_fabric();
+        let cases = [
+            (
+                FaultKind::LinkDown { from: 0, to: 7 },
+                FaultError::UnknownLink { from: NodeId(0), to: NodeId(7) },
+            ),
+            (
+                FaultKind::IrqStorm { node: 99, intensity: 0.5 },
+                FaultError::NodeOutOfRange { node: NodeId(99), nodes: 8 },
+            ),
+            (
+                FaultKind::LinkDegrade { from: 6, to: 7, factor: 0.0 },
+                FaultError::BadFactor { value: 0.0 },
+            ),
+            (
+                FaultKind::DeviceStall { device: 9, factor: 0.5 },
+                FaultError::UnknownDevice { device: 9 },
+            ),
+            (
+                FaultKind::DeviceStall { device: 0, factor: 0.0 },
+                FaultError::BadFactor { value: 0.0 },
+            ),
+            (
+                FaultKind::DeviceStall { device: 0, factor: 1.5 },
+                FaultError::BadFactor { value: 1.5 },
+            ),
+        ];
+        for (kind, err) in cases {
+            assert_eq!(kind.lower(&f).unwrap_err(), err, "{kind:?}");
+            assert_eq!(degraded_fabric(&f, &[kind]).unwrap_err(), err, "{kind:?}");
+        }
+    }
 
     #[test]
     fn json_round_trip() {

@@ -207,11 +207,13 @@ pub fn build_sim_with<'f>(
     // their class level in aggregate.
     let mut class_res: HashMap<(u8, NodeId), numa_engine::ResourceHandle> = HashMap::new();
 
-    // TCP CPU budgets.
+    // TCP CPU budgets, lowered at `base * derate` so a static IRQ-storm
+    // what-if view (`Fabric::node_cpu_derate`) matches the dynamic
+    // injector's `base * factor` event.
     let mut cpu_res: HashMap<NodeId, numa_engine::ResourceHandle> = HashMap::new();
     for (&node, &budget) in &cpu_budget {
         if budget.is_finite() {
-            let h = sim.register(ResourceKey::NodeCpu(node), budget);
+            let h = sim.register(ResourceKey::NodeCpu(node), budget * fabric.node_cpu_derate(node));
             cpu_res.insert(node, h);
         }
     }

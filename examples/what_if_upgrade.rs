@@ -42,9 +42,11 @@ fn main() {
     }
 
     // The what-if: firmware retrains 3->7 and 2->6 to full width.
-    let upgraded_fabric = fabric
-        .with_edge_cap(DirectedEdge::new(NodeId(3), NodeId(7)), 46.5)
-        .with_edge_cap(DirectedEdge::new(NodeId(2), NodeId(6)), 46.9);
+    let mut upgraded_fabric = fabric.clone();
+    for (from, to, gbps) in [(3, 7, 46.5), (2, 6, 46.9)] {
+        let edge = DirectedEdge::new(NodeId(from), NodeId(to));
+        upgraded_fabric.apply(CapChange::Edge { edge, gbps }).expect("a dl585 link");
+    }
     let after = SimPlatform::new(upgraded_fabric);
     let new_model = modeler.characterize(&after, NodeId(7), TransferMode::Write);
     println!("\nafter retraining 3->7 and 2->6 to full width:");

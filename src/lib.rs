@@ -86,6 +86,8 @@ pub enum Error {
     Topology(topology::TopologyError),
     /// Reading a Linux sysfs snapshot failed ([`topology::sysfs`]).
     Sysfs(topology::sysfs::SysfsError),
+    /// A what-if capacity change did not fit the fabric ([`fabric`]).
+    Fabric(fabric::FabricError),
     /// Building or running a [`engine::Simulation`] failed ([`engine`]).
     Sim(engine::SimError),
     /// Placement failed: a scheduling episode, a policy's
@@ -120,6 +122,7 @@ impl std::fmt::Display for Error {
         match self {
             Error::Topology(e) => write!(f, "topology: {e}"),
             Error::Sysfs(e) => write!(f, "sysfs: {e}"),
+            Error::Fabric(e) => write!(f, "fabric: {e}"),
             Error::Sim(e) => write!(f, "simulation: {e}"),
             Error::Sched(e) => write!(f, "scheduler: {e}"),
             Error::Fio(e) => write!(f, "fio: {e}"),
@@ -142,6 +145,7 @@ impl std::error::Error for Error {
         match self {
             Error::Topology(e) => Some(e),
             Error::Sysfs(e) => Some(e),
+            Error::Fabric(e) => Some(e),
             Error::Sim(e) => Some(e),
             Error::Sched(e) => Some(e),
             Error::Fio(e) => Some(e),
@@ -172,6 +176,7 @@ macro_rules! impl_from_error {
 impl_from_error!(
     Topology(topology::TopologyError),
     Sysfs(topology::sysfs::SysfsError),
+    Fabric(fabric::FabricError),
     Sim(engine::SimError),
     Sched(sched::SchedError),
     Fio(fio::FioError),
@@ -201,7 +206,7 @@ pub mod prelude {
     pub use crate::Error;
     pub use numa_backend::{AnyPlatform, BackendError, RecordingPlatform, ReplayPlatform};
     pub use numa_engine::{FctStats, FlowSpec, SimError, SimReport, Simulation};
-    pub use numa_fabric::{Fabric, TrafficClass};
+    pub use numa_fabric::{CapChange, Fabric, TrafficClass};
     pub use numa_faults::{FaultInjector, FaultKind, FaultPlan, FaultWindow};
     pub use numa_fio::{FioError, JobSpec, Workload};
     pub use numa_sched::fleet::{ClusterScheduler, Fleet, FleetReport, StreamSpec};
@@ -230,6 +235,10 @@ mod tests {
         assert!(matches!(
             roundtrip(engine::SimError::Faults { reason: "x".into() }),
             Error::Sim(engine::SimError::Faults { .. })
+        ));
+        assert!(matches!(
+            roundtrip(fabric::FabricError::UnknownDevice(9)),
+            Error::Fabric(fabric::FabricError::UnknownDevice(9))
         ));
         assert!(matches!(roundtrip(sched::SchedError::NoTasks), Error::Sched(_)));
         assert!(matches!(roundtrip(fio::FioError::NoNic), Error::Fio(_)));

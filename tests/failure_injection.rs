@@ -2,6 +2,7 @@
 
 use numio::engine::{FlowSpec, JitterCfg, ResourceKey, SimError, Simulation};
 use numio::fabric::calibration::dl585_fabric;
+use numio::fabric::CapChange;
 use numio::fio::{run_jobs, FioError, JobSpec};
 use numio::iodev::NicOp;
 use numio::topology::{DirectedEdge, NodeId};
@@ -56,7 +57,8 @@ fn fio_propagates_simulation_failures() {
     // it; a zero capacity would starve them — fio wraps the error rather
     // than panicking.
     let fabric = dl585_fabric();
-    let degraded = fabric.with_edge_cap(DirectedEdge::new(NodeId(6), NodeId(7)), 1e-9);
+    let edge = DirectedEdge::new(NodeId(6), NodeId(7));
+    let degraded = fabric.with(CapChange::Edge { edge, gbps: 1e-9 }).unwrap();
     let job = JobSpec::nic(NicOp::RdmaWrite, NodeId(4)).size_gbytes(1000.0);
     match run_jobs(&degraded, &[job]) {
         // Near-zero capacity: either the run takes "forever" (event limit)

@@ -12,8 +12,9 @@ use numio::iodev::NicOp;
 use numio::serve::{ModelService, Request, Response, WireMode};
 use numio::topology::NodeId;
 
-/// One single-stream TCP sender (port-limited around 9–10 Gbit/s) against
-/// a two-stream striped SSD writer (card-limited near 29 Gbit/s healthy).
+/// One single-stream TCP sender (CPU-bound at about 5.6 Gbit/s, the Fig. 5
+/// golden's row 1) against a two-stream striped SSD writer (card-limited
+/// near 29 Gbit/s healthy).
 fn mixed_jobs() -> Vec<JobSpec> {
     vec![
         JobSpec::nic(NicOp::TcpSend, NodeId(6)).size_gbytes(8.0),
@@ -43,18 +44,20 @@ fn mixed_nic_and_ssd_contention_is_seed_deterministic() {
 fn device_stall_reranks_the_ssd_job_below_the_nic_job() {
     let platform = SimPlatform::dl585();
     let healthy = run_jobs(platform.fabric(), &mixed_jobs()).unwrap();
+    let (h_nic, h_ssd) = (healthy.jobs[0].aggregate_gbps, healthy.jobs[1].aggregate_gbps);
+    assert!(h_ssd > h_nic, "healthy ranking: ssd {h_ssd} above nic {h_nic}");
     // Stall BOTH SSD cards (devices 1 and 2 on the dl585) hard enough that
-    // the striped writer drops under the port-limited TCP sender.
+    // the card-limited striped writer drops to half the CPU-bound TCP
+    // sender's healthy rate.
+    let factor = 0.5 * h_nic / h_ssd;
     let faults = [
-        FaultKind::DeviceStall { device: 1, factor: 0.2 },
-        FaultKind::DeviceStall { device: 2, factor: 0.2 },
+        FaultKind::DeviceStall { device: 1, factor },
+        FaultKind::DeviceStall { device: 2, factor },
     ];
     let stalled_fabric = degraded_fabric(platform.fabric(), &faults).unwrap();
     let stalled = run_jobs(&stalled_fabric, &mixed_jobs()).unwrap();
 
-    let (h_nic, h_ssd) = (healthy.jobs[0].aggregate_gbps, healthy.jobs[1].aggregate_gbps);
     let (s_nic, s_ssd) = (stalled.jobs[0].aggregate_gbps, stalled.jobs[1].aggregate_gbps);
-    assert!(h_ssd > h_nic, "healthy ranking: ssd {h_ssd} above nic {h_nic}");
     assert!(s_ssd < s_nic, "stalled ranking: ssd {s_ssd} below nic {s_nic}");
     // The stall is device-scoped: the SSD job collapses, the NIC job keeps
     // (at least) its healthy bandwidth once the cards stop contending.
