@@ -16,6 +16,14 @@ pub enum FioError {
     NoNic,
     /// An SSD job was submitted but the host has no SSDs.
     NoSsd,
+    /// Job `job` binds its CPU or its buffers to a node the fabric does
+    /// not have.
+    UnknownNode {
+        /// Index of the offending job in the submission.
+        job: usize,
+        /// The out-of-range node.
+        node: NodeId,
+    },
     /// The underlying simulation failed.
     Sim(SimError),
 }
@@ -26,6 +34,9 @@ impl std::fmt::Display for FioError {
             FioError::NoJobs => write!(f, "no jobs"),
             FioError::NoNic => write!(f, "host has no NIC"),
             FioError::NoSsd => write!(f, "host has no SSDs"),
+            FioError::UnknownNode { job, node } => {
+                write!(f, "job {job} names node {node}, which the host does not have")
+            }
             FioError::Sim(e) => write!(f, "simulation failed: {e}"),
         }
     }
@@ -87,6 +98,13 @@ pub fn build_sim_with<'f>(
 ) -> Result<(Simulation<'f>, Vec<usize>), FioError> {
     if jobs.is_empty() {
         return Err(FioError::NoJobs);
+    }
+    for (job, spec) in jobs.iter().enumerate() {
+        for node in [spec.bind, spec.buffer_node()] {
+            if node.index() >= fabric.num_nodes() {
+                return Err(FioError::UnknownNode { job, node });
+            }
+        }
     }
 
     // Combined jitter: first non-disabled config wins.
@@ -600,6 +618,21 @@ mod tests {
         assert_eq!(err, FioError::NoNic);
         let err = run_jobs(&bare, &[JobSpec::ssd(true, NodeId(0))]).unwrap_err();
         assert_eq!(err, FioError::NoSsd);
+    }
+
+    #[test]
+    fn job_on_a_node_outside_the_fabric_is_a_typed_error() {
+        let f = fabric();
+        let unknown = |job, node| FioError::UnknownNode { job, node: NodeId(node) };
+        let nic = [JobSpec::nic(NicOp::RdmaWrite, NodeId(9))];
+        assert_eq!(run_jobs(&f, &nic).unwrap_err(), unknown(0, 9));
+        assert_eq!(steady_job_rates(&f, &nic).unwrap_err(), unknown(0, 9));
+        // The CPU node is valid; the buffers are not.
+        let ssd = JobSpec::ssd(true, NodeId(3)).mem_policy(numa_memsys::MemPolicy::Bind(NodeId(8)));
+        let jobs = [JobSpec::nic(NicOp::TcpSend, NodeId(7)), ssd];
+        assert_eq!(run_jobs(&f, &jobs).unwrap_err(), unknown(1, 8));
+        assert_eq!(steady_job_rates(&f, &jobs).unwrap_err(), unknown(1, 8));
+        assert!(unknown(1, 8).to_string().contains("node 8"));
     }
 
     #[test]

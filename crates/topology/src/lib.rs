@@ -19,7 +19,8 @@
 //! * [`NodeId`], [`PackageId`], [`DeviceId`] — index newtypes.
 //! * [`Topology`] — validated immutable machine description.
 //! * [`TopologyBuilder`] — ergonomic construction with validation.
-//! * [`RouteTable`] — per-source routing (BFS default + firmware overrides).
+//! * [`RouteTable`] — per-source routing (BFS default + firmware overrides),
+//!   every path in one arena, read through borrowed [`Route`] views.
 //! * [`Locality`] — the paper's local / neighbour / remote(h) classification.
 //! * [`HostSpec`] / [`TopoGen`] — parameterized, seed-reproducible topology
 //!   generation for fleets of heterogeneous hosts.

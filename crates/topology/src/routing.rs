@@ -7,12 +7,17 @@
 //! therefore starts from a deterministic BFS default (shortest hop count,
 //! lowest-id tie-break) and lets presets install explicit **firmware
 //! overrides** for specific ordered pairs.
+//!
+//! Every host the pipeline builds carries one table of `n²` routes, so
+//! the layout is flat: all paths sit back to back in one `Vec<NodeId>`
+//! arena, with one `(start, len)` span per ordered pair. A table is two
+//! allocations whatever its size, and [`RouteTable::route`] hands out a
+//! [`Route`], a `Copy` view borrowing a slice of that arena.
 
 use crate::error::TopologyError;
 use crate::ids::NodeId;
 use crate::topology::Topology;
 use std::collections::HashMap;
-use std::collections::VecDeque;
 
 /// One direction of a link: traffic flowing `from -> to`. The fabric layer
 /// attaches per-direction capacities to these (request/response buffer
@@ -40,72 +45,110 @@ impl DirectedEdge {
 /// A concrete path through the fabric: the visited nodes, in order,
 /// including both endpoints. A route from a node to itself is the
 /// single-element path.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Route {
-    nodes: Vec<NodeId>,
+///
+/// A `Route` is a borrowed, `Copy` view into its [`RouteTable`]'s arena;
+/// only [`RouteTable::route`] hands one out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Route<'a> {
+    nodes: &'a [NodeId],
 }
 
-impl Route {
-    /// Build a route from a node sequence. Must be non-empty.
-    pub fn new(nodes: Vec<NodeId>) -> Self {
-        assert!(!nodes.is_empty(), "route must contain at least the source");
-        Route { nodes }
-    }
-
+impl<'a> Route<'a> {
     /// Source node.
-    pub fn src(&self) -> NodeId {
+    pub fn src(self) -> NodeId {
         self.nodes[0]
     }
 
     /// Destination node.
-    pub fn dst(&self) -> NodeId {
-        *self.nodes.last().unwrap()
+    pub fn dst(self) -> NodeId {
+        self.nodes[self.nodes.len() - 1]
     }
 
     /// Visited nodes including endpoints.
-    pub fn nodes(&self) -> &[NodeId] {
-        &self.nodes
+    pub fn nodes(self) -> &'a [NodeId] {
+        self.nodes
     }
 
     /// Number of links traversed (0 for a local route).
-    pub fn hops(&self) -> usize {
+    pub fn hops(self) -> usize {
         self.nodes.len() - 1
     }
 
     /// Directed edges traversed, in order.
-    pub fn edges(&self) -> impl Iterator<Item = DirectedEdge> + '_ {
+    pub fn edges(self) -> impl Iterator<Item = DirectedEdge> + 'a {
         self.nodes
             .windows(2)
             .map(|w| DirectedEdge::new(w[0], w[1]))
     }
 
     /// Is this a trivial (same-node) route?
-    pub fn is_local(&self) -> bool {
+    pub fn is_local(self) -> bool {
         self.nodes.len() == 1
     }
 }
 
 /// Per-ordered-pair routing: BFS defaults plus firmware overrides.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Every path lives in one arena, back to back, and each ordered pair
+/// owns one `(start, len)` span into it, so a table of `n` nodes is two
+/// allocations however many routes it holds. Equality compares routes,
+/// not the arena layout: two tables with the same paths are equal
+/// whatever their override history.
+#[derive(Debug, Clone)]
 pub struct RouteTable {
     n: usize,
-    /// routes[src * n + dst] = node path
-    routes: Vec<Route>,
+    /// Every path, back to back.
+    arena: Vec<NodeId>,
+    /// `spans[src * n + dst]` = `(start, len)` of that pair's path in `arena`.
+    spans: Vec<(u32, u32)>,
 }
 
 impl RouteTable {
     /// Build the default table: BFS shortest paths with deterministic
     /// lowest-next-hop tie-breaking, computed per source.
+    ///
+    /// One BFS per source, over parent, depth and queue buffers shared by
+    /// all sources; each path is written straight into the arena,
+    /// destination first, by walking the parents back to the source.
     pub fn bfs(topo: &Topology) -> Self {
         let n = topo.num_nodes();
-        let mut routes = Vec::with_capacity(n * n);
+        let mut arena = Vec::with_capacity(2 * n * n);
+        let mut spans = Vec::with_capacity(n * n);
+        let mut parent = vec![NodeId(0); n];
+        let mut depth = vec![u32::MAX; n];
+        let mut queue = Vec::with_capacity(n);
         for src in topo.node_ids() {
-            let parents = bfs_parents(topo, src);
+            depth.fill(u32::MAX);
+            depth[src.index()] = 0;
+            queue.clear();
+            queue.push(src);
+            let mut head = 0;
+            while let Some(&cur) = queue.get(head) {
+                head += 1;
+                // neighbours() is sorted by peer id => deterministic tie-break.
+                for &(peer, _) in topo.neighbours(cur) {
+                    if depth[peer.index()] == u32::MAX {
+                        depth[peer.index()] = depth[cur.index()] + 1;
+                        parent[peer.index()] = cur;
+                        queue.push(peer);
+                    }
+                }
+            }
             for dst in topo.node_ids() {
-                routes.push(path_from_parents(&parents, src, dst));
+                let hops = depth[dst.index()];
+                assert!(hops != u32::MAX, "validated topology is connected");
+                let start = arena.len();
+                let len = hops as usize + 1;
+                arena.resize(start + len, src);
+                let mut cur = dst;
+                for slot in arena[start + 1..].iter_mut().rev() {
+                    *slot = cur;
+                    cur = parent[cur.index()];
+                }
+                spans.push(span(start, len));
             }
         }
-        RouteTable { n, routes }
+        RouteTable { n, arena, spans }
     }
 
     /// Build a table with explicit overrides applied on top of BFS.
@@ -119,30 +162,29 @@ impl RouteTable {
     ) -> Result<Self, TopologyError> {
         let mut table = Self::bfs(topo);
         for path in overrides {
-            table.set_route(topo, path.clone())?;
+            table.set_route(topo, path)?;
         }
         Ok(table)
     }
 
-    /// Install one override route.
-    pub fn set_route(&mut self, topo: &Topology, path: Vec<NodeId>) -> Result<(), TopologyError> {
+    /// Install one override route. A path no longer than the one it
+    /// replaces is written in place; a longer one is appended to the arena.
+    pub fn set_route(&mut self, topo: &Topology, path: &[NodeId]) -> Result<(), TopologyError> {
         let invalid = |src: NodeId, dst: NodeId, reason: &str| TopologyError::InvalidRoute {
             src,
             dst,
             reason: reason.to_string(),
         };
-        if path.is_empty() {
+        let (Some(&src), Some(&dst)) = (path.first(), path.last()) else {
             return Err(invalid(NodeId(0), NodeId(0), "empty path"));
-        }
-        let src = path[0];
-        let dst = *path.last().unwrap();
-        for &node in &path {
+        };
+        for &node in path {
             if node.index() >= self.n {
                 return Err(invalid(src, dst, "node out of range"));
             }
         }
         let mut seen = vec![false; self.n];
-        for &node in &path {
+        for &node in path {
             if seen[node.index()] {
                 return Err(invalid(src, dst, "path revisits a node"));
             }
@@ -153,13 +195,32 @@ impl RouteTable {
                 return Err(invalid(src, dst, "consecutive nodes are not linked"));
             }
         }
-        self.routes[src.index() * self.n + dst.index()] = Route::new(path);
+        let slot = &mut self.spans[src.index() * self.n + dst.index()];
+        let start = if path.len() <= slot.1 as usize {
+            let start = slot.0 as usize;
+            self.arena[start..start + path.len()].copy_from_slice(path);
+            start
+        } else {
+            let start = self.arena.len();
+            self.arena.extend_from_slice(path);
+            start
+        };
+        *slot = span(start, path.len());
         Ok(())
     }
 
     /// The route for an ordered pair.
-    pub fn route(&self, src: NodeId, dst: NodeId) -> &Route {
-        &self.routes[src.index() * self.n + dst.index()]
+    ///
+    /// # Panics
+    /// If either endpoint is not a node of the table; callers validate
+    /// user-supplied nodes first.
+    pub fn route(&self, src: NodeId, dst: NodeId) -> Route<'_> {
+        assert!(
+            src.index() < self.n && dst.index() < self.n,
+            "route {src:?} -> {dst:?} is outside the {}-node table",
+            self.n
+        );
+        self.pair(src.index() * self.n + dst.index())
     }
 
     /// Number of nodes covered.
@@ -171,62 +232,45 @@ impl RouteTable {
     /// (i.e. `route(a,b)` reversed is not `route(b,a)`), which defeats any
     /// symmetric distance metric.
     pub fn is_asymmetric(&self) -> bool {
-        for s in 0..self.n {
-            for d in 0..self.n {
-                let fwd = &self.routes[s * self.n + d];
-                let rev = &self.routes[d * self.n + s];
-                let mut fwd_nodes: Vec<NodeId> = fwd.nodes().to_vec();
-                fwd_nodes.reverse();
-                if fwd_nodes != rev.nodes() {
-                    return true;
-                }
-            }
-        }
-        false
+        (0..self.n).any(|s| {
+            (s + 1..self.n).any(|d| {
+                let fwd = self.pair(s * self.n + d).nodes();
+                let rev = self.pair(d * self.n + s).nodes();
+                !fwd.iter().eq(rev.iter().rev())
+            })
+        })
     }
 
     /// Count how many ordered pairs route through directed edge `e`.
     /// Useful for spotting hot links in a topology.
     pub fn edge_load(&self) -> HashMap<DirectedEdge, usize> {
         let mut load = HashMap::new();
-        for r in &self.routes {
-            for e in r.edges() {
+        for i in 0..self.spans.len() {
+            for e in self.pair(i).edges() {
                 *load.entry(e).or_insert(0) += 1;
             }
         }
         load
     }
+
+    /// The route of the pair at flat index `i` (`src * n + dst`).
+    fn pair(&self, i: usize) -> Route<'_> {
+        let (start, len) = self.spans[i];
+        let start = start as usize;
+        Route { nodes: &self.arena[start..start + len as usize] }
+    }
 }
 
-fn bfs_parents(topo: &Topology, src: NodeId) -> Vec<Option<NodeId>> {
-    let n = topo.num_nodes();
-    let mut parent: Vec<Option<NodeId>> = vec![None; n];
-    let mut dist = vec![u32::MAX; n];
-    dist[src.index()] = 0;
-    let mut q = VecDeque::from([src]);
-    while let Some(cur) = q.pop_front() {
-        // neighbours() is sorted by peer id => deterministic tie-break.
-        for &(peer, _) in topo.neighbours(cur) {
-            if dist[peer.index()] == u32::MAX {
-                dist[peer.index()] = dist[cur.index()] + 1;
-                parent[peer.index()] = Some(cur);
-                q.push_back(peer);
-            }
-        }
+impl PartialEq for RouteTable {
+    fn eq(&self, other: &Self) -> bool {
+        self.n == other.n && (0..self.spans.len()).all(|i| self.pair(i) == other.pair(i))
     }
-    parent
 }
 
-fn path_from_parents(parents: &[Option<NodeId>], src: NodeId, dst: NodeId) -> Route {
-    let mut rev = vec![dst];
-    let mut cur = dst;
-    while cur != src {
-        let p = parents[cur.index()].expect("validated topology is connected");
-        rev.push(p);
-        cur = p;
-    }
-    rev.reverse();
-    Route::new(rev)
+/// The `(start, len)` span of a path in the arena.
+fn span(start: usize, len: usize) -> (u32, u32) {
+    let narrow = |v: usize| u32::try_from(v).expect("route arena fits u32 offsets");
+    (narrow(start), narrow(len))
 }
 
 #[cfg(test)]
@@ -288,7 +332,7 @@ mod tests {
         let t = ring4();
         let mut rt = RouteTable::bfs(&t);
         assert!(!rt.is_asymmetric());
-        rt.set_route(&t, vec![NodeId(0), NodeId(3), NodeId(2)]).unwrap();
+        rt.set_route(&t, &[NodeId(0), NodeId(3), NodeId(2)]).unwrap();
         assert_eq!(
             rt.route(NodeId(0), NodeId(2)).nodes(),
             &[NodeId(0), NodeId(3), NodeId(2)]
@@ -301,7 +345,7 @@ mod tests {
     fn override_must_follow_links() {
         let t = ring4();
         let mut rt = RouteTable::bfs(&t);
-        let err = rt.set_route(&t, vec![NodeId(0), NodeId(2)]).unwrap_err();
+        let err = rt.set_route(&t, &[NodeId(0), NodeId(2)]).unwrap_err();
         assert!(matches!(err, TopologyError::InvalidRoute { .. }));
     }
 
@@ -310,7 +354,7 @@ mod tests {
         let t = ring4();
         let mut rt = RouteTable::bfs(&t);
         let err = rt
-            .set_route(&t, vec![NodeId(0), NodeId(1), NodeId(0)])
+            .set_route(&t, &[NodeId(0), NodeId(1), NodeId(0)])
             .unwrap_err();
         assert!(matches!(err, TopologyError::InvalidRoute { .. }));
     }
@@ -319,8 +363,8 @@ mod tests {
     fn override_rejects_out_of_range() {
         let t = ring4();
         let mut rt = RouteTable::bfs(&t);
-        assert!(rt.set_route(&t, vec![NodeId(0), NodeId(9)]).is_err());
-        assert!(rt.set_route(&t, vec![]).is_err());
+        assert!(rt.set_route(&t, &[NodeId(0), NodeId(9)]).is_err());
+        assert!(rt.set_route(&t, &[]).is_err());
     }
 
     #[test]
@@ -351,8 +395,48 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "route must contain at least the source")]
-    fn route_new_rejects_empty() {
-        let _ = Route::new(vec![]);
+    #[should_panic(expected = "route N0 -> N9 is outside the 4-node table")]
+    fn route_rejects_an_out_of_range_endpoint() {
+        let _ = RouteTable::bfs(&ring4()).route(NodeId(0), NodeId(9));
+    }
+
+    #[test]
+    fn override_is_written_in_place_or_appended() {
+        let t = ring4();
+        let mut rt = RouteTable::bfs(&t);
+        let arena_len = rt.arena.len();
+        // 0->2 is two hops either way round the ring: fits in place.
+        rt.set_route(&t, &[NodeId(0), NodeId(3), NodeId(2)]).unwrap();
+        assert_eq!(rt.arena.len(), arena_len);
+        // 0->1 direct is one hop; the three-hop detour is appended.
+        rt.set_route(&t, &[NodeId(0), NodeId(3), NodeId(2), NodeId(1)]).unwrap();
+        assert_eq!(rt.arena.len(), arena_len + 4);
+        assert_eq!(
+            rt.route(NodeId(0), NodeId(1)).nodes(),
+            &[NodeId(0), NodeId(3), NodeId(2), NodeId(1)]
+        );
+        // Shrinking back reuses the appended span; no other pair moved.
+        rt.set_route(&t, &[NodeId(0), NodeId(1)]).unwrap();
+        assert_eq!(rt.arena.len(), arena_len + 4);
+        assert_eq!(rt.route(NodeId(0), NodeId(1)).nodes(), &[NodeId(0), NodeId(1)]);
+        assert_eq!(
+            rt.route(NodeId(0), NodeId(2)).nodes(),
+            &[NodeId(0), NodeId(3), NodeId(2)]
+        );
+        assert_eq!(rt.route(NodeId(2), NodeId(0)).nodes(), &[NodeId(2), NodeId(1), NodeId(0)]);
+    }
+
+    #[test]
+    fn equality_compares_routes_not_override_history() {
+        let t = ring4();
+        let bfs = RouteTable::bfs(&t);
+        let mut detoured = bfs.clone();
+        detoured
+            .set_route(&t, &[NodeId(0), NodeId(3), NodeId(2), NodeId(1)])
+            .unwrap();
+        assert_ne!(detoured, bfs);
+        detoured.set_route(&t, &[NodeId(0), NodeId(1)]).unwrap();
+        assert_ne!(detoured.arena, bfs.arena);
+        assert_eq!(detoured, bfs);
     }
 }

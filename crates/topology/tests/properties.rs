@@ -69,7 +69,7 @@ fn bfs_routes_are_valid_shortest_walks() {
         let rt = RouteTable::bfs(&topo);
         for a in topo.node_ids() {
             for b in topo.node_ids() {
-                let r: &Route = rt.route(a, b);
+                let r: Route = rt.route(a, b);
                 assert_eq!(r.src(), a, "case {case}");
                 assert_eq!(r.dst(), b, "case {case}");
                 assert_eq!(r.hops() as u32, topo.hop_distance(a, b), "case {case}: {a:?} {b:?}");

@@ -4,9 +4,9 @@
 //! Each property runs `CASES` cases; case `c` samples the host seed
 //! `SplitMix64::new(c).next_u64()`.
 
-use numa_par::rng::SplitMix64;
+use numa_par::rng::{fnv1a64, SplitMix64, FNV1A64_INIT};
 use numa_topology::hostgen::{TopoGen, Wiring};
-use numa_topology::{HtWidth, RouteTable};
+use numa_topology::{presets, HtWidth, NodeId, RouteTable};
 
 const CASES: u64 = 128;
 
@@ -106,4 +106,39 @@ fn explicit_specs_cover_every_wiring_family() {
         let routes = RouteTable::bfs(&topo);
         assert_eq!(routes.num_nodes(), usize::from(sockets * k));
     }
+}
+
+/// Fold every route of `routes` into `h`: the table size, then per ordered
+/// pair the path length and each node id, little-endian.
+fn fold_routes(mut h: u64, routes: &RouteTable) -> u64 {
+    let n = routes.num_nodes();
+    h = fnv1a64(h, &(n as u64).to_le_bytes());
+    for a in 0..n {
+        for b in 0..n {
+            let nodes = routes.route(NodeId::new(a), NodeId::new(b)).nodes();
+            h = fnv1a64(h, &(nodes.len() as u64).to_le_bytes());
+            for node in nodes {
+                h = fnv1a64(h, &node.0.to_le_bytes());
+            }
+        }
+    }
+    h
+}
+
+/// Route anchor: the DL585 firmware table (BFS plus overrides), the BFS
+/// tables of the four Table I presets and the tables of `TopoGen::sample`
+/// hosts for seeds 0..512, every path folded into one digest. Any change
+/// to the BFS visiting order, the tie-break or the override path moves it.
+#[test]
+fn route_digest_is_pinned() {
+    let dl585 = presets::dl585_testbed();
+    let mut h = fold_routes(FNV1A64_INIT, &presets::dl585_routes(&dl585));
+    for topo in [presets::intel_4s4n(), presets::amd_4s8n(), presets::amd_8s8n(), presets::blade32()] {
+        h = fold_routes(h, &RouteTable::bfs(&topo));
+    }
+    for seed in 0..512 {
+        let (_, routes) = TopoGen::sample("gen", seed).build_routed().unwrap();
+        h = fold_routes(h, &routes);
+    }
+    assert_eq!(h, 0x53a8_3f07_2803_8386, "route digest");
 }
