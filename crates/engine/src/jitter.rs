@@ -51,12 +51,13 @@ pub struct JitterState {
 }
 
 impl JitterState {
-    /// Create with one multiplier per flow, drawn immediately.
+    /// Create with one multiplier per flow, drawn immediately (none when
+    /// jitter is off: every multiplier is then 1.0).
     pub fn new(cfg: JitterCfg, num_flows: usize) -> Self {
         let mut s = JitterState {
             cfg,
             rng: SplitMix64::new(cfg.seed),
-            multipliers: vec![1.0; num_flows],
+            multipliers: if cfg.is_none() { Vec::new() } else { vec![1.0; num_flows] },
         };
         s.refresh();
         s

@@ -17,7 +17,8 @@
 //! lower to flow sets simulated here.
 //!
 //! Flows carry **arrival times**: the run loop is a true event calendar
-//! ([`Time`], a binary-heap [`Schedule`] of typed events), so
+//! ([`Time`], a [`Schedule`] that merges the sorted arrivals with a
+//! binary heap of capacity changes and jitter ticks), so
 //! open-loop traffic — seeded Poisson or bounded-Pareto interarrivals from
 //! a [`Workload`] — runs next to the closed-loop batches the paper
 //! measured, and every completion yields a flow-completion-time record

@@ -4,6 +4,8 @@
 //! automatically; callers register additional ones (NIC ports, SSD channel
 //! budgets, per-node CPU protocol-processing capacity, IRQ overhead) and
 //! attach them to flows via [`ResourceHandle`].
+//! Node copy budgets and edges have dense slots, so lowering a flow looks
+//! them up by index, not by hash.
 
 use numa_topology::{DeviceId, DirectedEdge, NodeId};
 use std::collections::HashMap;
@@ -40,36 +42,69 @@ impl ResourceHandle {
     }
 }
 
+/// Marks a dense slot no resource holds yet.
+const VACANT: u32 = u32::MAX;
+
 /// Registry mapping semantic keys to dense indices with capacities.
 #[derive(Debug, Clone, Default)]
 pub struct ResourceRegistry {
     keys: Vec<ResourceKey>,
     caps: Vec<f64>,
+    nodes: usize,
+    /// Handle of `NodeCopy(v)` at `v`, of `Edge(a -> b)` at
+    /// `nodes + a * nodes + b`, or [`VACANT`].
+    slots: Vec<u32>,
     by_key: HashMap<ResourceKey, ResourceHandle>,
 }
 
 impl ResourceRegistry {
-    /// Empty registry.
-    pub fn new() -> Self {
-        Self::default()
+    /// Empty registry with dense slots for a `nodes`-node host.
+    pub fn new(nodes: usize) -> Self {
+        ResourceRegistry { nodes, slots: vec![VACANT; nodes + nodes * nodes], ..Self::default() }
+    }
+
+    fn slot(&self, key: ResourceKey) -> Option<usize> {
+        let n = self.nodes;
+        match key {
+            ResourceKey::NodeCopy(v) if v.index() < n => Some(v.index()),
+            ResourceKey::Edge(e) if e.from.index() < n && e.to.index() < n => {
+                Some(n + e.from.index() * n + e.to.index())
+            }
+            _ => None,
+        }
     }
 
     /// Register (or look up) a resource; the capacity of an existing key is
     /// left unchanged.
     pub fn ensure(&mut self, key: ResourceKey, cap: f64) -> ResourceHandle {
-        if let Some(&h) = self.by_key.get(&key) {
-            return h;
+        self.ensure_with(key, || cap)
+    }
+
+    /// [`Self::ensure`], reading the capacity only when `key` is new.
+    pub fn ensure_with(&mut self, key: ResourceKey, cap: impl FnOnce() -> f64) -> ResourceHandle {
+        let next = ResourceHandle(self.keys.len());
+        let h = match self.slot(key) {
+            Some(s) => {
+                if self.slots[s] == VACANT {
+                    self.slots[s] = u32::try_from(next.0).expect("fewer than 2^32 resources");
+                }
+                ResourceHandle(self.slots[s] as usize)
+            }
+            None => *self.by_key.entry(key).or_insert(next),
+        };
+        if h == next {
+            self.keys.push(key);
+            self.caps.push(cap());
         }
-        let h = ResourceHandle(self.keys.len());
-        self.keys.push(key);
-        self.caps.push(cap);
-        self.by_key.insert(key, h);
         h
     }
 
     /// Look up an existing resource.
     pub fn get(&self, key: ResourceKey) -> Option<ResourceHandle> {
-        self.by_key.get(&key).copied()
+        match self.slot(key) {
+            Some(s) => (self.slots[s] != VACANT).then(|| ResourceHandle(self.slots[s] as usize)),
+            None => self.by_key.get(&key).copied(),
+        }
     }
 
     /// Capacity of a resource.
@@ -109,7 +144,7 @@ mod tests {
 
     #[test]
     fn ensure_is_idempotent() {
-        let mut r = ResourceRegistry::new();
+        let mut r = ResourceRegistry::new(2);
         let a = r.ensure(ResourceKey::Custom(1), 10.0);
         let b = r.ensure(ResourceKey::Custom(1), 99.0);
         assert_eq!(a, b);
@@ -119,7 +154,7 @@ mod tests {
 
     #[test]
     fn distinct_keys_get_distinct_handles() {
-        let mut r = ResourceRegistry::new();
+        let mut r = ResourceRegistry::new(2);
         let a = r.ensure(ResourceKey::NodeCpu(NodeId(1)), 20.0);
         let b = r.ensure(ResourceKey::NodeCopy(NodeId(1)), 50.0);
         assert_ne!(a, b);
@@ -129,7 +164,7 @@ mod tests {
 
     #[test]
     fn set_capacity_overwrites() {
-        let mut r = ResourceRegistry::new();
+        let mut r = ResourceRegistry::new(2);
         let a = r.ensure(ResourceKey::Custom(0), 10.0);
         r.set_capacity(a, 7.5);
         assert_eq!(r.capacity(a), 7.5);
@@ -137,15 +172,31 @@ mod tests {
 
     #[test]
     fn device_port_directions_are_distinct() {
-        let mut r = ResourceRegistry::new();
+        let mut r = ResourceRegistry::new(2);
         let w = r.ensure(ResourceKey::DevicePort { dev: DeviceId(0), to_device: true }, 23.3);
         let rd = r.ensure(ResourceKey::DevicePort { dev: DeviceId(0), to_device: false }, 22.0);
         assert_ne!(w, rd);
     }
 
     #[test]
+    fn fabric_keys_take_dense_slots_and_read_capacity_once() {
+        let mut r = ResourceRegistry::new(2);
+        let e = ResourceKey::Edge(DirectedEdge::new(NodeId(1), NodeId(0)));
+        let a = r.ensure_with(e, || 4.0);
+        let b = r.ensure_with(e, || unreachable!("registered already"));
+        assert_eq!(a, b);
+        assert_eq!(r.get(e), Some(a));
+        assert_eq!(r.get(ResourceKey::Edge(DirectedEdge::new(NodeId(0), NodeId(1)))), None);
+        // Keys outside the host fall back to the hash map.
+        let far = ResourceKey::NodeCopy(NodeId(5));
+        assert_eq!(r.get(far), None);
+        let c = r.ensure(far, 1.0);
+        assert_eq!((r.get(far), r.capacities()), (Some(c), &[4.0, 1.0][..]));
+    }
+
+    #[test]
     fn get_finds_registered_only() {
-        let mut r = ResourceRegistry::new();
+        let mut r = ResourceRegistry::new(2);
         assert!(r.get(ResourceKey::Custom(5)).is_none());
         let h = r.ensure(ResourceKey::Custom(5), 1.0);
         assert_eq!(r.get(ResourceKey::Custom(5)), Some(h));

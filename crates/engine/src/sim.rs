@@ -5,8 +5,9 @@
 use crate::flow::{FlowId, FlowResult, FlowSpec};
 use crate::jitter::{JitterCfg, JitterState};
 use crate::resources::{ResourceHandle, ResourceKey, ResourceRegistry};
+use crate::schedule::{Event, Schedule};
 use crate::workload::Workload;
-use numa_fabric::{Fabric, MaxMinSolver, TrafficClass};
+use numa_fabric::{AllocError, Fabric, MaxMinSolver, TrafficClass};
 use numa_topology::NodeId;
 
 /// Simulation failure modes.
@@ -39,6 +40,10 @@ pub enum SimError {
         /// What the fault layer reported.
         reason: String,
     },
+    /// The lowered flows break a max-min solver precondition, e.g. a
+    /// registered resource with a negative or NaN capacity (flow and
+    /// resource indices are [`FlowId`] and [`ResourceHandle`] indices).
+    Alloc(AllocError),
 }
 
 impl std::fmt::Display for SimError {
@@ -54,6 +59,7 @@ impl std::fmt::Display for SimError {
                 write!(f, "workload flow {index} arrives at a non-finite time")
             }
             SimError::Faults { reason } => write!(f, "fault plan failed: {reason}"),
+            SimError::Alloc(e) => write!(f, "invalid allocation input: {e}"),
         }
     }
 }
@@ -141,19 +147,6 @@ impl SimReport {
     }
 }
 
-/// A capacity change applied to one resource at a fixed simulation time —
-/// the mechanism behind fault injection (link throttles, IRQ storms,
-/// device stalls) and healing.
-#[derive(Debug, Clone)]
-struct CapEvent {
-    at_s: f64,
-    h: ResourceHandle,
-    cap: f64,
-    /// Event name emitted through the obs handle when the change fires
-    /// (e.g. `fault_injected` / `fault_healed`).
-    tag: String,
-}
-
 /// A simulation over one fabric: explicit flows, [`Workload`]s, fault
 /// sources and an observability handle, built up and then run.
 ///
@@ -169,7 +162,8 @@ pub struct Simulation<'f> {
     faults: Vec<Box<dyn FaultSource + 'f>>,
     jitter: JitterCfg,
     obs: Option<numa_obs::Obs>,
-    cap_events: Vec<CapEvent>,
+    /// Scheduled capacity changes; the run adds the arrivals and jitter.
+    calendar: Schedule,
 }
 
 impl<'f> Simulation<'f> {
@@ -177,13 +171,13 @@ impl<'f> Simulation<'f> {
     pub fn new(fabric: &'f Fabric) -> Self {
         Simulation {
             fabric,
-            registry: ResourceRegistry::new(),
+            registry: ResourceRegistry::new(fabric.num_nodes()),
             flows: Vec::new(),
             workloads: Vec::new(),
             faults: Vec::new(),
             jitter: JitterCfg::none(),
             obs: None,
-            cap_events: Vec::new(),
+            calendar: Schedule::new(),
         }
     }
 
@@ -278,7 +272,8 @@ impl<'f> Simulation<'f> {
     pub fn schedule_capacity_as(&mut self, h: ResourceHandle, at_s: f64, cap: f64, event: &str) {
         assert!(at_s.is_finite() && at_s >= 0.0, "capacity event time must be finite and >= 0");
         assert!(cap >= 0.0, "capacity must be non-negative");
-        self.cap_events.push(CapEvent { at_s, h, cap, tag: event.to_string() });
+        let tag = event.to_string();
+        self.calendar.push(at_s, Event::CapacityChange { resource: h, cap_gbps: cap, tag });
     }
 
     /// Add a flow; returns its id. The flow becomes active at its
@@ -286,23 +281,23 @@ impl<'f> Simulation<'f> {
     /// competes from simulation start). Ids are assigned before workload
     /// flows, which materialize when the simulation starts.
     pub fn add_flow(&mut self, spec: FlowSpec) -> FlowId {
-        assert!(spec.volume_gbit > 0.0, "flow volume must be positive");
-        assert!(
-            spec.arrival_s.is_finite() && spec.arrival_s >= 0.0,
-            "flow arrival must be finite and >= 0"
-        );
+        check_flow(&spec);
         self.flows.push(spec);
         FlowId(self.flows.len() as u32 - 1)
     }
 
     /// The shared start of every run and analysis view: materialize the
-    /// workloads after the explicit flows, check every endpoint against
-    /// the fabric (lowering indexes per-node tables and routes with
-    /// them), then arm the fault sources.
+    /// workloads after the explicit flows (the first list is adopted, not
+    /// copied), check every endpoint against the fabric (lowering indexes
+    /// per-node tables and routes with them), then arm the fault sources.
     fn prepare(&mut self) -> Result<(), SimError> {
         for w in std::mem::take(&mut self.workloads) {
-            for flow in w.materialize()? {
-                self.add_flow(flow);
+            let flows = w.materialize()?;
+            flows.iter().for_each(check_flow);
+            if self.flows.is_empty() {
+                self.flows = flows;
+            } else {
+                self.flows.extend(flows);
             }
         }
         let n = self.fabric.num_nodes();
@@ -317,125 +312,94 @@ impl<'f> Simulation<'f> {
         Ok(())
     }
 
-    /// Materialize resource lists and base ceilings for every flow.
-    fn lower_flows(&mut self) -> (Vec<Vec<usize>>, Vec<f64>) {
-        let mut resource_lists = Vec::with_capacity(self.flows.len());
-        let mut base_ceilings = Vec::with_capacity(self.flows.len());
-        // Split borrows: the fabric reference is independent of registry.
+    /// Lower every flow straight into one validated solver, in flow
+    /// order, and return it with each flow's base ceiling. Each flow lists
+    /// its copy budgets, then its route's edges, then its extra handles,
+    /// each resource once (a handle charged twice, or one that repeats a
+    /// route resource, would otherwise be billed twice). A fabric
+    /// resource's capacity is read when it is first registered.
+    fn lower(&mut self) -> Result<(MaxMinSolver, Vec<f64>), SimError> {
         let fabric = self.fabric;
+        let registry = &mut self.registry;
+        let mut solver = MaxMinSolver::new(Vec::new());
+        let mut base_ceilings = Vec::with_capacity(self.flows.len());
         for spec in &self.flows {
-            let mut rs: Vec<usize> = Vec::new();
-            match spec.class {
-                TrafficClass::Dma => {
-                    // Shared hardware carries the constraint; a lone flow
-                    // naturally converges to the route min-cut.
-                    if spec.dst == spec.src {
-                        // Local transfer: the node's controller is charged
-                        // once as long as either endpoint is host memory.
-                        if spec.charge_src_copy || spec.charge_dst_copy {
-                            let copy = self.registry.ensure(
-                                ResourceKey::NodeCopy(spec.src),
-                                fabric.node_copy_cap(spec.src),
-                            );
-                            rs.push(copy.index());
-                        }
-                    } else {
-                        if spec.charge_src_copy {
-                            let copy_src = self.registry.ensure(
-                                ResourceKey::NodeCopy(spec.src),
-                                fabric.node_copy_cap(spec.src),
-                            );
-                            rs.push(copy_src.index());
-                        }
-                        if spec.charge_dst_copy {
-                            let copy_dst = self.registry.ensure(
-                                ResourceKey::NodeCopy(spec.dst),
-                                fabric.node_copy_cap(spec.dst),
-                            );
-                            rs.push(copy_dst.index());
-                        }
-                        for e in fabric.routes().route(spec.src, spec.dst).edges() {
-                            let h = self.registry.ensure(
-                                ResourceKey::Edge(e),
-                                fabric.edge_capacity(e, TrafficClass::Dma),
-                            );
-                            rs.push(h.index());
-                        }
-                    }
-                    // Degenerate but legal: a fully device-side flow with
-                    // no shared resources and no finite ceiling still needs
-                    // a bound for the allocator's invariant.
-                    if rs.is_empty()
-                        && spec.extra_resources.is_empty()
-                        && spec.ceiling_gbps.is_infinite()
-                    {
-                        base_ceilings.push(fabric.dma_path_bandwidth(spec.src, spec.dst));
-                    } else {
-                        base_ceilings.push(spec.ceiling_gbps);
-                    }
+            let (src, dst) = (spec.src, spec.dst);
+            let local = src == dst;
+            // Shared hardware carries the DMA constraint, so a lone flow
+            // converges to the route min-cut; a local DMA transfer charges
+            // its node's controller once if either end is host memory. The
+            // PIO model is a pairwise table, not a link property: it
+            // becomes the flow ceiling, while the destination controller
+            // and the links still arbitrate contention.
+            let copies = match spec.class {
+                TrafficClass::Dma if local => {
+                    [(spec.charge_src_copy || spec.charge_dst_copy).then_some(src), None]
                 }
-                TrafficClass::Pio => {
-                    // The PIO model is a pairwise table, not a link property:
-                    // it becomes the flow ceiling, while the memory
-                    // controller and links still arbitrate contention.
-                    let copy_dst = self.registry.ensure(
-                        ResourceKey::NodeCopy(spec.dst),
-                        fabric.node_copy_cap(spec.dst),
-                    );
-                    rs.push(copy_dst.index());
-                    if spec.dst != spec.src {
-                        for e in fabric.routes().route(spec.src, spec.dst).edges() {
-                            let h = self.registry.ensure(
-                                ResourceKey::Edge(e),
-                                fabric.edge_capacity(e, TrafficClass::Dma),
-                            );
-                            rs.push(h.index());
-                        }
-                    }
-                    let pio = fabric.pio_bandwidth(spec.src, spec.dst);
-                    base_ceilings.push(spec.ceiling_gbps.min(pio));
+                TrafficClass::Dma => {
+                    [spec.charge_src_copy.then_some(src), spec.charge_dst_copy.then_some(dst)]
+                }
+                TrafficClass::Pio => [Some(dst), None],
+            };
+            for v in copies.into_iter().flatten() {
+                let h = registry.ensure_with(ResourceKey::NodeCopy(v), || fabric.node_copy_cap(v));
+                solver.push_resource_once(h.index());
+            }
+            if !local {
+                for e in fabric.routes().route(src, dst).edges() {
+                    let cap = || fabric.edge_capacity(e, TrafficClass::Dma);
+                    let h = registry.ensure_with(ResourceKey::Edge(e), cap);
+                    solver.push_resource_once(h.index());
                 }
             }
             for h in &spec.extra_resources {
-                rs.push(h.index());
+                solver.push_resource_once(h.index());
             }
-            // Canonicalize: the solver charges a resource once per
-            // listing, so a handle passed to `charge` twice (or
-            // duplicating a route resource) would silently double-bill.
-            // Within the engine "uses the resource" is a set property;
-            // keep the first occurrence of each index.
-            let mut canon = Vec::with_capacity(rs.len());
-            for r in rs {
-                if !canon.contains(&r) {
-                    canon.push(r);
+            let ceiling = match spec.class {
+                // Degenerate but legal: a fully device-side local flow with
+                // no shared resources and no finite ceiling still needs a
+                // bound for the allocator's invariant.
+                TrafficClass::Dma
+                    if copies == [None, None]
+                        && local
+                        && spec.extra_resources.is_empty()
+                        && spec.ceiling_gbps.is_infinite() =>
+                {
+                    fabric.dma_path_bandwidth(src, dst)
                 }
+                TrafficClass::Dma => spec.ceiling_gbps,
+                TrafficClass::Pio => spec.ceiling_gbps.min(fabric.pio_bandwidth(src, dst)),
+            };
+            solver.close_flow(ceiling, spec.weight);
+            base_ceilings.push(ceiling);
+        }
+        solver.set_capacities(registry.capacities().to_vec());
+        solver.validate().map_err(SimError::Alloc)?;
+        Ok((solver, base_ceilings))
+    }
+
+    /// Each flow's isolated-rate bound: its base ceiling when finite, else
+    /// its path bandwidth on the idle fabric. It scales jitter and is the
+    /// slowdown's denominator. DMA path bandwidths are kept per ordered
+    /// node pair, so each route is walked at most once.
+    fn isolated_bounds(&self, base_ceilings: &[f64]) -> Vec<f64> {
+        let n = self.fabric.num_nodes();
+        let mut dma = Vec::new();
+        let bound = |(s, &ceiling): (&FlowSpec, &f64)| match s.class {
+            _ if ceiling.is_finite() => ceiling,
+            TrafficClass::Pio => self.fabric.pio_bandwidth(s.src, s.dst),
+            TrafficClass::Dma => {
+                if dma.is_empty() {
+                    dma = vec![f64::NAN; n * n];
+                }
+                let slot = &mut dma[s.src.index() * n + s.dst.index()];
+                if slot.is_nan() {
+                    *slot = self.fabric.dma_path_bandwidth(s.src, s.dst);
+                }
+                *slot
             }
-            resource_lists.push(canon);
-        }
-        (resource_lists, base_ceilings)
-    }
-
-    /// Build a validated solver over the current registry capacities and
-    /// the lowered flow set. Shared by the event loop (which retunes
-    /// ceilings between solves) and the one-shot analysis views.
-    fn solver_for(&self, resource_lists: &[Vec<usize>], base_ceilings: &[f64]) -> MaxMinSolver {
-        let mut solver = MaxMinSolver::new(self.registry.capacities().to_vec());
-        for ((rs, &c), spec) in resource_lists.iter().zip(base_ceilings).zip(&self.flows) {
-            solver.add_flow(rs, c, spec.weight);
-        }
-        solver.validate();
-        solver
-    }
-
-    /// Jitter needs a finite scale even for uncapped flows; use the
-    /// uncontended path bandwidth.
-    fn jitter_base(&self, i: usize, base_ceiling: f64) -> f64 {
-        if base_ceiling.is_finite() {
-            base_ceiling
-        } else {
-            let s = &self.flows[i];
-            self.fabric.path_bandwidth(s.src, s.dst, s.class)
-        }
+        };
+        self.flows.iter().zip(base_ceilings).map(bound).collect()
     }
 
     /// Instantaneous max-min rates with all flows (explicit and
@@ -443,8 +407,7 @@ impl<'f> Simulation<'f> {
     /// steady-state allocation.
     pub fn steady_rates(mut self) -> Result<Vec<f64>, SimError> {
         self.prepare()?;
-        let (resource_lists, base_ceilings) = self.lower_flows();
-        let mut solver = self.solver_for(&resource_lists, &base_ceilings);
+        let (mut solver, _) = self.lower()?;
         Ok(solver.solve().to_vec())
     }
 
@@ -454,14 +417,11 @@ impl<'f> Simulation<'f> {
     /// entries are the hardware a placement change must relieve.
     pub fn bottlenecks(mut self) -> Result<Vec<(ResourceKey, f64, f64, f64)>, SimError> {
         self.prepare()?;
-        // Lower once; the same lists feed both the solve and the
-        // per-resource usage sums.
-        let (resource_lists, base_ceilings) = self.lower_flows();
-        let mut solver = self.solver_for(&resource_lists, &base_ceilings);
-        let rates = solver.solve().to_vec();
+        let (mut solver, _) = self.lower()?;
+        solver.solve();
         let mut used = vec![0.0_f64; self.registry.len()];
-        for (rs, &rate) in resource_lists.iter().zip(&rates) {
-            for &r in rs {
+        for (i, &rate) in solver.rates().iter().enumerate() {
+            for &r in solver.resources(i) {
                 used[r] += rate;
             }
         }
@@ -479,60 +439,48 @@ impl<'f> Simulation<'f> {
 
     /// Run to completion.
     pub fn run(mut self) -> Result<SimReport, SimError> {
-        use crate::schedule::{Event, Schedule};
-
         self.prepare()?;
         if self.flows.is_empty() {
             return Err(SimError::NoFlows);
         }
-        let (resource_lists, base_ceilings) = self.lower_flows();
-        let n = self.flows.len();
         // Lower into the solver once; between rounds only ceilings move
         // (jitter multipliers, 0.0 for completed or not-yet-arrived flows
         // — the active mask), so every round after the first solves with
         // zero heap allocation instead of rebuilding a MaxMinProblem.
-        let mut solver = self.solver_for(&resource_lists, &base_ceilings);
-        let mut remaining: Vec<f64> = self.flows.iter().map(|f| f.volume_gbit).collect();
+        let (mut solver, base_ceilings) = self.lower()?;
+        let n = self.flows.len();
+        let bounds = self.isolated_bounds(&base_ceilings);
         let mut finish = vec![0.0_f64; n];
         let mut jitter = JitterState::new(self.jitter, n);
         let jitter_enabled = !self.jitter.is_none();
-        // Jitter scales are fixed per flow; compute them once.
-        let jitter_bases: Vec<f64> = if jitter_enabled {
-            (0..n).map(|i| self.jitter_base(i, base_ceilings[i])).collect()
-        } else {
-            Vec::new()
-        };
 
-        // The event calendar holds every exogenous event: flow arrivals,
-        // scheduled capacity changes, jitter ticks. Completions stay
-        // endogenous (derived from `remaining / rate` each round, since a
-        // completion time moves whenever the allocation changes).
-        let mut calendar = Schedule::new();
-        // A flow with a future arrival is lowered into the solver up
-        // front but held at a zero ceiling — the same deactivation used
-        // for completed flows — until its arrival event fires. Every
-        // per-round loop walks only `live` (arrived, unfinished flows,
-        // ascending), so a round costs O(live flows), not O(all flows).
-        let mut live: Vec<usize> = Vec::with_capacity(n);
-        let mut pending = 0usize;
-        for i in 0..n {
-            if self.flows[i].arrival_s > 0.0 {
-                pending += 1;
-                solver.set_ceiling(i, 0.0);
-                calendar.push(self.flows[i].arrival_s, Event::FlowArrival { flow: FlowId(i as u32) });
+        // The event calendar yields every exogenous event: flow arrivals
+        // (a sorted cursor, not heap entries), scheduled capacity changes
+        // and jitter ticks. Completions stay endogenous (derived from
+        // `remaining / rate` each round, since a completion time moves
+        // whenever the allocation changes). A flow with a future arrival
+        // is switched off in the solver, all in one pass — the same
+        // deactivation used for completed flows — until its arrival
+        // fires. Every per-round loop walks only `live` (arrived,
+        // unfinished flows, ascending), so a round costs O(live flows),
+        // not O(all flows).
+        solver.switch_off(|i| self.flows[i].arrival_s > 0.0);
+        let mut remaining = Vec::with_capacity(n);
+        let (mut live, mut arrivals) = (Vec::new(), Vec::new());
+        for (i, f) in self.flows.iter().enumerate() {
+            remaining.push(f.volume_gbit);
+            if f.arrival_s > 0.0 {
+                arrivals.push((f.arrival_s, FlowId(i as u32)));
             } else {
                 live.push(i);
             }
         }
-        // Scheduled capacity changes go into the same calendar; same-time
+        let mut pending = arrivals.len();
+        // Scheduled capacity changes are already in the calendar; same-time
         // entries keep insertion order, so seeded fault plans replay
         // exactly.
-        for ev in std::mem::take(&mut self.cap_events) {
-            calendar.push(
-                ev.at_s,
-                Event::CapacityChange { resource: ev.h, cap_gbps: ev.cap, tag: ev.tag },
-            );
-        }
+        let mut calendar = std::mem::take(&mut self.calendar);
+        calendar.set_arrivals(arrivals);
         if jitter_enabled {
             calendar.push(jitter.refresh_s(), Event::JitterTick);
         }
@@ -546,7 +494,7 @@ impl<'f> Simulation<'f> {
             // Allocate rates for the live set.
             if jitter_enabled {
                 for &i in &live {
-                    solver.set_ceiling(i, jitter_bases[i] * jitter.multiplier(i));
+                    solver.set_ceiling(i, bounds[i] * jitter.multiplier(i));
                 }
             }
             let alloc_span = self.obs.as_ref().map(|o| o.span("engine.alloc_round"));
@@ -681,19 +629,17 @@ impl<'f> Simulation<'f> {
 
         let total_gbit: f64 = self.flows.iter().map(|f| f.volume_gbit).sum();
         let makespan = finish.iter().cloned().fold(0.0, f64::max);
-        let flows: Vec<FlowResult> = self
-            .flows
-            .iter()
+        let flows: Vec<FlowResult> = std::mem::take(&mut self.flows)
+            .into_iter()
             .enumerate()
             .map(|(i, f)| {
                 let fct = finish[i] - f.arrival_s;
                 // Isolated lower bound: the rate the flow would see alone
-                // on an idle fabric (finite ceiling, else the path
-                // min-cut) — the denominator of the slowdown metric.
-                let ideal = self.jitter_base(i, base_ceilings[i]);
+                // on an idle fabric — the denominator of the slowdown.
+                let ideal = bounds[i];
                 FlowResult {
                     id: FlowId(i as u32),
-                    label: f.label.clone(),
+                    label: f.label,
                     volume_gbit: f.volume_gbit,
                     start_s: f.arrival_s,
                     finish_s: finish[i],
@@ -718,6 +664,15 @@ impl<'f> Simulation<'f> {
             mean_slowdown: fct.mean_slowdown,
         })
     }
+}
+
+/// The preconditions every flow meets before it is lowered.
+fn check_flow(spec: &FlowSpec) {
+    assert!(spec.volume_gbit > 0.0, "flow volume must be positive");
+    assert!(
+        spec.arrival_s.is_finite() && spec.arrival_s >= 0.0,
+        "flow arrival must be finite and >= 0"
+    );
 }
 
 impl std::fmt::Debug for Simulation<'_> {
@@ -913,6 +868,32 @@ mod tests {
     }
 
     #[test]
+    fn invalid_solver_input_is_a_typed_error() {
+        let f = fabric();
+        for cap in [-1.0, f64::NAN] {
+            let build = || {
+                let mut sim = Simulation::new(&f);
+                let port = sim.register(ResourceKey::Custom(0), cap);
+                sim.add_flow(FlowSpec::dma(NodeId(6), NodeId(7)).gbits(1.0).charge(port));
+                sim
+            };
+            let bad_port = |e: SimError| match e {
+                SimError::Alloc(AllocError::BadCapacity(0, c)) => c.total_cmp(&cap).is_eq(),
+                _ => false,
+            };
+            assert!(bad_port(build().run().unwrap_err()));
+            assert!(bad_port(build().steady_rates().unwrap_err()));
+            assert!(bad_port(build().bottlenecks().unwrap_err()));
+        }
+        let err = Simulation::new(&f)
+            .flows([FlowSpec::dma(NodeId(6), NodeId(7)).gbits(1.0).ceiling(-2.0).arrival(1.0)])
+            .run()
+            .unwrap_err();
+        assert_eq!(err, SimError::Alloc(AllocError::BadCeiling(0, -2.0)));
+        assert!(err.to_string().contains("flow 0 has negative ceiling"), "{err}");
+    }
+
+    #[test]
     fn bottleneck_report_finds_the_shared_edge() {
         let f = fabric();
         let mut sim = Simulation::new(&f);
@@ -1091,6 +1072,32 @@ mod tests {
         let jsonl = obs.jsonl();
         assert!(jsonl.contains("\"ev\":\"fault_injected\""), "{jsonl}");
         assert!(jsonl.contains("\"ev\":\"fault_healed\""), "{jsonl}");
+    }
+
+    #[test]
+    fn same_instant_events_fire_jitter_then_arrival_then_capacity() {
+        let f = fabric();
+        let obs = numa_obs::Obs::new();
+        let mut sim = Simulation::new(&f)
+            .jitter(JitterCfg { amplitude: 0.05, refresh_s: 0.5, seed: 1 })
+            .observe(obs.clone());
+        let e = numa_topology::DirectedEdge::new(NodeId(6), NodeId(7));
+        let h = sim.register(ResourceKey::Edge(e), 46.5);
+        // Scheduled before the flows and the jitter tick, and "second"
+        // before "first": only the kind rank and then insertion order
+        // decide.
+        sim.schedule_capacity_as(h, 0.5, 20.0, "second");
+        sim.schedule_capacity_as(h, 0.5, 30.0, "first");
+        sim.add_flow(FlowSpec::dma(NodeId(6), NodeId(7)).gbits(100.0));
+        sim.add_flow(FlowSpec::dma(NodeId(4), NodeId(7)).gbits(10.0).arrival(0.5));
+        sim.run().unwrap();
+        let at_half: Vec<String> = obs
+            .events()
+            .iter()
+            .filter(|e| e.time_s == 0.5 && e.name != "alloc_round")
+            .map(|e| e.name.clone())
+            .collect();
+        assert_eq!(at_half, ["jitter_refresh", "flow_arrived", "second", "first"]);
     }
 
     #[test]

@@ -78,6 +78,41 @@ impl FlowSpec {
     }
 }
 
+/// A solver precondition that [`MaxMinSolver::validate`] found broken.
+/// `Display` gives the messages [`solve_max_min`] panics with.
+#[derive(Debug, Clone, PartialEq)]
+pub enum AllocError {
+    /// Flow `.0` has neither a finite ceiling nor a resource, so its fair
+    /// rate would be unbounded.
+    Unbounded(usize),
+    /// Flow `.0` has a negative or NaN ceiling, `.1`.
+    BadCeiling(usize, f64),
+    /// Flow `.0` has a weight that is not positive and finite, `.1`.
+    BadWeight(usize, f64),
+    /// Flow `.0` lists resource index `.1`, past the last resource.
+    UnknownResource(usize, usize),
+    /// Resource `.0` has a negative or NaN capacity, `.1`.
+    BadCapacity(usize, f64),
+}
+
+impl std::fmt::Display for AllocError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            AllocError::Unbounded(i) => {
+                write!(f, "flow {i} is unbounded: no ceiling and no resources")
+            }
+            AllocError::BadCeiling(i, _) => write!(f, "flow {i} has negative ceiling"),
+            AllocError::BadWeight(i, _) => write!(f, "flow {i} has non-positive weight"),
+            AllocError::UnknownResource(i, r) => {
+                write!(f, "flow {i} references resource {r} out of range")
+            }
+            AllocError::BadCapacity(r, _) => write!(f, "resource {r} has negative capacity"),
+        }
+    }
+}
+
+impl std::error::Error for AllocError {}
+
 /// A max-min fairness problem instance.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MaxMinProblem {
@@ -198,6 +233,20 @@ impl MaxMinSolver {
     /// listing — see the module docs); returns its index.
     pub fn add_flow(&mut self, resources: &[usize], ceiling: f64, weight: f64) -> usize {
         self.res_idx.extend_from_slice(resources);
+        self.close_flow(ceiling, weight)
+    }
+
+    /// List resource `r` on the flow being lowered in place (ended by
+    /// [`close_flow`](Self::close_flow)) unless it already lists `r`.
+    pub fn push_resource_once(&mut self, r: usize) {
+        if !self.res_idx[self.res_off[self.res_off.len() - 1]..].contains(&r) {
+            self.res_idx.push(r);
+        }
+    }
+
+    /// End the flow being lowered in place: it uses every resource
+    /// pushed since the previous flow ended. Returns its index.
+    pub fn close_flow(&mut self, ceiling: f64, weight: f64) -> usize {
         self.res_off.push(self.res_idx.len());
         self.ceilings.push(ceiling);
         self.weights.push(weight);
@@ -216,29 +265,35 @@ impl MaxMinSolver {
     ///   (otherwise its fair rate would be unbounded);
     /// * capacities and ceilings are non-negative, weights positive.
     ///
-    /// Panics on violation with the same messages the one-shot
-    /// [`solve_max_min`] has always used. [`solve`](Self::solve) assumes
-    /// these hold and only `debug_assert`s.
-    pub fn validate(&self) {
+    /// Returns the first violation, flows before resources.
+    /// [`solve`](Self::solve) assumes these hold and only `debug_assert`s.
+    pub fn validate(&self) -> Result<(), AllocError> {
         let nr = self.capacities.len();
-        for i in 0..self.num_flows() {
-            let resources = &self.res_idx[self.res_off[i]..self.res_off[i + 1]];
-            assert!(
-                self.ceilings[i].is_finite() || !resources.is_empty(),
-                "flow {i} is unbounded: no ceiling and no resources"
-            );
-            assert!(self.ceilings[i] >= 0.0, "flow {i} has negative ceiling");
-            assert!(
-                self.weights[i] > 0.0 && self.weights[i].is_finite(),
-                "flow {i} has non-positive weight"
-            );
-            for &r in resources {
-                assert!(r < nr, "flow {i} references resource {r} out of range");
+        for flow in 0..self.num_flows() {
+            let (ceiling, weight) = (self.ceilings[flow], self.weights[flow]);
+            let resources = self.resources(flow);
+            if !ceiling.is_finite() && resources.is_empty() {
+                return Err(AllocError::Unbounded(flow));
+            }
+            if ceiling.is_nan() || ceiling < 0.0 {
+                return Err(AllocError::BadCeiling(flow, ceiling));
+            }
+            if weight <= 0.0 || !weight.is_finite() {
+                return Err(AllocError::BadWeight(flow, weight));
+            }
+            if let Some(&r) = resources.iter().find(|&&r| r >= nr) {
+                return Err(AllocError::UnknownResource(flow, r));
             }
         }
-        for (r, &c) in self.capacities.iter().enumerate() {
-            assert!(c >= 0.0, "resource {r} has negative capacity");
+        match self.capacities.iter().position(|&c| c.is_nan() || c < 0.0) {
+            Some(r) => Err(AllocError::BadCapacity(r, self.capacities[r])),
+            None => Ok(()),
         }
+    }
+
+    /// The resources flow `flow` is charged on, as lowered.
+    pub fn resources(&self, flow: usize) -> &[usize] {
+        &self.res_idx[self.res_off[flow]..self.res_off[flow + 1]]
     }
 
     /// Number of flows lowered into the solver.
@@ -277,9 +332,27 @@ impl MaxMinSolver {
         }
     }
 
+    /// Switch off every flow `off` selects in one pass, as
+    /// [`set_ceiling`](Self::set_ceiling)`(flow, 0.0)` would one at a time.
+    pub fn switch_off(&mut self, off: impl Fn(usize) -> bool) {
+        self.on.retain(|&i| !off(i));
+        for i in (0..self.ceilings.len()).filter(|&i| off(i)) {
+            (self.ceilings[i], self.rate[i]) = (0.0, 0.0);
+        }
+    }
+
     /// Retune a resource capacity for the next solve.
     pub fn set_capacity(&mut self, resource: usize, cap: f64) {
         self.capacities[resource] = cap;
+    }
+
+    /// Replace the whole resource set; [`validate`](Self::validate) again.
+    pub fn set_capacities(&mut self, capacities: Vec<f64>) {
+        let nr = capacities.len();
+        self.load.resize(nr, 0.0);
+        self.sat.resize(nr, false);
+        self.dirty.resize(nr, false);
+        self.capacities = capacities;
     }
 
     /// The allocation computed by the last [`solve`](Self::solve) (zeros
@@ -435,7 +508,8 @@ impl MaxMinSolver {
 
 /// Solve by progressive filling. Returns one rate per flow.
 ///
-/// Preconditions (checked per call — see [`MaxMinSolver::validate`]):
+/// Preconditions (checked per call, panicking with the violation — see
+/// [`MaxMinSolver::validate`]):
 /// * resource indices are in range;
 /// * every flow has a finite ceiling or at least one resource (otherwise
 ///   its fair rate would be unbounded);
@@ -445,7 +519,9 @@ impl MaxMinSolver {
 /// the same flow set should build the solver once and retune it instead.
 pub fn solve_max_min(problem: &MaxMinProblem) -> Vec<f64> {
     let mut solver = MaxMinSolver::from_problem(problem);
-    solver.validate();
+    if let Err(e) = solver.validate() {
+        panic!("{e}");
+    }
     solver.solve().to_vec()
 }
 
@@ -616,7 +692,7 @@ mod tests {
             ],
         };
         let mut solver = MaxMinSolver::from_problem(&p);
-        solver.validate();
+        solver.validate().unwrap();
         assert_eq!(solver.num_flows(), 3);
         assert_eq!(solver.num_resources(), 2);
         assert_eq!(solver.solve(), solve_max_min(&p).as_slice());
@@ -633,7 +709,7 @@ mod tests {
             ],
         };
         let mut solver = MaxMinSolver::from_problem(&p);
-        solver.validate();
+        solver.validate().unwrap();
         // Sweep one flow's ceiling across re-solves; every retuned solve
         // must equal a from-scratch solve of the retuned problem.
         for ceiling in [9.0, 4.0, 0.0, 17.5, 0.25] {
@@ -650,7 +726,7 @@ mod tests {
             flows: vec![FlowSpec::shared(vec![0]), FlowSpec::shared(vec![0])],
         };
         let mut solver = MaxMinSolver::from_problem(&p);
-        solver.validate();
+        solver.validate().unwrap();
         assert_eq!(solver.solve(), &[6.0, 6.0]);
         solver.set_ceiling(0, 0.0);
         assert_eq!(solver.solve(), &[0.0, 12.0], "deactivated flow charges nothing");
@@ -666,11 +742,48 @@ mod tests {
             flows: vec![FlowSpec::shared(vec![0])],
         };
         let mut solver = MaxMinSolver::from_problem(&p);
-        solver.validate();
+        solver.validate().unwrap();
         assert_eq!(solver.solve(), &[10.0]);
         solver.set_capacity(0, 4.0);
         assert_eq!(solver.solve(), &[4.0]);
         assert_eq!(solver.ceiling(0), f64::INFINITY);
+    }
+
+    #[test]
+    fn validate_reports_the_first_violation() {
+        let mut s = MaxMinSolver::new(vec![f64::NAN]);
+        s.add_flow(&[0], f64::INFINITY, 1.0);
+        assert!(matches!(s.validate(), Err(AllocError::BadCapacity(0, c)) if c.is_nan()));
+        s.add_flow(&[], f64::INFINITY, 1.0);
+        assert_eq!(s.validate(), Err(AllocError::Unbounded(1)));
+        assert_eq!(
+            AllocError::Unbounded(1).to_string(),
+            "flow 1 is unbounded: no ceiling and no resources"
+        );
+    }
+
+    #[test]
+    fn in_place_lowering_matches_from_problem() {
+        let p = MaxMinProblem {
+            capacities: vec![12.0, 30.0],
+            flows: vec![FlowSpec::shared(vec![0, 1]), FlowSpec::capped(vec![1], 25.0)],
+        };
+        // Lowered before the capacities are known, with a repeat that
+        // `push_resource_once` drops.
+        let mut s = MaxMinSolver::new(Vec::new());
+        for r in [0, 1, 0] {
+            s.push_resource_once(r);
+        }
+        s.close_flow(f64::INFINITY, 1.0);
+        s.push_resource_once(1);
+        s.close_flow(25.0, 1.0);
+        s.set_capacities(p.capacities.clone());
+        s.validate().unwrap();
+        assert_eq!(s.resources(0), &[0, 1]);
+        assert_eq!(s.solve(), solve_max_min(&p).as_slice());
+        s.switch_off(|i| i == 0);
+        assert_eq!((s.ceiling(0), s.rates()[0]), (0.0, 0.0));
+        assert_eq!(s.solve(), &[0.0, 25.0]);
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub mod fabric;
 pub mod latency;
 pub mod traffic;
 
-pub use allocator::{solve_max_min, FlowSpec, MaxMinProblem, MaxMinSolver};
+pub use allocator::{solve_max_min, AllocError, FlowSpec, MaxMinProblem, MaxMinSolver};
 pub use fabric::{CapChange, Fabric, FabricBuilder, FabricError, PioModel};
 
 pub use latency::{numa_factor, LatencyModel};

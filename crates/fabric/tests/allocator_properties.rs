@@ -308,7 +308,7 @@ fn solver_reuse_is_bit_identical_across_ceiling_retunes() {
             })
             .collect();
         let mut solver = MaxMinSolver::from_problem(&p);
-        solver.validate();
+        solver.validate().unwrap();
         let mut q = p.clone();
         // First solve, then retune ceilings a few at a time: every reused
         // solve must equal a from-scratch reference solve of the retuned
@@ -377,7 +377,7 @@ fn sparse_activity_solver_reuse_is_bit_identical() {
         } else {
             MaxMinSolver::from_problem(&q)
         };
-        solver.validate();
+        solver.validate().unwrap();
         // Flows still to arrive, in index order, and the live ones.
         let mut pending: Vec<usize> = (0..p.flows.len()).collect();
         let mut live: Vec<usize> = Vec::new();

@@ -101,7 +101,8 @@ impl JobSpec {
     }
 
     /// The node the job's buffers land on: explicit bind target, else the
-    /// CPU node (local-preferred with ample memory).
+    /// CPU node (local-preferred with ample memory). Panics on an empty
+    /// interleave list, which `run_jobs` rejects as a typed error first.
     pub fn buffer_node(&self) -> NodeId {
         match &self.mem_policy {
             MemPolicy::Bind(n) | MemPolicy::Preferred(n) => *n,

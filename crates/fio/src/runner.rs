@@ -24,6 +24,19 @@ pub enum FioError {
         /// The out-of-range node.
         node: NodeId,
     },
+    /// Job `job` interleaves its buffers over an empty node list.
+    EmptyInterleave {
+        /// Index of the offending job in the submission.
+        job: usize,
+    },
+    /// Job `job` moves a size that is not a positive, finite number of
+    /// gigabytes.
+    BadSize {
+        /// Index of the offending job in the submission.
+        job: usize,
+        /// The rejected size.
+        gbytes: f64,
+    },
     /// The underlying simulation failed.
     Sim(SimError),
 }
@@ -36,6 +49,12 @@ impl std::fmt::Display for FioError {
             FioError::NoSsd => write!(f, "host has no SSDs"),
             FioError::UnknownNode { job, node } => {
                 write!(f, "job {job} names node {node}, which the host does not have")
+            }
+            FioError::EmptyInterleave { job } => {
+                write!(f, "job {job} interleaves its buffers over no nodes")
+            }
+            FioError::BadSize { job, gbytes } => {
+                write!(f, "job {job} has size {gbytes} GB; it must be positive and finite")
             }
             FioError::Sim(e) => write!(f, "simulation failed: {e}"),
         }
@@ -100,6 +119,12 @@ pub fn build_sim_with<'f>(
         return Err(FioError::NoJobs);
     }
     for (job, spec) in jobs.iter().enumerate() {
+        if spec.size_gbytes <= 0.0 || !spec.size_gbytes.is_finite() {
+            return Err(FioError::BadSize { job, gbytes: spec.size_gbytes });
+        }
+        if matches!(&spec.mem_policy, numa_memsys::MemPolicy::Interleave(n) if n.is_empty()) {
+            return Err(FioError::EmptyInterleave { job });
+        }
         for node in [spec.bind, spec.buffer_node()] {
             if node.index() >= fabric.num_nodes() {
                 return Err(FioError::UnknownNode { job, node });
@@ -618,6 +643,29 @@ mod tests {
         assert_eq!(err, FioError::NoNic);
         let err = run_jobs(&bare, &[JobSpec::ssd(true, NodeId(0))]).unwrap_err();
         assert_eq!(err, FioError::NoSsd);
+    }
+
+    #[test]
+    fn empty_interleave_list_is_a_typed_error() {
+        let f = fabric();
+        let ok = JobSpec::nic(NicOp::TcpSend, NodeId(7));
+        let empty = JobSpec::ssd(true, NodeId(3))
+            .mem_policy(numa_memsys::MemPolicy::Interleave(Vec::new()));
+        let want = FioError::EmptyInterleave { job: 1 };
+        assert_eq!(run_jobs(&f, &[ok.clone(), empty.clone()]).unwrap_err(), want);
+        assert_eq!(steady_job_rates(&f, &[ok, empty]).unwrap_err(), want);
+    }
+
+    #[test]
+    fn non_positive_or_nan_size_is_a_typed_error() {
+        let f = fabric();
+        for gbytes in [0.0, -2.0, f64::NAN] {
+            let job = JobSpec::nic(NicOp::RdmaWrite, NodeId(3)).size_gbytes(gbytes);
+            match run_jobs(&f, &[job]).unwrap_err() {
+                FioError::BadSize { job: 0, gbytes: g } => assert!(g.total_cmp(&gbytes).is_eq()),
+                other => panic!("size {gbytes}: {other:?}"),
+            }
+        }
     }
 
     #[test]

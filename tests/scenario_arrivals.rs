@@ -8,8 +8,10 @@
 //! [`Workload`] reproduces the `add_flow` output bit-for-bit.
 
 use numio::core::SimPlatform;
-use numio::engine::{FlowSpec, Simulation, Workload};
-use numio::topology::NodeId;
+use numio::engine::{FlowSpec, ResourceKey, SimReport, Simulation, Workload};
+use numio::fabric::TrafficClass;
+use numio::topology::{DirectedEdge, NodeId};
+use numa_par::rng::{fnv1a64, FNV1A64_INIT};
 
 /// A mixed-template open-loop workload with enough flows to exercise
 /// overlapping arrivals, completions and regime changes.
@@ -118,11 +120,38 @@ fn closed_loop_batch_matches_legacy_simulation_bitwise() {
     assert_eq!(legacy.fct_digest(), via_batch.fct_digest());
 }
 
+/// Order-sensitive FNV-1a digest over every field of a report: each
+/// flow's id, label, volume, start, finish, FCT, mean rate and slowdown,
+/// then the run totals. `fct_digest` hashes FCTs only, so it would miss a
+/// changed slowdown bound or a lost label.
+fn report_digest(report: &SimReport) -> u64 {
+    let bits = |h: u64, x: f64| fnv1a64(h, &x.to_bits().to_le_bytes());
+    let mut h = FNV1A64_INIT;
+    for f in &report.flows {
+        h = fnv1a64(h, &f.id.0.to_le_bytes());
+        h = fnv1a64(h, &(f.label.len() as u64).to_le_bytes());
+        h = fnv1a64(h, f.label.as_bytes());
+        for x in [f.volume_gbit, f.start_s, f.finish_s, f.fct_s, f.mean_gbps, f.slowdown] {
+            h = bits(h, x);
+        }
+    }
+    [
+        report.makespan_s,
+        report.aggregate_gbps,
+        report.total_gbit,
+        report.fct_p50_s,
+        report.fct_p99_s,
+        report.mean_slowdown,
+    ]
+    .into_iter()
+    .fold(h, bits)
+}
+
 /// The engine's open-loop anchor: 2000 seeded Poisson flows at 2000/s
-/// into the DL585 fabric land on one fixed FCT digest. A refactor of the
-/// event loop or the max-min solver that moves a single completion time
-/// moves this literal. (At `n=10000` on the same spec the digest is
-/// `61ef087aad8d7541`; that run is too slow for a debug test.)
+/// into the DL585 fabric land on one fixed FCT digest and one fixed
+/// full-report digest. A refactor of the event loop or the max-min
+/// solver that moves a single completion time, rate or slowdown moves
+/// these literals.
 #[test]
 fn poisson_2k_fct_digest_is_pinned() {
     let platform = SimPlatform::dl585();
@@ -130,4 +159,43 @@ fn poisson_2k_fct_digest_is_pinned() {
     let report = Simulation::new(platform.fabric()).workload(workload).run().unwrap();
     assert_eq!(report.flows.len(), 2_000);
     assert_eq!(format!("{:016x}", report.fct_digest()), "b49190345191d944");
+    assert_eq!(format!("{:016x}", report_digest(&report)), "de5b2e1f66f08f48");
+}
+
+/// The same spec at 10k flows. It offers 2000 Gbit/s to a 46.5 Gbit/s
+/// edge, so the live set grows with the flow count and the solve is
+/// quadratic by design; the workspace builds the engine and the solver
+/// optimized even in the dev profile so this runs in seconds.
+#[test]
+fn poisson_10k_fct_digest_is_pinned() {
+    let platform = SimPlatform::dl585();
+    let workload = Workload::parse("poisson:n=10000,rate=2000,seed=42").unwrap();
+    let report = Simulation::new(platform.fabric()).workload(workload).run().unwrap();
+    assert_eq!(report.flows.len(), 10_000);
+    assert_eq!(format!("{:016x}", report.fct_digest()), "61ef087aad8d7541");
+}
+
+/// Bursty bounded-Pareto arrivals from four templates (two weighted, one
+/// local copy) with the 6->7 edge throttled to a fifth of its capacity
+/// and healed: every report field stays pinned.
+#[test]
+fn throttled_pareto_report_digest_is_pinned() {
+    let platform = SimPlatform::dl585();
+    let fabric = platform.fabric();
+    let templates = vec![
+        FlowSpec::dma(NodeId(6), NodeId(7)).gbits(0.05).weight(2.0).label("near"),
+        FlowSpec::dma(NodeId(4), NodeId(7)).gbits(0.075).label("far"),
+        FlowSpec::dma(NodeId(3), NodeId(7)).gbits(0.025).weight(0.5).label("slow"),
+        FlowSpec::pio(NodeId(7), NodeId(7)).gbits(0.05).label("local"),
+    ];
+    let workload = Workload::bounded_pareto(templates, 1500, 1.2, 1e-4, 0.05, 7);
+    let mut sim = Simulation::new(fabric).workload(workload);
+    let e = DirectedEdge::new(NodeId(6), NodeId(7));
+    let full = fabric.edge_capacity(e, TrafficClass::Dma);
+    let h = sim.register(ResourceKey::Edge(e), full);
+    sim.schedule_capacity_as(h, 0.3, full / 5.0, "fault_injected");
+    sim.schedule_capacity_as(h, 0.9, full, "fault_healed");
+    let report = sim.run().unwrap();
+    assert_eq!(report.flows.len(), 1500);
+    assert_eq!(format!("{:016x}", report_digest(&report)), "d143fbcfd5184200");
 }
