@@ -6,7 +6,7 @@ use crate::opts::Opts;
 use numa_fio::JobSpec;
 use numa_iodev::NicModel;
 use numa_topology::NodeId;
-use numio_core::{predict_aggregate, IoModeler, ScheduleAdvisor, TransferMode};
+use numio_core::{predict_aggregate, IoModeler, Platform, ScheduleAdvisor, TransferMode};
 use std::fmt::Write as _;
 
 pub(crate) fn cmd_predict(opts: &Opts) -> Result<String, String> {
@@ -19,7 +19,11 @@ pub(crate) fn cmd_predict(opts: &Opts) -> Result<String, String> {
             .split_once(':')
             .ok_or_else(|| format!("bad mix entry '{part}' (want node:count)"))?;
         let node: u16 = n.parse().map_err(|_| format!("bad node '{n}'"))?;
-        let count: u32 = c.parse().map_err(|_| format!("bad count '{c}'"))?;
+        let count: u32 = c
+            .parse()
+            .ok()
+            .filter(|&c| c > 0)
+            .ok_or_else(|| format!("bad count '{c}'"))?;
         mix.push((NodeId(node), count));
     }
     if mix.is_empty() {
@@ -27,6 +31,10 @@ pub(crate) fn cmd_predict(opts: &Opts) -> Result<String, String> {
     }
 
     let platform = backend::platform_for(opts)?;
+    let nodes = platform.num_nodes();
+    if let Some((node, _)) = mix.iter().find(|(node, _)| node.index() >= nodes) {
+        return Err(format!("--mix node {node} is out of range: the platform has {nodes} nodes"));
+    }
     let mode = if op.to_device() { TransferMode::Write } else { TransferMode::Read };
     let model = IoModeler::new()
         .try_characterize(&platform, target, mode)

@@ -541,6 +541,22 @@ mod tests {
     }
 
     #[test]
+    fn predict_mix_node_out_of_range_is_an_error_naming_it() {
+        let err = run_str(&["predict", "--mix", "99:2"]).unwrap_err();
+        assert!(err.contains("node 99") && err.contains("has 8 nodes"), "{err}");
+        let err = run_str(&["predict", "--mix", "2:2,8:1"]).unwrap_err();
+        assert!(err.contains("node 8"), "{err}");
+    }
+
+    #[test]
+    fn predict_zero_count_is_a_bad_count() {
+        for mix in ["0:0", "2:2,0:0"] {
+            let err = run_str(&["predict", "--mix", mix]).unwrap_err();
+            assert_eq!(err, "bad count '0'");
+        }
+    }
+
+    #[test]
     fn advise_spreads_load() {
         let out = run_str(&["advise", "--tasks", "6"]).unwrap();
         assert!(out.contains("advised placement"));
