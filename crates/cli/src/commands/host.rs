@@ -121,8 +121,7 @@ pub(crate) fn cmd_import(opts: &Opts) -> Result<String, String> {
             samples.iter().enumerate().filter(|(_, s)| s.is_empty()).map(|(i, _)| i).collect();
         return Err(format!("no samples for nodes {missing:?}"));
     }
-    let per_node: Vec<numa_engine::Summary> =
-        samples.iter().map(|s| numa_engine::Summary::from(s)).collect();
+    let per_node = numa_engine::Summary::from_rows(&samples);
     let means: Vec<f64> = per_node.iter().map(|s| s.mean).collect();
     let classes = numio_core::classify(
         &topo,

@@ -157,12 +157,10 @@ impl IoModeler {
             let _probe_span = obs.map(|o| o.span("modeler.probe_node"));
             all_samples.push(platform.try_run_copy(&spec)?);
         }
-        let mut per_node = Vec::with_capacity(n);
-        for (i, samples) in all_samples.iter().enumerate() {
-            let node = NodeId::new(i);
-            let summary = Summary::from(samples);
-            if let Some(o) = obs {
-                let node_label = format!("N{}", node.index());
+        let per_node = Summary::from_rows(&all_samples);
+        if let Some(o) = obs {
+            for (i, (samples, summary)) in all_samples.iter().zip(&per_node).enumerate() {
+                let node_label = format!("N{i}");
                 o.counter(
                     "numio_probes_total",
                     &[("node", node_label.as_str()), ("backend", platform.backend_kind())],
@@ -187,7 +185,6 @@ impl IoModeler {
                     ],
                 );
             }
-            per_node.push(summary);
         }
         let means: Vec<f64> = per_node.iter().map(|s| s.mean).collect();
         let classes = classify(topo, target, &means, self.classify);

@@ -30,22 +30,26 @@ impl Summary {
         if samples.is_empty() {
             return Summary::empty();
         }
-        let n = samples.len();
-        // The mean is taken about the first sample, so identical samples
-        // average to exactly that sample (a plain sum of 100 x 27.3 over
-        // 100 is 27.300000000000022).
-        let first = samples[0];
-        let mut min = f64::INFINITY;
-        let mut max = f64::NEG_INFINITY;
-        let mut offset = 0.0;
-        for &s in samples {
-            min = min.min(s);
-            max = max.max(s);
-            offset += s - first;
+        let [summary] = lockstep([samples]);
+        summary
+    }
+
+    /// Summarize each row, as [`Summary::from`] would, bit for bit.
+    /// Runs of 8, else 4, rows of one length go through the lockstep
+    /// kernel together; any other row goes alone.
+    pub fn from_rows<R: AsRef<[f64]>>(rows: &[R]) -> Vec<Summary> {
+        let mut out = Vec::with_capacity(rows.len());
+        while out.len() < rows.len() {
+            let rest = &rows[out.len()..];
+            if let Some(block) = block::<8, R>(rest) {
+                out.extend(block);
+            } else if let Some(block) = block::<4, R>(rest) {
+                out.extend(block);
+            } else {
+                out.push(Summary::from(rest[0].as_ref()));
+            }
         }
-        let mean = first + offset / n as f64;
-        let var = samples.iter().map(|s| (s - mean) * (s - mean)).sum::<f64>() / n as f64;
-        Summary { n, min, max, mean, std: var.sqrt() }
+        out
     }
 
     /// Relative spread `(max - min) / mean`; 0 for constant samples.
@@ -63,6 +67,68 @@ impl Summary {
     }
 }
 
+/// The first `W` rows through [`lockstep`], if there are `W` of one
+/// non-zero length.
+fn block<const W: usize, R: AsRef<[f64]>>(rows: &[R]) -> Option<[Summary; W]> {
+    let block = rows.get(..W)?;
+    let len = block[0].as_ref().len();
+    if len == 0 || block.iter().any(|r| r.as_ref().len() != len) {
+        return None;
+    }
+    Some(lockstep(std::array::from_fn(|l| block[l].as_ref())))
+}
+
+/// Summarize `W` non-empty rows of one length side by side. Each lane
+/// runs the one op sequence of a summary: `f64::min`/`max` and the sum
+/// of offsets from the first sample in row order, then the sum of
+/// squared deviations. The lanes' dependency chains are independent, so
+/// the CPU overlaps them instead of waiting out one chain's latency per
+/// sample.
+#[allow(clippy::needless_range_loop)] // sample `i` of every lane's row, in step
+fn lockstep<const W: usize>(rows: [&[f64]; W]) -> [Summary; W] {
+    let n = rows[0].len();
+    let rows = rows.map(|r| &r[..n]);
+    // The mean is taken about the first sample, so identical samples
+    // average to exactly that sample (a plain sum of 100 x 27.3 over
+    // 100 is 27.300000000000022).
+    let first = rows.map(|r| r[0]);
+    let mut min = [f64::INFINITY; W];
+    let mut max = [f64::NEG_INFINITY; W];
+    let mut offset = [0.0; W];
+    for i in 0..n {
+        for l in 0..W {
+            let s = rows[l][i];
+            // `f64::min`/`max` on an accumulator that is never NaN: a NaN
+            // sample or a tie of zeros leaves it as it was. A bare compare
+            // needs no NaN fix-up, so it is one instruction.
+            min[l] = if s < min[l] { s } else { min[l] };
+            max[l] = if s > max[l] { s } else { max[l] };
+            offset[l] += s - first[l];
+        }
+    }
+    let mean: [f64; W] = std::array::from_fn(|l| first[l] + offset[l] / n as f64);
+    let mut var = [0.0; W];
+    for i in 0..n {
+        for l in 0..W {
+            let d = rows[l][i] - mean[l];
+            var[l] += d * d;
+        }
+    }
+    // Rust leaves the sign and payload of a NaN that arithmetic produces
+    // unspecified, so they vary with code generation; a NaN mean or std
+    // is reported as `f64::NAN`. `black_box` keeps the optimiser from
+    // folding the check away, as any NaN would do for it. `min` and
+    // `max` are never NaN.
+    let canonical = |x: f64| if std::hint::black_box(x).is_nan() { f64::NAN } else { x };
+    std::array::from_fn(|l| Summary {
+        n,
+        min: min[l],
+        max: max[l],
+        mean: canonical(mean[l]),
+        std: canonical((var[l] / n as f64).sqrt()),
+    })
+}
+
 /// Relative error `|predicted - measured| / measured`, as used in the
 /// paper's Eq. 1 validation (§V-B).
 pub fn relative_error(predicted: f64, measured: f64) -> f64 {
@@ -72,6 +138,7 @@ pub fn relative_error(predicted: f64, measured: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use numa_par::rng::SplitMix64;
 
     #[test]
     fn summary_of_known_samples() {
@@ -115,6 +182,62 @@ mod tests {
         // |20.017 - 19.415| / 19.415 = 3.1%
         let e = relative_error(20.017, 19.415);
         assert!((e - 0.031).abs() < 5e-4, "{e}");
+    }
+
+    fn same_bits(a: &Summary, b: &Summary) -> bool {
+        a.n == b.n
+            && [(a.min, b.min), (a.max, b.max), (a.mean, b.mean), (a.std, b.std)]
+                .iter()
+                .all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+
+    /// One sample: mostly probe-like bandwidths, sometimes a value that
+    /// stresses the kernel's float semantics.
+    fn sample(rng: &mut SplitMix64) -> f64 {
+        const ODD: [f64; 7] = [f64::NAN, 0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, 27.3, 1e300];
+        match rng.below(8) {
+            0 => ODD[rng.below(ODD.len() as u64) as usize],
+            _ => rng.range_f64(-5.0, 60.0),
+        }
+    }
+
+    #[test]
+    fn from_rows_matches_per_row_summaries_bit_for_bit() {
+        for case in 0..3000u64 {
+            let mut rng = SplitMix64::new(case);
+            let rows_n = 1 + rng.below(33) as usize;
+            let shared = rng.below(131) as usize;
+            let rows: Vec<Vec<f64>> = (0..rows_n)
+                .map(|_| {
+                    // Most rows share one length, so blocks form; the
+                    // rest break them up.
+                    let len = if rng.below(4) == 0 { rng.below(131) as usize } else { shared };
+                    match rng.below(6) {
+                        // A constant row.
+                        0 => vec![sample(&mut rng); len],
+                        // No odd values, so only the sums can differ.
+                        1 => (0..len).map(|_| rng.range_f64(0.0, 60.0)).collect(),
+                        _ => (0..len).map(|_| sample(&mut rng)).collect(),
+                    }
+                })
+                .collect();
+            let got = Summary::from_rows(&rows);
+            assert_eq!(got.len(), rows.len(), "case {case}");
+            for (i, (g, row)) in got.iter().zip(&rows).enumerate() {
+                let want = Summary::from(row);
+                assert!(same_bits(g, &want), "case {case} row {i}: {g:?} vs {want:?} {:x} {:x} {:x} {:x}", g.mean.to_bits(), want.mean.to_bits(), g.std.to_bits(), want.std.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn from_rows_keeps_constant_rows_exact() {
+        let rows = vec![vec![27.3; 100]; 13];
+        for s in Summary::from_rows(&rows) {
+            assert_eq!(s.mean.to_bits(), 27.3f64.to_bits());
+            assert_eq!(s.std, 0.0);
+        }
+        assert!(Summary::from_rows::<Vec<f64>>(&[]).is_empty());
     }
 
     #[test]
