@@ -30,23 +30,21 @@ impl Summary {
         if samples.is_empty() {
             return Summary::empty();
         }
-        let [summary] = lockstep([samples]);
-        summary
+        lockstep([samples])[0]
     }
 
     /// Summarize each row, as [`Summary::from`] would, bit for bit.
-    /// Runs of 8, else 4, rows of one length go through the lockstep
-    /// kernel together; any other row goes alone.
+    /// Runs of 4 rows of one length go through the lockstep kernel
+    /// together; any other row goes alone. Four lanes keep every
+    /// accumulator in the 16 SSE registers of baseline x86-64; eight
+    /// spill, and ran slower than one row at a time.
     pub fn from_rows<R: AsRef<[f64]>>(rows: &[R]) -> Vec<Summary> {
         let mut out = Vec::with_capacity(rows.len());
         while out.len() < rows.len() {
             let rest = &rows[out.len()..];
-            if let Some(block) = block::<8, R>(rest) {
-                out.extend(block);
-            } else if let Some(block) = block::<4, R>(rest) {
-                out.extend(block);
-            } else {
-                out.push(Summary::from(rest[0].as_ref()));
+            match block::<4, R>(rest) {
+                Some(block) => out.extend(block),
+                None => out.push(Summary::from(rest[0].as_ref())),
             }
         }
         out
@@ -67,8 +65,7 @@ impl Summary {
     }
 }
 
-/// The first `W` rows through [`lockstep`], if there are `W` of one
-/// non-zero length.
+/// The first `W` rows through [`lockstep`], if they have one length > 0.
 fn block<const W: usize, R: AsRef<[f64]>>(rows: &[R]) -> Option<[Summary; W]> {
     let block = rows.get(..W)?;
     let len = block[0].as_ref().len();
@@ -114,11 +111,9 @@ fn lockstep<const W: usize>(rows: [&[f64]; W]) -> [Summary; W] {
             var[l] += d * d;
         }
     }
-    // Rust leaves the sign and payload of a NaN that arithmetic produces
-    // unspecified, so they vary with code generation; a NaN mean or std
-    // is reported as `f64::NAN`. `black_box` keeps the optimiser from
-    // folding the check away, as any NaN would do for it. `min` and
-    // `max` are never NaN.
+    // A NaN's sign and payload vary with code generation, so a NaN mean
+    // or std is reported as `f64::NAN`; `black_box` keeps the optimiser,
+    // to which any NaN will do, from folding the check away.
     let canonical = |x: f64| if std::hint::black_box(x).is_nan() { f64::NAN } else { x };
     std::array::from_fn(|l| Summary {
         n,

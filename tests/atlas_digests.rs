@@ -92,8 +92,8 @@ fn probe_summary_and_class_digests_are_pinned() {
     assert_eq!(digest(&storage), 0x5b7d_3167_09b6_5ac1, "faulted storage atlas");
 
     let (hosts, sizes) = sampled_host_models();
-    // Rows come in blocks of 8, of 4 and single rows: hosts of 2, 4 and
-    // at least 8 nodes reach each of them.
+    // The summaries take blocks of 4 rows and single rows: 2 nodes give
+    // single rows only, 4 one block, 32 many blocks.
     for want in [2, 4, 32] {
         assert!(sizes.contains(&want), "no sampled host with {want} nodes: {sizes:?}");
     }
