@@ -76,8 +76,8 @@ fn block<const W: usize, R: AsRef<[f64]>>(rows: &[R]) -> Option<[Summary; W]> {
 }
 
 /// Summarize `W` non-empty rows of one length side by side. Each lane
-/// runs the one op sequence of a summary: `f64::min`/`max` and the sum
-/// of offsets from the first sample in row order, then the sum of
+/// runs the one op sequence of a summary: min, max and the sum of
+/// offsets from the first sample in row order, then the sum of
 /// squared deviations. The lanes' dependency chains are independent, so
 /// the CPU overlaps them instead of waiting out one chain's latency per
 /// sample.
