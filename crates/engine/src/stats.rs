@@ -96,8 +96,9 @@ fn lockstep<const W: usize>(rows: [&[f64]; W]) -> [Summary; W] {
         for l in 0..W {
             let s = rows[l][i];
             // `f64::min`/`max` on an accumulator that is never NaN: a NaN
-            // sample or a tie of zeros leaves it as it was. A bare compare
-            // needs no NaN fix-up, so it is one instruction.
+            // sample leaves it as it was, and so does a tied zero (where
+            // `f64::min` may return either). A bare compare needs no NaN
+            // fix-up, so it is one instruction.
             min[l] = if s < min[l] { s } else { min[l] };
             max[l] = if s > max[l] { s } else { max[l] };
             offset[l] += s - first[l];
@@ -158,6 +159,15 @@ mod tests {
         let s = Summary::from(&[27.3; 100]);
         assert_eq!(s.mean.to_bits(), 27.3f64.to_bits());
         assert_eq!(s.std, 0.0);
+    }
+
+    #[test]
+    fn min_max_skip_nan_and_keep_the_first_of_tied_zeros() {
+        let bits = |s: Summary| (s.min.to_bits(), s.max.to_bits());
+        assert_eq!(bits(Summary::from(&[0.0, -0.0])), (0.0f64.to_bits(), 0.0f64.to_bits()));
+        assert_eq!(bits(Summary::from(&[-0.0, 0.0])), ((-0.0f64).to_bits(), (-0.0f64).to_bits()));
+        assert_eq!(bits(Summary::from(&[f64::NAN, 1.0])), (1.0f64.to_bits(), 1.0f64.to_bits()));
+        assert_eq!(bits(Summary::from(&[2.0, f64::NAN, 1.0])), (1.0f64.to_bits(), 2.0f64.to_bits()));
     }
 
     #[test]
