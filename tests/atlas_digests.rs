@@ -11,7 +11,9 @@
 //!   2 to 32 nodes give row counts of every size class.
 //!
 //! A change to how probe samples are summarized or classified that moves
-//! any bit of any model fails here.
+//! any bit of any model fails here. A second digest pins what the first
+//! leaves out: each class's `min_gbps`, `max_gbps` and `avg_gbps` (the
+//! `BWᵢ` that Eq. 1 reads) and each model's platform label.
 
 use numa_par::rng::{fnv1a64, SplitMix64, FNV1A64_INIT};
 use numio::core::{
@@ -43,6 +45,19 @@ fn fold_model(mut h: u64, m: &IoPerfModel) -> u64 {
 
 fn digest<'a>(models: impl IntoIterator<Item = &'a IoPerfModel>) -> u64 {
     models.into_iter().fold(FNV1A64_INIT, fold_model)
+}
+
+/// Fold one model's label (length-prefixed) and every class's bandwidth
+/// bounds and average.
+fn fold_classes_and_label(mut h: u64, m: &IoPerfModel) -> u64 {
+    h = fnv1a64(h, &(m.platform.len() as u64).to_le_bytes());
+    h = fnv1a64(h, m.platform.as_bytes());
+    for c in m.classes() {
+        for x in [c.min_gbps, c.max_gbps, c.avg_gbps] {
+            h = fnv1a64(h, &x.to_bits().to_le_bytes());
+        }
+    }
+    h
 }
 
 fn dl585_full_host_atlas() -> Vec<IoPerfModel> {
@@ -98,4 +113,13 @@ fn probe_summary_and_class_digests_are_pinned() {
         assert!(sizes.contains(&want), "no sampled host with {want} nodes: {sizes:?}");
     }
     assert_eq!(digest(&hosts), 0x3bff_30b0_430e_f7b3, "sampled host models");
+}
+
+#[test]
+fn class_bandwidth_and_label_digest_is_pinned() {
+    let atlas = dl585_full_host_atlas();
+    let storage = faulted_storage_atlas();
+    let (hosts, _) = sampled_host_models();
+    let h = atlas.iter().chain(&storage).chain(&hosts).fold(FNV1A64_INIT, fold_classes_and_label);
+    assert_eq!(h, 0x7810_bab9_ee13_46d2, "class min/max/avg bits and model labels");
 }
