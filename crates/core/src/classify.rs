@@ -45,41 +45,31 @@ pub fn classify(
     params: ClassifyParams,
 ) -> Vec<PerfClass> {
     assert_eq!(means.len(), topo.num_nodes(), "one mean per node");
-    let class1: Vec<(NodeId, f64)> = if params.force_local_class1 {
-        let mut c = vec![(target, means[target.index()])];
-        for n in topo.neighbour_nodes(target) {
-            c.push((n, means[n.index()]));
-        }
-        c
-    } else {
-        Vec::new()
-    };
-    let in_class1 = |n: NodeId| class1.iter().any(|(m, _)| *m == n);
-
-    let mut remote: Vec<(NodeId, f64)> = topo
-        .node_ids()
-        .filter(|&n| !in_class1(n))
-        .map(|n| (n, means[n.index()]))
-        .collect();
+    // One scratch list: class 1 (the target's package, ascending) first,
+    // then the remote tail, which is sorted and split in place.
+    let package = topo.node(target).package;
+    let local = |n: NodeId| params.force_local_class1 && topo.node(n).package == package;
+    let mut scratch: Vec<(NodeId, f64)> = Vec::with_capacity(means.len());
+    scratch.extend(topo.node_ids().filter(|&n| local(n)).map(|n| (n, means[n.index()])));
+    let class1_len = scratch.len();
+    scratch.extend(topo.node_ids().filter(|&n| !local(n)).map(|n| (n, means[n.index()])));
+    let (class1, remote) = scratch.split_at_mut(class1_len);
     remote.sort_by(|a, b| b.1.total_cmp(&a.1));
 
-    let mut classes: Vec<PerfClass> = if class1.is_empty() {
-        Vec::new()
-    } else {
-        vec![PerfClass::from_members(class1)]
-    };
-    let mut current: Vec<(NodeId, f64)> = Vec::new();
-    for (node, bw) in remote {
-        if let Some(&(_, prev)) = current.last() {
-            let gap = (prev - bw) / prev;
-            if gap > params.gap_threshold {
-                classes.push(PerfClass::from_members(std::mem::take(&mut current)));
-            }
-        }
-        current.push((node, bw));
+    let mut classes = Vec::new();
+    if !class1.is_empty() {
+        classes.push(PerfClass::from_members(class1));
     }
-    if !current.is_empty() {
-        classes.push(PerfClass::from_members(current));
+    let mut start = 0;
+    for i in 1..remote.len() {
+        let (prev, bw) = (remote[i - 1].1, remote[i].1);
+        if (prev - bw) / prev > params.gap_threshold {
+            classes.push(PerfClass::from_members(&mut remote[start..i]));
+            start = i;
+        }
+    }
+    if start < remote.len() {
+        classes.push(PerfClass::from_members(&mut remote[start..]));
     }
     classes
 }
@@ -244,6 +234,107 @@ mod tests {
         // Top class now mixes the local pair with nodes 2,3.
         assert!(classes[0].contains(NodeId(3)));
         assert!(classes[0].contains(NodeId(7)));
+    }
+
+    /// `classify` as it was before the one-scratch rewrite (class 1 from
+    /// `neighbour_nodes`, one `Vec` per class), with the old
+    /// `PerfClass::from_members` inlined.
+    fn reference_classify(
+        topo: &Topology,
+        target: NodeId,
+        means: &[f64],
+        params: ClassifyParams,
+    ) -> Vec<PerfClass> {
+        fn from_members(mut members: Vec<(NodeId, f64)>) -> PerfClass {
+            members.sort_by_key(|(n, _)| *n);
+            let min = members.iter().map(|(_, b)| *b).fold(f64::INFINITY, f64::min);
+            let max = members.iter().map(|(_, b)| *b).fold(0.0, f64::max);
+            let avg = members.iter().map(|(_, b)| *b).sum::<f64>() / members.len() as f64;
+            PerfClass {
+                nodes: members.into_iter().map(|(n, _)| n).collect(),
+                min_gbps: min,
+                max_gbps: max,
+                avg_gbps: avg,
+            }
+        }
+        let class1: Vec<(NodeId, f64)> = if params.force_local_class1 {
+            let mut c = vec![(target, means[target.index()])];
+            for n in topo.neighbour_nodes(target) {
+                c.push((n, means[n.index()]));
+            }
+            c
+        } else {
+            Vec::new()
+        };
+        let mut remote: Vec<(NodeId, f64)> = topo
+            .node_ids()
+            .filter(|&n| !class1.iter().any(|(m, _)| *m == n))
+            .map(|n| (n, means[n.index()]))
+            .collect();
+        remote.sort_by(|a, b| b.1.total_cmp(&a.1));
+        let mut classes: Vec<PerfClass> =
+            if class1.is_empty() { Vec::new() } else { vec![from_members(class1)] };
+        let mut current: Vec<(NodeId, f64)> = Vec::new();
+        for (node, bw) in remote {
+            if let Some(&(_, prev)) = current.last() {
+                if (prev - bw) / prev > params.gap_threshold {
+                    classes.push(from_members(std::mem::take(&mut current)));
+                }
+            }
+            current.push((node, bw));
+        }
+        if !current.is_empty() {
+            classes.push(from_members(current));
+        }
+        classes
+    }
+
+    #[test]
+    fn classify_matches_the_reference_bit_for_bit() {
+        use numa_par::rng::SplitMix64;
+        use numa_topology::hostgen::TopoGen;
+
+        let mut topos = vec![presets::dl585_testbed()];
+        let mut seeds = SplitMix64::new(0x0c1a_55e5);
+        while topos.len() < 48 {
+            if let Ok(t) = TopoGen::sample("gen", seeds.next_u64()).build() {
+                topos.push(t);
+            }
+        }
+        for want in [2, 32] {
+            assert!(topos.iter().any(|t| t.num_nodes() == want), "no {want}-node host");
+        }
+        const SPECIAL: [f64; 6] = [f64::NAN, 0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, 30.0];
+        let bits = |c: &PerfClass| {
+            (c.nodes.clone(), [c.min_gbps, c.max_gbps, c.avg_gbps].map(f64::to_bits))
+        };
+        for case in 0..2000u64 {
+            let mut rng = SplitMix64::new(case);
+            let topo = &topos[rng.below(topos.len() as u64) as usize];
+            let n = topo.num_nodes();
+            let target = NodeId(rng.below(n as u64) as u16);
+            let mut means: Vec<f64> = Vec::with_capacity(n);
+            for i in 0..n {
+                let m = match rng.below(10) {
+                    0 => SPECIAL[rng.below(SPECIAL.len() as u64) as usize],
+                    1 if i > 0 => means[rng.below(i as u64) as usize],
+                    _ => rng.range_f64(10.0, 60.0),
+                };
+                means.push(m);
+            }
+            for gap_threshold in [0.0, 0.02, 0.08, 0.3] {
+                for force_local_class1 in [true, false] {
+                    let params = ClassifyParams { gap_threshold, force_local_class1 };
+                    let got = classify(topo, target, &means, params);
+                    let want = reference_classify(topo, target, &means, params);
+                    assert_eq!(
+                        got.iter().map(bits).collect::<Vec<_>>(),
+                        want.iter().map(bits).collect::<Vec<_>>(),
+                        "case {case}: {means:?} at target {target}, {params:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -40,15 +40,17 @@ numa_par::json_struct! {
 }
 
 impl PerfClass {
-    /// Build from `(node, mean)` members.
-    pub fn from_members(mut members: Vec<(NodeId, f64)>) -> Self {
+    /// Build from `(node, mean)` members: a mutable slice (which is
+    /// sorted by node in place) or an owned list.
+    pub fn from_members(mut members: impl AsMut<[(NodeId, f64)]>) -> Self {
+        let members = members.as_mut();
         assert!(!members.is_empty(), "class cannot be empty");
         members.sort_by_key(|(n, _)| *n);
         let min = members.iter().map(|(_, b)| *b).fold(f64::INFINITY, f64::min);
         let max = members.iter().map(|(_, b)| *b).fold(0.0, f64::max);
         let avg = members.iter().map(|(_, b)| *b).sum::<f64>() / members.len() as f64;
         PerfClass {
-            nodes: members.into_iter().map(|(n, _)| n).collect(),
+            nodes: members.iter().map(|(n, _)| *n).collect(),
             min_gbps: min,
             max_gbps: max,
             avg_gbps: avg,
