@@ -219,9 +219,9 @@ fn storage_models<P: Platform>(
         .collect::<Result<Vec<_>, _>>()?;
 
     // Map one probe model through one operating point's SSD curve.
-    let map_through = |base: &IoPerfModel, cfg: StorageConfig| {
-        let write = base.mode == TransferMode::Write;
-        let level = |path: f64| ssd.level_for_path(write, path, cfg.engine, cfg.direct) * derate;
+    let map_through = |base: &IoPerfModel, cfg: StorageConfig, tag: &str| {
+        let curve = ssd.level_curve(base.mode == TransferMode::Write, cfg.engine, cfg.direct);
+        let level = |path: f64| curve(path) * derate;
         let per_node: Vec<Summary> = base
             .per_node
             .iter()
@@ -243,12 +243,15 @@ fn storage_models<P: Platform>(
             base.mode,
             per_node,
             classes,
-            format!("{}/{}", base.platform, DeviceSelector::Ssd(cfg).tag()),
+            [base.platform.as_str(), "/", tag].concat(),
         )
     };
     Ok(cfgs
         .iter()
-        .flat_map(|&cfg| bases.iter().map(move |base| map_through(base, cfg)))
+        .flat_map(|&cfg| {
+            let tag = DeviceSelector::Ssd(cfg).tag();
+            bases.iter().map(move |base| map_through(base, cfg, &tag))
+        })
         .collect())
 }
 

@@ -118,18 +118,26 @@ impl SsdModel {
         } else {
             fabric.dma_path_bandwidth(self.node, binding)
         };
-        self.level_for_path(write, path, engine, direct)
+        self.level_curve(write, engine, direct)(path)
     }
 
     /// The ceiling a node with DMA path bandwidth `path` to the cards
-    /// reaches — [`Self::node_ceiling_with`] with the path supplied
-    /// directly. Storage characterization feeds *measured* per-node probe
-    /// bandwidths through this, so classification inherits whatever noise
-    /// the probes saw instead of the fabric's idealized paths.
-    pub fn level_for_path(&self, write: bool, path: f64, engine: IoEngine, direct: bool) -> f64 {
-        let base = if write { self.write_map.eval(path) } else { self.read_map.eval(path) };
+    /// reaches, as a function of `path`, with the engine efficiency and
+    /// access factor computed once — [`Self::node_ceiling_with`] with the
+    /// path supplied directly. Storage characterization feeds *measured*
+    /// per-node probe bandwidths through this, so classification inherits
+    /// whatever noise the probes saw instead of the fabric's idealized
+    /// paths.
+    pub fn level_curve(
+        &self,
+        write: bool,
+        engine: IoEngine,
+        direct: bool,
+    ) -> impl Fn(f64) -> f64 + '_ {
+        let map = if write { &self.write_map } else { &self.read_map };
+        let efficiency = self.profile.engine_efficiency(engine);
         let buffered = if direct { 1.0 } else { 1.0 - self.buffered_penalty };
-        base * self.profile.engine_efficiency(engine) * buffered
+        move |path| map.eval(path) * efficiency * buffered
     }
 
     /// [`Self::node_ceiling_with`] additionally shaped by the profile's
