@@ -5,7 +5,6 @@ use numa_engine::{FlowSpec, JitterCfg, ResourceKey, SimError, SimReport, Simulat
 use numa_fabric::Fabric;
 use numa_iodev::{NicModel, NicOp, SsdModel};
 use numa_topology::NodeId;
-use std::collections::HashMap;
 
 /// Harness failures.
 #[derive(Debug, Clone, PartialEq)]
@@ -155,33 +154,30 @@ pub fn build_sim_with<'f>(
     };
 
     // ---- Pass 1: per-stream class levels, for port mixtures and budgets.
-    let mut nic_levels: HashMap<NicOp, Vec<f64>> = HashMap::new();
-    let mut ssd_levels: HashMap<bool, Vec<f64>> = HashMap::new();
-    let mut cpu_budget: HashMap<NodeId, f64> = HashMap::new();
+    // Every table below has a fixed order (NIC ops in `NicOp::ALL` order,
+    // everything else first-seen), so `wobble` draws in the same order on
+    // every call.
+    let mut nic_levels: [Vec<f64>; NicOp::ALL.len()] = Default::default();
+    let mut ssd_levels: Vec<(bool, Vec<f64>)> = Vec::new();
+    let mut cpu_budget: Vec<(NodeId, f64)> = Vec::new();
     for job in jobs {
         match &job.workload {
             Workload::Nic(op) => {
                 let nic = nic.as_ref().ok_or(FioError::NoNic)?;
                 let level = nic.node_ceiling(*op, fabric, job.buffer_node());
-                nic_levels
-                    .entry(*op)
-                    .or_default()
+                nic_levels[op_tag(*op) as usize]
                     .extend(std::iter::repeat_n(level, job.numjobs as usize));
                 if op.cpu_bound() {
                     let budget = nic.cpu_budget(*op, job.bind);
-                    cpu_budget
-                        .entry(job.bind)
-                        .and_modify(|b| *b = b.min(budget))
-                        .or_insert(budget);
+                    let b = entry(&mut cpu_budget, job.bind, || budget);
+                    *b = b.min(budget);
                 }
             }
             Workload::Ssd { write, engine, direct } => {
                 let ssd = ssd.as_ref().ok_or(FioError::NoSsd)?;
                 let level =
                     ssd.node_ceiling_with(*write, fabric, job.buffer_node(), *engine, *direct);
-                ssd_levels
-                    .entry(*write)
-                    .or_default()
+                entry(&mut ssd_levels, *write, Vec::new)
                     .extend(std::iter::repeat_n(level, job.numjobs as usize));
             }
         }
@@ -195,12 +191,12 @@ pub fn build_sim_with<'f>(
     };
 
     // Per-op NIC protocol engine capacity (class mixture, Eq. 1 semantics).
-    let mut nic_engine_res = HashMap::new();
+    let mut nic_engine_res = [None; NicOp::ALL.len()];
     // Physical PCIe direction capacity shared by all ops moving that way.
     // Lowered at `base * derate` so a static `device_stall` what-if view
     // (`Fabric::device_derate`) produces exactly the capacity the dynamic
     // injector's `base * factor` event would.
-    let mut nic_wire_res = HashMap::new();
+    let mut nic_wire_res: [Option<numa_engine::ResourceHandle>; 2] = [None; 2];
     if let Some(nic) = &nic {
         let nic_dev = fabric
             .topology()
@@ -208,11 +204,15 @@ pub fn build_sim_with<'f>(
             .iter()
             .position(|d| d.kind == numa_topology::DeviceKind::Nic)
             .unwrap_or(0) as u16;
-        for (&op, levels) in &nic_levels {
+        for op in NicOp::ALL {
+            let levels = &nic_levels[op_tag(op) as usize];
+            if levels.is_empty() {
+                continue;
+            }
             let cap = wobble(nic.shared_port_cap(op, levels));
-            nic_engine_res.insert(op, sim.register(fresh_custom(), cap));
+            nic_engine_res[op_tag(op) as usize] = Some(sim.register(fresh_custom(), cap));
             let dir = op.to_device();
-            nic_wire_res.entry(dir).or_insert_with(|| {
+            nic_wire_res[dir as usize].get_or_insert_with(|| {
                 sim.register(
                     ResourceKey::DevicePort { dev: numa_topology::DeviceId(nic_dev), to_device: dir },
                     nic.pcie.effective_gbps() * fabric.device_derate(nic_dev),
@@ -227,9 +227,9 @@ pub fn build_sim_with<'f>(
     // and 2), so `device_stall` faults reach it on both paths: statically
     // through the fabric derate folded in here, dynamically through the
     // injector throttling the registered port.
-    let mut ssd_card_res: HashMap<(bool, u32), numa_engine::ResourceHandle> = HashMap::new();
+    let mut ssd_card_res = Vec::new();
     if let Some(ssd) = &ssd {
-        for (&write, levels) in &ssd_levels {
+        for (write, levels) in ssd_levels {
             let mixture = levels.iter().sum::<f64>() / levels.len() as f64;
             let per_card = ssd.port_cap(write).min(mixture) / ssd.cards as f64;
             for card in 0..ssd.cards {
@@ -241,23 +241,23 @@ pub fn build_sim_with<'f>(
                     },
                     wobble(per_card) * fabric.device_derate(dev),
                 );
-                ssd_card_res.insert((write, card), h);
+                ssd_card_res.push(((write, card), h));
             }
         }
     }
 
     // Per-(op, node) class ceilings so one node's streams cannot exceed
     // their class level in aggregate.
-    let mut class_res: HashMap<(u8, NodeId), numa_engine::ResourceHandle> = HashMap::new();
+    let mut class_res = Vec::new();
 
     // TCP CPU budgets, lowered at `base * derate` so a static IRQ-storm
     // what-if view (`Fabric::node_cpu_derate`) matches the dynamic
     // injector's `base * factor` event.
-    let mut cpu_res: HashMap<NodeId, numa_engine::ResourceHandle> = HashMap::new();
-    for (&node, &budget) in &cpu_budget {
+    let mut cpu_res = Vec::new();
+    for (node, budget) in cpu_budget {
         if budget.is_finite() {
             let h = sim.register(ResourceKey::NodeCpu(node), budget * fabric.node_cpu_derate(node));
-            cpu_res.insert(node, h);
+            cpu_res.push((node, h));
         }
     }
 
@@ -266,8 +266,9 @@ pub fn build_sim_with<'f>(
     let mut ssd_rr: u32 = 0;
     for (ji, job) in jobs.iter().enumerate() {
         let buffer = job.buffer_node();
+        let describe = job.describe();
         for s in 0..job.numjobs {
-            let label = format!("job{ji}.{s} {}", job.describe());
+            let label = format!("job{ji}.{s} {describe}");
             let spec = match &job.workload {
                 Workload::Nic(op) => {
                     let nic = nic.as_ref().ok_or(FioError::NoNic)?;
@@ -283,18 +284,17 @@ pub fn build_sim_with<'f>(
                         .gbytes(job.size_gbytes)
                         .ceiling(ceiling)
                         .label(label)
-                        .charge(nic_engine_res[op])
-                        .charge(nic_wire_res[&op.to_device()]);
+                        .charge(nic_engine_res[op_tag(*op) as usize].expect("op seen in pass 1"))
+                        .charge(nic_wire_res[op.to_device() as usize].expect("op seen in pass 1"));
                     // The NIC endpoint is a device buffer: its DMA engine
                     // reads/writes host memory only on the *buffer* node.
                     f = if op.to_device() { f.device_dst() } else { f.device_src() };
-                    let class_key = (op_tag(*op), buffer);
-                    let class_handle = *class_res
-                        .entry(class_key)
-                        .or_insert_with(|| sim.register(fresh_custom(), wobble(level)));
+                    let class_handle = *entry(&mut class_res, (op_tag(*op), buffer), || {
+                        sim.register(fresh_custom(), wobble(level))
+                    });
                     f = f.charge(class_handle);
                     if op.cpu_bound() {
-                        if let Some(&h) = cpu_res.get(&job.bind) {
+                        if let Some(h) = lookup(&cpu_res, job.bind) {
                             f = f.charge(h);
                         }
                     }
@@ -308,15 +308,14 @@ pub fn build_sim_with<'f>(
                         ssd.node_ceiling_with(*write, fabric, buffer, *engine, *direct);
                     let card = ssd_rr % ssd.cards;
                     ssd_rr += 1;
-                    let class_key = (ssd_tag(*write), buffer);
-                    let class_handle = *class_res
-                        .entry(class_key)
-                        .or_insert_with(|| sim.register(fresh_custom(), wobble(level)));
+                    let class_handle = *entry(&mut class_res, (ssd_tag(*write), buffer), || {
+                        sim.register(fresh_custom(), wobble(level))
+                    });
                     let f = FlowSpec::dma(src, dst)
                         .gbytes(job.size_gbytes)
                         .ceiling(level / ssd.cards as f64)
                         .label(label)
-                        .charge(ssd_card_res[&(*write, card)])
+                        .charge(lookup(&ssd_card_res, (*write, card)).expect("seen in pass 1"))
                         .charge(class_handle);
                     if *write { f.device_dst() } else { f.device_src() }
                 }
@@ -419,8 +418,10 @@ pub fn assemble_report(jobs: &[JobSpec], report: SimReport, flow_job: &[usize]) 
             .collect();
         let volume: f64 = streams.iter().map(|f| f.volume_gbit).sum();
         let makespan = streams.iter().map(|f| f.finish_s).fold(0.0, f64::max);
+        // A stream's label is `job<i>.<s> <describe>`: reuse its describe.
+        let describe = streams.first().and_then(|f| f.label.split_once(' '));
         job_reports.push(JobReport {
-            describe: job.describe(),
+            describe: describe.map_or_else(|| job.describe(), |(_, d)| d.to_string()),
             aggregate_gbps: if makespan > 0.0 { volume / makespan } else { 0.0 },
             per_stream_gbps: streams.iter().map(|f| f.mean_gbps).collect(),
             makespan_s: makespan,
@@ -447,7 +448,23 @@ pub fn steady_job_rates(fabric: &Fabric, jobs: &[JobSpec]) -> Result<Vec<f64>, F
     Ok(per_job)
 }
 
-/// Distinct tag per NIC op for class-resource keying.
+/// The value of `key` in a small first-seen-order table, inserted as
+/// `init()` when absent.
+fn entry<K: PartialEq, V>(table: &mut Vec<(K, V)>, key: K, init: impl FnOnce() -> V) -> &mut V {
+    let i = table.iter().position(|(k, _)| *k == key).unwrap_or_else(|| {
+        table.push((key, init()));
+        table.len() - 1
+    });
+    &mut table[i].1
+}
+
+/// The value of `key` in a small first-seen-order table.
+fn lookup<K: PartialEq, V: Copy>(table: &[(K, V)], key: K) -> Option<V> {
+    table.iter().find(|(k, _)| *k == key).map(|&(_, v)| v)
+}
+
+/// Distinct tag per NIC op (its `NicOp::ALL` index) for class-resource
+/// keying.
 fn op_tag(op: NicOp) -> u8 {
     match op {
         NicOp::TcpSend => 0,
@@ -716,5 +733,27 @@ mod tests {
             .size_gbytes(10.0);
         let r = run_jobs(&f, &[job]).unwrap();
         assert!((r.aggregate_gbps - 17.05).abs() < 0.1, "{}", r.aggregate_gbps);
+    }
+
+    #[test]
+    fn jittered_mixed_runs_are_deterministic() {
+        // Three NIC ops and both SSD directions: the run-level wobble is
+        // drawn per op and per direction, so it must not follow a hasher's
+        // order.
+        let f = fabric();
+        let jitter = JitterCfg::measurement(9);
+        let jobs = [
+            JobSpec::nic(NicOp::TcpSend, NodeId(6)).numjobs(2),
+            JobSpec::nic(NicOp::RdmaRead, NodeId(2)).numjobs(2),
+            JobSpec::nic(NicOp::RdmaWrite, NodeId(3)),
+            JobSpec::ssd(true, NodeId(0)).numjobs(2),
+            JobSpec::ssd(false, NodeId(5)).numjobs(2),
+        ]
+        .map(|j| j.size_gbytes(5.0).jitter(jitter));
+        let first = run_jobs(&f, &jobs).unwrap();
+        for _ in 0..49 {
+            assert_eq!(run_jobs(&f, &jobs).unwrap(), first);
+        }
+        assert_eq!(first.jobs[1].describe, jobs[1].describe());
     }
 }
