@@ -111,6 +111,12 @@ pub(crate) fn cmd_import(opts: &Opts) -> Result<String, String> {
             .ok_or_else(|| format!("{path}:{}: expected node,gbps", lineno + 1))?;
         let n: usize = n.trim().parse().map_err(|_| format!("{path}:{}: bad node", lineno + 1))?;
         let v: f64 = v.trim().parse().map_err(|_| format!("{path}:{}: bad gbps", lineno + 1))?;
+        if !(v.is_finite() && v >= 0.0) {
+            return Err(format!(
+                "{path}:{}: gbps sample {v} is not a finite, non-negative number",
+                lineno + 1
+            ));
+        }
         if n >= samples.len() {
             return Err(format!("{path}:{}: node {n} out of range", lineno + 1));
         }

@@ -961,6 +961,19 @@ mod tests {
     }
 
     #[test]
+    fn import_rejects_non_finite_and_negative_samples_naming_the_line() {
+        let dir = std::env::temp_dir().join("numio-cli-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("bad-samples.csv");
+        for bad in ["NaN", "inf", "-inf", "-2.5"] {
+            std::fs::write(&path, format!("# node,gbps\n0,10.0\n3,{bad}\n")).unwrap();
+            let e = run_str(&["import", "--csv", path.to_str().unwrap()]).unwrap_err();
+            assert!(e.contains("bad-samples.csv:3:"), "{bad}: {e}");
+            assert!(e.contains("not a finite, non-negative number"), "{bad}: {e}");
+        }
+    }
+
+    #[test]
     fn latency_staircase_renders() {
         let out = run_str(&["latency", "--cpu", "2"]).unwrap();
         assert!(out.contains("working set"));
