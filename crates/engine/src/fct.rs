@@ -11,9 +11,10 @@
 use crate::flow::FlowResult;
 use numa_obs::nearest_rank;
 use numa_par::rng::{fnv1a64, FNV1A64_INIT};
+use std::sync::Arc;
 
 /// Summary of a flow-completion-time distribution.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FctStats {
     /// Number of completed flows summarized.
     pub count: usize,
@@ -49,36 +50,44 @@ impl FctStats {
 
     /// Summarize a completed flow set.
     pub fn from_flows(flows: &[FlowResult]) -> Self {
-        if flows.is_empty() {
+        let fct = flows.iter().map(|f| f.fct_s).collect();
+        FctStats::summarize(fct, flows.iter().map(|f| f.slowdown))
+    }
+
+    /// Summarize FCTs (any order) and their flows' slowdowns (flow
+    /// order, the order they are summed in). An unstable sort is enough:
+    /// values that `total_cmp` ranks equal have equal bits.
+    fn summarize(mut fct: Vec<f64>, slowdowns: impl Iterator<Item = f64>) -> Self {
+        if fct.is_empty() {
             return FctStats::empty();
         }
-        let mut fct: Vec<f64> = flows.iter().map(|f| f.fct_s).collect();
-        fct.sort_by(|a, b| a.total_cmp(b));
-        let n = flows.len() as f64;
+        fct.sort_unstable_by(f64::total_cmp);
+        let n = fct.len() as f64;
         FctStats {
-            count: flows.len(),
+            count: fct.len(),
             mean_s: fct.iter().sum::<f64>() / n,
             p50_s: nearest_rank(&fct, 0.50),
             p90_s: nearest_rank(&fct, 0.90),
             p99_s: nearest_rank(&fct, 0.99),
             p999_s: nearest_rank(&fct, 0.999),
-            mean_slowdown: flows.iter().map(|f| f.slowdown).sum::<f64>() / n,
+            mean_slowdown: slowdowns.sum::<f64>() / n,
         }
     }
 
     /// Per-label breakdown: one [`FctStats`] per distinct label, sorted
     /// by label so the output is deterministic. Flows sharing a template
-    /// label (one workload class) group together.
-    pub fn by_label(flows: &[FlowResult]) -> Vec<(String, FctStats)> {
-        let mut labels: Vec<&str> = flows.iter().map(|f| f.label.as_str()).collect();
-        labels.sort_unstable();
-        labels.dedup();
-        labels
-            .into_iter()
-            .map(|l| {
-                let group: Vec<FlowResult> =
-                    flows.iter().filter(|f| f.label == l).cloned().collect();
-                (l.to_string(), FctStats::from_flows(&group))
+    /// label (one workload class) group together. One stable sort of the
+    /// flow indices by label keeps each group in flow order, so every
+    /// group sums exactly as [`FctStats::from_flows`] over its flows.
+    pub fn by_label(flows: &[FlowResult]) -> Vec<(Arc<str>, FctStats)> {
+        let mut order: Vec<usize> = (0..flows.len()).collect();
+        order.sort_by(|&a, &b| flows[a].label.cmp(&flows[b].label));
+        order
+            .chunk_by(|&a, &b| flows[a].label == flows[b].label)
+            .map(|group| {
+                let fct = group.iter().map(|&i| flows[i].fct_s).collect();
+                let slowdowns = group.iter().map(|&i| flows[i].slowdown);
+                (flows[group[0]].label.clone(), FctStats::summarize(fct, slowdowns))
             })
             .collect()
     }
@@ -108,7 +117,7 @@ mod tests {
     fn flow(i: u32, fct: f64, slowdown: f64, label: &str) -> FlowResult {
         FlowResult {
             id: FlowId(i),
-            label: label.to_string(),
+            label: label.into(),
             volume_gbit: 1.0,
             start_s: 0.0,
             finish_s: fct,
@@ -157,11 +166,38 @@ mod tests {
         ];
         let groups = FctStats::by_label(&flows);
         assert_eq!(groups.len(), 2);
-        assert_eq!(groups[0].0, "a");
+        assert_eq!(&*groups[0].0, "a");
         assert_eq!(groups[0].1.count, 1);
-        assert_eq!(groups[1].0, "b");
+        assert_eq!(&*groups[1].0, "b");
         assert_eq!(groups[1].1.count, 2);
         assert_eq!(groups[1].1.p50_s, 1.0);
+    }
+
+    #[test]
+    fn by_label_matches_from_flows_on_each_filtered_group() {
+        // Interleaved labels, tied and signed-zero FCTs, and slowdowns
+        // whose sum depends on the order they are added in.
+        let labels = ["c", "a", "b", "a", "c", "a"];
+        let flows: Vec<FlowResult> = (0..60u32)
+            .map(|i| {
+                let fct = [0.0, -0.0, 1e-3, 0.1, 0.1, 7.0, 1e16][(i * 5 % 7) as usize];
+                let slowdown = [1.0, 1e16, 3.3, -1e16, 0.7][(i % 5) as usize];
+                flow(i, fct, slowdown, labels[(i * 7 % 6) as usize])
+            })
+            .collect();
+        let groups = FctStats::by_label(&flows);
+        let names: Vec<&str> = groups.iter().map(|(l, _)| &**l).collect();
+        assert_eq!(names, ["a", "b", "c"]);
+        for (label, stats) in groups {
+            let group: Vec<FlowResult> =
+                flows.iter().filter(|f| f.label == label).cloned().collect();
+            let want = FctStats::from_flows(&group);
+            let bits = |s: &FctStats| {
+                [s.mean_s, s.p50_s, s.p90_s, s.p99_s, s.p999_s, s.mean_slowdown]
+                    .map(f64::to_bits)
+            };
+            assert_eq!((stats.count, bits(&stats)), (want.count, bits(&want)), "{label}");
+        }
     }
 
     #[test]

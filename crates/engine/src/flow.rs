@@ -3,6 +3,7 @@
 use crate::resources::ResourceHandle;
 use numa_fabric::TrafficClass;
 use numa_topology::NodeId;
+use std::sync::Arc;
 
 /// Index of a flow within one simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -48,8 +49,9 @@ pub struct FlowSpec {
     /// arrival posts a `FlowArrival` event on the calendar and the flow
     /// sits idle until it fires.
     pub arrival_s: f64,
-    /// Free-form label for reports ("tcp-send n5 s3", ...).
-    pub label: String,
+    /// Free-form label for reports ("tcp-send n5 s3", ...). Shared, so a
+    /// workload's flows and their results point at their template's text.
+    pub label: Arc<str>,
 }
 
 impl FlowSpec {
@@ -67,7 +69,7 @@ impl FlowSpec {
             charge_dst_copy: true,
             weight: 1.0,
             arrival_s: 0.0,
-            label: String::new(),
+            label: Arc::default(),
         }
     }
 
@@ -102,7 +104,7 @@ impl FlowSpec {
     }
 
     /// Attach a label.
-    pub fn label(mut self, label: impl Into<String>) -> Self {
+    pub fn label(mut self, label: impl Into<Arc<str>>) -> Self {
         self.label = label.into();
         self
     }
@@ -141,8 +143,8 @@ impl FlowSpec {
 pub struct FlowResult {
     /// The flow's id.
     pub id: FlowId,
-    /// Label copied from the spec.
-    pub label: String,
+    /// The spec's label (the same shared text, not a copy).
+    pub label: Arc<str>,
     /// Volume transferred, gigabits.
     pub volume_gbit: f64,
     /// When the flow started competing, seconds from simulation start
@@ -172,7 +174,7 @@ mod tests {
             .label("x");
         assert_eq!(f.volume_gbit, 80.0);
         assert_eq!(f.ceiling_gbps, 5.0);
-        assert_eq!(f.label, "x");
+        assert_eq!(&*f.label, "x");
         assert_eq!(f.class, TrafficClass::Dma);
     }
 

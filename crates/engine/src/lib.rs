@@ -57,7 +57,7 @@
 //!     .run()
 //!     .unwrap();
 //! assert_eq!(report.flows.len(), 50);
-//! assert!(report.fct_p99_s >= report.fct_p50_s);
+//! assert!(report.fct.p99_s >= report.fct.p50_s);
 //! ```
 
 pub mod fct;

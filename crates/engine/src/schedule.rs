@@ -49,7 +49,7 @@ pub enum Event {
         cap_gbps: f64,
         /// Obs event name fired when the change applies
         /// (`capacity_change`, `fault_injected`, `fault_healed`, ...).
-        tag: String,
+        tag: &'static str,
     },
 }
 
@@ -210,8 +210,8 @@ mod tests {
     fn same_instant_orders_by_kind_then_insertion() {
         let mut s = Schedule::new();
         let h = ResourceHandle(0);
-        s.push(1.0, Event::CapacityChange { resource: h, cap_gbps: 5.0, tag: "a".into() });
-        s.push(1.0, Event::CapacityChange { resource: h, cap_gbps: 9.0, tag: "b".into() });
+        s.push(1.0, Event::CapacityChange { resource: h, cap_gbps: 5.0, tag: "a" });
+        s.push(1.0, Event::CapacityChange { resource: h, cap_gbps: 9.0, tag: "b" });
         s.push(1.0, Event::FlowArrival { flow: FlowId(3) });
         s.push(1.0, Event::JitterTick);
         assert!(matches!(s.pop().unwrap().event, Event::JitterTick));
@@ -246,7 +246,7 @@ mod tests {
         // Out of order, with a tie at 1.0 that keeps insertion order.
         let mut s = Schedule::new();
         let h = ResourceHandle(0);
-        s.push(1.0, Event::CapacityChange { resource: h, cap_gbps: 5.0, tag: "cap".into() });
+        s.push(1.0, Event::CapacityChange { resource: h, cap_gbps: 5.0, tag: "cap" });
         s.push(1.0, Event::JitterTick);
         s.push(1.5, Event::JitterTick);
         s.set_arrivals(vec![(2.0, FlowId(0)), (1.0, FlowId(1)), (1.0, FlowId(2))]);

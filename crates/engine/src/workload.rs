@@ -129,7 +129,8 @@ impl Workload {
     }
 
     /// Cycle the templates over `count` flows, each arriving `gap()`
-    /// seconds after the previous one.
+    /// seconds after the previous one. A stamped flow shares its
+    /// template's label (an `Arc` copy, no allocation).
     fn stamp(&self, mut gap: impl FnMut() -> f64) -> Result<Vec<FlowSpec>, SimError> {
         let mut flows = Vec::with_capacity(self.count);
         let mut t = 0.0_f64;
@@ -261,10 +262,10 @@ mod tests {
         let a = FlowSpec::dma(NodeId(3), NodeId(7)).gbits(1.0).label("a");
         let b = FlowSpec::dma(NodeId(6), NodeId(7)).gbits(1.0).label("b");
         let flows = Workload::poisson(vec![a, b], 4, 100.0, 1).materialize().unwrap();
-        assert_eq!(flows[0].label, "a");
-        assert_eq!(flows[1].label, "b");
-        assert_eq!(flows[2].label, "a");
-        assert_eq!(flows[3].label, "b");
+        let labels: Vec<&str> = flows.iter().map(|f| &*f.label).collect();
+        assert_eq!(labels, ["a", "b", "a", "b"]);
+        // Stamping shares the template's label text instead of copying it.
+        assert!(std::sync::Arc::ptr_eq(&flows[0].label, &flows[2].label));
     }
 
     #[test]

@@ -336,6 +336,68 @@ fn solver_reuse_is_bit_identical_across_ceiling_retunes() {
     }
 }
 
+#[test]
+fn solver_reuse_is_bit_identical_across_capacity_and_ceiling_retunes() {
+    // A solve resets only the resources its live flows list, so a
+    // resource taken to 0 and brought back, or retuned while no flow
+    // uses it, must not leak state into a later solve. Some flows repeat
+    // an earlier flow's resources and are lowered through `repeat_flow`,
+    // as the engine lowers a repeated flow shape.
+    for case in 0..CASES {
+        let mut rng = SplitMix64::new(case);
+        let mut p = arb_problem_rich(&mut rng);
+        if p.flows.is_empty() {
+            continue;
+        }
+        let mut solver = MaxMinSolver::new(p.capacities.clone());
+        for i in 0..p.flows.len() {
+            if i > 0 && rng.below(3) == 0 {
+                let of = int(&mut rng, 0, i);
+                p.flows[i].resources = p.flows[of].resources.clone();
+                assert_eq!(solver.repeat_flow(of, p.flows[i].ceiling, p.flows[i].weight), i);
+            } else {
+                let f = &p.flows[i];
+                solver.add_flow(&f.resources, f.ceiling, f.weight);
+            }
+        }
+        solver.validate().unwrap();
+        let nr = p.capacities.len();
+        for step in 0..int(&mut rng, 4, 24) {
+            for _ in 0..int(&mut rng, 1, 4) {
+                match rng.below(3) {
+                    // A resource goes offline, or comes back.
+                    0 => {
+                        let r = int(&mut rng, 0, nr);
+                        let cap =
+                            if p.capacities[r] > 0.0 { 0.0 } else { rng.range_f64(0.1, 100.0) };
+                        p.capacities[r] = cap;
+                        solver.set_capacity(r, cap);
+                    }
+                    // A flow switches off, on, or moves its ceiling; a
+                    // flow with no resources keeps a finite ceiling.
+                    _ => {
+                        let i = int(&mut rng, 0, p.flows.len());
+                        let ceiling = match rng.below(3) {
+                            0 => 0.0,
+                            1 if !p.flows[i].resources.is_empty() => f64::INFINITY,
+                            _ => rng.range_f64(0.1, 50.0),
+                        };
+                        p.flows[i].ceiling = ceiling;
+                        solver.set_ceiling(i, ceiling);
+                    }
+                }
+            }
+            let want = reference_solve(&p);
+            let fresh = solve_max_min(&p);
+            let got = solver.solve();
+            for (i, ((a, f), b)) in want.iter().zip(&fresh).zip(got).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "case {case} step {step}: flow {i}");
+                assert_eq!(f.to_bits(), b.to_bits(), "case {case} step {step}: flow {i}");
+            }
+        }
+    }
+}
+
 /// A flow over up to four resources (listed with replacement) with an
 /// unbounded or finite ceiling and a random weight; a flow with no
 /// resources always gets a finite ceiling.

@@ -5,6 +5,7 @@ use numa_engine::{FlowSpec, JitterCfg, ResourceKey, SimError, SimReport, Simulat
 use numa_fabric::Fabric;
 use numa_iodev::{NicModel, NicOp, SsdModel};
 use numa_topology::NodeId;
+use std::fmt::Write as _;
 
 /// Harness failures.
 #[derive(Debug, Clone, PartialEq)]
@@ -264,11 +265,15 @@ pub fn build_sim_with<'f>(
     // ---- Pass 3: emit flows.
     let mut flow_job: Vec<usize> = Vec::new();
     let mut ssd_rr: u32 = 0;
+    // Each stream's label is written into one reused buffer, so the
+    // shared label is the only allocation per stream.
+    let mut label = String::new();
     for (ji, job) in jobs.iter().enumerate() {
         let buffer = job.buffer_node();
         let describe = job.describe();
         for s in 0..job.numjobs {
-            let label = format!("job{ji}.{s} {describe}");
+            label.clear();
+            let _ = write!(label, "job{ji}.{s} {describe}");
             let spec = match &job.workload {
                 Workload::Nic(op) => {
                     let nic = nic.as_ref().ok_or(FioError::NoNic)?;
@@ -283,7 +288,7 @@ pub fn build_sim_with<'f>(
                     let mut f = FlowSpec::dma(src, dst)
                         .gbytes(job.size_gbytes)
                         .ceiling(ceiling)
-                        .label(label)
+                        .label(label.as_str())
                         .charge(nic_engine_res[op_tag(*op) as usize].expect("op seen in pass 1"))
                         .charge(nic_wire_res[op.to_device() as usize].expect("op seen in pass 1"));
                     // The NIC endpoint is a device buffer: its DMA engine
@@ -314,7 +319,7 @@ pub fn build_sim_with<'f>(
                     let f = FlowSpec::dma(src, dst)
                         .gbytes(job.size_gbytes)
                         .ceiling(level / ssd.cards as f64)
-                        .label(label)
+                        .label(label.as_str())
                         .charge(lookup(&ssd_card_res, (*write, card)).expect("seen in pass 1"))
                         .charge(class_handle);
                     if *write { f.device_dst() } else { f.device_src() }
@@ -330,7 +335,6 @@ pub fn build_sim_with<'f>(
 impl FioReport {
     /// fio-style textual report: one line per job plus the group total.
     pub fn render(&self) -> String {
-        use std::fmt::Write as _;
         let mut out = String::new();
         for (i, j) in self.jobs.iter().enumerate() {
             let _ = writeln!(
