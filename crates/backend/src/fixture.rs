@@ -146,9 +146,13 @@ impl Fixture {
         }
         match self.header.preset.as_deref() {
             None => Ok(None),
-            Some(name) => preset_topology(name)
-                .map(Some)
-                .ok_or_else(|| BackendError::UnknownPreset { name: name.to_string() }),
+            Some(name) => {
+                preset_topology(name)
+                    .map(Some)
+                    .ok_or_else(|| BackendError::UnknownPreset {
+                        name: name.to_string(),
+                    })
+            }
         }
     }
 }
@@ -230,7 +234,9 @@ mod tests {
         let e = Fixture::from_jsonl(&fix.to_jsonl()).unwrap_err();
         assert_eq!(
             e,
-            BackendError::SchemaMismatch { found: "numio-probe-fixture/99".to_string() }
+            BackendError::SchemaMismatch {
+                found: "numio-probe-fixture/99".to_string()
+            }
         );
         assert!(e.to_string().contains("unsupported fixture schema"), "{e}");
     }
@@ -252,8 +258,14 @@ mod tests {
 
     #[test]
     fn preset_resolution_covers_the_builtin_machines() {
-        for name in ["dl585-g7", "dl585-split-io", "intel-4s4n", "amd-4s8n", "amd-8s8n", "blade32"]
-        {
+        for name in [
+            "dl585-g7",
+            "dl585-split-io",
+            "intel-4s4n",
+            "amd-4s8n",
+            "amd-8s8n",
+            "blade32",
+        ] {
             let topo = preset_topology(name).unwrap_or_else(|| panic!("{name}"));
             assert_eq!(topo.name(), name);
         }
@@ -262,7 +274,9 @@ mod tests {
         fix.header.preset = Some("cray-1".to_string());
         assert_eq!(
             fix.resolve_topology(),
-            Err(BackendError::UnknownPreset { name: "cray-1".to_string() })
+            Err(BackendError::UnknownPreset {
+                name: "cray-1".to_string()
+            })
         );
     }
 

@@ -13,9 +13,9 @@ use numio_core::Platform;
 
 /// [`numa_fio::run_jobs`] against the backend's fabric.
 pub fn run_jobs<P: Platform>(platform: &P, jobs: &[JobSpec]) -> Result<FioReport, BackendError> {
-    let fabric = platform
-        .fabric()
-        .ok_or_else(|| BackendError::NoFabric { label: platform.label() })?;
+    let fabric = platform.fabric().ok_or_else(|| BackendError::NoFabric {
+        label: platform.label(),
+    })?;
     Ok(numa_fio::run_jobs(fabric, jobs)?)
 }
 
@@ -25,9 +25,9 @@ pub fn run_jobs_scenario<P: Platform>(
     jobs: &[JobSpec],
     obs: &numa_obs::Obs,
 ) -> Result<FioReport, BackendError> {
-    let fabric = platform
-        .fabric()
-        .ok_or_else(|| BackendError::NoFabric { label: platform.label() })?;
+    let fabric = platform.fabric().ok_or_else(|| BackendError::NoFabric {
+        label: platform.label(),
+    })?;
     Ok(numa_fio::run_jobs_scenario(fabric, jobs, obs)?)
 }
 
@@ -65,7 +65,12 @@ mod tests {
         let replay = ReplayPlatform::from_jsonl(&rec.fixture().to_jsonl()).unwrap();
         let job = JobSpec::nic(numa_iodev::NicOp::RdmaWrite, NodeId(3));
         let e = run_jobs(&replay, &[job]).unwrap_err();
-        assert_eq!(e, BackendError::NoFabric { label: "sim:dl585-g7".to_string() });
+        assert_eq!(
+            e,
+            BackendError::NoFabric {
+                label: "sim:dl585-g7".to_string()
+            }
+        );
         assert!(e.to_string().contains("exposes no fabric"), "{e}");
     }
 

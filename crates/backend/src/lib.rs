@@ -75,7 +75,10 @@ mod tests {
 
         let replay = ReplayPlatform::from_jsonl(&rec.fixture().to_jsonl()).unwrap();
         let replayed = modeler.characterize_full_host(&replay);
-        assert_eq!(replayed, live, "replay must be bit-identical to the live run");
+        assert_eq!(
+            replayed, live,
+            "replay must be bit-identical to the live run"
+        );
         // And stable across repeated replays.
         assert_eq!(modeler.characterize_full_host(&replay), live);
     }
@@ -85,7 +88,9 @@ mod tests {
     #[test]
     fn replay_with_wrong_reps_is_typed() {
         let rec = RecordingPlatform::new(SimPlatform::dl585());
-        let _ = IoModeler::new().reps(4).characterize(&rec, NodeId(7), TransferMode::Write);
+        let _ = IoModeler::new()
+            .reps(4)
+            .characterize(&rec, NodeId(7), TransferMode::Write);
         let replay = ReplayPlatform::from_jsonl(&rec.fixture().to_jsonl()).unwrap();
         let err = IoModeler::new()
             .reps(5)
@@ -103,9 +108,14 @@ mod tests {
             (p.backend_kind(), p.deterministic(), p.num_nodes())
         }
         assert_eq!(metadata(&SimPlatform::dl585()), ("sim", true, 8));
-        assert_eq!(metadata(&numio_core::HostPlatform::new(4)), ("host", false, 4));
+        assert_eq!(
+            metadata(&numio_core::HostPlatform::new(4)),
+            ("host", false, 4)
+        );
         let rec = RecordingPlatform::new(SimPlatform::dl585());
-        let _ = IoModeler::new().reps(1).characterize(&rec, NodeId(7), TransferMode::Write);
+        let _ = IoModeler::new()
+            .reps(1)
+            .characterize(&rec, NodeId(7), TransferMode::Write);
         let replay = ReplayPlatform::from_jsonl(&rec.fixture().to_jsonl()).unwrap();
         assert_eq!(metadata(&replay), ("replay", true, 8));
     }

@@ -25,7 +25,11 @@ pub struct RecordingPlatform<P: Platform> {
 impl<P: Platform> RecordingPlatform<P> {
     /// Start recording over `inner`.
     pub fn new(inner: P) -> Self {
-        RecordingPlatform { inner, log: Mutex::new(Vec::new()), obs: None }
+        RecordingPlatform {
+            inner,
+            log: Mutex::new(Vec::new()),
+            obs: None,
+        }
     }
 
     /// Emit a `probe_recorded` event (and bump
@@ -85,12 +89,18 @@ impl<P: Platform> Platform for RecordingPlatform<P> {
         let samples = self.inner.probe(spec)?;
         let seq = {
             let mut log = self.log.lock().expect("probe log poisoned");
-            log.push(ProbeRecord { spec: *spec, samples: samples.clone() });
+            log.push(ProbeRecord {
+                spec: *spec,
+                samples: samples.clone(),
+            });
             log.len()
         };
         if let Some(o) = &self.obs {
-            o.counter("numio_probes_recorded_total", &[("backend", self.inner.backend_kind())])
-                .inc();
+            o.counter(
+                "numio_probes_recorded_total",
+                &[("backend", self.inner.backend_kind())],
+            )
+            .inc();
             o.event(
                 "probe_recorded",
                 seq as f64,
@@ -194,7 +204,10 @@ mod tests {
     #[test]
     fn failed_probes_are_not_recorded() {
         let rec = RecordingPlatform::new(SimPlatform::dl585());
-        let bad = CopySpec { src: NodeId(99), ..spec() };
+        let bad = CopySpec {
+            src: NodeId(99),
+            ..spec()
+        };
         assert!(rec.try_run_copy(&bad).is_err());
         assert_eq!(rec.probes_recorded(), 0);
     }
@@ -223,7 +236,8 @@ mod tests {
         let _ = rec.run_copy(&spec());
         let _ = rec.run_copy(&spec());
         assert_eq!(
-            obs.counter("numio_probes_recorded_total", &[("backend", "sim")]).get(),
+            obs.counter("numio_probes_recorded_total", &[("backend", "sim")])
+                .get(),
             2
         );
         assert!(obs.jsonl().contains("\"ev\":\"probe_recorded\""));

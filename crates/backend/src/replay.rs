@@ -40,7 +40,12 @@ impl ReplayPlatform {
         for p in fixture.probes {
             probes.insert(p.spec, p.samples);
         }
-        Ok(ReplayPlatform { header: fixture.header, topology, probes, obs: None })
+        Ok(ReplayPlatform {
+            header: fixture.header,
+            topology,
+            probes,
+            obs: None,
+        })
     }
 
     /// Parse JSONL text and build.
@@ -91,7 +96,8 @@ impl Platform for ReplayPlatform {
             .cloned()
             .ok_or(PlatformError::NoRecordedProbe { spec: *spec })?;
         if let Some(o) = &self.obs {
-            o.counter("numio_probes_replayed_total", &[("backend", "replay")]).inc();
+            o.counter("numio_probes_replayed_total", &[("backend", "replay")])
+                .inc();
             o.event(
                 "probe_replayed",
                 spec.bind.index() as f64,
@@ -182,7 +188,10 @@ mod tests {
     #[test]
     fn missing_probe_is_a_typed_error() {
         let replay = recorded();
-        let other = CopySpec { src: NodeId(2), ..spec() };
+        let other = CopySpec {
+            src: NodeId(2),
+            ..spec()
+        };
         let e = replay.try_run_copy(&other).unwrap_err();
         assert_eq!(e, PlatformError::NoRecordedProbe { spec: other });
         assert!(e.to_string().contains("no recorded probe"), "{e}");
@@ -192,7 +201,10 @@ mod tests {
     fn empty_fixture_is_rejected() {
         let rec = RecordingPlatform::new(SimPlatform::dl585());
         let fix = rec.fixture();
-        assert!(matches!(ReplayPlatform::from_fixture(fix), Err(BackendError::EmptyFixture)));
+        assert!(matches!(
+            ReplayPlatform::from_fixture(fix),
+            Err(BackendError::EmptyFixture)
+        ));
     }
 
     #[test]
@@ -201,7 +213,8 @@ mod tests {
         let replay = recorded().with_obs(obs.clone());
         let _ = replay.run_copy(&spec());
         assert_eq!(
-            obs.counter("numio_probes_replayed_total", &[("backend", "replay")]).get(),
+            obs.counter("numio_probes_replayed_total", &[("backend", "replay")])
+                .get(),
             1
         );
         assert!(obs.jsonl().contains("\"ev\":\"probe_replayed\""));

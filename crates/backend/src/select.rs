@@ -34,15 +34,17 @@ impl AnyPlatform {
             return Ok(AnyPlatform::Host(HostPlatform::new(4)));
         }
         if let Some(nodes) = spec.strip_prefix("host:") {
-            let nodes: usize = nodes
-                .parse()
-                .map_err(|_| BackendError::UnknownBackend { spec: spec.to_string() })?;
+            let nodes: usize = nodes.parse().map_err(|_| BackendError::UnknownBackend {
+                spec: spec.to_string(),
+            })?;
             return Ok(AnyPlatform::Host(HostPlatform::new(nodes)));
         }
         if let Some(path) = spec.strip_prefix("replay:") {
             return Ok(ReplayPlatform::from_file(path)?.into());
         }
-        Err(BackendError::UnknownBackend { spec: spec.to_string() })
+        Err(BackendError::UnknownBackend {
+            spec: spec.to_string(),
+        })
     }
 
     /// Attach an obs handle where the variant supports one (replay event

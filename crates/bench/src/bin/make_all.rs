@@ -43,7 +43,10 @@ fn main() {
             }
         }
     }
-    print_or_stop(&mut stdout, "\nwrote per-experiment reports under results/\n");
+    print_or_stop(
+        &mut stdout,
+        "\nwrote per-experiment reports under results/\n",
+    );
 }
 
 /// Write `text` to stdout until the first failed write, then stop

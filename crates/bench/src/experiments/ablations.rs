@@ -4,7 +4,7 @@
 
 use crate::Experiment;
 use numa_fabric::calibration::{
-    dl585_pio_matrix, DL585_DMA_EDGE_CAPS, DL585_DMA_DEFAULT_W16, DL585_DMA_DEFAULT_W8,
+    dl585_pio_matrix, DL585_DMA_DEFAULT_W16, DL585_DMA_DEFAULT_W8, DL585_DMA_EDGE_CAPS,
     DL585_NODE_COPY_CAP,
 };
 use numa_fabric::{Fabric, PioModel};
@@ -36,10 +36,16 @@ pub fn run() -> Experiment {
     let platform = SimPlatform::dl585();
 
     // ---- 1. Gap threshold sweep: is 8% a knife edge?
-    let _ = writeln!(text, "(1) classifier gap threshold sweep (read model class count):");
+    let _ = writeln!(
+        text,
+        "(1) classifier gap threshold sweep (read model class count):"
+    );
     for threshold in [0.01, 0.03, 0.05, 0.08, 0.12, 0.20, 0.35] {
         let modeler = IoModeler {
-            classify: ClassifyParams { gap_threshold: threshold, ..ClassifyParams::default() },
+            classify: ClassifyParams {
+                gap_threshold: threshold,
+                ..ClassifyParams::default()
+            },
             ..IoModeler::new()
         };
         let model = modeler.characterize(&platform, NodeId(7), TransferMode::Read);
@@ -58,7 +64,10 @@ pub fn run() -> Experiment {
 
     // ---- 2. Local+neighbour rule off.
     let no_rule = IoModeler {
-        classify: ClassifyParams { force_local_class1: false, ..ClassifyParams::default() },
+        classify: ClassifyParams {
+            force_local_class1: false,
+            ..ClassifyParams::default()
+        },
         ..IoModeler::new()
     };
     let ablated = no_rule.characterize(&platform, NodeId(7), TransferMode::Read);
@@ -75,14 +84,21 @@ pub fn run() -> Experiment {
     // ---- 3. IRQ derate off: the neighbour advantage disappears.
     let fabric = platform.fabric();
     let job = |node: u16| {
-        vec![JobSpec::nic(NicOp::TcpSend, NodeId(node)).numjobs(4).size_gbytes(6.0)]
+        vec![JobSpec::nic(NicOp::TcpSend, NodeId(node))
+            .numjobs(4)
+            .size_gbytes(6.0)]
     };
     let mut quiet_nic = NicModel::paper();
     quiet_nic.irq_send_derate = 0.0;
     let with = |nic: &NicModel, node: u16| {
-        run_jobs_with(fabric, &job(node), Some(nic.clone()), SsdModel::for_fabric(fabric))
-            .unwrap()
-            .aggregate_gbps
+        run_jobs_with(
+            fabric,
+            &job(node),
+            Some(nic.clone()),
+            SsdModel::for_fabric(fabric),
+        )
+        .unwrap()
+        .aggregate_gbps
     };
     let base = NicModel::paper();
     let _ = writeln!(
@@ -102,17 +118,29 @@ pub fn run() -> Experiment {
     let mut ideal_nic = NicModel::paper();
     ideal_nic.mixed_class_penalty = 0.0;
     let eq1_jobs = [
-        JobSpec::nic(NicOp::RdmaRead, NodeId(2)).numjobs(2).size_gbytes(30.0),
-        JobSpec::nic(NicOp::RdmaRead, NodeId(0)).numjobs(2).size_gbytes(30.0),
+        JobSpec::nic(NicOp::RdmaRead, NodeId(2))
+            .numjobs(2)
+            .size_gbytes(30.0),
+        JobSpec::nic(NicOp::RdmaRead, NodeId(0))
+            .numjobs(2)
+            .size_gbytes(30.0),
     ];
-    let measured_base =
-        run_jobs_with(fabric, &eq1_jobs, Some(base.clone()), SsdModel::for_fabric(fabric))
-            .unwrap()
-            .aggregate_gbps;
-    let measured_ideal =
-        run_jobs_with(fabric, &eq1_jobs, Some(ideal_nic), SsdModel::for_fabric(fabric))
-            .unwrap()
-            .aggregate_gbps;
+    let measured_base = run_jobs_with(
+        fabric,
+        &eq1_jobs,
+        Some(base.clone()),
+        SsdModel::for_fabric(fabric),
+    )
+    .unwrap()
+    .aggregate_gbps;
+    let measured_ideal = run_jobs_with(
+        fabric,
+        &eq1_jobs,
+        Some(ideal_nic),
+        SsdModel::for_fabric(fabric),
+    )
+    .unwrap()
+    .aggregate_gbps;
     let _ = writeln!(
         text,
         "(4) mixed-class port penalty ablation (the Eq. 1 workload):\n\
@@ -134,11 +162,24 @@ pub fn run() -> Experiment {
          \x20   shortest-path routing funnels nodes 0,1 through the narrow\n\
          \x20   3->7 link, collapsing them into the bottom class — firmware\n\
          \x20   routing is part of why hop distance fails on real hosts.",
-        base_model.classes().iter().map(|c| c.nodes.clone()).collect::<Vec<_>>(),
-        bfs_model.classes().iter().map(|c| c.nodes.clone()).collect::<Vec<_>>(),
+        base_model
+            .classes()
+            .iter()
+            .map(|c| c.nodes.clone())
+            .collect::<Vec<_>>(),
+        bfs_model
+            .classes()
+            .iter()
+            .map(|c| c.nodes.clone())
+            .collect::<Vec<_>>(),
     );
 
-    Experiment { id: "ablations", title: "Design-choice ablations", text, data: None }
+    Experiment {
+        id: "ablations",
+        title: "Design-choice ablations",
+        text,
+        data: None,
+    }
 }
 
 #[cfg(test)]

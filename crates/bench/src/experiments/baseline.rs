@@ -25,7 +25,10 @@ pub fn run() -> Experiment {
     let model_driven = ClassRanked::model_driven(&platform).expect("the DL585 characterizes");
     let stream_nodes = &stream_greedy.ranking(false)[0];
     let our_nodes = &model_driven.ranking(false)[0];
-    let _ = writeln!(text, "placement pools for RDMA_READ users (data at node 7):");
+    let _ = writeln!(
+        text,
+        "placement pools for RDMA_READ users (data at node 7):"
+    );
     let _ = writeln!(text, "  STREAM/cbench baseline: {stream_nodes:?}");
     let _ = writeln!(text, "  memcpy methodology    : {our_nodes:?}\n");
 
@@ -52,12 +55,8 @@ pub fn run() -> Experiment {
     // ---- Dynamic: the same comparison inside the online scheduler.
     let tasks = trace::burst(10, trace::MixProfile::Ingest, 11);
     let scheduler = Scheduler::new(&platform);
-    let stream_ep = scheduler
-        .run(tasks.clone(), stream_greedy)
-        .unwrap();
-    let model_ep = scheduler
-        .run(tasks, model_driven)
-        .unwrap();
+    let stream_ep = scheduler.run(tasks.clone(), stream_greedy).unwrap();
+    let model_ep = scheduler.run(tasks, model_driven).unwrap();
     let _ = writeln!(text, "online scheduling, 10-task ingest burst:");
     let _ = writeln!(text, "  {}", stream_ep.summary());
     let _ = writeln!(text, "  {}", model_ep.summary());
@@ -71,7 +70,12 @@ pub fn run() -> Experiment {
          whenever read-direction traffic dominates, which is exactly the\n\
          regime the paper's model targets."
     );
-    Experiment { id: "baseline", title: "STREAM/cbench baseline vs the methodology", text, data: None }
+    Experiment {
+        id: "baseline",
+        title: "STREAM/cbench baseline vs the methodology",
+        text,
+        data: None,
+    }
 }
 
 #[cfg(test)]

@@ -50,7 +50,12 @@ pub fn run() -> Experiment {
          evaluation cost; on larger hosts (see the blade32 cross-topology test)\n\
          savings exceed 80%."
     );
-    Experiment { id: "cost", title: "Characterization cost reduction (§V-B application 1)", text, data: None }
+    Experiment {
+        id: "cost",
+        title: "Characterization cost reduction (§V-B application 1)",
+        text,
+        data: None,
+    }
 }
 
 #[cfg(test)]

@@ -20,19 +20,34 @@ pub fn run() -> Experiment {
     let class3 = nic.map(NicOp::RdmaRead).eval(model.classes()[2].avg_gbps);
     let predicted = predict_aggregate(&[(class2, 0.5), (class3, 0.5)]);
     let jobs = [
-        JobSpec::nic(NicOp::RdmaRead, NodeId(2)).numjobs(2).size_gbytes(50.0),
-        JobSpec::nic(NicOp::RdmaRead, NodeId(0)).numjobs(2).size_gbytes(50.0),
+        JobSpec::nic(NicOp::RdmaRead, NodeId(2))
+            .numjobs(2)
+            .size_gbytes(50.0),
+        JobSpec::nic(NicOp::RdmaRead, NodeId(0))
+            .numjobs(2)
+            .size_gbytes(50.0),
     ];
     let measured = run_jobs(platform.fabric(), &jobs).unwrap().aggregate_gbps;
     let err = relative_error(predicted, measured);
-    let _ = writeln!(text, "the paper's worked example (RDMA_READ, 2 x node2 + 2 x node0):");
     let _ = writeln!(
         text,
-        "  {:<12} {:>10} {:>10}",
-        "", "ours", "paper"
+        "the paper's worked example (RDMA_READ, 2 x node2 + 2 x node0):"
     );
-    let _ = writeln!(text, "  {:<12} {:>10.3} {:>10.3}", "predicted", predicted, paper::EQ1_PREDICTED);
-    let _ = writeln!(text, "  {:<12} {:>10.3} {:>10.3}", "measured", measured, paper::EQ1_MEASURED);
+    let _ = writeln!(text, "  {:<12} {:>10} {:>10}", "", "ours", "paper");
+    let _ = writeln!(
+        text,
+        "  {:<12} {:>10.3} {:>10.3}",
+        "predicted",
+        predicted,
+        paper::EQ1_PREDICTED
+    );
+    let _ = writeln!(
+        text,
+        "  {:<12} {:>10.3} {:>10.3}",
+        "measured",
+        measured,
+        paper::EQ1_MEASURED
+    );
     let _ = writeln!(
         text,
         "  {:<12} {:>9.1}% {:>9.1}%",
@@ -60,13 +75,20 @@ pub fn run() -> Experiment {
             .iter()
             .map(|&(n, c)| {
                 let class = &model.classes()[model.class_of(NodeId(n))];
-                (nic.map(NicOp::RdmaRead).eval(class.avg_gbps), c as f64 / total as f64)
+                (
+                    nic.map(NicOp::RdmaRead).eval(class.avg_gbps),
+                    c as f64 / total as f64,
+                )
             })
             .collect();
         let p = predict_aggregate(&terms);
         let jobs: Vec<JobSpec> = mix
             .iter()
-            .map(|&(n, c)| JobSpec::nic(NicOp::RdmaRead, NodeId(n)).numjobs(c).size_gbytes(30.0))
+            .map(|&(n, c)| {
+                JobSpec::nic(NicOp::RdmaRead, NodeId(n))
+                    .numjobs(c)
+                    .size_gbytes(30.0)
+            })
             .collect();
         let m = run_jobs(platform.fabric(), &jobs).unwrap().aggregate_gbps;
         let e = relative_error(p, m);
@@ -82,7 +104,12 @@ pub fn run() -> Experiment {
         );
     }
     let _ = writeln!(text, "  worst error: {:.1}%", worst * 100.0);
-    Experiment { id: "eq1", title: "Aggregate bandwidth prediction (Eq. 1)", text, data: None }
+    Experiment {
+        id: "eq1",
+        title: "Aggregate bandwidth prediction (Eq. 1)",
+        text,
+        data: None,
+    }
 }
 
 #[cfg(test)]
@@ -90,7 +117,11 @@ mod tests {
     #[test]
     fn example_reported_with_small_error() {
         let e = super::run();
-        assert!(e.text.contains("19.4"), "measured near the paper's 19.415: {}", e.text);
+        assert!(
+            e.text.contains("19.4"),
+            "measured near the paper's 19.415: {}",
+            e.text
+        );
         assert!(e.text.contains("worst error"));
     }
 }

@@ -19,7 +19,11 @@ pub fn run() -> Experiment {
                 .collect::<Vec<_>>()
                 .join(" ")
         );
-        text.push_str(&render::render_matrix("from", "to", &distance::hop_matrix(&topo)));
+        text.push_str(&render::render_matrix(
+            "from",
+            "to",
+            &distance::hop_matrix(&topo),
+        ));
         text.push('\n');
     }
     let _ = writeln!(
@@ -28,7 +32,12 @@ pub fn run() -> Experiment {
          bandwidths are consistent with NONE of them — the motivating\n\
          failure of hop-distance models (see the topology_explorer example)."
     );
-    Experiment { id: "fig1", title: "Possible topologies of 4P Magny-Cours", text, data: None }
+    Experiment {
+        id: "fig1",
+        title: "Possible topologies of 4P Magny-Cours",
+        text,
+        data: None,
+    }
 }
 
 #[cfg(test)]

@@ -2,9 +2,9 @@
 //! methodology.
 
 use crate::Experiment;
-use numio_core::{render_model, IoModeler, SimPlatform, TransferMode};
 use numa_par::json;
 use numa_topology::NodeId;
+use numio_core::{render_model, IoModeler, SimPlatform, TransferMode};
 use std::fmt::Write as _;
 
 fn bar(v: f64, scale: f64) -> String {
@@ -18,8 +18,14 @@ pub fn run() -> Experiment {
     let mut text = String::new();
     let mut data = json::Map::new();
     for (panel, mode) in [
-        ("(a) device write simulation (sink fixed at node 7)", TransferMode::Write),
-        ("(b) device read simulation (source fixed at node 7)", TransferMode::Read),
+        (
+            "(a) device write simulation (sink fixed at node 7)",
+            TransferMode::Write,
+        ),
+        (
+            "(b) device read simulation (source fixed at node 7)",
+            TransferMode::Read,
+        ),
     ] {
         let model = modeler.characterize(&platform, NodeId(7), mode);
         let scale = model.means().iter().cloned().fold(0.0_f64, f64::max);

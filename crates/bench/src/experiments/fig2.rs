@@ -32,7 +32,12 @@ pub fn run() -> Experiment {
     text.push_str(&render::render_tree(&topo));
     let _ = writeln!(text, "\nTable III — network test parameters:");
     text.push_str(&NetTestParams::paper().render());
-    Experiment { id: "fig2", title: "Testbed configuration (Tables II/III, Fig. 2)", text, data: None }
+    Experiment {
+        id: "fig2",
+        title: "Testbed configuration (Tables II/III, Fig. 2)",
+        text,
+        data: None,
+    }
 }
 
 #[cfg(test)]

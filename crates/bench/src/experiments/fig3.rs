@@ -12,7 +12,10 @@ pub fn run() -> Experiment {
     let fabric = dl585_fabric();
     let m = StreamBench::paper().matrix(&fabric);
     let mut text = String::new();
-    let _ = writeln!(text, "STREAM Copy, 4 threads/node, max of 100 runs (Gbit/s):\n");
+    let _ = writeln!(
+        text,
+        "STREAM Copy, 4 threads/node, max of 100 runs (Gbit/s):\n"
+    );
     text.push_str(&render::render_bw_matrix("cpu", "mem", &m));
     let _ = writeln!(
         text,
@@ -34,7 +37,9 @@ pub fn run() -> Experiment {
         id: "fig3",
         title: "Bandwidth performance model by STREAM Copy",
         text,
-        data: Some(numa_par::json!({ "unit": "Gbit/s", "rows": "cpu", "cols": "mem", "matrix": m })),
+        data: Some(
+            numa_par::json!({ "unit": "Gbit/s", "rows": "cpu", "cols": "mem", "matrix": m }),
+        ),
     }
 }
 

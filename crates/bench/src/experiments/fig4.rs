@@ -23,11 +23,17 @@ pub fn run() -> Experiment {
         .cloned()
         .fold(0.0_f64, f64::max);
     let mut text = String::new();
-    let _ = writeln!(text, "(a) CPU centric: STREAM threads on node 7, data on node i");
+    let _ = writeln!(
+        text,
+        "(a) CPU centric: STREAM threads on node 7, data on node i"
+    );
     for (i, v) in cpu.iter().enumerate() {
         let _ = writeln!(text, "  mem {i}: {v:>6.2} {}", bar(*v, scale));
     }
-    let _ = writeln!(text, "\n(b) memory centric: data on node 7, STREAM threads on node i");
+    let _ = writeln!(
+        text,
+        "\n(b) memory centric: data on node 7, STREAM threads on node i"
+    );
     for (i, v) in mem.iter().enumerate() {
         let _ = writeln!(text, "  cpu {i}: {v:>6.2} {}", bar(*v, scale));
     }
@@ -41,7 +47,12 @@ pub fn run() -> Experiment {
         mem[3],
         mem[4]
     );
-    Experiment { id: "fig4", title: "STREAM models of node 7 (CPU/memory centric)", text, data: None }
+    Experiment {
+        id: "fig4",
+        title: "STREAM models of node 7 (CPU/memory centric)",
+        text,
+        data: None,
+    }
 }
 
 #[cfg(test)]

@@ -15,9 +15,12 @@ pub fn run() -> Experiment {
     let streams = PAPER_STREAM_COUNTS;
     let mut text = String::new();
     let mut data = json::Map::new();
-    for (panel, op) in [("(a) TCP send", NicOp::TcpSend), ("(b) TCP receive", NicOp::TcpRecv)] {
-        let points = sweep(&fabric, &Workload::Nic(op), &nodes, &streams, 4.0, 2013)
-            .expect("sweep runs");
+    for (panel, op) in [
+        ("(a) TCP send", NicOp::TcpSend),
+        ("(b) TCP receive", NicOp::TcpRecv),
+    ] {
+        let points =
+            sweep(&fabric, &Workload::Nic(op), &nodes, &streams, 4.0, 2013).expect("sweep runs");
         let _ = writeln!(text, "{panel} — aggregate Gbit/s:");
         text.push_str(&render_table(&points, &nodes, &streams));
         text.push('\n');

@@ -30,7 +30,12 @@ pub fn run() -> Experiment {
          nodes 2/3 (~17); RDMA_READ ranks {{2,3}} ABOVE {{0,1}} — the inversion\n\
          of the STREAM ordering that motivates the whole methodology (§IV-B2)."
     );
-    Experiment { id: "fig6", title: "RDMA bandwidth performance characteristics", text, data: None }
+    Experiment {
+        id: "fig6",
+        title: "RDMA bandwidth performance characteristics",
+        text,
+        data: None,
+    }
 }
 
 #[cfg(test)]

@@ -15,7 +15,11 @@ pub fn run() -> Experiment {
     let procs = [2u32, 4, 8];
     let mut text = String::new();
     for (panel, write) in [("(a) SSD write", true), ("(b) SSD read", false)] {
-        let wl = Workload::Ssd { write, engine: IoEngine::paper(), direct: true };
+        let wl = Workload::Ssd {
+            write,
+            engine: IoEngine::paper(),
+            direct: true,
+        };
         let points = sweep(&fabric, &wl, &nodes, &procs, 6.0, 77).expect("sweep runs");
         let _ = writeln!(text, "{panel} — aggregate Gbit/s (both cards):");
         text.push_str(&render_table(&points, &nodes, &procs));
@@ -28,7 +32,12 @@ pub fn run() -> Experiment {
          classes (node 4 starved at ~18.5) — §IV-B3's correspondence; neither\n\
          matches the STREAM model of Fig. 3."
     );
-    Experiment { id: "fig7", title: "Disk I/O bandwidth performance characteristics", text, data: None }
+    Experiment {
+        id: "fig7",
+        title: "Disk I/O bandwidth performance characteristics",
+        text,
+        data: None,
+    }
 }
 
 #[cfg(test)]

@@ -15,7 +15,11 @@ pub fn run() -> Experiment {
         text,
         "pointer-chase load-to-use latency, threads on node 0 (ns):\n"
     );
-    let _ = writeln!(text, "{:>12} {:>10} {:>10} {:>10}", "working set", "local", "nb(n1)", "far(n7)");
+    let _ = writeln!(
+        text,
+        "{:>12} {:>10} {:>10} {:>10}",
+        "working set", "local", "nb(n1)", "far(n7)"
+    );
     for point in bench.curve(&topo, NodeId(0), NodeId(0), 256 << 20) {
         if point.bytes < 16 << 10 {
             continue;
@@ -27,7 +31,11 @@ pub fn run() -> Experiment {
         } else {
             format!("{} KiB", point.bytes >> 10)
         };
-        let _ = writeln!(text, "{label:>12} {:>10.1} {nb:>10.1} {far:>10.1}", point.ns);
+        let _ = writeln!(
+            text,
+            "{label:>12} {:>10.1} {nb:>10.1} {far:>10.1}",
+            point.ns
+        );
     }
     let measured = bench.measured_numa_factor(&topo);
     let _ = writeln!(

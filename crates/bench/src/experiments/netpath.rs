@@ -15,7 +15,10 @@ pub fn run() -> Experiment {
     let mut text = String::new();
 
     let m = path.matrix(NicOp::TcpSend, &local, &remote);
-    let _ = writeln!(text, "end-to-end TCP send (tx binding x rx binding), Gbit/s:");
+    let _ = writeln!(
+        text,
+        "end-to-end TCP send (tx binding x rx binding), Gbit/s:"
+    );
     let _ = write!(text, "{:>8}", "tx\\rx");
     for r in 0..8 {
         let _ = write!(text, "{r:>8}");
@@ -41,7 +44,10 @@ pub fn run() -> Experiment {
         (1.0 - m[3][7] / best) * 100.0
     );
 
-    let _ = writeln!(text, "\nwide-area regime (RDMA_WRITE, both ends at their best nodes):");
+    let _ = writeln!(
+        text,
+        "\nwide-area regime (RDMA_WRITE, both ends at their best nodes):"
+    );
     for rtt in [0.005, 1.0, 10.0, 50.0] {
         let wan = TwoHostPath::wide_area(rtt);
         let bw = wan.op_bandwidth(NicOp::RdmaWrite, (&local, NodeId(6)), (&remote, NodeId(6)));
@@ -52,7 +58,12 @@ pub fn run() -> Experiment {
         };
         let _ = writeln!(text, "  RTT {rtt:>7.3} ms -> {bw:>7.3} Gbit/s  ({limiter})");
     }
-    Experiment { id: "netpath", title: "Two-host end-to-end composition (ref [3])", text, data: None }
+    Experiment {
+        id: "netpath",
+        title: "Two-host end-to-end composition (ref [3])",
+        text,
+        data: None,
+    }
 }
 
 #[cfg(test)]
@@ -60,7 +71,11 @@ mod tests {
     #[test]
     fn reproduces_the_30_percent_citation() {
         let e = super::run();
-        assert!(e.text.contains("31% loss") || e.text.contains("30% loss"), "{}", e.text);
+        assert!(
+            e.text.contains("31% loss") || e.text.contains("30% loss"),
+            "{}",
+            e.text
+        );
         assert!(e.text.contains("window/RTT"));
     }
 }

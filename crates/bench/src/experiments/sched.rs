@@ -13,8 +13,12 @@ fn dtn_jobs(read_nodes: &[NodeId], write_nodes: &[NodeId]) -> Vec<JobSpec> {
     let r = |i: usize| read_nodes[i % read_nodes.len()];
     let w = |i: usize| write_nodes[i % write_nodes.len()];
     let mut jobs = vec![
-        JobSpec::nic(NicOp::RdmaRead, r(0)).numjobs(2).size_gbytes(15.0),
-        JobSpec::nic(NicOp::RdmaRead, r(1)).numjobs(2).size_gbytes(15.0),
+        JobSpec::nic(NicOp::RdmaRead, r(0))
+            .numjobs(2)
+            .size_gbytes(15.0),
+        JobSpec::nic(NicOp::RdmaRead, r(1))
+            .numjobs(2)
+            .size_gbytes(15.0),
     ];
     for i in 0..4 {
         jobs.push(JobSpec::ssd(true, w(i)).numjobs(1).size_gbytes(20.0));
@@ -66,7 +70,12 @@ pub fn run() -> Experiment {
         "\n  improvement: {:+.1}% aggregate bandwidth",
         (spread.aggregate_gbps / naive.aggregate_gbps - 1.0) * 100.0
     );
-    Experiment { id: "sched", title: "Scheduler assistance (§V-B application 3)", text, data: None }
+    Experiment {
+        id: "sched",
+        title: "Scheduler assistance (§V-B application 3)",
+        text,
+        data: None,
+    }
 }
 
 #[cfg(test)]

@@ -13,9 +13,7 @@ pub fn run() -> Experiment {
         "{:<28} {:>10} {:>10} {:>8}",
         "Server type", "modelled", "paper", "error"
     );
-    for ((topo, model, _), (label, published)) in
-        table1_machines().into_iter().zip(paper::TABLE1)
-    {
+    for ((topo, model, _), (label, published)) in table1_machines().into_iter().zip(paper::TABLE1) {
         let f = numa_factor(&topo, &model);
         let _ = writeln!(
             text,
@@ -29,7 +27,12 @@ pub fn run() -> Experiment {
          (see numa-fabric/src/calibration.rs); the factor is the mean remote\n\
          access latency over the local latency, as defined in §I."
     );
-    Experiment { id: "table1", title: "NUMA factor of different server configurations", text, data: None }
+    Experiment {
+        id: "table1",
+        title: "NUMA factor of different server configurations",
+        text,
+        data: None,
+    }
 }
 
 #[cfg(test)]

@@ -41,9 +41,13 @@ pub fn run() -> Experiment {
         JobSpec::nic(NicOp::TcpSend, n).numjobs(4).size_gbytes(8.0)
     });
     let rdma = measure_per_node(&platform, |n| {
-        JobSpec::nic(NicOp::RdmaWrite, n).numjobs(2).size_gbytes(8.0)
+        JobSpec::nic(NicOp::RdmaWrite, n)
+            .numjobs(2)
+            .size_gbytes(8.0)
     });
-    let ssd = measure_per_node(&platform, |n| JobSpec::ssd(true, n).numjobs(2).size_gbytes(8.0));
+    let ssd = measure_per_node(&platform, |n| {
+        JobSpec::ssd(true, n).numjobs(2).size_gbytes(8.0)
+    });
 
     let mut text = render_comparison_table(
         &model,
@@ -59,7 +63,12 @@ pub fn run() -> Experiment {
     append_paper_row(&mut text, "TCP sender", &paper::WRITE_TCP_AVG);
     append_paper_row(&mut text, "RDMA_WRITE", &paper::WRITE_RDMA_AVG);
     append_paper_row(&mut text, "SSD write", &paper::WRITE_SSD_AVG);
-    Experiment { id: "table4", title: "NUMA I/O bandwidth model for device write", text, data: None }
+    Experiment {
+        id: "table4",
+        title: "NUMA I/O bandwidth model for device write",
+        text,
+        data: None,
+    }
 }
 
 #[cfg(test)]

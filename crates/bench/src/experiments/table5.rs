@@ -21,8 +21,9 @@ pub fn run() -> Experiment {
     let rdma = measure_per_node(&platform, |n| {
         JobSpec::nic(NicOp::RdmaRead, n).numjobs(2).size_gbytes(8.0)
     });
-    let ssd =
-        measure_per_node(&platform, |n| JobSpec::ssd(false, n).numjobs(2).size_gbytes(8.0));
+    let ssd = measure_per_node(&platform, |n| {
+        JobSpec::ssd(false, n).numjobs(2).size_gbytes(8.0)
+    });
 
     let mut text = render_comparison_table(
         &model,
@@ -38,7 +39,12 @@ pub fn run() -> Experiment {
     append_paper_row(&mut text, "TCP receiver", &paper::READ_TCP_AVG);
     append_paper_row(&mut text, "RDMA_READ", &paper::READ_RDMA_AVG);
     append_paper_row(&mut text, "SSD read", &paper::READ_SSD_AVG);
-    Experiment { id: "table5", title: "NUMA I/O bandwidth model for device read", text, data: None }
+    Experiment {
+        id: "table5",
+        title: "NUMA I/O bandwidth model for device read",
+        text,
+        data: None,
+    }
 }
 
 #[cfg(test)]

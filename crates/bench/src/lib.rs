@@ -75,9 +75,15 @@ pub const EXPERIMENTS: [(&str, Generator); 18] = [
 /// while every report byte stays identical to a serial loop. An id not in
 /// [`EXPERIMENTS`] is an error that names it and lists the valid ids.
 pub fn select(ids: &[&str]) -> Result<Vec<Experiment>, String> {
-    if let Some(bad) = ids.iter().find(|id| EXPERIMENTS.iter().all(|(e, _)| e != *id)) {
+    if let Some(bad) = ids
+        .iter()
+        .find(|id| EXPERIMENTS.iter().all(|(e, _)| e != *id))
+    {
         let valid: Vec<&str> = EXPERIMENTS.iter().map(|(id, _)| *id).collect();
-        return Err(format!("unknown experiment id `{bad}`; valid ids: {}", valid.join(" ")));
+        return Err(format!(
+            "unknown experiment id `{bad}`; valid ids: {}",
+            valid.join(" ")
+        ));
     }
     let generators: Vec<Generator> = EXPERIMENTS
         .iter()

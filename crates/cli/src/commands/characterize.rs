@@ -21,8 +21,12 @@ pub(crate) fn cmd_characterize(opts: &Opts, obs: &numa_obs::Obs) -> Result<Strin
     if let DeviceSelector::Ssd(cfg) = opts.device()? {
         return characterize_ssd(opts, &platform, cfg, mode, reps);
     }
-    let topo = Platform::topology(&platform)
-        .ok_or_else(|| PlatformError::NoTopology { label: platform.label() }.to_string())?;
+    let topo = Platform::topology(&platform).ok_or_else(|| {
+        PlatformError::NoTopology {
+            label: platform.label(),
+        }
+        .to_string()
+    })?;
     let modeler = IoModeler::new().reps(reps);
     let model = modeler
         .try_characterize_observed(&platform, topo, target, mode, obs)
@@ -134,7 +138,9 @@ pub(crate) fn cmd_record(opts: &Opts, obs: &numa_obs::Obs) -> Result<String, Str
     let models = if opts.get("target").is_some() || opts.get("mode").is_some() {
         let target = opts.node("target", 7)?;
         let mode = opts.mode()?;
-        vec![modeler.try_characterize(&rec, target, mode).map_err(|e| e.to_string())?]
+        vec![modeler
+            .try_characterize(&rec, target, mode)
+            .map_err(|e| e.to_string())?]
     } else {
         modeler.characterize_full_host(&rec)
     };
@@ -178,7 +184,9 @@ pub(crate) fn cmd_classes(opts: &Opts) -> Result<String, String> {
                     ),
                     (
                         "SSD write",
-                        (0..8).map(|n| ssd.node_ceiling(true, &fabric, NodeId(n))).collect(),
+                        (0..8)
+                            .map(|n| ssd.node_ceiling(true, &fabric, NodeId(n)))
+                            .collect(),
                     ),
                 ],
             ),
@@ -200,7 +208,9 @@ pub(crate) fn cmd_classes(opts: &Opts) -> Result<String, String> {
                     ),
                     (
                         "SSD read",
-                        (0..8).map(|n| ssd.node_ceiling(false, &fabric, NodeId(n))).collect(),
+                        (0..8)
+                            .map(|n| ssd.node_ceiling(false, &fabric, NodeId(n)))
+                            .collect(),
                     ),
                 ],
             ),
@@ -222,7 +232,9 @@ pub(crate) fn cmd_atlas(opts: &Opts) -> Result<String, String> {
             .map_err(|e| e.to_string())?;
         return Ok(atlas.to_json());
     }
-    let atlas = IoModeler::new().reps(reps).characterize_full_host(&platform);
+    let atlas = IoModeler::new()
+        .reps(reps)
+        .characterize_full_host(&platform);
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -241,7 +253,11 @@ pub(crate) fn cmd_atlas(opts: &Opts) -> Result<String, String> {
             .map(|c| {
                 format!(
                     "{{{}}}@{:.1}",
-                    c.nodes.iter().map(|n| n.to_string()).collect::<Vec<_>>().join(","),
+                    c.nodes
+                        .iter()
+                        .map(|n| n.to_string())
+                        .collect::<Vec<_>>()
+                        .join(","),
                     c.avg_gbps
                 )
             })

@@ -18,7 +18,11 @@ pub(crate) fn cmd_diff(opts: &Opts) -> Result<String, String> {
     let _ = writeln!(
         out,
         "verdict: {}",
-        if d.is_stable(tolerance) { "STABLE (model still valid)" } else { "DRIFTED (re-characterize)" }
+        if d.is_stable(tolerance) {
+            "STABLE (model still valid)"
+        } else {
+            "DRIFTED (re-characterize)"
+        }
     );
     Ok(out)
 }

@@ -48,7 +48,11 @@ pub(crate) fn cmd_faults(args: &[String], obs: &numa_obs::Obs) -> Result<String,
         "validate" => {
             let path = opts.get("plan").ok_or("--plan <plan.json> required")?;
             let plan = load_fault_plan(path)?;
-            Ok(format!("{path}: OK ({} faults, seed {})\n", plan.faults.len(), plan.seed))
+            Ok(format!(
+                "{path}: OK ({} faults, seed {})\n",
+                plan.faults.len(),
+                plan.seed
+            ))
         }
         "run" => {
             let path = opts.get("plan").ok_or("--plan <plan.json> required")?;
@@ -57,6 +61,8 @@ pub(crate) fn cmd_faults(args: &[String], obs: &numa_obs::Obs) -> Result<String,
                 numa_faults::run_plan(&fabric, &plan, Some(obs)).map_err(|e| e.to_string())?;
             Ok(report.render())
         }
-        other => Err(format!("faults: unknown action '{other}' (want demo|validate|run)")),
+        other => Err(format!(
+            "faults: unknown action '{other}' (want demo|validate|run)"
+        )),
     }
 }

@@ -44,7 +44,9 @@ pub(crate) fn cmd_fleet(args: &[String], obs: &numa_obs::Obs) -> Result<String, 
             Ok(out)
         }
         "compare" => render_compare(&fleet, &opts, obs),
-        other => Err(format!("fleet: unknown action '{other}' (want gen|place|compare)")),
+        other => Err(format!(
+            "fleet: unknown action '{other}' (want gen|place|compare)"
+        )),
     }
 }
 
@@ -143,8 +145,10 @@ fn render_compare(fleet: &Fleet, opts: &Opts, obs: &numa_obs::Obs) -> Result<Str
         if again != reports {
             return Err("fleet compare is not deterministic across runs".into());
         }
-        let digests: Vec<String> =
-            reports.iter().map(|r| format!("{:016x}", r.digest)).collect();
+        let digests: Vec<String> = reports
+            .iter()
+            .map(|r| format!("{:016x}", r.digest))
+            .collect();
         let _ = writeln!(
             out,
             "fleet compare check OK: {} hosts, 3 policies, bit-identical reruns \

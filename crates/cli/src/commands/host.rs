@@ -74,7 +74,10 @@ pub(crate) fn cmd_emit_script(opts: &Opts) -> Result<String, String> {
     let reps: u32 = opts.num("reps", 20)?;
     let mut out = String::new();
     let _ = writeln!(out, "#!/bin/sh");
-    let _ = writeln!(out, "# Algorithm 1 probes for target node {target} on a real NUMA host.");
+    let _ = writeln!(
+        out,
+        "# Algorithm 1 probes for target node {target} on a real NUMA host."
+    );
     let _ = writeln!(out, "# Requires numactl and the iomodel binary on PATH.");
     let _ = writeln!(out, "set -e");
     let _ = writeln!(out, "OUT=iomodel_probes.csv");
@@ -109,8 +112,14 @@ pub(crate) fn cmd_import(opts: &Opts) -> Result<String, String> {
         let (n, v) = line
             .split_once(',')
             .ok_or_else(|| format!("{path}:{}: expected node,gbps", lineno + 1))?;
-        let n: usize = n.trim().parse().map_err(|_| format!("{path}:{}: bad node", lineno + 1))?;
-        let v: f64 = v.trim().parse().map_err(|_| format!("{path}:{}: bad gbps", lineno + 1))?;
+        let n: usize = n
+            .trim()
+            .parse()
+            .map_err(|_| format!("{path}:{}: bad node", lineno + 1))?;
+        let v: f64 = v
+            .trim()
+            .parse()
+            .map_err(|_| format!("{path}:{}: bad gbps", lineno + 1))?;
         if !(v.is_finite() && v >= 0.0) {
             return Err(format!(
                 "{path}:{}: gbps sample {v} is not a finite, non-negative number",
@@ -123,25 +132,20 @@ pub(crate) fn cmd_import(opts: &Opts) -> Result<String, String> {
         samples[n].push(v);
     }
     if samples.iter().any(|s| s.is_empty()) {
-        let missing: Vec<usize> =
-            samples.iter().enumerate().filter(|(_, s)| s.is_empty()).map(|(i, _)| i).collect();
+        let missing: Vec<usize> = samples
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| s.is_empty())
+            .map(|(i, _)| i)
+            .collect();
         return Err(format!("no samples for nodes {missing:?}"));
     }
     let per_node = numa_engine::Summary::from_rows(&samples);
     let means: Vec<f64> = per_node.iter().map(|s| s.mean).collect();
-    let classes = numio_core::classify(
-        &topo,
-        target,
-        &means,
-        numio_core::ClassifyParams::default(),
-    );
-    let model = numio_core::IoPerfModel::new(
-        target,
-        mode,
-        per_node,
-        classes,
-        format!("imported:{path}"),
-    );
+    let classes =
+        numio_core::classify(&topo, target, &means, numio_core::ClassifyParams::default());
+    let model =
+        numio_core::IoPerfModel::new(target, mode, per_node, classes, format!("imported:{path}"));
     if opts.flag("json") {
         Ok(model.to_json())
     } else {

@@ -56,7 +56,10 @@ pub(crate) fn cmd_sweep(opts: &Opts) -> Result<String, String> {
         None => vec![1, 2, 4, 8, 16],
         Some(s) => s
             .split(',')
-            .map(|x| x.parse::<u32>().map_err(|_| format!("bad stream count '{x}'")))
+            .map(|x| {
+                x.parse::<u32>()
+                    .map_err(|_| format!("bad stream count '{x}'"))
+            })
             .collect::<Result<_, _>>()?,
     };
     let fabric = backend::fabric_for(opts)?;

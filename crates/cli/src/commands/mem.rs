@@ -13,12 +13,22 @@ pub(crate) fn cmd_stream(opts: &Opts) -> Result<String, String> {
     let bench = StreamBench::paper();
     let mut out = String::new();
     let _ = writeln!(out, "STREAM Copy, 4 threads, max of 100 runs (Gbit/s):");
-    out.push_str(&render::render_bw_matrix("cpu", "mem", &bench.matrix(&fabric)));
-    let _ = writeln!(out, "\nCPU-centric model of node {target} (threads on {target}):");
+    out.push_str(&render::render_bw_matrix(
+        "cpu",
+        "mem",
+        &bench.matrix(&fabric),
+    ));
+    let _ = writeln!(
+        out,
+        "\nCPU-centric model of node {target} (threads on {target}):"
+    );
     for (i, v) in bench.cpu_centric(&fabric, target).iter().enumerate() {
         let _ = writeln!(out, "  mem {i}: {v:.2}");
     }
-    let _ = writeln!(out, "\nMemory-centric model of node {target} (data on {target}):");
+    let _ = writeln!(
+        out,
+        "\nMemory-centric model of node {target} (data on {target}):"
+    );
     for (i, v) in bench.mem_centric(&fabric, target).iter().enumerate() {
         let _ = writeln!(out, "  cpu {i}: {v:.2}");
     }
@@ -48,9 +58,8 @@ pub(crate) fn cmd_numademo(opts: &Opts) -> Result<String, String> {
     let remote = opts.node("remote", 7)?;
     let fabric = backend::fabric_for(opts)?;
     let results = numa_memsys::numademo::run_all(&fabric, cpu, remote);
-    let mut out = format!(
-        "numademo work-alike: threads on node {cpu}, remote = node {remote} (Gbit/s)\n"
-    );
+    let mut out =
+        format!("numademo work-alike: threads on node {cpu}, remote = node {remote} (Gbit/s)\n");
     out.push_str(&numa_memsys::numademo::render(&results));
     Ok(out)
 }
@@ -64,7 +73,11 @@ pub(crate) fn cmd_latency(opts: &Opts) -> Result<String, String> {
         out,
         "pointer-chase latency staircase (lat_mem_rd style), threads on node {cpu}:"
     );
-    let _ = writeln!(out, "{:>12} {:>12} {:>12} {:>12}", "working set", "local", "neighbour", "remote(n4)");
+    let _ = writeln!(
+        out,
+        "{:>12} {:>12} {:>12} {:>12}",
+        "working set", "local", "neighbour", "remote(n4)"
+    );
     let neighbour = NodeId(cpu.0 ^ 1);
     for point in bench.curve(&topo, cpu, cpu, 256 << 20) {
         let nb = bench.latency_ns(&topo, cpu, neighbour, point.bytes);
@@ -74,7 +87,11 @@ pub(crate) fn cmd_latency(opts: &Opts) -> Result<String, String> {
         } else {
             format!("{} KiB", point.bytes >> 10)
         };
-        let _ = writeln!(out, "{label:>12} {:>10.1}ns {nb:>10.1}ns {far:>10.1}ns", point.ns);
+        let _ = writeln!(
+            out,
+            "{label:>12} {:>10.1}ns {nb:>10.1}ns {far:>10.1}ns",
+            point.ns
+        );
     }
     let _ = writeln!(
         out,

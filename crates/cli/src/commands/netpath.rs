@@ -12,9 +12,7 @@ pub(crate) fn cmd_netpath(opts: &Opts) -> Result<String, String> {
     let mut path = numa_iodev::TwoHostPath::paper();
     path.rtt_ms = rtt;
     let m = path.matrix(op, &local, &remote);
-    let mut out = format!(
-        "end-to-end {op:?} between two testbed hosts (RTT {rtt} ms), Gbit/s:\n"
-    );
+    let mut out = format!("end-to-end {op:?} between two testbed hosts (RTT {rtt} ms), Gbit/s:\n");
     let _ = write!(out, "{:>8}", "tx\\rx");
     for r in 0..8 {
         let _ = write!(out, "{r:>8}");

@@ -12,7 +12,9 @@ use std::fmt::Write as _;
 pub(crate) fn cmd_predict(opts: &Opts) -> Result<String, String> {
     let target = opts.node("target", 7)?;
     let op = opts.nic_op()?;
-    let mix_str = opts.get("mix").ok_or("--mix node:count,node:count required")?;
+    let mix_str = opts
+        .get("mix")
+        .ok_or("--mix node:count,node:count required")?;
     let mut mix: Vec<(NodeId, u32)> = Vec::new();
     for part in mix_str.split(',') {
         let (n, c) = part
@@ -33,9 +35,15 @@ pub(crate) fn cmd_predict(opts: &Opts) -> Result<String, String> {
     let platform = backend::platform_for(opts)?;
     let nodes = platform.num_nodes();
     if let Some((node, _)) = mix.iter().find(|(node, _)| node.index() >= nodes) {
-        return Err(format!("--mix node {node} is out of range: the platform has {nodes} nodes"));
+        return Err(format!(
+            "--mix node {node} is out of range: the platform has {nodes} nodes"
+        ));
     }
-    let mode = if op.to_device() { TransferMode::Write } else { TransferMode::Read };
+    let mode = if op.to_device() {
+        TransferMode::Write
+    } else {
+        TransferMode::Read
+    };
     let model = IoModeler::new()
         .try_characterize(&platform, target, mode)
         .map_err(|e| e.to_string())?;
@@ -45,7 +53,10 @@ pub(crate) fn cmd_predict(opts: &Opts) -> Result<String, String> {
         .iter()
         .map(|&(node, count)| {
             let class = &model.classes()[model.class_of(node)];
-            (nic.map(op).eval(class.avg_gbps), count as f64 / total as f64)
+            (
+                nic.map(op).eval(class.avg_gbps),
+                count as f64 / total as f64,
+            )
         })
         .collect();
     let predicted = predict_aggregate(&terms);
@@ -82,18 +93,35 @@ pub(crate) fn cmd_advise(opts: &Opts) -> Result<String, String> {
     let model = IoModeler::new()
         .try_characterize(&platform, target, mode)
         .map_err(|e| e.to_string())?;
-    let advisor = ScheduleAdvisor { equivalence_tolerance: tolerance, avoid_irq_node: true };
+    let advisor = ScheduleAdvisor {
+        equivalence_tolerance: tolerance,
+        avoid_irq_node: true,
+    };
     let placement = advisor.place(&model, tasks);
     let naive = advisor.naive_local(&model, tasks);
     let mut out = String::new();
     let _ = writeln!(out, "model classes:");
     for (i, c) in model.classes().iter().enumerate() {
         let nodes: Vec<String> = c.nodes.iter().map(|n| n.to_string()).collect();
-        let _ = writeln!(out, "  class {}: {{{}}} avg {:.1}", i + 1, nodes.join(","), c.avg_gbps);
+        let _ = writeln!(
+            out,
+            "  class {}: {{{}}} avg {:.1}",
+            i + 1,
+            nodes.join(","),
+            c.avg_gbps
+        );
     }
     let _ = writeln!(out, "eligible nodes: {:?}", advisor.eligible_nodes(&model));
-    let _ = writeln!(out, "advised placement ({tasks} tasks): {:?}", placement.histogram());
-    let _ = writeln!(out, "naive local placement:             {:?}", naive.histogram());
+    let _ = writeln!(
+        out,
+        "advised placement ({tasks} tasks): {:?}",
+        placement.histogram()
+    );
+    let _ = writeln!(
+        out,
+        "naive local placement:             {:?}",
+        naive.histogram()
+    );
     let _ = writeln!(
         out,
         "max per-node load: advised {} vs naive {}",

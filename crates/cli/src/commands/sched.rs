@@ -44,10 +44,7 @@ pub(crate) fn cmd_sched(opts: &Opts, obs: &numa_obs::Obs) -> Result<String, Stri
             .run(tasks.clone(), model_driven.clone())
             .map_err(|e| e.to_string())?,
         scheduler
-            .run(
-                tasks,
-                ModelDrivenMigrating::new(model_driven, 2.0, 3),
-            )
+            .run(tasks, ModelDrivenMigrating::new(model_driven, 2.0, 3))
             .map_err(|e| e.to_string())?,
     ];
     Ok(metrics::render_comparison(&reports))

@@ -62,9 +62,7 @@ pub(crate) fn cmd_serve(opts: &Opts, obs: &numa_obs::Obs) -> Result<String, Stri
     }
     // Announce before blocking so a foreground user sees liveness; the
     // final summary only prints after shutdown.
-    println!(
-        "iomodel serve: listening on {bound} (backend {label}, reps {reps}, {pool} workers)"
-    );
+    println!("iomodel serve: listening on {bound} (backend {label}, reps {reps}, {pool} workers)");
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
     server.join();

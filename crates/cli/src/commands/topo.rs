@@ -13,9 +13,17 @@ pub(crate) fn cmd_topo(opts: &Opts) -> Result<String, String> {
     }
     out.push_str(&render::render_tree(&topo));
     out.push_str("\nhop distances:\n");
-    out.push_str(&render::render_matrix("from", "to", &distance::hop_matrix(&topo)));
+    out.push_str(&render::render_matrix(
+        "from",
+        "to",
+        &distance::hop_matrix(&topo),
+    ));
     out.push_str("\nSLIT (ideal):\n");
-    out.push_str(&render::render_matrix("from", "to", &distance::slit_matrix(&topo)));
+    out.push_str(&render::render_matrix(
+        "from",
+        "to",
+        &distance::slit_matrix(&topo),
+    ));
     Ok(out)
 }
 

@@ -72,8 +72,12 @@ use opts::Opts;
 /// `--metrics <path>`, `--profile`) before subcommand parsing, runs the
 /// command through [`dispatch`], then writes the requested exports.
 pub fn run(args: &[String]) -> Result<String, String> {
-    let Globals { rest: core_args, trace: trace_path, metrics: metrics_path, profile } =
-        extract_global(args)?;
+    let Globals {
+        rest: core_args,
+        trace: trace_path,
+        metrics: metrics_path,
+        profile,
+    } = extract_global(args)?;
     let obs = numa_obs::Obs::new();
     obs.set_profiling(profile);
     let mut out = dispatch(&core_args, &obs)?;
@@ -181,7 +185,12 @@ fn extract_global(args: &[String]) -> Result<Globals, String> {
             }
         }
     }
-    Ok(Globals { rest, trace, metrics, profile })
+    Ok(Globals {
+        rest,
+        trace,
+        metrics,
+        profile,
+    })
 }
 
 fn usage() -> String {
@@ -238,7 +247,16 @@ mod tests {
 
     #[test]
     fn fleet_place_reports_and_is_deterministic() {
-        let args = ["fleet", "place", "--hosts", "2", "--streams", "8", "--policy", "adaptive"];
+        let args = [
+            "fleet",
+            "place",
+            "--hosts",
+            "2",
+            "--streams",
+            "8",
+            "--policy",
+            "adaptive",
+        ];
         let a = run_str(&args).unwrap();
         let b = run_str(&args).unwrap();
         assert_eq!(a, b);
@@ -249,8 +267,16 @@ mod tests {
 
     #[test]
     fn fleet_compare_check_gates_bit_identity() {
-        let out =
-            run_str(&["fleet", "compare", "--hosts", "2", "--streams", "8", "--check"]).unwrap();
+        let out = run_str(&[
+            "fleet",
+            "compare",
+            "--hosts",
+            "2",
+            "--streams",
+            "8",
+            "--check",
+        ])
+        .unwrap();
         assert!(out.contains("class-ranked"), "{out}");
         assert!(out.contains("bandwidth-aware"), "{out}");
         assert!(out.contains("adaptive"), "{out}");
@@ -266,7 +292,9 @@ mod tests {
         assert!(run_str(&["fleet", "gen", "--hosts", "0"]).is_err());
         assert!(run_str(&["fleet", "gen", "--hosts", "65"]).is_err());
         assert!(run_str(&["fleet", "place", "--policy", "bogus"]).is_err());
-        assert!(run_str(&["fleet", "teleport"]).unwrap_err().contains("unknown action"));
+        assert!(run_str(&["fleet", "teleport"])
+            .unwrap_err()
+            .contains("unknown action"));
     }
 
     #[test]
@@ -347,10 +375,13 @@ mod tests {
         // Same partition shape as Table IV, at SSD-ceiling levels.
         assert!(out.contains("class 1: nodes {6, 7}"), "{out}");
         assert!(out.contains("ssd0:libaio16-direct"), "{out}");
-        let json =
-            run_str(&["characterize", "--reps", "5", "--device", "ssd0", "--json"]).unwrap();
+        let json = run_str(&["characterize", "--reps", "5", "--device", "ssd0", "--json"]).unwrap();
         let model = numio_core::IoPerfModel::from_json(&json).unwrap();
-        assert!(model.platform.ends_with("ssd0:libaio16-direct"), "{}", model.platform);
+        assert!(
+            model.platform.ends_with("ssd0:libaio16-direct"),
+            "{}",
+            model.platform
+        );
         // An explicit operating point scales the whole table down.
         let slow = run_str(&[
             "characterize",
@@ -374,8 +405,7 @@ mod tests {
 
     #[test]
     fn characterize_ssd_check_gates_the_storage_partition() {
-        let out =
-            run_str(&["characterize", "--reps", "3", "--device", "ssd0", "--check"]).unwrap();
+        let out = run_str(&["characterize", "--reps", "3", "--device", "ssd0", "--check"]).unwrap();
         assert!(out.contains("characterize check OK"), "{out}");
         assert!(out.contains("device ssd0:libaio16-direct"), "{out}");
         assert!(out.contains("bit-identical"), "{out}");
@@ -387,8 +417,7 @@ mod tests {
         let e = run_str(&["characterize", "--device", "ssd9"]).unwrap_err();
         assert!(e.contains("--device must be"), "{e}");
         // Storage needs a fabric: host backends carry none.
-        let e =
-            run_str(&["characterize", "--backend", "host:2", "--device", "ssd0"]).unwrap_err();
+        let e = run_str(&["characterize", "--backend", "host:2", "--device", "ssd0"]).unwrap_err();
         assert!(e.contains("exposes no fabric"), "{e}");
     }
 
@@ -543,7 +572,10 @@ mod tests {
     #[test]
     fn predict_mix_node_out_of_range_is_an_error_naming_it() {
         let err = run_str(&["predict", "--mix", "99:2"]).unwrap_err();
-        assert!(err.contains("node 99") && err.contains("has 8 nodes"), "{err}");
+        assert!(
+            err.contains("node 99") && err.contains("has 8 nodes"),
+            "{err}"
+        );
         let err = run_str(&["predict", "--mix", "2:2,8:1"]).unwrap_err();
         assert!(err.contains("node 8"), "{err}");
     }
@@ -674,16 +706,26 @@ mod tests {
         // Bit-identical reruns: the digest line matches across invocations.
         let again = run_str(&["simulate", "--workload", "poisson:n=50,rate=100,seed=7"]).unwrap();
         assert_eq!(out, again);
-        let checked =
-            run_str(&["simulate", "--workload", "pareto:n=20,alpha=1.5,seed=3", "--check"])
-                .unwrap();
+        let checked = run_str(&[
+            "simulate",
+            "--workload",
+            "pareto:n=20,alpha=1.5,seed=3",
+            "--check",
+        ])
+        .unwrap();
         assert!(checked.contains("simulate check OK"), "{checked}");
         assert!(checked.contains("bit-identical"), "{checked}");
         // Usage and parse errors are typed strings, not panics.
         assert!(run_str(&["simulate"]).is_err());
         assert!(run_str(&["simulate", "--workload", "burst:n=3"]).is_err());
-        assert!(run_str(&["simulate", "--workload", "poisson:n=1", "--backend", "host:2"])
-            .is_err());
+        assert!(run_str(&[
+            "simulate",
+            "--workload",
+            "poisson:n=1",
+            "--backend",
+            "host:2"
+        ])
+        .is_err());
     }
 
     #[test]
@@ -969,7 +1011,10 @@ mod tests {
             std::fs::write(&path, format!("# node,gbps\n0,10.0\n3,{bad}\n")).unwrap();
             let e = run_str(&["import", "--csv", path.to_str().unwrap()]).unwrap_err();
             assert!(e.contains("bad-samples.csv:3:"), "{bad}: {e}");
-            assert!(e.contains("not a finite, non-negative number"), "{bad}: {e}");
+            assert!(
+                e.contains("not a finite, non-negative number"),
+                "{bad}: {e}"
+            );
         }
     }
 

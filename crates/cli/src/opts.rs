@@ -57,7 +57,9 @@ impl Opts {
     pub(crate) fn num<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
         match self.get(key) {
             None => Ok(default),
-            Some(v) => v.parse::<T>().map_err(|_| format!("--{key}: cannot parse '{v}'")),
+            Some(v) => v
+                .parse::<T>()
+                .map_err(|_| format!("--{key}: cannot parse '{v}'")),
         }
     }
 

@@ -51,7 +51,10 @@ pub struct ScheduleAdvisor {
 
 impl Default for ScheduleAdvisor {
     fn default() -> Self {
-        ScheduleAdvisor { equivalence_tolerance: 0.06, avoid_irq_node: true }
+        ScheduleAdvisor {
+            equivalence_tolerance: 0.06,
+            avoid_irq_node: true,
+        }
     }
 }
 
@@ -94,7 +97,9 @@ impl ScheduleAdvisor {
     /// The baseline the paper argues against: everything on the
     /// device-local node.
     pub fn naive_local(&self, model: &IoPerfModel, tasks: usize) -> Placement {
-        Placement { assignments: vec![model.target; tasks] }
+        Placement {
+            assignments: vec![model.target; tasks],
+        }
     }
 }
 
@@ -117,7 +122,10 @@ mod tests {
         // Write model: class 1 {6,7} avg ~50, class 2 {0,1,4,5} avg ~44.7
         // (11% below) — with a 15% tolerance both are eligible; class 3
         // ({2,3}, ~47% below) never is.
-        let adv = ScheduleAdvisor { equivalence_tolerance: 0.15, avoid_irq_node: true };
+        let adv = ScheduleAdvisor {
+            equivalence_tolerance: 0.15,
+            avoid_irq_node: true,
+        };
         let nodes = adv.eligible_nodes(&model);
         assert!(nodes.contains(&NodeId(6)));
         assert!(nodes.contains(&NodeId(0)));
@@ -130,7 +138,10 @@ mod tests {
     #[test]
     fn tight_tolerance_keeps_only_class1() {
         let model = write_model();
-        let adv = ScheduleAdvisor { equivalence_tolerance: 0.01, avoid_irq_node: false };
+        let adv = ScheduleAdvisor {
+            equivalence_tolerance: 0.01,
+            avoid_irq_node: false,
+        };
         let nodes = adv.eligible_nodes(&model);
         assert_eq!(nodes, vec![NodeId(6), NodeId(7)]);
     }
@@ -138,7 +149,10 @@ mod tests {
     #[test]
     fn place_spreads_and_naive_piles_up() {
         let model = write_model();
-        let adv = ScheduleAdvisor { equivalence_tolerance: 0.15, avoid_irq_node: true };
+        let adv = ScheduleAdvisor {
+            equivalence_tolerance: 0.15,
+            avoid_irq_node: true,
+        };
         let spread = adv.place(&model, 6);
         let naive = adv.naive_local(&model, 6);
         assert_eq!(spread.assignments.len(), 6);
@@ -150,7 +164,10 @@ mod tests {
     #[test]
     fn round_robin_wraps() {
         let model = write_model();
-        let adv = ScheduleAdvisor { equivalence_tolerance: 0.01, avoid_irq_node: false };
+        let adv = ScheduleAdvisor {
+            equivalence_tolerance: 0.01,
+            avoid_irq_node: false,
+        };
         let p = adv.place(&model, 5);
         // Two eligible nodes {6,7}: loads 3 and 2.
         let hist = p.histogram();
@@ -172,7 +189,9 @@ mod tests {
 
     #[test]
     fn empty_placement_max_load_is_zero() {
-        let p = Placement { assignments: vec![] };
+        let p = Placement {
+            assignments: vec![],
+        };
         assert_eq!(p.max_load(), 0);
     }
 }

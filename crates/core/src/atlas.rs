@@ -123,10 +123,7 @@ impl Atlas {
 
     /// Diff against a newer atlas: per-(target, mode) drift reports for
     /// every model both atlases cover.
-    pub fn diff(
-        &self,
-        newer: &Atlas,
-    ) -> Vec<(NodeId, TransferMode, crate::drift::ModelDiff)> {
+    pub fn diff(&self, newer: &Atlas) -> Vec<(NodeId, TransferMode, crate::drift::ModelDiff)> {
         let mut out = Vec::new();
         for m in &self.models {
             if let Some(n) = newer.model(m.target, m.mode) {
@@ -170,7 +167,10 @@ mod tests {
         let back = Atlas::from_json(&a.to_json()).unwrap();
         assert_eq!(back.platform, a.platform);
         assert_eq!(
-            back.model(NodeId(7), TransferMode::Write).unwrap().classes().len(),
+            back.model(NodeId(7), TransferMode::Write)
+                .unwrap()
+                .classes()
+                .len(),
             3
         );
     }
@@ -200,7 +200,10 @@ mod tests {
         let expected = models[0].platform.clone();
         assert_eq!(
             Atlas::new(models).unwrap_err(),
-            AtlasError::PlatformMismatch { expected, found: "other:host".to_string() }
+            AtlasError::PlatformMismatch {
+                expected,
+                found: "other:host".to_string()
+            }
         );
     }
 
@@ -231,6 +234,9 @@ mod tests {
         }
         let p = NoProbe(numa_topology::presets::fig1a());
         let err = Atlas::characterize(&p, &IoModeler::new().reps(2)).unwrap_err();
-        assert!(matches!(err, AtlasError::Probe(PlatformError::Probe { .. })), "{err:?}");
+        assert!(
+            matches!(err, AtlasError::Probe(PlatformError::Probe { .. })),
+            "{err:?}"
+        );
     }
 }

@@ -24,7 +24,9 @@ impl MemCostModel {
     /// Characterize with the paper's STREAM protocol (4 threads, max of
     /// 100 runs per cell) — the cbench workflow.
     pub fn from_stream(platform: &SimPlatform) -> Self {
-        MemCostModel { matrix: StreamBench::paper().matrix(platform.fabric()) }
+        MemCostModel {
+            matrix: StreamBench::paper().matrix(platform.fabric()),
+        }
     }
 
     /// Build from an explicit matrix (tests).
@@ -46,7 +48,10 @@ impl MemCostModel {
     /// place tasks whose data sits at the device node.
     pub fn rank_for_target(&self, target: NodeId) -> Vec<NodeId> {
         let mut nodes: Vec<NodeId> = (0..self.matrix.len()).map(NodeId::new).collect();
-        nodes.sort_by(|&a, &b| self.bandwidth(b, target).total_cmp(&self.bandwidth(a, target)));
+        nodes.sort_by(|&a, &b| {
+            self.bandwidth(b, target)
+                .total_cmp(&self.bandwidth(a, target))
+        });
         nodes
     }
 }
@@ -64,7 +69,10 @@ pub struct StreamAdvisor {
 impl StreamAdvisor {
     /// Default tolerance mirrors the real advisor's.
     pub fn new(model: MemCostModel) -> Self {
-        StreamAdvisor { model, tolerance: 0.12 }
+        StreamAdvisor {
+            model,
+            tolerance: 0.12,
+        }
     }
 
     /// Nodes the STREAM model considers equivalent for work against data
@@ -97,8 +105,8 @@ impl StreamAdvisor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::modeler::IoModeler;
     use crate::model::TransferMode;
+    use crate::modeler::IoModeler;
     use numa_iodev::{NicModel, NicOp};
 
     #[test]
@@ -109,7 +117,10 @@ mod tests {
             vec![22.0, 18.0, 30.0],
         ]);
         // For data on node 0: candidates ranked by column 0: n0(30), n2(22), n1(15).
-        assert_eq!(m.rank_for_target(NodeId(0)), vec![NodeId(0), NodeId(2), NodeId(1)]);
+        assert_eq!(
+            m.rank_for_target(NodeId(0)),
+            vec![NodeId(0), NodeId(2), NodeId(1)]
+        );
         assert_eq!(m.bandwidth(NodeId(2), NodeId(0)), 22.0);
     }
 
@@ -150,8 +161,10 @@ mod tests {
             avoid_irq_node: true,
         };
         let avg_level = |nodes: &[NodeId]| {
-            let remote: Vec<&NodeId> =
-                nodes.iter().filter(|&&n| n != NodeId(7) && n != NodeId(6)).collect();
+            let remote: Vec<&NodeId> = nodes
+                .iter()
+                .filter(|&&n| n != NodeId(7) && n != NodeId(6))
+                .collect();
             assert!(!remote.is_empty(), "need remote candidates: {nodes:?}");
             remote
                 .iter()

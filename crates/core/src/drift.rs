@@ -140,7 +140,11 @@ pub fn diff(old: &IoPerfModel, new: &IoPerfModel) -> Result<ModelDiff, DiffError
         }
     }
     let max_rel_delta = rel_delta.iter().map(|d| d.abs()).fold(0.0, f64::max);
-    Ok(ModelDiff { rel_delta, moved, max_rel_delta })
+    Ok(ModelDiff {
+        rel_delta,
+        moved,
+        max_rel_delta,
+    })
 }
 
 /// Re-run `old`'s characterization against `platform` (any backend: live
@@ -165,7 +169,9 @@ mod tests {
     use numa_topology::presets;
 
     fn model(platform: &SimPlatform) -> IoPerfModel {
-        IoModeler::new().reps(10).characterize(platform, NodeId(7), TransferMode::Write)
+        IoModeler::new()
+            .reps(10)
+            .characterize(platform, NodeId(7), TransferMode::Write)
     }
 
     #[test]
@@ -207,7 +213,11 @@ mod tests {
         let degraded = SimPlatform::new(builder.build());
         let d = diff(&model(&a), &model(&degraded)).unwrap();
         assert!(!d.is_stable(0.05), "{}", d.render());
-        assert!(!d.moved.is_empty(), "membership should shift: {}", d.render());
+        assert!(
+            !d.moved.is_empty(),
+            "membership should shift: {}",
+            d.render()
+        );
         // Node 6 specifically lost bandwidth.
         assert!(d.rel_delta[6] < -0.3, "{}", d.rel_delta[6]);
     }
@@ -222,7 +232,10 @@ mod tests {
         // A backend without a topology is a typed probe error, not a panic.
         let bare = crate::host::HostPlatform::with_shape(8, 2);
         let e = recharacterize_and_diff(&stored, &bare, &IoModeler::new().reps(1)).unwrap_err();
-        assert!(matches!(e, RecheckError::Probe(PlatformError::NoTopology { .. })), "{e}");
+        assert!(
+            matches!(e, RecheckError::Probe(PlatformError::NoTopology { .. })),
+            "{e}"
+        );
         assert!(e.to_string().contains("re-characterization failed"), "{e}");
     }
 
@@ -230,9 +243,13 @@ mod tests {
     fn mismatched_models_rejected() {
         let p = SimPlatform::dl585();
         let w = model(&p);
-        let r = IoModeler::new().reps(5).characterize(&p, NodeId(7), TransferMode::Read);
+        let r = IoModeler::new()
+            .reps(5)
+            .characterize(&p, NodeId(7), TransferMode::Read);
         assert_eq!(diff(&w, &r).unwrap_err(), DiffError::ModeMismatch);
-        let other = IoModeler::new().reps(5).characterize(&p, NodeId(0), TransferMode::Write);
+        let other = IoModeler::new()
+            .reps(5)
+            .characterize(&p, NodeId(0), TransferMode::Write);
         assert_eq!(diff(&w, &other).unwrap_err(), DiffError::TargetMismatch);
     }
 }

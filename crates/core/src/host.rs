@@ -43,12 +43,20 @@ impl HostPlatform {
             8 => Some(presets::amd_4s8n()),
             _ => None,
         };
-        HostPlatform { nodes, cores_per_node: parallelism.clamp(1, 4), topology }
+        HostPlatform {
+            nodes,
+            cores_per_node: parallelism.clamp(1, 4),
+            topology,
+        }
     }
 
     /// A platform with a fully explicit shape and no topology attached.
     pub fn with_shape(nodes: usize, cores_per_node: u32) -> Self {
-        HostPlatform { nodes, cores_per_node: cores_per_node.max(1), topology: None }
+        HostPlatform {
+            nodes,
+            cores_per_node: cores_per_node.max(1),
+            topology: None,
+        }
     }
 
     /// Discover the shape of the machine we are running on from a sysfs
@@ -64,7 +72,11 @@ impl HostPlatform {
             .max()
             .unwrap_or(1)
             .max(1);
-        Ok(HostPlatform { nodes, cores_per_node: cores, topology: Some(topo) })
+        Ok(HostPlatform {
+            nodes,
+            cores_per_node: cores,
+            topology: Some(topo),
+        })
     }
 
     /// [`discover_from_root`](Self::discover_from_root) against the live
@@ -192,7 +204,12 @@ mod tests {
         assert_eq!(p.backend_kind(), "host");
         assert!(Platform::fabric(&p).is_none());
         // Bad specs come back typed, not as panics.
-        let e = p.try_run_copy(&CopySpec { threads: 0, ..quick_spec() }).unwrap_err();
+        let e = p
+            .try_run_copy(&CopySpec {
+                threads: 0,
+                ..quick_spec()
+            })
+            .unwrap_err();
         assert_eq!(e, PlatformError::ZeroThreads);
     }
 }

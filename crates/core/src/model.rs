@@ -46,7 +46,10 @@ impl PerfClass {
         let members = members.as_mut();
         assert!(!members.is_empty(), "class cannot be empty");
         members.sort_by_key(|(n, _)| *n);
-        let min = members.iter().map(|(_, b)| *b).fold(f64::INFINITY, f64::min);
+        let min = members
+            .iter()
+            .map(|(_, b)| *b)
+            .fold(f64::INFINITY, f64::min);
         let max = members.iter().map(|(_, b)| *b).fold(0.0, f64::max);
         let avg = members.iter().map(|(_, b)| *b).sum::<f64>() / members.len() as f64;
         PerfClass {
@@ -94,7 +97,13 @@ impl IoPerfModel {
     ) -> Self {
         let covered: usize = classes.iter().map(|c| c.nodes.len()).sum();
         assert_eq!(covered, per_node.len(), "classes must partition the nodes");
-        IoPerfModel { target, mode, per_node, classes, platform }
+        IoPerfModel {
+            target,
+            mode,
+            per_node,
+            classes,
+            platform,
+        }
     }
 
     /// The classes, best first.
@@ -117,7 +126,8 @@ impl IoPerfModel {
     /// Panics for nodes outside the model; [`Self::try_class_of`] is the
     /// fallible form for externally supplied node ids.
     pub fn class_of(&self, node: NodeId) -> usize {
-        self.try_class_of(node).expect("classes partition the nodes")
+        self.try_class_of(node)
+            .expect("classes partition the nodes")
     }
 
     /// Class index (0 = best) of a node, or `None` if the node is not
@@ -164,7 +174,13 @@ mod tests {
             PerfClass::from_members(vec![(NodeId(0), 40.0), (NodeId(1), 41.0)]),
             PerfClass::from_members(vec![(NodeId(2), 26.0)]),
         ];
-        IoPerfModel::new(NodeId(3), TransferMode::Write, per_node, classes, "test".into())
+        IoPerfModel::new(
+            NodeId(3),
+            TransferMode::Write,
+            per_node,
+            classes,
+            "test".into(),
+        )
     }
 
     #[test]
@@ -189,7 +205,11 @@ mod tests {
         assert!((m.probe_savings() - 0.25).abs() < 1e-12);
         assert_eq!(m.means(), vec![40.0, 41.0, 26.0, 50.0]);
         assert_eq!(m.try_class_of(NodeId(2)), Some(2));
-        assert_eq!(m.try_class_of(NodeId(9)), None, "foreign node is not a panic");
+        assert_eq!(
+            m.try_class_of(NodeId(9)),
+            None,
+            "foreign node is not a panic"
+        );
     }
 
     #[test]

@@ -103,7 +103,10 @@ impl std::fmt::Display for PlatformError {
             PlatformError::ZeroReps => write!(f, "at least one repetition"),
             PlatformError::EmptyBuffer => write!(f, "buffers must be non-empty"),
             PlatformError::NodeOutOfRange { node, nodes } => {
-                write!(f, "target out of range: {node:?} on a {nodes}-node platform")
+                write!(
+                    f,
+                    "target out of range: {node:?} on a {nodes}-node platform"
+                )
             }
             PlatformError::NodeCountMismatch { platform, topology } => write!(
                 f,
@@ -272,7 +275,11 @@ pub struct SimPlatform {
 impl SimPlatform {
     /// Wrap a fabric.
     pub fn new(fabric: Fabric) -> Self {
-        SimPlatform { fabric, noise: 0.02, seed: 0xC0FFEE }
+        SimPlatform {
+            fabric,
+            noise: 0.02,
+            seed: 0xC0FFEE,
+        }
     }
 
     /// The paper's testbed.
@@ -458,7 +465,10 @@ mod tests {
             bytes_per_thread: 1 << 20,
             reps: 1,
         };
-        let relayed = CopySpec { bind: NodeId(0), ..direct };
+        let relayed = CopySpec {
+            bind: NodeId(0),
+            ..direct
+        };
         assert!(p.run_copy(&relayed)[0] < p.run_copy(&direct)[0]);
     }
 
@@ -503,11 +513,25 @@ mod tests {
             Err(PlatformError::ZeroReps)
         );
         assert_eq!(
-            p.validate(&CopySpec { bytes_per_thread: 0, ..good }),
+            p.validate(&CopySpec {
+                bytes_per_thread: 0,
+                ..good
+            }),
             Err(PlatformError::EmptyBuffer)
         );
-        let bad = p.validate(&CopySpec { dst: NodeId(42), ..good }).unwrap_err();
-        assert_eq!(bad, PlatformError::NodeOutOfRange { node: NodeId(42), nodes: 8 });
+        let bad = p
+            .validate(&CopySpec {
+                dst: NodeId(42),
+                ..good
+            })
+            .unwrap_err();
+        assert_eq!(
+            bad,
+            PlatformError::NodeOutOfRange {
+                node: NodeId(42),
+                nodes: 8
+            }
+        );
         assert!(bad.to_string().contains("target out of range"), "{bad}");
     }
 
@@ -524,8 +548,14 @@ mod tests {
         };
         assert_eq!(p.try_run_copy(&spec).unwrap(), p.run_copy(&spec));
         assert_eq!(
-            p.try_run_copy(&CopySpec { src: NodeId(99), ..spec }),
-            Err(PlatformError::NodeOutOfRange { node: NodeId(99), nodes: 8 })
+            p.try_run_copy(&CopySpec {
+                src: NodeId(99),
+                ..spec
+            }),
+            Err(PlatformError::NodeOutOfRange {
+                node: NodeId(99),
+                nodes: 8
+            })
         );
     }
 

@@ -99,7 +99,9 @@ mod tests {
         let model = IoModeler::new().characterize(&platform, NodeId(7), TransferMode::Read);
         // The model's class averages stand in for per-protocol levels via
         // the RDMA_READ curve at the class representatives:
-        let mix = WorkloadMix::new().from_node(NodeId(2), 2).from_node(NodeId(0), 2);
+        let mix = WorkloadMix::new()
+            .from_node(NodeId(2), 2)
+            .from_node(NodeId(0), 2);
         // Predict in protocol units by scaling class averages with the
         // RDMA_READ map (the model itself is in memcpy units).
         let nic = numa_iodev::NicModel::paper();
@@ -117,13 +119,23 @@ mod tests {
         let predicted = predict_aggregate(&terms);
 
         let jobs = [
-            JobSpec::nic(NicOp::RdmaRead, NodeId(2)).numjobs(2).size_gbytes(50.0),
-            JobSpec::nic(NicOp::RdmaRead, NodeId(0)).numjobs(2).size_gbytes(50.0),
+            JobSpec::nic(NicOp::RdmaRead, NodeId(2))
+                .numjobs(2)
+                .size_gbytes(50.0),
+            JobSpec::nic(NicOp::RdmaRead, NodeId(0))
+                .numjobs(2)
+                .size_gbytes(50.0),
         ];
         let measured = run_jobs(f, &jobs).unwrap().aggregate_gbps;
         let err = relative_error(predicted, measured);
-        assert!(err < 0.06, "predicted {predicted}, measured {measured}, err {err}");
-        assert!(err > 0.001, "prediction should not be exact (mixture vs contention)");
+        assert!(
+            err < 0.06,
+            "predicted {predicted}, measured {measured}, err {err}"
+        );
+        assert!(
+            err > 0.001,
+            "prediction should not be exact (mixture vs contention)"
+        );
     }
 
     #[test]
@@ -138,7 +150,9 @@ mod tests {
 
     #[test]
     fn mix_total_counts() {
-        let mix = WorkloadMix::new().from_node(NodeId(0), 2).from_node(NodeId(5), 3);
+        let mix = WorkloadMix::new()
+            .from_node(NodeId(0), 2)
+            .from_node(NodeId(5), 3);
         assert_eq!(mix.total(), 5);
     }
 

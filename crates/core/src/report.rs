@@ -54,7 +54,11 @@ pub fn render_comparison_table(model: &IoPerfModel, rows: &[(&str, Vec<f64>)]) -
     let _ = write!(out, "{:<16}", "Operation");
     for (i, c) in model.classes().iter().enumerate() {
         let nodes: Vec<String> = c.nodes.iter().map(|n| n.to_string()).collect();
-        let _ = write!(out, "{:>24}", format!("Class {} {{{}}}", i + 1, nodes.join(",")));
+        let _ = write!(
+            out,
+            "{:>24}",
+            format!("Class {} {{{}}}", i + 1, nodes.join(","))
+        );
     }
     let _ = writeln!(out);
     for (name, values) in rows {

@@ -19,7 +19,10 @@ struct Logged {
 
 impl Logged {
     fn dl585() -> Self {
-        Logged { inner: SimPlatform::dl585(), log: Mutex::new(Vec::new()) }
+        Logged {
+            inner: SimPlatform::dl585(),
+            log: Mutex::new(Vec::new()),
+        }
     }
 
     fn take(&self) -> Vec<(ThreadId, CopySpec)> {
@@ -37,7 +40,10 @@ impl Platform for Logged {
     }
 
     fn probe(&self, spec: &CopySpec) -> Result<Vec<f64>, PlatformError> {
-        self.log.lock().unwrap().push((std::thread::current().id(), *spec));
+        self.log
+            .lock()
+            .unwrap()
+            .push((std::thread::current().id(), *spec));
         self.inner.probe(spec)
     }
 
@@ -90,9 +96,16 @@ fn full_host_probes_serially_in_algorithm_order() {
     let log = p.take();
     assert_eq!(log.len(), 128, "8 targets x 2 modes x 8 nodes");
     let me = std::thread::current().id();
-    assert!(log.iter().all(|(t, _)| *t == me), "every probe on the caller's thread");
+    assert!(
+        log.iter().all(|(t, _)| *t == me),
+        "every probe on the caller's thread"
+    );
     let want: Vec<CopySpec> = (0..8)
-        .flat_map(|target| TransferMode::ALL.into_iter().map(move |mode| (target, mode)))
+        .flat_map(|target| {
+            TransferMode::ALL
+                .into_iter()
+                .map(move |mode| (target, mode))
+        })
         .flat_map(|(target, mode)| (0..8).map(move |node| (target, mode, node)))
         .map(|(target, mode, node)| spec(&modeler, target, mode, node))
         .collect();
@@ -108,7 +121,10 @@ fn storage_atlas_probes_each_direction_once_and_matches_per_config() {
     let log = p.take();
     assert_eq!(log.len(), 16, "one 8-node sweep per direction");
     let me = std::thread::current().id();
-    assert!(log.iter().all(|(t, _)| *t == me), "every probe on the caller's thread");
+    assert!(
+        log.iter().all(|(t, _)| *t == me),
+        "every probe on the caller's thread"
+    );
 
     let per_config: Vec<_> = StorageConfig::ALL
         .into_iter()

@@ -87,7 +87,10 @@ impl FctStats {
             .map(|group| {
                 let fct = group.iter().map(|&i| flows[i].fct_s).collect();
                 let slowdowns = group.iter().map(|&i| flows[i].slowdown);
-                (flows[group[0]].label.clone(), FctStats::summarize(fct, slowdowns))
+                (
+                    flows[group[0]].label.clone(),
+                    FctStats::summarize(fct, slowdowns),
+                )
             })
             .collect()
     }
@@ -106,7 +109,9 @@ impl FctStats {
 /// flow order. Two runs produce the same digest iff every flow's FCT is
 /// bit-identical — the anchor the determinism gates compare.
 pub fn fct_digest(flows: &[FlowResult]) -> u64 {
-    flows.iter().fold(FNV1A64_INIT, |h, f| fnv1a64(h, &f.fct_s.to_bits().to_le_bytes()))
+    flows.iter().fold(FNV1A64_INIT, |h, f| {
+        fnv1a64(h, &f.fct_s.to_bits().to_le_bytes())
+    })
 }
 
 #[cfg(test)]
@@ -138,8 +143,9 @@ mod tests {
     #[test]
     fn nearest_rank_percentiles_match_hand_computation() {
         // 1..=100 seconds: p50 = 50, p90 = 90, p99 = 99, p99.9 = 100.
-        let flows: Vec<FlowResult> =
-            (1..=100).map(|i| flow(i as u32, i as f64, 1.0, "x")).collect();
+        let flows: Vec<FlowResult> = (1..=100)
+            .map(|i| flow(i as u32, i as f64, 1.0, "x"))
+            .collect();
         let s = FctStats::from_flows(&flows);
         assert_eq!(s.count, 100);
         assert_eq!(s.p50_s, 50.0);
@@ -193,10 +199,21 @@ mod tests {
                 flows.iter().filter(|f| f.label == label).cloned().collect();
             let want = FctStats::from_flows(&group);
             let bits = |s: &FctStats| {
-                [s.mean_s, s.p50_s, s.p90_s, s.p99_s, s.p999_s, s.mean_slowdown]
-                    .map(f64::to_bits)
+                [
+                    s.mean_s,
+                    s.p50_s,
+                    s.p90_s,
+                    s.p99_s,
+                    s.p999_s,
+                    s.mean_slowdown,
+                ]
+                .map(f64::to_bits)
             };
-            assert_eq!((stats.count, bits(&stats)), (want.count, bits(&want)), "{label}");
+            assert_eq!(
+                (stats.count, bits(&stats)),
+                (want.count, bits(&want)),
+                "{label}"
+            );
         }
     }
 

@@ -76,7 +76,10 @@ impl FlowSpec {
     /// A PIO-class flow (STREAM-style CPU copies). `src` is the CPU node,
     /// `dst` the memory node.
     pub fn pio(cpu: NodeId, mem: NodeId) -> Self {
-        FlowSpec { class: TrafficClass::Pio, ..FlowSpec::dma(cpu, mem) }
+        FlowSpec {
+            class: TrafficClass::Pio,
+            ..FlowSpec::dma(cpu, mem)
+        }
     }
 
     /// Set the volume in gigabytes.
@@ -132,7 +135,10 @@ impl FlowSpec {
     /// Set the arrival time, seconds from simulation start (must be
     /// finite and non-negative).
     pub fn arrival(mut self, at_s: f64) -> Self {
-        assert!(at_s.is_finite() && at_s >= 0.0, "arrival must be finite and >= 0");
+        assert!(
+            at_s.is_finite() && at_s >= 0.0,
+            "arrival must be finite and >= 0"
+        );
         self.arrival_s = at_s;
         self
     }

@@ -23,17 +23,29 @@ pub struct JitterCfg {
 impl JitterCfg {
     /// No jitter at all.
     pub fn none() -> Self {
-        JitterCfg { amplitude: 0.0, refresh_s: f64::INFINITY, seed: 0 }
+        JitterCfg {
+            amplitude: 0.0,
+            refresh_s: f64::INFINITY,
+            seed: 0,
+        }
     }
 
     /// Mild measurement noise (±2%), refreshed every simulated second.
     pub fn measurement(seed: u64) -> Self {
-        JitterCfg { amplitude: 0.02, refresh_s: 1.0, seed }
+        JitterCfg {
+            amplitude: 0.02,
+            refresh_s: 1.0,
+            seed,
+        }
     }
 
     /// Heavy contention noise (±8%) as seen with >4 TCP streams.
     pub fn contention(seed: u64) -> Self {
-        JitterCfg { amplitude: 0.08, refresh_s: 1.0, seed }
+        JitterCfg {
+            amplitude: 0.08,
+            refresh_s: 1.0,
+            seed,
+        }
     }
 
     /// Is jitter disabled?
@@ -57,7 +69,11 @@ impl JitterState {
         let mut s = JitterState {
             cfg,
             rng: SplitMix64::new(cfg.seed),
-            multipliers: if cfg.is_none() { Vec::new() } else { vec![1.0; num_flows] },
+            multipliers: if cfg.is_none() {
+                Vec::new()
+            } else {
+                vec![1.0; num_flows]
+            },
         };
         s.refresh();
         s

@@ -60,7 +60,11 @@ pub struct ResourceRegistry {
 impl ResourceRegistry {
     /// Empty registry with dense slots for a `nodes`-node host.
     pub fn new(nodes: usize) -> Self {
-        ResourceRegistry { nodes, slots: vec![VACANT; nodes + nodes * nodes], ..Self::default() }
+        ResourceRegistry {
+            nodes,
+            slots: vec![VACANT; nodes + nodes * nodes],
+            ..Self::default()
+        }
     }
 
     fn slot(&self, key: ResourceKey) -> Option<usize> {
@@ -173,8 +177,20 @@ mod tests {
     #[test]
     fn device_port_directions_are_distinct() {
         let mut r = ResourceRegistry::new(2);
-        let w = r.ensure(ResourceKey::DevicePort { dev: DeviceId(0), to_device: true }, 23.3);
-        let rd = r.ensure(ResourceKey::DevicePort { dev: DeviceId(0), to_device: false }, 22.0);
+        let w = r.ensure(
+            ResourceKey::DevicePort {
+                dev: DeviceId(0),
+                to_device: true,
+            },
+            23.3,
+        );
+        let rd = r.ensure(
+            ResourceKey::DevicePort {
+                dev: DeviceId(0),
+                to_device: false,
+            },
+            22.0,
+        );
         assert_ne!(w, rd);
     }
 
@@ -186,7 +202,10 @@ mod tests {
         let b = r.ensure_with(e, || unreachable!("registered already"));
         assert_eq!(a, b);
         assert_eq!(r.get(e), Some(a));
-        assert_eq!(r.get(ResourceKey::Edge(DirectedEdge::new(NodeId(0), NodeId(1)))), None);
+        assert_eq!(
+            r.get(ResourceKey::Edge(DirectedEdge::new(NodeId(0), NodeId(1)))),
+            None
+        );
         // Keys outside the host fall back to the hash map.
         let far = ResourceKey::NodeCopy(NodeId(5));
         assert_eq!(r.get(far), None);

@@ -143,16 +143,27 @@ impl Schedule {
     /// non-negative; equal-time entries fire in the documented
     /// `(kind, insertion)` order.
     pub fn push(&mut self, at_s: f64, event: Event) {
-        assert!(at_s.is_finite() && at_s >= 0.0, "event time must be finite and >= 0");
+        assert!(
+            at_s.is_finite() && at_s >= 0.0,
+            "event time must be finite and >= 0"
+        );
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Entry { at: Time::from_seconds(at_s), at_s, seq, event });
+        self.heap.push(Entry {
+            at: Time::from_seconds(at_s),
+            at_s,
+            seq,
+            event,
+        });
     }
 
     /// The next entry's exact timestamp in seconds, if any.
     pub fn peek_s(&self) -> Option<f64> {
         let arrival = self.arrivals.get(self.next_arrival).map(|a| a.0);
-        arrival.into_iter().chain(self.heap.peek().map(|e| e.at_s)).reduce(f64::min)
+        arrival
+            .into_iter()
+            .chain(self.heap.peek().map(|e| e.at_s))
+            .reduce(f64::min)
     }
 
     /// Pop the next entry if its timestamp is at or before `t_s`
@@ -168,9 +179,15 @@ impl Schedule {
     /// Pop the next entry unconditionally.
     pub fn pop(&mut self) -> Option<Entry> {
         // Sequence 0: on a full key tie the cursor fires first.
-        let arrival = self.arrivals.get(self.next_arrival).map(|&(at_s, flow)| {
-            Entry { at: Time::from_seconds(at_s), at_s, seq: 0, event: Event::FlowArrival { flow } }
-        });
+        let arrival = self
+            .arrivals
+            .get(self.next_arrival)
+            .map(|&(at_s, flow)| Entry {
+                at: Time::from_seconds(at_s),
+                at_s,
+                seq: 0,
+                event: Event::FlowArrival { flow },
+            });
         match arrival {
             // The heap's `Ord` is reversed: greater fires first.
             Some(a) if self.heap.peek().is_none_or(|h| *h <= a) => {
@@ -210,12 +227,29 @@ mod tests {
     fn same_instant_orders_by_kind_then_insertion() {
         let mut s = Schedule::new();
         let h = ResourceHandle(0);
-        s.push(1.0, Event::CapacityChange { resource: h, cap_gbps: 5.0, tag: "a" });
-        s.push(1.0, Event::CapacityChange { resource: h, cap_gbps: 9.0, tag: "b" });
+        s.push(
+            1.0,
+            Event::CapacityChange {
+                resource: h,
+                cap_gbps: 5.0,
+                tag: "a",
+            },
+        );
+        s.push(
+            1.0,
+            Event::CapacityChange {
+                resource: h,
+                cap_gbps: 9.0,
+                tag: "b",
+            },
+        );
         s.push(1.0, Event::FlowArrival { flow: FlowId(3) });
         s.push(1.0, Event::JitterTick);
         assert!(matches!(s.pop().unwrap().event, Event::JitterTick));
-        assert!(matches!(s.pop().unwrap().event, Event::FlowArrival { flow: FlowId(3) }));
+        assert!(matches!(
+            s.pop().unwrap().event,
+            Event::FlowArrival { flow: FlowId(3) }
+        ));
         // Capacity ties keep insertion order — the replay guarantee
         // seeded fault plans rely on.
         match s.pop().unwrap().event {
@@ -237,8 +271,14 @@ mod tests {
         s.push(1.0 + 2e-13, Event::FlowArrival { flow: FlowId(1) });
         s.push(1.0, Event::FlowArrival { flow: FlowId(0) });
         assert_eq!(Time::from_seconds(1.0 + 2e-13), Time::from_seconds(1.0));
-        assert!(matches!(s.pop().unwrap().event, Event::FlowArrival { flow: FlowId(0) }));
-        assert!(matches!(s.pop().unwrap().event, Event::FlowArrival { flow: FlowId(1) }));
+        assert!(matches!(
+            s.pop().unwrap().event,
+            Event::FlowArrival { flow: FlowId(0) }
+        ));
+        assert!(matches!(
+            s.pop().unwrap().event,
+            Event::FlowArrival { flow: FlowId(1) }
+        ));
     }
 
     #[test]
@@ -246,7 +286,14 @@ mod tests {
         // Out of order, with a tie at 1.0 that keeps insertion order.
         let mut s = Schedule::new();
         let h = ResourceHandle(0);
-        s.push(1.0, Event::CapacityChange { resource: h, cap_gbps: 5.0, tag: "cap" });
+        s.push(
+            1.0,
+            Event::CapacityChange {
+                resource: h,
+                cap_gbps: 5.0,
+                tag: "cap",
+            },
+        );
         s.push(1.0, Event::JitterTick);
         s.push(1.5, Event::JitterTick);
         s.set_arrivals(vec![(2.0, FlowId(0)), (1.0, FlowId(1)), (1.0, FlowId(2))]);

@@ -57,7 +57,10 @@ impl std::fmt::Display for SimError {
             SimError::Starved { flow } => write!(f, "flow {flow:?} is starved"),
             SimError::EventLimit => write!(f, "event limit exceeded"),
             SimError::UnknownNode { flow, node } => {
-                write!(f, "flow {flow:?} names node {node}, which the fabric does not have")
+                write!(
+                    f,
+                    "flow {flow:?} names node {node}, which the fabric does not have"
+                )
             }
             SimError::ArrivalOverflow { index } => {
                 write!(f, "workload flow {index} arrives at a non-finite time")
@@ -278,9 +281,19 @@ impl<'f> Simulation<'f> {
         cap: f64,
         tag: &'static str,
     ) {
-        assert!(at_s.is_finite() && at_s >= 0.0, "capacity event time must be finite and >= 0");
+        assert!(
+            at_s.is_finite() && at_s >= 0.0,
+            "capacity event time must be finite and >= 0"
+        );
         assert!(cap >= 0.0, "capacity must be non-negative");
-        self.calendar.push(at_s, Event::CapacityChange { resource: h, cap_gbps: cap, tag });
+        self.calendar.push(
+            at_s,
+            Event::CapacityChange {
+                resource: h,
+                cap_gbps: cap,
+                tag,
+            },
+        );
     }
 
     /// Add a flow; returns its id. The flow becomes active at its
@@ -310,11 +323,15 @@ impl<'f> Simulation<'f> {
         let n = self.fabric.num_nodes();
         for (i, spec) in self.flows.iter().enumerate() {
             if let Some(&node) = [spec.src, spec.dst].iter().find(|v| v.index() >= n) {
-                return Err(SimError::UnknownNode { flow: FlowId(i as u32), node });
+                return Err(SimError::UnknownNode {
+                    flow: FlowId(i as u32),
+                    node,
+                });
             }
         }
         for f in std::mem::take(&mut self.faults) {
-            f.arm_scenario(self).map_err(|reason| SimError::Faults { reason })?;
+            f.arm_scenario(self)
+                .map_err(|reason| SimError::Faults { reason })?;
         }
         Ok(())
     }
@@ -353,12 +370,14 @@ impl<'f> Simulation<'f> {
             // becomes the flow ceiling, while the destination controller
             // and the links still arbitrate contention.
             let copies = match spec.class {
-                TrafficClass::Dma if local => {
-                    [(spec.charge_src_copy || spec.charge_dst_copy).then_some(src), None]
-                }
-                TrafficClass::Dma => {
-                    [spec.charge_src_copy.then_some(src), spec.charge_dst_copy.then_some(dst)]
-                }
+                TrafficClass::Dma if local => [
+                    (spec.charge_src_copy || spec.charge_dst_copy).then_some(src),
+                    None,
+                ],
+                TrafficClass::Dma => [
+                    spec.charge_src_copy.then_some(src),
+                    spec.charge_dst_copy.then_some(dst),
+                ],
                 TrafficClass::Pio => [Some(dst), None],
             };
             for v in copies.into_iter().flatten() {
@@ -524,7 +543,8 @@ impl<'f> Simulation<'f> {
             let rates = solver.solve();
             drop(alloc_span);
             if let Some(o) = &self.obs {
-                o.counter("numio_alloc_rounds_total", &[("component", "engine")]).inc();
+                o.counter("numio_alloc_rounds_total", &[("component", "engine")])
+                    .inc();
                 o.event(
                     "alloc_round",
                     t,
@@ -550,7 +570,9 @@ impl<'f> Simulation<'f> {
             // flow is waiting, not dead. An empty calendar means every
             // flow has arrived, so `live[0]` is the lowest-index stuck flow.
             if dt_complete.is_infinite() && next_event.is_infinite() {
-                return Err(SimError::Starved { flow: FlowId(live[0] as u32) });
+                return Err(SimError::Starved {
+                    flow: FlowId(live[0] as u32),
+                });
             }
             let dt = dt_complete.min(next_event - t).max(0.0);
 
@@ -621,7 +643,11 @@ impl<'f> Simulation<'f> {
                             );
                         }
                     }
-                    Event::CapacityChange { resource, cap_gbps, tag } => {
+                    Event::CapacityChange {
+                        resource,
+                        cap_gbps,
+                        tag,
+                    } => {
                         // Apply to both the registry (analysis views) and
                         // the solver, which retunes incrementally without
                         // a rebuild.
@@ -680,7 +706,11 @@ impl<'f> Simulation<'f> {
             fct: FctStats::from_flows(&flows),
             flows,
             makespan_s: makespan,
-            aggregate_gbps: if makespan > 0.0 { total_gbit / makespan } else { 0.0 },
+            aggregate_gbps: if makespan > 0.0 {
+                total_gbit / makespan
+            } else {
+                0.0
+            },
             total_gbit,
         })
     }
@@ -705,7 +735,10 @@ impl Shape {
             | (spec.class as u64) << 2
             | u64::from(spec.charge_src_copy) << 1
             | u64::from(spec.charge_dst_copy);
-        Shape { ends, ceiling: spec.ceiling_gbps.to_bits() }
+        Shape {
+            ends,
+            ceiling: spec.ceiling_gbps.to_bits(),
+        }
     }
 }
 
@@ -764,7 +797,11 @@ mod tests {
         sim.add_flow(FlowSpec::dma(NodeId(3), NodeId(7)).gbytes(26.0));
         let r = sim.run().unwrap();
         // Table IV: node 3 writes at the 26.0 Gbps min-cut.
-        assert!((r.aggregate_gbps - 26.0).abs() < 1e-6, "{}", r.aggregate_gbps);
+        assert!(
+            (r.aggregate_gbps - 26.0).abs() < 1e-6,
+            "{}",
+            r.aggregate_gbps
+        );
         assert!((r.makespan_s - 8.0).abs() < 1e-6); // 208 Gbit / 26 Gbps
     }
 
@@ -815,8 +852,16 @@ mod tests {
         let f = fabric();
         let mut sim = Simulation::new(&f);
         let port = sim.register(ResourceKey::Custom(0), 20.0);
-        sim.add_flow(FlowSpec::dma(NodeId(6), NodeId(7)).gbits(100.0).charge(port));
-        sim.add_flow(FlowSpec::dma(NodeId(5), NodeId(7)).gbits(100.0).charge(port));
+        sim.add_flow(
+            FlowSpec::dma(NodeId(6), NodeId(7))
+                .gbits(100.0)
+                .charge(port),
+        );
+        sim.add_flow(
+            FlowSpec::dma(NodeId(5), NodeId(7))
+                .gbits(100.0)
+                .charge(port),
+        );
         let rates = sim.steady_rates().unwrap();
         assert!((rates[0] + rates[1] - 20.0).abs() < 1e-6, "{rates:?}");
     }
@@ -831,7 +876,10 @@ mod tests {
             // resource list, so the flow is billed once per unit of rate
             // (the raw solver contract is charge-per-listing).
             sim.add_flow(
-                FlowSpec::dma(NodeId(6), NodeId(7)).gbits(100.0).charge(port).charge(port),
+                FlowSpec::dma(NodeId(6), NodeId(7))
+                    .gbits(100.0)
+                    .charge(port)
+                    .charge(port),
             );
             sim
         };
@@ -897,10 +945,18 @@ mod tests {
         let f = fabric();
         let mut sim = Simulation::new(&f);
         sim.add_flow(FlowSpec::dma(NodeId(6), NodeId(7)).gbits(1.0));
-        sim.add_flow(FlowSpec::dma(NodeId(1), NodeId(9)).gbits(1.0).device_src().device_dst());
+        sim.add_flow(
+            FlowSpec::dma(NodeId(1), NodeId(9))
+                .gbits(1.0)
+                .device_src()
+                .device_dst(),
+        );
         assert_eq!(
             sim.run().unwrap_err(),
-            SimError::UnknownNode { flow: FlowId(1), node: NodeId(9) }
+            SimError::UnknownNode {
+                flow: FlowId(1),
+                node: NodeId(9)
+            }
         );
     }
 
@@ -908,8 +964,11 @@ mod tests {
     fn jitter_is_reproducible_and_bounded() {
         let f = fabric();
         let run = |seed| {
-            let mut sim =
-                Simulation::new(&f).jitter(JitterCfg { amplitude: 0.05, refresh_s: 0.5, seed });
+            let mut sim = Simulation::new(&f).jitter(JitterCfg {
+                amplitude: 0.05,
+                refresh_s: 0.5,
+                seed,
+            });
             sim.add_flow(FlowSpec::dma(NodeId(6), NodeId(7)).gbits(100.0));
             sim.run().unwrap().aggregate_gbps
         };
@@ -949,11 +1008,17 @@ mod tests {
             assert!(bad_port(build().bottlenecks().unwrap_err()));
         }
         let err = Simulation::new(&f)
-            .flows([FlowSpec::dma(NodeId(6), NodeId(7)).gbits(1.0).ceiling(-2.0).arrival(1.0)])
+            .flows([FlowSpec::dma(NodeId(6), NodeId(7))
+                .gbits(1.0)
+                .ceiling(-2.0)
+                .arrival(1.0)])
             .run()
             .unwrap_err();
         assert_eq!(err, SimError::Alloc(AllocError::BadCeiling(0, -2.0)));
-        assert!(err.to_string().contains("flow 0 has negative ceiling"), "{err}");
+        assert!(
+            err.to_string().contains("flow 0 has negative ceiling"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -993,9 +1058,15 @@ mod tests {
         let rounds: Vec<_> = events.iter().filter(|e| e.name == "alloc_round").collect();
         assert_eq!(rounds.len(), 2);
         assert_eq!(rounds[1].time_s, report.flows[0].finish_s);
-        let finishes: Vec<f64> =
-            events.iter().filter(|e| e.name == "flow_finished").map(|e| e.time_s).collect();
-        assert_eq!(finishes, [report.flows[0].finish_s, report.flows[1].finish_s]);
+        let finishes: Vec<f64> = events
+            .iter()
+            .filter(|e| e.name == "flow_finished")
+            .map(|e| e.time_s)
+            .collect();
+        assert_eq!(
+            finishes,
+            [report.flows[0].finish_s, report.flows[1].finish_s]
+        );
         // Fair share while contended (flow 0's 23.25 Gbit take 1 s), then
         // full rate: flow 1's last 23.25 Gbit take 0.5 s at 46.5.
         assert!((report.flows[0].mean_gbps - 23.25).abs() < 1e-9);
@@ -1011,11 +1082,13 @@ mod tests {
         sim.add_flow(FlowSpec::dma(NodeId(6), NodeId(7)).gbits(46.5).label("b"));
         let r = sim.run().unwrap();
         assert_eq!(
-            obs.counter("numio_alloc_rounds_total", &[("component", "engine")]).get(),
+            obs.counter("numio_alloc_rounds_total", &[("component", "engine")])
+                .get(),
             2
         );
         assert_eq!(
-            obs.counter("numio_flow_completions_total", &[("component", "engine")]).get(),
+            obs.counter("numio_flow_completions_total", &[("component", "engine")])
+                .get(),
             2
         );
         let jsonl = obs.jsonl();
@@ -1057,7 +1130,11 @@ mod tests {
                 .device_dst(),
         );
         let r = sim.run().unwrap();
-        assert!((r.aggregate_gbps - 26.0).abs() < 1e-9, "{}", r.aggregate_gbps);
+        assert!(
+            (r.aggregate_gbps - 26.0).abs() < 1e-9,
+            "{}",
+            r.aggregate_gbps
+        );
     }
 
     #[test]
@@ -1129,7 +1206,8 @@ mod tests {
         sim.add_flow(FlowSpec::dma(NodeId(6), NodeId(7)).gbits(60.0));
         sim.run().unwrap();
         assert_eq!(
-            obs.counter("numio_capacity_events_total", &[("component", "engine")]).get(),
+            obs.counter("numio_capacity_events_total", &[("component", "engine")])
+                .get(),
             2
         );
         let jsonl = obs.jsonl();
@@ -1142,7 +1220,11 @@ mod tests {
         let f = fabric();
         let obs = numa_obs::Obs::new();
         let mut sim = Simulation::new(&f)
-            .jitter(JitterCfg { amplitude: 0.05, refresh_s: 0.5, seed: 1 })
+            .jitter(JitterCfg {
+                amplitude: 0.05,
+                refresh_s: 0.5,
+                seed: 1,
+            })
             .observe(obs.clone());
         let e = numa_topology::DirectedEdge::new(NodeId(6), NodeId(7));
         let h = sim.register(ResourceKey::Edge(e), 46.5);
@@ -1160,7 +1242,10 @@ mod tests {
             .filter(|e| e.time_s == 0.5 && e.name != "alloc_round")
             .map(|e| e.name.clone())
             .collect();
-        assert_eq!(at_half, ["jitter_refresh", "flow_arrived", "second", "first"]);
+        assert_eq!(
+            at_half,
+            ["jitter_refresh", "flow_arrived", "second", "first"]
+        );
     }
 
     #[test]
@@ -1192,7 +1277,11 @@ mod tests {
     fn report_renders_flows_and_aggregate() {
         let f = fabric();
         let mut sim = Simulation::new(&f);
-        sim.add_flow(FlowSpec::dma(NodeId(3), NodeId(7)).gbits(26.0).label("slowpath"));
+        sim.add_flow(
+            FlowSpec::dma(NodeId(3), NodeId(7))
+                .gbits(26.0)
+                .label("slowpath"),
+        );
         let r = sim.run().unwrap();
         let s = r.render();
         assert!(s.contains("slowpath"));
@@ -1255,7 +1344,10 @@ mod tests {
             FlowSpec::dma(NodeId(6), NodeId(7)).gbits(46.5).label("b"),
         ];
         let explicit = Simulation::new(&f).flows(specs.clone()).run().unwrap();
-        let batch = Simulation::new(&f).workload(Workload::batch(specs)).run().unwrap();
+        let batch = Simulation::new(&f)
+            .workload(Workload::batch(specs))
+            .run()
+            .unwrap();
         assert_eq!(explicit, batch, "same flows, same bits");
         assert_eq!(explicit.fct_digest(), batch.fct_digest());
     }
@@ -1273,13 +1365,25 @@ mod tests {
             ])
             .run()
             .unwrap();
-        assert!((report.flows[0].finish_s - 1.0).abs() < 1e-9, "{:?}", report.flows[0]);
-        assert!((report.flows[1].finish_s - 2.0).abs() < 1e-9, "{:?}", report.flows[1]);
+        assert!(
+            (report.flows[0].finish_s - 1.0).abs() < 1e-9,
+            "{:?}",
+            report.flows[0]
+        );
+        assert!(
+            (report.flows[1].finish_s - 2.0).abs() < 1e-9,
+            "{:?}",
+            report.flows[1]
+        );
         assert!((report.flows[1].fct_s - 1.0).abs() < 1e-9);
         assert!((report.flows[1].start_s - 1.0).abs() < 1e-12);
         // Full rate both times: no contention, slowdown 1.0.
         assert!((report.flows[1].mean_gbps - 46.5).abs() < 1e-6);
-        assert!((report.fct.mean_slowdown - 1.0).abs() < 1e-9, "{}", report.fct.mean_slowdown);
+        assert!(
+            (report.fct.mean_slowdown - 1.0).abs() < 1e-9,
+            "{}",
+            report.fct.mean_slowdown
+        );
         assert!((report.makespan_s - 2.0).abs() < 1e-9);
     }
 
@@ -1295,7 +1399,11 @@ mod tests {
             ])
             .run()
             .unwrap();
-        assert!((report.fct.mean_slowdown - 2.0).abs() < 1e-9, "{}", report.fct.mean_slowdown);
+        assert!(
+            (report.fct.mean_slowdown - 2.0).abs() < 1e-9,
+            "{}",
+            report.fct.mean_slowdown
+        );
         assert!((report.fct.p50_s - 2.0).abs() < 1e-9);
         assert!((report.fct.p99_s - 2.0).abs() < 1e-9);
     }
@@ -1306,7 +1414,9 @@ mod tests {
         // flow, whichever builder call came first.
         let f = fabric();
         let report = Simulation::new(&f)
-            .workload(Workload::batch(vec![FlowSpec::dma(NodeId(6), NodeId(7)).label("w")]))
+            .workload(Workload::batch(vec![
+                FlowSpec::dma(NodeId(6), NodeId(7)).label("w")
+            ]))
             .flows([FlowSpec::dma(NodeId(4), NodeId(7)).label("x")])
             .run()
             .unwrap();
@@ -1342,14 +1452,20 @@ mod tests {
             .run()
             .unwrap();
         assert_eq!(
-            obs.counter("numio_flow_arrivals_total", &[("component", "engine")]).get(),
+            obs.counter("numio_flow_arrivals_total", &[("component", "engine")])
+                .get(),
             5
         );
         assert_eq!(
-            obs.counter("numio_flow_completions_total", &[("component", "engine")]).get(),
+            obs.counter("numio_flow_completions_total", &[("component", "engine")])
+                .get(),
             5
         );
-        let arrived = obs.events().iter().filter(|e| e.name == "flow_arrived").count();
+        let arrived = obs
+            .events()
+            .iter()
+            .filter(|e| e.name == "flow_arrived")
+            .count();
         assert_eq!(arrived, 5);
     }
 
@@ -1358,10 +1474,25 @@ mod tests {
         // The DL585 has nodes 0-7; lowering would index node 8's tables.
         let f = fabric();
         let w = Workload::parse("poisson:n=3,dst=8").unwrap();
-        let want = SimError::UnknownNode { flow: FlowId(0), node: NodeId(8) };
-        assert_eq!(Simulation::new(&f).workload(w.clone()).run().unwrap_err(), want);
-        assert_eq!(Simulation::new(&f).workload(w.clone()).steady_rates().unwrap_err(), want);
-        assert_eq!(Simulation::new(&f).workload(w).bottlenecks().unwrap_err(), want);
+        let want = SimError::UnknownNode {
+            flow: FlowId(0),
+            node: NodeId(8),
+        };
+        assert_eq!(
+            Simulation::new(&f).workload(w.clone()).run().unwrap_err(),
+            want
+        );
+        assert_eq!(
+            Simulation::new(&f)
+                .workload(w.clone())
+                .steady_rates()
+                .unwrap_err(),
+            want
+        );
+        assert_eq!(
+            Simulation::new(&f).workload(w).bottlenecks().unwrap_err(),
+            want
+        );
     }
 
     #[test]
@@ -1372,7 +1503,10 @@ mod tests {
             sim.add_flow(FlowSpec::dma(NodeId(0), NodeId(9)));
             sim
         };
-        let want = SimError::UnknownNode { flow: FlowId(0), node: NodeId(9) };
+        let want = SimError::UnknownNode {
+            flow: FlowId(0),
+            node: NodeId(9),
+        };
         assert_eq!(build().steady_rates().unwrap_err(), want);
         assert_eq!(build().bottlenecks().unwrap_err(), want);
     }
@@ -1408,7 +1542,12 @@ mod tests {
             .faults(Broken)
             .run()
             .unwrap_err();
-        assert_eq!(err, SimError::Faults { reason: "no such device".to_string() });
+        assert_eq!(
+            err,
+            SimError::Faults {
+                reason: "no such device".to_string()
+            }
+        );
         assert!(err.to_string().contains("no such device"));
     }
 
@@ -1431,7 +1570,11 @@ mod tests {
             .faults(Throttle)
             .run()
             .unwrap();
-        assert!((report.makespan_s - 3.0).abs() < 1e-9, "{}", report.makespan_s);
+        assert!(
+            (report.makespan_s - 3.0).abs() < 1e-9,
+            "{}",
+            report.makespan_s
+        );
     }
 
     #[test]

@@ -20,7 +20,13 @@ numa_par::json_struct! {
 impl Summary {
     /// The summary of zero samples: `n == 0` and all moments zero.
     pub fn empty() -> Self {
-        Summary { n: 0, min: 0.0, max: 0.0, mean: 0.0, std: 0.0 }
+        Summary {
+            n: 0,
+            min: 0.0,
+            max: 0.0,
+            mean: 0.0,
+            std: 0.0,
+        }
     }
 
     /// Summarize a slice. An empty slice yields [`Summary::empty`]
@@ -115,7 +121,13 @@ fn lockstep<const W: usize>(rows: [&[f64]; W]) -> [Summary; W] {
     // A NaN's sign and payload vary with code generation, so a NaN mean
     // or std is reported as `f64::NAN`; `black_box` keeps the optimiser,
     // to which any NaN will do, from folding the check away.
-    let canonical = |x: f64| if std::hint::black_box(x).is_nan() { f64::NAN } else { x };
+    let canonical = |x: f64| {
+        if std::hint::black_box(x).is_nan() {
+            f64::NAN
+        } else {
+            x
+        }
+    };
     std::array::from_fn(|l| Summary {
         n,
         min: min[l],
@@ -164,10 +176,22 @@ mod tests {
     #[test]
     fn min_max_skip_nan_and_keep_the_first_of_tied_zeros() {
         let bits = |s: Summary| (s.min.to_bits(), s.max.to_bits());
-        assert_eq!(bits(Summary::from(&[0.0, -0.0])), (0.0f64.to_bits(), 0.0f64.to_bits()));
-        assert_eq!(bits(Summary::from(&[-0.0, 0.0])), ((-0.0f64).to_bits(), (-0.0f64).to_bits()));
-        assert_eq!(bits(Summary::from(&[f64::NAN, 1.0])), (1.0f64.to_bits(), 1.0f64.to_bits()));
-        assert_eq!(bits(Summary::from(&[2.0, f64::NAN, 1.0])), (1.0f64.to_bits(), 2.0f64.to_bits()));
+        assert_eq!(
+            bits(Summary::from(&[0.0, -0.0])),
+            (0.0f64.to_bits(), 0.0f64.to_bits())
+        );
+        assert_eq!(
+            bits(Summary::from(&[-0.0, 0.0])),
+            ((-0.0f64).to_bits(), (-0.0f64).to_bits())
+        );
+        assert_eq!(
+            bits(Summary::from(&[f64::NAN, 1.0])),
+            (1.0f64.to_bits(), 1.0f64.to_bits())
+        );
+        assert_eq!(
+            bits(Summary::from(&[2.0, f64::NAN, 1.0])),
+            (1.0f64.to_bits(), 2.0f64.to_bits())
+        );
     }
 
     #[test]
@@ -191,15 +215,28 @@ mod tests {
 
     fn same_bits(a: &Summary, b: &Summary) -> bool {
         a.n == b.n
-            && [(a.min, b.min), (a.max, b.max), (a.mean, b.mean), (a.std, b.std)]
-                .iter()
-                .all(|(x, y)| x.to_bits() == y.to_bits())
+            && [
+                (a.min, b.min),
+                (a.max, b.max),
+                (a.mean, b.mean),
+                (a.std, b.std),
+            ]
+            .iter()
+            .all(|(x, y)| x.to_bits() == y.to_bits())
     }
 
     /// One sample: mostly probe-like bandwidths, sometimes a value that
     /// stresses the kernel's float semantics.
     fn sample(rng: &mut SplitMix64) -> f64 {
-        const ODD: [f64; 7] = [f64::NAN, 0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, 27.3, 1e300];
+        const ODD: [f64; 7] = [
+            f64::NAN,
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            27.3,
+            1e300,
+        ];
         match rng.below(8) {
             0 => ODD[rng.below(ODD.len() as u64) as usize],
             _ => rng.range_f64(-5.0, 60.0),
@@ -216,7 +253,11 @@ mod tests {
                 .map(|_| {
                     // Most rows share one length, so blocks form; the
                     // rest break them up.
-                    let len = if rng.below(4) == 0 { rng.below(131) as usize } else { shared };
+                    let len = if rng.below(4) == 0 {
+                        rng.below(131) as usize
+                    } else {
+                        shared
+                    };
                     match rng.below(6) {
                         // A constant row.
                         0 => vec![sample(&mut rng); len],
@@ -230,7 +271,14 @@ mod tests {
             assert_eq!(got.len(), rows.len(), "case {case}");
             for (i, (g, row)) in got.iter().zip(&rows).enumerate() {
                 let want = Summary::from(row);
-                assert!(same_bits(g, &want), "case {case} row {i}: {g:?} vs {want:?} {:x} {:x} {:x} {:x}", g.mean.to_bits(), want.mean.to_bits(), g.std.to_bits(), want.std.to_bits());
+                assert!(
+                    same_bits(g, &want),
+                    "case {case} row {i}: {g:?} vs {want:?} {:x} {:x} {:x} {:x}",
+                    g.mean.to_bits(),
+                    want.mean.to_bits(),
+                    g.std.to_bits(),
+                    want.std.to_bits()
+                );
             }
         }
     }

@@ -25,7 +25,10 @@ impl Time {
     /// rounding to the nearest tick. Deterministic: the same `f64` input
     /// always maps to the same tick on every platform.
     pub fn from_seconds(s: f64) -> Time {
-        debug_assert!(s >= 0.0 && s.is_finite(), "time must be finite and >= 0: {s}");
+        debug_assert!(
+            s >= 0.0 && s.is_finite(),
+            "time must be finite and >= 0: {s}"
+        );
         Time((s * TICKS_PER_SECOND as f64).round() as u64)
     }
 }

@@ -66,15 +66,26 @@ impl Workload {
     /// set on each spec — today's behavior, verbatim).
     pub fn batch(flows: Vec<FlowSpec>) -> Self {
         let count = flows.len();
-        Workload { templates: flows, count, arrivals: Arrivals::Batch }
+        Workload {
+            templates: flows,
+            count,
+            arrivals: Arrivals::Batch,
+        }
     }
 
     /// Open-loop Poisson process: `count` flows cycled round-robin over
     /// `templates`, arriving at `rate_hz` flows/second.
     pub fn poisson(templates: Vec<FlowSpec>, count: usize, rate_hz: f64, seed: u64) -> Self {
         assert!(rate_hz > 0.0, "arrival rate must be positive");
-        assert!(!templates.is_empty(), "open-loop workload needs a template flow");
-        Workload { templates, count, arrivals: Arrivals::Poisson { rate_hz, seed } }
+        assert!(
+            !templates.is_empty(),
+            "open-loop workload needs a template flow"
+        );
+        Workload {
+            templates,
+            count,
+            arrivals: Arrivals::Poisson { rate_hz, seed },
+        }
     }
 
     /// Open-loop bounded-Pareto process: heavy-tailed gaps in
@@ -89,11 +100,19 @@ impl Workload {
     ) -> Self {
         assert!(alpha > 0.0, "pareto alpha must be positive");
         assert!(0.0 < min_s && min_s < max_s, "need 0 < min_s < max_s");
-        assert!(!templates.is_empty(), "open-loop workload needs a template flow");
+        assert!(
+            !templates.is_empty(),
+            "open-loop workload needs a template flow"
+        );
         Workload {
             templates,
             count,
-            arrivals: Arrivals::BoundedPareto { alpha, min_s, max_s, seed },
+            arrivals: Arrivals::BoundedPareto {
+                alpha,
+                min_s,
+                max_s,
+                seed,
+            },
         }
     }
 
@@ -118,7 +137,12 @@ impl Workload {
                 let mut rng = SplitMix64::new(seed);
                 self.stamp(|| -rng.u01().ln() / rate_hz)
             }
-            Arrivals::BoundedPareto { alpha, min_s, max_s, seed } => {
+            Arrivals::BoundedPareto {
+                alpha,
+                min_s,
+                max_s,
+                seed,
+            } => {
                 let mut rng = SplitMix64::new(seed);
                 // Inverse CDF of the bounded Pareto on [L, H]:
                 // x = L * (1 - u * (1 - (L/H)^a))^(-1/a).
@@ -200,7 +224,14 @@ impl Workload {
                 if !(alpha > 0.0 && 0.0 < min_s && min_s < max_s) {
                     return Err("pareto needs alpha > 0 and 0 < min < max".to_string());
                 }
-                Ok(Workload::bounded_pareto(vec![template], n, alpha, min_s, max_s, seed))
+                Ok(Workload::bounded_pareto(
+                    vec![template],
+                    n,
+                    alpha,
+                    min_s,
+                    max_s,
+                    seed,
+                ))
             }
             other => Err(format!(
                 "unknown workload kind '{other}' (expected poisson|pareto|batch)"
@@ -229,7 +260,9 @@ mod tests {
         // Mean gap should be in the ballpark of 1/rate.
         let mean_gap = last / 100.0;
         assert!((mean_gap - 0.02).abs() < 0.01, "{mean_gap}");
-        let c = Workload::poisson(vec![t], 100, 50.0, 43).materialize().unwrap();
+        let c = Workload::poisson(vec![t], 100, 50.0, 43)
+            .materialize()
+            .unwrap();
         assert_ne!(a, c, "seed changes the sequence");
     }
 
@@ -261,7 +294,9 @@ mod tests {
     fn round_robin_cycles_templates() {
         let a = FlowSpec::dma(NodeId(3), NodeId(7)).gbits(1.0).label("a");
         let b = FlowSpec::dma(NodeId(6), NodeId(7)).gbits(1.0).label("b");
-        let flows = Workload::poisson(vec![a, b], 4, 100.0, 1).materialize().unwrap();
+        let flows = Workload::poisson(vec![a, b], 4, 100.0, 1)
+            .materialize()
+            .unwrap();
         let labels: Vec<&str> = flows.iter().map(|f| &*f.label).collect();
         assert_eq!(labels, ["a", "b", "a", "b"]);
         // Stamping shares the template's label text instead of copying it.
@@ -272,7 +307,13 @@ mod tests {
     fn parse_round_trips_the_grammar() {
         let w = Workload::parse("poisson:rate=200,n=10,seed=7,src=3,dst=7,gbit=2.0").unwrap();
         assert_eq!(w.count(), 10);
-        assert_eq!(w.arrivals(), &Arrivals::Poisson { rate_hz: 200.0, seed: 7 });
+        assert_eq!(
+            w.arrivals(),
+            &Arrivals::Poisson {
+                rate_hz: 200.0,
+                seed: 7
+            }
+        );
         let flows = w.materialize().unwrap();
         assert_eq!(flows[0].volume_gbit, 2.0);
         assert_eq!(flows[0].src, NodeId(3));

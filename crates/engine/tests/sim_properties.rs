@@ -14,7 +14,15 @@ const CASES: u64 = 64;
 fn arb_flows(case: u64) -> Vec<(u16, u16, f64)> {
     let mut rng = SplitMix64::new(case);
     let n = 1 + rng.below(9);
-    (0..n).map(|_| (rng.below(8) as u16, rng.below(8) as u16, rng.range_f64(1.0, 200.0))).collect()
+    (0..n)
+        .map(|_| {
+            (
+                rng.below(8) as u16,
+                rng.below(8) as u16,
+                rng.range_f64(1.0, 200.0),
+            )
+        })
+        .collect()
 }
 
 fn build<'a>(fabric: &'a Fabric, flows: &[(u16, u16, f64)]) -> Simulation<'a> {
@@ -33,7 +41,10 @@ fn all_flows_finish_and_totals_add_up() {
         let report = build(&fabric, &flows).run().unwrap();
         assert_eq!(report.flows.len(), flows.len(), "case {case}");
         let expect_total: f64 = flows.iter().map(|f| f.2).sum();
-        assert!((report.total_gbit - expect_total).abs() < 1e-9, "case {case}");
+        assert!(
+            (report.total_gbit - expect_total).abs() < 1e-9,
+            "case {case}"
+        );
         for (fr, &(_, _, v)) in report.flows.iter().zip(&flows) {
             assert!(fr.finish_s > 0.0, "case {case}");
             assert!((fr.volume_gbit - v).abs() < 1e-9, "case {case}");
@@ -68,7 +79,10 @@ fn contention_never_helps_the_makespan() {
         let flows = arb_flows(case);
         let full = build(&fabric, &flows).run().unwrap();
         let solo = build(&fabric, &flows[..1]).run().unwrap();
-        assert!(solo.flows[0].finish_s <= full.flows[0].finish_s + 1e-9, "case {case}");
+        assert!(
+            solo.flows[0].finish_s <= full.flows[0].finish_s + 1e-9,
+            "case {case}"
+        );
     }
 }
 
@@ -91,7 +105,10 @@ fn steady_rates_are_feasible_per_flow() {
         let rates = build(&fabric, &flows).steady_rates().unwrap();
         for (&rate, &(s, d, _)) in rates.iter().zip(&flows) {
             let solo = fabric.dma_path_bandwidth(NodeId(s), NodeId(d));
-            assert!(rate <= solo + 1e-6, "case {case}: flow {s}->{d}: {rate} > {solo}");
+            assert!(
+                rate <= solo + 1e-6,
+                "case {case}: flow {s}->{d}: {rate} > {solo}"
+            );
             assert!(rate >= 0.0, "case {case}: flow {s}->{d}: {rate}");
         }
     }
@@ -102,9 +119,16 @@ fn equal_twin_flows_tie() {
     let fabric = dl585_fabric();
     for case in 0..CASES {
         let mut rng = SplitMix64::new(case);
-        let (s, d, v) = (rng.below(8) as u16, rng.below(8) as u16, rng.range_f64(1.0, 100.0));
+        let (s, d, v) = (
+            rng.below(8) as u16,
+            rng.below(8) as u16,
+            rng.range_f64(1.0, 100.0),
+        );
         let report = build(&fabric, &[(s, d, v), (s, d, v)]).run().unwrap();
-        assert!((report.flows[0].finish_s - report.flows[1].finish_s).abs() < 1e-9, "case {case}");
+        assert!(
+            (report.flows[0].finish_s - report.flows[1].finish_s).abs() < 1e-9,
+            "case {case}"
+        );
         assert!(
             (report.flows[0].mean_gbps - report.flows[1].mean_gbps).abs() < 1e-9,
             "case {case}"
@@ -129,7 +153,9 @@ fn open_loop_templates(gbit: f64) -> Vec<FlowSpec> {
     vec![
         FlowSpec::dma(NodeId(6), NodeId(7)).gbits(gbit).weight(2.0),
         FlowSpec::dma(NodeId(4), NodeId(7)).gbits(gbit * 1.5),
-        FlowSpec::dma(NodeId(3), NodeId(7)).gbits(gbit * 0.5).weight(0.5),
+        FlowSpec::dma(NodeId(3), NodeId(7))
+            .gbits(gbit * 0.5)
+            .weight(0.5),
         FlowSpec::dma(NodeId(7), NodeId(7)).gbits(gbit),
     ]
 }
@@ -170,7 +196,10 @@ fn poisson_with_jitter_and_throttle_pins_its_digest() {
     // mid-run, and the edge runs at a fifth of its capacity for 0.8 s,
     // so the live set grows from one or two flows to about ten.
     let w = Workload::poisson(open_loop_templates(0.15), 240, 100.0, 42);
-    assert_eq!(open_loop_digest(&fabric, w, 7, (0.6, 9.3, 1.4)), 1737700702530291293);
+    assert_eq!(
+        open_loop_digest(&fabric, w, 7, (0.6, 9.3, 1.4)),
+        1737700702530291293
+    );
 }
 
 #[test]
@@ -180,7 +209,10 @@ fn dense_poisson_with_a_stalled_edge_pins_its_digest() {
     // users stall until the heal, and about fifty flows are live at the
     // peak.
     let w = Workload::poisson(open_loop_templates(0.002), 600, 8000.0, 43);
-    assert_eq!(open_loop_digest(&fabric, w, 0, (0.02, 0.0, 0.03)), 5654037589402327931);
+    assert_eq!(
+        open_loop_digest(&fabric, w, 0, (0.02, 0.0, 0.03)),
+        5654037589402327931
+    );
 }
 
 #[test]
@@ -188,7 +220,10 @@ fn bounded_pareto_with_jitter_and_throttle_pins_its_digest() {
     let fabric = dl585_fabric();
     // Heavy-tailed gaps over ~1.3 s, with one jitter refresh mid-run.
     let w = Workload::bounded_pareto(open_loop_templates(0.06), 300, 1.2, 0.001, 0.2, 11);
-    assert_eq!(open_loop_digest(&fabric, w, 3, (0.5, 20.0, 2.0)), 16350290052390018620);
+    assert_eq!(
+        open_loop_digest(&fabric, w, 3, (0.5, 20.0, 2.0)),
+        16350290052390018620
+    );
 }
 
 #[test]
@@ -200,6 +235,14 @@ fn open_loop_dead_resource_starves_the_lowest_index_stuck_flow() {
     let stuck = FlowSpec::dma(NodeId(4), NodeId(7)).gbits(0.02).charge(dead);
     // Flows 2, 5, 8, ... charge the dead port; the others all finish
     // before the calendar drains.
-    let sim = sim.workload(Workload::poisson(vec![live.clone(), live, stuck], 30, 2000.0, 5));
-    assert_eq!(sim.run().unwrap_err(), SimError::Starved { flow: FlowId(2) });
+    let sim = sim.workload(Workload::poisson(
+        vec![live.clone(), live, stuck],
+        30,
+        2000.0,
+        5,
+    ));
+    assert_eq!(
+        sim.run().unwrap_err(),
+        SimError::Starved { flow: FlowId(2) }
+    );
 }

@@ -56,19 +56,30 @@ pub struct FlowSpec {
 
 impl Default for FlowSpec {
     fn default() -> Self {
-        FlowSpec { resources: Vec::new(), ceiling: f64::INFINITY, weight: 1.0 }
+        FlowSpec {
+            resources: Vec::new(),
+            ceiling: f64::INFINITY,
+            weight: 1.0,
+        }
     }
 }
 
 impl FlowSpec {
     /// Flow over `resources` with no individual ceiling.
     pub fn shared(resources: Vec<usize>) -> Self {
-        FlowSpec { resources, ..Default::default() }
+        FlowSpec {
+            resources,
+            ..Default::default()
+        }
     }
 
     /// Flow over `resources` with a ceiling.
     pub fn capped(resources: Vec<usize>, ceiling: f64) -> Self {
-        FlowSpec { resources, ceiling, ..Default::default() }
+        FlowSpec {
+            resources,
+            ceiling,
+            ..Default::default()
+        }
     }
 
     /// Set the fairness weight (builder style).
@@ -125,7 +136,10 @@ pub struct MaxMinProblem {
 impl MaxMinProblem {
     /// New problem with the given resource capacities and no flows yet.
     pub fn new(capacities: Vec<f64>) -> Self {
-        MaxMinProblem { capacities, flows: Vec::new() }
+        MaxMinProblem {
+            capacities,
+            flows: Vec::new(),
+        }
     }
 
     /// Add a flow; returns its index.
@@ -245,7 +259,8 @@ impl MaxMinSolver {
     /// returns its index. Lowers a repeat of a known flow shape without
     /// rebuilding its resource list.
     pub fn repeat_flow(&mut self, of: usize, ceiling: f64, weight: f64) -> usize {
-        self.res_idx.extend_from_within(self.res_off[of]..self.res_off[of + 1]);
+        self.res_idx
+            .extend_from_within(self.res_off[of]..self.res_off[of + 1]);
         self.close_flow(ceiling, weight)
     }
 
@@ -333,11 +348,17 @@ impl MaxMinSolver {
         self.ceilings[flow] = ceiling;
         match (was_on, ceiling > 0.0) {
             (false, true) => {
-                let at = self.on.binary_search(&flow).expect_err("a switched-off flow is not on");
+                let at = self
+                    .on
+                    .binary_search(&flow)
+                    .expect_err("a switched-off flow is not on");
                 self.on.insert(at, flow);
             }
             (true, false) => {
-                let at = self.on.binary_search(&flow).expect("a switched-on flow is on");
+                let at = self
+                    .on
+                    .binary_search(&flow)
+                    .expect("a switched-on flow is on");
                 self.on.remove(at);
                 self.rate[flow] = 0.0;
             }
@@ -414,7 +435,10 @@ impl MaxMinSolver {
             dirty_list,
         } = self;
 
-        debug_assert!(load.iter().all(|&l| l == 0.0), "a solve ends with every load at 0");
+        debug_assert!(
+            load.iter().all(|&l| l == 0.0),
+            "a solve ends with every load at 0"
+        );
         active.clear();
         active.extend_from_slice(on);
         for &i in active.iter() {
@@ -552,7 +576,10 @@ mod tests {
     use super::*;
 
     fn solve(caps: Vec<f64>, flows: Vec<FlowSpec>) -> Vec<f64> {
-        solve_max_min(&MaxMinProblem { capacities: caps, flows })
+        solve_max_min(&MaxMinProblem {
+            capacities: caps,
+            flows,
+        })
     }
 
     #[test]
@@ -565,7 +592,11 @@ mod tests {
     fn equal_flows_split_evenly() {
         let r = solve(
             vec![12.0],
-            vec![FlowSpec::shared(vec![0]), FlowSpec::shared(vec![0]), FlowSpec::shared(vec![0])],
+            vec![
+                FlowSpec::shared(vec![0]),
+                FlowSpec::shared(vec![0]),
+                FlowSpec::shared(vec![0]),
+            ],
         );
         for v in r {
             assert!((v - 4.0).abs() < 1e-9);
@@ -579,7 +610,10 @@ mod tests {
             vec![FlowSpec::capped(vec![0], 2.0), FlowSpec::shared(vec![0])],
         );
         assert!((r[0] - 2.0).abs() < 1e-9);
-        assert!((r[1] - 10.0).abs() < 1e-9, "leftover goes to the other flow: {r:?}");
+        assert!(
+            (r[1] - 10.0).abs() < 1e-9,
+            "leftover goes to the other flow: {r:?}"
+        );
     }
 
     #[test]
@@ -627,7 +661,10 @@ mod tests {
 
     #[test]
     fn zero_ceiling_flow_gets_zero() {
-        let r = solve(vec![10.0], vec![FlowSpec::capped(vec![0], 0.0), FlowSpec::shared(vec![0])]);
+        let r = solve(
+            vec![10.0],
+            vec![FlowSpec::capped(vec![0], 0.0), FlowSpec::shared(vec![0])],
+        );
         assert_eq!(r[0], 0.0);
         assert!((r[1] - 10.0).abs() < 1e-9);
     }
@@ -675,7 +712,10 @@ mod tests {
             ],
         );
         assert!((r[0] - 3.0).abs() < 1e-9, "{r:?}");
-        assert!((r[1] - 9.0).abs() < 1e-9, "leftover flows to the other: {r:?}");
+        assert!(
+            (r[1] - 9.0).abs() < 1e-9,
+            "leftover flows to the other: {r:?}"
+        );
     }
 
     #[test]
@@ -732,7 +772,11 @@ mod tests {
         for ceiling in [9.0, 4.0, 0.0, 17.5, 0.25] {
             solver.set_ceiling(0, ceiling);
             p.flows[0].ceiling = ceiling;
-            assert_eq!(solver.solve(), solve_max_min(&p).as_slice(), "ceiling {ceiling}");
+            assert_eq!(
+                solver.solve(),
+                solve_max_min(&p).as_slice(),
+                "ceiling {ceiling}"
+            );
         }
     }
 
@@ -746,10 +790,22 @@ mod tests {
         solver.validate().unwrap();
         assert_eq!(solver.solve(), &[6.0, 6.0]);
         solver.set_ceiling(0, 0.0);
-        assert_eq!(solver.solve(), &[0.0, 12.0], "deactivated flow charges nothing");
+        assert_eq!(
+            solver.solve(),
+            &[0.0, 12.0],
+            "deactivated flow charges nothing"
+        );
         solver.set_ceiling(0, f64::INFINITY);
-        assert_eq!(solver.solve(), &[6.0, 6.0], "reactivation restores the split");
-        assert_eq!(solver.rates(), &[6.0, 6.0], "rates() reports the last solve");
+        assert_eq!(
+            solver.solve(),
+            &[6.0, 6.0],
+            "reactivation restores the split"
+        );
+        assert_eq!(
+            solver.rates(),
+            &[6.0, 6.0],
+            "rates() reports the last solve"
+        );
     }
 
     #[test]
@@ -783,7 +839,10 @@ mod tests {
     fn in_place_lowering_matches_from_problem() {
         let p = MaxMinProblem {
             capacities: vec![12.0, 30.0],
-            flows: vec![FlowSpec::shared(vec![0, 1]), FlowSpec::capped(vec![1], 25.0)],
+            flows: vec![
+                FlowSpec::shared(vec![0, 1]),
+                FlowSpec::capped(vec![1], 25.0),
+            ],
         };
         // Lowered before the capacities are known, with a repeat that
         // `push_resource_once` drops.

@@ -120,7 +120,11 @@ pub fn dl585_pio_matrix(topo: &Topology) -> Vec<Vec<f64>> {
             };
             // Deterministic texture: +-2% wobble, asymmetric by design.
             let wobble = (((c * 3 + mem * 5) % 3) as f64 - 1.0) * 0.02;
-            m[c][mem] = if c == mem { base } else { base * (1.0 + wobble) };
+            m[c][mem] = if c == mem {
+                base
+            } else {
+                base * (1.0 + wobble)
+            };
         }
     }
     for &(c, mem, v) in DL585_PIO_OVERRIDES {
@@ -179,7 +183,11 @@ pub fn generic_fabric(topo: Topology) -> Fabric {
 /// constant would be wrong *and* the paper only reports the ratios).
 pub fn table1_machines() -> Vec<(Topology, LatencyModel, f64)> {
     vec![
-        (presets::intel_4s4n(), LatencyModel::per_hop(100.0, 50.0), 1.5),
+        (
+            presets::intel_4s4n(),
+            LatencyModel::per_hop(100.0, 50.0),
+            1.5,
+        ),
         (
             presets::amd_4s8n(),
             // neighbour 150 ns; remote hops at ~103.6 ns each land the 2.7
@@ -194,7 +202,11 @@ pub fn table1_machines() -> Vec<(Topology, LatencyModel, f64)> {
             },
             2.7,
         ),
-        (presets::amd_8s8n(), LatencyModel::per_hop(100.0, 78.75), 2.8),
+        (
+            presets::amd_8s8n(),
+            LatencyModel::per_hop(100.0, 78.75),
+            2.8,
+        ),
         (
             presets::blade32(),
             LatencyModel::calibrate_to_factor(&presets::blade32(), 100.0, 5.5),
@@ -331,8 +343,14 @@ mod tests {
     #[test]
     fn stream_anchors_match() {
         let f = dl585_fabric();
-        assert_eq!(f.pio_bandwidth(NodeId(7), NodeId(4)), paper::STREAM_CPU7_MEM4);
-        assert_eq!(f.pio_bandwidth(NodeId(4), NodeId(7)), paper::STREAM_CPU4_MEM7);
+        assert_eq!(
+            f.pio_bandwidth(NodeId(7), NodeId(4)),
+            paper::STREAM_CPU7_MEM4
+        );
+        assert_eq!(
+            f.pio_bandwidth(NodeId(4), NodeId(7)),
+            paper::STREAM_CPU4_MEM7
+        );
     }
 
     #[test]

@@ -40,9 +40,7 @@ impl LatencyModel {
     pub fn latency_ns(&self, topo: &Topology, cpu: NodeId, mem: NodeId) -> f64 {
         match topo.locality(cpu, mem) {
             Locality::Local => self.local_ns,
-            Locality::Neighbour => self
-                .neighbour_ns
-                .unwrap_or(self.local_ns + self.per_hop_ns),
+            Locality::Neighbour => self.neighbour_ns.unwrap_or(self.local_ns + self.per_hop_ns),
             Locality::Remote(h) => {
                 let deep = h.saturating_sub(self.deep_after) as f64;
                 self.local_ns + self.per_hop_ns * h as f64 + self.deep_hop_extra_ns * deep
@@ -148,7 +146,11 @@ mod tests {
         ] {
             let m = LatencyModel::calibrate_to_factor(&topo, 100.0, target);
             let f = numa_factor(&topo, &m);
-            assert!((f - target).abs() < 1e-9, "{}: {f} vs {target}", topo.name());
+            assert!(
+                (f - target).abs() < 1e-9,
+                "{}: {f} vs {target}",
+                topo.name()
+            );
         }
     }
 

@@ -22,8 +22,14 @@ fn arb_problem(rng: &mut SplitMix64) -> MaxMinProblem {
     let nr = capacities.len();
     let flows = (0..int(rng, 0, 10))
         .map(|_| {
-            let resources = (0..int(rng, 1, nr.min(4) + 1)).map(|_| int(rng, 0, nr)).collect();
-            FlowSpec { resources, ceiling: maybe_ceiling(rng, 0.1, 60.0), weight: 1.0 }
+            let resources = (0..int(rng, 1, nr.min(4) + 1))
+                .map(|_| int(rng, 0, nr))
+                .collect();
+            FlowSpec {
+                resources,
+                ceiling: maybe_ceiling(rng, 0.1, 60.0),
+                weight: 1.0,
+            }
         })
         .collect();
     MaxMinProblem { capacities, flows }
@@ -34,19 +40,31 @@ fn arb_problem(rng: &mut SplitMix64) -> MaxMinProblem {
 /// allowed (sampling with replacement), zero-capacity resources possible.
 fn arb_problem_rich(rng: &mut SplitMix64) -> MaxMinProblem {
     let capacities: Vec<f64> = (0..int(rng, 1, 10))
-        .map(|_| if rng.below(2) == 0 { 0.0 } else { rng.range_f64(0.1, 100.0) })
+        .map(|_| {
+            if rng.below(2) == 0 {
+                0.0
+            } else {
+                rng.range_f64(0.1, 100.0)
+            }
+        })
         .collect();
     let nr = capacities.len();
     let flows = (0..int(rng, 0, 64))
         .map(|_| {
-            let resources = (0..int(rng, 1, nr.min(5) + 1)).map(|_| int(rng, 0, nr)).collect();
+            let resources = (0..int(rng, 1, nr.min(5) + 1))
+                .map(|_| int(rng, 0, nr))
+                .collect();
             let ceiling = match rng.below(3) {
                 0 => f64::INFINITY,
                 1 => 0.0,
                 _ => rng.range_f64(0.1, 60.0),
             };
             let weight = rng.range_f64(0.25, 4.25);
-            FlowSpec { resources, ceiling, weight }
+            FlowSpec {
+                resources,
+                ceiling,
+                weight,
+            }
         })
         .collect();
     MaxMinProblem { capacities, flows }
@@ -114,8 +132,10 @@ fn reference_solve(problem: &MaxMinProblem) -> Vec<f64> {
                 continue;
             }
             let at_ceiling = rate[i] + EPS >= flows[i].ceiling;
-            let on_saturated =
-                flows[i].resources.iter().any(|&r| remaining[r] <= EPS.max(caps[r] * 1e-12));
+            let on_saturated = flows[i]
+                .resources
+                .iter()
+                .any(|&r| remaining[r] <= EPS.max(caps[r] * 1e-12));
             if at_ceiling || on_saturated {
                 active[i] = false;
                 frozen_any = true;
@@ -140,18 +160,31 @@ fn check_feasible_and_blocked(case: u64, p: &MaxMinProblem, rates: &[f64]) {
     let mut used = vec![0.0; p.capacities.len()];
     for (f, &rate) in p.flows.iter().zip(rates) {
         assert!(rate >= 0.0, "case {case}: negative rate {rate}");
-        assert!(rate <= f.ceiling + EPS, "case {case}: rate {rate} above ceiling {}", f.ceiling);
+        assert!(
+            rate <= f.ceiling + EPS,
+            "case {case}: rate {rate} above ceiling {}",
+            f.ceiling
+        );
         for &r in &f.resources {
             used[r] += rate;
         }
     }
     for (r, (&u, &c)) in used.iter().zip(&p.capacities).enumerate() {
-        assert!(u <= c + EPS, "case {case}: resource {r}: used {u} > cap {c}");
+        assert!(
+            u <= c + EPS,
+            "case {case}: resource {r}: used {u} > cap {c}"
+        );
     }
     for (i, (f, &rate)) in p.flows.iter().zip(rates).enumerate() {
         let at_ceiling = rate + 1e-4 >= f.ceiling;
-        let saturated = f.resources.iter().any(|&r| used[r] + 1e-4 >= p.capacities[r]);
-        assert!(at_ceiling || saturated, "case {case}: flow {i} unblocked at rate {rate}");
+        let saturated = f
+            .resources
+            .iter()
+            .any(|&r| used[r] + 1e-4 >= p.capacities[r]);
+        assert!(
+            at_ceiling || saturated,
+            "case {case}: flow {i} unblocked at rate {rate}"
+        );
     }
 }
 
@@ -167,10 +200,19 @@ fn solution_is_feasible_and_every_flow_is_blocked() {
 fn shared_pair_of_tiny_resources_is_feasible_and_blocked() {
     // A case an earlier randomized run failed on: two 0.1 Gbit/s resources,
     // one flow listing resource 1 twice.
-    let flow = |resources: Vec<usize>| FlowSpec { resources, ceiling: f64::INFINITY, weight: 1.0 };
+    let flow = |resources: Vec<usize>| FlowSpec {
+        resources,
+        ceiling: f64::INFINITY,
+        weight: 1.0,
+    };
     let p = MaxMinProblem {
         capacities: vec![0.1, 0.1],
-        flows: vec![flow(vec![1, 1]), flow(vec![0]), flow(vec![1, 0]), flow(vec![1])],
+        flows: vec![
+            flow(vec![1, 1]),
+            flow(vec![0]),
+            flow(vec![1, 0]),
+            flow(vec![1]),
+        ],
     };
     check_feasible_and_blocked(0, &p, &solve_max_min(&p));
 }
@@ -184,11 +226,22 @@ fn identical_flows_get_equal_rates() {
         let ceiling = maybe_ceiling(&mut rng, 0.5, 50.0);
         let p = MaxMinProblem {
             capacities: vec![cap],
-            flows: (0..n).map(|_| FlowSpec { resources: vec![0], ceiling, weight: 1.0 }).collect(),
+            flows: (0..n)
+                .map(|_| FlowSpec {
+                    resources: vec![0],
+                    ceiling,
+                    weight: 1.0,
+                })
+                .collect(),
         };
         let rates = solve_max_min(&p);
         for w in rates.windows(2) {
-            assert!((w[0] - w[1]).abs() < EPS, "case {case}: {} != {}", w[0], w[1]);
+            assert!(
+                (w[0] - w[1]).abs() < EPS,
+                "case {case}: {} != {}",
+                w[0],
+                w[1]
+            );
         }
     }
 }
@@ -227,9 +280,20 @@ fn single_resource(rng: &mut SplitMix64) -> (f64, Vec<f64>, MaxMinProblem) {
     let ceilings = floats(rng, 1, 8, 0.5, 50.0);
     let flows = ceilings
         .iter()
-        .map(|&c| FlowSpec { resources: vec![0], ceiling: c, weight: 1.0 })
+        .map(|&c| FlowSpec {
+            resources: vec![0],
+            ceiling: c,
+            weight: 1.0,
+        })
         .collect();
-    (cap, ceilings, MaxMinProblem { capacities: vec![cap], flows })
+    (
+        cap,
+        ceilings,
+        MaxMinProblem {
+            capacities: vec![cap],
+            flows,
+        },
+    )
 }
 
 // NOTE: "adding a flow never raises anyone's rate" is *not* a theorem
@@ -245,7 +309,10 @@ fn adding_a_flow_never_raises_others_single_resource() {
         smaller.flows.pop();
         let rates_fewer = solve_max_min(&smaller);
         for (i, (&with, &without)) in rates_all.iter().zip(&rates_fewer).enumerate() {
-            assert!(with <= without + 1e-4, "case {case}: flow {i}: {with} > {without}");
+            assert!(
+                with <= without + 1e-4,
+                "case {case}: flow {i}: {with} > {without}"
+            );
         }
     }
 }
@@ -256,14 +323,25 @@ fn weighted_rates_are_proportional_on_one_resource() {
         let mut rng = SplitMix64::new(case);
         let cap = rng.range_f64(1.0, 100.0);
         let weights = floats(&mut rng, 2, 8, 0.1, 10.0);
-        let flows: Vec<FlowSpec> =
-            weights.iter().map(|&w| FlowSpec::shared(vec![0]).weighted(w)).collect();
-        let p = MaxMinProblem { capacities: vec![cap], flows };
+        let flows: Vec<FlowSpec> = weights
+            .iter()
+            .map(|&w| FlowSpec::shared(vec![0]).weighted(w))
+            .collect();
+        let p = MaxMinProblem {
+            capacities: vec![cap],
+            flows,
+        };
         let rates = solve_max_min(&p);
         let total: f64 = rates.iter().sum();
-        assert!((total - cap).abs() < 1e-4, "case {case}: work conservation: {total} vs {cap}");
+        assert!(
+            (total - cap).abs() < 1e-4,
+            "case {case}: work conservation: {total} vs {cap}"
+        );
         for ((ra, wa), (rb, wb)) in rates.iter().zip(&weights).zip(rates.iter().zip(&weights)) {
-            assert!((ra * wb - rb * wa).abs() < 1e-4, "case {case}: proportionality violated");
+            assert!(
+                (ra * wb - rb * wa).abs() < 1e-4,
+                "case {case}: proportionality violated"
+            );
         }
     }
 }
@@ -354,7 +432,10 @@ fn solver_reuse_is_bit_identical_across_capacity_and_ceiling_retunes() {
             if i > 0 && rng.below(3) == 0 {
                 let of = int(&mut rng, 0, i);
                 p.flows[i].resources = p.flows[of].resources.clone();
-                assert_eq!(solver.repeat_flow(of, p.flows[i].ceiling, p.flows[i].weight), i);
+                assert_eq!(
+                    solver.repeat_flow(of, p.flows[i].ceiling, p.flows[i].weight),
+                    i
+                );
             } else {
                 let f = &p.flows[i];
                 solver.add_flow(&f.resources, f.ceiling, f.weight);
@@ -368,8 +449,11 @@ fn solver_reuse_is_bit_identical_across_capacity_and_ceiling_retunes() {
                     // A resource goes offline, or comes back.
                     0 => {
                         let r = int(&mut rng, 0, nr);
-                        let cap =
-                            if p.capacities[r] > 0.0 { 0.0 } else { rng.range_f64(0.1, 100.0) };
+                        let cap = if p.capacities[r] > 0.0 {
+                            0.0
+                        } else {
+                            rng.range_f64(0.1, 100.0)
+                        };
                         p.capacities[r] = cap;
                         solver.set_capacity(r, cap);
                     }
@@ -391,8 +475,16 @@ fn solver_reuse_is_bit_identical_across_capacity_and_ceiling_retunes() {
             let fresh = solve_max_min(&p);
             let got = solver.solve();
             for (i, ((a, f), b)) in want.iter().zip(&fresh).zip(got).enumerate() {
-                assert_eq!(a.to_bits(), b.to_bits(), "case {case} step {step}: flow {i}");
-                assert_eq!(f.to_bits(), b.to_bits(), "case {case} step {step}: flow {i}");
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "case {case} step {step}: flow {i}"
+                );
+                assert_eq!(
+                    f.to_bits(),
+                    b.to_bits(),
+                    "case {case} step {step}: flow {i}"
+                );
             }
         }
     }
@@ -402,12 +494,18 @@ fn solver_reuse_is_bit_identical_across_capacity_and_ceiling_retunes() {
 /// unbounded or finite ceiling and a random weight; a flow with no
 /// resources always gets a finite ceiling.
 fn arb_open_loop_flow(rng: &mut SplitMix64, nr: usize) -> FlowSpec {
-    let resources: Vec<usize> = (0..int(rng, 0, nr.min(4) + 1)).map(|_| int(rng, 0, nr)).collect();
+    let resources: Vec<usize> = (0..int(rng, 0, nr.min(4) + 1))
+        .map(|_| int(rng, 0, nr))
+        .collect();
     let mut ceiling = maybe_ceiling(rng, 0.1, 60.0);
     if resources.is_empty() {
         ceiling = rng.range_f64(0.1, 60.0);
     }
-    FlowSpec { resources, ceiling, weight: rng.range_f64(0.25, 4.25) }
+    FlowSpec {
+        resources,
+        ceiling,
+        weight: rng.range_f64(0.25, 4.25),
+    }
 }
 
 #[test]
@@ -420,7 +518,13 @@ fn sparse_activity_solver_reuse_is_bit_identical() {
     for case in 0..CASES {
         let mut rng = SplitMix64::new(case);
         let capacities: Vec<f64> = (0..int(&mut rng, 1, 10))
-            .map(|_| if rng.below(8) == 0 { 0.0 } else { rng.range_f64(0.1, 100.0) })
+            .map(|_| {
+                if rng.below(8) == 0 {
+                    0.0
+                } else {
+                    rng.range_f64(0.1, 100.0)
+                }
+            })
             .collect();
         let nr = capacities.len();
         let mut p = MaxMinProblem::new(capacities);
@@ -474,10 +578,17 @@ fn sparse_activity_solver_reuse_is_bit_identical() {
                     base.push(f.ceiling);
                     let i = solver.add_flow(&f.resources, c, f.weight);
                     assert_eq!(i, q.add_flow(FlowSpec { ceiling: c, ..f }));
-                    if on { live.push(i) } else { pending.push(i) }
+                    if on {
+                        live.push(i)
+                    } else {
+                        pending.push(i)
+                    }
                 }
             }
-            assert!(live.len() * 10 <= q.flows.len(), "case {case}: too many live flows");
+            assert!(
+                live.len() * 10 <= q.flows.len(),
+                "case {case}: too many live flows"
+            );
             let want = reference_solve(&q);
             let got = solver.solve();
             assert_eq!(want.len(), got.len(), "case {case} step {step}");
@@ -506,6 +617,9 @@ fn single_resource_aggregate_is_min_of_cap_and_ceilings() {
         let (cap, ceilings, p) = single_resource(&mut SplitMix64::new(case));
         let total: f64 = solve_max_min(&p).iter().sum();
         let expected = cap.min(ceilings.iter().sum());
-        assert!((total - expected).abs() < 1e-4, "case {case}: {total} vs {expected}");
+        assert!(
+            (total - expected).abs() < 1e-4,
+            "case {case}: {total} vs {expected}"
+        );
     }
 }

@@ -122,7 +122,10 @@ mod tests {
         let n = FaultInjector::new(plan).arm(&mut sim, &f).unwrap();
         assert_eq!(n, 1);
         let faulted = sim.run().unwrap().makespan_s;
-        assert!((faulted - 2.0 * baseline).abs() < 1e-9, "{faulted} vs {baseline}");
+        assert!(
+            (faulted - 2.0 * baseline).abs() < 1e-9,
+            "{faulted} vs {baseline}"
+        );
     }
 
     #[test]
@@ -133,7 +136,11 @@ mod tests {
         // Half rate over [0, 2): 46.5 Gbit done by t=2, the rest at full
         // rate => makespan 3.
         let plan = FaultPlan::new(0).with(FaultWindow::between(
-            FaultKind::LinkDegrade { from: 6, to: 7, factor: 0.5 },
+            FaultKind::LinkDegrade {
+                from: 6,
+                to: 7,
+                factor: 0.5,
+            },
             0.0,
             2.0,
         ));
@@ -147,16 +154,24 @@ mod tests {
     fn unknown_link_and_device_are_typed_errors() {
         let f = dl585_fabric();
         let mut sim = Simulation::new(&f);
-        let plan =
-            FaultPlan::new(0).with(FaultWindow::permanent(FaultKind::LinkDown { from: 0, to: 7 }));
+        let plan = FaultPlan::new(0).with(FaultWindow::permanent(FaultKind::LinkDown {
+            from: 0,
+            to: 7,
+        }));
         assert_eq!(
             FaultInjector::new(plan).arm(&mut sim, &f).unwrap_err(),
-            FaultError::UnknownLink { from: NodeId(0), to: NodeId(7) }
+            FaultError::UnknownLink {
+                from: NodeId(0),
+                to: NodeId(7)
+            }
         );
         // Device 3 is not in the topology; device 0 (the NIC) is, but this
         // simulation registered no port for it.
         for device in [3, 0] {
-            let stall = FaultKind::DeviceStall { device, factor: 0.5 };
+            let stall = FaultKind::DeviceStall {
+                device,
+                factor: 0.5,
+            };
             let plan = FaultPlan::new(0).with(FaultWindow::permanent(stall));
             assert_eq!(
                 FaultInjector::new(plan).arm(&mut sim, &f).unwrap_err(),
@@ -191,17 +206,26 @@ mod tests {
             .faults(plan)
             .run()
             .unwrap();
-        assert!((report.makespan_s - 4.0).abs() < 1e-9, "{}", report.makespan_s);
+        assert!(
+            (report.makespan_s - 4.0).abs() < 1e-9,
+            "{}",
+            report.makespan_s
+        );
 
         // A broken plan surfaces as a typed simulation error.
-        let bad =
-            FaultPlan::new(0).with(FaultWindow::permanent(FaultKind::LinkDown { from: 0, to: 7 }));
+        let bad = FaultPlan::new(0).with(FaultWindow::permanent(FaultKind::LinkDown {
+            from: 0,
+            to: 7,
+        }));
         let err = Simulation::new(&f)
             .flows([FlowSpec::dma(NodeId(6), NodeId(7)).gbits(1.0)])
             .faults(bad)
             .run()
             .unwrap_err();
-        assert!(matches!(err, numa_engine::SimError::Faults { .. }), "{err:?}");
+        assert!(
+            matches!(err, numa_engine::SimError::Faults { .. }),
+            "{err:?}"
+        );
     }
 
     #[test]
@@ -209,7 +233,10 @@ mod tests {
         let f = dl585_fabric();
         let mut sim = Simulation::new(&f);
         let port = sim.register(
-            ResourceKey::DevicePort { dev: DeviceId(0), to_device: true },
+            ResourceKey::DevicePort {
+                dev: DeviceId(0),
+                to_device: true,
+            },
             20.0,
         );
         sim.add_flow(FlowSpec::dma(NodeId(6), NodeId(7)).gbits(20.0).charge(port));

@@ -69,9 +69,13 @@ impl FaultKind {
         Ok(match *self {
             FaultKind::LinkDegrade { from, to, .. } | FaultKind::LinkDown { from, to } => {
                 let edge = DirectedEdge::new(NodeId(from), NodeId(to));
-                let cap = fabric
-                    .edge_cap(edge, TrafficClass::Dma)
-                    .ok_or(FaultError::UnknownLink { from: NodeId(from), to: NodeId(to) })?;
+                let cap =
+                    fabric
+                        .edge_cap(edge, TrafficClass::Dma)
+                        .ok_or(FaultError::UnknownLink {
+                            from: NodeId(from),
+                            to: NodeId(to),
+                        })?;
                 let gbps = match *self {
                     FaultKind::LinkDegrade { factor, .. } => cap * factor,
                     _ => LINK_DOWN_GBPS,
@@ -84,7 +88,10 @@ impl FaultKind {
                     return Err(FaultError::NodeOutOfRange { node, nodes });
                 }
                 let gbps = fabric.node_copy_cap(node) * factor;
-                vec![CapChange::NodeCopy { node, gbps }, CapChange::NodeCpu { node, factor }]
+                vec![
+                    CapChange::NodeCopy { node, gbps },
+                    CapChange::NodeCpu { node, factor },
+                ]
             }
             FaultKind::DeviceStall { device, factor } => {
                 if device as usize >= fabric.topology().devices().len() {
@@ -140,12 +147,20 @@ numa_par::json_struct! {
 impl FaultWindow {
     /// A fault injected at t=0 that never heals.
     pub fn permanent(kind: FaultKind) -> Self {
-        FaultWindow { start_s: 0.0, end_s: None, kind }
+        FaultWindow {
+            start_s: 0.0,
+            end_s: None,
+            kind,
+        }
     }
 
     /// A fault active over `[start_s, end_s)`.
     pub fn between(kind: FaultKind, start_s: f64, end_s: f64) -> Self {
-        FaultWindow { start_s, end_s: Some(end_s), kind }
+        FaultWindow {
+            start_s,
+            end_s: Some(end_s),
+            kind,
+        }
     }
 }
 
@@ -164,7 +179,10 @@ numa_par::json_struct! {
 impl FaultPlan {
     /// An empty plan.
     pub fn new(seed: u64) -> Self {
-        FaultPlan { seed, faults: Vec::new() }
+        FaultPlan {
+            seed,
+            faults: Vec::new(),
+        }
     }
 
     /// Append a fault window.
@@ -187,11 +205,17 @@ impl FaultPlan {
         }
         for w in &self.faults {
             if !w.start_s.is_finite() || w.start_s < 0.0 {
-                return Err(FaultError::BadWindow { start_s: w.start_s, end_s: w.end_s });
+                return Err(FaultError::BadWindow {
+                    start_s: w.start_s,
+                    end_s: w.end_s,
+                });
             }
             if let Some(end) = w.end_s {
                 if !end.is_finite() || end <= w.start_s {
-                    return Err(FaultError::BadWindow { start_s: w.start_s, end_s: w.end_s });
+                    return Err(FaultError::BadWindow {
+                        start_s: w.start_s,
+                        end_s: w.end_s,
+                    });
                 }
             }
             w.kind.check_range()?;
@@ -253,26 +277,48 @@ mod tests {
         let cases = [
             (
                 FaultKind::LinkDown { from: 0, to: 7 },
-                FaultError::UnknownLink { from: NodeId(0), to: NodeId(7) },
+                FaultError::UnknownLink {
+                    from: NodeId(0),
+                    to: NodeId(7),
+                },
             ),
             (
-                FaultKind::IrqStorm { node: 99, intensity: 0.5 },
-                FaultError::NodeOutOfRange { node: NodeId(99), nodes: 8 },
+                FaultKind::IrqStorm {
+                    node: 99,
+                    intensity: 0.5,
+                },
+                FaultError::NodeOutOfRange {
+                    node: NodeId(99),
+                    nodes: 8,
+                },
             ),
             (
-                FaultKind::LinkDegrade { from: 6, to: 7, factor: 0.0 },
+                FaultKind::LinkDegrade {
+                    from: 6,
+                    to: 7,
+                    factor: 0.0,
+                },
                 FaultError::BadFactor { value: 0.0 },
             ),
             (
-                FaultKind::DeviceStall { device: 9, factor: 0.5 },
+                FaultKind::DeviceStall {
+                    device: 9,
+                    factor: 0.5,
+                },
                 FaultError::UnknownDevice { device: 9 },
             ),
             (
-                FaultKind::DeviceStall { device: 0, factor: 0.0 },
+                FaultKind::DeviceStall {
+                    device: 0,
+                    factor: 0.0,
+                },
                 FaultError::BadFactor { value: 0.0 },
             ),
             (
-                FaultKind::DeviceStall { device: 0, factor: 1.5 },
+                FaultKind::DeviceStall {
+                    device: 0,
+                    factor: 1.5,
+                },
                 FaultError::BadFactor { value: 1.5 },
             ),
         ];
@@ -300,7 +346,10 @@ mod tests {
     fn wrong_shape_is_a_parse_error() {
         // Valid JSON, wrong schema: unknown kind tag.
         let s = r#"{"seed": 1, "faults": [{"kind": "gremlins", "start_s": 0.0}]}"#;
-        assert!(matches!(FaultPlan::from_json(s).unwrap_err(), FaultError::Parse(_)));
+        assert!(matches!(
+            FaultPlan::from_json(s).unwrap_err(),
+            FaultError::Parse(_)
+        ));
     }
 
     #[test]
@@ -310,17 +359,26 @@ mod tests {
             to: 7,
             factor: 1.5,
         }));
-        assert_eq!(plan.validate().unwrap_err(), FaultError::BadFactor { value: 1.5 });
+        assert_eq!(
+            plan.validate().unwrap_err(),
+            FaultError::BadFactor { value: 1.5 }
+        );
         let plan = FaultPlan::new(0).with(FaultWindow::permanent(FaultKind::IrqStorm {
             node: 7,
             intensity: 1.0,
         }));
-        assert_eq!(plan.validate().unwrap_err(), FaultError::BadFactor { value: 1.0 });
+        assert_eq!(
+            plan.validate().unwrap_err(),
+            FaultError::BadFactor { value: 1.0 }
+        );
         let plan = FaultPlan::new(0).with(FaultWindow::permanent(FaultKind::DeviceStall {
             device: 1,
             factor: 0.0,
         }));
-        assert_eq!(plan.validate().unwrap_err(), FaultError::BadFactor { value: 0.0 });
+        assert_eq!(
+            plan.validate().unwrap_err(),
+            FaultError::BadFactor { value: 0.0 }
+        );
     }
 
     #[test]
@@ -330,12 +388,18 @@ mod tests {
             3.0,
             1.0,
         ));
-        assert!(matches!(plan.validate().unwrap_err(), FaultError::BadWindow { .. }));
+        assert!(matches!(
+            plan.validate().unwrap_err(),
+            FaultError::BadWindow { .. }
+        ));
     }
 
     #[test]
     fn empty_plan_rejected() {
-        assert_eq!(FaultPlan::new(7).validate().unwrap_err(), FaultError::EmptyPlan);
+        assert_eq!(
+            FaultPlan::new(7).validate().unwrap_err(),
+            FaultError::EmptyPlan
+        );
     }
 
     #[test]
@@ -351,7 +415,10 @@ mod tests {
             FaultKind::LinkDegrade { from: 6, to: 7, .. }
         ));
         assert!(a.faults[0].end_s.is_none());
-        assert!(matches!(a.faults[1].kind, FaultKind::IrqStorm { node: 7, .. }));
+        assert!(matches!(
+            a.faults[1].kind,
+            FaultKind::IrqStorm { node: 7, .. }
+        ));
         assert!(a.faults[1].end_s.is_some());
     }
 }

@@ -94,12 +94,17 @@ pub fn run_plan(
     if let Some(o) = obs {
         sim = sim.observe(o.clone());
         for w in &plan.faults {
-            o.counter("numio_faults_total", &[("kind", w.kind.name())]).inc();
+            o.counter("numio_faults_total", &[("kind", w.kind.name())])
+                .inc();
         }
     }
     let faulted = sim.run()?;
 
-    Ok(ScenarioReport { plan: plan.clone(), baseline, faulted })
+    Ok(ScenarioReport {
+        plan: plan.clone(),
+        baseline,
+        faulted,
+    })
 }
 
 /// [`run_plan`] with the canonical seeded demo plan ([`FaultPlan::demo`]).
@@ -123,7 +128,11 @@ mod tests {
         let b = run_demo(&f, 42, None).unwrap();
         assert_eq!(a, b, "same seed, same scenario");
         assert_eq!(a.render(), b.render(), "bit-identical reports");
-        assert!(a.degradation() > 0.05, "faults must bite: {}", a.degradation());
+        assert!(
+            a.degradation() > 0.05,
+            "faults must bite: {}",
+            a.degradation()
+        );
         let c = run_demo(&f, 43, None).unwrap();
         assert_ne!(a.faulted, c.faulted, "seed changes the damage");
         // The baseline is fault-independent.
@@ -137,10 +146,15 @@ mod tests {
         let r = run_demo(&f, 42, Some(&obs)).unwrap();
         assert!(r.degradation() > 0.0);
         assert_eq!(
-            obs.counter("numio_faults_total", &[("kind", "link_degrade")]).get(),
+            obs.counter("numio_faults_total", &[("kind", "link_degrade")])
+                .get(),
             1
         );
-        assert_eq!(obs.counter("numio_faults_total", &[("kind", "irq_storm")]).get(), 1);
+        assert_eq!(
+            obs.counter("numio_faults_total", &[("kind", "irq_storm")])
+                .get(),
+            1
+        );
         let jsonl = obs.jsonl();
         assert!(jsonl.contains("\"ev\":\"fault_injected\""), "{jsonl}");
         assert!(jsonl.contains("\"ev\":\"fault_healed\""), "{jsonl}");

@@ -63,7 +63,11 @@ impl JobSpec {
     /// An SSD job with the paper's §IV-B3 defaults: libaio, QD16, direct.
     pub fn ssd(write: bool, bind: NodeId) -> Self {
         JobSpec {
-            workload: Workload::Ssd { write, engine: IoEngine::paper(), direct: true },
+            workload: Workload::Ssd {
+                write,
+                engine: IoEngine::paper(),
+                direct: true,
+            },
             ..JobSpec::nic(NicOp::TcpSend, bind)
         }
     }
@@ -119,7 +123,11 @@ impl JobSpec {
     pub fn describe(&self) -> String {
         let wl = match &self.workload {
             Workload::Nic(op) => format!("{op:?}"),
-            Workload::Ssd { write, engine, direct } => format!(
+            Workload::Ssd {
+                write,
+                engine,
+                direct,
+            } => format!(
                 "Ssd{}({engine:?}{})",
                 if *write { "Write" } else { "Read" },
                 if *direct { ",direct" } else { ",buffered" }
@@ -153,7 +161,11 @@ mod tests {
     fn ssd_defaults_match_section_ivb3() {
         let j = JobSpec::ssd(true, NodeId(2));
         match j.workload {
-            Workload::Ssd { write, engine, direct } => {
+            Workload::Ssd {
+                write,
+                engine,
+                direct,
+            } => {
                 assert!(write);
                 assert!(direct);
                 assert_eq!(engine, IoEngine::Libaio { iodepth: 16 });
@@ -173,7 +185,9 @@ mod tests {
 
     #[test]
     fn describe_mentions_key_fields() {
-        let d = JobSpec::nic(NicOp::RdmaRead, NodeId(0)).numjobs(4).describe();
+        let d = JobSpec::nic(NicOp::RdmaRead, NodeId(0))
+            .numjobs(4)
+            .describe();
         assert!(d.contains("RdmaRead"));
         assert!(d.contains("numjobs=4"));
         assert!(d.contains("cpunode=0"));

@@ -46,7 +46,10 @@ impl std::fmt::Display for JobFileError {
 impl std::error::Error for JobFileError {}
 
 fn err(line: usize, message: impl Into<String>) -> JobFileError {
-    JobFileError { line, message: message.into() }
+    JobFileError {
+        line,
+        message: message.into(),
+    }
 }
 
 type KeyValues = BTreeMap<String, (usize, String)>;
@@ -100,8 +103,12 @@ pub fn parse(text: &str) -> Result<Vec<(String, JobSpec)>, JobFileError> {
 
 fn build_job(name: &str, kv: &KeyValues) -> Result<JobSpec, JobFileError> {
     let get = |k: &str| kv.get(k).map(|(l, v)| (*l, v.as_str()));
-    let engine_str = get("ioengine").map(|(_, v)| v.to_lowercase()).unwrap_or_else(|| "net".into());
-    let rw = get("rw").map(|(_, v)| v.to_lowercase()).unwrap_or_else(|| "write".into());
+    let engine_str = get("ioengine")
+        .map(|(_, v)| v.to_lowercase())
+        .unwrap_or_else(|| "net".into());
+    let rw = get("rw")
+        .map(|(_, v)| v.to_lowercase())
+        .unwrap_or_else(|| "write".into());
     let write = match rw.as_str() {
         "write" | "randwrite" => true,
         "read" | "randread" => false,
@@ -112,10 +119,15 @@ fn build_job(name: &str, kv: &KeyValues) -> Result<JobSpec, JobFileError> {
     };
 
     let workload = match engine_str.as_str() {
-        "net" | "tcp" => Workload::Nic(if write { NicOp::TcpSend } else { NicOp::TcpRecv }),
+        "net" | "tcp" => Workload::Nic(if write {
+            NicOp::TcpSend
+        } else {
+            NicOp::TcpRecv
+        }),
         "rdma" => {
-            let verb =
-                get("verb").map(|(_, v)| v.to_lowercase()).unwrap_or_else(|| "write".into());
+            let verb = get("verb")
+                .map(|(_, v)| v.to_lowercase())
+                .unwrap_or_else(|| "write".into());
             let op = match verb.as_str() {
                 "write" => NicOp::RdmaWrite,
                 "read" => NicOp::RdmaRead,
@@ -147,7 +159,11 @@ fn build_job(name: &str, kv: &KeyValues) -> Result<JobSpec, JobFileError> {
                     other => return Err(err(l, format!("bad direct flag '{other}'"))),
                 },
             };
-            Workload::Ssd { write, engine, direct }
+            Workload::Ssd {
+                write,
+                engine,
+                direct,
+            }
         }
         other => {
             let line = get("ioengine").map(|(l, _)| l).unwrap_or(0);
@@ -165,13 +181,16 @@ fn build_job(name: &str, kv: &KeyValues) -> Result<JobSpec, JobFileError> {
     let mem_policy = match get("membind") {
         None => MemPolicy::LocalPreferred,
         Some((l, v)) => MemPolicy::Bind(NodeId(
-            v.parse::<u16>().map_err(|_| err(l, format!("bad membind '{v}'")))?,
+            v.parse::<u16>()
+                .map_err(|_| err(l, format!("bad membind '{v}'")))?,
         )),
     };
     let numjobs = match get("numjobs") {
         None => 1,
         Some((l, v)) => {
-            let n: u32 = v.parse().map_err(|_| err(l, format!("bad numjobs '{v}'")))?;
+            let n: u32 = v
+                .parse()
+                .map_err(|_| err(l, format!("bad numjobs '{v}'")))?;
             if n == 0 {
                 return Err(err(l, "numjobs must be at least 1"));
             }
@@ -286,7 +305,11 @@ size=20g
         assert_eq!(jobs.len(), 2);
         assert_eq!(jobs[0].1.workload, Workload::Nic(NicOp::RdmaRead));
         match &jobs[1].1.workload {
-            Workload::Ssd { write, engine, direct } => {
+            Workload::Ssd {
+                write,
+                engine,
+                direct,
+            } => {
                 assert!(!write);
                 assert_eq!(*engine, IoEngine::Libaio { iodepth: 16 });
                 assert!(direct);
@@ -348,8 +371,7 @@ numjobs=2
 
     #[test]
     fn weight_key_parses_and_validates() {
-        let jobs =
-            parse("[j]\nioengine=rdma\nverb=write\ncpunodebind=6\nweight=2.5\n").unwrap();
+        let jobs = parse("[j]\nioengine=rdma\nverb=write\ncpunodebind=6\nweight=2.5\n").unwrap();
         assert_eq!(jobs[0].1.weight, 2.5);
         let e = parse("[j]\nioengine=net\ncpunodebind=0\nweight=-1\n").unwrap_err();
         assert!(e.message.contains("positive"));
@@ -372,6 +394,10 @@ numjobs=2
         let jobs: Vec<JobSpec> = parse(text).unwrap().into_iter().map(|(_, j)| j).collect();
         let report = crate::run_jobs(&fabric, &jobs).unwrap();
         // Node 3 RDMA_WRITE: the Table IV class-3 level.
-        assert!((report.aggregate_gbps - 17.05).abs() < 0.1, "{}", report.aggregate_gbps);
+        assert!(
+            (report.aggregate_gbps - 17.05).abs() < 0.1,
+            "{}",
+            report.aggregate_gbps
+        );
     }
 }

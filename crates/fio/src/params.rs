@@ -34,7 +34,9 @@ impl NetTestParams {
              TCP Variant                               {}\n\
              IO block size                             {} KBytes\n\
              Ethernet frame size                       {}\n",
-            self.data_per_process_gbytes, self.tcp_variant, self.io_block_kib,
+            self.data_per_process_gbytes,
+            self.tcp_variant,
+            self.io_block_kib,
             self.ethernet_frame_size
         )
     }

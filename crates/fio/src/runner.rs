@@ -48,13 +48,19 @@ impl std::fmt::Display for FioError {
             FioError::NoNic => write!(f, "host has no NIC"),
             FioError::NoSsd => write!(f, "host has no SSDs"),
             FioError::UnknownNode { job, node } => {
-                write!(f, "job {job} names node {node}, which the host does not have")
+                write!(
+                    f,
+                    "job {job} names node {node}, which the host does not have"
+                )
             }
             FioError::EmptyInterleave { job } => {
                 write!(f, "job {job} interleaves its buffers over no nodes")
             }
             FioError::BadSize { job, gbytes } => {
-                write!(f, "job {job} has size {gbytes} GB; it must be positive and finite")
+                write!(
+                    f,
+                    "job {job} has size {gbytes} GB; it must be positive and finite"
+                )
             }
             FioError::Sim(e) => write!(f, "simulation failed: {e}"),
         }
@@ -120,7 +126,10 @@ pub fn build_sim_with<'f>(
     }
     for (job, spec) in jobs.iter().enumerate() {
         if spec.size_gbytes <= 0.0 || !spec.size_gbytes.is_finite() {
-            return Err(FioError::BadSize { job, gbytes: spec.size_gbytes });
+            return Err(FioError::BadSize {
+                job,
+                gbytes: spec.size_gbytes,
+            });
         }
         if matches!(&spec.mem_policy, numa_memsys::MemPolicy::Interleave(n) if n.is_empty()) {
             return Err(FioError::EmptyInterleave { job });
@@ -174,7 +183,11 @@ pub fn build_sim_with<'f>(
                     *b = b.min(budget);
                 }
             }
-            Workload::Ssd { write, engine, direct } => {
+            Workload::Ssd {
+                write,
+                engine,
+                direct,
+            } => {
                 let ssd = ssd.as_ref().ok_or(FioError::NoSsd)?;
                 let level =
                     ssd.node_ceiling_with(*write, fabric, job.buffer_node(), *engine, *direct);
@@ -215,7 +228,10 @@ pub fn build_sim_with<'f>(
             let dir = op.to_device();
             nic_wire_res[dir as usize].get_or_insert_with(|| {
                 sim.register(
-                    ResourceKey::DevicePort { dev: numa_topology::DeviceId(nic_dev), to_device: dir },
+                    ResourceKey::DevicePort {
+                        dev: numa_topology::DeviceId(nic_dev),
+                        to_device: dir,
+                    },
                     nic.pcie.effective_gbps() * fabric.device_derate(nic_dev),
                 )
             });
@@ -257,7 +273,10 @@ pub fn build_sim_with<'f>(
     let mut cpu_res = Vec::new();
     for (node, budget) in cpu_budget {
         if budget.is_finite() {
-            let h = sim.register(ResourceKey::NodeCpu(node), budget * fabric.node_cpu_derate(node));
+            let h = sim.register(
+                ResourceKey::NodeCpu(node),
+                budget * fabric.node_cpu_derate(node),
+            );
             cpu_res.push((node, h));
         }
     }
@@ -277,8 +296,11 @@ pub fn build_sim_with<'f>(
             let spec = match &job.workload {
                 Workload::Nic(op) => {
                     let nic = nic.as_ref().ok_or(FioError::NoNic)?;
-                    let (src, dst) =
-                        if op.to_device() { (buffer, nic.node) } else { (nic.node, buffer) };
+                    let (src, dst) = if op.to_device() {
+                        (buffer, nic.node)
+                    } else {
+                        (nic.node, buffer)
+                    };
                     let level = nic.node_ceiling(*op, fabric, buffer);
                     let ceiling = if op.cpu_bound() {
                         nic.tcp_per_stream_gbps.min(level)
@@ -293,7 +315,11 @@ pub fn build_sim_with<'f>(
                         .charge(nic_wire_res[op.to_device() as usize].expect("op seen in pass 1"));
                     // The NIC endpoint is a device buffer: its DMA engine
                     // reads/writes host memory only on the *buffer* node.
-                    f = if op.to_device() { f.device_dst() } else { f.device_src() };
+                    f = if op.to_device() {
+                        f.device_dst()
+                    } else {
+                        f.device_src()
+                    };
                     let class_handle = *entry(&mut class_res, (op_tag(*op), buffer), || {
                         sim.register(fresh_custom(), wobble(level))
                     });
@@ -305,12 +331,18 @@ pub fn build_sim_with<'f>(
                     }
                     f
                 }
-                Workload::Ssd { write, engine, direct } => {
+                Workload::Ssd {
+                    write,
+                    engine,
+                    direct,
+                } => {
                     let ssd = ssd.as_ref().ok_or(FioError::NoSsd)?;
-                    let (src, dst) =
-                        if *write { (buffer, ssd.node) } else { (ssd.node, buffer) };
-                    let level =
-                        ssd.node_ceiling_with(*write, fabric, buffer, *engine, *direct);
+                    let (src, dst) = if *write {
+                        (buffer, ssd.node)
+                    } else {
+                        (ssd.node, buffer)
+                    };
+                    let level = ssd.node_ceiling_with(*write, fabric, buffer, *engine, *direct);
                     let card = ssd_rr % ssd.cards;
                     ssd_rr += 1;
                     let class_handle = *entry(&mut class_res, (ssd_tag(*write), buffer), || {
@@ -322,7 +354,11 @@ pub fn build_sim_with<'f>(
                         .label(label.as_str())
                         .charge(lookup(&ssd_card_res, (*write, card)).expect("seen in pass 1"))
                         .charge(class_handle);
-                    if *write { f.device_dst() } else { f.device_src() }
+                    if *write {
+                        f.device_dst()
+                    } else {
+                        f.device_src()
+                    }
                 }
             };
             sim.add_flow(spec.weight(job.weight));
@@ -363,7 +399,12 @@ impl FioReport {
 /// Run a set of jobs concurrently to completion (the paper's multi-user
 /// scenarios submit several pinned jobs at once).
 pub fn run_jobs(fabric: &Fabric, jobs: &[JobSpec]) -> Result<FioReport, FioError> {
-    run_jobs_with(fabric, jobs, NicModel::for_fabric(fabric), SsdModel::for_fabric(fabric))
+    run_jobs_with(
+        fabric,
+        jobs,
+        NicModel::for_fabric(fabric),
+        SsdModel::for_fabric(fabric),
+    )
 }
 
 /// [`run_jobs`] with explicit device models (ablation hook).
@@ -392,7 +433,8 @@ pub fn run_jobs_scenario(
     let report = sim.observe(obs.clone()).run().map_err(FioError::Sim)?;
     let out = assemble_report(jobs, report, &flow_job);
     for (ji, j) in out.jobs.iter().enumerate() {
-        obs.counter("numio_jobs_completed_total", &[("component", "fio")]).inc();
+        obs.counter("numio_jobs_completed_total", &[("component", "fio")])
+            .inc();
         obs.event(
             "job_finished",
             j.makespan_s,
@@ -426,7 +468,11 @@ pub fn assemble_report(jobs: &[JobSpec], report: SimReport, flow_job: &[usize]) 
         let describe = streams.first().and_then(|f| f.label.split_once(' '));
         job_reports.push(JobReport {
             describe: describe.map_or_else(|| job.describe(), |(_, d)| d.to_string()),
-            aggregate_gbps: if makespan > 0.0 { volume / makespan } else { 0.0 },
+            aggregate_gbps: if makespan > 0.0 {
+                volume / makespan
+            } else {
+                0.0
+            },
             per_stream_gbps: streams.iter().map(|f| f.mean_gbps).collect(),
             makespan_s: makespan,
         });
@@ -455,10 +501,13 @@ pub fn steady_job_rates(fabric: &Fabric, jobs: &[JobSpec]) -> Result<Vec<f64>, F
 /// The value of `key` in a small first-seen-order table, inserted as
 /// `init()` when absent.
 fn entry<K: PartialEq, V>(table: &mut Vec<(K, V)>, key: K, init: impl FnOnce() -> V) -> &mut V {
-    let i = table.iter().position(|(k, _)| *k == key).unwrap_or_else(|| {
-        table.push((key, init()));
-        table.len() - 1
-    });
+    let i = table
+        .iter()
+        .position(|(k, _)| *k == key)
+        .unwrap_or_else(|| {
+            table.push((key, init()));
+            table.len() - 1
+        });
     &mut table[i].1
 }
 
@@ -481,7 +530,11 @@ fn op_tag(op: NicOp) -> u8 {
 
 /// Distinct tag per SSD direction (offset past NIC ops).
 fn ssd_tag(write: bool) -> u8 {
-    if write { 10 } else { 11 }
+    if write {
+        10
+    } else {
+        11
+    }
 }
 
 #[cfg(test)]
@@ -504,14 +557,20 @@ mod tests {
         let f = fabric();
         let job = JobSpec::nic(NicOp::TcpSend, NodeId(5)).size_gbytes(7.0);
         let r = run_jobs(&f, &[job]).unwrap();
-        assert!((r.aggregate_gbps - 5.6).abs() < 1e-6, "{}", r.aggregate_gbps);
+        assert!(
+            (r.aggregate_gbps - 5.6).abs() < 1e-6,
+            "{}",
+            r.aggregate_gbps
+        );
     }
 
     #[test]
     fn four_tcp_streams_reach_class_level() {
         let f = fabric();
         for (node, want) in [(6u16, 20.9), (5, 20.5), (2, 16.3)] {
-            let job = JobSpec::nic(NicOp::TcpSend, NodeId(node)).numjobs(4).size_gbytes(10.0);
+            let job = JobSpec::nic(NicOp::TcpSend, NodeId(node))
+                .numjobs(4)
+                .size_gbytes(10.0);
             let r = run_jobs(&f, &[job]).unwrap();
             assert!(
                 (r.aggregate_gbps - want).abs() < 0.1,
@@ -525,7 +584,9 @@ mod tests {
     fn node7_send_is_irq_penalized_below_node6() {
         let f = fabric();
         let at = |node: u16| {
-            let job = JobSpec::nic(NicOp::TcpSend, NodeId(node)).numjobs(4).size_gbytes(10.0);
+            let job = JobSpec::nic(NicOp::TcpSend, NodeId(node))
+                .numjobs(4)
+                .size_gbytes(10.0);
             run_jobs(&f, &[job]).unwrap().aggregate_gbps
         };
         let n7 = at(7);
@@ -551,8 +612,14 @@ mod tests {
     #[test]
     fn rdma_read_class_levels() {
         let f = fabric();
-        for (node, want) in [(2u16, paper::EQ1_CLASS2_BW), (0, paper::EQ1_CLASS3_BW), (4, 16.1)] {
-            let job = JobSpec::nic(NicOp::RdmaRead, NodeId(node)).numjobs(2).size_gbytes(10.0);
+        for (node, want) in [
+            (2u16, paper::EQ1_CLASS2_BW),
+            (0, paper::EQ1_CLASS3_BW),
+            (4, 16.1),
+        ] {
+            let job = JobSpec::nic(NicOp::RdmaRead, NodeId(node))
+                .numjobs(2)
+                .size_gbytes(10.0);
             let r = run_jobs(&f, &[job]).unwrap();
             assert!(
                 (r.aggregate_gbps - want).abs() < 0.05,
@@ -568,19 +635,30 @@ mod tests {
         // 0 measure 19.415 Gbps aggregate.
         let f = fabric();
         let jobs = [
-            JobSpec::nic(NicOp::RdmaRead, NodeId(2)).numjobs(2).size_gbytes(50.0),
-            JobSpec::nic(NicOp::RdmaRead, NodeId(0)).numjobs(2).size_gbytes(50.0),
+            JobSpec::nic(NicOp::RdmaRead, NodeId(2))
+                .numjobs(2)
+                .size_gbytes(50.0),
+            JobSpec::nic(NicOp::RdmaRead, NodeId(0))
+                .numjobs(2)
+                .size_gbytes(50.0),
         ];
         let r = run_jobs(&f, &jobs).unwrap();
         let err = (r.aggregate_gbps - paper::EQ1_MEASURED).abs() / paper::EQ1_MEASURED;
-        assert!(err < 0.02, "{} vs {}", r.aggregate_gbps, paper::EQ1_MEASURED);
+        assert!(
+            err < 0.02,
+            "{} vs {}",
+            r.aggregate_gbps,
+            paper::EQ1_MEASURED
+        );
     }
 
     #[test]
     fn ssd_write_two_procs_reach_table_iv() {
         let f = fabric();
         for (node, want) in [(7u16, 29.1), (0, 28.1), (3, 17.9)] {
-            let job = JobSpec::ssd(true, NodeId(node)).numjobs(2).size_gbytes(20.0);
+            let job = JobSpec::ssd(true, NodeId(node))
+                .numjobs(2)
+                .size_gbytes(20.0);
             let r = run_jobs(&f, &[job]).unwrap();
             assert!(
                 (r.aggregate_gbps - want).abs() < 0.15,
@@ -593,12 +671,18 @@ mod tests {
     #[test]
     fn ssd_single_proc_drives_one_card_only() {
         let f = fabric();
-        let two = run_jobs(&f, &[JobSpec::ssd(false, NodeId(6)).numjobs(2).size_gbytes(20.0)])
-            .unwrap()
-            .aggregate_gbps;
-        let one = run_jobs(&f, &[JobSpec::ssd(false, NodeId(6)).numjobs(1).size_gbytes(20.0)])
-            .unwrap()
-            .aggregate_gbps;
+        let two = run_jobs(
+            &f,
+            &[JobSpec::ssd(false, NodeId(6)).numjobs(2).size_gbytes(20.0)],
+        )
+        .unwrap()
+        .aggregate_gbps;
+        let one = run_jobs(
+            &f,
+            &[JobSpec::ssd(false, NodeId(6)).numjobs(1).size_gbytes(20.0)],
+        )
+        .unwrap()
+        .aggregate_gbps;
         assert!((one - two / 2.0).abs() < 0.1, "one={one} two={two}");
     }
 
@@ -607,7 +691,11 @@ mod tests {
         let f = fabric();
         let fast = JobSpec::ssd(false, NodeId(6)).numjobs(2).size_gbytes(10.0);
         let mut slow = fast.clone();
-        slow.workload = Workload::Ssd { write: false, engine: IoEngine::Sync, direct: false };
+        slow.workload = Workload::Ssd {
+            write: false,
+            engine: IoEngine::Sync,
+            direct: false,
+        };
         let rf = run_jobs(&f, &[fast]).unwrap().aggregate_gbps;
         let rs = run_jobs(&f, &[slow]).unwrap().aggregate_gbps;
         assert!(rs < 0.3 * rf, "sync+buffered {rs} vs libaio+direct {rf}");
@@ -617,8 +705,12 @@ mod tests {
     fn per_job_reports_split_streams() {
         let f = fabric();
         let jobs = [
-            JobSpec::nic(NicOp::RdmaWrite, NodeId(6)).numjobs(2).size_gbytes(5.0),
-            JobSpec::nic(NicOp::RdmaWrite, NodeId(3)).numjobs(1).size_gbytes(5.0),
+            JobSpec::nic(NicOp::RdmaWrite, NodeId(6))
+                .numjobs(2)
+                .size_gbytes(5.0),
+            JobSpec::nic(NicOp::RdmaWrite, NodeId(3))
+                .numjobs(1)
+                .size_gbytes(5.0),
         ];
         let r = run_jobs(&f, &jobs).unwrap();
         assert_eq!(r.jobs.len(), 2);
@@ -631,14 +723,22 @@ mod tests {
     fn observed_run_matches_plain_and_tags_jobs() {
         let f = fabric();
         let jobs = [
-            JobSpec::nic(NicOp::RdmaWrite, NodeId(6)).numjobs(2).size_gbytes(5.0),
-            JobSpec::nic(NicOp::RdmaWrite, NodeId(3)).numjobs(1).size_gbytes(5.0),
+            JobSpec::nic(NicOp::RdmaWrite, NodeId(6))
+                .numjobs(2)
+                .size_gbytes(5.0),
+            JobSpec::nic(NicOp::RdmaWrite, NodeId(3))
+                .numjobs(1)
+                .size_gbytes(5.0),
         ];
         let plain = run_jobs(&f, &jobs).unwrap();
         let obs = numa_obs::Obs::new();
         let observed = run_jobs_scenario(&f, &jobs, &obs).unwrap();
         assert_eq!(plain, observed);
-        assert_eq!(obs.counter("numio_jobs_completed_total", &[("component", "fio")]).get(), 2);
+        assert_eq!(
+            obs.counter("numio_jobs_completed_total", &[("component", "fio")])
+                .get(),
+            2
+        );
         let jsonl = obs.jsonl();
         // Engine flow completions carry the job-tagged flow label...
         assert!(jsonl.contains("\"label\":\"job0.0 RdmaWrite"), "{jsonl}");
@@ -649,7 +749,9 @@ mod tests {
     #[test]
     fn fio_report_renders_jobs_and_total() {
         let f = fabric();
-        let jobs = [JobSpec::nic(NicOp::RdmaWrite, NodeId(6)).numjobs(2).size_gbytes(5.0)];
+        let jobs = [JobSpec::nic(NicOp::RdmaWrite, NodeId(6))
+            .numjobs(2)
+            .size_gbytes(5.0)];
         let s = run_jobs(&f, &jobs).unwrap().render();
         assert!(s.contains("job0: RdmaWrite"));
         assert!(s.contains("2 streams"));
@@ -673,7 +775,10 @@ mod tests {
         let empty = JobSpec::ssd(true, NodeId(3))
             .mem_policy(numa_memsys::MemPolicy::Interleave(Vec::new()));
         let want = FioError::EmptyInterleave { job: 1 };
-        assert_eq!(run_jobs(&f, &[ok.clone(), empty.clone()]).unwrap_err(), want);
+        assert_eq!(
+            run_jobs(&f, &[ok.clone(), empty.clone()]).unwrap_err(),
+            want
+        );
         assert_eq!(steady_job_rates(&f, &[ok, empty]).unwrap_err(), want);
     }
 
@@ -692,7 +797,10 @@ mod tests {
     #[test]
     fn job_on_a_node_outside_the_fabric_is_a_typed_error() {
         let f = fabric();
-        let unknown = |job, node| FioError::UnknownNode { job, node: NodeId(node) };
+        let unknown = |job, node| FioError::UnknownNode {
+            job,
+            node: NodeId(node),
+        };
         let nic = [JobSpec::nic(NicOp::RdmaWrite, NodeId(9))];
         assert_eq!(run_jobs(&f, &nic).unwrap_err(), unknown(0, 9));
         assert_eq!(steady_job_rates(&f, &nic).unwrap_err(), unknown(0, 9));
@@ -736,7 +844,11 @@ mod tests {
             .mem_policy(MemPolicy::bind(3))
             .size_gbytes(10.0);
         let r = run_jobs(&f, &[job]).unwrap();
-        assert!((r.aggregate_gbps - 17.05).abs() < 0.1, "{}", r.aggregate_gbps);
+        assert!(
+            (r.aggregate_gbps - 17.05).abs() < 0.1,
+            "{}",
+            r.aggregate_gbps
+        );
     }
 
     #[test]

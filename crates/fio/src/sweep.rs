@@ -46,9 +46,17 @@ pub fn sweep(
         let (node, streams) = grid[k];
         let mut job = match workload {
             Workload::Nic(op) => JobSpec::nic(*op, node),
-            Workload::Ssd { write, engine, direct } => {
+            Workload::Ssd {
+                write,
+                engine,
+                direct,
+            } => {
                 let mut j = JobSpec::ssd(*write, node);
-                j.workload = Workload::Ssd { write: *write, engine: *engine, direct: *direct };
+                j.workload = Workload::Ssd {
+                    write: *write,
+                    engine: *engine,
+                    direct: *direct,
+                };
                 j
             }
         }
@@ -66,7 +74,11 @@ pub fn sweep(
             JitterCfg::measurement(seed)
         });
         let report = run_jobs(fabric, &[job])?;
-        Ok(SweepPoint { node, streams, aggregate_gbps: report.aggregate_gbps })
+        Ok(SweepPoint {
+            node,
+            streams,
+            aggregate_gbps: report.aggregate_gbps,
+        })
     });
     points.into_iter().collect()
 }
@@ -188,7 +200,15 @@ mod tests {
     fn render_table_is_complete() {
         let f = dl585_fabric();
         let nodes = [NodeId(0), NodeId(7)];
-        let pts = sweep(&f, &Workload::Nic(NicOp::RdmaWrite), &nodes, &[1, 2], 2.0, 3).unwrap();
+        let pts = sweep(
+            &f,
+            &Workload::Nic(NicOp::RdmaWrite),
+            &nodes,
+            &[1, 2],
+            2.0,
+            3,
+        )
+        .unwrap();
         let s = render_table(&pts, &nodes, &[1, 2]);
         assert!(s.contains("node0"));
         assert!(s.contains("node7"));

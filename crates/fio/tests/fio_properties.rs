@@ -9,12 +9,21 @@ use numa_topology::NodeId;
 
 const CASES: u64 = 48;
 
-const NIC_OPS: [NicOp; 4] = [NicOp::TcpSend, NicOp::TcpRecv, NicOp::RdmaWrite, NicOp::RdmaRead];
+const NIC_OPS: [NicOp; 4] = [
+    NicOp::TcpSend,
+    NicOp::TcpRecv,
+    NicOp::RdmaWrite,
+    NicOp::RdmaRead,
+];
 
 fn arb_workload(rng: &mut SplitMix64) -> Workload {
     match rng.below(6) {
         op @ 0..=3 => Workload::Nic(NIC_OPS[op as usize]),
-        ssd => Workload::Ssd { write: ssd == 4, engine: IoEngine::paper(), direct: true },
+        ssd => Workload::Ssd {
+            write: ssd == 4,
+            engine: IoEngine::paper(),
+            direct: true,
+        },
     }
 }
 
@@ -46,10 +55,18 @@ fn reports_align(case: u64, jobs: &[JobSpec]) {
     let report = run_jobs(&fabric, jobs).unwrap();
     assert_eq!(report.jobs.len(), jobs.len(), "case {case}");
     for (jr, job) in report.jobs.iter().zip(jobs) {
-        assert_eq!(jr.per_stream_gbps.len(), job.numjobs as usize, "case {case}");
+        assert_eq!(
+            jr.per_stream_gbps.len(),
+            job.numjobs as usize,
+            "case {case}"
+        );
         assert!(jr.makespan_s > 0.0, "case {case}: {}", jr.describe);
         assert!(jr.aggregate_gbps > 0.0, "case {case}: {}", jr.describe);
-        assert!(jr.makespan_s <= report.makespan_s + 1e-9, "case {case}: {}", jr.describe);
+        assert!(
+            jr.makespan_s <= report.makespan_s + 1e-9,
+            "case {case}: {}",
+            jr.describe
+        );
     }
 }
 
@@ -61,9 +78,11 @@ fn within_class_levels(case: u64, jobs: &[JobSpec]) {
     for (jr, job) in report.jobs.iter().zip(jobs) {
         let level = match &job.workload {
             Workload::Nic(op) => nic.node_ceiling(*op, &fabric, job.buffer_node()),
-            Workload::Ssd { write, engine, direct } => {
-                ssd.node_ceiling_with(*write, &fabric, job.buffer_node(), *engine, *direct)
-            }
+            Workload::Ssd {
+                write,
+                engine,
+                direct,
+            } => ssd.node_ceiling_with(*write, &fabric, job.buffer_node(), *engine, *direct),
         };
         assert!(
             jr.aggregate_gbps <= level + 1e-6,
@@ -104,8 +123,12 @@ fn deterministic(case: u64, jobs: &[JobSpec]) {
     assert_eq!(a, b, "case {case}");
 }
 
-const JOB_PROPERTIES: [fn(u64, &[JobSpec]); 4] =
-    [reports_align, within_class_levels, steady_rates_feasible, deterministic];
+const JOB_PROPERTIES: [fn(u64, &[JobSpec]); 4] = [
+    reports_align,
+    within_class_levels,
+    steady_rates_feasible,
+    deterministic,
+];
 
 fn for_random_jobs(property: fn(u64, &[JobSpec])) {
     for case in 0..CASES {
@@ -136,7 +159,11 @@ fn runs_are_deterministic() {
 #[test]
 fn lone_ssd_read_pair_keeps_every_property() {
     // A job list an earlier randomized run failed on.
-    let wl = Workload::Ssd { write: false, engine: IoEngine::paper(), direct: true };
+    let wl = Workload::Ssd {
+        write: false,
+        engine: IoEngine::paper(),
+        direct: true,
+    };
     let jobs = [job(wl, 2, 2, 2.0)];
     for property in JOB_PROPERTIES {
         property(0, &jobs);
@@ -157,8 +184,13 @@ fn adding_nic_streams_never_reduces_a_lone_job_aggregate() {
         let streams = 1 + rng.below(3) as u32;
         let mk = |s: u32| JobSpec::nic(op, NodeId(node)).numjobs(s).size_gbytes(4.0);
         let few = run_jobs(&fabric, &[mk(streams)]).unwrap().aggregate_gbps;
-        let more = run_jobs(&fabric, &[mk(streams + 1)]).unwrap().aggregate_gbps;
-        assert!(more >= few - 1e-6, "case {case}: {op:?}@{node}: {more} < {few}");
+        let more = run_jobs(&fabric, &[mk(streams + 1)])
+            .unwrap()
+            .aggregate_gbps;
+        assert!(
+            more >= few - 1e-6,
+            "case {case}: {op:?}@{node}: {more} < {few}"
+        );
     }
 }
 
@@ -172,12 +204,19 @@ fn ssd_stragglers_only_hurt_when_procs_do_not_divide_cards() {
         let mut rng = SplitMix64::new(case);
         let write = rng.below(2) == 1;
         let node = rng.below(8) as u16;
-        let mk = |s: u32| JobSpec::ssd(write, NodeId(node)).numjobs(s).size_gbytes(4.0);
+        let mk = |s: u32| {
+            JobSpec::ssd(write, NodeId(node))
+                .numjobs(s)
+                .size_gbytes(4.0)
+        };
         let even = run_jobs(&fabric, &[mk(2)]).unwrap().aggregate_gbps;
         let odd = run_jobs(&fabric, &[mk(3)]).unwrap().aggregate_gbps;
         let four = run_jobs(&fabric, &[mk(4)]).unwrap().aggregate_gbps;
         assert!((four - even).abs() < 1e-6, "case {case}: {four} vs {even}");
-        assert!(odd >= even * 2.0 / 3.0 - 1e-6, "case {case}: {odd} vs {even}");
+        assert!(
+            odd >= even * 2.0 / 3.0 - 1e-6,
+            "case {case}: {odd} vs {even}"
+        );
         assert!(odd <= even + 1e-6, "case {case}: {odd} vs {even}");
     }
 }

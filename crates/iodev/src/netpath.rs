@@ -46,7 +46,10 @@ impl TwoHostPath {
     /// The same hosts across a wide-area path (the authors' companion work
     /// \[25\] moves this testbed onto 50+ ms RTT circuits).
     pub fn wide_area(rtt_ms: f64) -> Self {
-        TwoHostPath { rtt_ms, ..Self::paper() }
+        TwoHostPath {
+            rtt_ms,
+            ..Self::paper()
+        }
     }
 
     /// What the *remote* host runs when the local host runs `op`, and the
@@ -137,7 +140,10 @@ mod tests {
         let (l, r) = fabrics();
         let p = TwoHostPath::paper();
         let bw = p.op_bandwidth(NicOp::RdmaWrite, (&l, NodeId(6)), (&r, NodeId(6)));
-        assert!((bw - 22.0).abs() < 1e-9, "min(23.3 write, 22.0 remote read): {bw}");
+        assert!(
+            (bw - 22.0).abs() < 1e-9,
+            "min(23.3 write, 22.0 remote read): {bw}"
+        );
     }
 
     #[test]
@@ -149,19 +155,37 @@ mod tests {
         // Receiver mis-bound to its node 4 (Table V class 4).
         let bad_rx = p.op_bandwidth(NicOp::TcpSend, (&l, NodeId(6)), (&r, NodeId(4)));
         let rx_loss = 1.0 - bad_rx / best;
-        assert!((0.25..=0.40).contains(&rx_loss), "receiver-side loss {rx_loss}");
+        assert!(
+            (0.25..=0.40).contains(&rx_loss),
+            "receiver-side loss {rx_loss}"
+        );
         // Sender mis-bound to its node 3 (Table IV class 3).
         let bad_tx = p.op_bandwidth(NicOp::TcpSend, (&l, NodeId(3)), (&r, NodeId(7)));
         let tx_loss = 1.0 - bad_tx / best;
-        assert!((0.20..=0.35).contains(&tx_loss), "sender-side loss {tx_loss}");
+        assert!(
+            (0.20..=0.35).contains(&tx_loss),
+            "sender-side loss {tx_loss}"
+        );
     }
 
     #[test]
     fn counterparts_pair_directions() {
-        assert_eq!(TwoHostPath::remote_counterpart(NicOp::TcpSend), NicOp::TcpRecv);
-        assert_eq!(TwoHostPath::remote_counterpart(NicOp::TcpRecv), NicOp::TcpSend);
-        assert_eq!(TwoHostPath::remote_counterpart(NicOp::RdmaWrite), NicOp::RdmaRead);
-        assert_eq!(TwoHostPath::remote_counterpart(NicOp::RdmaRead), NicOp::RdmaWrite);
+        assert_eq!(
+            TwoHostPath::remote_counterpart(NicOp::TcpSend),
+            NicOp::TcpRecv
+        );
+        assert_eq!(
+            TwoHostPath::remote_counterpart(NicOp::TcpRecv),
+            NicOp::TcpSend
+        );
+        assert_eq!(
+            TwoHostPath::remote_counterpart(NicOp::RdmaWrite),
+            NicOp::RdmaRead
+        );
+        assert_eq!(
+            TwoHostPath::remote_counterpart(NicOp::RdmaRead),
+            NicOp::RdmaWrite
+        );
     }
 
     #[test]
@@ -171,9 +195,12 @@ mod tests {
         let m = p.matrix(NicOp::RdmaRead, &l, &r);
         for (li, row) in m.iter().enumerate() {
             for (ri, &bw) in row.iter().enumerate() {
-                let local = p.local_nic.node_ceiling(NicOp::RdmaRead, &l, NodeId::new(li));
-                let remote =
-                    p.remote_nic.node_ceiling(NicOp::RdmaWrite, &r, NodeId::new(ri));
+                let local = p
+                    .local_nic
+                    .node_ceiling(NicOp::RdmaRead, &l, NodeId::new(li));
+                let remote = p
+                    .remote_nic
+                    .node_ceiling(NicOp::RdmaWrite, &r, NodeId::new(ri));
                 assert!(bw <= local + 1e-9);
                 assert!(bw <= remote + 1e-9);
                 assert!(bw <= p.wire_gbps + 1e-9);

@@ -23,8 +23,13 @@ pub enum NicOp {
 
 impl NicOp {
     /// All benchmarked operations.
-    pub const ALL: [NicOp; 5] =
-        [NicOp::TcpSend, NicOp::TcpRecv, NicOp::RdmaWrite, NicOp::RdmaRead, NicOp::SendRecv];
+    pub const ALL: [NicOp; 5] = [
+        NicOp::TcpSend,
+        NicOp::TcpRecv,
+        NicOp::RdmaWrite,
+        NicOp::RdmaRead,
+        NicOp::SendRecv,
+    ];
 
     /// Does data flow host→device (the "device write" direction of
     /// Table IV) or device→host (the "device read" direction of Table V)?
@@ -93,7 +98,11 @@ impl NicModel {
             .devices()
             .iter()
             .find(|d| d.kind == DeviceKind::Nic)?;
-        Some(NicModel { node: dev.attached_to, pcie: dev.pcie, ..Self::paper() })
+        Some(NicModel {
+            node: dev.attached_to,
+            pcie: dev.pcie,
+            ..Self::paper()
+        })
     }
 
     /// The level curve of one operation.
@@ -149,12 +158,18 @@ impl NicModel {
         if stream_ceilings.is_empty() {
             return self.port_cap(op);
         }
-        let mixture =
-            stream_ceilings.iter().sum::<f64>() / stream_ceilings.len() as f64;
-        let min = stream_ceilings.iter().cloned().fold(f64::INFINITY, f64::min);
+        let mixture = stream_ceilings.iter().sum::<f64>() / stream_ceilings.len() as f64;
+        let min = stream_ceilings
+            .iter()
+            .cloned()
+            .fold(f64::INFINITY, f64::min);
         let max = stream_ceilings.iter().cloned().fold(0.0_f64, f64::max);
         let mixed = (max - min) / max > 0.02;
-        let penalty = if mixed { 1.0 - self.mixed_class_penalty } else { 1.0 };
+        let penalty = if mixed {
+            1.0 - self.mixed_class_penalty
+        } else {
+            1.0
+        };
         self.port_cap(op).min(mixture) * penalty
     }
 }
@@ -185,7 +200,10 @@ mod tests {
                 .map(|&n| nic.node_ceiling(NicOp::RdmaWrite, &f, NodeId(n)))
                 .sum::<f64>()
                 / nodes.len() as f64;
-            assert!((avg - want).abs() / want < 0.01, "{nodes:?}: {avg} vs {want}");
+            assert!(
+                (avg - want).abs() / want < 0.01,
+                "{nodes:?}: {avg} vs {want}"
+            );
         }
         // RDMA_READ per class (Table V row 3).
         for (nodes, &want) in paper::READ_CLASSES.iter().zip(&paper::READ_RDMA_AVG) {
@@ -194,7 +212,10 @@ mod tests {
                 .map(|&n| nic.node_ceiling(NicOp::RdmaRead, &f, NodeId(n)))
                 .sum::<f64>()
                 / nodes.len() as f64;
-            assert!((avg - want).abs() / want < 0.01, "{nodes:?}: {avg} vs {want}");
+            assert!(
+                (avg - want).abs() / want < 0.01,
+                "{nodes:?}: {avg} vs {want}"
+            );
         }
     }
 
@@ -215,7 +236,10 @@ mod tests {
         let nic = NicModel::paper();
         let at7 = nic.cpu_budget(NicOp::TcpSend, NodeId(7));
         let at6 = nic.cpu_budget(NicOp::TcpSend, NodeId(6));
-        assert!((at7 - 19.6).abs() < 1e-9, "node 7 send derated to ~19.6 (Table IV)");
+        assert!(
+            (at7 - 19.6).abs() < 1e-9,
+            "node 7 send derated to ~19.6 (Table IV)"
+        );
         assert_eq!(at6, 22.4);
         assert_eq!(nic.cpu_budget(NicOp::TcpRecv, NodeId(7)), 22.4);
         assert!(nic.cpu_budget(NicOp::RdmaWrite, NodeId(7)).is_infinite());
@@ -234,7 +258,10 @@ mod tests {
         let cap = nic.shared_port_cap(NicOp::RdmaRead, &ceilings);
         // Mixture = 20.017 (the Eq. 1 prediction); measured-level cap is
         // ~3% lower: 19.4.
-        assert!((cap - paper::EQ1_MEASURED).abs() / paper::EQ1_MEASURED < 0.01, "{cap}");
+        assert!(
+            (cap - paper::EQ1_MEASURED).abs() / paper::EQ1_MEASURED < 0.01,
+            "{cap}"
+        );
     }
 
     #[test]
@@ -242,7 +269,10 @@ mod tests {
         let nic = NicModel::paper();
         let cap = nic.shared_port_cap(NicOp::RdmaRead, &[22.0, 22.0, 22.0]);
         assert_eq!(cap, 22.0);
-        assert_eq!(nic.shared_port_cap(NicOp::RdmaRead, &[]), nic.port_cap(NicOp::RdmaRead));
+        assert_eq!(
+            nic.shared_port_cap(NicOp::RdmaRead, &[]),
+            nic.port_cap(NicOp::RdmaRead)
+        );
     }
 
     #[test]

@@ -56,7 +56,10 @@ impl std::fmt::Display for RateMapError {
                 write!(f, "control points must be positive: ({x},{y})")
             }
             RateMapError::DecreasingY { prev, next } => {
-                write!(f, "monotone map must have non-decreasing y: {prev:?} then {next:?}")
+                write!(
+                    f,
+                    "monotone map must have non-decreasing y: {prev:?} then {next:?}"
+                )
             }
             RateMapError::NanQuery => write!(f, "rate map queried with NaN"),
         }
@@ -84,7 +87,10 @@ impl RateMap {
         let m = Self::try_empirical(points)?;
         for w in m.points.windows(2) {
             if w[1].1 < w[0].1 {
-                return Err(RateMapError::DecreasingY { prev: w[0], next: w[1] });
+                return Err(RateMapError::DecreasingY {
+                    prev: w[0],
+                    next: w[1],
+                });
             }
         }
         Ok(m)
@@ -109,7 +115,10 @@ impl RateMap {
         }
         for w in points.windows(2) {
             if w[1].0 <= w[0].0 {
-                return Err(RateMapError::NonIncreasingX { prev: w[0], next: w[1] });
+                return Err(RateMapError::NonIncreasingX {
+                    prev: w[0],
+                    next: w[1],
+                });
             }
         }
         Ok(RateMap { points })
@@ -296,10 +305,16 @@ mod tests {
 
     #[test]
     fn try_constructors_return_typed_errors() {
-        assert_eq!(RateMap::try_empirical(vec![]).unwrap_err(), RateMapError::Empty);
+        assert_eq!(
+            RateMap::try_empirical(vec![]).unwrap_err(),
+            RateMapError::Empty
+        );
         assert_eq!(
             RateMap::try_empirical(vec![(1.0, 1.0), (1.0, 2.0)]).unwrap_err(),
-            RateMapError::NonIncreasingX { prev: (1.0, 1.0), next: (1.0, 2.0) }
+            RateMapError::NonIncreasingX {
+                prev: (1.0, 1.0),
+                next: (1.0, 2.0)
+            }
         );
         // NaN != NaN, so match the error instead of comparing it.
         assert!(matches!(
@@ -308,11 +323,16 @@ mod tests {
         ));
         assert_eq!(
             RateMap::try_empirical(vec![(f64::INFINITY, 1.0)]).unwrap_err(),
-            RateMapError::BadPoint { point: (f64::INFINITY, 1.0) }
+            RateMapError::BadPoint {
+                point: (f64::INFINITY, 1.0)
+            }
         );
         assert_eq!(
             RateMap::try_monotone(vec![(1.0, 2.0), (2.0, 1.0)]).unwrap_err(),
-            RateMapError::DecreasingY { prev: (1.0, 2.0), next: (2.0, 1.0) }
+            RateMapError::DecreasingY {
+                prev: (1.0, 2.0),
+                next: (2.0, 1.0)
+            }
         );
         assert!(RateMap::try_monotone(vec![(1.0, 1.0), (2.0, 2.0)]).is_ok());
     }
@@ -333,10 +353,18 @@ mod tests {
 
     #[test]
     fn error_display_matches_constructor_panics() {
-        assert!(RateMapError::Empty.to_string().contains("at least one point"));
-        let e = RateMapError::NonIncreasingX { prev: (1.0, 1.0), next: (1.0, 2.0) };
+        assert!(RateMapError::Empty
+            .to_string()
+            .contains("at least one point"));
+        let e = RateMapError::NonIncreasingX {
+            prev: (1.0, 1.0),
+            next: (1.0, 2.0),
+        };
         assert!(e.to_string().contains("strictly increasing"));
-        let e = RateMapError::DecreasingY { prev: (1.0, 2.0), next: (2.0, 1.0) };
+        let e = RateMapError::DecreasingY {
+            prev: (1.0, 2.0),
+            next: (2.0, 1.0),
+        };
         assert!(e.to_string().contains("non-decreasing"));
     }
 
@@ -352,7 +380,11 @@ mod tests {
         let write_paths = [42.9, 44.6, 27.3, 26.0, 46.5, 45.0, 46.5, 53.5];
         let read_paths = [39.9, 40.2, 46.9, 50.3, 27.9, 40.9, 47.1, 53.5];
         let class_avg = |map: &RateMap, paths: &[f64; 8], nodes: &[u16]| -> f64 {
-            nodes.iter().map(|&n| map.eval(paths[n as usize])).sum::<f64>() / nodes.len() as f64
+            nodes
+                .iter()
+                .map(|&n| map.eval(paths[n as usize]))
+                .sum::<f64>()
+                / nodes.len() as f64
         };
         use numa_fabric::calibration::paper;
 
@@ -363,32 +395,50 @@ mod tests {
                 continue;
             }
             let got = class_avg(&m, &write_paths, nodes);
-            assert!((got - want).abs() / want < 0.01, "tcp_send {nodes:?}: {got} vs {want}");
+            assert!(
+                (got - want).abs() / want < 0.01,
+                "tcp_send {nodes:?}: {got} vs {want}"
+            );
         }
         let m = calibrated::rdma_write();
         for (nodes, &want) in paper::WRITE_CLASSES.iter().zip(&paper::WRITE_RDMA_AVG) {
             let got = class_avg(&m, &write_paths, nodes);
-            assert!((got - want).abs() / want < 0.01, "rdma_write {nodes:?}: {got} vs {want}");
+            assert!(
+                (got - want).abs() / want < 0.01,
+                "rdma_write {nodes:?}: {got} vs {want}"
+            );
         }
         let m = calibrated::ssd_write();
         for (nodes, &want) in paper::WRITE_CLASSES.iter().zip(&paper::WRITE_SSD_AVG) {
             let got = class_avg(&m, &write_paths, nodes);
-            assert!((got - want).abs() / want < 0.02, "ssd_write {nodes:?}: {got} vs {want}");
+            assert!(
+                (got - want).abs() / want < 0.02,
+                "ssd_write {nodes:?}: {got} vs {want}"
+            );
         }
         let m = calibrated::tcp_recv();
         for (nodes, &want) in paper::READ_CLASSES.iter().zip(&paper::READ_TCP_AVG) {
             let got = class_avg(&m, &read_paths, nodes);
-            assert!((got - want).abs() / want < 0.01, "tcp_recv {nodes:?}: {got} vs {want}");
+            assert!(
+                (got - want).abs() / want < 0.01,
+                "tcp_recv {nodes:?}: {got} vs {want}"
+            );
         }
         let m = calibrated::rdma_read();
         for (nodes, &want) in paper::READ_CLASSES.iter().zip(&paper::READ_RDMA_AVG) {
             let got = class_avg(&m, &read_paths, nodes);
-            assert!((got - want).abs() / want < 0.01, "rdma_read {nodes:?}: {got} vs {want}");
+            assert!(
+                (got - want).abs() / want < 0.01,
+                "rdma_read {nodes:?}: {got} vs {want}"
+            );
         }
         let m = calibrated::ssd_read();
         for (nodes, &want) in paper::READ_CLASSES.iter().zip(&paper::READ_SSD_AVG) {
             let got = class_avg(&m, &read_paths, nodes);
-            assert!((got - want).abs() / want < 0.02, "ssd_read {nodes:?}: {got} vs {want}");
+            assert!(
+                (got - want).abs() / want < 0.02,
+                "ssd_read {nodes:?}: {got} vs {want}"
+            );
         }
     }
 

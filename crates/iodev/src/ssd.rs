@@ -134,9 +134,17 @@ impl SsdModel {
         engine: IoEngine,
         direct: bool,
     ) -> impl Fn(f64) -> f64 + '_ {
-        let map = if write { &self.write_map } else { &self.read_map };
+        let map = if write {
+            &self.write_map
+        } else {
+            &self.read_map
+        };
         let efficiency = self.profile.engine_efficiency(engine);
-        let buffered = if direct { 1.0 } else { 1.0 - self.buffered_penalty };
+        let buffered = if direct {
+            1.0
+        } else {
+            1.0 - self.buffered_penalty
+        };
         move |path| map.eval(path) * efficiency * buffered
     }
 
@@ -166,14 +174,21 @@ impl SsdModel {
 
     /// Best-case per-direction aggregate (fastest binding).
     pub fn port_cap(&self, write: bool) -> f64 {
-        if write { self.write_map.max_output() } else { self.read_map.max_output() }
+        if write {
+            self.write_map.max_output()
+        } else {
+            self.read_map.max_output()
+        }
     }
 
     /// The topology device index of card `card` (round-robin order used by
     /// the fio harness). Falls back to `1 + card` when the model was built
     /// without explicit ids (pre-storage-tier fixtures).
     pub fn device_id(&self, card: u32) -> u16 {
-        self.device_ids.get(card as usize).copied().unwrap_or(1 + card as u16)
+        self.device_ids
+            .get(card as usize)
+            .copied()
+            .unwrap_or(1 + card as u16)
     }
 }
 
@@ -214,7 +229,10 @@ mod tests {
                 .map(|&n| ssd.node_ceiling(true, &f, NodeId(n)))
                 .sum::<f64>()
                 / nodes.len() as f64;
-            assert!((avg - want).abs() / want < 0.02, "write {nodes:?}: {avg} vs {want}");
+            assert!(
+                (avg - want).abs() / want < 0.02,
+                "write {nodes:?}: {avg} vs {want}"
+            );
         }
         for (nodes, &want) in paper::READ_CLASSES.iter().zip(&paper::READ_SSD_AVG) {
             let avg: f64 = nodes
@@ -222,7 +240,10 @@ mod tests {
                 .map(|&n| ssd.node_ceiling(false, &f, NodeId(n)))
                 .sum::<f64>()
                 / nodes.len() as f64;
-            assert!((avg - want).abs() / want < 0.02, "read {nodes:?}: {avg} vs {want}");
+            assert!(
+                (avg - want).abs() / want < 0.02,
+                "read {nodes:?}: {avg} vs {want}"
+            );
         }
     }
 
@@ -300,7 +321,11 @@ mod tests {
             let got = ssd.node_ceiling_with(true, &f, NodeId(node), engine, direct);
             let path = f.dma_path_bandwidth(NodeId(node), ssd.node);
             let base = calibrated::ssd_write().eval(path);
-            let buffered = if direct { 1.0 } else { 1.0 - ssd.buffered_penalty };
+            let buffered = if direct {
+                1.0
+            } else {
+                1.0 - ssd.buffered_penalty
+            };
             let want = base * engine.efficiency() * buffered;
             assert_eq!(got.to_bits(), want.to_bits(), "node {node} {engine:?}");
         }
@@ -318,6 +343,9 @@ mod tests {
             ssd.node_ceiling(false, &f, NodeId(7)).to_bits(),
             "streaming blocks reproduce the calibrated tables"
         );
-        assert!(small < 0.4 * streaming, "4 KiB requests pay command overhead");
+        assert!(
+            small < 0.4 * streaming,
+            "4 KiB requests pay command overhead"
+        );
     }
 }

@@ -33,7 +33,10 @@ fn ratemap_eval_is_bounded_by_its_outputs() {
         let y = map.eval(x);
         let lo = pts.iter().map(|&(_, y)| y).fold(f64::INFINITY, f64::min);
         let hi = map.max_output();
-        assert!(y >= lo - 1e-9 && y <= hi + 1e-9, "case {case}: {y} outside [{lo},{hi}]");
+        assert!(
+            y >= lo - 1e-9 && y <= hi + 1e-9,
+            "case {case}: {y} outside [{lo},{hi}]"
+        );
         // Exact at control points.
         for &(px, py) in &pts {
             assert!((map.eval(px) - py).abs() < 1e-9, "case {case}: eval({px})");
@@ -53,7 +56,10 @@ fn monotone_maps_are_monotone_everywhere() {
         let pts: Vec<(f64, f64)> = pts.iter().zip(&ys).map(|(&(x, _), &y)| (x, y)).collect();
         let map = RateMap::monotone(pts);
         let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-        assert!(map.eval(lo) <= map.eval(hi) + 1e-9, "case {case}: eval({lo}) > eval({hi})");
+        assert!(
+            map.eval(lo) <= map.eval(hi) + 1e-9,
+            "case {case}: eval({lo}) > eval({hi})"
+        );
     }
 }
 
@@ -75,7 +81,9 @@ fn shared_port_mixture_is_bounded() {
     let nic = NicModel::paper();
     for case in 0..CASES {
         let mut rng = SplitMix64::new(case);
-        let levels: Vec<f64> = (0..1 + rng.below(11)).map(|_| rng.range_f64(10.0, 24.0)).collect();
+        let levels: Vec<f64> = (0..1 + rng.below(11))
+            .map(|_| rng.range_f64(10.0, 24.0))
+            .collect();
         let cap = nic.shared_port_cap(NicOp::RdmaRead, &levels);
         let mean = levels.iter().sum::<f64>() / levels.len() as f64;
         assert!(cap <= mean + 1e-9, "case {case}: mixture above mean");
@@ -107,15 +115,23 @@ fn two_host_bandwidth_is_the_min_of_its_parts() {
     for case in 0..CASES {
         let mut rng = SplitMix64::new(case);
         let (l, r) = (NodeId(rng.below(8) as u16), NodeId(rng.below(8) as u16));
-        let path = TwoHostPath { rtt_ms: rng.range_f64(0.001, 100.0), ..TwoHostPath::paper() };
+        let path = TwoHostPath {
+            rtt_ms: rng.range_f64(0.001, 100.0),
+            ..TwoHostPath::paper()
+        };
         for op in [NicOp::TcpSend, NicOp::RdmaWrite, NicOp::RdmaRead] {
             let bw = path.op_bandwidth(op, (&local, l), (&remote, r));
             let local_level = path.local_nic.node_ceiling(op, &local, l);
             let peer = TwoHostPath::remote_counterpart(op);
             let remote_level = path.remote_nic.node_ceiling(peer, &remote, r);
-            let expected =
-                local_level.min(remote_level).min(path.wire_gbps).min(path.window_cap_gbps());
-            assert!((bw - expected).abs() < 1e-9, "case {case}: {op:?}: {bw} vs {expected}");
+            let expected = local_level
+                .min(remote_level)
+                .min(path.wire_gbps)
+                .min(path.window_cap_gbps());
+            assert!(
+                (bw - expected).abs() < 1e-9,
+                "case {case}: {op:?}: {bw} vs {expected}"
+            );
             assert!(bw > 0.0, "case {case}: {op:?}");
         }
     }
@@ -131,7 +147,10 @@ fn ssd_direct_always_beats_buffered() {
                 ssd.node_ceiling_with(write, &fabric, NodeId(node), IoEngine::paper(), true);
             let buffered =
                 ssd.node_ceiling_with(write, &fabric, NodeId(node), IoEngine::paper(), false);
-            assert!(direct > buffered, "node {node} write {write}: {direct} <= {buffered}");
+            assert!(
+                direct > buffered,
+                "node {node} write {write}: {direct} <= {buffered}"
+            );
         }
     }
 }

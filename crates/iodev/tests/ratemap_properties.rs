@@ -54,8 +54,16 @@ fn eval_clamps_outside_the_calibrated_range() {
         let map = RateMap::empirical(pts.clone());
         let (x0, y0) = pts[0];
         let (xn, yn) = pts[pts.len() - 1];
-        assert_eq!(map.eval(x0 - d), y0, "case {case}: below range clamps to first y");
-        assert_eq!(map.eval(xn + d), yn, "case {case}: above range clamps to last y");
+        assert_eq!(
+            map.eval(x0 - d),
+            y0,
+            "case {case}: below range clamps to first y"
+        );
+        assert_eq!(
+            map.eval(xn + d),
+            yn,
+            "case {case}: above range clamps to last y"
+        );
     }
 }
 
@@ -107,7 +115,10 @@ fn max_output_is_attained_at_a_control_point() {
         let pts = arb_points(&mut SplitMix64::new(case));
         let map = RateMap::empirical(pts.clone());
         let best = map.max_output();
-        assert!(pts.iter().any(|&(_, y)| (y - best).abs() < 1e-12), "case {case}");
+        assert!(
+            pts.iter().any(|&(_, y)| (y - best).abs() < 1e-12),
+            "case {case}"
+        );
         // No control point beats it.
         for &(_, y) in &pts {
             assert!(y <= best, "case {case}: {y} > {best}");
@@ -133,9 +144,17 @@ fn nan_queries_are_typed_errors() {
         let mut rng = SplitMix64::new(case);
         let map = RateMap::empirical(arb_points(&mut rng));
         let x = rng.range_f64(0.0, 500.0);
-        assert_eq!(map.try_eval(f64::NAN).unwrap_err(), RateMapError::NanQuery, "case {case}");
+        assert_eq!(
+            map.try_eval(f64::NAN).unwrap_err(),
+            RateMapError::NanQuery,
+            "case {case}"
+        );
         // Finite queries agree bit-for-bit with the infallible path.
-        assert_eq!(map.try_eval(x).unwrap().to_bits(), map.eval(x).to_bits(), "case {case}");
+        assert_eq!(
+            map.try_eval(x).unwrap().to_bits(),
+            map.eval(x).to_bits(),
+            "case {case}"
+        );
     }
 }
 
@@ -160,7 +179,10 @@ fn duplicated_x_is_a_typed_error() {
         let dup = pts[i];
         pts.insert(i, dup);
         let err = RateMap::try_empirical(pts).unwrap_err();
-        assert!(matches!(err, RateMapError::NonIncreasingX { .. }), "case {case}: {err:?}");
+        assert!(
+            matches!(err, RateMapError::NonIncreasingX { .. }),
+            "case {case}: {err:?}"
+        );
     }
 }
 
@@ -168,9 +190,16 @@ fn duplicated_x_is_a_typed_error() {
 fn bad_control_points_are_typed_errors() {
     for case in 0..CASES {
         let y = SplitMix64::new(case).range_f64_inclusive(-100.0, 0.0);
-        for bad in [vec![(1.0, y)], vec![(f64::NAN, 1.0)], vec![(1.0, f64::INFINITY)]] {
+        for bad in [
+            vec![(1.0, y)],
+            vec![(f64::NAN, 1.0)],
+            vec![(1.0, f64::INFINITY)],
+        ] {
             let err = RateMap::try_empirical(bad).unwrap_err();
-            assert!(matches!(err, RateMapError::BadPoint { .. }), "case {case}: {err:?}");
+            assert!(
+                matches!(err, RateMapError::BadPoint { .. }),
+                "case {case}: {err:?}"
+            );
         }
     }
 }
@@ -185,7 +214,10 @@ fn try_monotone_rejects_any_decreasing_pair() {
                     assert!(w[1].1 >= w[0].1, "case {case}: accepted a decreasing pair");
                 }
             }
-            Err(e) => assert!(matches!(e, RateMapError::DecreasingY { .. }), "case {case}: {e:?}"),
+            Err(e) => assert!(
+                matches!(e, RateMapError::DecreasingY { .. }),
+                "case {case}: {e:?}"
+            ),
         }
     }
 }
@@ -209,14 +241,27 @@ fn calibrated_curves_hold_their_invariants() {
             assert!(y <= map.max_output() + 1e-9, "case {case}: eval({x}) = {y}");
         }
         // The monotone write-direction curves really are monotone.
-        for map in [calibrated::tcp_send(), calibrated::rdma_write(), calibrated::ssd_write()] {
-            assert!(map.eval(x) <= map.eval(x + 1.0) + 1e-9, "case {case}: at {x}");
+        for map in [
+            calibrated::tcp_send(),
+            calibrated::rdma_write(),
+            calibrated::ssd_write(),
+        ] {
+            assert!(
+                map.eval(x) <= map.eval(x + 1.0) + 1e-9,
+                "case {case}: at {x}"
+            );
         }
     }
 }
 
 #[test]
 fn empty_curve_is_a_typed_error() {
-    assert_eq!(RateMap::try_empirical(vec![]).unwrap_err(), RateMapError::Empty);
-    assert_eq!(RateMap::try_monotone(vec![]).unwrap_err(), RateMapError::Empty);
+    assert_eq!(
+        RateMap::try_empirical(vec![]).unwrap_err(),
+        RateMapError::Empty
+    );
+    assert_eq!(
+        RateMap::try_monotone(vec![]).unwrap_err(),
+        RateMapError::Empty
+    );
 }

@@ -69,7 +69,10 @@ impl LatencyBench {
             .nth(1)
             .expect("table 1 has the AMD 4s/8n row")
             .1;
-        LatencyBench { caches: CacheHierarchy::magny_cours(), dram: dl585_latency }
+        LatencyBench {
+            caches: CacheHierarchy::magny_cours(),
+            dram: dl585_latency,
+        }
     }
 
     /// Load-to-use latency for a working set of `bytes`, threads on `cpu`,
@@ -104,7 +107,10 @@ impl LatencyBench {
         let mut points = Vec::new();
         let mut bytes = 4 << 10;
         while bytes <= max_bytes {
-            points.push(LatencyPoint { bytes, ns: self.latency_ns(topo, cpu, mem, bytes) });
+            points.push(LatencyPoint {
+                bytes,
+                ns: self.latency_ns(topo, cpu, mem, bytes),
+            });
             bytes *= 2;
         }
         points
@@ -169,8 +175,14 @@ mod tests {
         let (topo, bench) = setup();
         let measured = bench.measured_numa_factor(&topo);
         let analytic = numa_fabric::numa_factor(&topo, &bench.dram);
-        assert!((measured - analytic).abs() < 1e-9, "{measured} vs {analytic}");
-        assert!((measured - 2.7).abs() < 0.06, "AMD 4s/8n row of Table I: {measured}");
+        assert!(
+            (measured - analytic).abs() < 1e-9,
+            "{measured} vs {analytic}"
+        );
+        assert!(
+            (measured - 2.7).abs() < 0.06,
+            "AMD 4s/8n row of Table I: {measured}"
+        );
     }
 
     #[test]

@@ -81,7 +81,11 @@ pub struct DemoResult {
 
 /// Run one module under one affinity with threads on `cpu`.
 pub fn run_module(fabric: &Fabric, cpu: NodeId, module: TestModule, affinity: Affinity) -> f64 {
-    let bench = |op: StreamOp| StreamBench { op, noise: 0.0, ..StreamBench::paper() };
+    let bench = |op: StreamOp| StreamBench {
+        op,
+        noise: 0.0,
+        ..StreamBench::paper()
+    };
     let pio = |mem: NodeId, factor: f64| fabric.pio_bandwidth(cpu, mem) * factor;
     let value = |mem: NodeId| match module {
         // memset writes only: roughly 1.35x copy throughput (no read
@@ -103,9 +107,7 @@ pub fn run_module(fabric: &Fabric, cpu: NodeId, module: TestModule, affinity: Af
             // Pages round-robin across every node: the harmonic mean of the
             // per-node rates (each page stalls at its node's rate).
             let n = fabric.num_nodes();
-            let h: f64 = (0..n)
-                .map(|m| 1.0 / value(NodeId::new(m)))
-                .sum();
+            let h: f64 = (0..n).map(|m| 1.0 / value(NodeId::new(m))).sum();
             n as f64 / h
         }
     }
@@ -115,8 +117,16 @@ pub fn run_module(fabric: &Fabric, cpu: NodeId, module: TestModule, affinity: Af
 pub fn run_all(fabric: &Fabric, cpu: NodeId, remote: NodeId) -> Vec<DemoResult> {
     let mut out = Vec::new();
     for module in TestModule::ALL {
-        for affinity in [Affinity::Local, Affinity::Remote(remote), Affinity::Interleave] {
-            out.push(DemoResult { module, affinity, gbps: run_module(fabric, cpu, module, affinity) });
+        for affinity in [
+            Affinity::Local,
+            Affinity::Remote(remote),
+            Affinity::Interleave,
+        ] {
+            out.push(DemoResult {
+                module,
+                affinity,
+                gbps: run_module(fabric, cpu, module, affinity),
+            });
         }
     }
     out
@@ -125,7 +135,11 @@ pub fn run_all(fabric: &Fabric, cpu: NodeId, remote: NodeId) -> Vec<DemoResult> 
 /// Render numademo-style output.
 pub fn render(results: &[DemoResult]) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "{:<14} {:>10} {:>10} {:>12}", "module", "local", "remote", "interleave");
+    let _ = writeln!(
+        out,
+        "{:<14} {:>10} {:>10} {:>12}",
+        "module", "local", "remote", "interleave"
+    );
     for module in TestModule::ALL {
         let get = |aff_match: fn(&Affinity) -> bool| {
             results
@@ -166,7 +180,14 @@ mod tests {
         let inter = run_module(&f, NodeId(0), TestModule::Memcpy, Affinity::Interleave);
         let local = run_module(&f, NodeId(0), TestModule::Memcpy, Affinity::Local);
         let worst = (0..8)
-            .map(|m| run_module(&f, NodeId(0), TestModule::Memcpy, Affinity::Remote(NodeId(m))))
+            .map(|m| {
+                run_module(
+                    &f,
+                    NodeId(0),
+                    TestModule::Memcpy,
+                    Affinity::Remote(NodeId(m)),
+                )
+            })
             .fold(f64::INFINITY, f64::min);
         assert!(inter < local);
         assert!(inter > worst);
@@ -183,7 +204,12 @@ mod tests {
     #[test]
     fn stream_modules_agree_with_stream_bench() {
         let f = dl585_fabric();
-        let demo = run_module(&f, NodeId(7), TestModule::StreamCopy, Affinity::Remote(NodeId(4)));
+        let demo = run_module(
+            &f,
+            NodeId(7),
+            TestModule::StreamCopy,
+            Affinity::Remote(NodeId(4)),
+        );
         assert!((demo - 21.34).abs() < 1e-9, "{demo}");
     }
 

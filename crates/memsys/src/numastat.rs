@@ -40,7 +40,9 @@ pub struct NumastatTable {
 impl NumastatTable {
     /// Table for `n` nodes, zeroed.
     pub fn new(n: usize) -> Self {
-        NumastatTable { counters: vec![NumastatCounters::default(); n] }
+        NumastatTable {
+            counters: vec![NumastatCounters::default(); n],
+        }
     }
 
     /// Counters of one node.
@@ -153,7 +155,14 @@ mod tests {
         t.record(NodeId(0), NodeId(0), NodeId(0), 1);
         t.record_interleave_hit(NodeId(2), 4);
         let s = t.render();
-        for label in ["numa_hit", "numa_miss", "numa_foreign", "interleave_hit", "local_node", "other_node"] {
+        for label in [
+            "numa_hit",
+            "numa_miss",
+            "numa_foreign",
+            "interleave_hit",
+            "local_node",
+            "other_node",
+        ] {
             assert!(s.contains(label), "{label}");
         }
         assert!(s.contains("node2"));

@@ -114,7 +114,11 @@ mod tests {
 
     #[test]
     fn probe_returns_one_sample_per_rep() {
-        let probe = CopyProbe { threads: 2, bytes_per_thread: 64 * 1024, reps: 3 };
+        let probe = CopyProbe {
+            threads: 2,
+            bytes_per_thread: 64 * 1024,
+            reps: 3,
+        };
         let samples = probe.run().unwrap();
         assert_eq!(samples.len(), 3);
         for s in samples {
@@ -124,21 +128,36 @@ mod tests {
 
     #[test]
     fn single_thread_probe_works() {
-        let probe = CopyProbe { threads: 1, bytes_per_thread: 4096, reps: 1 };
+        let probe = CopyProbe {
+            threads: 1,
+            bytes_per_thread: 4096,
+            reps: 1,
+        };
         assert_eq!(probe.run().unwrap().len(), 1);
     }
 
     #[test]
     fn bad_configs_are_typed_errors() {
-        let good = CopyProbe { threads: 2, bytes_per_thread: 4096, reps: 1 };
+        let good = CopyProbe {
+            threads: 2,
+            bytes_per_thread: 4096,
+            reps: 1,
+        };
         assert_eq!(good.validate(), Ok(()));
         let e = CopyProbe { threads: 0, ..good }.run().unwrap_err();
         assert_eq!(
             e,
-            MemsysError::InvalidConfig { reason: "at least one copy thread".to_string() }
+            MemsysError::InvalidConfig {
+                reason: "at least one copy thread".to_string()
+            }
         );
         assert!(CopyProbe { reps: 0, ..good }.run().is_err());
-        assert!(CopyProbe { bytes_per_thread: 0, ..good }.run().is_err());
+        assert!(CopyProbe {
+            bytes_per_thread: 0,
+            ..good
+        }
+        .run()
+        .is_err());
         assert!(e.to_string().contains("invalid measurement config"), "{e}");
     }
 }

@@ -26,7 +26,11 @@ pub enum AllocError {
 impl std::fmt::Display for AllocError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            AllocError::BindNodeFull { node, free_mib, requested_mib } => write!(
+            AllocError::BindNodeFull {
+                node,
+                free_mib,
+                requested_mib,
+            } => write!(
                 f,
                 "bind target {node:?} has {free_mib} MiB free, {requested_mib} requested"
             ),
@@ -115,7 +119,12 @@ impl MemoryState {
     pub fn render_hardware(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
-        let _ = writeln!(out, "available: {} nodes (0-{})", self.total_mib.len(), self.total_mib.len() - 1);
+        let _ = writeln!(
+            out,
+            "available: {} nodes (0-{})",
+            self.total_mib.len(),
+            self.total_mib.len() - 1
+        );
         for i in 0..self.total_mib.len() {
             let _ = writeln!(
                 out,
@@ -251,8 +260,16 @@ mod tests {
         let p = m.allocate(NodeId(2), &MemPolicy::bind(7), 1000).unwrap();
         assert_eq!(p, vec![(NodeId(7), 1000)]);
         assert_eq!(m.free_mib(NodeId(7)), 3000);
-        let err = m.allocate(NodeId(2), &MemPolicy::bind(7), 4000).unwrap_err();
-        assert!(matches!(err, AllocError::BindNodeFull { node: NodeId(7), .. }));
+        let err = m
+            .allocate(NodeId(2), &MemPolicy::bind(7), 4000)
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            AllocError::BindNodeFull {
+                node: NodeId(7),
+                ..
+            }
+        ));
     }
 
     #[test]
@@ -304,7 +321,9 @@ mod tests {
         for &(_, mib) in &p {
             assert_eq!(mib, 100);
         }
-        let hits: u64 = (0..8).map(|i| m.stats().node(NodeId(i)).interleave_hit).sum();
+        let hits: u64 = (0..8)
+            .map(|i| m.stats().node(NodeId(i)).interleave_hit)
+            .sum();
         assert_eq!(hits, 800);
     }
 
@@ -313,7 +332,11 @@ mod tests {
         let mut m = state();
         let _ = m.allocate(NodeId(3), &MemPolicy::bind(3), 4000).unwrap();
         let p = m
-            .allocate(NodeId(0), &MemPolicy::Interleave(vec![NodeId(2), NodeId(3)]), 100)
+            .allocate(
+                NodeId(0),
+                &MemPolicy::Interleave(vec![NodeId(2), NodeId(3)]),
+                100,
+            )
             .unwrap();
         assert_eq!(p, vec![(NodeId(2), 100)]);
     }

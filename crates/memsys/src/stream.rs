@@ -36,7 +36,12 @@ pub enum StreamOp {
 
 impl StreamOp {
     /// All kernels.
-    pub const ALL: [StreamOp; 4] = [StreamOp::Copy, StreamOp::Scale, StreamOp::Add, StreamOp::Triad];
+    pub const ALL: [StreamOp; 4] = [
+        StreamOp::Copy,
+        StreamOp::Scale,
+        StreamOp::Add,
+        StreamOp::Triad,
+    ];
 
     /// Throughput factor relative to Copy.
     pub fn factor(self) -> f64 {
@@ -195,7 +200,11 @@ mod tests {
         let r = StreamBench::paper().run(&f, NodeId(7), NodeId(4));
         // ideal is the calibrated 21.34; max over 100 noisy reps within 1%.
         assert!(r.max_gbps <= paper::STREAM_CPU7_MEM4 + 1e-9);
-        assert!(r.max_gbps > paper::STREAM_CPU7_MEM4 * 0.99, "{}", r.max_gbps);
+        assert!(
+            r.max_gbps > paper::STREAM_CPU7_MEM4 * 0.99,
+            "{}",
+            r.max_gbps
+        );
         assert!(r.cache_valid);
         assert!(r.summary.min < r.summary.max);
     }
@@ -244,12 +253,19 @@ mod tests {
         let f = dl585_fabric();
         let mut results = Vec::new();
         for op in StreamOp::ALL {
-            let b = StreamBench { op, noise: 0.0, ..StreamBench::paper() };
+            let b = StreamBench {
+                op,
+                noise: 0.0,
+                ..StreamBench::paper()
+            };
             results.push(b.run(&f, NodeId(5), NodeId(5)).max_gbps);
         }
         let min = results.iter().cloned().fold(f64::INFINITY, f64::min);
         let max = results.iter().cloned().fold(0.0, f64::max);
-        assert!(max / min < 1.07, "kernels should be within ~6%: {results:?}");
+        assert!(
+            max / min < 1.07,
+            "kernels should be within ~6%: {results:?}"
+        );
         assert!(max > min);
     }
 

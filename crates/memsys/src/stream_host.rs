@@ -26,7 +26,11 @@ pub struct RealStream {
 
 impl Default for RealStream {
     fn default() -> Self {
-        RealStream { elems: 2_621_440, threads: 4, reps: 10 }
+        RealStream {
+            elems: 2_621_440,
+            threads: 4,
+            reps: 10,
+        }
     }
 }
 
@@ -161,7 +165,12 @@ impl RealStream {
             StreamOp::Scale => b.iter().sum(),
             StreamOp::Triad => a.iter().sum(),
         };
-        Ok(RealStreamResult { op, max_gbps, samples, checksum })
+        Ok(RealStreamResult {
+            op,
+            max_gbps,
+            samples,
+            checksum,
+        })
     }
 
     /// Run all four kernels (the classic STREAM report order), panicking
@@ -188,7 +197,11 @@ mod tests {
 
     fn small() -> RealStream {
         // Small arrays: CI-friendly; correctness is what we verify here.
-        RealStream { elems: 64 * 1024, threads: 2, reps: 3 }
+        RealStream {
+            elems: 64 * 1024,
+            threads: 2,
+            reps: 3,
+        }
     }
 
     #[test]
@@ -248,22 +261,38 @@ mod tests {
 
     #[test]
     fn bad_configs_surface_typed_errors() {
-        let no_threads = RealStream { threads: 0, ..small() };
+        let no_threads = RealStream {
+            threads: 0,
+            ..small()
+        };
         assert_eq!(
             no_threads.try_run(StreamOp::Copy),
-            Err(MemsysError::InvalidConfig { reason: "at least one worker thread".to_string() })
+            Err(MemsysError::InvalidConfig {
+                reason: "at least one worker thread".to_string()
+            })
         );
         let no_reps = RealStream { reps: 0, ..small() };
         assert!(no_reps.try_run_all().is_err());
-        let undersized = RealStream { elems: 1, threads: 2, reps: 1 };
+        let undersized = RealStream {
+            elems: 1,
+            threads: 2,
+            reps: 1,
+        };
         let e = undersized.validate().unwrap_err();
-        assert!(e.to_string().contains("arrays must cover every thread"), "{e}");
+        assert!(
+            e.to_string().contains("arrays must cover every thread"),
+            "{e}"
+        );
     }
 
     #[test]
     #[should_panic(expected = "at least one worker thread")]
     fn panicking_run_reports_the_typed_message() {
-        let _ = RealStream { threads: 0, ..small() }.run(StreamOp::Copy);
+        let _ = RealStream {
+            threads: 0,
+            ..small()
+        }
+        .run(StreamOp::Copy);
     }
 
     #[test]
@@ -274,10 +303,18 @@ mod tests {
 
     #[test]
     fn odd_sizes_and_single_thread_work() {
-        let cfg = RealStream { elems: 12_345, threads: 3, reps: 1 };
+        let cfg = RealStream {
+            elems: 12_345,
+            threads: 3,
+            reps: 1,
+        };
         let r = cfg.run(StreamOp::Add);
         assert_eq!(r.checksum, 3.0 * 12_345.0);
-        let cfg = RealStream { elems: 1000, threads: 1, reps: 1 };
+        let cfg = RealStream {
+            elems: 1000,
+            threads: 1,
+            reps: 1,
+        };
         assert!(cfg.run(StreamOp::Copy).max_gbps > 0.0);
     }
 }

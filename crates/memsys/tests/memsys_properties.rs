@@ -11,7 +11,11 @@ const CASES: u64 = 128;
 
 #[derive(Debug, Clone)]
 enum Op {
-    Alloc { task: u16, policy: MemPolicy, mib: u64 },
+    Alloc {
+        task: u16,
+        policy: MemPolicy,
+        mib: u64,
+    },
     FreeOldest,
 }
 
@@ -33,7 +37,11 @@ fn arb_ops(case: u64) -> Vec<Op> {
                 2 => MemPolicy::Preferred(target),
                 _ => MemPolicy::interleave_all(8),
             };
-            Op::Alloc { task, policy, mib: 1 + rng.below(1999) }
+            Op::Alloc {
+                task,
+                policy,
+                mib: 1 + rng.below(1999),
+            }
         })
         .collect()
 }
@@ -97,7 +105,11 @@ fn numastat_hits_and_misses_account_for_every_page() {
             }
         }
         let stats = mem.stats();
-        assert_eq!(stats.total_hits() + stats.total_misses(), allocated, "case {case}");
+        assert_eq!(
+            stats.total_hits() + stats.total_misses(),
+            allocated,
+            "case {case}"
+        );
         // Misses and foreigns pair up globally.
         let foreign: u64 = (0..8).map(|i| stats.node(NodeId(i)).numa_foreign).sum();
         assert_eq!(stats.total_misses(), foreign, "case {case}");
@@ -112,11 +124,23 @@ fn stream_max_never_exceeds_the_ideal() {
         let (cpu, mem) = (NodeId(rng.below(8) as u16), NodeId(rng.below(8) as u16));
         let reps = 1 + rng.below(49) as u32;
         let noise = rng.range_f64(0.0, 0.2);
-        let bench = StreamBench { reps, noise, ..StreamBench::paper() };
+        let bench = StreamBench {
+            reps,
+            noise,
+            ..StreamBench::paper()
+        };
         let r = bench.run(&fabric, cpu, mem);
         let ideal = fabric.pio_bandwidth(cpu, mem);
-        assert!(r.max_gbps <= ideal + 1e-9, "case {case}: {} > {ideal}", r.max_gbps);
-        assert!(r.summary.min >= ideal * (1.0 - noise) - 1e-9, "case {case}: {}", r.summary.min);
+        assert!(
+            r.max_gbps <= ideal + 1e-9,
+            "case {case}: {} > {ideal}",
+            r.max_gbps
+        );
+        assert!(
+            r.summary.min >= ideal * (1.0 - noise) - 1e-9,
+            "case {case}: {}",
+            r.summary.min
+        );
         assert!(r.cache_valid, "case {case}");
     }
 }
@@ -130,9 +154,13 @@ fn stream_kernels_stay_within_seven_percent() {
         let values: Vec<f64> = StreamOp::ALL
             .iter()
             .map(|&op| {
-                StreamBench { op, noise: 0.0, ..StreamBench::paper() }
-                    .run(&fabric, cpu, mem)
-                    .max_gbps
+                StreamBench {
+                    op,
+                    noise: 0.0,
+                    ..StreamBench::paper()
+                }
+                .run(&fabric, cpu, mem)
+                .max_gbps
             })
             .collect();
         let min = values.iter().cloned().fold(f64::INFINITY, f64::min);

@@ -84,7 +84,10 @@ impl Event {
         Event {
             time_s,
             name: name.to_string(),
-            fields: fields.iter().map(|(k, v)| (k.to_string(), v.clone())).collect(),
+            fields: fields
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.clone()))
+                .collect(),
         }
     }
 
@@ -168,8 +171,15 @@ mod tests {
 
     #[test]
     fn escaping_and_nonfinite() {
-        let e = Event::new("x\"y", 0.0, &[("s", "a\\b\nc".into()), ("v", f64::NAN.into())]);
-        assert_eq!(e.to_json_line(), "{\"t\":0,\"ev\":\"x\\\"y\",\"s\":\"a\\\\b\\nc\",\"v\":null}");
+        let e = Event::new(
+            "x\"y",
+            0.0,
+            &[("s", "a\\b\nc".into()), ("v", f64::NAN.into())],
+        );
+        assert_eq!(
+            e.to_json_line(),
+            "{\"t\":0,\"ev\":\"x\\\"y\",\"s\":\"a\\\\b\\nc\",\"v\":null}"
+        );
     }
 
     #[test]

@@ -69,8 +69,7 @@ pub mod buckets {
     /// Flow completion times, seconds: open-loop scenarios span
     /// millisecond small transfers to the paper's multi-second 400 GB
     /// bulk runs.
-    pub const FCT_SECONDS: &[f64] =
-        &[1e-3, 1e-2, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0];
+    pub const FCT_SECONDS: &[f64] = &[1e-3, 1e-2, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0];
 
     /// Serve request latencies, seconds: an exponential 1–2.5–5 ladder
     /// from 10 µs to 2.5 s. Hot cache hits land in the µs decades, cold

@@ -56,7 +56,9 @@ fn thread_count(n: usize) -> usize {
         .ok()
         .and_then(|s| s.parse::<usize>().ok());
     let t = configured.unwrap_or_else(|| {
-        std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1)
+        std::thread::available_parallelism()
+            .map(|p| p.get())
+            .unwrap_or(1)
     });
     t.clamp(1, n.max(1))
 }

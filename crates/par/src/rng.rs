@@ -70,7 +70,11 @@ impl SplitMix64 {
     }
 
     fn f64_between(&mut self, lo: f64, hi: f64, inclusive: bool) -> f64 {
-        let denom = if inclusive { ((1u64 << 53) - 1) as f64 } else { (1u64 << 53) as f64 };
+        let denom = if inclusive {
+            ((1u64 << 53) - 1) as f64
+        } else {
+            (1u64 << 53) as f64
+        };
         loop {
             let x = lo + (hi - lo) * ((self.next_u64() >> 11) as f64 / denom);
             if x < hi || (inclusive && x <= hi) {
@@ -106,7 +110,11 @@ mod tests {
         assert_eq!(rng.next_u64(), 3203168211198807973);
         assert_eq!(rng.next_u64(), 9817491932198370423);
         let mut again = SplitMix64::new(1234567);
-        assert_eq!(again.next_u64(), 6457827717110365317, "same seed, same stream");
+        assert_eq!(
+            again.next_u64(),
+            6457827717110365317,
+            "same seed, same stream"
+        );
         let mut other = SplitMix64::new(1234568);
         assert_ne!(other.next_u64(), 6457827717110365317);
     }
@@ -179,6 +187,9 @@ mod tests {
         assert_eq!(fnv1a64(FNV1A64_INIT, b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(FNV1A64_INIT, b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a64(FNV1A64_INIT, b"foobar"), 0x8594_4171_f739_67e8);
-        assert_eq!(fnv1a64(fnv1a64(FNV1A64_INIT, b"foo"), b"bar"), 0x8594_4171_f739_67e8);
+        assert_eq!(
+            fnv1a64(fnv1a64(FNV1A64_INIT, b"foo"), b"bar"),
+            0x8594_4171_f739_67e8
+        );
     }
 }

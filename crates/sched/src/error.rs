@@ -77,8 +77,14 @@ impl fmt::Display for SchedError {
             SchedError::NoTasks => write!(f, "trace has no tasks"),
             SchedError::Starved { task } => write!(f, "task {task:?} starved"),
             SchedError::EventLimit => write!(f, "scheduler event limit exceeded"),
-            SchedError::AllocFailed { attempts, last_error } => {
-                write!(f, "allocation failed after {attempts} attempts: {last_error}")
+            SchedError::AllocFailed {
+                attempts,
+                last_error,
+            } => {
+                write!(
+                    f,
+                    "allocation failed after {attempts} attempts: {last_error}"
+                )
             }
             SchedError::NoFabric { label } => {
                 write!(f, "backend '{label}' exposes no fabric to schedule over")
@@ -124,10 +130,15 @@ mod tests {
     #[test]
     fn display_is_informative() {
         assert!(SchedError::EmptyFleet.to_string().contains("no hosts"));
-        let e = SchedError::UnknownPolicy { name: "magic".into() };
+        let e = SchedError::UnknownPolicy {
+            name: "magic".into(),
+        };
         assert!(e.to_string().contains("magic"));
         assert!(e.to_string().contains("class-ranked"));
-        let e = SchedError::Sim { host: 3, error: SimError::NoFlows };
+        let e = SchedError::Sim {
+            host: 3,
+            error: SimError::NoFlows,
+        };
         assert!(e.to_string().contains("host 3"));
     }
 

@@ -37,7 +37,10 @@ impl RetryPolicy {
             base_backoff_s >= 0.0 && base_backoff_s.is_finite(),
             "backoff must be a finite non-negative time"
         );
-        RetryPolicy { max_attempts, base_backoff_s }
+        RetryPolicy {
+            max_attempts,
+            base_backoff_s,
+        }
     }
 
     /// Pause after failed attempt `attempt` (0-based): `base * 2^attempt`.
@@ -47,7 +50,9 @@ impl RetryPolicy {
 
     /// Total simulated time spent pausing if every attempt fails.
     pub fn total_backoff_s(&self) -> f64 {
-        (0..self.max_attempts.saturating_sub(1)).map(|a| self.backoff_s(a)).sum()
+        (0..self.max_attempts.saturating_sub(1))
+            .map(|a| self.backoff_s(a))
+            .sum()
     }
 }
 
@@ -108,8 +113,14 @@ impl ClassRanked {
     /// the [`ScheduleAdvisor`] keeps (sorted, device node last).
     pub fn model_driven<P: Platform>(platform: &P) -> Result<Self, SchedError> {
         let (write, read) = characterize_both(platform, first_io_node(platform)?, 10)?;
-        let advisor = ScheduleAdvisor { equivalence_tolerance: 0.12, avoid_irq_node: true };
-        let (write, read) = (advisor.eligible_nodes(&write), advisor.eligible_nodes(&read));
+        let advisor = ScheduleAdvisor {
+            equivalence_tolerance: 0.12,
+            avoid_irq_node: true,
+        };
+        let (write, read) = (
+            advisor.eligible_nodes(&write),
+            advisor.eligible_nodes(&read),
+        );
         Ok(Self::pool("model-driven", write, read))
     }
 
@@ -130,7 +141,13 @@ impl ClassRanked {
     /// A one-class ranking per direction with no spill limit.
     fn pool(name: &'static str, write: Vec<NodeId>, read: Vec<NodeId>) -> Self {
         let (write_classes, read_classes, banned) = (vec![write], vec![read], Vec::new());
-        ClassRanked { name, write_classes, read_classes, banned, spill_streams: u32::MAX }
+        ClassRanked {
+            name,
+            write_classes,
+            read_classes,
+            banned,
+            spill_streams: u32::MAX,
+        }
     }
 
     /// Ban a node in both directions (a faulted or drained node). Banned
@@ -190,9 +207,20 @@ impl ClassRanked {
     pub fn place_n(&mut self, task: &IoTask, n: u32, fabric: &Fabric) -> Vec<NodeId> {
         let mut active: Vec<ActiveView> = Vec::with_capacity(n as usize);
         for i in 0..n {
-            let node = self.place(task, &SchedContext { fabric, active: &active });
+            let node = self.place(
+                task,
+                &SchedContext {
+                    fabric,
+                    active: &active,
+                },
+            );
             let to_device = task.to_device();
-            active.push(ActiveView { id: TaskId(i), node, streams: task.streams, to_device });
+            active.push(ActiveView {
+                id: TaskId(i),
+                node,
+                streams: task.streams,
+                to_device,
+            });
         }
         active.into_iter().map(|a| a.node).collect()
     }
@@ -210,7 +238,9 @@ impl Policy for ClassRanked {
 
 /// The first I/O node of a backend, or a typed error when it has none.
 fn first_io_node<P: Platform>(platform: &P) -> Result<NodeId, SchedError> {
-    let label = || SchedError::NoIoNode { label: platform.label() };
+    let label = || SchedError::NoIoNode {
+        label: platform.label(),
+    };
     platform.io_nodes().first().copied().ok_or_else(label)
 }
 
@@ -255,7 +285,10 @@ mod tests {
         let mut p = ClassRanked::from_platform(&platform).unwrap();
         let top = p.ranking(true)[0].clone();
         // Empty machine: a top-class write node.
-        let empty = SchedContext { fabric, active: &[] };
+        let empty = SchedContext {
+            fabric,
+            active: &[],
+        };
         let first = p.place(&task(NicOp::RdmaWrite), &empty);
         assert!(top.contains(&first), "{first:?} not in {top:?}");
         // Saturate the whole top class; the next placement spills to a
@@ -270,9 +303,15 @@ mod tests {
                 to_device: true,
             })
             .collect();
-        let loaded = SchedContext { fabric, active: &active };
+        let loaded = SchedContext {
+            fabric,
+            active: &active,
+        };
         let spilled = p.place(&task(NicOp::RdmaWrite), &loaded);
-        assert!(!top.contains(&spilled), "expected spill out of {top:?}, got {spilled:?}");
+        assert!(
+            !top.contains(&spilled),
+            "expected spill out of {top:?}, got {spilled:?}"
+        );
     }
 
     #[test]
@@ -285,7 +324,10 @@ mod tests {
         for &n in &top {
             p = p.ban(n);
         }
-        let ctx = SchedContext { fabric, active: &[] };
+        let ctx = SchedContext {
+            fabric,
+            active: &[],
+        };
         let node = p.place(&task(NicOp::RdmaWrite), &ctx);
         assert!(!top.contains(&node), "banned class still chosen: {node:?}");
         assert!(!p.banned().contains(&node));
@@ -299,7 +341,10 @@ mod tests {
         for i in 0..fabric.num_nodes() {
             p = p.ban(NodeId::new(i));
         }
-        let ctx = SchedContext { fabric, active: &[] };
+        let ctx = SchedContext {
+            fabric,
+            active: &[],
+        };
         // No panic; some node is returned as the forced last resort.
         let n = p.place(&task(NicOp::RdmaWrite), &ctx);
         assert!(n.index() < fabric.num_nodes());

@@ -93,11 +93,12 @@ impl Host {
         // Storage tier: informational — SSD-less hosts simply carry None,
         // and the placement policies never read it, so its presence cannot
         // perturb the episode digests.
-        let storage = |mode| match characterize_storage(&modeler, &platform, StorageConfig::paper(), mode) {
-            Ok(m) => Ok(Some(m)),
-            Err(StorageError::NoSsd { .. } | StorageError::NoFabric { .. }) => Ok(None),
-            Err(StorageError::Probe(e)) => Err(SchedError::Platform(e)),
-        };
+        let storage =
+            |mode| match characterize_storage(&modeler, &platform, StorageConfig::paper(), mode) {
+                Ok(m) => Ok(Some(m)),
+                Err(StorageError::NoSsd { .. } | StorageError::NoFabric { .. }) => Ok(None),
+                Err(StorageError::Probe(e)) => Err(SchedError::Platform(e)),
+            };
         let storage_write = storage(TransferMode::Write)?;
         let storage_read = storage(TransferMode::Read)?;
         Ok(Host {
@@ -105,7 +106,12 @@ impl Host {
             spec,
             scale,
             platform,
-            profile: HostProfile { write, read, storage_write, storage_read },
+            profile: HostProfile {
+                write,
+                read,
+                storage_write,
+                storage_read,
+            },
         })
     }
 
@@ -232,8 +238,13 @@ mod tests {
     #[test]
     fn profile_covers_every_node() {
         let h = Host::generate(1, 42).unwrap();
-        let classes: usize =
-            h.profile().write.classes().iter().map(|c| c.nodes.len()).sum();
+        let classes: usize = h
+            .profile()
+            .write
+            .classes()
+            .iter()
+            .map(|c| c.nodes.len())
+            .sum();
         assert_eq!(classes, h.num_nodes());
     }
 }

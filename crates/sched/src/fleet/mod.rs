@@ -46,7 +46,10 @@ pub const MAX_STREAMS: usize = 4096;
 /// Check fleet inputs before generating anything: `hosts` must be in
 /// `1..=MAX_HOSTS` and `streams` in `1..=MAX_STREAMS`.
 pub fn check_bounds(hosts: usize, streams: usize) -> Result<(), SchedError> {
-    for (what, max, got) in [("hosts", MAX_HOSTS, hosts), ("streams", MAX_STREAMS, streams)] {
+    for (what, max, got) in [
+        ("hosts", MAX_HOSTS, hosts),
+        ("streams", MAX_STREAMS, streams),
+    ] {
         if got == 0 || got > max {
             return Err(SchedError::OutOfRange { what, max, got });
         }
@@ -69,7 +72,9 @@ impl Fleet {
         if n == 0 {
             return Err(SchedError::EmptyFleet);
         }
-        let hosts = (0..n).map(|id| Host::generate(id, seed)).collect::<Result<_, _>>()?;
+        let hosts = (0..n)
+            .map(|id| Host::generate(id, seed))
+            .collect::<Result<_, _>>()?;
         Ok(Fleet { seed, hosts })
     }
 
@@ -119,7 +124,10 @@ mod tests {
     #[test]
     fn generate_rejects_empty() {
         assert_eq!(Fleet::generate(0, 1).unwrap_err(), SchedError::EmptyFleet);
-        assert_eq!(Fleet::from_hosts(Vec::new()).unwrap_err(), SchedError::EmptyFleet);
+        assert_eq!(
+            Fleet::from_hosts(Vec::new()).unwrap_err(),
+            SchedError::EmptyFleet
+        );
     }
 
     #[test]

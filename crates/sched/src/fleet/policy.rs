@@ -24,7 +24,12 @@ impl StreamSpec {
     /// `[1, 9)` GB via splitmix64 — deterministic for a given seed.
     pub fn workload(n: usize, seed: u64) -> Vec<StreamSpec> {
         let mut rng = SplitMix64::new(seed ^ 0xA076_1D64_78BD_642F);
-        (0..n).map(|id| StreamSpec { id, gbytes: rng.range_f64(1.0, 9.0) }).collect()
+        (0..n)
+            .map(|id| StreamSpec {
+                id,
+                gbytes: rng.range_f64(1.0, 9.0),
+            })
+            .collect()
     }
 }
 
@@ -72,8 +77,12 @@ impl FleetPolicy {
         match name {
             "class-ranked" | "class_ranked" | "classranked" => Ok(FleetPolicy::ClassRanked),
             "bandwidth-aware" | "bandwidth_aware" | "bandwidth" => Ok(FleetPolicy::BandwidthAware),
-            "adaptive" | "mao" => Ok(FleetPolicy::Adaptive { weights: vec![1.0; hosts] }),
-            other => Err(SchedError::UnknownPolicy { name: other.to_string() }),
+            "adaptive" | "mao" => Ok(FleetPolicy::Adaptive {
+                weights: vec![1.0; hosts],
+            }),
+            other => Err(SchedError::UnknownPolicy {
+                name: other.to_string(),
+            }),
         }
     }
 
@@ -97,7 +106,10 @@ impl FleetPolicy {
                 let h = fleet.host(host);
                 let mut rule = ClassRanked::from_models(&h.profile().write, &h.profile().read);
                 rule.spill_streams = u32::MAX;
-                Placement { host, node: rule.pick(true, &host_load(h, queues)) }
+                Placement {
+                    host,
+                    node: rule.pick(true, &host_load(h, queues)),
+                }
             }
             FleetPolicy::BandwidthAware => best_by_headroom(fleet, queues, |_| 1.0),
             FleetPolicy::Adaptive { weights } => best_by_headroom(fleet, queues, |h| weights[h]),
@@ -119,7 +131,10 @@ impl FleetPolicy {
 
 /// One host's load: its queue this round.
 fn host_load<'a>(h: &'a Host, queues: &'a [Vec<ActiveView>]) -> SchedContext<'a> {
-    SchedContext { fabric: h.fabric(), active: &queues[h.id] }
+    SchedContext {
+        fabric: h.fabric(),
+        active: &queues[h.id],
+    }
 }
 
 /// Maximize `host_weight * node_gbps / (1 + queued)` over every
@@ -179,7 +194,12 @@ mod tests {
             assert!(p.host < fleet.len());
             assert!(p.node.index() < fleet.host(p.host).num_nodes());
             let (id, node) = (crate::TaskId(id), p.node);
-            queues[p.host].push(ActiveView { id, node, streams: 1, to_device: true });
+            queues[p.host].push(ActiveView {
+                id,
+                node,
+                streams: 1,
+                to_device: true,
+            });
         }
         queues
     }
@@ -188,7 +208,11 @@ mod tests {
     fn policies_place_within_bounds() {
         let fleet = small_fleet();
         for name in POLICY_NAMES {
-            one_round(&FleetPolicy::by_name(name, fleet.len()).unwrap(), &fleet, 16);
+            one_round(
+                &FleetPolicy::by_name(name, fleet.len()).unwrap(),
+                &fleet,
+                16,
+            );
         }
     }
 
@@ -213,7 +237,9 @@ mod tests {
             a.observe(0, 4.0);
             a.observe(1, 1.0);
         }
-        let FleetPolicy::Adaptive { weights } = &a else { panic!("{a:?}") };
+        let FleetPolicy::Adaptive { weights } = &a else {
+            panic!("{a:?}")
+        };
         assert!(weights[0] < weights[1]);
         assert!(weights[1] <= 1.0 + 1e-12);
     }

@@ -43,8 +43,12 @@ impl FleetReport {
     pub fn render(&self) -> String {
         format!(
             "{:<16} {:>8.2} Gbps  jain {:.4}  p99 slowdown {:.3}  ({} streams / {} hosts)",
-            self.policy, self.aggregate_gbps, self.jain_fairness, self.p99_slowdown,
-            self.streams, self.hosts
+            self.policy,
+            self.aggregate_gbps,
+            self.jain_fairness,
+            self.p99_slowdown,
+            self.streams,
+            self.hosts
         )
     }
 }
@@ -102,7 +106,12 @@ impl<'f> ClusterScheduler<'f> {
                 let p = policy.place(self.fleet, &queues);
                 per_host_streams[p.host] += 1;
                 let (id, node) = (TaskId(pos as u32), p.node);
-                queues[p.host].push(ActiveView { id, node, streams: 1, to_device: true });
+                queues[p.host].push(ActiveView {
+                    id,
+                    node,
+                    streams: 1,
+                    to_device: true,
+                });
             }
             let mut round_makespan = 0.0f64;
             for (host_id, queue) in queues.iter().enumerate() {
@@ -114,10 +123,15 @@ impl<'f> ClusterScheduler<'f> {
                 let report = Simulation::new(host.fabric())
                     .flows(queue.iter().map(|a| {
                         let s = &streams[a.id.index()];
-                        FlowSpec::dma(a.node, io).gbytes(s.gbytes).label(format!("s{}", s.id))
+                        FlowSpec::dma(a.node, io)
+                            .gbytes(s.gbytes)
+                            .label(format!("s{}", s.id))
                     }))
                     .run()
-                    .map_err(|error| SchedError::Sim { host: host_id, error })?;
+                    .map_err(|error| SchedError::Sim {
+                        host: host_id,
+                        error,
+                    })?;
                 round_makespan = round_makespan.max(report.makespan_s);
                 // Flows come back in submission order.
                 for (a, flow) in queue.iter().zip(report.flows) {
@@ -128,8 +142,10 @@ impl<'f> ClusterScheduler<'f> {
             makespan_s += round_makespan;
         }
 
-        let flows: Vec<FlowResult> =
-            results.into_iter().map(|r| r.expect("every stream ran")).collect();
+        let flows: Vec<FlowResult> = results
+            .into_iter()
+            .map(|r| r.expect("every stream ran"))
+            .collect();
         let total_gbit: f64 = flows.iter().map(|f| f.volume_gbit).sum();
         let rates: Vec<f64> = flows.iter().map(|f| f.mean_gbps).collect();
         let mut slowdowns: Vec<f64> = flows.iter().map(|f| f.slowdown).collect();
@@ -140,7 +156,11 @@ impl<'f> ClusterScheduler<'f> {
             streams: streams.len(),
             rounds: rounds_run,
             total_gbit,
-            aggregate_gbps: if makespan_s > 0.0 { total_gbit / makespan_s } else { 0.0 },
+            aggregate_gbps: if makespan_s > 0.0 {
+                total_gbit / makespan_s
+            } else {
+                0.0
+            },
             jain_fairness: jain(&rates),
             p99_slowdown: nearest_rank(&slowdowns, 0.99),
             fct: FctStats::from_flows(&flows),
@@ -150,10 +170,7 @@ impl<'f> ClusterScheduler<'f> {
     }
 
     /// Run the canonical three-policy comparison over one seeded workload.
-    pub fn compare(
-        &self,
-        streams: &[StreamSpec],
-    ) -> Result<Vec<FleetReport>, SchedError> {
+    pub fn compare(&self, streams: &[StreamSpec]) -> Result<Vec<FleetReport>, SchedError> {
         POLICY_NAMES
             .iter()
             .map(|name| self.run(streams, &mut FleetPolicy::by_name(name, self.fleet.len())?))
@@ -187,7 +204,10 @@ mod tests {
         let fleet = fleet();
         let streams = StreamSpec::workload(24, 5);
         let mut policy = FleetPolicy::ClassRanked;
-        let report = ClusterScheduler::new(&fleet).rounds(3).run(&streams, &mut policy).unwrap();
+        let report = ClusterScheduler::new(&fleet)
+            .rounds(3)
+            .run(&streams, &mut policy)
+            .unwrap();
         assert_eq!(report.streams, 24);
         assert_eq!(report.rounds, 3);
         assert_eq!(report.per_host_streams.iter().sum::<usize>(), 24);
@@ -223,8 +243,7 @@ mod tests {
         assert_eq!(names, POLICY_NAMES.to_vec());
         // Policies genuinely differ on this workload: at least two
         // distinct digests.
-        let distinct: std::collections::HashSet<u64> =
-            reports.iter().map(|r| r.digest).collect();
+        let distinct: std::collections::HashSet<u64> = reports.iter().map(|r| r.digest).collect();
         assert!(distinct.len() >= 2, "all policies placed identically");
     }
 
@@ -232,7 +251,9 @@ mod tests {
     fn empty_streams_rejected() {
         let fleet = fleet();
         let mut policy = FleetPolicy::by_name("adaptive", fleet.len()).unwrap();
-        let e = ClusterScheduler::new(&fleet).run(&[], &mut policy).unwrap_err();
+        let e = ClusterScheduler::new(&fleet)
+            .run(&[], &mut policy)
+            .unwrap_err();
         assert_eq!(e, SchedError::NoStreams);
     }
 

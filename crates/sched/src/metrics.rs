@@ -21,7 +21,10 @@ pub struct EpisodeReport {
 impl EpisodeReport {
     /// Mean task sojourn time.
     pub fn mean_latency_s(&self) -> f64 {
-        self.outcomes.iter().map(TaskOutcome::latency_s).sum::<f64>()
+        self.outcomes
+            .iter()
+            .map(TaskOutcome::latency_s)
+            .sum::<f64>()
             / self.outcomes.len().max(1) as f64
     }
 
@@ -130,7 +133,11 @@ mod tests {
     fn report(lats: &[f64]) -> EpisodeReport {
         EpisodeReport {
             policy: "test".into(),
-            outcomes: lats.iter().enumerate().map(|(i, &l)| outcome(i as u32, 0.0, l)).collect(),
+            outcomes: lats
+                .iter()
+                .enumerate()
+                .map(|(i, &l)| outcome(i as u32, 0.0, l))
+                .collect(),
             makespan_s: lats.iter().cloned().fold(0.0, f64::max),
             total_gbit: 10.0 * lats.len() as f64,
             migrations: 0,

@@ -173,7 +173,11 @@ impl ModelDrivenMigrating {
     pub fn new(inner: ClassRanked, epoch_s: f64, imbalance: u32) -> Self {
         assert!(epoch_s > 0.0);
         assert!(imbalance >= 1);
-        ModelDrivenMigrating { inner, epoch_s, imbalance }
+        ModelDrivenMigrating {
+            inner,
+            epoch_s,
+            imbalance,
+        }
     }
 }
 
@@ -248,7 +252,12 @@ mod tests {
         // Load node 7 with 4 streams: next placement moves one hop out —
         // to the *starved* node 3 (lowest id at distance 1), the
         // hop-metric mistake.
-        let active = [ActiveView { id: TaskId(0), node: NodeId(7), streams: 4, to_device: true }];
+        let active = [ActiveView {
+            id: TaskId(0),
+            node: NodeId(7),
+            streams: 4,
+            to_device: true,
+        }];
         let loaded = ctx_with(&fabric, &active);
         assert_eq!(p.place(&task(NicOp::RdmaWrite), &loaded), NodeId(3));
     }
@@ -258,7 +267,9 @@ mod tests {
         let fabric = numa_fabric::calibration::dl585_fabric();
         let mut p = SpreadAll::new();
         let ctx = ctx_with(&fabric, &[]);
-        let seq: Vec<NodeId> = (0..10).map(|_| p.place(&task(NicOp::TcpRecv), &ctx)).collect();
+        let seq: Vec<NodeId> = (0..10)
+            .map(|_| p.place(&task(NicOp::TcpRecv), &ctx))
+            .collect();
         assert_eq!(seq[0], NodeId(0));
         assert_eq!(seq[7], NodeId(7));
         assert_eq!(seq[8], NodeId(0));
@@ -278,7 +289,12 @@ mod tests {
         let r = p.place(&task(NicOp::RdmaRead), &ctx);
         assert_ne!(r, NodeId(4));
         // Least-loaded: loading the first choice shifts the next placement.
-        let active = [ActiveView { id: TaskId(0), node: w, streams: 4, to_device: true }];
+        let active = [ActiveView {
+            id: TaskId(0),
+            node: w,
+            streams: 4,
+            to_device: true,
+        }];
         let loaded = ctx_with(fabric, &active);
         let w2 = p.place(&task(NicOp::RdmaWrite), &loaded);
         assert_ne!(w2, w);
@@ -307,8 +323,18 @@ mod tests {
         let mut p = ModelDrivenMigrating::new(inner, 1.0, 2);
         assert_eq!(p.epoch_s(), Some(1.0));
         let active = [
-            ActiveView { id: TaskId(0), node: hot, streams: 3, to_device: true },
-            ActiveView { id: TaskId(1), node: hot, streams: 1, to_device: true },
+            ActiveView {
+                id: TaskId(0),
+                node: hot,
+                streams: 3,
+                to_device: true,
+            },
+            ActiveView {
+                id: TaskId(1),
+                node: hot,
+                streams: 1,
+                to_device: true,
+            },
         ];
         let fabric = platform.fabric();
         let ctx = ctx_with(fabric, &active);

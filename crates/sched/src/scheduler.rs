@@ -27,16 +27,24 @@ impl Active {
     fn job(&self) -> JobSpec {
         let base = match &self.task.workload {
             Workload::Nic(op) => JobSpec::nic(*op, self.node),
-            Workload::Ssd { write, .. } => {
-                JobSpec { workload: self.task.workload.clone(), ..JobSpec::ssd(*write, self.node) }
-            }
+            Workload::Ssd { write, .. } => JobSpec {
+                workload: self.task.workload.clone(),
+                ..JobSpec::ssd(*write, self.node)
+            },
         };
-        base.numjobs(self.task.streams).size_gbytes(1.0).weight(self.task.weight)
+        base.numjobs(self.task.streams)
+            .size_gbytes(1.0)
+            .weight(self.task.weight)
     }
 
     fn view(&self) -> ActiveView {
         let (id, node, streams) = (self.id, self.node, self.task.streams);
-        ActiveView { id, node, streams, to_device: self.task.to_device() }
+        ActiveView {
+            id,
+            node,
+            streams,
+            to_device: self.task.to_device(),
+        }
     }
 }
 
@@ -65,7 +73,12 @@ impl<'a> Scheduler<'a> {
     ///
     /// [`new`]: Scheduler::new
     pub fn for_fabric(fabric: &'a Fabric) -> Self {
-        Scheduler { fabric, migration_pause_s: 0.25, retry: RetryPolicy::default(), obs: None }
+        Scheduler {
+            fabric,
+            migration_pause_s: 0.25,
+            retry: RetryPolicy::default(),
+            obs: None,
+        }
     }
 
     /// New scheduler over any measurement backend. Episodes are fluid
@@ -73,9 +86,9 @@ impl<'a> Scheduler<'a> {
     /// that carries no fabric (a real host, a replay fixture) yields a
     /// typed [`SchedError::NoFabric`] instead of a panic.
     pub fn for_backend<P: Platform>(platform: &'a P) -> Result<Self, SchedError> {
-        let fabric = platform
-            .fabric()
-            .ok_or_else(|| SchedError::NoFabric { label: platform.label() })?;
+        let fabric = platform.fabric().ok_or_else(|| SchedError::NoFabric {
+            label: platform.label(),
+        })?;
         Ok(Self::for_fabric(fabric))
     }
 
@@ -141,9 +154,18 @@ impl<'a> Scheduler<'a> {
                         Ok(r) => break r,
                         Err(e) => {
                             attempt += 1;
-                            emit(obs, Some("numio_sched_retries_total"), "alloc_retry", t, || {
-                                vec![("attempt", attempt.into()), ("error", e.to_string().into())]
-                            });
+                            emit(
+                                obs,
+                                Some("numio_sched_retries_total"),
+                                "alloc_retry",
+                                t,
+                                || {
+                                    vec![
+                                        ("attempt", attempt.into()),
+                                        ("error", e.to_string().into()),
+                                    ]
+                                },
+                            );
                             if attempt >= self.retry.max_attempts {
                                 return Err(SchedError::AllocFailed {
                                     attempts: attempt,
@@ -155,14 +177,25 @@ impl<'a> Scheduler<'a> {
                     }
                 };
                 drop(alloc_span);
-                emit(obs, Some("numio_alloc_rounds_total"), "alloc_round", t, || {
-                    vec![("component", "sched".into()), ("tasks", runnable.len().into())]
-                });
+                emit(
+                    obs,
+                    Some("numio_alloc_rounds_total"),
+                    "alloc_round",
+                    t,
+                    || {
+                        vec![
+                            ("component", "sched".into()),
+                            ("tasks", runnable.len().into()),
+                        ]
+                    },
+                );
                 r
             };
 
             // Next event time.
-            let next_arrival = pending.front().map_or(f64::INFINITY, |(_, task)| task.arrival_s);
+            let next_arrival = pending
+                .front()
+                .map_or(f64::INFINITY, |(_, task)| task.arrival_s);
             let mut next_completion = f64::INFINITY;
             for (k, &i) in runnable.iter().enumerate() {
                 if rates[k] > 1e-12 {
@@ -174,7 +207,11 @@ impl<'a> Scheduler<'a> {
                 .filter(|a| a.paused_until > t)
                 .map(|a| a.paused_until)
                 .fold(f64::INFINITY, f64::min);
-            let epoch_time = if active.is_empty() { f64::INFINITY } else { next_epoch };
+            let epoch_time = if active.is_empty() {
+                f64::INFINITY
+            } else {
+                next_epoch
+            };
             let t_next = next_arrival
                 .min(next_completion)
                 .min(next_unpause)
@@ -203,10 +240,20 @@ impl<'a> Scheduler<'a> {
                         o.histogram("numio_episode_latency_seconds", &labels, buckets)
                             .observe(latency_s);
                     }
-                    emit(obs, Some("numio_flow_completions_total"), "task_finished", t, || {
-                        let (task, node) = (done.id.0.into(), done.node.to_string().into());
-                        vec![("task", task), ("node", node), ("latency_s", latency_s.into())]
-                    });
+                    emit(
+                        obs,
+                        Some("numio_flow_completions_total"),
+                        "task_finished",
+                        t,
+                        || {
+                            let (task, node) = (done.id.0.into(), done.node.to_string().into());
+                            vec![
+                                ("task", task),
+                                ("node", node),
+                                ("latency_s", latency_s.into()),
+                            ]
+                        },
+                    );
                     outcomes.push(TaskOutcome {
                         id: done.id,
                         node: done.node,
@@ -228,21 +275,34 @@ impl<'a> Scheduler<'a> {
             {
                 let (id, task) = pending.pop_front().unwrap();
                 let views: Vec<ActiveView> = active.iter().map(Active::view).collect();
-                let ctx = SchedContext { fabric, active: &views };
+                let ctx = SchedContext {
+                    fabric,
+                    active: &views,
+                };
                 let node = policy.place(&task, &ctx);
                 emit(obs, None, "task_placed", t, || {
                     let (node, policy) = (node.to_string().into(), policy.name().into());
                     vec![("task", id.0.into()), ("node", node), ("policy", policy)]
                 });
                 let (remaining_gbit, paused_until) = (task.volume_gbytes * 8.0, t);
-                active.push(Active { id, task, node, remaining_gbit, migrations: 0, paused_until });
+                active.push(Active {
+                    id,
+                    task,
+                    node,
+                    remaining_gbit,
+                    migrations: 0,
+                    paused_until,
+                });
             }
 
             // Epoch rebalancing.
             if t + 1e-12 >= next_epoch {
                 if let Some(period) = policy.epoch_s() {
                     let views: Vec<ActiveView> = active.iter().map(Active::view).collect();
-                    let ctx = SchedContext { fabric, active: &views };
+                    let ctx = SchedContext {
+                        fabric,
+                        active: &views,
+                    };
                     for (tid, new_node) in policy.rebalance(&ctx) {
                         if let Some(a) = active.iter_mut().find(|a| a.id == tid) {
                             if a.node != new_node {
@@ -251,11 +311,17 @@ impl<'a> Scheduler<'a> {
                                 a.migrations += 1;
                                 a.paused_until = t + self.migration_pause_s;
                                 migrations_total += 1;
-                                emit(obs, Some("numio_migrations_total"), "task_migrated", t, || {
-                                    let from = from.to_string().into();
-                                    let to = new_node.to_string().into();
-                                    vec![("task", tid.0.into()), ("from", from), ("to", to)]
-                                });
+                                emit(
+                                    obs,
+                                    Some("numio_migrations_total"),
+                                    "task_migrated",
+                                    t,
+                                    || {
+                                        let from = from.to_string().into();
+                                        let to = new_node.to_string().into();
+                                        vec![("task", tid.0.into()), ("from", from), ("to", to)]
+                                    },
+                                );
                             }
                         }
                     }
@@ -308,8 +374,8 @@ fn emit(
 mod tests {
     use super::*;
     use crate::policy::{LocalOnly, ModelDrivenMigrating, SpreadAll};
-    use crate::ClassRanked;
     use crate::trace::{burst, poisson, MixProfile};
+    use crate::ClassRanked;
 
     fn platform() -> SimPlatform {
         SimPlatform::dl585()
@@ -318,7 +384,9 @@ mod tests {
     #[test]
     fn empty_trace_rejected() {
         let p = platform();
-        let err = Scheduler::new(&p).run(vec![], LocalOnly::new()).unwrap_err();
+        let err = Scheduler::new(&p)
+            .run(vec![], LocalOnly::new())
+            .unwrap_err();
         assert_eq!(err, SchedError::NoTasks);
     }
 
@@ -326,11 +394,14 @@ mod tests {
     fn single_task_completes_at_its_class_rate() {
         use numa_iodev::NicOp;
         let p = platform();
-        let tasks =
-            vec![IoTask::new(0.0, Workload::Nic(NicOp::RdmaWrite), 2, 23.3)]; // 8 s at 23.3
+        let tasks = vec![IoTask::new(0.0, Workload::Nic(NicOp::RdmaWrite), 2, 23.3)]; // 8 s at 23.3
         let report = Scheduler::new(&p).run(tasks, LocalOnly::new()).unwrap();
         assert_eq!(report.outcomes.len(), 1);
-        assert!((report.makespan_s - 8.0).abs() < 0.05, "{}", report.makespan_s);
+        assert!(
+            (report.makespan_s - 8.0).abs() < 0.05,
+            "{}",
+            report.makespan_s
+        );
         assert_eq!(report.migrations, 0);
     }
 
@@ -339,8 +410,12 @@ mod tests {
         let p = platform();
         let tasks = poisson(10, 1.0, MixProfile::Uniform, 99);
         for report in [
-            Scheduler::new(&p).run(tasks.clone(), LocalOnly::new()).unwrap(),
-            Scheduler::new(&p).run(tasks.clone(), SpreadAll::new()).unwrap(),
+            Scheduler::new(&p)
+                .run(tasks.clone(), LocalOnly::new())
+                .unwrap(),
+            Scheduler::new(&p)
+                .run(tasks.clone(), SpreadAll::new())
+                .unwrap(),
             Scheduler::new(&p)
                 .run(tasks.clone(), ClassRanked::model_driven(&p).unwrap())
                 .unwrap(),
@@ -362,7 +437,9 @@ mod tests {
         let ratios: Vec<f64> = (0..32)
             .map(|seed| {
                 let tasks = burst(10, MixProfile::Ingest, seed);
-                let naive = Scheduler::new(&p).run(tasks.clone(), LocalOnly::new()).unwrap();
+                let naive = Scheduler::new(&p)
+                    .run(tasks.clone(), LocalOnly::new())
+                    .unwrap();
                 let policy = ClassRanked::model_driven(&p).unwrap();
                 let smart = Scheduler::new(&p).run(tasks, policy).unwrap();
                 smart.mean_latency_s() / naive.mean_latency_s()
@@ -390,7 +467,9 @@ mod tests {
     fn observed_episode_matches_plain_and_emits_series() {
         let p = platform();
         let tasks = poisson(6, 1.0, MixProfile::Uniform, 7);
-        let plain = Scheduler::new(&p).run(tasks.clone(), SpreadAll::new()).unwrap();
+        let plain = Scheduler::new(&p)
+            .run(tasks.clone(), SpreadAll::new())
+            .unwrap();
         let obs = numa_obs::Obs::new();
         let observed = Scheduler::new(&p)
             .observe(obs.clone())
@@ -398,10 +477,15 @@ mod tests {
             .unwrap();
         assert_eq!(plain, observed);
         assert_eq!(
-            obs.counter("numio_flow_completions_total", &[("component", "sched")]).get(),
+            obs.counter("numio_flow_completions_total", &[("component", "sched")])
+                .get(),
             6
         );
-        assert!(obs.counter("numio_alloc_rounds_total", &[("component", "sched")]).get() >= 6);
+        assert!(
+            obs.counter("numio_alloc_rounds_total", &[("component", "sched")])
+                .get()
+                >= 6
+        );
         let prom = obs.prometheus();
         assert!(
             prom.contains("numio_episode_latency_seconds_count{policy=\"spread-all\"} 6"),
@@ -419,9 +503,13 @@ mod tests {
         let tasks = poisson(12, 0.5, MixProfile::Ingest, 21);
         let policy = ModelDrivenMigrating::new(ClassRanked::model_driven(&p).unwrap(), 1.0, 2);
         let obs = numa_obs::Obs::new();
-        let report = Scheduler::new(&p).observe(obs.clone()).run(tasks, policy).unwrap();
+        let report = Scheduler::new(&p)
+            .observe(obs.clone())
+            .run(tasks, policy)
+            .unwrap();
         assert_eq!(
-            obs.counter("numio_migrations_total", &[("component", "sched")]).get(),
+            obs.counter("numio_migrations_total", &[("component", "sched")])
+                .get(),
             u64::from(report.migrations)
         );
         if report.migrations > 0 {
@@ -433,7 +521,9 @@ mod tests {
     fn episodes_are_deterministic() {
         let p = platform();
         let tasks = poisson(8, 1.0, MixProfile::Serve, 3);
-        let a = Scheduler::new(&p).run(tasks.clone(), SpreadAll::new()).unwrap();
+        let a = Scheduler::new(&p)
+            .run(tasks.clone(), SpreadAll::new())
+            .unwrap();
         let b = Scheduler::new(&p).run(tasks, SpreadAll::new()).unwrap();
         assert_eq!(a, b);
     }
@@ -446,8 +536,14 @@ mod tests {
         // task finishes no later with its weight than without.
         let p = platform();
         let tasks = crate::trace::premium_burst(9, crate::trace::MixProfile::Ingest, 2);
-        let stripped: Vec<IoTask> =
-            tasks.iter().cloned().map(|mut t| { t.weight = 1.0; t }).collect();
+        let stripped: Vec<IoTask> = tasks
+            .iter()
+            .cloned()
+            .map(|mut t| {
+                t.weight = 1.0;
+                t
+            })
+            .collect();
         let weighted = Scheduler::new(&p)
             .run(tasks.clone(), ClassRanked::model_driven(&p).unwrap())
             .unwrap();
@@ -472,7 +568,10 @@ mod tests {
                 }
             }
         }
-        assert!(helped >= 1, "weights should speed up at least one premium task");
+        assert!(
+            helped >= 1,
+            "weights should speed up at least one premium task"
+        );
     }
 
     /// A platform whose topology carries no devices at all: every NIC job
@@ -503,15 +602,21 @@ mod tests {
             .run(tasks, LocalOnly::new())
             .unwrap_err();
         match &err {
-            SchedError::AllocFailed { attempts, last_error } => {
+            SchedError::AllocFailed {
+                attempts,
+                last_error,
+            } => {
                 assert_eq!(*attempts, 3, "default policy makes three attempts");
                 assert!(last_error.contains("NIC"), "{last_error}");
             }
             other => panic!("expected AllocFailed, got {other:?}"),
         }
-        assert!(err.to_string().contains("allocation failed after 3 attempts"));
+        assert!(err
+            .to_string()
+            .contains("allocation failed after 3 attempts"));
         assert_eq!(
-            obs.counter("numio_sched_retries_total", &[("component", "sched")]).get(),
+            obs.counter("numio_sched_retries_total", &[("component", "sched")])
+                .get(),
             3
         );
         assert!(obs.jsonl().contains("\"ev\":\"alloc_retry\""));
@@ -520,7 +625,7 @@ mod tests {
     #[test]
     fn retry_policy_is_tunable_and_deterministic() {
         use crate::error::SchedError;
-use crate::fallback::RetryPolicy;
+        use crate::fallback::RetryPolicy;
         use numa_iodev::NicOp;
         let p = deviceless_platform();
         let tasks = vec![IoTask::new(0.0, Workload::Nic(NicOp::RdmaWrite), 1, 1.0)];
@@ -537,18 +642,31 @@ use crate::fallback::RetryPolicy;
         use numa_iodev::NicOp;
         let p = platform();
         let tasks = vec![IoTask::new(0.0, Workload::Nic(NicOp::RdmaWrite), 2, 23.3)];
-        let via_new = Scheduler::new(&p).run(tasks.clone(), LocalOnly::new()).unwrap();
-        let via_fabric =
-            Scheduler::for_fabric(p.fabric()).run(tasks.clone(), LocalOnly::new()).unwrap();
-        let via_backend =
-            Scheduler::for_backend(&p).unwrap().run(tasks, LocalOnly::new()).unwrap();
+        let via_new = Scheduler::new(&p)
+            .run(tasks.clone(), LocalOnly::new())
+            .unwrap();
+        let via_fabric = Scheduler::for_fabric(p.fabric())
+            .run(tasks.clone(), LocalOnly::new())
+            .unwrap();
+        let via_backend = Scheduler::for_backend(&p)
+            .unwrap()
+            .run(tasks, LocalOnly::new())
+            .unwrap();
         assert_eq!(via_new, via_fabric);
         assert_eq!(via_new, via_backend);
         // A fabric-less backend is a typed error, not a panic.
         let host = numio_core::HostPlatform::with_shape(8, 4);
         let err = Scheduler::for_backend(&host).unwrap_err();
-        assert_eq!(err, SchedError::NoFabric { label: "host:8-nodes".to_string() });
-        assert!(err.to_string().contains("no fabric to schedule over"), "{err}");
+        assert_eq!(
+            err,
+            SchedError::NoFabric {
+                label: "host:8-nodes".to_string()
+            }
+        );
+        assert!(
+            err.to_string().contains("no fabric to schedule over"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -38,7 +38,14 @@ pub struct IoTask {
 impl IoTask {
     /// A best-effort task.
     pub fn new(arrival_s: f64, workload: Workload, streams: u32, volume_gbytes: f64) -> Self {
-        IoTask { arrival_s, workload, streams, volume_gbytes, weight: 1.0, deadline_s: None }
+        IoTask {
+            arrival_s,
+            workload,
+            streams,
+            volume_gbytes,
+            weight: 1.0,
+            deadline_s: None,
+        }
     }
 
     /// Mark as premium: boosted share plus an SLA deadline after arrival.
@@ -103,7 +110,10 @@ mod tests {
     fn direction_classification() {
         let t = IoTask::new(0.0, Workload::Nic(NicOp::RdmaWrite), 2, 10.0);
         assert!(t.to_device());
-        let r = IoTask { workload: Workload::Nic(NicOp::RdmaRead), ..t.clone() };
+        let r = IoTask {
+            workload: Workload::Nic(NicOp::RdmaRead),
+            ..t.clone()
+        };
         assert!(!r.to_device());
         let s = IoTask {
             workload: Workload::Ssd {

@@ -19,7 +19,11 @@ pub enum MixProfile {
 
 impl MixProfile {
     fn draw(self, rng: &mut SplitMix64) -> Workload {
-        let ssd = |write| Workload::Ssd { write, engine: IoEngine::paper(), direct: true };
+        let ssd = |write| Workload::Ssd {
+            write,
+            engine: IoEngine::paper(),
+            direct: true,
+        };
         match self {
             MixProfile::Ingest => match rng.below(3) {
                 0 => Workload::Nic(NicOp::RdmaRead),
@@ -55,7 +59,12 @@ pub fn poisson(n: usize, mean_gap_s: f64, mix: MixProfile, seed: u64) -> Vec<IoT
             // Inverse-CDF exponential draw.
             let u = rng.range_f64(1e-9, 1.0);
             t += -mean_gap_s * u.ln();
-            IoTask::new(t, mix.draw(&mut rng), 1 + rng.below(4) as u32, rng.range_f64(8.0, 24.0))
+            IoTask::new(
+                t,
+                mix.draw(&mut rng),
+                1 + rng.below(4) as u32,
+                rng.range_f64(8.0, 24.0),
+            )
         })
         .collect()
 }
@@ -89,7 +98,14 @@ pub fn premium_burst(n: usize, mix: MixProfile, seed: u64) -> Vec<IoTask> {
 pub fn burst(n: usize, mix: MixProfile, seed: u64) -> Vec<IoTask> {
     let mut rng = SplitMix64::new(seed);
     (0..n)
-        .map(|_| IoTask::new(0.0, mix.draw(&mut rng), 1 + rng.below(4) as u32, rng.range_f64(10.0, 20.0)))
+        .map(|_| {
+            IoTask::new(
+                0.0,
+                mix.draw(&mut rng),
+                1 + rng.below(4) as u32,
+                rng.range_f64(10.0, 20.0),
+            )
+        })
         .collect()
 }
 

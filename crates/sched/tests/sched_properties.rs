@@ -20,12 +20,18 @@ fn every_trace_drains_under_every_policy() {
         for report in [
             scheduler.run(tasks.clone(), LocalOnly::new()).unwrap(),
             scheduler.run(tasks.clone(), SpreadAll::new()).unwrap(),
-            scheduler.run(tasks.clone(), ClassRanked::model_driven(&platform).unwrap()).unwrap(),
+            scheduler
+                .run(tasks.clone(), ClassRanked::model_driven(&platform).unwrap())
+                .unwrap(),
         ] {
             assert_eq!(report.outcomes.len(), n, "case {case}: {}", report.policy);
             // Conservation: total volume equals the trace volume.
             let vol: f64 = report.outcomes.iter().map(|o| o.volume_gbit).sum();
-            assert!((vol - report.total_gbit).abs() < 1e-6, "case {case}: {}", report.policy);
+            assert!(
+                (vol - report.total_gbit).abs() < 1e-6,
+                "case {case}: {}",
+                report.policy
+            );
             // Causality: nothing finishes before it arrives; makespan is
             // the last finish.
             let mut last = 0.0f64;
@@ -33,7 +39,11 @@ fn every_trace_drains_under_every_policy() {
                 assert!(o.finish_s > o.arrival_s, "case {case}: {}", report.policy);
                 last = last.max(o.finish_s);
             }
-            assert!((last - report.makespan_s).abs() < 1e-9, "case {case}: {}", report.policy);
+            assert!(
+                (last - report.makespan_s).abs() < 1e-9,
+                "case {case}: {}",
+                report.policy
+            );
         }
     }
 }
@@ -85,8 +95,13 @@ fn burst_makespan_dominates_serial_floor() {
         let mut rng = SplitMix64::new(case);
         let n = 2 + rng.below(6) as usize;
         let tasks = trace::burst(n, trace::MixProfile::Serve, rng.next_u64());
-        let report = Scheduler::new(&platform).run(tasks.clone(), SpreadAll::new()).unwrap();
-        let biggest = tasks.iter().map(|t| t.volume_gbytes * 8.0 / 34.7).fold(0.0f64, f64::max);
+        let report = Scheduler::new(&platform)
+            .run(tasks.clone(), SpreadAll::new())
+            .unwrap();
+        let biggest = tasks
+            .iter()
+            .map(|t| t.volume_gbytes * 8.0 / 34.7)
+            .fold(0.0f64, f64::max);
         assert!(
             report.makespan_s >= biggest - 1e-6,
             "case {case}: {} < {biggest}",

@@ -104,6 +104,5 @@ pub use proto::{
 };
 pub use server::{spawn, spawn_with, ServeConfig, ServerHandle};
 pub use service::{
-    write_response, ModelService, BATCH_SIZE_METRIC, DEFAULT_DRIFT_THRESHOLD,
-    SERVE_SECONDS_METRIC,
+    write_response, ModelService, BATCH_SIZE_METRIC, DEFAULT_DRIFT_THRESHOLD, SERVE_SECONDS_METRIC,
 };

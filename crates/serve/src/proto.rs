@@ -494,7 +494,8 @@ mod tests {
                 mix: vec![(0, 1)]
             }
         );
-        let req = decode_request(r#"{"op":"predict_batch","mixes":[[[0,1]],[[2,1],[3,2]]]}"#).unwrap();
+        let req =
+            decode_request(r#"{"op":"predict_batch","mixes":[[[0,1]],[[2,1],[3,2]]]}"#).unwrap();
         assert_eq!(
             req,
             Request::PredictBatch {
@@ -577,7 +578,12 @@ mod tests {
     #[test]
     fn simulate_round_trips_both_ways() {
         let req = decode_request(r#"{"op":"simulate","workload":"batch:n=4"}"#).unwrap();
-        assert_eq!(req, Request::Simulate { workload: "batch:n=4".into() });
+        assert_eq!(
+            req,
+            Request::Simulate {
+                workload: "batch:n=4".into()
+            }
+        );
         let resp = Response::Simulate {
             flows: 100,
             makespan_s: 2.5,
@@ -605,7 +611,13 @@ mod tests {
             .op(),
             "fleet_place"
         );
-        assert_eq!(Request::Simulate { workload: "batch:n=1".into() }.op(), "simulate");
+        assert_eq!(
+            Request::Simulate {
+                workload: "batch:n=1".into()
+            }
+            .op(),
+            "simulate"
+        );
         assert_eq!(
             Request::PredictBatch {
                 device: None,

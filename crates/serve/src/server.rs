@@ -188,7 +188,8 @@ where
     let depth = config.resolved_queue_depth();
 
     let obs = service.obs();
-    obs.gauge("numio_serve_workers", &[]).set(num_workers as f64);
+    obs.gauge("numio_serve_workers", &[])
+        .set(num_workers as f64);
     obs.gauge("numio_serve_queue_depth", &[]).set(depth as f64);
 
     // Spawn the pool up front; the accept thread owns the handles so
@@ -224,7 +225,10 @@ where
             next_conn += 1;
             let conn = next_conn;
             let limit = config.max_connections;
-            let live: usize = shards.iter().map(|s| s.registered.load(Ordering::SeqCst)).sum();
+            let live: usize = shards
+                .iter()
+                .map(|s| s.registered.load(Ordering::SeqCst))
+                .sum();
             if limit > 0 && live >= limit {
                 refuse(&service, stream, conn, limit, &mut scratch);
                 continue;

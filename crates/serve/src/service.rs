@@ -53,8 +53,12 @@ struct HotMetrics {
 
 impl HotMetrics {
     fn resolve(obs: &Obs, backend: &str) -> Self {
-        let counter =
-            |op| obs.counter("numio_serve_requests_total", &[("op", op), ("backend", backend)]);
+        let counter = |op| {
+            obs.counter(
+                "numio_serve_requests_total",
+                &[("op", op), ("backend", backend)],
+            )
+        };
         let ok_seconds = |op| {
             obs.histogram(
                 SERVE_SECONDS_METRIC,
@@ -646,7 +650,9 @@ impl<P: Platform> ModelService<P> {
                 let report = numa_engine::Simulation::new(fabric)
                     .workload(workload)
                     .run()
-                    .map_err(|e| ServeError::BadRequest { reason: e.to_string() })?;
+                    .map_err(|e| ServeError::BadRequest {
+                        reason: e.to_string(),
+                    })?;
                 let stats = report.fct_stats();
                 Ok(Response::Simulate {
                     flows: report.flows.len(),
@@ -736,8 +742,10 @@ pub fn write_response(resp: &Response, out: &mut Vec<u8>) {
 /// Canonical order for a fault view: sorted by serialized form, deduped —
 /// the same canonicalization [`crate::cache::fault_view_hash`] applies.
 fn canonical_kinds(kinds: &[FaultKind]) -> Vec<FaultKind> {
-    let mut tagged: Vec<(String, FaultKind)> =
-        kinds.iter().map(|k| (numa_par::json::to_string(k), *k)).collect();
+    let mut tagged: Vec<(String, FaultKind)> = kinds
+        .iter()
+        .map(|k| (numa_par::json::to_string(k), *k))
+        .collect();
     tagged.sort_by(|a, b| a.0.cmp(&b.0));
     tagged.dedup_by(|a, b| a.0 == b.0);
     tagged.into_iter().map(|(_, k)| k).collect()
@@ -956,7 +964,9 @@ mod tests {
         assert!(mean_slowdown >= 1.0 - 1e-9, "{mean_slowdown}");
         assert_eq!(fct_digest.len(), 16, "{fct_digest}");
         // A malformed spec is an error reply, not a panic.
-        let bad = svc.handle(&Request::Simulate { workload: "uniform:n=1".into() });
+        let bad = svc.handle(&Request::Simulate {
+            workload: "uniform:n=1".into(),
+        });
         assert!(matches!(bad, Response::Error { .. }), "{bad:?}");
     }
 
@@ -1131,13 +1141,19 @@ mod tests {
         let Response::FleetStats { shards } = resp else {
             panic!("unexpected reply: {resp:?}");
         };
-        assert_eq!(shards.iter().map(|s| s.host).collect::<Vec<_>>(), vec![1, 2]);
+        assert_eq!(
+            shards.iter().map(|s| s.host).collect::<Vec<_>>(),
+            vec![1, 2]
+        );
         for s in &shards {
             assert_eq!((s.hits, s.misses), (1, 1), "shard {}", s.host);
         }
         // The stats reply carries the same shard block.
         let resp = svc.handle(&Request::Stats);
-        let Response::Stats { shards: in_stats, .. } = resp else {
+        let Response::Stats {
+            shards: in_stats, ..
+        } = resp
+        else {
             panic!("unexpected reply: {resp:?}");
         };
         assert_eq!(in_stats, shards);

@@ -31,8 +31,8 @@ impl PcieGen {
     /// Encoding efficiency (payload bits per wire bit).
     pub fn encoding_efficiency(self) -> f64 {
         match self {
-            PcieGen::Gen1 | PcieGen::Gen2 => 0.8,    // 8b/10b
-            PcieGen::Gen3 => 128.0 / 130.0,          // 128b/130b
+            PcieGen::Gen1 | PcieGen::Gen2 => 0.8, // 8b/10b
+            PcieGen::Gen3 => 128.0 / 130.0,       // 128b/130b
         }
     }
 }
@@ -51,7 +51,10 @@ numa_par::json_struct! {
 impl PcieInterface {
     /// Gen 2 x8: the testbed slot for both the ConnectX-3 NIC and the LSI
     /// Nytro WarpDrive cards (Table II).
-    pub const GEN2_X8: PcieInterface = PcieInterface { gen: PcieGen::Gen2, lanes: 8 };
+    pub const GEN2_X8: PcieInterface = PcieInterface {
+        gen: PcieGen::Gen2,
+        lanes: 8,
+    };
 
     /// Effective data bandwidth in Gbit/s after encoding overhead.
     ///
@@ -94,12 +97,20 @@ numa_par::json_struct! {
 impl DeviceSpec {
     /// The testbed NIC: ConnectX-3 on Gen2 x8 at node `attached_to`.
     pub fn nic(attached_to: NodeId) -> Self {
-        DeviceSpec { kind: DeviceKind::Nic, attached_to, pcie: PcieInterface::GEN2_X8 }
+        DeviceSpec {
+            kind: DeviceKind::Nic,
+            attached_to,
+            pcie: PcieInterface::GEN2_X8,
+        }
     }
 
     /// A testbed SSD card: LSI Nytro on Gen2 x8 at node `attached_to`.
     pub fn ssd(attached_to: NodeId) -> Self {
-        DeviceSpec { kind: DeviceKind::Ssd, attached_to, pcie: PcieInterface::GEN2_X8 }
+        DeviceSpec {
+            kind: DeviceKind::Ssd,
+            attached_to,
+            pcie: PcieInterface::GEN2_X8,
+        }
     }
 }
 
@@ -115,7 +126,10 @@ mod tests {
 
     #[test]
     fn gen3_uses_denser_encoding() {
-        let g3 = PcieInterface { gen: PcieGen::Gen3, lanes: 8 };
+        let g3 = PcieInterface {
+            gen: PcieGen::Gen3,
+            lanes: 8,
+        };
         assert!(g3.effective_gbps() > 60.0);
         assert!(PcieGen::Gen3.encoding_efficiency() > PcieGen::Gen2.encoding_efficiency());
     }

@@ -29,7 +29,13 @@ pub fn slit_matrix(topo: &Topology) -> Vec<Vec<u32>> {
         .into_iter()
         .map(|row| {
             row.into_iter()
-                .map(|h| if h == 0 { SLIT_LOCAL } else { SLIT_LOCAL + 6 * h })
+                .map(|h| {
+                    if h == 0 {
+                        SLIT_LOCAL
+                    } else {
+                        SLIT_LOCAL + 6 * h
+                    }
+                })
                 .collect()
         })
         .collect()
@@ -68,9 +74,9 @@ pub fn mean_remote_hops(topo: &Topology) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::PackageId;
     use crate::link::HtWidth;
     use crate::node::NodeSpec;
-    use crate::ids::PackageId;
 
     fn line3() -> Topology {
         let mut b = Topology::builder("line3");

@@ -93,7 +93,10 @@ impl fmt::Display for TopologyError {
                 write!(f, "device {device:?} attached to nonexistent node {node:?}")
             }
             TopologyError::Disconnected { unreachable } => {
-                write!(f, "coherent fabric is disconnected: {unreachable:?} unreachable")
+                write!(
+                    f,
+                    "coherent fabric is disconnected: {unreachable:?} unreachable"
+                )
             }
             TopologyError::PackageOutOfRange { node } => {
                 write!(f, "node {node:?} assigned to nonexistent package")
@@ -120,9 +123,15 @@ mod tests {
 
     #[test]
     fn display_mentions_ids() {
-        let e = TopologyError::Disconnected { unreachable: NodeId(5) };
+        let e = TopologyError::Disconnected {
+            unreachable: NodeId(5),
+        };
         assert!(e.to_string().contains("N5"));
-        let e = TopologyError::PortBudgetExceeded { node: NodeId(7), used: 5, budget: 4 };
+        let e = TopologyError::PortBudgetExceeded {
+            node: NodeId(7),
+            used: 5,
+            budget: 4,
+        };
         assert!(e.to_string().contains("5"));
         assert!(e.to_string().contains("budget is 4"));
     }

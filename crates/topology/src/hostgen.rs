@@ -174,7 +174,9 @@ pub struct TopoGen {
 impl TopoGen {
     /// Start from the default [`HostSpec`].
     pub fn new(name: impl Into<String>) -> Self {
-        TopoGen { spec: HostSpec::new(name) }
+        TopoGen {
+            spec: HostSpec::new(name),
+        }
     }
 
     /// Wrap an existing spec.
@@ -191,8 +193,11 @@ impl TopoGen {
         let sockets = [2u16, 4, 8][(next() % 3) as usize];
         let nodes_per_socket = [1u16, 2, 4][(next() % 3) as usize];
         let wiring = {
-            let choices: Vec<Wiring> =
-                Wiring::ALL.iter().copied().filter(|w| w.supports(sockets)).collect();
+            let choices: Vec<Wiring> = Wiring::ALL
+                .iter()
+                .copied()
+                .filter(|w| w.supports(sockets))
+                .collect();
             choices[(next() % choices.len() as u64) as usize]
         };
         let n = sockets * nodes_per_socket;
@@ -330,7 +335,9 @@ impl TopoGen {
 }
 
 fn invalid(reason: impl Into<String>) -> TopologyError {
-    TopologyError::InvalidSpec { reason: reason.into() }
+    TopologyError::InvalidSpec {
+        reason: reason.into(),
+    }
 }
 
 fn build_from_spec(spec: &HostSpec) -> Result<Topology, TopologyError> {
@@ -348,7 +355,9 @@ fn build_from_spec(spec: &HostSpec) -> Result<Topology, TopologyError> {
     for (what, node) in [("io_node", spec.io_node), ("os_home", spec.os_home)] {
         if let Some(id) = node {
             if id >= n {
-                return Err(invalid(format!("{what} {id} out of range (host has {n} nodes)")));
+                return Err(invalid(format!(
+                    "{what} {id} out of range (host has {n} nodes)"
+                )));
             }
         }
     }
@@ -383,7 +392,11 @@ fn build_from_spec(spec: &HostSpec) -> Result<Topology, TopologyError> {
         let base = socket * k;
         for i in 0..k {
             for j in (i + 1)..k {
-                b.link(NodeId::new(base + i), NodeId::new(base + j), spec.intra_width);
+                b.link(
+                    NodeId::new(base + i),
+                    NodeId::new(base + j),
+                    spec.intra_width,
+                );
             }
         }
     }
@@ -391,14 +404,13 @@ fn build_from_spec(spec: &HostSpec) -> Result<Topology, TopologyError> {
     // Inter-socket links, per wiring family. Each socket pair (a, b) gets
     // one link per die index d: (a*k + d, b*k + d) — except BoardRing,
     // which chains boards with a single narrow link.
-    let die_links =
-        |b: &mut TopologyBuilder, pairs: &[(usize, usize)], width: HtWidth| {
-            for &(sa, sb) in pairs {
-                for d in 0..k {
-                    b.link(NodeId::new(sa * k + d), NodeId::new(sb * k + d), width);
-                }
+    let die_links = |b: &mut TopologyBuilder, pairs: &[(usize, usize)], width: HtWidth| {
+        for &(sa, sb) in pairs {
+            for d in 0..k {
+                b.link(NodeId::new(sa * k + d), NodeId::new(sb * k + d), width);
             }
-        };
+        }
+    };
     match spec.wiring {
         Wiring::FullMesh => {
             let mut pairs = Vec::new();
@@ -527,15 +539,21 @@ mod tests {
 
     #[test]
     fn sample_specs_vary() {
-        let specs: Vec<HostSpec> =
-            (0..32).map(|s| TopoGen::sample("h", s).spec().clone()).collect();
+        let specs: Vec<HostSpec> = (0..32)
+            .map(|s| TopoGen::sample("h", s).spec().clone())
+            .collect();
         assert!(specs.iter().any(|s| s.sockets != specs[0].sockets));
         assert!(specs.iter().any(|s| s.wiring != specs[0].wiring));
     }
 
     #[test]
     fn devices_attach_to_io_node() {
-        let t = TopoGen::new("dev").io_node(7).nics(1).ssds(2).build().unwrap();
+        let t = TopoGen::new("dev")
+            .io_node(7)
+            .nics(1)
+            .ssds(2)
+            .build()
+            .unwrap();
         assert_eq!(t.devices().len(), 3);
         assert_eq!(t.io_hub_nodes(), vec![NodeId(7)]);
     }
@@ -556,7 +574,11 @@ mod tests {
     fn invalid_specs_are_typed_errors() {
         let e = TopoGen::new("x").sockets(0).build().unwrap_err();
         assert!(matches!(e, TopologyError::InvalidSpec { .. }), "{e:?}");
-        let e = TopoGen::new("x").sockets(2).wiring(Wiring::Ladder).build().unwrap_err();
+        let e = TopoGen::new("x")
+            .sockets(2)
+            .wiring(Wiring::Ladder)
+            .build()
+            .unwrap_err();
         assert!(e.to_string().contains("ladder"), "{e}");
         let e = TopoGen::new("x").io_node(99).build().unwrap_err();
         assert!(e.to_string().contains("io_node"), "{e}");

@@ -72,7 +72,12 @@ impl Link {
     /// Create a coherent link, normalizing endpoint order.
     pub fn coherent(x: NodeId, y: NodeId, width: HtWidth) -> Self {
         let (a, b) = if x <= y { (x, y) } else { (y, x) };
-        Link { a, b, width, kind: LinkKind::Coherent }
+        Link {
+            a,
+            b,
+            width,
+            kind: LinkKind::Coherent,
+        }
     }
 
     /// Does this link touch `n`?

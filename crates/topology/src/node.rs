@@ -97,7 +97,9 @@ mod tests {
 
     #[test]
     fn builder_flags_compose() {
-        let n = NodeSpec::magny_cours(PackageId(3)).with_io_hub().with_os_home();
+        let n = NodeSpec::magny_cours(PackageId(3))
+            .with_io_hub()
+            .with_os_home();
         assert!(n.has_io_hub);
         assert!(n.os_home);
         assert_eq!(n.package, PackageId(3));
@@ -105,7 +107,9 @@ mod tests {
 
     #[test]
     fn overrides_apply() {
-        let n = NodeSpec::magny_cours(PackageId(0)).with_cores(8).with_dram_mib(16384);
+        let n = NodeSpec::magny_cours(PackageId(0))
+            .with_cores(8)
+            .with_dram_mib(16384);
         assert_eq!(n.cores, 8);
         assert_eq!(n.dram_mib, 16384);
     }

@@ -324,7 +324,11 @@ mod tests {
             let mut b = Topology::builder("intel-4s4n");
             let ids: Vec<NodeId> = (0..4)
                 .map(|i| {
-                    b.node(NodeSpec::magny_cours(PackageId(i)).with_cores(8).with_dram_mib(8192))
+                    b.node(
+                        NodeSpec::magny_cours(PackageId(i))
+                            .with_cores(8)
+                            .with_dram_mib(8192),
+                    )
                 })
                 .collect();
             for i in 0..4 {
@@ -357,8 +361,9 @@ mod tests {
 
         fn handbuilt_amd_8s8n() -> Topology {
             let mut b = Topology::builder("amd-8s8n");
-            let ids: Vec<NodeId> =
-                (0..8).map(|i| b.node(NodeSpec::magny_cours(PackageId(i)))).collect();
+            let ids: Vec<NodeId> = (0..8)
+                .map(|i| b.node(NodeSpec::magny_cours(PackageId(i))))
+                .collect();
             b.link(ids[0], ids[1], HtWidth::W8);
             b.link(ids[1], ids[2], HtWidth::W8);
             b.link(ids[2], ids[3], HtWidth::W8);
@@ -372,8 +377,9 @@ mod tests {
 
         fn handbuilt_blade32() -> Topology {
             let mut b = Topology::builder("blade32");
-            let ids: Vec<NodeId> =
-                (0..32).map(|i| b.node(NodeSpec::magny_cours(PackageId(i / 4)))).collect();
+            let ids: Vec<NodeId> = (0..32)
+                .map(|i| b.node(NodeSpec::magny_cours(PackageId(i / 4))))
+                .collect();
             for board in 0..8 {
                 let base = board * 4;
                 for i in 0..4 {
@@ -493,12 +499,18 @@ mod tests {
     fn dl585_from7_routes_are_bfs_defaults() {
         let t = dl585_testbed();
         let rt = dl585_routes(&t);
-        assert_eq!(rt.route(NodeId(7), NodeId(4)).nodes(), &[NodeId(7), NodeId(5), NodeId(4)]);
+        assert_eq!(
+            rt.route(NodeId(7), NodeId(4)).nodes(),
+            &[NodeId(7), NodeId(5), NodeId(4)]
+        );
         assert_eq!(
             rt.route(NodeId(7), NodeId(0)).nodes(),
             &[NodeId(7), NodeId(3), NodeId(1), NodeId(0)]
         );
-        assert_eq!(rt.route(NodeId(7), NodeId(2)).nodes(), &[NodeId(7), NodeId(3), NodeId(2)]);
+        assert_eq!(
+            rt.route(NodeId(7), NodeId(2)).nodes(),
+            &[NodeId(7), NodeId(3), NodeId(2)]
+        );
     }
 
     #[test]
@@ -544,7 +556,10 @@ mod tests {
             .map(|(a, b)| t.hop_distance(NodeId(a), NodeId(b)))
             .max()
             .unwrap();
-        assert!(max_hops >= 4, "blade should have distant boards, got {max_hops}");
+        assert!(
+            max_hops >= 4,
+            "blade should have distant boards, got {max_hops}"
+        );
     }
 
     #[test]

@@ -68,8 +68,16 @@ pub fn render_dot(topo: &Topology) -> String {
     let _ = writeln!(out, "  layout=circo;");
     for n in topo.node_ids() {
         let spec = topo.node(n);
-        let shape = if spec.has_io_hub { "doublecircle" } else { "circle" };
-        let _ = writeln!(out, "  n{n} [label=\"N{n}\\nP{}\" shape={shape}];", spec.package);
+        let shape = if spec.has_io_hub {
+            "doublecircle"
+        } else {
+            "circle"
+        };
+        let _ = writeln!(
+            out,
+            "  n{n} [label=\"N{n}\\nP{}\" shape={shape}];",
+            spec.package
+        );
     }
     for l in topo.links() {
         let style = match l.width {

@@ -38,7 +38,10 @@ impl DirectedEdge {
 
     /// The opposite direction.
     pub fn reversed(self) -> Self {
-        DirectedEdge { from: self.to, to: self.from }
+        DirectedEdge {
+            from: self.to,
+            to: self.from,
+        }
     }
 }
 
@@ -76,9 +79,7 @@ impl<'a> Route<'a> {
 
     /// Directed edges traversed, in order.
     pub fn edges(self) -> impl Iterator<Item = DirectedEdge> + 'a {
-        self.nodes
-            .windows(2)
-            .map(|w| DirectedEdge::new(w[0], w[1]))
+        self.nodes.windows(2).map(|w| DirectedEdge::new(w[0], w[1]))
     }
 
     /// Is this a trivial (same-node) route?
@@ -257,7 +258,9 @@ impl RouteTable {
     fn pair(&self, i: usize) -> Route<'_> {
         let (start, len) = self.spans[i];
         let start = start as usize;
-        Route { nodes: &self.arena[start..start + len as usize] }
+        Route {
+            nodes: &self.arena[start..start + len as usize],
+        }
     }
 }
 
@@ -276,9 +279,9 @@ fn span(start: usize, len: usize) -> (u32, u32) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::PackageId;
     use crate::link::HtWidth;
     use crate::node::NodeSpec;
-    use crate::ids::PackageId;
 
     fn ring4() -> Topology {
         let mut b = Topology::builder("ring4");
@@ -332,7 +335,8 @@ mod tests {
         let t = ring4();
         let mut rt = RouteTable::bfs(&t);
         assert!(!rt.is_asymmetric());
-        rt.set_route(&t, &[NodeId(0), NodeId(3), NodeId(2)]).unwrap();
+        rt.set_route(&t, &[NodeId(0), NodeId(3), NodeId(2)])
+            .unwrap();
         assert_eq!(
             rt.route(NodeId(0), NodeId(2)).nodes(),
             &[NodeId(0), NodeId(3), NodeId(2)]
@@ -384,7 +388,10 @@ mod tests {
         let t = ring4();
         let rt = RouteTable::with_overrides(
             &t,
-            &[vec![NodeId(0), NodeId(3), NodeId(2)], vec![NodeId(1), NodeId(0), NodeId(3)]],
+            &[
+                vec![NodeId(0), NodeId(3), NodeId(2)],
+                vec![NodeId(1), NodeId(0), NodeId(3)],
+            ],
         )
         .unwrap();
         assert_eq!(rt.route(NodeId(1), NodeId(3)).hops(), 2);
@@ -406,10 +413,12 @@ mod tests {
         let mut rt = RouteTable::bfs(&t);
         let arena_len = rt.arena.len();
         // 0->2 is two hops either way round the ring: fits in place.
-        rt.set_route(&t, &[NodeId(0), NodeId(3), NodeId(2)]).unwrap();
+        rt.set_route(&t, &[NodeId(0), NodeId(3), NodeId(2)])
+            .unwrap();
         assert_eq!(rt.arena.len(), arena_len);
         // 0->1 direct is one hop; the three-hop detour is appended.
-        rt.set_route(&t, &[NodeId(0), NodeId(3), NodeId(2), NodeId(1)]).unwrap();
+        rt.set_route(&t, &[NodeId(0), NodeId(3), NodeId(2), NodeId(1)])
+            .unwrap();
         assert_eq!(rt.arena.len(), arena_len + 4);
         assert_eq!(
             rt.route(NodeId(0), NodeId(1)).nodes(),
@@ -418,12 +427,18 @@ mod tests {
         // Shrinking back reuses the appended span; no other pair moved.
         rt.set_route(&t, &[NodeId(0), NodeId(1)]).unwrap();
         assert_eq!(rt.arena.len(), arena_len + 4);
-        assert_eq!(rt.route(NodeId(0), NodeId(1)).nodes(), &[NodeId(0), NodeId(1)]);
+        assert_eq!(
+            rt.route(NodeId(0), NodeId(1)).nodes(),
+            &[NodeId(0), NodeId(1)]
+        );
         assert_eq!(
             rt.route(NodeId(0), NodeId(2)).nodes(),
             &[NodeId(0), NodeId(3), NodeId(2)]
         );
-        assert_eq!(rt.route(NodeId(2), NodeId(0)).nodes(), &[NodeId(2), NodeId(1), NodeId(0)]);
+        assert_eq!(
+            rt.route(NodeId(2), NodeId(0)).nodes(),
+            &[NodeId(2), NodeId(1), NodeId(0)]
+        );
     }
 
     #[test]

@@ -41,7 +41,9 @@ impl std::fmt::Display for SysfsError {
 impl std::error::Error for SysfsError {}
 
 fn err(message: impl Into<String>) -> SysfsError {
-    SysfsError { message: message.into() }
+    SysfsError {
+        message: message.into(),
+    }
 }
 
 /// An in-memory `/sys/devices/system/node` snapshot: relative path →
@@ -115,16 +117,20 @@ pub fn parse_cpulist(s: &str) -> Result<Vec<u32>, SysfsError> {
         }
         match part.split_once('-') {
             Some((a, b)) => {
-                let a: u32 = a.trim().parse().map_err(|_| err(format!("bad range '{part}'")))?;
-                let b: u32 = b.trim().parse().map_err(|_| err(format!("bad range '{part}'")))?;
+                let a: u32 = a
+                    .trim()
+                    .parse()
+                    .map_err(|_| err(format!("bad range '{part}'")))?;
+                let b: u32 = b
+                    .trim()
+                    .parse()
+                    .map_err(|_| err(format!("bad range '{part}'")))?;
                 if b < a {
                     return Err(err(format!("reversed range '{part}'")));
                 }
                 cores.extend(a..=b);
             }
-            None => {
-                cores.push(part.parse().map_err(|_| err(format!("bad cpu '{part}'")))?)
-            }
+            None => cores.push(part.parse().map_err(|_| err(format!("bad cpu '{part}'")))?),
         }
     }
     Ok(cores)
@@ -212,7 +218,13 @@ pub fn discover(snap: &SysfsSnapshot) -> Result<Discovered, SysfsError> {
 
     // Distance tiers over remote pairs.
     let mut remote: Vec<u32> = (0..n)
-        .flat_map(|i| slit[i].iter().enumerate().filter(move |&(j, _)| j != i).map(|(_, &d)| d))
+        .flat_map(|i| {
+            slit[i]
+                .iter()
+                .enumerate()
+                .filter(move |&(j, _)| j != i)
+                .map(|(_, &d)| d)
+        })
         .collect();
     remote.sort_unstable();
     remote.dedup();
@@ -230,8 +242,8 @@ pub fn discover(snap: &SysfsSnapshot) -> Result<Discovered, SysfsError> {
                 continue;
             }
             package[i] = next_pkg;
-            if let Some(j) = (i + 1..n)
-                .find(|&j| package[j] == usize::MAX && slit[i][j] == min_remote)
+            if let Some(j) =
+                (i + 1..n).find(|&j| package[j] == usize::MAX && slit[i][j] == min_remote)
             {
                 package[j] = next_pkg;
             }
@@ -275,15 +287,16 @@ pub fn discover(snap: &SysfsSnapshot) -> Result<Discovered, SysfsError> {
     let topology = b
         .build()
         .map_err(|e| err(format!("reconstructed graph invalid: {e}")))?;
-    Ok(Discovered { topology, slit, slit_was_flat })
+    Ok(Discovered {
+        topology,
+        slit,
+        slit_was_flat,
+    })
 }
 
 /// Discover from a real sysfs root (e.g. `/sys/devices/system/node`),
 /// optionally attaching `devices`.
-pub fn discover_from_root(
-    root: &Path,
-    devices: &[DeviceSpec],
-) -> Result<Discovered, SysfsError> {
+pub fn discover_from_root(root: &Path, devices: &[DeviceSpec]) -> Result<Discovered, SysfsError> {
     let snap = SysfsSnapshot::capture(root).map_err(|e| err(format!("{root:?}: {e}")))?;
     let mut d = discover(&snap)?;
     if !devices.is_empty() {
@@ -310,15 +323,13 @@ mod tests {
     #[allow(clippy::needless_range_loop)]
     fn four_node_snapshot() -> SysfsSnapshot {
         let mut s = SysfsSnapshot::new();
-        let slit = [
-            "10 16 22 22",
-            "16 10 22 22",
-            "22 22 10 16",
-            "22 22 16 10",
-        ];
+        let slit = ["10 16 22 22", "16 10 22 22", "22 22 10 16", "22 22 16 10"];
         for i in 0..4 {
             s = s
-                .with(&format!("node{i}/cpulist"), &format!("{}-{}", i * 4, i * 4 + 3))
+                .with(
+                    &format!("node{i}/cpulist"),
+                    &format!("{}-{}", i * 4, i * 4 + 3),
+                )
                 .with(
                     &format!("node{i}/meminfo"),
                     &format!("Node {i} MemTotal:      4194304 kB\nNode {i} MemFree: 1000 kB"),
@@ -424,7 +435,10 @@ mod tests {
         let t = &d.topology;
         use crate::topology::Locality;
         assert_eq!(t.locality(NodeId(0), NodeId(1)), Locality::Neighbour);
-        assert!(matches!(t.locality(NodeId(0), NodeId(2)), Locality::Remote(_)));
+        assert!(matches!(
+            t.locality(NodeId(0), NodeId(2)),
+            Locality::Remote(_)
+        ));
     }
 
     #[test]

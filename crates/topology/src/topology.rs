@@ -181,12 +181,17 @@ impl Topology {
     /// The other die(s) in `n`'s package (its "neighbour" nodes).
     pub fn neighbour_nodes(&self, n: NodeId) -> Vec<NodeId> {
         let p = self.nodes[n.index()].package;
-        self.package_nodes(p).into_iter().filter(|&m| m != n).collect()
+        self.package_nodes(p)
+            .into_iter()
+            .filter(|&m| m != n)
+            .collect()
     }
 
     /// Nodes that host an I/O hub.
     pub fn io_hub_nodes(&self) -> Vec<NodeId> {
-        self.node_ids().filter(|&n| self.nodes[n.index()].has_io_hub).collect()
+        self.node_ids()
+            .filter(|&n| self.nodes[n.index()].has_io_hub)
+            .collect()
     }
 
     /// The OS home node (kernel buffers, shared libraries), if marked.
@@ -277,7 +282,9 @@ impl TopologyBuilder {
 
         for (i, node) in self.nodes.iter().enumerate() {
             if node.package.index() >= self.num_packages {
-                return Err(TopologyError::PackageOutOfRange { node: NodeId::new(i) });
+                return Err(TopologyError::PackageOutOfRange {
+                    node: NodeId::new(i),
+                });
             }
         }
 
@@ -286,14 +293,23 @@ impl TopologyBuilder {
             let lid = LinkId::new(i);
             for endpoint in [link.a, link.b] {
                 if endpoint.index() >= n {
-                    return Err(TopologyError::LinkEndpointOutOfRange { link: lid, node: endpoint });
+                    return Err(TopologyError::LinkEndpointOutOfRange {
+                        link: lid,
+                        node: endpoint,
+                    });
                 }
             }
             if link.a == link.b {
-                return Err(TopologyError::SelfLink { link: lid, node: link.a });
+                return Err(TopologyError::SelfLink {
+                    link: lid,
+                    node: link.a,
+                });
             }
             if adjacency[link.a.index()].iter().any(|(p, _)| *p == link.b) {
-                return Err(TopologyError::DuplicateLink { a: link.a, b: link.b });
+                return Err(TopologyError::DuplicateLink {
+                    a: link.a,
+                    b: link.b,
+                });
             }
             adjacency[link.a.index()].push((link.b, lid));
             adjacency[link.b.index()].push((link.a, lid));
@@ -419,7 +435,10 @@ mod tests {
 
     #[test]
     fn empty_topology_rejected() {
-        assert_eq!(Topology::builder("x").build().unwrap_err(), TopologyError::Empty);
+        assert_eq!(
+            Topology::builder("x").build().unwrap_err(),
+            TopologyError::Empty
+        );
     }
 
     #[test]
@@ -427,7 +446,10 @@ mod tests {
         let mut b = Topology::builder("x");
         let n0 = b.node(NodeSpec::magny_cours(PackageId(0)));
         b.link(n0, n0, HtWidth::W8);
-        assert!(matches!(b.build().unwrap_err(), TopologyError::SelfLink { .. }));
+        assert!(matches!(
+            b.build().unwrap_err(),
+            TopologyError::SelfLink { .. }
+        ));
     }
 
     #[test]
@@ -436,7 +458,10 @@ mod tests {
         let ids = b.magny_cours_dies(2);
         b.link(ids[0], ids[1], HtWidth::W8);
         b.link(ids[1], ids[0], HtWidth::W16);
-        assert!(matches!(b.build().unwrap_err(), TopologyError::DuplicateLink { .. }));
+        assert!(matches!(
+            b.build().unwrap_err(),
+            TopologyError::DuplicateLink { .. }
+        ));
     }
 
     #[test]
@@ -496,7 +521,11 @@ mod tests {
         b.ht_port_budget(4);
         assert!(matches!(
             b.build().unwrap_err(),
-            TopologyError::PortBudgetExceeded { used: 5, budget: 4, .. }
+            TopologyError::PortBudgetExceeded {
+                used: 5,
+                budget: 4,
+                ..
+            }
         ));
     }
 

@@ -13,8 +13,9 @@ fn arb_topology(case: u64) -> Topology {
     let mut rng = SplitMix64::new(case);
     let n = 2 + rng.below(10) as usize;
     let mut b = Topology::builder(format!("prop-{n}-{case}"));
-    let ids: Vec<NodeId> =
-        (0..n).map(|i| b.node(NodeSpec::magny_cours(PackageId::new(i / 2)))).collect();
+    let ids: Vec<NodeId> = (0..n)
+        .map(|i| b.node(NodeSpec::magny_cours(PackageId::new(i / 2))))
+        .collect();
     // Spanning tree: attach node i to a random earlier node.
     for i in 1..n {
         let parent = rng.below(i as u64) as usize;
@@ -72,7 +73,11 @@ fn bfs_routes_are_valid_shortest_walks() {
                 let r: Route = rt.route(a, b);
                 assert_eq!(r.src(), a, "case {case}");
                 assert_eq!(r.dst(), b, "case {case}");
-                assert_eq!(r.hops() as u32, topo.hop_distance(a, b), "case {case}: {a:?} {b:?}");
+                assert_eq!(
+                    r.hops() as u32,
+                    topo.hop_distance(a, b),
+                    "case {case}: {a:?} {b:?}"
+                );
                 for e in r.edges() {
                     assert!(
                         topo.link_between(e.from, e.to).is_some(),

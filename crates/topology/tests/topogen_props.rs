@@ -31,7 +31,10 @@ fn sampled_specs_build_connected_hosts() {
         for a in topo.node_ids() {
             for b in topo.node_ids() {
                 let d = topo.hop_distance(a, b);
-                assert!(u64::from(d) < topo.num_nodes() as u64, "case {case}: {a:?} {b:?}");
+                assert!(
+                    u64::from(d) < topo.num_nodes() as u64,
+                    "case {case}: {a:?} {b:?}"
+                );
             }
         }
     }
@@ -40,7 +43,9 @@ fn sampled_specs_build_connected_hosts() {
 #[test]
 fn sampled_hosts_are_fully_routable() {
     for case in 0..CASES {
-        let (topo, routes) = TopoGen::sample("prop-host", host_seed(case)).build_routed().unwrap();
+        let (topo, routes) = TopoGen::sample("prop-host", host_seed(case))
+            .build_routed()
+            .unwrap();
         assert_eq!(routes.num_nodes(), topo.num_nodes(), "case {case}");
         for a in topo.node_ids() {
             for b in topo.node_ids() {
@@ -50,7 +55,10 @@ fn sampled_hosts_are_fully_routable() {
                 assert_eq!(r.is_local(), a == b, "case {case}");
                 // Every hop of the route is a real link.
                 for e in r.edges() {
-                    assert!(topo.link_between(e.from, e.to).is_some(), "case {case}: {e:?}");
+                    assert!(
+                        topo.link_between(e.from, e.to).is_some(),
+                        "case {case}: {e:?}"
+                    );
                 }
             }
         }
@@ -63,11 +71,19 @@ fn sampled_devices_attach_to_real_hub_nodes() {
         let gen = TopoGen::sample("prop-host", host_seed(case));
         let topo = gen.build().unwrap();
         let spec = gen.spec();
-        assert_eq!(topo.devices().len() as u16, spec.nics + spec.ssds, "case {case}");
+        assert_eq!(
+            topo.devices().len() as u16,
+            spec.nics + spec.ssds,
+            "case {case}"
+        );
         for d in topo.devices() {
             assert!(d.attached_to.index() < topo.num_nodes(), "case {case}");
             assert!(topo.node(d.attached_to).has_io_hub, "case {case}");
-            assert_eq!(Some(d.attached_to.index() as u16), spec.io_node, "case {case}");
+            assert_eq!(
+                Some(d.attached_to.index() as u16),
+                spec.io_node,
+                "case {case}"
+            );
         }
     }
 }
@@ -133,7 +149,12 @@ fn fold_routes(mut h: u64, routes: &RouteTable) -> u64 {
 fn route_digest_is_pinned() {
     let dl585 = presets::dl585_testbed();
     let mut h = fold_routes(FNV1A64_INIT, &presets::dl585_routes(&dl585));
-    for topo in [presets::intel_4s4n(), presets::amd_4s8n(), presets::amd_8s8n(), presets::blade32()] {
+    for topo in [
+        presets::intel_4s4n(),
+        presets::amd_4s8n(),
+        presets::amd_8s8n(),
+        presets::blade32(),
+    ] {
         h = fold_routes(h, &RouteTable::bfs(&topo));
     }
     for seed in 0..512 {

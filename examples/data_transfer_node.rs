@@ -24,7 +24,11 @@ fn workload(recv_nodes: &[NodeId], write_nodes: &[NodeId]) -> Vec<JobSpec> {
     let w = |i: usize| write_nodes[i % write_nodes.len()];
     let mut jobs = Vec::new();
     for i in 0..2 {
-        jobs.push(JobSpec::nic(NicOp::RdmaRead, r(i)).numjobs(2).size_gbytes(15.0));
+        jobs.push(
+            JobSpec::nic(NicOp::RdmaRead, r(i))
+                .numjobs(2)
+                .size_gbytes(15.0),
+        );
     }
     for i in 0..4 {
         jobs.push(JobSpec::ssd(true, w(i)).numjobs(1).size_gbytes(20.0));
@@ -50,16 +54,29 @@ fn main() {
     let modeler = IoModeler::new();
     let read_model = modeler.characterize(&platform, NodeId(7), TransferMode::Read);
     let write_model = modeler.characterize(&platform, NodeId(7), TransferMode::Write);
-    let advisor = ScheduleAdvisor { equivalence_tolerance: 0.12, avoid_irq_node: true };
+    let advisor = ScheduleAdvisor {
+        equivalence_tolerance: 0.12,
+        avoid_irq_node: true,
+    };
     let recv_nodes = advisor.eligible_nodes(&read_model);
     let write_nodes = advisor.eligible_nodes(&write_model);
     println!("read-direction classes (Table V shape):");
     for (i, c) in read_model.classes().iter().enumerate() {
-        println!("  class {}: {:?} avg {:.1} Gbit/s", i + 1, c.nodes, c.avg_gbps);
+        println!(
+            "  class {}: {:?} avg {:.1} Gbit/s",
+            i + 1,
+            c.nodes,
+            c.avg_gbps
+        );
     }
     println!("write-direction classes (Table IV shape):");
     for (i, c) in write_model.classes().iter().enumerate() {
-        println!("  class {}: {:?} avg {:.1} Gbit/s", i + 1, c.nodes, c.avg_gbps);
+        println!(
+            "  class {}: {:?} avg {:.1} Gbit/s",
+            i + 1,
+            c.nodes,
+            c.avg_gbps
+        );
     }
     println!("advised bindings: receive/read-back on {recv_nodes:?}, writes on {write_nodes:?}\n");
 

@@ -23,7 +23,9 @@ use numio::prelude::*;
 use numio::sched::IoTask;
 
 fn write_model(p: &SimPlatform) -> IoPerfModel {
-    IoModeler::new().reps(10).characterize(p, NodeId(7), TransferMode::Write)
+    IoModeler::new()
+        .reps(10)
+        .characterize(p, NodeId(7), TransferMode::Write)
 }
 
 fn main() {
@@ -36,7 +38,10 @@ fn main() {
             to: 7,
             factor: 0.25,
         }))
-        .with(FaultWindow::permanent(FaultKind::IrqStorm { node: 7, intensity: 0.5 }));
+        .with(FaultWindow::permanent(FaultKind::IrqStorm {
+            node: 7,
+            intensity: 0.5,
+        }));
     println!("fault plan:\n{}\n", plan.to_json());
 
     // Step 1: the healthy baseline — Table IV's {6,7} > {0,1,4,5} > {2,3}.
@@ -70,7 +75,9 @@ fn main() {
 
     // Step 4: the class-ranked fallback policy, built from the *degraded*
     // model, places four write streams without touching the damaged path.
-    let read = IoModeler::new().reps(10).characterize(&degraded, NodeId(7), TransferMode::Read);
+    let read = IoModeler::new()
+        .reps(10)
+        .characterize(&degraded, NodeId(7), TransferMode::Read);
     let dfab = numio::faults::degraded_fabric(healthy.fabric(), &faults).unwrap();
     let task = IoTask::new(0.0, Workload::Nic(numio::iodev::NicOp::RdmaWrite), 1, 50.0);
     let placed = ClassRanked::from_models(&after, &read).place_n(&task, 4, &dfab);
@@ -88,7 +95,10 @@ fn main() {
             FlowSpec::dma(NodeId(1), NodeId(7)).gbytes(4.0),
         ]
     };
-    let healthy_report = Simulation::new(fabric).flows(flows()).run().expect("flows admitted");
+    let healthy_report = Simulation::new(fabric)
+        .flows(flows())
+        .run()
+        .expect("flows admitted");
     let faulted_report = Simulation::new(fabric)
         .flows(flows())
         .faults(FaultInjector::new(plan))

@@ -18,7 +18,10 @@ fn main() {
     let root = Path::new("/sys/devices/system/node");
     let discovered = match sysfs::discover_from_root(root, &[]) {
         Ok(d) if d.topology.num_nodes() > 1 => {
-            println!("discovered {} NUMA nodes from {root:?}", d.topology.num_nodes());
+            println!(
+                "discovered {} NUMA nodes from {root:?}",
+                d.topology.num_nodes()
+            );
             d
         }
         other => {

@@ -13,7 +13,7 @@
 
 use numio::core::diff_models;
 use numio::fabric::calibration::{
-    dl585_pio_matrix, DL585_DMA_EDGE_CAPS, DL585_DMA_DEFAULT_W16, DL585_DMA_DEFAULT_W8,
+    dl585_pio_matrix, DL585_DMA_DEFAULT_W16, DL585_DMA_DEFAULT_W8, DL585_DMA_EDGE_CAPS,
     DL585_NODE_COPY_CAP,
 };
 use numio::fabric::PioModel;
@@ -27,7 +27,9 @@ fn degraded_fabric() -> Fabric {
     let mut b = Fabric::builder(topo, routes)
         .dma_defaults(DL585_DMA_DEFAULT_W16, DL585_DMA_DEFAULT_W8)
         .node_copy_caps(DL585_NODE_COPY_CAP)
-        .pio(PioModel::Matrix(dl585_pio_matrix(&presets::dl585_testbed())));
+        .pio(PioModel::Matrix(
+            dl585_pio_matrix(&presets::dl585_testbed()),
+        ));
     for &(f, t, cap) in DL585_DMA_EDGE_CAPS {
         let cap = if (f, t) == (6, 7) { cap * 0.6 } else { cap };
         b = b.dma_cap(f, t, cap);
@@ -56,17 +58,18 @@ fn main() {
         "day N (same hardware):  max drift {:.1}%, moves: {} -> {}",
         d.max_rel_delta * 100.0,
         d.moved.len(),
-        if d.is_stable(0.05) { "model still valid, keep using it" } else { "re-characterize" }
+        if d.is_stable(0.05) {
+            "model still valid, keep using it"
+        } else {
+            "re-characterize"
+        }
     );
 
     // Day N+1: the firmware event.
     let degraded = SimPlatform::new(degraded_fabric());
     let after = modeler.characterize(&degraded, NodeId(7), TransferMode::Write);
     let d = diff_models(&stored, &after).expect("same target/mode");
-    println!(
-        "\nday N+1 (degraded 6->7 link):\n{}",
-        d.render()
-    );
+    println!("\nday N+1 (degraded 6->7 link):\n{}", d.render());
     assert!(!d.is_stable(0.05));
     println!("verdict: DRIFTED — schedulers must stop trusting the stored classes.");
 }

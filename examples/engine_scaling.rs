@@ -29,7 +29,11 @@ fn main() {
                 .label(format!("N{i}->dev"))
         })
         .collect();
-    let jitter = JitterCfg { amplitude: 0.05, refresh_s: 0.01, ..JitterCfg::none() };
+    let jitter = JitterCfg {
+        amplitude: 0.05,
+        refresh_s: 0.01,
+        ..JitterCfg::none()
+    };
     println!(
         "{:>7} {:>6} {:>12} {:>10} {:>14} {:>12}",
         "flows", "runs", "median(ms)", "us/flow", "jitter(ms)", "jitter us/fl"
@@ -42,8 +46,11 @@ fn main() {
                 .map(|seed| {
                     let w = Workload::poisson(templates.clone(), n, 2000.0, 42 + seed);
                     let t0 = Instant::now();
-                    let report =
-                        Simulation::new(fabric).jitter(cfg).workload(w).run().expect("run");
+                    let report = Simulation::new(fabric)
+                        .jitter(cfg)
+                        .workload(w)
+                        .run()
+                        .expect("run");
                     assert_eq!(report.flows.len(), n);
                     t0.elapsed().as_secs_f64()
                 })

@@ -47,7 +47,10 @@ fn main() {
 
     // The classic STREAM report, also for real (the paper's §III-B1 sizing
     // rule: arrays at least 4x the LLC).
-    let stream = RealStream { reps: 5, ..RealStream::default() };
+    let stream = RealStream {
+        reps: 5,
+        ..RealStream::default()
+    };
     println!(
         "\nreal STREAM, {} elements x {} threads (defeats a 5 MiB LLC: {}):",
         stream.elems,
@@ -55,6 +58,11 @@ fn main() {
         stream.defeats_cache(5 << 20)
     );
     for r in stream.run_all() {
-        println!("  {:<12} best of {}: {:>7.2} Gbit/s", format!("{:?}", r.op), r.samples.len(), r.max_gbps);
+        println!(
+            "  {:<12} best of {}: {:>7.2} Gbit/s",
+            format!("{:?}", r.op),
+            r.samples.len(),
+            r.max_gbps
+        );
     }
 }

@@ -16,15 +16,30 @@ fn main() {
     let model_driven = ClassRanked::model_driven(&platform).expect("DL585 characterizes");
 
     for (label, tasks) in [
-        ("steady Poisson arrivals (ingest mix)", trace::poisson(16, 1.2, trace::MixProfile::Ingest, 2013)),
-        ("synchronized burst (ingest mix)", trace::burst(12, trace::MixProfile::Ingest, 7)),
-        ("steady Poisson arrivals (serve mix)", trace::poisson(16, 1.2, trace::MixProfile::Serve, 99)),
+        (
+            "steady Poisson arrivals (ingest mix)",
+            trace::poisson(16, 1.2, trace::MixProfile::Ingest, 2013),
+        ),
+        (
+            "synchronized burst (ingest mix)",
+            trace::burst(12, trace::MixProfile::Ingest, 7),
+        ),
+        (
+            "steady Poisson arrivals (serve mix)",
+            trace::poisson(16, 1.2, trace::MixProfile::Serve, 99),
+        ),
     ] {
         println!("== {label} ({} tasks) ==", tasks.len());
         let reports = vec![
-            scheduler.run(tasks.clone(), LocalOnly::new()).expect("episode"),
-            scheduler.run(tasks.clone(), HopGreedy::new()).expect("episode"),
-            scheduler.run(tasks.clone(), SpreadAll::new()).expect("episode"),
+            scheduler
+                .run(tasks.clone(), LocalOnly::new())
+                .expect("episode"),
+            scheduler
+                .run(tasks.clone(), HopGreedy::new())
+                .expect("episode"),
+            scheduler
+                .run(tasks.clone(), SpreadAll::new())
+                .expect("episode"),
             scheduler
                 .run(tasks.clone(), model_driven.clone())
                 .expect("episode"),

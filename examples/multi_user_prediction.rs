@@ -38,20 +38,31 @@ fn main() {
     );
     let mut worst: f64 = 0.0;
     for (op, mix) in scenarios {
-        let model = if op.to_device() { &write_model } else { &read_model };
+        let model = if op.to_device() {
+            &write_model
+        } else {
+            &read_model
+        };
         let total: u32 = mix.iter().map(|&(_, c)| c).sum();
         let terms: Vec<(f64, f64)> = mix
             .iter()
             .map(|&(node, count)| {
                 let class = &model.classes()[model.class_of(NodeId(node))];
-                (nic.map(op).eval(class.avg_gbps), count as f64 / total as f64)
+                (
+                    nic.map(op).eval(class.avg_gbps),
+                    count as f64 / total as f64,
+                )
             })
             .collect();
         let predicted = predict_aggregate(&terms);
 
         let jobs: Vec<JobSpec> = mix
             .iter()
-            .map(|&(node, count)| JobSpec::nic(op, NodeId(node)).numjobs(count).size_gbytes(40.0))
+            .map(|&(node, count)| {
+                JobSpec::nic(op, NodeId(node))
+                    .numjobs(count)
+                    .size_gbytes(40.0)
+            })
             .collect();
         let measured = run_jobs(fabric, &jobs).expect("fio run").aggregate_gbps;
         let err = relative_error(predicted, measured);

@@ -35,7 +35,10 @@ fn main() {
         .expect("batch admitted");
     println!("closed loop (batch):");
     println!("  {}", batch.fct_stats().render());
-    println!("  aggregate {:.1} Gbit/s over {:.1}s\n", batch.aggregate_gbps, batch.makespan_s);
+    println!(
+        "  aggregate {:.1} Gbit/s over {:.1}s\n",
+        batch.aggregate_gbps, batch.makespan_s
+    );
 
     // Open loop: the same 400 transfers as a seeded Poisson process at
     // 40 flows/s. Arrival gaps come from a deterministic splitmix64
@@ -65,6 +68,10 @@ fn main() {
         ))
         .run()
         .expect("workload admitted");
-    assert_eq!(report.fct_digest(), again.fct_digest(), "seeded runs replay exactly");
+    assert_eq!(
+        report.fct_digest(),
+        again.fct_digest(),
+        "seeded runs replay exactly"
+    );
     println!("\nsame seed, same bits — the run above is fully reproducible.");
 }

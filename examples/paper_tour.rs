@@ -45,19 +45,30 @@ fn main() {
     );
 
     heading("§IV-B — STREAM models fail for I/O (Figs. 5–7)");
-    let rdma_read: Vec<f64> =
-        (0..8).map(|n| nic.node_ceiling(NicOp::RdmaRead, fabric, NodeId(n))).collect();
+    let rdma_read: Vec<f64> = (0..8)
+        .map(|n| nic.node_ceiling(NicOp::RdmaRead, fabric, NodeId(n)))
+        .collect();
     let cpu_centric = StreamBench::paper().cpu_centric(fabric, NodeId(7));
     println!(
         "rank correlation of STREAM(cpu-centric) vs RDMA_READ: {:+.2} — near-useless",
         rank_correlation(&cpu_centric, &rdma_read)
     );
-    let send6 = run_jobs(fabric, &[JobSpec::nic(NicOp::TcpSend, NodeId(6)).numjobs(4).size_gbytes(5.0)])
-        .unwrap()
-        .aggregate_gbps;
-    let send7 = run_jobs(fabric, &[JobSpec::nic(NicOp::TcpSend, NodeId(7)).numjobs(4).size_gbytes(5.0)])
-        .unwrap()
-        .aggregate_gbps;
+    let send6 = run_jobs(
+        fabric,
+        &[JobSpec::nic(NicOp::TcpSend, NodeId(6))
+            .numjobs(4)
+            .size_gbytes(5.0)],
+    )
+    .unwrap()
+    .aggregate_gbps;
+    let send7 = run_jobs(
+        fabric,
+        &[JobSpec::nic(NicOp::TcpSend, NodeId(7))
+            .numjobs(4)
+            .size_gbytes(5.0)],
+    )
+    .unwrap()
+    .aggregate_gbps;
     println!("TCP send: neighbour node 6 = {send6:.1} beats local node 7 = {send7:.1} (IRQs)");
 
     heading("§V-A — the methodology (Algorithm 1, Fig. 10, Tables IV/V)");
@@ -73,7 +84,9 @@ fn main() {
         println!("{name} model: {}", classes.join(" > "));
     }
     let write_vec = write.means();
-    let ssd_write: Vec<f64> = (0..8).map(|n| ssd.node_ceiling(true, fabric, NodeId(n))).collect();
+    let ssd_write: Vec<f64> = (0..8)
+        .map(|n| ssd.node_ceiling(true, fabric, NodeId(n)))
+        .collect();
     println!(
         "memcpy model vs SSD write rank correlation: {:+.2} — the model transfers",
         rank_correlation(&write_vec, &ssd_write)
@@ -93,8 +106,12 @@ fn main() {
     let measured = run_jobs(
         fabric,
         &[
-            JobSpec::nic(NicOp::RdmaRead, NodeId(2)).numjobs(2).size_gbytes(30.0),
-            JobSpec::nic(NicOp::RdmaRead, NodeId(0)).numjobs(2).size_gbytes(30.0),
+            JobSpec::nic(NicOp::RdmaRead, NodeId(2))
+                .numjobs(2)
+                .size_gbytes(30.0),
+            JobSpec::nic(NicOp::RdmaRead, NodeId(0))
+                .numjobs(2)
+                .size_gbytes(30.0),
         ],
     )
     .unwrap()
@@ -105,7 +122,10 @@ fn main() {
     );
 
     heading("§V-B.3 — scheduler assistance");
-    let advisor = ScheduleAdvisor { equivalence_tolerance: 0.12, avoid_irq_node: true };
+    let advisor = ScheduleAdvisor {
+        equivalence_tolerance: 0.12,
+        avoid_irq_node: true,
+    };
     println!(
         "write-direction spreading set {:?}; read-direction {:?}",
         advisor.eligible_nodes(&write),

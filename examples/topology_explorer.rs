@@ -17,7 +17,10 @@ fn main() {
     for topo in presets::fig1_variants() {
         println!("--- {} ---", topo.name());
         println!("{}", render::render_localities(&topo, NodeId(7)));
-        println!("{}", render::render_matrix("from", "to", &distance::hop_matrix(&topo)));
+        println!(
+            "{}",
+            render::render_matrix("from", "to", &distance::hop_matrix(&topo))
+        );
     }
 
     // Measure the STREAM matrix on the calibrated testbed...

@@ -61,16 +61,16 @@
 
 pub use numa_backend as backend;
 pub use numa_engine as engine;
-pub use numa_faults as faults;
-pub use numa_obs as obs;
 pub use numa_fabric as fabric;
+pub use numa_faults as faults;
 pub use numa_fio as fio;
 pub use numa_iodev as iodev;
 pub use numa_memsys as memsys;
-pub use numa_topology as topology;
+pub use numa_obs as obs;
 pub use numa_sched as sched;
 pub use numa_sched::fleet;
 pub use numa_serve as serve;
+pub use numa_topology as topology;
 pub use numio_core as core;
 
 /// Workspace-level error: any failure a `numio` API can return.
@@ -240,9 +240,15 @@ mod tests {
             roundtrip(fabric::FabricError::UnknownDevice(9)),
             Error::Fabric(fabric::FabricError::UnknownDevice(9))
         ));
-        assert!(matches!(roundtrip(sched::SchedError::NoTasks), Error::Sched(_)));
+        assert!(matches!(
+            roundtrip(sched::SchedError::NoTasks),
+            Error::Sched(_)
+        ));
         assert!(matches!(roundtrip(fio::FioError::NoNic), Error::Fio(_)));
-        assert!(matches!(roundtrip(faults::FaultError::EmptyPlan), Error::Fault(_)));
+        assert!(matches!(
+            roundtrip(faults::FaultError::EmptyPlan),
+            Error::Fault(_)
+        ));
         assert!(matches!(
             roundtrip(core::PlatformError::ZeroThreads),
             Error::Platform(_)
@@ -259,7 +265,10 @@ mod tests {
             roundtrip(core::RecheckError::Diff(core::DiffError::ShapeMismatch)),
             Error::Recheck(_)
         ));
-        assert!(matches!(roundtrip(core::AtlasError::Empty), Error::Atlas(_)));
+        assert!(matches!(
+            roundtrip(core::AtlasError::Empty),
+            Error::Atlas(_)
+        ));
         assert!(matches!(
             roundtrip(serve::ServeError::BadRequest { reason: "x".into() }),
             Error::Serve(_)
@@ -297,7 +306,9 @@ mod tests {
         use crate::prelude::*;
         let platform = SimPlatform::dl585();
         let model =
-            IoModeler::new().reps(4).characterize(&platform, NodeId(7), TransferMode::Write);
+            IoModeler::new()
+                .reps(4)
+                .characterize(&platform, NodeId(7), TransferMode::Write);
         assert_eq!(model.classes().len(), 3);
         let plan = FaultPlan::demo(1);
         assert!(plan.validate().is_ok());

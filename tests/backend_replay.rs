@@ -4,8 +4,8 @@
 //! match the live run exactly.
 
 use numio::backend::{Fixture, RecordingPlatform, ReplayPlatform};
-use numio::prelude::*;
 use numio::core::IoModeler;
+use numio::prelude::*;
 use numio::topology::NodeId;
 
 const FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/results/fixtures/dl585.jsonl");
@@ -13,7 +13,9 @@ const FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/results/fixtures/dl5
 #[test]
 fn shipped_fixture_reproduces_table_iv_partition_bit_identically() {
     let obs = numio::obs::Obs::new();
-    let replay = ReplayPlatform::from_file(FIXTURE).unwrap().with_obs(obs.clone());
+    let replay = ReplayPlatform::from_file(FIXTURE)
+        .unwrap()
+        .with_obs(obs.clone());
     assert_eq!(replay.label(), "sim:dl585-g7");
     assert!(replay.deterministic());
     let topo = Platform::topology(&replay).unwrap().clone();
@@ -58,7 +60,10 @@ fn record_then_replay_full_host_matches_live_bit_identically() {
     let fixture = rec.fixture();
     let replay = ReplayPlatform::from_jsonl(&fixture.to_jsonl()).unwrap();
     let replayed = modeler.characterize_full_host(&replay);
-    assert_eq!(replayed, live, "replayed atlas must be bit-identical to the live one");
+    assert_eq!(
+        replayed, live,
+        "replayed atlas must be bit-identical to the live one"
+    );
     for (a, b) in replayed.iter().zip(&live) {
         assert_eq!(a.to_json(), b.to_json());
     }

@@ -39,7 +39,9 @@ fn uniform_fabrics_yield_few_classes() {
     // width looks alike; the classifier should find a small class count,
     // i.e. it does not hallucinate structure.
     let platform = platform_for(presets::fig1b());
-    let model = IoModeler::new().reps(5).characterize(&platform, NodeId(7), TransferMode::Write);
+    let model = IoModeler::new()
+        .reps(5)
+        .characterize(&platform, NodeId(7), TransferMode::Write);
     assert!(
         model.classes().len() <= 3,
         "uniform machine produced {} classes",
@@ -50,7 +52,9 @@ fn uniform_fabrics_yield_few_classes() {
 #[test]
 fn intel_mesh_has_single_remote_class() {
     let platform = platform_for(presets::intel_4s4n());
-    let model = IoModeler::new().reps(5).characterize(&platform, NodeId(0), TransferMode::Read);
+    let model = IoModeler::new()
+        .reps(5)
+        .characterize(&platform, NodeId(0), TransferMode::Read);
     // Full mesh, identical links: class 1 = {0} (no neighbour die), plus
     // one remote class.
     assert_eq!(model.classes().len(), 2);
@@ -63,14 +67,20 @@ fn probe_savings_grow_with_machine_size() {
     // blade32: 32 nodes collapse into a handful of classes => most probes
     // saved. This is the methodology's scaling argument.
     let platform = platform_for(presets::blade32());
-    let model = IoModeler::new().reps(3).characterize(&platform, NodeId(0), TransferMode::Write);
+    let model = IoModeler::new()
+        .reps(3)
+        .characterize(&platform, NodeId(0), TransferMode::Write);
     assert!(model.per_node.len() == 32);
     assert!(
         model.classes().len() <= 6,
         "expected few classes, got {}",
         model.classes().len()
     );
-    assert!(model.probe_savings() > 0.8, "savings {}", model.probe_savings());
+    assert!(
+        model.probe_savings() > 0.8,
+        "savings {}",
+        model.probe_savings()
+    );
 }
 
 #[test]

@@ -12,7 +12,10 @@ fn snapshot() -> sysfs::SysfsSnapshot {
     let mut s = sysfs::SysfsSnapshot::new();
     for i in 0..4 {
         s = s
-            .with(&format!("node{i}/cpulist"), &format!("{}-{}", i * 8, i * 8 + 7))
+            .with(
+                &format!("node{i}/cpulist"),
+                &format!("{}-{}", i * 8, i * 8 + 7),
+            )
             .with(
                 &format!("node{i}/meminfo"),
                 &format!("Node {i} MemTotal:  8388608 kB"),
@@ -35,7 +38,9 @@ fn discovered_machine_runs_the_full_methodology() {
     // lived there.
     let platform = SimPlatform::new(generic_fabric(topo));
     for mode in TransferMode::ALL {
-        let model = IoModeler::new().reps(5).characterize(&platform, NodeId(3), mode);
+        let model = IoModeler::new()
+            .reps(5)
+            .characterize(&platform, NodeId(3), mode);
         // Class 1 = node 3 + its discovered package sibling (node 2).
         assert_eq!(model.classes()[0].nodes, vec![NodeId(2), NodeId(3)]);
         let covered: usize = model.classes().iter().map(|c| c.nodes.len()).sum();
@@ -66,7 +71,9 @@ fn flat_slit_machines_still_characterize_with_one_remote_class() {
     let discovered = sysfs::discover(&s).unwrap();
     assert!(discovered.slit_was_flat);
     let platform = SimPlatform::new(generic_fabric(discovered.topology));
-    let model = IoModeler::new().reps(5).characterize(&platform, NodeId(0), TransferMode::Write);
+    let model = IoModeler::new()
+        .reps(5)
+        .characterize(&platform, NodeId(0), TransferMode::Write);
     // One forced class-1 ({0}: no package sibling on a flat machine) plus
     // exactly one remote class: the classifier does not invent tiers.
     assert_eq!(model.classes().len(), 2);

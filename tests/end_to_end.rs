@@ -61,12 +61,17 @@ fn prediction_over_every_two_node_mix_is_consistent() {
     let model = IoModeler::new().characterize(&platform, NodeId(7), TransferMode::Write);
     for a in 0..8u16 {
         for b in 0..8u16 {
-            let mix = WorkloadMix::new().from_node(NodeId(a), 1).from_node(NodeId(b), 3);
+            let mix = WorkloadMix::new()
+                .from_node(NodeId(a), 1)
+                .from_node(NodeId(b), 3);
             let p = numio::core::predict_for_mix(&model, &mix);
             let ca = model.classes()[model.class_of(NodeId(a))].avg_gbps;
             let cb = model.classes()[model.class_of(NodeId(b))].avg_gbps;
             let (lo, hi) = (ca.min(cb), ca.max(cb));
-            assert!(p >= lo - 1e-9 && p <= hi + 1e-9, "{a},{b}: {p} not in [{lo},{hi}]");
+            assert!(
+                p >= lo - 1e-9 && p <= hi + 1e-9,
+                "{a},{b}: {p} not in [{lo},{hi}]"
+            );
         }
     }
 }
@@ -75,11 +80,18 @@ fn prediction_over_every_two_node_mix_is_consistent() {
 fn advisor_plus_model_pipeline() {
     let platform = SimPlatform::dl585();
     let model = IoModeler::new().characterize(&platform, NodeId(7), TransferMode::Write);
-    let advisor = ScheduleAdvisor { equivalence_tolerance: 0.15, avoid_irq_node: true };
+    let advisor = ScheduleAdvisor {
+        equivalence_tolerance: 0.15,
+        avoid_irq_node: true,
+    };
     let placement = advisor.place(&model, 12);
     // All bindings must be in classes 1-2 (never the starved {2,3}).
     for &n in &placement.assignments {
-        assert!(model.class_of(n) <= 1, "task landed in class {}", model.class_of(n) + 1);
+        assert!(
+            model.class_of(n) <= 1,
+            "task landed in class {}",
+            model.class_of(n) + 1
+        );
     }
     // Spread: no node more than ceil(12/6)=2.
     assert!(placement.max_load() <= 2);

@@ -73,7 +73,9 @@ fn fio_propagates_simulation_failures() {
 fn scheduler_rejects_empty_and_reports_starvation_types() {
     use numio::sched::{policy::LocalOnly, SchedError, Scheduler};
     let platform = numio::core::SimPlatform::dl585();
-    let err = Scheduler::new(&platform).run(vec![], LocalOnly::new()).unwrap_err();
+    let err = Scheduler::new(&platform)
+        .run(vec![], LocalOnly::new())
+        .unwrap_err();
     assert_eq!(err, SchedError::NoTasks);
     assert!(err.to_string().contains("no tasks"));
 }

@@ -18,14 +18,19 @@ use numio::sched::{ClassRanked, IoTask};
 /// halving node 7's copy throughput.
 fn acceptance_faults() -> Vec<FaultKind> {
     vec![
-        FaultKind::LinkDegrade { from: 6, to: 7, factor: 0.25 },
-        FaultKind::IrqStorm { node: 7, intensity: 0.5 },
+        FaultKind::LinkDegrade {
+            from: 6,
+            to: 7,
+            factor: 0.25,
+        },
+        FaultKind::IrqStorm {
+            node: 7,
+            intensity: 0.5,
+        },
     ]
 }
 
-fn models_for(
-    platform: &SimPlatform,
-) -> (numio::core::IoPerfModel, numio::core::IoPerfModel) {
+fn models_for(platform: &SimPlatform) -> (numio::core::IoPerfModel, numio::core::IoPerfModel) {
     let m = IoModeler::new().reps(10);
     (
         m.characterize(platform, NodeId(7), TransferMode::Write),
@@ -40,7 +45,10 @@ fn seeded_faults_reorder_table_iv_classes_and_drift_detects_it() {
     // Table IV baseline: {6,7} are the best write class.
     assert_eq!(base_write.class_of(NodeId(6)), 0);
     assert_eq!(base_write.class_of(NodeId(7)), 0);
-    assert_eq!(base_write.class_of(NodeId(3)), base_write.classes().len() - 1);
+    assert_eq!(
+        base_write.class_of(NodeId(3)),
+        base_write.classes().len() - 1
+    );
 
     let degraded = degraded_platform(&healthy, &acceptance_faults()).unwrap();
     let (faulted_write, _) = models_for(&degraded);
@@ -61,7 +69,11 @@ fn seeded_faults_reorder_table_iv_classes_and_drift_detects_it() {
     let d = diff_models(&base_write, &faulted_write).unwrap();
     assert!(!d.is_stable(0.05), "{}", d.render());
     assert!(!d.moved.is_empty(), "{}", d.render());
-    assert!(d.moved.iter().any(|&(n, _, _)| n == NodeId(6)), "{:?}", d.moved);
+    assert!(
+        d.moved.iter().any(|&(n, _, _)| n == NodeId(6)),
+        "{:?}",
+        d.moved
+    );
     assert!(d.rel_delta[6] < -0.5, "rel_delta[6] = {}", d.rel_delta[6]);
     assert!(d.rel_delta[7] < -0.3, "rel_delta[7] = {}", d.rel_delta[7]);
 }
@@ -104,7 +116,11 @@ fn class_fallback_keeps_eq1_prediction_within_10_percent_post_fault() {
     }
     let jobs: Vec<JobSpec> = counts
         .iter()
-        .map(|(&n, &c)| JobSpec::nic(NicOp::RdmaWrite, n).numjobs(c).size_gbytes(50.0))
+        .map(|(&n, &c)| {
+            JobSpec::nic(NicOp::RdmaWrite, n)
+                .numjobs(c)
+                .size_gbytes(50.0)
+        })
         .collect();
     let measured = run_jobs(&dfab, &jobs).unwrap().aggregate_gbps;
     let err = relative_error(predicted, measured);
@@ -125,8 +141,7 @@ fn fault_pipeline_is_deterministic_for_a_fixed_seed() {
 
     // And so is the whole degraded re-characterization (model JSON).
     let go = || {
-        let degraded =
-            degraded_platform(&SimPlatform::dl585(), &acceptance_faults()).unwrap();
+        let degraded = degraded_platform(&SimPlatform::dl585(), &acceptance_faults()).unwrap();
         models_for(&degraded).0.to_json()
     };
     assert_eq!(go(), go());
@@ -141,7 +156,10 @@ fn every_fault_path_is_typed_never_a_panic() {
     // Malformed plan JSON -> FaultError::Parse -> numio::Error::Fault.
     let bad = FaultPlan::from_json("{\"seed\": 1, \"faults\": [{\"kind\": \"gremlins\"}]}");
     let e: numio::Error = bad.unwrap_err().into();
-    assert!(matches!(e, numio::Error::Fault(numio::faults::FaultError::Parse(_))));
+    assert!(matches!(
+        e,
+        numio::Error::Fault(numio::faults::FaultError::Parse(_))
+    ));
     assert!(e.to_string().contains("malformed fault plan"), "{e}");
 
     // A structurally valid plan against the wrong machine: typed, not a
@@ -153,13 +171,15 @@ fn every_fault_path_is_typed_never_a_panic() {
         Err(numio::faults::FaultError::UnknownLink { .. })
     ));
     let mut sim = numio::engine::Simulation::new(&fabric);
-    let plan = FaultPlan::new(9)
-        .with(numio::faults::FaultWindow::permanent(phantom[0]));
-    assert!(numio::faults::FaultInjector::new(plan).arm(&mut sim, &fabric).is_err());
+    let plan = FaultPlan::new(9).with(numio::faults::FaultWindow::permanent(phantom[0]));
+    assert!(numio::faults::FaultInjector::new(plan)
+        .arm(&mut sim, &fabric)
+        .is_err());
 
     // Empty flow set under an armed-capable sim: typed SimError.
-    let empty: Result<_, numio::Error> =
-        numio::engine::Simulation::new(&fabric).run().map_err(Into::into);
+    let empty: Result<_, numio::Error> = numio::engine::Simulation::new(&fabric)
+        .run()
+        .map_err(Into::into);
     assert!(matches!(empty.unwrap_err(), numio::Error::Sim(_)));
 
     // Out-of-range probe spec: typed PlatformError through the same funnel.

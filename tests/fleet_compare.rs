@@ -47,9 +47,18 @@ fn compare_reports_all_policies_with_sane_metrics() {
     for r in &reports {
         assert_eq!(r.hosts, HOSTS);
         assert_eq!(r.streams, STREAMS);
-        assert_eq!(r.per_host_streams.iter().sum::<usize>(), STREAMS, "{}", r.policy);
+        assert_eq!(
+            r.per_host_streams.iter().sum::<usize>(),
+            STREAMS,
+            "{}",
+            r.policy
+        );
         assert!(r.aggregate_gbps > 0.0, "{}", r.policy);
-        assert!(r.jain_fairness > 0.0 && r.jain_fairness <= 1.0 + 1e-12, "{}", r.policy);
+        assert!(
+            r.jain_fairness > 0.0 && r.jain_fairness <= 1.0 + 1e-12,
+            "{}",
+            r.policy
+        );
         assert!(r.p99_slowdown >= 1.0, "{}", r.policy);
         // The render line carries the three headline metrics.
         let line = r.render();

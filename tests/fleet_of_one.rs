@@ -25,7 +25,12 @@ fn place_round(
         let p = policy.place(fleet, &queues);
         check(p, &queues);
         let (id, node) = (TaskId(id), p.node);
-        queues[p.host].push(ActiveView { id, node, streams: 1, to_device: true });
+        queues[p.host].push(ActiveView {
+            id,
+            node,
+            streams: 1,
+            to_device: true,
+        });
     }
 }
 
@@ -41,9 +46,16 @@ fn class_ranked_node_is_class_ranked_place_on_the_chosen_host() {
             let h = fleet.host(p.host);
             let mut rule = ClassRanked::from_models(&h.profile().write, &h.profile().read);
             rule.spill_streams = u32::MAX;
-            let ctx = SchedContext { fabric: h.fabric(), active: &queues[p.host] };
+            let ctx = SchedContext {
+                fabric: h.fabric(),
+                active: &queues[p.host],
+            };
             assert_eq!(p.node, rule.place(&write, &ctx), "{n} hosts, seed {seed}");
-            assert_eq!(h.profile().write.class_of(p.node), 0, "{n} hosts, seed {seed}");
+            assert_eq!(
+                h.profile().write.class_of(p.node),
+                0,
+                "{n} hosts, seed {seed}"
+            );
         });
     }
 }
@@ -73,7 +85,9 @@ fn a_one_host_fleet_always_picks_host_zero() {
         let fleet = Fleet::generate(1, seed).unwrap();
         for name in POLICY_NAMES {
             let policy = FleetPolicy::by_name(name, 1).unwrap();
-            place_round(&fleet, &policy, |p, _| assert_eq!(p.host, 0, "{name}, seed {seed}"));
+            place_round(&fleet, &policy, |p, _| {
+                assert_eq!(p.host, 0, "{name}, seed {seed}")
+            });
         }
     }
 }

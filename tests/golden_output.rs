@@ -45,10 +45,14 @@ fn numactl_hardware_listing_is_pinned() {
 #[test]
 fn model_report_shape_is_pinned() {
     let platform = SimPlatform::dl585().noiseless();
-    let model = IoModeler::new().reps(1).characterize(&platform, NodeId(7), TransferMode::Write);
+    let model = IoModeler::new()
+        .reps(1)
+        .characterize(&platform, NodeId(7), TransferMode::Write);
     let s = render_model(&model);
     // Noiseless single-rep probes give exact calibration values.
-    assert!(s.contains("I/O performance model: target node 7 (device write), platform sim:dl585-g7"));
+    assert!(
+        s.contains("I/O performance model: target node 7 (device write), platform sim:dl585-g7")
+    );
     assert!(s.contains("node 3:  26.00  (min 26.00, max 26.00, n=1)"));
     assert!(s.contains("class 1: nodes {6, 7}  range 46.5 – 53.5  avg 50.0"));
     assert!(s.contains("class 3: nodes {2, 3}  range 26.0 – 27.3  avg 26.6"));
@@ -74,14 +78,21 @@ fn allocation_spill_report_is_pinned() {
     let mut mem = MemoryState::new(&topo);
     // Fill node 5 and spill; the numastat counters render predictably.
     mem.allocate(NodeId(5), &MemPolicy::bind(5), 4000).unwrap();
-    mem.allocate(NodeId(5), &MemPolicy::LocalPreferred, 100).unwrap();
+    mem.allocate(NodeId(5), &MemPolicy::LocalPreferred, 100)
+        .unwrap();
     let s = mem.stats().render();
     let hit_line = s.lines().find(|l| l.starts_with("numa_hit")).unwrap();
     let miss_line = s.lines().find(|l| l.starts_with("numa_miss")).unwrap();
     // 4000 hit on node 5 (column 6 of the counters).
-    assert!(hit_line.split_whitespace().nth(6).unwrap() == "4000", "{hit_line}");
+    assert!(
+        hit_line.split_whitespace().nth(6).unwrap() == "4000",
+        "{hit_line}"
+    );
     // 100 missed onto node 1 (nearest with space).
-    assert!(miss_line.split_whitespace().nth(2).unwrap() == "100", "{miss_line}");
+    assert!(
+        miss_line.split_whitespace().nth(2).unwrap() == "100",
+        "{miss_line}"
+    );
 }
 
 #[test]

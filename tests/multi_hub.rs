@@ -27,8 +27,12 @@ fn both_hubs_are_characterization_targets() {
 #[test]
 fn the_two_hubs_have_different_class_structures() {
     let p = platform();
-    let node3 = IoModeler::new().reps(5).characterize(&p, NodeId(3), TransferMode::Write);
-    let node7 = IoModeler::new().reps(5).characterize(&p, NodeId(7), TransferMode::Write);
+    let node3 = IoModeler::new()
+        .reps(5)
+        .characterize(&p, NodeId(3), TransferMode::Write);
+    let node7 = IoModeler::new()
+        .reps(5)
+        .characterize(&p, NodeId(7), TransferMode::Write);
     // Node 6 is top-class for node 7's devices but not for node 3's.
     assert_eq!(node7.class_of(NodeId(6)), 0);
     assert!(node3.class_of(NodeId(6)) > 0);
@@ -46,12 +50,18 @@ fn fio_ssd_jobs_target_the_node3_cards() {
     // Writing from node 2 (neighbour of the SSD hub) is now a *good*
     // binding — the exact opposite of the single-hub testbed where {2,3}
     // were the starved class.
-    let near = run_jobs(fabric, &[JobSpec::ssd(true, NodeId(2)).numjobs(2).size_gbytes(6.0)])
-        .unwrap()
-        .aggregate_gbps;
-    let far = run_jobs(fabric, &[JobSpec::ssd(true, NodeId(6)).numjobs(2).size_gbytes(6.0)])
-        .unwrap()
-        .aggregate_gbps;
+    let near = run_jobs(
+        fabric,
+        &[JobSpec::ssd(true, NodeId(2)).numjobs(2).size_gbytes(6.0)],
+    )
+    .unwrap()
+    .aggregate_gbps;
+    let far = run_jobs(
+        fabric,
+        &[JobSpec::ssd(true, NodeId(6)).numjobs(2).size_gbytes(6.0)],
+    )
+    .unwrap()
+    .aggregate_gbps;
     assert!(near > far, "near-hub {near} should beat far {far}");
 }
 
@@ -60,9 +70,12 @@ fn nic_jobs_still_see_the_node7_classes() {
     let p = platform();
     let fabric = p.fabric();
     let at = |n: u16| {
-        run_jobs(fabric, &[JobSpec::nic(NicOp::RdmaWrite, NodeId(n)).size_gbytes(6.0)])
-            .unwrap()
-            .aggregate_gbps
+        run_jobs(
+            fabric,
+            &[JobSpec::nic(NicOp::RdmaWrite, NodeId(n)).size_gbytes(6.0)],
+        )
+        .unwrap()
+        .aggregate_gbps
     };
     // Same Table IV shape as the single-hub host: {2,3} starved for the NIC.
     assert!(at(3) < 0.8 * at(6));
@@ -71,12 +84,22 @@ fn nic_jobs_still_see_the_node7_classes() {
 #[test]
 fn advisor_gives_per_device_answers() {
     let p = platform();
-    let advisor = ScheduleAdvisor { equivalence_tolerance: 0.1, avoid_irq_node: true };
-    let nic_model = IoModeler::new().reps(5).characterize(&p, NodeId(7), TransferMode::Write);
-    let ssd_model = IoModeler::new().reps(5).characterize(&p, NodeId(3), TransferMode::Write);
+    let advisor = ScheduleAdvisor {
+        equivalence_tolerance: 0.1,
+        avoid_irq_node: true,
+    };
+    let nic_model = IoModeler::new()
+        .reps(5)
+        .characterize(&p, NodeId(7), TransferMode::Write);
+    let ssd_model = IoModeler::new()
+        .reps(5)
+        .characterize(&p, NodeId(3), TransferMode::Write);
     let nic_nodes = advisor.eligible_nodes(&nic_model);
     let ssd_nodes = advisor.eligible_nodes(&ssd_model);
-    assert_ne!(nic_nodes, ssd_nodes, "different devices, different spreading sets");
+    assert_ne!(
+        nic_nodes, ssd_nodes,
+        "different devices, different spreading sets"
+    );
     assert!(nic_nodes.contains(&NodeId(6)));
     assert!(ssd_nodes.contains(&NodeId(2)));
 }
@@ -94,7 +117,9 @@ fn concurrent_nic_and_ssd_load_no_longer_share_a_hub() {
     let jobs = |fabric: &numio::fabric::Fabric| {
         let ssd_node = SsdModel::for_fabric(fabric).unwrap().node;
         vec![
-            JobSpec::nic(NicOp::RdmaRead, NodeId(7)).numjobs(2).size_gbytes(10.0),
+            JobSpec::nic(NicOp::RdmaRead, NodeId(7))
+                .numjobs(2)
+                .size_gbytes(10.0),
             JobSpec::ssd(true, ssd_node).numjobs(2).size_gbytes(10.0),
             JobSpec::ssd(false, ssd_node).numjobs(2).size_gbytes(10.0),
         ]

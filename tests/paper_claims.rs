@@ -1,8 +1,6 @@
 //! End-to-end checks of the paper's headline claims, spanning all crates.
 
-use numio::core::{
-    rank_correlation, IoModeler, SimPlatform, TransferMode,
-};
+use numio::core::{rank_correlation, IoModeler, SimPlatform, TransferMode};
 use numio::fabric::calibration::paper;
 use numio::fio::{run_jobs, JobSpec};
 use numio::iodev::{NicModel, NicOp, SsdModel};
@@ -68,7 +66,10 @@ fn rdma_read_inverts_the_stream_ordering() {
     let stream01 = (stream[0] + stream[1]) / 2.0;
     let stream23 = (stream[2] + stream[3]) / 2.0;
     let ratio = stream01 / stream23;
-    assert!((1.43..=1.88).contains(&ratio), "paper: 43%-88% advantage, got {ratio}");
+    assert!(
+        (1.43..=1.88).contains(&ratio),
+        "paper: 43%-88% advantage, got {ratio}"
+    );
 
     let r = |n: u16| nic.node_ceiling(NicOp::RdmaRead, fabric, NodeId(n));
     let rdma01 = (r(0) + r(1)) / 2.0;
@@ -84,7 +85,9 @@ fn rdma_read_inverts_the_stream_ordering() {
 fn neighbour_beats_local_for_tcp_send() {
     let platform = SimPlatform::dl585();
     let at = |node: u16| {
-        let job = JobSpec::nic(NicOp::TcpSend, NodeId(node)).numjobs(4).size_gbytes(8.0);
+        let job = JobSpec::nic(NicOp::TcpSend, NodeId(node))
+            .numjobs(4)
+            .size_gbytes(8.0);
         run_jobs(platform.fabric(), &[job]).unwrap().aggregate_gbps
     };
     assert!(at(6) > at(7) * 1.04, "node 6 {} vs node 7 {}", at(6), at(7));
@@ -99,11 +102,17 @@ fn class_memberships_match_tables_iv_and_v() {
     let as_ids = |c: &numio::core::PerfClass| c.nodes.iter().map(|n| n.0).collect::<Vec<_>>();
     assert_eq!(
         write.classes().iter().map(as_ids).collect::<Vec<_>>(),
-        paper::WRITE_CLASSES.iter().map(|c| c.to_vec()).collect::<Vec<_>>()
+        paper::WRITE_CLASSES
+            .iter()
+            .map(|c| c.to_vec())
+            .collect::<Vec<_>>()
     );
     assert_eq!(
         read.classes().iter().map(as_ids).collect::<Vec<_>>(),
-        paper::READ_CLASSES.iter().map(|c| c.to_vec()).collect::<Vec<_>>()
+        paper::READ_CLASSES
+            .iter()
+            .map(|c| c.to_vec())
+            .collect::<Vec<_>>()
     );
 }
 
@@ -117,11 +126,18 @@ fn eq1_validation_reproduces() {
     let class2 = nic.map(NicOp::RdmaRead).eval(model.classes()[1].avg_gbps);
     let class3 = nic.map(NicOp::RdmaRead).eval(model.classes()[2].avg_gbps);
     let predicted = numio::core::predict_aggregate(&[(class2, 0.5), (class3, 0.5)]);
-    assert!((predicted - paper::EQ1_PREDICTED).abs() < 0.25, "{predicted}");
+    assert!(
+        (predicted - paper::EQ1_PREDICTED).abs() < 0.25,
+        "{predicted}"
+    );
 
     let jobs = [
-        JobSpec::nic(NicOp::RdmaRead, NodeId(2)).numjobs(2).size_gbytes(40.0),
-        JobSpec::nic(NicOp::RdmaRead, NodeId(0)).numjobs(2).size_gbytes(40.0),
+        JobSpec::nic(NicOp::RdmaRead, NodeId(2))
+            .numjobs(2)
+            .size_gbytes(40.0),
+        JobSpec::nic(NicOp::RdmaRead, NodeId(0))
+            .numjobs(2)
+            .size_gbytes(40.0),
     ];
     let measured = run_jobs(platform.fabric(), &jobs).unwrap().aggregate_gbps;
     assert!((measured - paper::EQ1_MEASURED).abs() < 0.4, "{measured}");
@@ -137,7 +153,10 @@ fn table1_numa_factors() {
         .zip(paper::TABLE1)
     {
         let f = numio::fabric::numa_factor(&topo, &model);
-        assert!((f - target).abs() / target < 0.02, "{label}: {f} vs {target}");
+        assert!(
+            (f - target).abs() / target < 0.02,
+            "{label}: {f} vs {target}"
+        );
         assert_eq!(target, published);
     }
 }

@@ -1,9 +1,9 @@
 //! QoS weights end to end: a premium transfer sharing the adapter with
 //! best-effort background streams gets a proportionally larger share.
 
+use numio::core::SimPlatform;
 use numio::fio::{parse_jobfile, run_jobs, JobSpec};
 use numio::iodev::NicOp;
-use numio::core::SimPlatform;
 use numio::topology::NodeId;
 
 #[test]
@@ -11,7 +11,9 @@ fn premium_job_gets_a_triple_share_of_the_port() {
     let platform = SimPlatform::dl585();
     // Same node, same op, same volume: only the weight differs.
     let jobs = [
-        JobSpec::nic(NicOp::RdmaWrite, NodeId(6)).size_gbytes(20.0).weight(3.0),
+        JobSpec::nic(NicOp::RdmaWrite, NodeId(6))
+            .size_gbytes(20.0)
+            .weight(3.0),
         JobSpec::nic(NicOp::RdmaWrite, NodeId(6)).size_gbytes(20.0),
     ];
     let report = run_jobs(platform.fabric(), &jobs).unwrap();
@@ -26,17 +28,27 @@ fn premium_job_gets_a_triple_share_of_the_port() {
         background.makespan_s
     );
     // Work conservation: the port still runs at the class level overall.
-    assert!((report.aggregate_gbps - 23.3).abs() < 0.1, "{}", report.aggregate_gbps);
+    assert!(
+        (report.aggregate_gbps - 23.3).abs() < 0.1,
+        "{}",
+        report.aggregate_gbps
+    );
 }
 
 #[test]
 fn weights_do_not_change_uncontended_jobs() {
     let platform = SimPlatform::dl585();
     let run_with = |w: f64| {
-        let job = JobSpec::nic(NicOp::RdmaRead, NodeId(3)).size_gbytes(10.0).weight(w);
+        let job = JobSpec::nic(NicOp::RdmaRead, NodeId(3))
+            .size_gbytes(10.0)
+            .weight(w);
         run_jobs(platform.fabric(), &[job]).unwrap().aggregate_gbps
     };
-    assert_eq!(run_with(1.0), run_with(10.0), "a lone flow owns its path either way");
+    assert_eq!(
+        run_with(1.0),
+        run_with(10.0),
+        "a lone flow owns its path either way"
+    );
 }
 
 #[test]

@@ -7,11 +7,11 @@
 //! [`Simulation::flows`](numio::engine::Simulation::flows) or a batch
 //! [`Workload`] reproduces the `add_flow` output bit-for-bit.
 
+use numa_par::rng::{fnv1a64, FNV1A64_INIT};
 use numio::core::SimPlatform;
 use numio::engine::{FlowSpec, ResourceKey, SimReport, Simulation, Workload};
 use numio::fabric::TrafficClass;
 use numio::topology::{DirectedEdge, NodeId};
-use numa_par::rng::{fnv1a64, FNV1A64_INIT};
 
 /// A mixed-template open-loop workload with enough flows to exercise
 /// overlapping arrivals, completions and regime changes.
@@ -38,7 +38,11 @@ fn same_seed_poisson_is_bit_identical() {
     let (a, jsonl_a, prom_a) = run();
     let (b, jsonl_b, prom_b) = run();
     assert_eq!(a.flows.len(), 200);
-    assert_eq!(a.fct_digest(), b.fct_digest(), "FCT digest must replay exactly");
+    assert_eq!(
+        a.fct_digest(),
+        b.fct_digest(),
+        "FCT digest must replay exactly"
+    );
     for (x, y) in a.flows.iter().zip(&b.flows) {
         assert_eq!(x.start_s.to_bits(), y.start_s.to_bits());
         assert_eq!(x.finish_s.to_bits(), y.finish_s.to_bits());
@@ -47,7 +51,10 @@ fn same_seed_poisson_is_bit_identical() {
     assert_eq!(a, b, "whole report must be bit-identical");
     // The observed event stream pins the *event order*, not just the
     // final numbers; the metric snapshot pins the series values.
-    assert_eq!(jsonl_a, jsonl_b, "event stream must replay in the same order");
+    assert_eq!(
+        jsonl_a, jsonl_b,
+        "event stream must replay in the same order"
+    );
     assert_eq!(prom_a, prom_b);
     // Open-loop runs genuinely stagger starts (this is not a batch).
     assert!(a.flows.iter().any(|f| f.start_s > 0.0));
@@ -80,7 +87,14 @@ fn bounded_pareto_arrivals_are_seed_deterministic() {
     let run = || {
         let template = FlowSpec::dma(NodeId(6), NodeId(7)).gbits(1.0);
         Simulation::new(platform.fabric())
-            .workload(Workload::bounded_pareto(vec![template], 100, 1.5, 1e-3, 0.5, 7))
+            .workload(Workload::bounded_pareto(
+                vec![template],
+                100,
+                1.5,
+                1e-3,
+                0.5,
+                7,
+            ))
             .run()
             .unwrap()
     };
@@ -110,7 +124,10 @@ fn closed_loop_batch_matches_legacy_simulation_bitwise() {
         sim.add_flow(s.clone());
     }
     let legacy = sim.run().unwrap();
-    let via_flows = Simulation::new(platform.fabric()).flows(specs.clone()).run().unwrap();
+    let via_flows = Simulation::new(platform.fabric())
+        .flows(specs.clone())
+        .run()
+        .unwrap();
     let via_batch = Simulation::new(platform.fabric())
         .workload(Workload::batch(specs))
         .run()
@@ -131,7 +148,14 @@ fn report_digest(report: &SimReport) -> u64 {
         h = fnv1a64(h, &f.id.0.to_le_bytes());
         h = fnv1a64(h, &(f.label.len() as u64).to_le_bytes());
         h = fnv1a64(h, f.label.as_bytes());
-        for x in [f.volume_gbit, f.start_s, f.finish_s, f.fct_s, f.mean_gbps, f.slowdown] {
+        for x in [
+            f.volume_gbit,
+            f.start_s,
+            f.finish_s,
+            f.fct_s,
+            f.mean_gbps,
+            f.slowdown,
+        ] {
             h = bits(h, x);
         }
     }
@@ -156,10 +180,16 @@ fn report_digest(report: &SimReport) -> u64 {
 fn poisson_2k_fct_digest_is_pinned() {
     let platform = SimPlatform::dl585();
     let workload = Workload::parse("poisson:n=2000,rate=2000,seed=42").unwrap();
-    let report = Simulation::new(platform.fabric()).workload(workload).run().unwrap();
+    let report = Simulation::new(platform.fabric())
+        .workload(workload)
+        .run()
+        .unwrap();
     assert_eq!(report.flows.len(), 2_000);
     assert_eq!(format!("{:016x}", report.fct_digest()), "b49190345191d944");
-    assert_eq!(format!("{:016x}", report_digest(&report)), "de5b2e1f66f08f48");
+    assert_eq!(
+        format!("{:016x}", report_digest(&report)),
+        "de5b2e1f66f08f48"
+    );
 }
 
 /// The same spec at 10k flows. It offers 2000 Gbit/s to a 46.5 Gbit/s
@@ -170,7 +200,10 @@ fn poisson_2k_fct_digest_is_pinned() {
 fn poisson_10k_fct_digest_is_pinned() {
     let platform = SimPlatform::dl585();
     let workload = Workload::parse("poisson:n=10000,rate=2000,seed=42").unwrap();
-    let report = Simulation::new(platform.fabric()).workload(workload).run().unwrap();
+    let report = Simulation::new(platform.fabric())
+        .workload(workload)
+        .run()
+        .unwrap();
     assert_eq!(report.flows.len(), 10_000);
     assert_eq!(format!("{:016x}", report.fct_digest()), "61ef087aad8d7541");
 }
@@ -183,10 +216,20 @@ fn throttled_pareto_report_digest_is_pinned() {
     let platform = SimPlatform::dl585();
     let fabric = platform.fabric();
     let templates = vec![
-        FlowSpec::dma(NodeId(6), NodeId(7)).gbits(0.05).weight(2.0).label("near"),
-        FlowSpec::dma(NodeId(4), NodeId(7)).gbits(0.075).label("far"),
-        FlowSpec::dma(NodeId(3), NodeId(7)).gbits(0.025).weight(0.5).label("slow"),
-        FlowSpec::pio(NodeId(7), NodeId(7)).gbits(0.05).label("local"),
+        FlowSpec::dma(NodeId(6), NodeId(7))
+            .gbits(0.05)
+            .weight(2.0)
+            .label("near"),
+        FlowSpec::dma(NodeId(4), NodeId(7))
+            .gbits(0.075)
+            .label("far"),
+        FlowSpec::dma(NodeId(3), NodeId(7))
+            .gbits(0.025)
+            .weight(0.5)
+            .label("slow"),
+        FlowSpec::pio(NodeId(7), NodeId(7))
+            .gbits(0.05)
+            .label("local"),
     ];
     let workload = Workload::bounded_pareto(templates, 1500, 1.2, 1e-4, 0.05, 7);
     let mut sim = Simulation::new(fabric).workload(workload);
@@ -197,7 +240,10 @@ fn throttled_pareto_report_digest_is_pinned() {
     sim.schedule_capacity_as(h, 0.9, full, "fault_healed");
     let report = sim.run().unwrap();
     assert_eq!(report.flows.len(), 1500);
-    assert_eq!(format!("{:016x}", report_digest(&report)), "d143fbcfd5184200");
+    assert_eq!(
+        format!("{:016x}", report_digest(&report)),
+        "d143fbcfd5184200"
+    );
 }
 
 /// The `open_loop_poisson` benchmark's eight `N{i}->dev` templates, then
@@ -209,15 +255,22 @@ fn benchmark_shaped(fabric: &numio::fabric::Fabric) -> Simulation<'_> {
     let mut sim = Simulation::new(fabric);
     let port = sim.register(ResourceKey::Custom(0), 6.0);
     let dev = |i: u16| FlowSpec::dma(NodeId(i), NodeId(7)).gbits(0.02).device_dst();
-    let mut templates: Vec<FlowSpec> =
-        (0..8).map(|i| dev(i).label(format!("N{i}->dev"))).collect();
+    let mut templates: Vec<FlowSpec> = (0..8).map(|i| dev(i).label(format!("N{i}->dev"))).collect();
     templates.extend([
         dev(0).gbits(0.04).label("N0 bulk"),
         dev(1).ceiling(4.0).label("N1 capped"),
-        FlowSpec::pio(NodeId(4), NodeId(7)).gbits(0.01).device_dst().label("N4 pio"),
-        FlowSpec::dma(NodeId(5), NodeId(7)).gbits(0.03).weight(2.0).label("N5 weighted"),
+        FlowSpec::pio(NodeId(4), NodeId(7))
+            .gbits(0.01)
+            .device_dst()
+            .label("N4 pio"),
+        FlowSpec::dma(NodeId(5), NodeId(7))
+            .gbits(0.03)
+            .weight(2.0)
+            .label("N5 weighted"),
         dev(6).gbits(0.01).charge(port).label("N6 port"),
-        FlowSpec::dma(NodeId(2), NodeId(2)).gbits(0.02).label("local"),
+        FlowSpec::dma(NodeId(2), NodeId(2))
+            .gbits(0.02)
+            .label("local"),
     ]);
     sim.workload(Workload::poisson(templates, 1400, 2000.0, 42))
 }
@@ -235,7 +288,11 @@ fn benchmark_shaped_run_digest_is_pinned() {
     let bits = |h: u64, x: f64| fnv1a64(h, &x.to_bits().to_le_bytes());
     let mut h = report_digest(&report);
     let rows = benchmark_shaped(fabric).bottlenecks().unwrap();
-    assert!(rows.iter().any(|r| r.0 == ResourceKey::Custom(0) && r.1 > 0.0), "{rows:?}");
+    assert!(
+        rows.iter()
+            .any(|r| r.0 == ResourceKey::Custom(0) && r.1 > 0.0),
+        "{rows:?}"
+    );
     for (key, used, cap, util) in rows {
         h = fnv1a64(h, format!("{key:?}").as_bytes());
         h = [used, cap, util].into_iter().fold(h, bits);

@@ -11,8 +11,12 @@ fn dtn_jobs(read_nodes: &[NodeId], write_nodes: &[NodeId]) -> Vec<JobSpec> {
     let r = |i: usize| read_nodes[i % read_nodes.len()];
     let w = |i: usize| write_nodes[i % write_nodes.len()];
     vec![
-        JobSpec::nic(NicOp::RdmaRead, r(0)).numjobs(2).size_gbytes(10.0),
-        JobSpec::nic(NicOp::RdmaRead, r(1)).numjobs(2).size_gbytes(10.0),
+        JobSpec::nic(NicOp::RdmaRead, r(0))
+            .numjobs(2)
+            .size_gbytes(10.0),
+        JobSpec::nic(NicOp::RdmaRead, r(1))
+            .numjobs(2)
+            .size_gbytes(10.0),
         JobSpec::ssd(true, w(0)).numjobs(1).size_gbytes(14.0),
         JobSpec::ssd(true, w(1)).numjobs(1).size_gbytes(14.0),
         JobSpec::ssd(true, w(2)).numjobs(1).size_gbytes(14.0),
@@ -26,7 +30,10 @@ fn dtn_jobs(read_nodes: &[NodeId], write_nodes: &[NodeId]) -> Vec<JobSpec> {
 fn advisor_beats_naive_local_on_contended_pipeline() {
     let platform = SimPlatform::dl585();
     let fabric = platform.fabric();
-    let advisor = ScheduleAdvisor { equivalence_tolerance: 0.12, avoid_irq_node: true };
+    let advisor = ScheduleAdvisor {
+        equivalence_tolerance: 0.12,
+        avoid_irq_node: true,
+    };
     let read_model = IoModeler::new().characterize(&platform, NodeId(7), TransferMode::Read);
     let write_model = IoModeler::new().characterize(&platform, NodeId(7), TransferMode::Write);
     let read_nodes = advisor.eligible_nodes(&read_model);
@@ -47,7 +54,10 @@ fn advisor_beats_naive_local_on_contended_pipeline() {
 #[test]
 fn advisor_never_places_into_the_starved_class() {
     let platform = SimPlatform::dl585();
-    let advisor = ScheduleAdvisor { equivalence_tolerance: 0.2, avoid_irq_node: true };
+    let advisor = ScheduleAdvisor {
+        equivalence_tolerance: 0.2,
+        avoid_irq_node: true,
+    };
     let write_model = IoModeler::new().characterize(&platform, NodeId(7), TransferMode::Write);
     for tasks in 1..=32 {
         let p = advisor.place(&write_model, tasks);
@@ -76,7 +86,12 @@ fn naive_local_equalizes_when_workload_is_tiny() {
     )
     .unwrap();
     let diff = (local.aggregate_gbps - neighbour.aggregate_gbps).abs();
-    assert!(diff < 0.2, "{} vs {}", local.aggregate_gbps, neighbour.aggregate_gbps);
+    assert!(
+        diff < 0.2,
+        "{} vs {}",
+        local.aggregate_gbps,
+        neighbour.aggregate_gbps
+    );
 }
 
 #[test]

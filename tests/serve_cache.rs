@@ -4,8 +4,8 @@
 
 use numio::core::{IoModeler, SimPlatform};
 use numio::faults::FaultPlan;
-use numio::serve::{encode, spawn, Client, ModelService, Request, Response, WireMode};
 use numio::prelude::CharacterizationCache;
+use numio::serve::{encode, spawn, Client, ModelService, Request, Response, WireMode};
 use numio::serve::{CacheKey, ModelKey};
 use std::sync::Arc;
 
@@ -51,7 +51,10 @@ fn eight_concurrent_clients_share_one_characterization() {
     // The stampede characterized exactly once: one cold miss, every other
     // request a hit against the shared (target 7, write) model.
     let stats = svc.cache().stats();
-    assert_eq!(stats.misses, 1, "double-checked locking must count one miss");
+    assert_eq!(
+        stats.misses, 1,
+        "double-checked locking must count one miss"
+    );
     assert_eq!(stats.hits, 7);
     assert_eq!(stats.entries, 1);
     server.shutdown();
@@ -104,7 +107,12 @@ fn arming_a_fault_plan_over_the_wire_swaps_views_without_flushing() {
     let svc = service(3);
     let server = spawn(Arc::clone(&svc), "127.0.0.1:0").unwrap();
     let mut client = Client::connect(&server.addr().to_string()).unwrap();
-    let predict = Request::Predict { device: None, target: 7, mode: WireMode::Write, mix: vec![(6, 1)] };
+    let predict = Request::Predict {
+        device: None,
+        target: 7,
+        mode: WireMode::Write,
+        mix: vec![(6, 1)],
+    };
 
     // (hits, misses) as the `stats` reply reports them.
     let counts = || {
@@ -118,10 +126,21 @@ fn arming_a_fault_plan_over_the_wire_swaps_views_without_flushing() {
     };
     assert_eq!(counts(), (0, 1), "the healthy view paid one miss");
     // Arm the demo plan: the old (healthy) key is the one eviction.
-    match client.call(&Request::SetFaults { plan: FaultPlan::demo(42) }).unwrap() {
-        Response::Faults { active, invalidated } => {
+    match client
+        .call(&Request::SetFaults {
+            plan: FaultPlan::demo(42),
+        })
+        .unwrap()
+    {
+        Response::Faults {
+            active,
+            invalidated,
+        } => {
             assert!(active > 0);
-            assert!(invalidated, "arming faults must evict the stale healthy key");
+            assert!(
+                invalidated,
+                "arming faults must evict the stale healthy key"
+            );
         }
         other => panic!("unexpected reply: {other:?}"),
     }

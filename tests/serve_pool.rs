@@ -6,9 +6,9 @@
 //! a warmed pool is error-free and answers exactly as in process, and the
 //! OS thread count stays bounded by the pool — never by the client count.
 
+use numa_par::rng::SplitMix64;
 use numio::core::{IoModeler, SimPlatform};
 use numio::obs::Obs;
-use numa_par::rng::SplitMix64;
 use numio::serve::{spawn_with, Client, ModelService, Request, Response, ServeConfig, WireMode};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -252,7 +252,9 @@ fn overflowing_simulate_gets_an_error_reply_and_the_connection_lives() {
     let svc = service(3);
     let server = spawn_with(Arc::clone(&svc), "127.0.0.1:0", ServeConfig::default()).unwrap();
     let mut client = Client::connect(&server.addr().to_string()).unwrap();
-    let reply = client.call(&Request::Simulate { workload: "poisson:n=3,rate=1e-320".into() });
+    let reply = client.call(&Request::Simulate {
+        workload: "poisson:n=3,rate=1e-320".into(),
+    });
     match reply {
         Ok(Response::Error { message }) => assert!(message.contains("non-finite"), "{message}"),
         other => panic!("{other:?}"),
@@ -279,9 +281,18 @@ fn seeded_requests(seed: u64, n: usize) -> Vec<Request> {
     (0..n)
         .map(|_| {
             let roll = rng.below(100);
-            let mode = if roll.is_multiple_of(2) { WireMode::Write } else { WireMode::Read };
+            let mode = if roll.is_multiple_of(2) {
+                WireMode::Write
+            } else {
+                WireMode::Read
+            };
             match roll {
-                0..=74 => Request::Predict { device: None, target: 7, mode, mix: seeded_mix(&mut rng) },
+                0..=74 => Request::Predict {
+                    device: None,
+                    target: 7,
+                    mode,
+                    mix: seeded_mix(&mut rng),
+                },
                 75..=84 => Request::PredictBatch {
                     device: None,
                     target: 7,
@@ -307,17 +318,32 @@ fn seeded_client_mix_over_a_warm_pool_is_clean_and_answers_as_in_process() {
     let _threads = THREAD_COUNT.lock().unwrap_or_else(|e| e.into_inner());
     let svc = service(3);
     for mode in [WireMode::Write, WireMode::Read] {
-        svc.handle(&Request::Predict { device: None, target: 7, mode, mix: vec![(0, 1)] });
+        svc.handle(&Request::Predict {
+            device: None,
+            target: 7,
+            mode,
+            mix: vec![(0, 1)],
+        });
     }
     let server = spawn_with(
         Arc::clone(&svc),
         "127.0.0.1:0",
-        ServeConfig { workers: 2, ..ServeConfig::default() },
+        ServeConfig {
+            workers: 2,
+            ..ServeConfig::default()
+        },
     )
     .unwrap();
     let addr = server.addr().to_string();
-    let mixes: Vec<Vec<Request>> = (0..CLIENTS).map(|c| seeded_requests(42 + c, REQUESTS)).collect();
-    assert_eq!(mixes, (0..CLIENTS).map(|c| seeded_requests(42 + c, REQUESTS)).collect::<Vec<_>>());
+    let mixes: Vec<Vec<Request>> = (0..CLIENTS)
+        .map(|c| seeded_requests(42 + c, REQUESTS))
+        .collect();
+    assert_eq!(
+        mixes,
+        (0..CLIENTS)
+            .map(|c| seeded_requests(42 + c, REQUESTS))
+            .collect::<Vec<_>>()
+    );
 
     let replies: Vec<Vec<Response>> = std::thread::scope(|scope| {
         let threads: Vec<_> = mixes
@@ -326,7 +352,9 @@ fn seeded_client_mix_over_a_warm_pool_is_clean_and_answers_as_in_process() {
                 let addr = &addr;
                 scope.spawn(move || {
                     let mut client = Client::connect(addr).unwrap();
-                    reqs.iter().map(|r| client.call(r).unwrap()).collect::<Vec<_>>()
+                    reqs.iter()
+                        .map(|r| client.call(r).unwrap())
+                        .collect::<Vec<_>>()
                 })
             })
             .collect();
@@ -334,17 +362,28 @@ fn seeded_client_mix_over_a_warm_pool_is_clean_and_answers_as_in_process() {
     });
     server.shutdown();
 
-    let errors: Vec<&Response> =
-        replies.iter().flatten().filter(|r| matches!(r, Response::Error { .. })).collect();
+    let errors: Vec<&Response> = replies
+        .iter()
+        .flatten()
+        .filter(|r| matches!(r, Response::Error { .. }))
+        .collect();
     assert!(errors.is_empty(), "error replies: {errors:?}");
-    assert_eq!(svc.cache().stats().misses, 2, "only the two warm-up characterizations miss");
+    assert_eq!(
+        svc.cache().stats().misses,
+        2,
+        "only the two warm-up characterizations miss"
+    );
     // Every non-`stats` reply equals the same request answered in process;
     // Debug prints floats shortest round-trip, so equal text is equal bits.
     for (reqs, answers) in mixes.iter().zip(&replies) {
         assert_eq!(answers.len(), REQUESTS);
         for (req, reply) in reqs.iter().zip(answers) {
             if *req != Request::Stats {
-                assert_eq!(format!("{reply:?}"), format!("{:?}", svc.handle(req)), "{req:?}");
+                assert_eq!(
+                    format!("{reply:?}"),
+                    format!("{:?}", svc.handle(req)),
+                    "{req:?}"
+                );
             }
         }
     }

@@ -44,8 +44,14 @@ fn mixed_nic_and_ssd_contention_is_seed_deterministic() {
 fn device_stall_reranks_the_ssd_job_below_the_nic_job() {
     let platform = SimPlatform::dl585();
     let healthy = run_jobs(platform.fabric(), &mixed_jobs()).unwrap();
-    let (h_nic, h_ssd) = (healthy.jobs[0].aggregate_gbps, healthy.jobs[1].aggregate_gbps);
-    assert!(h_ssd > h_nic, "healthy ranking: ssd {h_ssd} above nic {h_nic}");
+    let (h_nic, h_ssd) = (
+        healthy.jobs[0].aggregate_gbps,
+        healthy.jobs[1].aggregate_gbps,
+    );
+    assert!(
+        h_ssd > h_nic,
+        "healthy ranking: ssd {h_ssd} above nic {h_nic}"
+    );
     // Stall BOTH SSD cards (devices 1 and 2 on the dl585) hard enough that
     // the card-limited striped writer drops to half the CPU-bound TCP
     // sender's healthy rate.
@@ -57,15 +63,24 @@ fn device_stall_reranks_the_ssd_job_below_the_nic_job() {
     let stalled_fabric = degraded_fabric(platform.fabric(), &faults).unwrap();
     let stalled = run_jobs(&stalled_fabric, &mixed_jobs()).unwrap();
 
-    let (s_nic, s_ssd) = (stalled.jobs[0].aggregate_gbps, stalled.jobs[1].aggregate_gbps);
-    assert!(s_ssd < s_nic, "stalled ranking: ssd {s_ssd} below nic {s_nic}");
+    let (s_nic, s_ssd) = (
+        stalled.jobs[0].aggregate_gbps,
+        stalled.jobs[1].aggregate_gbps,
+    );
+    assert!(
+        s_ssd < s_nic,
+        "stalled ranking: ssd {s_ssd} below nic {s_nic}"
+    );
     // The stall is device-scoped: the SSD job collapses, the NIC job keeps
     // (at least) its healthy bandwidth once the cards stop contending.
     assert!(s_ssd < 0.5 * h_ssd, "ssd {s_ssd} vs healthy {h_ssd}");
     assert!(s_nic > 0.9 * h_nic, "nic {s_nic} vs healthy {h_nic}");
     // And deterministic on rerun, stalled path included.
     let again = run_jobs(&stalled_fabric, &mixed_jobs()).unwrap();
-    assert_eq!(again.aggregate_gbps.to_bits(), stalled.aggregate_gbps.to_bits());
+    assert_eq!(
+        again.aggregate_gbps.to_bits(),
+        stalled.aggregate_gbps.to_bits()
+    );
 }
 
 #[test]
@@ -109,7 +124,13 @@ fn serve_surface_exposes_the_storage_tier_with_fault_views() {
         mode: WireMode::Read,
         device: Some("ssd0".into()),
     });
-    let Response::Classify { class, classes, class_nodes, .. } = resp else {
+    let Response::Classify {
+        class,
+        classes,
+        class_nodes,
+        ..
+    } = resp
+    else {
         panic!("unexpected reply: {resp:?}");
     };
     assert_eq!(class, classes - 1);
@@ -136,8 +157,12 @@ fn serve_surface_exposes_the_storage_tier_with_fault_views() {
     });
     match (base, stalled) {
         (
-            Response::Predict { predicted_gbps: b, .. },
-            Response::Predict { predicted_gbps: s, .. },
+            Response::Predict {
+                predicted_gbps: b, ..
+            },
+            Response::Predict {
+                predicted_gbps: s, ..
+            },
         ) => {
             let ratio = s / b;
             assert!((ratio - 0.75).abs() < 1e-9, "aggregate derate: {ratio}");

@@ -3,9 +3,9 @@
 //! and the `numa-obs` exporters turn deterministic runs into byte-stable
 //! artifacts.
 
+use numio::core::SimPlatform;
 use numio::fio::{build_sim, JobSpec};
 use numio::iodev::NicOp;
-use numio::core::SimPlatform;
 use numio::topology::NodeId;
 
 #[test]
@@ -32,11 +32,22 @@ fn trace_shows_fair_sharing_then_recovery() {
     // (a): fair split of the mixed-class engine (~18.5 Gbps / 2 each),
     // well below both class levels. The steady-state allocation is the
     // first round's; the fast stream holds it for its whole run.
-    let early = build_sim(platform.fabric(), &jobs).unwrap().0.steady_rates().unwrap();
+    let early = build_sim(platform.fabric(), &jobs)
+        .unwrap()
+        .0
+        .steady_rates()
+        .unwrap();
     let (early_fast, early_slow) = (early[0], early[1]);
-    assert!((early_fast - early_slow).abs() < 1e-9, "max-min splits equally");
+    assert!(
+        (early_fast - early_slow).abs() < 1e-9,
+        "max-min splits equally"
+    );
     assert!(early_fast < 10.0, "mixture throttles: {early_fast}");
-    assert!((fast.mean_gbps - early_fast).abs() < 1e-9, "{} vs {early_fast}", fast.mean_gbps);
+    assert!(
+        (fast.mean_gbps - early_fast).abs() < 1e-9,
+        "{} vs {early_fast}",
+        fast.mean_gbps
+    );
 
     // (b): after the fast stream leaves, the slow one recovers to its own
     // class level (16.1): its remaining volume over its remaining time.
@@ -61,7 +72,9 @@ fn observed_fio_run_matches_unobserved_aggregates() {
     let platform = SimPlatform::dl585();
     let jobs = [
         JobSpec::ssd(true, NodeId(6)).numjobs(2).size_gbytes(5.0),
-        JobSpec::nic(NicOp::TcpSend, NodeId(5)).numjobs(4).size_gbytes(5.0),
+        JobSpec::nic(NicOp::TcpSend, NodeId(5))
+            .numjobs(4)
+            .size_gbytes(5.0),
     ];
     let (sim_a, _) = build_sim(platform.fabric(), &jobs).unwrap();
     let (sim_b, _) = build_sim(platform.fabric(), &jobs).unwrap();
@@ -185,10 +198,13 @@ fn modeler_probe_series_reconcile() {
     let prom = obs.prometheus();
     for node in 0..8 {
         assert!(
-            prom.contains(&format!("numio_probes_total{{backend=\"sim\",node=\"N{node}\"}} {reps}")),
+            prom.contains(&format!(
+                "numio_probes_total{{backend=\"sim\",node=\"N{node}\"}} {reps}"
+            )),
             "node {node} missing: {prom}"
         );
-        assert!(prom
-            .contains(&format!("numio_probe_gbps_count{{mode=\"read\",node=\"N{node}\"}} {reps}")));
+        assert!(prom.contains(&format!(
+            "numio_probe_gbps_count{{mode=\"read\",node=\"N{node}\"}} {reps}"
+        )));
     }
 }

@@ -51,11 +51,25 @@ fn every_layer_composes_through_the_facade() {
     // memsys
     let mut mem = MemoryState::new(&topo);
     mem.allocate(NodeId(1), &MemPolicy::bind(1), 10).unwrap();
-    assert!(StreamBench::paper().run(&fabric, NodeId(7), NodeId(4)).max_gbps > 20.0);
+    assert!(
+        StreamBench::paper()
+            .run(&fabric, NodeId(7), NodeId(4))
+            .max_gbps
+            > 20.0
+    );
     assert_eq!(StreamOp::ALL.len(), 4);
     assert_eq!(numademo_all(&fabric, NodeId(0), NodeId(7)).len(), 21);
     assert!(LatencyBench::paper().measured_numa_factor(&topo) > 2.0);
-    assert!(RealStream { elems: 1024, threads: 1, reps: 1 }.run(StreamOp::Copy).max_gbps > 0.0);
+    assert!(
+        RealStream {
+            elems: 1024,
+            threads: 1,
+            reps: 1
+        }
+        .run(StreamOp::Copy)
+        .max_gbps
+            > 0.0
+    );
 
     // iodev
     let nic = NicModel::paper();
@@ -69,7 +83,12 @@ fn every_layer_composes_through_the_facade() {
     let jobs = parse_jobfile("[j]\nioengine=rdma\nverb=write\ncpunodebind=6\nsize=2g\n").unwrap();
     let fr = run_jobs(&fabric, &[jobs[0].1.clone()]).unwrap();
     assert!((fr.aggregate_gbps - 23.3).abs() < 0.1);
-    assert_eq!(steady_job_rates(&fabric, &[jobs[0].1.clone()]).unwrap().len(), 1);
+    assert_eq!(
+        steady_job_rates(&fabric, &[jobs[0].1.clone()])
+            .unwrap()
+            .len(),
+        1
+    );
     let _w: Workload = jobs[0].1.workload.clone();
     assert_eq!(NetTestParams::paper().io_block_kib, 128);
     let _j: JobSpec = JobSpec::ssd(true, NodeId(0));
@@ -77,7 +96,9 @@ fn every_layer_composes_through_the_facade() {
     // core (the contribution)
     let platform = SimPlatform::dl585();
     let model: IoPerfModel =
-        IoModeler::new().reps(3).characterize(&platform, NodeId(7), TransferMode::Write);
+        IoModeler::new()
+            .reps(3)
+            .characterize(&platform, NodeId(7), TransferMode::Write);
     let _c: &PerfClass = &model.classes()[0];
     let p = predict_aggregate(&[(20.0, 1.0)]);
     assert_eq!(p, 20.0);
@@ -91,12 +112,19 @@ fn every_layer_composes_through_the_facade() {
     let _cb = StreamAdvisor::new(MemCostModel::from_stream(&platform));
     assert!(rank_correlation(&[1.0, 2.0], &[2.0, 4.0]) > 0.99);
     let means = model.means();
-    let classes = classify(platform.fabric().topology(), NodeId(7), &means, ClassifyParams::default());
+    let classes = classify(
+        platform.fabric().topology(),
+        NodeId(7),
+        &means,
+        ClassifyParams::default(),
+    );
     assert_eq!(classes.len(), model.classes().len());
     assert!(HostPlatform::new(2).num_nodes() == 2);
 
     // sched
     let tasks = sched_trace::burst(2, sched_trace::MixProfile::Serve, 1);
-    let ep = Scheduler::new(&platform).run(tasks, LocalOnly::new()).unwrap();
+    let ep = Scheduler::new(&platform)
+        .run(tasks, LocalOnly::new())
+        .unwrap();
     assert_eq!(ep.outcomes.len(), 2);
 }
