@@ -2,7 +2,7 @@
 
 use crate::Experiment;
 use numa_fabric::calibration::{dl585_fabric, paper};
-use numa_memsys::StreamBench;
+use numa_fio::memsys::StreamBench;
 use numa_topology::render;
 use std::fmt::Write as _;
 

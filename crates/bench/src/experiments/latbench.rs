@@ -2,7 +2,7 @@
 //! measures the NUMA factor instead of assuming it.
 
 use crate::Experiment;
-use numa_memsys::LatencyBench;
+use numa_fio::memsys::LatencyBench;
 use numa_topology::{presets, NodeId};
 use std::fmt::Write as _;
 

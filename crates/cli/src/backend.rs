@@ -1,11 +1,11 @@
 //! The one backend-construction helper every subcommand shares: resolves
 //! the global `--backend sim|host|host:<n>|replay:<file>` flag (and, for
 //! the simulator, `--fabric dl585|split`) into an
-//! [`AnyPlatform`](numa_backend::AnyPlatform).
+//! [`AnyPlatform`].
 
 use crate::opts::Opts;
-use numa_backend::AnyPlatform;
 use numa_fabric::Fabric;
+use numio_core::backend::AnyPlatform;
 use numio_core::{Platform, SimPlatform};
 
 /// Which measurement backend a command runs against.

@@ -4,12 +4,11 @@
 
 use crate::backend;
 use crate::opts::Opts;
-use numa_backend::RecordingPlatform;
 use numa_iodev::{NicModel, NicOp};
 use numa_topology::NodeId;
 use numio_core::{
-    characterize_storage, render_comparison_table, render_model, DeviceSelector, IoModeler,
-    Platform, PlatformError, StorageConfig, TransferMode,
+    backend::RecordingPlatform, characterize_storage, render_comparison_table, render_model,
+    DeviceSelector, IoModeler, Platform, PlatformError, StorageConfig, TransferMode,
 };
 use std::fmt::Write as _;
 

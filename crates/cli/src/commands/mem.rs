@@ -3,7 +3,7 @@
 
 use crate::backend;
 use crate::opts::Opts;
-use numa_memsys::{MemPolicy, MemoryState, StreamBench};
+use numa_fio::memsys::{MemPolicy, MemoryState, StreamBench};
 use numa_topology::{presets, render, NodeId};
 use std::fmt::Write as _;
 
@@ -57,17 +57,17 @@ pub(crate) fn cmd_numademo(opts: &Opts) -> Result<String, String> {
     let cpu = opts.node("cpu", 0)?;
     let remote = opts.node("remote", 7)?;
     let fabric = backend::fabric_for(opts)?;
-    let results = numa_memsys::numademo::run_all(&fabric, cpu, remote);
+    let results = numa_fio::memsys::numademo::run_all(&fabric, cpu, remote);
     let mut out =
         format!("numademo work-alike: threads on node {cpu}, remote = node {remote} (Gbit/s)\n");
-    out.push_str(&numa_memsys::numademo::render(&results));
+    out.push_str(&numa_fio::memsys::numademo::render(&results));
     Ok(out)
 }
 
 pub(crate) fn cmd_latency(opts: &Opts) -> Result<String, String> {
     let cpu = opts.node("cpu", 0)?;
     let topo = presets::dl585_testbed();
-    let bench = numa_memsys::LatencyBench::paper();
+    let bench = numa_fio::memsys::LatencyBench::paper();
     let mut out = String::new();
     let _ = writeln!(
         out,

@@ -65,7 +65,8 @@ pub(crate) fn cmd_predict(opts: &Opts) -> Result<String, String> {
         .iter()
         .map(|&(node, count)| JobSpec::nic(op, node).numjobs(count).size_gbytes(50.0))
         .collect();
-    let measured = numa_backend::run_jobs(&platform, &jobs)
+    let fabric = backend::fabric_of(&platform)?;
+    let measured = numa_fio::run_jobs(&fabric, &jobs)
         .map_err(|e| e.to_string())?
         .aggregate_gbps;
     let err = numio_core::relative_error(predicted, measured);

@@ -488,6 +488,35 @@ mod tests {
         assert!(run_str(&["record", "--reps", "1"]).is_err());
     }
 
+    /// `predict` characterizes through the backend, then runs its jobs on
+    /// the backend's fabric: a replay that covers both directions gets as
+    /// far as the jobs and fails there with `fabric_of`'s message.
+    #[test]
+    fn predict_on_a_fabricless_replay_names_the_missing_fabric() {
+        let dir = std::env::temp_dir().join("numio-cli-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let fix = dir.join("full-host.jsonl");
+        let out = run_str(&["record", "--out", fix.to_str().unwrap()]).unwrap();
+        assert!(out.contains("recorded 128 probes (16 models)"), "{out}");
+        let spec = format!("replay:{}", fix.display());
+        for op in ["rdma_write", "rdma_read"] {
+            let e = run_str(&[
+                "predict",
+                "--backend",
+                &spec,
+                "--op",
+                op,
+                "--mix",
+                "3:2,6:1",
+            ])
+            .unwrap_err();
+            assert_eq!(
+                e, "backend 'sim:dl585-g7' exposes no simulator fabric; this command needs --backend sim",
+                "{op}"
+            );
+        }
+    }
+
     #[test]
     fn record_and_replay_emit_probe_events() {
         let dir = std::env::temp_dir().join("numio-cli-test");

@@ -9,15 +9,14 @@
 //! [`numa_par::json`](mod@numa_par::json)), which is what makes replay
 //! bit-identical to the live run.
 
-use crate::error::BackendError;
+use crate::{CopySpec, PlatformError};
 use numa_par::json;
 use numa_topology::{presets, Topology};
-use numio_core::CopySpec;
 use std::path::Path;
 
 /// The schema tag this build reads and writes. Bump the suffix on any
 /// incompatible change; readers reject unknown tags with a typed
-/// [`BackendError::SchemaMismatch`] instead of misinterpreting data.
+/// [`PlatformError::SchemaMismatch`] instead of misinterpreting data.
 pub const SCHEMA: &str = "numio-probe-fixture/1";
 
 numa_par::json_struct! {
@@ -84,8 +83,11 @@ impl Fixture {
     }
 
     /// Parse from JSONL text. Blank lines are ignored; the first
-    /// non-blank line must be a header with a known [`SCHEMA`].
-    pub fn from_jsonl(text: &str) -> Result<Self, BackendError> {
+    /// non-blank line must be a header with a known [`SCHEMA`]. A probe
+    /// line with no samples, or with a negative one, is a
+    /// [`PlatformError::Parse`] naming that line: replaying it would
+    /// report a bandwidth no probe can measure.
+    pub fn from_jsonl(text: &str) -> Result<Self, PlatformError> {
         let mut header: Option<FixtureHeader> = None;
         let mut probes = Vec::new();
         for (idx, line) in text.lines().enumerate() {
@@ -93,45 +95,45 @@ impl Fixture {
             if line.is_empty() {
                 continue;
             }
-            let lineno = idx + 1;
-            match header {
-                None => {
-                    let h: FixtureHeader =
-                        json::from_str(line).map_err(|e| BackendError::Parse {
-                            line: lineno,
-                            reason: e.to_string(),
-                        })?;
-                    if h.schema != SCHEMA {
-                        return Err(BackendError::SchemaMismatch { found: h.schema });
-                    }
-                    header = Some(h);
+            let parse_err = |reason: String| PlatformError::Parse {
+                line: idx + 1,
+                reason,
+            };
+            if header.is_none() {
+                let h: FixtureHeader =
+                    json::from_str(line).map_err(|e| parse_err(e.to_string()))?;
+                if h.schema != SCHEMA {
+                    return Err(PlatformError::SchemaMismatch { found: h.schema });
                 }
-                Some(_) => {
-                    let p: ProbeRecord = json::from_str(line).map_err(|e| BackendError::Parse {
-                        line: lineno,
-                        reason: e.to_string(),
-                    })?;
-                    probes.push(p);
-                }
+                header = Some(h);
+                continue;
             }
+            let p: ProbeRecord = json::from_str(line).map_err(|e| parse_err(e.to_string()))?;
+            if p.samples.is_empty() {
+                return Err(parse_err("probe record has no samples".to_string()));
+            }
+            if let Some(v) = p.samples.iter().find(|v| **v < 0.0) {
+                return Err(parse_err(format!("probe sample {v} is negative")));
+            }
+            probes.push(p);
         }
-        let header = header.ok_or(BackendError::EmptyFixture)?;
+        let header = header.ok_or(PlatformError::EmptyFixture)?;
         Ok(Fixture { header, probes })
     }
 
     /// Write to a file.
-    pub fn write_to(&self, path: impl AsRef<Path>) -> Result<(), BackendError> {
+    pub fn write_to(&self, path: impl AsRef<Path>) -> Result<(), PlatformError> {
         let path = path.as_ref();
-        std::fs::write(path, self.to_jsonl()).map_err(|e| BackendError::Io {
+        std::fs::write(path, self.to_jsonl()).map_err(|e| PlatformError::Io {
             path: path.display().to_string(),
             reason: e.to_string(),
         })
     }
 
     /// Read from a file.
-    pub fn read_from(path: impl AsRef<Path>) -> Result<Self, BackendError> {
+    pub fn read_from(path: impl AsRef<Path>) -> Result<Self, PlatformError> {
         let path = path.as_ref();
-        let text = std::fs::read_to_string(path).map_err(|e| BackendError::Io {
+        let text = std::fs::read_to_string(path).map_err(|e| PlatformError::Io {
             path: path.display().to_string(),
             reason: e.to_string(),
         })?;
@@ -140,7 +142,7 @@ impl Fixture {
 
     /// Resolve the fixture's topology: the embedded one when present,
     /// else a preset named in the header, else `None`.
-    pub fn resolve_topology(&self) -> Result<Option<Topology>, BackendError> {
+    pub fn resolve_topology(&self) -> Result<Option<Topology>, PlatformError> {
         if let Some(t) = &self.header.topology {
             return Ok(Some(t.clone()));
         }
@@ -149,7 +151,7 @@ impl Fixture {
             Some(name) => {
                 preset_topology(name)
                     .map(Some)
-                    .ok_or_else(|| BackendError::UnknownPreset {
+                    .ok_or_else(|| PlatformError::UnknownPreset {
                         name: name.to_string(),
                     })
             }
@@ -234,7 +236,7 @@ mod tests {
         let e = Fixture::from_jsonl(&fix.to_jsonl()).unwrap_err();
         assert_eq!(
             e,
-            BackendError::SchemaMismatch {
+            PlatformError::SchemaMismatch {
                 found: "numio-probe-fixture/99".to_string()
             }
         );
@@ -245,15 +247,42 @@ mod tests {
     fn garbage_lines_are_typed_parse_errors() {
         assert!(matches!(
             Fixture::from_jsonl("not json"),
-            Err(BackendError::Parse { line: 1, .. })
+            Err(PlatformError::Parse { line: 1, .. })
         ));
         let mut text = sample_fixture().to_jsonl();
         text.push_str("{\"spec\": \"nope\"}\n");
         assert!(matches!(
             Fixture::from_jsonl(&text),
-            Err(BackendError::Parse { line: 3, .. })
+            Err(PlatformError::Parse { line: 3, .. })
         ));
-        assert_eq!(Fixture::from_jsonl("\n\n"), Err(BackendError::EmptyFixture));
+        assert_eq!(
+            Fixture::from_jsonl("\n\n"),
+            Err(PlatformError::EmptyFixture)
+        );
+    }
+
+    /// Parse the sample fixture with its probe line (line 2) carrying
+    /// `samples`.
+    fn parse_with_samples(samples: Vec<f64>) -> Result<Fixture, PlatformError> {
+        let mut fix = sample_fixture();
+        fix.probes[0].samples = samples;
+        Fixture::from_jsonl(&fix.to_jsonl())
+    }
+
+    #[test]
+    fn probe_lines_without_samples_are_parse_errors() {
+        let e = parse_with_samples(Vec::new()).unwrap_err();
+        assert!(matches!(e, PlatformError::Parse { line: 2, .. }));
+        assert_eq!(e.to_string(), "fixture line 2: probe record has no samples");
+    }
+
+    #[test]
+    fn negative_probe_samples_are_parse_errors() {
+        let e = parse_with_samples(vec![26.0, -5.0]).unwrap_err();
+        assert!(matches!(e, PlatformError::Parse { line: 2, .. }));
+        assert_eq!(e.to_string(), "fixture line 2: probe sample -5 is negative");
+        // Zero (and -0.0) is a measurable bandwidth, not a negative one.
+        assert!(parse_with_samples(vec![0.0, -0.0, 26.0]).is_ok());
     }
 
     #[test]
@@ -274,7 +303,7 @@ mod tests {
         fix.header.preset = Some("cray-1".to_string());
         assert_eq!(
             fix.resolve_topology(),
-            Err(BackendError::UnknownPreset {
+            Err(PlatformError::UnknownPreset {
                 name: "cray-1".to_string()
             })
         );

@@ -1,13 +1,12 @@
-#![warn(missing_docs)]
-//! # numa-backend
-//!
-//! The pluggable measurement-backend layer: one [`Platform`](numio_core::Platform) pipeline for
-//! the simulator, the real host, and record/replay.
+//! Measurement backends beyond the executors: backend selection plus
+//! record/replay probe fixtures over any [`Platform`](crate::Platform).
 //!
 //! The paper's methodology (§V, Algorithm 1) is a *measurement
-//! procedure*; what executes a probe should be swappable. `numio-core`
-//! defines the [`Platform`](numio_core::Platform) trait and two executors (`SimPlatform`,
-//! `HostPlatform`); this crate adds the capture side:
+//! procedure*; what executes a probe should be swappable. The
+//! [`Platform`](crate::Platform) trait has two executors
+//! ([`SimPlatform`](crate::SimPlatform),
+//! [`HostPlatform`](crate::HostPlatform)); this module adds the capture
+//! side:
 //!
 //! * [`RecordingPlatform`] wraps any backend and logs every `(CopySpec,
 //!   samples)` pair into a versioned JSONL [`Fixture`];
@@ -18,15 +17,14 @@
 //!   is neither);
 //! * [`AnyPlatform`] gives runtime selection (`sim` / `host` /
 //!   `replay:<file>`) one concrete type, used by the CLI's global
-//!   `--backend` flag;
-//! * [`run_jobs`] / [`run_jobs_scenario`] run fio-style jobs against
-//!   whatever backend was selected, with a typed error when the backend
-//!   has no simulator fabric.
+//!   `--backend` flag.
+//!
+//! Every failure here is a [`PlatformError`](crate::PlatformError).
 //!
 //! ## Record → replay round trip
 //!
 //! ```
-//! use numa_backend::{RecordingPlatform, ReplayPlatform};
+//! use numio_core::backend::{RecordingPlatform, ReplayPlatform};
 //! use numio_core::{IoModeler, SimPlatform, TransferMode};
 //! use numa_topology::NodeId;
 //!
@@ -42,25 +40,40 @@
 //! assert_eq!(replayed, live); // bit-identical, label included
 //! ```
 
-pub mod error;
 pub mod fixture;
-pub mod jobs;
 pub mod record;
 pub mod replay;
 pub mod select;
 
-pub use error::BackendError;
 pub use fixture::{preset_topology, Fixture, FixtureHeader, ProbeRecord, SCHEMA};
-pub use jobs::{run_jobs, run_jobs_scenario};
 pub use record::RecordingPlatform;
 pub use replay::ReplayPlatform;
 pub use select::AnyPlatform;
 
+use crate::CopySpec;
+use numa_obs::{Obs, Value};
+
+/// Count one captured or answered probe in `counter{backend}` and log
+/// it as `event` at `x`, with the spec's nodes and reps as fields.
+fn note_probe(obs: &Obs, (counter, event): (&str, &str), backend: &str, x: f64, spec: &CopySpec) {
+    obs.counter(counter, &[("backend", backend)]).inc();
+    obs.event(
+        event,
+        x,
+        &[
+            ("bind", Value::from(spec.bind.index())),
+            ("src", Value::from(spec.src.index())),
+            ("dst", Value::from(spec.dst.index())),
+            ("reps", Value::from(spec.reps)),
+        ],
+    );
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{IoModeler, Platform, SimPlatform, TransferMode};
     use numa_topology::NodeId;
-    use numio_core::{IoModeler, Platform, SimPlatform, TransferMode};
 
     /// The tentpole guarantee: a full-host characterization recorded from
     /// the live (noisy) sim replays bit-identically.
@@ -97,7 +110,7 @@ mod tests {
             .try_characterize(&replay, NodeId(7), TransferMode::Write)
             .unwrap_err();
         assert!(
-            matches!(err, numio_core::PlatformError::NoRecordedProbe { .. }),
+            matches!(err, crate::PlatformError::NoRecordedProbe { .. }),
             "{err}"
         );
     }
@@ -108,10 +121,7 @@ mod tests {
             (p.backend_kind(), p.deterministic(), p.num_nodes())
         }
         assert_eq!(metadata(&SimPlatform::dl585()), ("sim", true, 8));
-        assert_eq!(
-            metadata(&numio_core::HostPlatform::new(4)),
-            ("host", false, 4)
-        );
+        assert_eq!(metadata(&crate::HostPlatform::new(4)), ("host", false, 4));
         let rec = RecordingPlatform::new(SimPlatform::dl585());
         let _ = IoModeler::new()
             .reps(1)

@@ -1,15 +1,16 @@
 //! [`RecordingPlatform`]: a transparent probe recorder over any backend.
 
-use crate::fixture::{Fixture, FixtureHeader, ProbeRecord, SCHEMA};
+use super::fixture::{Fixture, FixtureHeader, ProbeRecord, SCHEMA};
+use super::note_probe;
+use crate::{ClockSource, CopySpec, Platform, PlatformError};
 use numa_fabric::Fabric;
 use numa_obs::Obs;
 use numa_topology::{NodeId, Topology};
-use numio_core::{ClockSource, CopySpec, Platform, PlatformError};
 use std::sync::Mutex;
 
 /// Wraps any [`Platform`] and logs every successful probe as a
 /// [`ProbeRecord`], producing a [`Fixture`] that a
-/// [`ReplayPlatform`](crate::ReplayPlatform) can re-execute bit-identically.
+/// [`ReplayPlatform`](super::ReplayPlatform) can re-execute bit-identically.
 ///
 /// The wrapper is behaviourally transparent — it delegates every
 /// capability (label, topology, fabric, determinism) to the inner
@@ -39,11 +40,6 @@ impl<P: Platform> RecordingPlatform<P> {
         self
     }
 
-    /// The wrapped platform.
-    pub fn inner(&self) -> &P {
-        &self.inner
-    }
-
     /// How many probes have been captured so far.
     pub fn probes_recorded(&self) -> usize {
         self.log.lock().expect("probe log poisoned").len()
@@ -69,11 +65,6 @@ impl<P: Platform> RecordingPlatform<P> {
         let probes = self.log.lock().expect("probe log poisoned").clone();
         Fixture { header, probes }
     }
-
-    /// Stop recording and recover the wrapped platform.
-    pub fn into_inner(self) -> P {
-        self.inner
-    }
 }
 
 impl<P: Platform> Platform for RecordingPlatform<P> {
@@ -96,21 +87,8 @@ impl<P: Platform> Platform for RecordingPlatform<P> {
             log.len()
         };
         if let Some(o) = &self.obs {
-            o.counter(
-                "numio_probes_recorded_total",
-                &[("backend", self.inner.backend_kind())],
-            )
-            .inc();
-            o.event(
-                "probe_recorded",
-                seq as f64,
-                &[
-                    ("bind", numa_obs::Value::from(spec.bind.index())),
-                    ("src", numa_obs::Value::from(spec.src.index())),
-                    ("dst", numa_obs::Value::from(spec.dst.index())),
-                    ("reps", numa_obs::Value::from(spec.reps)),
-                ],
-            );
+            let names = ("numio_probes_recorded_total", "probe_recorded");
+            note_probe(o, names, self.inner.backend_kind(), seq as f64, spec);
         }
         Ok(samples)
     }
@@ -147,7 +125,7 @@ impl<P: Platform> Platform for RecordingPlatform<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use numio_core::SimPlatform;
+    use crate::SimPlatform;
 
     fn spec() -> CopySpec {
         CopySpec {
@@ -175,7 +153,7 @@ mod tests {
 
     #[test]
     fn full_host_fixture_is_in_serial_probe_order() {
-        use numio_core::{IoModeler, TransferMode};
+        use crate::{IoModeler, TransferMode};
         let rec = RecordingPlatform::new(SimPlatform::dl585());
         let modeler = IoModeler::new().reps(3);
         let _ = modeler.characterize_full_host(&rec);

@@ -1,10 +1,10 @@
 //! [`ReplayPlatform`]: re-execute a recorded fixture bit-identically.
 
-use crate::error::BackendError;
-use crate::fixture::{Fixture, FixtureHeader};
+use super::fixture::{Fixture, FixtureHeader};
+use super::note_probe;
+use crate::{ClockSource, CopySpec, Platform, PlatformError};
 use numa_obs::Obs;
 use numa_topology::{NodeId, Topology};
-use numio_core::{ClockSource, CopySpec, Platform, PlatformError};
 use std::collections::HashMap;
 use std::path::Path;
 
@@ -28,9 +28,9 @@ pub struct ReplayPlatform {
 impl ReplayPlatform {
     /// Build from a parsed fixture. Rejects fixtures with no probes and
     /// resolves the topology (embedded, else preset lookup).
-    pub fn from_fixture(fixture: Fixture) -> Result<Self, BackendError> {
+    pub fn from_fixture(fixture: Fixture) -> Result<Self, PlatformError> {
         if fixture.probes.is_empty() {
-            return Err(BackendError::EmptyFixture);
+            return Err(PlatformError::EmptyFixture);
         }
         let topology = fixture.resolve_topology()?;
         let mut probes = HashMap::with_capacity(fixture.probes.len());
@@ -49,12 +49,12 @@ impl ReplayPlatform {
     }
 
     /// Parse JSONL text and build.
-    pub fn from_jsonl(text: &str) -> Result<Self, BackendError> {
+    pub fn from_jsonl(text: &str) -> Result<Self, PlatformError> {
         Self::from_fixture(Fixture::from_jsonl(text)?)
     }
 
     /// Read a fixture file and build.
-    pub fn from_file(path: impl AsRef<Path>) -> Result<Self, BackendError> {
+    pub fn from_file(path: impl AsRef<Path>) -> Result<Self, PlatformError> {
         Self::from_fixture(Fixture::read_from(path)?)
     }
 
@@ -63,11 +63,6 @@ impl ReplayPlatform {
     pub fn with_obs(mut self, obs: Obs) -> Self {
         self.obs = Some(obs);
         self
-    }
-
-    /// The fixture header this platform replays.
-    pub fn header(&self) -> &FixtureHeader {
-        &self.header
     }
 
     /// Distinct specs the fixture can answer.
@@ -96,18 +91,8 @@ impl Platform for ReplayPlatform {
             .cloned()
             .ok_or(PlatformError::NoRecordedProbe { spec: *spec })?;
         if let Some(o) = &self.obs {
-            o.counter("numio_probes_replayed_total", &[("backend", "replay")])
-                .inc();
-            o.event(
-                "probe_replayed",
-                spec.bind.index() as f64,
-                &[
-                    ("bind", numa_obs::Value::from(spec.bind.index())),
-                    ("src", numa_obs::Value::from(spec.src.index())),
-                    ("dst", numa_obs::Value::from(spec.dst.index())),
-                    ("reps", numa_obs::Value::from(spec.reps)),
-                ],
-            );
+            let names = ("numio_probes_replayed_total", "probe_replayed");
+            note_probe(o, names, "replay", spec.bind.index() as f64, spec);
         }
         Ok(samples)
     }
@@ -142,8 +127,8 @@ impl Platform for ReplayPlatform {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::RecordingPlatform;
-    use numio_core::SimPlatform;
+    use crate::backend::RecordingPlatform;
+    use crate::SimPlatform;
 
     fn spec() -> CopySpec {
         CopySpec {
@@ -203,7 +188,7 @@ mod tests {
         let fix = rec.fixture();
         assert!(matches!(
             ReplayPlatform::from_fixture(fix),
-            Err(BackendError::EmptyFixture)
+            Err(PlatformError::EmptyFixture)
         ));
     }
 

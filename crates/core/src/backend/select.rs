@@ -1,11 +1,10 @@
 //! [`AnyPlatform`]: runtime backend selection behind one concrete type.
 
-use crate::error::BackendError;
-use crate::replay::ReplayPlatform;
+use super::replay::ReplayPlatform;
+use crate::{ClockSource, CopySpec, HostPlatform, Platform, PlatformError, SimPlatform};
 use numa_fabric::Fabric;
 use numa_obs::Obs;
 use numa_topology::{NodeId, Topology};
-use numio_core::{ClockSource, CopySpec, HostPlatform, Platform, PlatformError, SimPlatform};
 
 /// One of the three first-class backends, chosen at runtime (the CLI's
 /// global `--backend sim|host|replay:<file>` resolves to this).
@@ -26,7 +25,7 @@ impl AnyPlatform {
     /// * `host` — the real machine, 4-node shape,
     /// * `host:<nodes>` — the real machine with an explicit node count,
     /// * `replay:<file>` — a recorded JSONL fixture.
-    pub fn from_spec(spec: &str) -> Result<Self, BackendError> {
+    pub fn from_spec(spec: &str) -> Result<Self, PlatformError> {
         if spec == "sim" {
             return Ok(AnyPlatform::Sim(SimPlatform::dl585()));
         }
@@ -34,7 +33,7 @@ impl AnyPlatform {
             return Ok(AnyPlatform::Host(HostPlatform::new(4)));
         }
         if let Some(nodes) = spec.strip_prefix("host:") {
-            let nodes: usize = nodes.parse().map_err(|_| BackendError::UnknownBackend {
+            let nodes: usize = nodes.parse().map_err(|_| PlatformError::UnknownBackend {
                 spec: spec.to_string(),
             })?;
             return Ok(AnyPlatform::Host(HostPlatform::new(nodes)));
@@ -42,7 +41,7 @@ impl AnyPlatform {
         if let Some(path) = spec.strip_prefix("replay:") {
             return Ok(ReplayPlatform::from_file(path)?.into());
         }
-        Err(BackendError::UnknownBackend {
+        Err(PlatformError::UnknownBackend {
             spec: spec.to_string(),
         })
     }
@@ -54,18 +53,6 @@ impl AnyPlatform {
             AnyPlatform::Replay(r) => r.with_obs(obs).into(),
             other => other,
         }
-    }
-}
-
-impl From<SimPlatform> for AnyPlatform {
-    fn from(p: SimPlatform) -> Self {
-        AnyPlatform::Sim(p)
-    }
-}
-
-impl From<HostPlatform> for AnyPlatform {
-    fn from(p: HostPlatform) -> Self {
-        AnyPlatform::Host(p)
     }
 }
 
@@ -158,7 +145,7 @@ mod tests {
             assert!(
                 matches!(
                     AnyPlatform::from_spec(bad),
-                    Err(BackendError::UnknownBackend { .. })
+                    Err(PlatformError::UnknownBackend { .. })
                 ),
                 "{bad}"
             );
@@ -166,7 +153,7 @@ mod tests {
         // A replay path that does not exist is an Io error, not Unknown.
         assert!(matches!(
             AnyPlatform::from_spec("replay:/no/such/fixture.jsonl"),
-            Err(BackendError::Io { .. })
+            Err(PlatformError::Io { .. })
         ));
     }
 }

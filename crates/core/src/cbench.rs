@@ -10,7 +10,7 @@
 //! [`crate::ScheduleAdvisor`] driven by the memcpy methodology.
 
 use crate::platform::SimPlatform;
-use numa_memsys::StreamBench;
+use numa_fio::memsys::StreamBench;
 use numa_topology::NodeId;
 
 /// A STREAM-derived memory-access cost model (bandwidth matrix, Gbit/s).

@@ -2,7 +2,7 @@
 //!
 //! [`HostPlatform`] runs the same Algorithm 1 probes as the simulator, but
 //! with real threads doing real `memcpy` on the machine executing this
-//! code (the measurement loop itself lives in `numa_memsys::CopyProbe`,
+//! code (the measurement loop itself lives in `numa_fio::memsys::CopyProbe`,
 //! next to the real STREAM kernels). It does **not** pin threads or memory
 //! (that requires `libnuma` / `numactl`, outside this reproduction's
 //! dependency budget — see DESIGN.md §7): on a NUMA host, run the binary
@@ -17,7 +17,7 @@
 //! ([`HostPlatform::discover`]).
 
 use crate::platform::{ClockSource, CopySpec, Platform, PlatformError};
-use numa_memsys::CopyProbe;
+use numa_fio::memsys::CopyProbe;
 use numa_topology::{presets, sysfs, NodeId, Topology};
 
 /// Real-memcpy probe backend.

@@ -18,8 +18,9 @@
 //!   capability metadata (topology handle, clock source, determinism,
 //!   backend kind). [`SimPlatform`] backs it with the calibrated
 //!   simulator; [`HostPlatform`] backs it with real threads and real
-//!   `memcpy` on the machine running this code; the `numa-backend` crate
-//!   adds record/replay wrappers over any of them.
+//!   `memcpy` on the machine running this code; [`backend`] adds
+//!   record/replay wrappers over any of them and runtime selection
+//!   ([`backend::AnyPlatform`]).
 //! * [`IoModeler`] — Algorithm 1, verbatim structure.
 //! * [`IoPerfModel`] / [`classify()`] — per-node bandwidths + gap-based class
 //!   construction with the paper's local+neighbour rule.
@@ -47,6 +48,7 @@
 
 pub mod advisor;
 pub mod atlas;
+pub mod backend;
 pub mod cbench;
 pub mod classify;
 pub mod drift;

@@ -91,6 +91,39 @@ pub enum PlatformError {
         /// The spec that missed.
         spec: CopySpec,
     },
+    /// A probe fixture file could not be read or written.
+    Io {
+        /// The path involved.
+        path: String,
+        /// The OS error, in `std::io::Error` words.
+        reason: String,
+    },
+    /// A probe fixture line is not valid JSON of the expected shape, or
+    /// records an unusable sample list.
+    Parse {
+        /// 1-based line number in the fixture.
+        line: usize,
+        /// The parser error.
+        reason: String,
+    },
+    /// The fixture declares a schema this build does not speak.
+    SchemaMismatch {
+        /// The schema string found in the header.
+        found: String,
+    },
+    /// The fixture carries a header but no probe records.
+    EmptyFixture,
+    /// The fixture names a preset topology this build does not know and
+    /// embeds none.
+    UnknownPreset {
+        /// The preset name from the header.
+        name: String,
+    },
+    /// A `--backend` specification did not parse.
+    UnknownBackend {
+        /// The offending spec string.
+        spec: String,
+    },
 }
 
 impl std::fmt::Display for PlatformError {
@@ -130,6 +163,22 @@ impl std::fmt::Display for PlatformError {
                 spec.threads,
                 spec.bytes_per_thread,
                 spec.reps
+            ),
+            PlatformError::Io { path, reason } => write!(f, "fixture '{path}': {reason}"),
+            PlatformError::Parse { line, reason } => write!(f, "fixture line {line}: {reason}"),
+            PlatformError::SchemaMismatch { found } => write!(
+                f,
+                "unsupported fixture schema '{found}' (this build speaks '{}')",
+                crate::backend::SCHEMA
+            ),
+            PlatformError::EmptyFixture => write!(f, "fixture has no probe records"),
+            PlatformError::UnknownPreset { name } => write!(
+                f,
+                "fixture names unknown preset topology '{name}' and embeds none"
+            ),
+            PlatformError::UnknownBackend { spec } => write!(
+                f,
+                "unknown backend '{spec}' (expected sim, host, or replay:<file>)"
             ),
         }
     }

@@ -1,8 +1,8 @@
 //! Job specifications, fio-style.
 
+use crate::memsys::MemPolicy;
 use numa_engine::JitterCfg;
 use numa_iodev::{IoEngine, NicOp};
-use numa_memsys::MemPolicy;
 use numa_topology::NodeId;
 
 /// What a job exercises.

@@ -23,30 +23,14 @@
 //! Sections inherit `[global]` keys; later keys override earlier ones.
 
 use crate::job::{JobSpec, Workload};
+use crate::memsys::MemPolicy;
+use crate::FioError;
 use numa_iodev::{IoEngine, NicOp};
-use numa_memsys::MemPolicy;
 use numa_topology::NodeId;
 use std::collections::BTreeMap;
 
-/// Parse failures, with the offending line.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JobFileError {
-    /// 1-based line number (0 for file-level errors).
-    pub line: usize,
-    /// What went wrong.
-    pub message: String,
-}
-
-impl std::fmt::Display for JobFileError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "job file line {}: {}", self.line, self.message)
-    }
-}
-
-impl std::error::Error for JobFileError {}
-
-fn err(line: usize, message: impl Into<String>) -> JobFileError {
-    JobFileError {
+fn err(line: usize, message: impl Into<String>) -> FioError {
+    FioError::JobFile {
         line,
         message: message.into(),
     }
@@ -55,7 +39,7 @@ fn err(line: usize, message: impl Into<String>) -> JobFileError {
 type KeyValues = BTreeMap<String, (usize, String)>;
 
 /// Parse a job file into named job specs, in section order.
-pub fn parse(text: &str) -> Result<Vec<(String, JobSpec)>, JobFileError> {
+pub fn parse(text: &str) -> Result<Vec<(String, JobSpec)>, FioError> {
     let mut global: KeyValues = BTreeMap::new();
     let mut sections: Vec<(String, KeyValues)> = Vec::new();
 
@@ -101,7 +85,7 @@ pub fn parse(text: &str) -> Result<Vec<(String, JobSpec)>, JobFileError> {
     Ok(jobs)
 }
 
-fn build_job(name: &str, kv: &KeyValues) -> Result<JobSpec, JobFileError> {
+fn build_job(name: &str, kv: &KeyValues) -> Result<JobSpec, FioError> {
     let get = |k: &str| kv.get(k).map(|(l, v)| (*l, v.as_str()));
     let engine_str = get("ioengine")
         .map(|(_, v)| v.to_lowercase())
@@ -353,28 +337,36 @@ numjobs=2
         assert_eq!(parse(text).unwrap().len(), 1);
     }
 
+    /// The `(line, message)` of a job file that fails to parse.
+    fn parse_err(text: &str) -> (usize, String) {
+        match parse(text) {
+            Err(FioError::JobFile { line, message }) => (line, message),
+            other => panic!("{other:?}"),
+        }
+    }
+
     #[test]
     fn errors_carry_line_numbers() {
-        let e = parse("[j]\nioengine=floppy\ncpunodebind=0\n").unwrap_err();
-        assert_eq!(e.line, 2);
-        assert!(e.message.contains("floppy"));
+        let (line, message) = parse_err("[j]\nioengine=floppy\ncpunodebind=0\n");
+        assert_eq!(line, 2);
+        assert!(message.contains("floppy"));
 
-        let e = parse("[j]\nioengine=net\n").unwrap_err();
-        assert!(e.message.contains("cpunodebind is required"));
+        let (_, message) = parse_err("[j]\nioengine=net\n");
+        assert!(message.contains("cpunodebind is required"));
 
-        let e = parse("[j]\nnonsense-line\n").unwrap_err();
-        assert_eq!(e.line, 2);
+        let (line, _) = parse_err("[j]\nnonsense-line\n");
+        assert_eq!(line, 2);
 
-        let e = parse("[j]\nioengine=net\ncpunodebind=0\nnumjobs=0\n").unwrap_err();
-        assert_eq!(e.line, 4);
+        let (line, _) = parse_err("[j]\nioengine=net\ncpunodebind=0\nnumjobs=0\n");
+        assert_eq!(line, 4);
     }
 
     #[test]
     fn weight_key_parses_and_validates() {
         let jobs = parse("[j]\nioengine=rdma\nverb=write\ncpunodebind=6\nweight=2.5\n").unwrap();
         assert_eq!(jobs[0].1.weight, 2.5);
-        let e = parse("[j]\nioengine=net\ncpunodebind=0\nweight=-1\n").unwrap_err();
-        assert!(e.message.contains("positive"));
+        let (_, message) = parse_err("[j]\nioengine=net\ncpunodebind=0\nweight=-1\n");
+        assert!(message.contains("positive"));
     }
 
     #[test]

@@ -13,6 +13,10 @@
 //! aggregates, and [`sweep()`] regenerates the multi-stream curves of
 //! Figs. 5–7.
 //!
+//! The paper's other tools live in [`memsys`]: the memory policies jobs
+//! bind with (`numactl`), `numastat` accounting, and STREAM, simulated
+//! and on real memory. Every failure in this crate is a [`FioError`].
+//!
 //! ## Example
 //!
 //! ```
@@ -30,12 +34,13 @@
 
 pub mod job;
 pub mod jobfile;
+pub mod memsys;
 pub mod params;
 pub mod runner;
 pub mod sweep;
 
 pub use job::{JobSpec, Workload};
-pub use jobfile::{parse as parse_jobfile, JobFileError};
+pub use jobfile::parse as parse_jobfile;
 pub use params::NetTestParams;
 pub use runner::{
     assemble_report, build_sim, build_sim_with, run_jobs, run_jobs_scenario, run_jobs_with,

@@ -1,7 +1,5 @@
-#![warn(missing_docs)]
-//! # numa-memsys
-//!
-//! The memory subsystem of the simulated host:
+//! The memory subsystem of the simulated host, and the real-memory
+//! kernels beside it:
 //!
 //! * [`MemPolicy`] — the Linux NUMA allocation policies the paper's tools
 //!   (`numactl`, `libnuma`) manipulate: local-preferred (the 2.6 kernel
@@ -13,11 +11,17 @@
 //!   100 repetitions reporting the **maximum**, pinned with `numactl`
 //!   semantics, producing the Fig. 3 bandwidth matrix and the Fig. 4
 //!   CPU-centric / memory-centric models of a target node.
+//! * [`RealStream`] / [`CopyProbe`] — STREAM and the Algorithm 1 memcpy
+//!   loop on the machine running this code.
+//!
+//! Failures (a full node or host, a worker that would not spawn, a
+//! configuration that cannot measure) are [`FioError`](crate::FioError)
+//! variants.
 //!
 //! ## Example
 //!
 //! ```
-//! use numa_memsys::{MemoryState, MemPolicy};
+//! use numa_fio::memsys::{MemoryState, MemPolicy};
 //! use numa_topology::{presets, NodeId};
 //!
 //! let topo = presets::dl585_testbed();
@@ -30,7 +34,6 @@
 //! assert_eq!(placement, vec![(NodeId(3), 1024)]);
 //! ```
 
-pub mod error;
 pub mod latency_bench;
 pub mod numademo;
 pub mod numastat;
@@ -40,12 +43,11 @@ pub mod state;
 pub mod stream;
 pub mod stream_host;
 
-pub use error::MemsysError;
 pub use latency_bench::{CacheHierarchy, LatencyBench, LatencyPoint};
 pub use numademo::{run_all as numademo_all, Affinity, DemoResult, TestModule};
 pub use numastat::{NumastatCounters, NumastatTable};
 pub use policy::MemPolicy;
 pub use probe::CopyProbe;
-pub use state::{AllocError, MemoryState};
+pub use state::MemoryState;
 pub use stream::{StreamBench, StreamOp, StreamResult};
 pub use stream_host::{RealStream, RealStreamResult};

@@ -7,7 +7,7 @@
 //! the original seven so the extended tool exists end to end
 //! (`numio-core`'s modeler is the added module).
 
-use crate::stream::{StreamBench, StreamOp};
+use super::stream::{StreamBench, StreamOp};
 use numa_fabric::Fabric;
 use numa_topology::NodeId;
 use std::fmt::Write as _;

@@ -9,9 +9,9 @@
 //! ends). NUMA binding itself is outside scope here — pin externally with
 //! `numactl`, exactly as the paper ran `fio` and STREAM (§IV-A); this
 //! module's job is to move real bytes with real threads and fail with a
-//! typed [`MemsysError`] instead of panicking when the OS says no.
+//! typed [`FioError`] instead of panicking when the OS says no.
 
-use crate::error::MemsysError;
+use crate::FioError;
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -28,19 +28,19 @@ pub struct CopyProbe {
 
 impl CopyProbe {
     /// Check the configuration without running anything.
-    pub fn validate(&self) -> Result<(), MemsysError> {
+    pub fn validate(&self) -> Result<(), FioError> {
         if self.threads == 0 {
-            return Err(MemsysError::InvalidConfig {
+            return Err(FioError::InvalidConfig {
                 reason: "at least one copy thread".to_string(),
             });
         }
         if self.reps == 0 {
-            return Err(MemsysError::InvalidConfig {
+            return Err(FioError::InvalidConfig {
                 reason: "at least one repetition".to_string(),
             });
         }
         if self.bytes_per_thread == 0 {
-            return Err(MemsysError::InvalidConfig {
+            return Err(FioError::InvalidConfig {
                 reason: "buffers must be non-empty".to_string(),
             });
         }
@@ -54,7 +54,7 @@ impl CopyProbe {
     /// buffer and the repetition's bandwidth is the total bytes moved
     /// divided by the slowest worker's time (the repetition is not done
     /// until the laggard is).
-    pub fn run(&self) -> Result<Vec<f64>, MemsysError> {
+    pub fn run(&self) -> Result<Vec<f64>, FioError> {
         self.validate()?;
         let threads = self.threads as usize;
         let bytes = self.bytes_per_thread as usize;
@@ -85,7 +85,7 @@ impl CopyProbe {
                                 .push(start.elapsed().as_secs_f64());
                         });
                     if let Err(e) = spawned {
-                        spawn_err = Some(MemsysError::SpawnFailed {
+                        spawn_err = Some(FioError::SpawnFailed {
                             thread: idx,
                             reason: e.to_string(),
                         });
@@ -147,7 +147,7 @@ mod tests {
         let e = CopyProbe { threads: 0, ..good }.run().unwrap_err();
         assert_eq!(
             e,
-            MemsysError::InvalidConfig {
+            FioError::InvalidConfig {
                 reason: "at least one copy thread".to_string()
             }
         );

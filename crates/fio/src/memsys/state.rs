@@ -1,47 +1,9 @@
 //! Per-node memory accounting with policy-driven allocation.
 
-use crate::numastat::NumastatTable;
-use crate::policy::MemPolicy;
+use super::numastat::NumastatTable;
+use super::policy::MemPolicy;
+use crate::FioError;
 use numa_topology::{NodeId, Topology};
-
-/// Allocation failures.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum AllocError {
-    /// A `Bind` policy targeted a node without enough free memory.
-    BindNodeFull {
-        /// The bound node.
-        node: NodeId,
-        /// Free MiB at failure time.
-        free_mib: u64,
-        /// Requested MiB.
-        requested_mib: u64,
-    },
-    /// The whole host is out of memory.
-    HostFull {
-        /// Requested MiB.
-        requested_mib: u64,
-    },
-}
-
-impl std::fmt::Display for AllocError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            AllocError::BindNodeFull {
-                node,
-                free_mib,
-                requested_mib,
-            } => write!(
-                f,
-                "bind target {node:?} has {free_mib} MiB free, {requested_mib} requested"
-            ),
-            AllocError::HostFull { requested_mib } => {
-                write!(f, "host cannot satisfy {requested_mib} MiB")
-            }
-        }
-    }
-}
-
-impl std::error::Error for AllocError {}
 
 /// MiB the OS image occupies on its home node at idle. Calibrated to the
 /// paper's `numactl --hardware` observation: ~1.5 GiB free of 4 GiB on
@@ -143,12 +105,12 @@ impl MemoryState {
         task_node: NodeId,
         policy: &MemPolicy,
         mib: u64,
-    ) -> Result<Vec<(NodeId, u64)>, AllocError> {
+    ) -> Result<Vec<(NodeId, u64)>, FioError> {
         match policy {
             MemPolicy::Bind(node) => {
                 let free = self.free_mib[node.index()];
                 if free < mib {
-                    return Err(AllocError::BindNodeFull {
+                    return Err(FioError::BindNodeFull {
                         node: *node,
                         free_mib: free,
                         requested_mib: mib,
@@ -163,7 +125,7 @@ impl MemoryState {
                 assert!(!nodes.is_empty(), "interleave set must be non-empty");
                 let free_total: u64 = nodes.iter().map(|n| self.free_mib[n.index()]).sum();
                 if free_total < mib {
-                    return Err(AllocError::HostFull { requested_mib: mib });
+                    return Err(FioError::HostFull { requested_mib: mib });
                 }
                 // Round-robin 1 MiB "pages" across the set, skipping full
                 // nodes; coalesce into chunks for the report.
@@ -202,10 +164,10 @@ impl MemoryState {
         task_node: NodeId,
         intended: NodeId,
         mib: u64,
-    ) -> Result<Vec<(NodeId, u64)>, AllocError> {
+    ) -> Result<Vec<(NodeId, u64)>, FioError> {
         let host_free: u64 = self.free_mib.iter().sum();
         if host_free < mib {
-            return Err(AllocError::HostFull { requested_mib: mib });
+            return Err(FioError::HostFull { requested_mib: mib });
         }
         let mut placed = Vec::new();
         let mut left = mib;
@@ -265,7 +227,7 @@ mod tests {
             .unwrap_err();
         assert!(matches!(
             err,
-            AllocError::BindNodeFull {
+            FioError::BindNodeFull {
                 node: NodeId(7),
                 ..
             }
@@ -348,7 +310,7 @@ mod tests {
         let err = m
             .allocate(NodeId(0), &MemPolicy::LocalPreferred, total_free + 1)
             .unwrap_err();
-        assert!(matches!(err, AllocError::HostFull { .. }));
+        assert!(matches!(err, FioError::HostFull { .. }));
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! the paper's ≥4× LLC sizing rule checkable against the machine you are
 //! on. Pin externally with `numactl` exactly as the paper did (§IV-A).
 
-use crate::error::MemsysError;
-use crate::stream::StreamOp;
+use super::stream::StreamOp;
+use crate::FioError;
 use std::time::Instant;
 
 /// Configuration for a real STREAM run.
@@ -59,19 +59,19 @@ pub fn bytes_per_elem(op: StreamOp) -> u64 {
 
 impl RealStream {
     /// Check the configuration without measuring anything.
-    pub fn validate(&self) -> Result<(), MemsysError> {
+    pub fn validate(&self) -> Result<(), FioError> {
         if self.threads < 1 {
-            return Err(MemsysError::InvalidConfig {
+            return Err(FioError::InvalidConfig {
                 reason: "at least one worker thread".to_string(),
             });
         }
         if self.reps < 1 {
-            return Err(MemsysError::InvalidConfig {
+            return Err(FioError::InvalidConfig {
                 reason: "at least one repetition".to_string(),
             });
         }
         if self.elems < self.threads {
-            return Err(MemsysError::InvalidConfig {
+            return Err(FioError::InvalidConfig {
                 reason: format!(
                     "arrays must cover every thread: {} elems < {} threads",
                     self.elems, self.threads
@@ -89,11 +89,11 @@ impl RealStream {
         self.try_run(op).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Run one kernel for real. Returns a typed [`MemsysError`] instead of
+    /// Run one kernel for real. Returns a typed [`FioError`] instead of
     /// panicking (or, as an older revision did, silently reporting zero
     /// bandwidth) when the configuration is unusable or the OS refuses to
     /// spawn a worker.
-    pub fn try_run(&self, op: StreamOp) -> Result<RealStreamResult, MemsysError> {
+    pub fn try_run(&self, op: StreamOp) -> Result<RealStreamResult, FioError> {
         self.validate()?;
         const Q: f64 = 3.0; // STREAM's scalar
         let n = self.elems;
@@ -143,7 +143,7 @@ impl RealStream {
                             }
                         });
                     if let Err(e) = spawned {
-                        spawn_err = Some(MemsysError::SpawnFailed {
+                        spawn_err = Some(FioError::SpawnFailed {
                             thread: idx,
                             reason: e.to_string(),
                         });
@@ -180,7 +180,7 @@ impl RealStream {
     }
 
     /// Run all four kernels, stopping at the first failure.
-    pub fn try_run_all(&self) -> Result<Vec<RealStreamResult>, MemsysError> {
+    pub fn try_run_all(&self) -> Result<Vec<RealStreamResult>, FioError> {
         StreamOp::ALL.iter().map(|&op| self.try_run(op)).collect()
     }
 
@@ -267,7 +267,7 @@ mod tests {
         };
         assert_eq!(
             no_threads.try_run(StreamOp::Copy),
-            Err(MemsysError::InvalidConfig {
+            Err(FioError::InvalidConfig {
                 reason: "at least one worker thread".to_string()
             })
         );

@@ -7,7 +7,8 @@ use numa_iodev::{NicModel, NicOp, SsdModel};
 use numa_topology::NodeId;
 use std::fmt::Write as _;
 
-/// Harness failures.
+/// Every failure of this crate: lowering and running jobs, parsing job
+/// files, and [`memsys`](crate::memsys) allocations and measurements.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FioError {
     /// Empty job list.
@@ -39,6 +40,43 @@ pub enum FioError {
     },
     /// The underlying simulation failed.
     Sim(SimError),
+    /// A job file did not parse ([`parse_jobfile`](crate::parse_jobfile)).
+    JobFile {
+        /// 1-based line number (0 for file-level errors).
+        line: usize,
+        /// What went wrong.
+        message: String,
+    },
+    /// A `Bind` policy targeted a node without enough free memory
+    /// ([`MemoryState`](crate::memsys::MemoryState)).
+    BindNodeFull {
+        /// The bound node.
+        node: NodeId,
+        /// Free MiB at failure time.
+        free_mib: u64,
+        /// Requested MiB.
+        requested_mib: u64,
+    },
+    /// The whole simulated host is out of memory.
+    HostFull {
+        /// Requested MiB.
+        requested_mib: u64,
+    },
+    /// The OS refused to spawn a real-measurement worker thread
+    /// ([`RealStream`](crate::memsys::RealStream),
+    /// [`CopyProbe`](crate::memsys::CopyProbe)).
+    SpawnFailed {
+        /// Index of the worker that failed to start.
+        thread: usize,
+        /// The OS error, in `std::io::Error` words.
+        reason: String,
+    },
+    /// A real-measurement configuration cannot produce a meaningful
+    /// sample.
+    InvalidConfig {
+        /// What is wrong with it.
+        reason: String,
+    },
 }
 
 impl std::fmt::Display for FioError {
@@ -63,6 +101,24 @@ impl std::fmt::Display for FioError {
                 )
             }
             FioError::Sim(e) => write!(f, "simulation failed: {e}"),
+            FioError::JobFile { line, message } => write!(f, "job file line {line}: {message}"),
+            FioError::BindNodeFull {
+                node,
+                free_mib,
+                requested_mib,
+            } => write!(
+                f,
+                "bind target {node:?} has {free_mib} MiB free, {requested_mib} requested"
+            ),
+            FioError::HostFull { requested_mib } => {
+                write!(f, "host cannot satisfy {requested_mib} MiB")
+            }
+            FioError::SpawnFailed { thread, reason } => {
+                write!(f, "could not spawn measurement worker {thread}: {reason}")
+            }
+            FioError::InvalidConfig { reason } => {
+                write!(f, "invalid measurement config: {reason}")
+            }
         }
     }
 }
@@ -131,7 +187,7 @@ pub fn build_sim_with<'f>(
                 gbytes: spec.size_gbytes,
             });
         }
-        if matches!(&spec.mem_policy, numa_memsys::MemPolicy::Interleave(n) if n.is_empty()) {
+        if matches!(&spec.mem_policy, crate::memsys::MemPolicy::Interleave(n) if n.is_empty()) {
             return Err(FioError::EmptyInterleave { job });
         }
         for node in [spec.bind, spec.buffer_node()] {
@@ -773,7 +829,7 @@ mod tests {
         let f = fabric();
         let ok = JobSpec::nic(NicOp::TcpSend, NodeId(7));
         let empty = JobSpec::ssd(true, NodeId(3))
-            .mem_policy(numa_memsys::MemPolicy::Interleave(Vec::new()));
+            .mem_policy(crate::memsys::MemPolicy::Interleave(Vec::new()));
         let want = FioError::EmptyInterleave { job: 1 };
         assert_eq!(
             run_jobs(&f, &[ok.clone(), empty.clone()]).unwrap_err(),
@@ -805,7 +861,8 @@ mod tests {
         assert_eq!(run_jobs(&f, &nic).unwrap_err(), unknown(0, 9));
         assert_eq!(steady_job_rates(&f, &nic).unwrap_err(), unknown(0, 9));
         // The CPU node is valid; the buffers are not.
-        let ssd = JobSpec::ssd(true, NodeId(3)).mem_policy(numa_memsys::MemPolicy::Bind(NodeId(8)));
+        let ssd =
+            JobSpec::ssd(true, NodeId(3)).mem_policy(crate::memsys::MemPolicy::Bind(NodeId(8)));
         let jobs = [JobSpec::nic(NicOp::TcpSend, NodeId(7)), ssd];
         assert_eq!(run_jobs(&f, &jobs).unwrap_err(), unknown(1, 8));
         assert_eq!(steady_job_rates(&f, &jobs).unwrap_err(), unknown(1, 8));
@@ -838,7 +895,7 @@ mod tests {
         // Pin CPU to node 6 but buffers to node 3: the DMA path (and hence
         // the class) follows the buffers — the paper's central point that
         // data location, not thread location, drives DMA cost.
-        use numa_memsys::MemPolicy;
+        use crate::memsys::MemPolicy;
         let f = fabric();
         let job = JobSpec::nic(NicOp::RdmaWrite, NodeId(6))
             .mem_policy(MemPolicy::bind(3))

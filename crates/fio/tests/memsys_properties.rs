@@ -3,7 +3,7 @@
 //! `SplitMix64::new(c)`.
 
 use numa_fabric::calibration::dl585_fabric;
-use numa_memsys::{MemPolicy, MemoryState, StreamBench, StreamOp};
+use numa_fio::memsys::{MemPolicy, MemoryState, StreamBench, StreamOp};
 use numa_par::rng::SplitMix64;
 use numa_topology::{presets, NodeId};
 

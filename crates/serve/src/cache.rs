@@ -870,7 +870,7 @@ mod tests {
 
     #[test]
     fn partial_replay_fixture_serves_what_it_covers() {
-        use numa_backend::{RecordingPlatform, ReplayPlatform};
+        use numio_core::backend::{RecordingPlatform, ReplayPlatform};
         // Record only node 7's write-direction probes — the shape of the
         // shipped results/fixtures/dl585.jsonl.
         let rec = RecordingPlatform::new(SimPlatform::dl585());

@@ -15,19 +15,20 @@
 //!   with open-loop workload generators, flow-completion-time records,
 //!   and one [`Simulation`](engine::Simulation) type that builds and runs
 //!   them.
-//! * [`memsys`] — memory subsystem: policies, numastat, STREAM simulation.
 //! * [`iodev`] — NIC (TCP/RDMA) and SSD device models.
-//! * [`fio`] — fio-like benchmark job harness.
+//! * [`fio`] — fio-like benchmark job harness, with the memory subsystem
+//!   it binds jobs through as [`memsys`] (`numa_fio::memsys`): policies,
+//!   numastat, STREAM simulation.
 //! * [`obs`] — unified observability: structured events, metrics registry,
 //!   self-profiling spans, JSONL/Prometheus exporters.
 //! * [`core`] — **the paper's contribution**: the memcpy-based I/O
 //!   characterization methodology (Algorithm 1), performance-class
 //!   classifier, Eq. 1 aggregate-bandwidth predictor, scheduler advisor,
 //!   and the pluggable [`Platform`](core::Platform) measurement trait with
-//!   sim and real-host executors.
-//! * [`backend`] — backend selection plus record/replay: capture every
-//!   probe a characterization makes into a versioned JSONL fixture and
-//!   replay it bit-identically.
+//!   sim and real-host executors, plus [`backend`]
+//!   (`numio_core::backend`): backend selection and record/replay,
+//!   capturing every probe a characterization makes into a versioned
+//!   JSONL fixture and replaying it bit-identically.
 //! * [`sched`] — the one placement layer: online placement/migration
 //!   episodes driven by the model, one [`Policy`](sched::Policy) trait and
 //!   one class-ranked rule.
@@ -59,112 +60,54 @@
 //! assert_eq!(model.classes().len(), 3);
 //! ```
 
-pub use numa_backend as backend;
 pub use numa_engine as engine;
 pub use numa_fabric as fabric;
 pub use numa_faults as faults;
 pub use numa_fio as fio;
+pub use numa_fio::memsys;
 pub use numa_iodev as iodev;
-pub use numa_memsys as memsys;
 pub use numa_obs as obs;
 pub use numa_sched as sched;
 pub use numa_sched::fleet;
 pub use numa_serve as serve;
 pub use numa_topology as topology;
 pub use numio_core as core;
+pub use numio_core::backend;
 
-/// Workspace-level error: any failure a `numio` API can return.
-///
-/// Each layer keeps its own narrow error type (so library users matching
-/// on one crate's failures are not forced through a workspace-wide enum),
-/// and every one of them converts into `Error` with `?` — application
-/// code can funnel the whole stack into one `Result<_, numio::Error>`.
-#[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
-pub enum Error {
-    /// Structural topology construction failed ([`topology`]).
-    Topology(topology::TopologyError),
-    /// Reading a Linux sysfs snapshot failed ([`topology::sysfs`]).
-    Sysfs(topology::sysfs::SysfsError),
-    /// A what-if capacity change did not fit the fabric ([`fabric`]).
-    Fabric(fabric::FabricError),
-    /// Building or running a [`engine::Simulation`] failed ([`engine`]).
-    Sim(engine::SimError),
-    /// Placement failed: a scheduling episode, a policy's
-    /// characterization, fleet generation or a cluster episode ([`sched`]).
-    Sched(sched::SchedError),
-    /// Lowering or running a benchmark job set failed ([`fio`]).
-    Fio(fio::FioError),
-    /// Parsing a fio-style job file failed ([`fio`]).
-    JobFile(fio::JobFileError),
-    /// A simulated memory allocation failed ([`memsys`]).
-    Alloc(memsys::AllocError),
-    /// Two models cannot be compared for drift ([`core`]).
-    Diff(core::DiffError),
-    /// A copy specification or probe platform was invalid ([`core`]).
-    Platform(core::PlatformError),
-    /// A real-host measurement failed ([`memsys`]).
-    Memsys(memsys::MemsysError),
-    /// A probe fixture or backend selection was invalid ([`backend`]).
-    Backend(backend::BackendError),
-    /// Re-characterizing against a live backend for drift failed ([`core`]).
-    Recheck(core::RecheckError),
-    /// A fault plan was malformed or inapplicable ([`faults`]).
-    Fault(faults::FaultError),
-    /// Building or persisting a host atlas failed ([`core`]).
-    Atlas(core::AtlasError),
-    /// The prediction service failed ([`serve`]).
-    Serve(serve::ServeError),
-}
-
-impl std::fmt::Display for Error {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Error::Topology(e) => write!(f, "topology: {e}"),
-            Error::Sysfs(e) => write!(f, "sysfs: {e}"),
-            Error::Fabric(e) => write!(f, "fabric: {e}"),
-            Error::Sim(e) => write!(f, "simulation: {e}"),
-            Error::Sched(e) => write!(f, "scheduler: {e}"),
-            Error::Fio(e) => write!(f, "fio: {e}"),
-            Error::JobFile(e) => write!(f, "job file: {e}"),
-            Error::Alloc(e) => write!(f, "allocation: {e}"),
-            Error::Diff(e) => write!(f, "model diff: {e}"),
-            Error::Platform(e) => write!(f, "platform: {e}"),
-            Error::Memsys(e) => write!(f, "measurement: {e}"),
-            Error::Backend(e) => write!(f, "backend: {e}"),
-            Error::Recheck(e) => write!(f, "drift recheck: {e}"),
-            Error::Fault(e) => write!(f, "faults: {e}"),
-            Error::Atlas(e) => write!(f, "atlas: {e}"),
-            Error::Serve(e) => write!(f, "serve: {e}"),
+/// Declares [`Error`] with one variant per layer error type, and its
+/// `Display` (the layer's prefix, then the layer error), `source` and
+/// `From` conversions, from one list.
+macro_rules! workspace_error {
+    ($($(#[$doc:meta])* $variant:ident($ty:ty) => $prefix:literal,)+) => {
+        /// Workspace-level error: any failure a `numio` API can return.
+        ///
+        /// Each layer keeps its own narrow error type (so library users
+        /// matching on one crate's failures are not forced through a
+        /// workspace-wide enum), and every one of them converts into
+        /// `Error` with `?` — application code can funnel the whole stack
+        /// into one `Result<_, numio::Error>`.
+        #[derive(Debug, Clone, PartialEq)]
+        #[non_exhaustive]
+        pub enum Error {
+            $($(#[$doc])* $variant($ty),)+
         }
-    }
-}
 
-impl std::error::Error for Error {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            Error::Topology(e) => Some(e),
-            Error::Sysfs(e) => Some(e),
-            Error::Fabric(e) => Some(e),
-            Error::Sim(e) => Some(e),
-            Error::Sched(e) => Some(e),
-            Error::Fio(e) => Some(e),
-            Error::JobFile(e) => Some(e),
-            Error::Alloc(e) => Some(e),
-            Error::Diff(e) => Some(e),
-            Error::Platform(e) => Some(e),
-            Error::Memsys(e) => Some(e),
-            Error::Backend(e) => Some(e),
-            Error::Recheck(e) => Some(e),
-            Error::Fault(e) => Some(e),
-            Error::Atlas(e) => Some(e),
-            Error::Serve(e) => Some(e),
+        impl std::fmt::Display for Error {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                match self {
+                    $(Error::$variant(e) => write!(f, concat!($prefix, ": {}"), e),)+
+                }
+            }
         }
-    }
-}
 
-macro_rules! impl_from_error {
-    ($($variant:ident($ty:ty)),+ $(,)?) => {
+        impl std::error::Error for Error {
+            fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+                match self {
+                    $(Error::$variant(e) => Some(e),)+
+                }
+            }
+        }
+
         $(impl From<$ty> for Error {
             fn from(e: $ty) -> Self {
                 Error::$variant(e)
@@ -173,24 +116,36 @@ macro_rules! impl_from_error {
     };
 }
 
-impl_from_error!(
-    Topology(topology::TopologyError),
-    Sysfs(topology::sysfs::SysfsError),
-    Fabric(fabric::FabricError),
-    Sim(engine::SimError),
-    Sched(sched::SchedError),
-    Fio(fio::FioError),
-    JobFile(fio::JobFileError),
-    Alloc(memsys::AllocError),
-    Diff(core::DiffError),
-    Platform(core::PlatformError),
-    Memsys(memsys::MemsysError),
-    Backend(backend::BackendError),
-    Recheck(core::RecheckError),
-    Fault(faults::FaultError),
-    Atlas(core::AtlasError),
-    Serve(serve::ServeError),
-);
+workspace_error! {
+    /// Structural topology construction failed ([`topology`]).
+    Topology(topology::TopologyError) => "topology",
+    /// Reading a Linux sysfs snapshot failed ([`topology::sysfs`]).
+    Sysfs(topology::sysfs::SysfsError) => "sysfs",
+    /// A what-if capacity change did not fit the fabric ([`fabric`]).
+    Fabric(fabric::FabricError) => "fabric",
+    /// Building or running a [`engine::Simulation`] failed ([`engine`]).
+    Sim(engine::SimError) => "simulation",
+    /// Placement failed: a scheduling episode, a policy's
+    /// characterization, fleet generation or a cluster episode ([`sched`]).
+    Sched(sched::SchedError) => "scheduler",
+    /// Lowering or running a benchmark job set, parsing a job file, a
+    /// simulated memory allocation or a real-host measurement failed
+    /// ([`fio`], [`memsys`]).
+    Fio(fio::FioError) => "fio",
+    /// Two models cannot be compared for drift ([`core`]).
+    Diff(core::DiffError) => "model diff",
+    /// A copy specification, probe platform, probe fixture or backend
+    /// selection was invalid ([`core`], [`backend`]).
+    Platform(core::PlatformError) => "platform",
+    /// Re-characterizing against a live backend for drift failed ([`core`]).
+    Recheck(core::RecheckError) => "drift recheck",
+    /// A fault plan was malformed or inapplicable ([`faults`]).
+    Fault(faults::FaultError) => "faults",
+    /// Building or persisting a host atlas failed ([`core`]).
+    Atlas(core::AtlasError) => "atlas",
+    /// The prediction service failed ([`serve`]).
+    Serve(serve::ServeError) => "serve",
+}
 
 /// Convenience alias: `Result` with the workspace [`Error`].
 pub type Result<T> = std::result::Result<T, Error>;
@@ -204,7 +159,6 @@ pub type Result<T> = std::result::Result<T, Error>;
 /// ```
 pub mod prelude {
     pub use crate::Error;
-    pub use numa_backend::{AnyPlatform, BackendError, RecordingPlatform, ReplayPlatform};
     pub use numa_engine::{FctStats, FlowSpec, SimError, SimReport, Simulation};
     pub use numa_fabric::{CapChange, Fabric, TrafficClass};
     pub use numa_faults::{FaultInjector, FaultKind, FaultPlan, FaultWindow};
@@ -213,6 +167,7 @@ pub mod prelude {
     pub use numa_sched::{ClassRanked, Policy, RetryPolicy, SchedError, Scheduler};
     pub use numa_serve::{CharacterizationCache, ModelService, ServeError};
     pub use numa_topology::{DeviceId, DirectedEdge, NodeId, Topology};
+    pub use numio_core::backend::{AnyPlatform, RecordingPlatform, ReplayPlatform};
     pub use numio_core::{
         Atlas, AtlasError, ClockSource, CopySpec, HostPlatform, IoModeler, IoPerfModel, Platform,
         PlatformError, ScheduleAdvisor, SimPlatform, TransferMode,
@@ -254,12 +209,12 @@ mod tests {
             Error::Platform(_)
         ));
         assert!(matches!(
-            roundtrip(memsys::MemsysError::InvalidConfig { reason: "x".into() }),
-            Error::Memsys(_)
+            roundtrip(core::PlatformError::EmptyFixture),
+            Error::Platform(core::PlatformError::EmptyFixture)
         ));
         assert!(matches!(
-            roundtrip(backend::BackendError::EmptyFixture),
-            Error::Backend(_)
+            roundtrip(fio::FioError::HostFull { requested_mib: 1 }),
+            Error::Fio(fio::FioError::HostFull { .. })
         ));
         assert!(matches!(
             roundtrip(core::RecheckError::Diff(core::DiffError::ShapeMismatch)),
@@ -273,6 +228,83 @@ mod tests {
             roundtrip(serve::ServeError::BadRequest { reason: "x".into() }),
             Error::Serve(_)
         ));
+    }
+
+    /// The variants that joined `PlatformError` and `FioError` from the
+    /// retired backend, memsys and job-file error types print the text
+    /// they printed before.
+    #[test]
+    fn moved_error_variants_keep_their_display_text() {
+        use crate::core::PlatformError as P;
+        use crate::fio::FioError as F;
+        let s = String::from;
+        let platform = [
+            (
+                P::Io {
+                    path: s("f"),
+                    reason: s("gone"),
+                },
+                "fixture 'f': gone",
+            ),
+            (
+                P::Parse {
+                    line: 2,
+                    reason: s("bad"),
+                },
+                "fixture line 2: bad",
+            ),
+            (
+                P::SchemaMismatch { found: s("x/9") },
+                "unsupported fixture schema 'x/9' (this build speaks 'numio-probe-fixture/1')",
+            ),
+            (P::EmptyFixture, "fixture has no probe records"),
+            (
+                P::UnknownPreset { name: s("cray-1") },
+                "fixture names unknown preset topology 'cray-1' and embeds none",
+            ),
+            (
+                P::UnknownBackend { spec: s("gpu") },
+                "unknown backend 'gpu' (expected sim, host, or replay:<file>)",
+            ),
+        ];
+        let fio = [
+            (
+                F::JobFile {
+                    line: 4,
+                    message: s("bad bs"),
+                },
+                "job file line 4: bad bs",
+            ),
+            (
+                F::BindNodeFull {
+                    node: topology::NodeId(3),
+                    free_mib: 10,
+                    requested_mib: 20,
+                },
+                "bind target N3 has 10 MiB free, 20 requested",
+            ),
+            (
+                F::HostFull { requested_mib: 5 },
+                "host cannot satisfy 5 MiB",
+            ),
+            (
+                F::SpawnFailed {
+                    thread: 1,
+                    reason: s("EAGAIN"),
+                },
+                "could not spawn measurement worker 1: EAGAIN",
+            ),
+            (
+                F::InvalidConfig { reason: s("x") },
+                "invalid measurement config: x",
+            ),
+        ];
+        for (e, want) in platform {
+            assert_eq!(e.to_string(), want);
+        }
+        for (e, want) in fio {
+            assert_eq!(e.to_string(), want);
+        }
     }
 
     #[test]
