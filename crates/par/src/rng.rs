@@ -20,6 +20,7 @@ const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 /// The splitmix64 finalizer (Stafford's Mix13): a bijection on `u64` that
 /// spreads every input bit over every output bit. Use it to derive one
 /// well-mixed sub-seed from a seed, or as a one-shot hash of an integer.
+#[inline]
 pub fn mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -40,6 +41,7 @@ impl SplitMix64 {
     }
 
     /// The next 64 random bits.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(GAMMA);
         mix64(self.state)
@@ -47,28 +49,33 @@ impl SplitMix64 {
 
     /// Uniform in the open interval (0, 1): the high 53 bits plus a half
     /// tick, so `ln(u)` never sees 0.
+    #[inline]
     pub fn u01(&mut self) -> f64 {
         ((self.next_u64() >> 11) as f64 + 0.5) * (1.0 / (1u64 << 53) as f64)
     }
 
     /// Uniform integer in `[0, n)`. Panics when `n` is 0.
+    #[inline]
     pub fn below(&mut self, n: u64) -> u64 {
         assert!(n > 0, "below: empty range");
         ((u128::from(self.next_u64()) * u128::from(n)) >> 64) as u64
     }
 
     /// Uniform in `[lo, hi)`. Panics unless `lo < hi`.
+    #[inline]
     pub fn range_f64(&mut self, lo: f64, hi: f64) -> f64 {
         assert!(lo < hi, "range_f64: empty range");
         self.f64_between(lo, hi, false)
     }
 
     /// Uniform in `[lo, hi]`. Panics unless `lo <= hi`.
+    #[inline]
     pub fn range_f64_inclusive(&mut self, lo: f64, hi: f64) -> f64 {
         assert!(lo <= hi, "range_f64_inclusive: empty range");
         self.f64_between(lo, hi, true)
     }
 
+    #[inline]
     fn f64_between(&mut self, lo: f64, hi: f64, inclusive: bool) -> f64 {
         let denom = if inclusive {
             ((1u64 << 53) - 1) as f64
