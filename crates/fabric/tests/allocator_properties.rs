@@ -623,3 +623,124 @@ fn single_resource_aggregate_is_min_of_cap_and_ceilings() {
         );
     }
 }
+
+#[test]
+fn memoized_solves_are_bit_identical_to_fresh_solves() {
+    // The solve memo answers a configuration it has solved before under
+    // the same capacities. Rows are shared through `repeat_flow` with
+    // ceilings and weights drawn from small sets, so one row recurs under
+    // different ceilings and weights, and two rows recur in either order
+    // of the `on` list. Steps switch flows on and off, revisit earlier
+    // ceiling vectors, jitter live ceilings (which bypasses the memo) and
+    // retune capacities between revisits. Every solve must equal the
+    // reference and a fresh solver bit for bit.
+    let (mut solves, mut hits) = (0, 0);
+    for case in 0..CASES {
+        let mut rng = SplitMix64::new(case);
+        let nr = int(&mut rng, 1, 6);
+        let mut p = MaxMinProblem::new((0..nr).map(|_| rng.range_f64(0.5, 40.0)).collect());
+        let ceilings = [
+            f64::INFINITY,
+            rng.range_f64(0.5, 20.0),
+            rng.range_f64(0.5, 20.0),
+        ];
+        let weights = [1.0, rng.range_f64(0.25, 4.0)];
+        let mut solver = MaxMinSolver::new(p.capacities.clone());
+        let rows = int(&mut rng, 2, 4);
+        for i in 0..int(&mut rng, rows + 2, 14) {
+            let ceiling = ceilings[int(&mut rng, 0, 3)];
+            let weight = weights[int(&mut rng, 0, 2)];
+            if i < rows {
+                let resources: Vec<usize> = (0..int(&mut rng, 1, 4))
+                    .map(|_| int(&mut rng, 0, nr))
+                    .collect();
+                assert_eq!(solver.add_flow(&resources, ceiling, weight), i);
+                p.add_flow(FlowSpec {
+                    resources,
+                    ceiling,
+                    weight,
+                });
+            } else {
+                let of = int(&mut rng, 0, i);
+                assert_eq!(solver.repeat_flow(of, ceiling, weight), i);
+                let resources = p.flows[of].resources.clone();
+                p.add_flow(FlowSpec {
+                    resources,
+                    ceiling,
+                    weight,
+                });
+            }
+        }
+        solver.validate().unwrap();
+        let base: Vec<f64> = p.flows.iter().map(|f| f.ceiling).collect();
+        let nf = base.len();
+        let mut seen: Vec<Vec<f64>> = vec![base.clone()];
+        let steps = int(&mut rng, 8, 40);
+        for step in 0..steps {
+            match rng.below(8) {
+                // A flow switches on at its lowered ceiling, or off.
+                0..=2 => {
+                    let i = int(&mut rng, 0, nf);
+                    let c = if p.flows[i].ceiling > 0.0 {
+                        0.0
+                    } else {
+                        base[i]
+                    };
+                    p.flows[i].ceiling = c;
+                    solver.set_ceiling(i, c);
+                }
+                // Revisit an earlier ceiling vector.
+                3..=5 => {
+                    let back = seen[int(&mut rng, 0, seen.len())].clone();
+                    for (i, &c) in back.iter().enumerate() {
+                        p.flows[i].ceiling = c;
+                        solver.set_ceiling(i, c);
+                    }
+                }
+                // Jitter: a live flow's ceiling moves off its lowered one.
+                6 => {
+                    let i = int(&mut rng, 0, nf);
+                    if p.flows[i].ceiling > 0.0 {
+                        let c = base[i].min(20.0) * rng.range_f64(0.9, 1.1);
+                        p.flows[i].ceiling = c;
+                        solver.set_ceiling(i, c);
+                    }
+                }
+                // A capacity retune, possibly to 0.
+                _ => {
+                    let r = int(&mut rng, 0, nr);
+                    let cap = match rng.below(3) {
+                        0 => 0.0,
+                        _ => rng.range_f64(0.5, 40.0),
+                    };
+                    p.capacities[r] = cap;
+                    solver.set_capacity(r, cap);
+                }
+            }
+            if seen.len() < 8 {
+                seen.push(p.flows.iter().map(|f| f.ceiling).collect());
+            }
+            let want = reference_solve(&p);
+            let fresh = solve_max_min(&p);
+            let got = solver.solve();
+            for (i, ((a, f), b)) in want.iter().zip(&fresh).zip(got).enumerate() {
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "case {case} step {step}: flow {i}"
+                );
+                assert_eq!(
+                    f.to_bits(),
+                    b.to_bits(),
+                    "case {case} step {step}: flow {i}"
+                );
+            }
+        }
+        assert_eq!(solver.solves(), steps as u64, "case {case}");
+        solves += steps as u64;
+        hits += solver.memo_hits();
+    }
+    // The memo must answer a good share of the solves, or the property
+    // above tests the filling loop alone.
+    assert!(hits * 4 >= solves, "{hits} memo hits in {solves} solves");
+}
