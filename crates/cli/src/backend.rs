@@ -32,15 +32,18 @@ pub(crate) fn sim_platform_for(opts: &Opts) -> Result<SimPlatform, String> {
 /// clear error instead of a panic.
 pub(crate) fn fabric_for(opts: &Opts) -> Result<Fabric, String> {
     let platform = platform_for(opts)?;
-    fabric_of(&platform)
+    fabric_of(opts, &platform)
 }
 
-/// Pull an owned fabric out of an already-built backend.
-pub(crate) fn fabric_of(platform: &AnyPlatform) -> Result<Fabric, String> {
+/// Pull an owned fabric out of the backend `opts` selected, already
+/// built. The error names the backend as selected (`replay:<file>`), not
+/// by the platform it reports: a replay reports its recorded platform's
+/// label, which may name the simulator.
+pub(crate) fn fabric_of(opts: &Opts, platform: &AnyPlatform) -> Result<Fabric, String> {
     Platform::fabric(platform).cloned().ok_or_else(|| {
         format!(
             "backend '{}' exposes no simulator fabric; this command needs --backend sim",
-            platform.label()
+            opts.get("backend").unwrap_or("sim")
         )
     })
 }

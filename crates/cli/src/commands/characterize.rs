@@ -156,7 +156,7 @@ pub(crate) fn cmd_record(opts: &Opts, obs: &numa_obs::Obs) -> Result<String, Str
 pub(crate) fn cmd_classes(opts: &Opts) -> Result<String, String> {
     let target = opts.node("target", 7)?;
     let platform = backend::platform_for(opts)?;
-    let fabric = backend::fabric_of(&platform)?;
+    let fabric = backend::fabric_of(opts, &platform)?;
     let nic = NicModel::paper();
     let ssd = numa_iodev::SsdModel::paper();
     let mut out = String::new();

@@ -65,7 +65,7 @@ pub(crate) fn cmd_predict(opts: &Opts) -> Result<String, String> {
         .iter()
         .map(|&(node, count)| JobSpec::nic(op, node).numjobs(count).size_gbytes(50.0))
         .collect();
-    let fabric = backend::fabric_of(&platform)?;
+    let fabric = backend::fabric_of(opts, &platform)?;
     let measured = numa_fio::run_jobs(&fabric, &jobs)
         .map_err(|e| e.to_string())?
         .aggregate_gbps;

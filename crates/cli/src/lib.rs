@@ -511,7 +511,8 @@ mod tests {
             ])
             .unwrap_err();
             assert_eq!(
-                e, "backend 'sim:dl585-g7' exposes no simulator fabric; this command needs --backend sim",
+                e,
+                format!("backend '{spec}' exposes no simulator fabric; this command needs --backend sim"),
                 "{op}"
             );
         }
