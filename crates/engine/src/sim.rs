@@ -487,8 +487,11 @@ impl<'f> Simulation<'f> {
         }
         // Lower into the solver once; between rounds only ceilings move
         // (jitter multipliers, 0.0 for completed or not-yet-arrived flows
-        // — the active mask), so every round after the first solves with
-        // zero heap allocation instead of rebuilding a MaxMinProblem.
+        // — the active mask), so a round re-solves in place instead of
+        // rebuilding a MaxMinProblem. Repeats of a flow shape share a
+        // solver row, so with jitter off a live set the run has already
+        // solved (under the same capacities) is answered from the
+        // solver's memo; only that memo allocates, on its first insert.
         let (mut solver, base_ceilings) = self.lower()?;
         let n = self.flows.len();
         let bounds = self.isolated_bounds(&base_ceilings);
@@ -675,6 +678,9 @@ impl<'f> Simulation<'f> {
         if !live.is_empty() || pending > 0 {
             return Err(SimError::EventLimit);
         }
+        // Free the solver (and its memo) before the report is built, so
+        // the two never hold memory at once.
+        drop(solver);
 
         let total_gbit: f64 = self.flows.iter().map(|f| f.volume_gbit).sum();
         let makespan = finish.iter().cloned().fold(0.0, f64::max);
