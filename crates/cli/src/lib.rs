@@ -594,6 +594,31 @@ mod tests {
     }
 
     #[test]
+    fn predict_output_is_pinned_byte_for_byte() {
+        let read = "workload: RdmaRead mix 2:2,0:2 against node 7
+  term 0: node 2 x2 -> class 2 @ 22.000 Gbps, share 0.50
+  term 1: node 0 x2 -> class 3 @ 18.324 Gbps, share 0.50
+predicted (Eq.1): 20.162 Gbps
+measured  (sim) : 19.416 Gbps
+relative error  : 3.8%
+";
+        let write = "workload: RdmaWrite mix 2:2,6:2 against node 7
+  term 0: node 2 x2 -> class 3 @ 17.075 Gbps, share 0.50
+  term 1: node 6 x2 -> class 1 @ 23.300 Gbps, share 0.50
+predicted (Eq.1): 20.187 Gbps
+measured  (sim) : 19.594 Gbps
+relative error  : 3.0%
+";
+        for (op, mix, want) in [
+            ("rdma_read", "2:2,0:2", read),
+            ("rdma_write", "2:2,6:2", write),
+        ] {
+            let out = run_str(&["predict", "--op", op, "--mix", mix]).unwrap();
+            assert_eq!(out, want, "{op} {mix}");
+        }
+    }
+
+    #[test]
     fn predict_requires_mix() {
         assert!(run_str(&["predict", "--op", "rdma_read"]).is_err());
         assert!(run_str(&["predict", "--op", "rdma_read", "--mix", "2-3"]).is_err());
