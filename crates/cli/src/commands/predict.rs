@@ -3,10 +3,8 @@
 
 use crate::backend;
 use crate::opts::Opts;
-use numa_fio::JobSpec;
-use numa_iodev::NicModel;
 use numa_topology::NodeId;
-use numio_core::{predict_aggregate, IoModeler, Platform, ScheduleAdvisor, TransferMode};
+use numio_core::{IoModeler, Platform, ScheduleAdvisor, TransferMode};
 use std::fmt::Write as _;
 
 pub(crate) fn cmd_predict(opts: &Opts) -> Result<String, String> {
@@ -47,41 +45,21 @@ pub(crate) fn cmd_predict(opts: &Opts) -> Result<String, String> {
     let model = IoModeler::new()
         .try_characterize(&platform, target, mode)
         .map_err(|e| e.to_string())?;
-    let nic = NicModel::paper();
-    let total: u32 = mix.iter().map(|(_, c)| *c).sum();
-    let terms: Vec<(f64, f64)> = mix
-        .iter()
-        .map(|&(node, count)| {
-            let class = &model.classes()[model.class_of(node)];
-            (
-                nic.map(op).eval(class.avg_gbps),
-                count as f64 / total as f64,
-            )
-        })
-        .collect();
-    let predicted = predict_aggregate(&terms);
-
-    let jobs: Vec<JobSpec> = mix
-        .iter()
-        .map(|&(node, count)| JobSpec::nic(op, node).numjobs(count).size_gbytes(50.0))
-        .collect();
     let fabric = backend::fabric_of(opts, &platform)?;
-    let measured = numa_fio::run_jobs(&fabric, &jobs)
-        .map_err(|e| e.to_string())?
-        .aggregate_gbps;
-    let err = numio_core::relative_error(predicted, measured);
+    let check =
+        numio_core::check_mix(&fabric, &model, op, &mix, 50.0).map_err(|e| e.to_string())?;
     let mut out = String::new();
     let _ = writeln!(out, "workload: {op:?} mix {mix_str} against node {target}");
-    for (i, ((bw, share), (node, count))) in terms.iter().zip(&mix).enumerate() {
+    for (i, t) in check.terms.iter().enumerate() {
+        let (node, count, class, bw, share) = (t.node, t.count, t.class + 1, t.gbps, t.share);
         let _ = writeln!(
             out,
-            "  term {i}: node {node} x{count} -> class {} @ {bw:.3} Gbps, share {share:.2}",
-            model.class_of(*node) + 1
+            "  term {i}: node {node} x{count} -> class {class} @ {bw:.3} Gbps, share {share:.2}"
         );
     }
-    let _ = writeln!(out, "predicted (Eq.1): {predicted:.3} Gbps");
-    let _ = writeln!(out, "measured  (sim) : {measured:.3} Gbps");
-    let _ = writeln!(out, "relative error  : {:.1}%", err * 100.0);
+    let _ = writeln!(out, "predicted (Eq.1): {:.3} Gbps", check.predicted);
+    let _ = writeln!(out, "measured  (sim) : {:.3} Gbps", check.measured);
+    let _ = writeln!(out, "relative error  : {:.1}%", check.error() * 100.0);
     Ok(out)
 }
 

@@ -584,16 +584,6 @@ mod tests {
     }
 
     #[test]
-    fn predict_reproduces_eq1_example() {
-        let out = run_str(&["predict", "--op", "rdma_read", "--mix", "2:2,0:2"]).unwrap();
-        assert!(out.contains("predicted (Eq.1): 20."), "{out}");
-        assert!(out.contains("measured"), "{out}");
-        // error a few percent
-        let err_line = out.lines().find(|l| l.contains("relative error")).unwrap();
-        assert!(err_line.contains('%'));
-    }
-
-    #[test]
     fn predict_output_is_pinned_byte_for_byte() {
         let read = "workload: RdmaRead mix 2:2,0:2 against node 7
   term 0: node 2 x2 -> class 2 @ 22.000 Gbps, share 0.50
@@ -633,6 +623,17 @@ relative error  : 3.0%
         );
         let err = run_str(&["predict", "--mix", "2:2,8:1"]).unwrap_err();
         assert!(err.contains("node 8"), "{err}");
+    }
+
+    #[test]
+    fn predict_counts_past_the_stream_bound_are_typed_errors() {
+        // `2:4294967295,0:1` once wrapped the u32 total to 0 and panicked
+        // on inf shares; `2:100000000` expanded one flow per stream until
+        // allocation failed. Both stop at the stream bound before a run.
+        for mix in ["2:4294967295,0:1", "2:100000000"] {
+            let err = run_str(&["predict", "--mix", mix]).unwrap_err();
+            assert!(err.ends_with("streams; at most 4096 may run"), "{err}");
+        }
     }
 
     #[test]

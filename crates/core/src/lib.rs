@@ -24,7 +24,8 @@
 //! * [`IoModeler`] — Algorithm 1, verbatim structure.
 //! * [`IoPerfModel`] / [`classify()`] — per-node bandwidths + gap-based class
 //!   construction with the paper's local+neighbour rule.
-//! * [`predict_aggregate`] — Eq. 1 and its workload helpers.
+//! * [`predict_aggregate`] / [`check_mix`] — Eq. 1, and its §V-B check
+//!   against a fio run of the same mix.
 //! * [`characterize_storage`] — the storage tier: the same probes mapped
 //!   through the calibrated SSD curves into Table IV/V analogues per
 //!   (engine × access mode) operating point.
@@ -69,7 +70,9 @@ pub use host::HostPlatform;
 pub use model::{IoPerfModel, PerfClass, TransferMode};
 pub use modeler::IoModeler;
 pub use platform::{ClockSource, CopySpec, Platform, PlatformError, SimPlatform};
-pub use predict::{predict_aggregate, predict_for_mix, relative_error, WorkloadMix};
+pub use predict::{
+    check_mix, predict_aggregate, predict_for_mix, relative_error, MixCheck, MixTerm,
+};
 pub use report::{render_comparison_table, render_model};
 pub use storage::{
     characterize_storage, characterize_storage_full_host, DeviceSelector, StorageConfig,

@@ -76,9 +76,10 @@ numa_par::json_struct! {
         pub mode: TransferMode,
         /// Per-node probe statistics; index = node id.
         pub per_node: Vec<Summary>,
-        /// Classes, best first; class 1 always holds the target and its
-        /// package neighbours (§V-A: "The local and neighboring nodes are
-        /// always assigned to the first class").
+        /// Classes in membership order: class 1 holds the target and its
+        /// package neighbours whatever its bandwidth (§V-A: "The local
+        /// and neighboring nodes are always assigned to the first class"),
+        /// then the remote classes by descending bandwidth.
         classes: Vec<PerfClass>,
         /// Label of the platform that produced the model.
         pub platform: String,
@@ -106,7 +107,8 @@ impl IoPerfModel {
         }
     }
 
-    /// The classes, best first.
+    /// The classes in membership order: class 1 (the local package)
+    /// first, then the remote classes by descending bandwidth.
     pub fn classes(&self) -> &[PerfClass] {
         &self.classes
     }
@@ -121,7 +123,8 @@ impl IoPerfModel {
         self.per_node.iter().map(|s| s.mean).collect()
     }
 
-    /// Class index (0 = best) of a node.
+    /// Class index of a node in [`Self::classes`]' membership order
+    /// (0 = class 1, the local package).
     ///
     /// Panics for nodes outside the model; [`Self::try_class_of`] is the
     /// fallible form for externally supplied node ids.
@@ -130,8 +133,8 @@ impl IoPerfModel {
             .expect("classes partition the nodes")
     }
 
-    /// Class index (0 = best) of a node, or `None` if the node is not
-    /// covered by this model.
+    /// Class index of a node (as in [`Self::class_of`]), or `None` if the
+    /// node is not covered by this model.
     pub fn try_class_of(&self, node: NodeId) -> Option<usize> {
         self.classes.iter().position(|c| c.contains(node))
     }

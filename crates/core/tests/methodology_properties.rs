@@ -6,7 +6,7 @@ use numa_par::rng::SplitMix64;
 use numa_topology::{presets, NodeId};
 use numio_core::{
     classify, diff_models, predict_for_mix, rank_correlation, ClassifyParams, IoModeler,
-    IoPerfModel, SimPlatform, TransferMode, WorkloadMix,
+    IoPerfModel, SimPlatform, TransferMode,
 };
 
 const CASES: u64 = 128;
@@ -92,11 +92,7 @@ fn prediction_is_bounded_by_participating_classes() {
         let counts: Vec<(u16, u32)> = (0..1 + rng.below(4))
             .map(|_| (rng.below(8) as u16, 1 + rng.below(4) as u32))
             .collect();
-        let mut mix = WorkloadMix::new();
-        for &(node, count) in &counts {
-            mix = mix.from_node(NodeId(node), count);
-        }
-        let p = predict_for_mix(&model, &mix);
+        let p = predict_for_mix(&model, counts.iter().map(|&(n, c)| (NodeId(n), c)));
         let class_avgs: Vec<f64> = counts
             .iter()
             .map(|&(n, _)| model.classes()[model.class_of(NodeId(n))].avg_gbps)

@@ -44,6 +44,6 @@ pub use jobfile::parse as parse_jobfile;
 pub use params::NetTestParams;
 pub use runner::{
     assemble_report, build_sim, build_sim_with, run_jobs, run_jobs_scenario, run_jobs_with,
-    steady_job_rates, FioError, FioReport, JobReport,
+    steady_job_rates, FioError, FioReport, JobReport, MAX_STREAMS,
 };
 pub use sweep::{sweep, SweepPoint};

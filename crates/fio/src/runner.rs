@@ -7,6 +7,11 @@ use numa_iodev::{NicModel, NicOp, SsdModel};
 use numa_topology::NodeId;
 use std::fmt::Write as _;
 
+/// Most streams one submission may run: a fio job set, a fleet episode or
+/// a `place` request. Each stream is a flow, so the bound keeps one
+/// request from allocating without limit.
+pub const MAX_STREAMS: usize = 4096;
+
 /// Every failure of this crate: lowering and running jobs, parsing job
 /// files, and [`memsys`](crate::memsys) allocations and measurements.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,6 +42,14 @@ pub enum FioError {
         job: usize,
         /// The rejected size.
         gbytes: f64,
+    },
+    /// Job `job` runs no streams (`streams` is 0), or its streams take
+    /// the submission's total to `streams`, above [`MAX_STREAMS`].
+    StreamCount {
+        /// Index of the offending job in the submission.
+        job: usize,
+        /// The job's count if 0, else the running total it reached.
+        streams: u64,
     },
     /// The underlying simulation failed.
     Sim(SimError),
@@ -100,6 +113,11 @@ impl std::fmt::Display for FioError {
                     "job {job} has size {gbytes} GB; it must be positive and finite"
                 )
             }
+            FioError::StreamCount { job, streams: 0 } => write!(f, "job {job} runs no streams"),
+            FioError::StreamCount { job, streams } => write!(
+                f,
+                "job {job} brings the submission to {streams} streams; at most {MAX_STREAMS} may run"
+            ),
             FioError::Sim(e) => write!(f, "simulation failed: {e}"),
             FioError::JobFile { line, message } => write!(f, "job file line {line}: {message}"),
             FioError::BindNodeFull {
@@ -180,7 +198,15 @@ pub fn build_sim_with<'f>(
     if jobs.is_empty() {
         return Err(FioError::NoJobs);
     }
+    let mut streams = 0u64;
     for (job, spec) in jobs.iter().enumerate() {
+        if spec.numjobs == 0 {
+            return Err(FioError::StreamCount { job, streams: 0 });
+        }
+        streams += u64::from(spec.numjobs);
+        if streams > MAX_STREAMS as u64 {
+            return Err(FioError::StreamCount { job, streams });
+        }
         if spec.size_gbytes <= 0.0 || !spec.size_gbytes.is_finite() {
             return Err(FioError::BadSize {
                 job,
@@ -848,6 +874,37 @@ mod tests {
                 other => panic!("size {gbytes}: {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn stream_count_outside_the_bound_is_a_typed_error() {
+        let f = fabric();
+        let nic = |n: u32| JobSpec::nic(NicOp::RdmaRead, NodeId(2)).numjobs(n);
+        let (max, count) = (MAX_STREAMS as u32, |job, streams| FioError::StreamCount {
+            job,
+            streams,
+        });
+        // Rejected before one flow is lowered: u32::MAX streams would
+        // otherwise allocate without limit.
+        let err = run_jobs(&f, &[nic(2), nic(u32::MAX)]).unwrap_err();
+        assert_eq!(err, count(1, u64::from(u32::MAX) + 2));
+        assert!(err.to_string().contains("at most 4096"), "{err}");
+        let over = steady_job_rates(&f, &[nic(max - 1), nic(2)]).unwrap_err();
+        assert_eq!(over, count(1, MAX_STREAMS as u64 + 1));
+        let zero = JobSpec {
+            numjobs: 0,
+            ..nic(1)
+        };
+        let err = run_jobs(&f, &[nic(1), zero]).unwrap_err();
+        assert_eq!(
+            (err.clone(), err.to_string()),
+            (count(1, 0), "job 1 runs no streams".into())
+        );
+        // The bound itself is a valid submission.
+        assert_eq!(
+            build_sim(&f, &[nic(max - 1), nic(1)]).unwrap().1.len(),
+            MAX_STREAMS
+        );
     }
 
     #[test]

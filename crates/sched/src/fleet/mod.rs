@@ -40,8 +40,9 @@ use crate::error::SchedError;
 /// a server worker or hanging the CLI.
 pub const MAX_HOSTS: usize = 64;
 
-/// Largest workload one fleet episode may place.
-pub const MAX_STREAMS: usize = 4096;
+/// Largest workload one fleet episode may place: the one stream bound,
+/// which [`numa_fio::run_jobs`] enforces too.
+pub use numa_fio::MAX_STREAMS;
 
 /// Check fleet inputs before generating anything: `hosts` must be in
 /// `1..=MAX_HOSTS` and `streams` in `1..=MAX_STREAMS`.

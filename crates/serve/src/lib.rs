@@ -36,7 +36,7 @@
 //!   requests take a raw-speed path: the fault view's cache key is
 //!   precomputed (no per-request topology rehash), the model comes from a
 //!   single shared-lock [`CharacterizationCache::peek`], Eq. 1 runs
-//!   straight off the wire pairs without a `WorkloadMix` allocation, and
+//!   straight off the wire pairs with no per-request allocation, and
 //!   metric handles are pre-resolved — while hit counters stay exact.
 //! * [`spawn`] / [`spawn_with`] / [`ServerHandle`] — sharded worker-pool
 //!   TCP server: an accept loop distributes connections across

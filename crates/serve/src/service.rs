@@ -623,6 +623,14 @@ impl<P: Platform> ModelService<P> {
                         reason: "place needs at least one task".into(),
                     });
                 }
+                if *tasks as usize > fleet::MAX_STREAMS {
+                    return Err(ServeError::BadRequest {
+                        reason: format!(
+                            "place takes at most {} tasks, got {tasks}",
+                            fleet::MAX_STREAMS
+                        ),
+                    });
+                }
                 let write_model = self.resolve(*target, WireMode::Write, None)?;
                 let read_model = self.resolve(*target, WireMode::Read, None)?;
                 let mut policy = ClassRanked::from_models(&write_model, &read_model);
@@ -751,19 +759,15 @@ fn canonical_kinds(kinds: &[FaultKind]) -> Vec<FaultKind> {
     tagged.into_iter().map(|(_, k)| k).collect()
 }
 
-/// Eq. 1 straight off the wire's `(node, count)` pairs — the same
-/// validation (and error messages) the `WorkloadMix` path used, without
-/// allocating a mix per request. The float-op order matches
-/// [`numio_core::predict_for_mix`] exactly — `total` summed first, then
-/// each entry adds `avg_gbps * count / total` in input order — so results
-/// are bit-identical to the allocating path (pinned by a test below).
+/// Eq. 1 straight off the wire's `(node, count)` pairs: the wire checks,
+/// then [`numio_core::predict_for_mix`] over the pairs, with no mix
+/// allocated per request.
 fn predict_pairs(model: &IoPerfModel, mix: &[(u16, u32)]) -> Result<f64, ServeError> {
     if mix.is_empty() {
         return Err(ServeError::BadRequest {
             reason: "empty mix".into(),
         });
     }
-    let mut total: u32 = 0;
     for &(node, count) in mix {
         if count == 0 {
             return Err(ServeError::BadRequest {
@@ -775,15 +779,9 @@ fn predict_pairs(model: &IoPerfModel, mix: &[(u16, u32)]) -> Result<f64, ServeEr
                 reason: format!("node {node} is not covered by the model"),
             });
         }
-        total = total.wrapping_add(count);
     }
-    let total = f64::from(total);
-    let mut sum = 0.0;
-    for &(node, count) in mix {
-        let class = &model.classes()[model.class_of(NodeId(node))];
-        sum += class.avg_gbps * f64::from(count) / total;
-    }
-    Ok(sum)
+    let pairs = mix.iter().map(|&(node, count)| (NodeId(node), count));
+    Ok(numio_core::predict_for_mix(model, pairs))
 }
 
 #[cfg(test)]
@@ -982,25 +980,16 @@ mod tests {
     }
 
     #[test]
-    fn predict_pairs_matches_the_workload_mix_path_bit_for_bit() {
-        use numio_core::{predict_for_mix, WorkloadMix};
+    fn predict_counts_sum_without_wrapping() {
+        // A u32 total wraps: `[(2, u32::MAX), (0, 1)]` once answered inf
+        // (`null` on the wire) and `(0, 2)` 2.1e11 Gbit/s. The answer is
+        // node 2's class average, give or take the one extra access.
         let svc = service();
-        let model = svc.resolve(7, WireMode::Read, None).unwrap();
-        for mix in [
-            vec![(2u16, 2u32), (0, 2)],
-            vec![(6, 1)],
-            vec![(0, 3), (2, 1), (6, 2), (7, 4)],
-            vec![(5, 1), (5, 2)],
-        ] {
-            let mut wl = WorkloadMix::new();
-            for &(node, count) in &mix {
-                wl = wl.from_node(NodeId(node), count);
-            }
-            assert_eq!(
-                predict_pairs(&model, &mix).unwrap().to_bits(),
-                predict_for_mix(&model, &wl).to_bits(),
-                "{mix:?}"
-            );
+        let read = |mix| gbps(&svc.handle(&predict(7, WireMode::Read, None, mix)));
+        let class2 = read(vec![(2, 1)]);
+        for extra in [1, 2] {
+            let p = read(vec![(2, u32::MAX), (0, extra)]);
+            assert!((p - class2).abs() < 1e-6, "{p} vs {class2}");
         }
     }
 
@@ -1076,6 +1065,12 @@ mod tests {
             Request::Place {
                 target: 7,
                 tasks: 0,
+                to_device: true,
+            },
+            // u32::MAX tasks once asked `place_n` for 51.5 GB up front.
+            Request::Place {
+                target: 7,
+                tasks: u32::MAX,
                 to_device: true,
             },
         ] {

@@ -5,7 +5,7 @@
 //! cargo run --release --example paper_tour
 //! ```
 
-use numio::core::{predict_aggregate, rank_correlation, relative_error};
+use numio::core::{check_mix, rank_correlation};
 use numio::fio::run_jobs;
 use numio::iodev::{NicModel, NicOp, SsdModel};
 use numio::memsys::StreamBench;
@@ -100,25 +100,13 @@ fn main() {
     );
 
     heading("§V-B.2 — Eq. 1 prediction");
-    let c2 = nic.map(NicOp::RdmaRead).eval(read.classes()[1].avg_gbps);
-    let c3 = nic.map(NicOp::RdmaRead).eval(read.classes()[2].avg_gbps);
-    let predicted = predict_aggregate(&[(c2, 0.5), (c3, 0.5)]);
-    let measured = run_jobs(
-        fabric,
-        &[
-            JobSpec::nic(NicOp::RdmaRead, NodeId(2))
-                .numjobs(2)
-                .size_gbytes(30.0),
-            JobSpec::nic(NicOp::RdmaRead, NodeId(0))
-                .numjobs(2)
-                .size_gbytes(30.0),
-        ],
-    )
-    .unwrap()
-    .aggregate_gbps;
+    let mix = [(NodeId(2), 2), (NodeId(0), 2)];
+    let eq1 = check_mix(fabric, &read, NicOp::RdmaRead, &mix, 30.0).unwrap();
     println!(
-        "predicted {predicted:.3} vs measured {measured:.3}: {:.1}% error (paper: 3.1%)",
-        relative_error(predicted, measured) * 100.0
+        "predicted {:.3} vs measured {:.3}: {:.1}% error (paper: 3.1%)",
+        eq1.predicted,
+        eq1.measured,
+        eq1.error() * 100.0
     );
 
     heading("§V-B.3 — scheduler assistance");

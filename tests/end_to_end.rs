@@ -1,9 +1,7 @@
 //! Full-pipeline integration: model -> persistence -> reduced probing ->
 //! prediction -> placement, across crates.
 
-use numio::core::{
-    IoModeler, IoPerfModel, Platform, ScheduleAdvisor, SimPlatform, TransferMode, WorkloadMix,
-};
+use numio::core::{IoModeler, IoPerfModel, Platform, ScheduleAdvisor, SimPlatform, TransferMode};
 use numio::topology::NodeId;
 
 #[test]
@@ -61,10 +59,7 @@ fn prediction_over_every_two_node_mix_is_consistent() {
     let model = IoModeler::new().characterize(&platform, NodeId(7), TransferMode::Write);
     for a in 0..8u16 {
         for b in 0..8u16 {
-            let mix = WorkloadMix::new()
-                .from_node(NodeId(a), 1)
-                .from_node(NodeId(b), 3);
-            let p = numio::core::predict_for_mix(&model, &mix);
+            let p = numio::core::predict_for_mix(&model, [(NodeId(a), 1), (NodeId(b), 3)]);
             let ca = model.classes()[model.class_of(NodeId(a))].avg_gbps;
             let cb = model.classes()[model.class_of(NodeId(b))].avg_gbps;
             let (lo, hi) = (ca.min(cb), ca.max(cb));

@@ -5,7 +5,7 @@
 use numio::core::{
     classify, diff_models, predict_aggregate, rank_correlation, relative_error, ClassifyParams,
     HostPlatform, IoModeler, IoPerfModel, MemCostModel, PerfClass, Placement, Platform,
-    ScheduleAdvisor, SimPlatform, StreamAdvisor, TransferMode, WorkloadMix,
+    ScheduleAdvisor, SimPlatform, StreamAdvisor, TransferMode,
 };
 use numio::engine::{FlowSpec, JitterCfg, SimReport, Simulation, Summary};
 use numio::fabric::{numa_factor, solve_max_min, Fabric, LatencyModel, TrafficClass};
@@ -103,8 +103,7 @@ fn every_layer_composes_through_the_facade() {
     let p = predict_aggregate(&[(20.0, 1.0)]);
     assert_eq!(p, 20.0);
     assert!(relative_error(20.0, 19.0) > 0.05);
-    let mix = WorkloadMix::new().from_node(NodeId(2), 1);
-    assert!(numio::core::predict_for_mix(&model, &mix) > 20.0);
+    assert!(numio::core::predict_for_mix(&model, [(NodeId(2), 1)]) > 20.0);
     let advisor = ScheduleAdvisor::new();
     let placement: Placement = advisor.place(&model, 3);
     assert_eq!(placement.assignments.len(), 3);
