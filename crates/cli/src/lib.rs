@@ -627,9 +627,9 @@ relative error  : 3.0%
 
     #[test]
     fn predict_counts_past_the_stream_bound_are_typed_errors() {
-        // `2:4294967295,0:1` once wrapped the u32 total to 0 and panicked
-        // on inf shares; `2:100000000` expanded one flow per stream until
-        // allocation failed. Both stop at the stream bound before a run.
+        // Both stop at the stream bound before a run: the first mix's
+        // total wraps a u32 to 0, and the second would lower one flow per
+        // stream until allocation fails.
         for mix in ["2:4294967295,0:1", "2:100000000"] {
             let err = run_str(&["predict", "--mix", mix]).unwrap_err();
             assert!(err.ends_with("streams; at most 4096 may run"), "{err}");

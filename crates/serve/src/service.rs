@@ -981,9 +981,9 @@ mod tests {
 
     #[test]
     fn predict_counts_sum_without_wrapping() {
-        // A u32 total wraps: `[(2, u32::MAX), (0, 1)]` once answered inf
-        // (`null` on the wire) and `(0, 2)` 2.1e11 Gbit/s. The answer is
-        // node 2's class average, give or take the one extra access.
+        // Summed in u32, these totals wrap to 0 and 1, and the answers
+        // read inf (`null` on the wire) and 2.1e11 Gbit/s. The answer is
+        // node 2's class average, give or take the extra accesses.
         let svc = service();
         let read = |mix| gbps(&svc.handle(&predict(7, WireMode::Read, None, mix)));
         let class2 = read(vec![(2, 1)]);
@@ -1067,7 +1067,7 @@ mod tests {
                 tasks: 0,
                 to_device: true,
             },
-            // u32::MAX tasks once asked `place_n` for 51.5 GB up front.
+            // u32::MAX tasks would ask `place_n` for 51.5 GB up front.
             Request::Place {
                 target: 7,
                 tasks: u32::MAX,
