@@ -145,7 +145,8 @@ pub fn check_mix(
         });
         jobs.push(JobSpec::nic(op, node).numjobs(count).size_gbytes(gbytes));
     }
-    // The run checks the mix first: an empty one is `NoJobs`.
+    // The run validates the mix first (an empty one is `NoJobs`, a total
+    // past the stream bound `StreamCount`), so the shares sum to 1 below.
     let measured = run_jobs(fabric, &jobs)?.aggregate_gbps;
     let predicted = predict_aggregate(&terms.iter().map(|t| (t.gbps, t.share)).collect::<Vec<_>>());
     Ok(MixCheck {
