@@ -19,6 +19,7 @@ pub(crate) fn cmd_run(opts: &Opts, obs: &numa_obs::Obs) -> Result<String, String
         // Arm the fault plan between lowering and running, then fold the
         // raw simulator output into the standard per-job report.
         let plan = super::faults::load_fault_plan(plan_path)?;
+        numa_fio::check_streams(&jobs).map_err(|e| e.to_string())?;
         let (sim, flow_job) = numa_fio::build_sim(&fabric, &jobs).map_err(|e| e.to_string())?;
         let raw = sim
             .observe(obs.clone())

@@ -626,13 +626,33 @@ relative error  : 3.0%
     }
 
     #[test]
-    fn predict_counts_past_the_stream_bound_are_typed_errors() {
-        // Both stop at the stream bound before a run: the first mix's
-        // total wraps a u32 to 0, and the second would lower one flow per
-        // stream until allocation fails.
-        for mix in ["2:4294967295,0:1", "2:100000000"] {
-            let err = run_str(&["predict", "--mix", mix]).unwrap_err();
-            assert!(err.ends_with("streams; at most 4096 may run"), "{err}");
+    fn counts_past_the_stream_bound_are_typed_errors() {
+        // Each stops at the stream bound before a run: the first mix's
+        // total wraps a u32 to 0, and the rest would lower one flow per
+        // stream until allocation fails (a job file with or without a
+        // fault plan included).
+        let dir = std::env::temp_dir().join("numio-cli-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let (job, plan) = (dir.join("huge.fio"), dir.join("huge_plan.json"));
+        std::fs::write(
+            &job,
+            "[j]\nioengine=rdma\ncpunodebind=2\nnumjobs=100000000\n",
+        )
+        .unwrap();
+        let fault = r#"{"kind": "link_degrade", "from": 6, "to": 7, "factor": 0.5, "start_s": 0}"#;
+        std::fs::write(&plan, format!(r#"{{"seed": 0, "faults": [{fault}]}}"#)).unwrap();
+        let (job, plan) = (job.to_str().unwrap(), plan.to_str().unwrap());
+        for args in [
+            &["predict", "--mix", "2:4294967295,0:1"][..],
+            &["predict", "--mix", "2:100000000"],
+            &["run", "--jobfile", job],
+            &["run", "--jobfile", job, "--faults", plan],
+        ] {
+            let err = run_str(args).unwrap_err();
+            assert!(
+                err.ends_with("streams; at most 4096 may run"),
+                "{args:?}: {err}"
+            );
         }
     }
 

@@ -130,9 +130,6 @@ pub fn check_mix(
     let mut terms = Vec::with_capacity(mix.len());
     let mut jobs = Vec::with_capacity(mix.len());
     for (job, &(node, count)) in mix.iter().enumerate() {
-        if count == 0 {
-            return Err(FioError::StreamCount { job, streams: 0 });
-        }
         let class = model
             .try_class_of(node)
             .ok_or(FioError::UnknownNode { job, node })?;
@@ -143,10 +140,17 @@ pub fn check_mix(
             gbps: nic.map(op).eval(model.classes()[class].avg_gbps),
             share: count as f64 / total as f64,
         });
-        jobs.push(JobSpec::nic(op, node).numjobs(count).size_gbytes(gbytes));
+        // Set directly, not by the asserting builder: `run_jobs` reports a
+        // zero count as a typed error.
+        let spec = JobSpec::nic(op, node).size_gbytes(gbytes);
+        jobs.push(JobSpec {
+            numjobs: count,
+            ..spec
+        });
     }
-    // The run validates the mix first (an empty one is `NoJobs`, a total
-    // past the stream bound `StreamCount`), so the shares sum to 1 below.
+    // The run validates the mix first (an empty one is `NoJobs`, a zero
+    // count or a total past the stream bound `StreamCount`), so the shares
+    // sum to 1 below.
     let measured = run_jobs(fabric, &jobs)?.aggregate_gbps;
     let predicted = predict_aggregate(&terms.iter().map(|t| (t.gbps, t.share)).collect::<Vec<_>>());
     Ok(MixCheck {
@@ -189,12 +193,8 @@ mod tests {
         let classes: Vec<usize> = check.terms.iter().map(|t| t.class).collect();
         assert_eq!(classes, [1, 2], "node 2 in class 2, node 0 in class 3");
         assert!(check.terms.iter().all(|t| t.share == 0.5));
-        let err = check.error();
-        assert!(err < 0.06, "{check:?}, err {err}");
-        assert!(
-            err > 0.001,
-            "prediction should not be exact (mixture vs contention)"
-        );
+        // Not exact either: a mixture model against contention.
+        assert!((0.001..0.06).contains(&check.error()), "{check:?}");
     }
 
     #[test]
@@ -232,11 +232,11 @@ mod tests {
         assert_eq!(check(&[]), Err(FioError::NoJobs));
         let unknown = FioError::UnknownNode { job: 1, node: n8 };
         assert_eq!(check(&[(n2, 1), (n8, 1)]), Err(unknown));
-        let huge = FioError::StreamCount {
-            job: 0,
-            streams: u32::MAX.into(),
-        };
-        assert_eq!(check(&[(n2, u32::MAX), (NodeId(0), 1)]), Err(huge));
+        let huge = check(&[(n2, u32::MAX), (NodeId(0), 1)]);
+        assert_eq!(
+            huge.unwrap_err().to_string(),
+            "job 0 brings the submission to 4294967295 streams; at most 4096 may run"
+        );
         let bare = numa_fabric::calibration::generic_fabric(numa_topology::presets::fig1a());
         let no_nic = check_mix(&bare, &model, NicOp::RdmaRead, &[(n2, 1)], 1.0);
         assert_eq!(no_nic, Err(FioError::NoNic));

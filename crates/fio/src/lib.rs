@@ -43,7 +43,7 @@ pub use job::{JobSpec, Workload};
 pub use jobfile::parse as parse_jobfile;
 pub use params::NetTestParams;
 pub use runner::{
-    assemble_report, build_sim, build_sim_with, run_jobs, run_jobs_scenario, run_jobs_with,
-    steady_job_rates, FioError, FioReport, JobReport, MAX_STREAMS,
+    assemble_report, build_sim, build_sim_with, check_streams, run_jobs, run_jobs_scenario,
+    run_jobs_with, steady_job_rates, FioError, FioReport, JobReport, MAX_STREAMS,
 };
 pub use sweep::{sweep, SweepPoint};

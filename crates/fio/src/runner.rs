@@ -7,9 +7,10 @@ use numa_iodev::{NicModel, NicOp, SsdModel};
 use numa_topology::NodeId;
 use std::fmt::Write as _;
 
-/// Most streams one submission may run: a fio job set, a fleet episode or
-/// a `place` request. Each stream is a flow, so the bound keeps one
-/// request from allocating without limit.
+/// Most streams one outside submission may run: a fio job set (see
+/// [`check_streams`]), a fleet episode or a `place` request. Each stream
+/// is a flow, so the bound keeps one request from allocating without
+/// limit.
 pub const MAX_STREAMS: usize = 4096;
 
 /// Every failure of this crate: lowering and running jobs, parsing job
@@ -198,15 +199,7 @@ pub fn build_sim_with<'f>(
     if jobs.is_empty() {
         return Err(FioError::NoJobs);
     }
-    let mut streams = 0u64;
     for (job, spec) in jobs.iter().enumerate() {
-        if spec.numjobs == 0 {
-            return Err(FioError::StreamCount { job, streams: 0 });
-        }
-        streams += u64::from(spec.numjobs);
-        if streams > MAX_STREAMS as u64 {
-            return Err(FioError::StreamCount { job, streams });
-        }
         if spec.size_gbytes <= 0.0 || !spec.size_gbytes.is_finite() {
             return Err(FioError::BadSize {
                 job,
@@ -478,6 +471,23 @@ impl FioReport {
     }
 }
 
+/// Check that every job runs a stream and all of them at most
+/// [`MAX_STREAMS`]. [`run_jobs`] and [`run_jobs_scenario`] check their
+/// outside counts; [`steady_job_rates`] leaves the scheduler's unbounded.
+pub fn check_streams(jobs: &[JobSpec]) -> Result<(), FioError> {
+    let mut streams = 0u64;
+    for (job, spec) in jobs.iter().enumerate() {
+        if spec.numjobs == 0 {
+            return Err(FioError::StreamCount { job, streams: 0 });
+        }
+        streams += u64::from(spec.numjobs);
+        if streams > MAX_STREAMS as u64 {
+            return Err(FioError::StreamCount { job, streams });
+        }
+    }
+    Ok(())
+}
+
 /// Run a set of jobs concurrently to completion (the paper's multi-user
 /// scenarios submit several pinned jobs at once).
 pub fn run_jobs(fabric: &Fabric, jobs: &[JobSpec]) -> Result<FioReport, FioError> {
@@ -496,6 +506,7 @@ pub fn run_jobs_with(
     nic: Option<NicModel>,
     ssd: Option<SsdModel>,
 ) -> Result<FioReport, FioError> {
+    check_streams(jobs)?;
     let (sim, flow_job) = build_sim_with(fabric, jobs, nic, ssd)?;
     let report = sim.run().map_err(FioError::Sim)?;
     Ok(assemble_report(jobs, report, &flow_job))
@@ -511,6 +522,7 @@ pub fn run_jobs_scenario(
     jobs: &[JobSpec],
     obs: &numa_obs::Obs,
 ) -> Result<FioReport, FioError> {
+    check_streams(jobs)?;
     let (sim, flow_job) = build_sim(fabric, jobs)?;
     let report = sim.observe(obs.clone()).run().map_err(FioError::Sim)?;
     let out = assemble_report(jobs, report, &flow_job);
@@ -879,32 +891,30 @@ mod tests {
     #[test]
     fn stream_count_outside_the_bound_is_a_typed_error() {
         let f = fabric();
-        let nic = |n: u32| JobSpec::nic(NicOp::RdmaRead, NodeId(2)).numjobs(n);
-        let (max, count) = (MAX_STREAMS as u32, |job, streams| FioError::StreamCount {
-            job,
-            streams,
-        });
+        let nic = |n| JobSpec::nic(NicOp::RdmaRead, NodeId(2)).numjobs(n);
+        let count = |job, streams| Err(FioError::StreamCount { job, streams });
         // Rejected before one flow is lowered: u32::MAX streams would
         // otherwise allocate without limit.
-        let err = run_jobs(&f, &[nic(2), nic(u32::MAX)]).unwrap_err();
+        let err = run_jobs(&f, &[nic(2), nic(u32::MAX)]).map(|_| ());
         assert_eq!(err, count(1, u64::from(u32::MAX) + 2));
-        assert!(err.to_string().contains("at most 4096"), "{err}");
-        let over = steady_job_rates(&f, &[nic(max - 1), nic(2)]).unwrap_err();
-        assert_eq!(over, count(1, MAX_STREAMS as u64 + 1));
+        let msg = err.unwrap_err().to_string();
+        assert!(
+            msg.ends_with("4294967297 streams; at most 4096 may run"),
+            "{msg}"
+        );
+        let (max, obs) = (MAX_STREAMS as u32, numa_obs::Obs::new());
+        let over = [nic(max - 1), nic(2)];
+        let err = run_jobs_scenario(&f, &over, &obs).map(|_| ());
+        assert_eq!(err, count(1, MAX_STREAMS as u64 + 1));
+        // The scheduler builds its own job sets; its path is not bounded.
+        assert_eq!(steady_job_rates(&f, &over).unwrap().len(), 2);
         let zero = JobSpec {
             numjobs: 0,
             ..nic(1)
         };
         let err = run_jobs(&f, &[nic(1), zero]).unwrap_err();
-        assert_eq!(
-            (err.clone(), err.to_string()),
-            (count(1, 0), "job 1 runs no streams".into())
-        );
-        // The bound itself is a valid submission.
-        assert_eq!(
-            build_sim(&f, &[nic(max - 1), nic(1)]).unwrap().1.len(),
-            MAX_STREAMS
-        );
+        assert_eq!(err.to_string(), "job 1 runs no streams");
+        assert_eq!(check_streams(&[nic(max - 1), nic(1)]), Ok(()));
     }
 
     #[test]
