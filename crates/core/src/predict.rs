@@ -232,11 +232,6 @@ mod tests {
         assert_eq!(check(&[]), Err(FioError::NoJobs));
         let unknown = FioError::UnknownNode { job: 1, node: n8 };
         assert_eq!(check(&[(n2, 1), (n8, 1)]), Err(unknown));
-        let huge = check(&[(n2, u32::MAX), (NodeId(0), 1)]);
-        assert_eq!(
-            huge.unwrap_err().to_string(),
-            "job 0 brings the submission to 4294967295 streams; at most 4096 may run"
-        );
         let bare = numa_fabric::calibration::generic_fabric(numa_topology::presets::fig1a());
         let no_nic = check_mix(&bare, &model, NicOp::RdmaRead, &[(n2, 1)], 1.0);
         assert_eq!(no_nic, Err(FioError::NoNic));
