@@ -57,7 +57,7 @@ impl FctStats {
     /// Summarize FCTs (any order) and their flows' slowdowns (flow
     /// order, the order they are summed in). An unstable sort is enough:
     /// values that `total_cmp` ranks equal have equal bits.
-    fn summarize(mut fct: Vec<f64>, slowdowns: impl Iterator<Item = f64>) -> Self {
+    pub(crate) fn summarize(mut fct: Vec<f64>, slowdowns: impl Iterator<Item = f64>) -> Self {
         if fct.is_empty() {
             return FctStats::empty();
         }

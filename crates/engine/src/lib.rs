@@ -71,7 +71,7 @@ pub mod time;
 pub mod workload;
 
 pub use fct::{fct_digest, FctStats};
-pub use flow::{FlowId, FlowResult, FlowSpec};
+pub use flow::{Charges, FlowId, FlowResult, FlowSpec};
 pub use jitter::JitterCfg;
 pub use resources::{ResourceHandle, ResourceKey};
 pub use schedule::{Event, Schedule};

@@ -4,6 +4,7 @@ use crate::memsys::MemPolicy;
 use numa_engine::JitterCfg;
 use numa_iodev::{IoEngine, NicOp};
 use numa_topology::NodeId;
+use std::fmt::Write as _;
 
 /// What a job exercises.
 #[derive(Debug, Clone, PartialEq)]
@@ -121,26 +122,32 @@ impl JobSpec {
 
     /// fio-style one-line description.
     pub fn describe(&self) -> String {
-        let wl = match &self.workload {
-            Workload::Nic(op) => format!("{op:?}"),
+        let mut out = String::new();
+        self.write_describe(&mut out);
+        out
+    }
+
+    /// Append [`Self::describe`]'s text to `out`, so a caller that
+    /// labels many streams writes it once into a buffer it reuses.
+    pub(crate) fn write_describe(&self, out: &mut String) {
+        let _ = match &self.workload {
+            Workload::Nic(op) => write!(out, "{op:?}"),
             Workload::Ssd {
                 write,
                 engine,
                 direct,
-            } => format!(
+            } => write!(
+                out,
                 "Ssd{}({engine:?}{})",
                 if *write { "Write" } else { "Read" },
                 if *direct { ",direct" } else { ",buffered" }
             ),
         };
-        format!(
-            "{wl} numjobs={} cpunode={} mem={} size={}G bs={}K",
-            self.numjobs,
-            self.bind,
-            self.mem_policy.name(),
-            self.size_gbytes,
-            self.block_kib
-        )
+        let _ = write!(
+            out,
+            " numjobs={} cpunode={} mem={} size={}G bs={}K",
+            self.numjobs, self.bind, self.mem_policy, self.size_gbytes, self.block_kib
+        );
     }
 }
 

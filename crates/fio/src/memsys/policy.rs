@@ -32,16 +32,23 @@ impl MemPolicy {
     pub fn interleave_all(n: usize) -> Self {
         MemPolicy::Interleave((0..n).map(NodeId::new).collect())
     }
+}
 
-    /// Human-readable name matching `numactl` flags.
-    pub fn name(&self) -> String {
+/// The `numactl` flag spelling: `default(local)`, `--membind=N`,
+/// `--preferred=N` or `--interleave=A,B,...`.
+impl std::fmt::Display for MemPolicy {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            MemPolicy::LocalPreferred => "default(local)".to_string(),
-            MemPolicy::Bind(n) => format!("--membind={n}"),
-            MemPolicy::Preferred(n) => format!("--preferred={n}"),
+            MemPolicy::LocalPreferred => f.write_str("default(local)"),
+            MemPolicy::Bind(n) => write!(f, "--membind={n}"),
+            MemPolicy::Preferred(n) => write!(f, "--preferred={n}"),
             MemPolicy::Interleave(ns) => {
-                let list: Vec<String> = ns.iter().map(|n| n.to_string()).collect();
-                format!("--interleave={}", list.join(","))
+                f.write_str("--interleave=")?;
+                for (i, n) in ns.iter().enumerate() {
+                    let sep = if i == 0 { "" } else { "," };
+                    write!(f, "{sep}{n}")?;
+                }
+                Ok(())
             }
         }
     }
@@ -53,10 +60,13 @@ mod tests {
 
     #[test]
     fn names_match_numactl() {
-        assert_eq!(MemPolicy::LocalPreferred.name(), "default(local)");
-        assert_eq!(MemPolicy::bind(7).name(), "--membind=7");
-        assert_eq!(MemPolicy::Preferred(NodeId(3)).name(), "--preferred=3");
-        assert_eq!(MemPolicy::interleave_all(3).name(), "--interleave=0,1,2");
+        assert_eq!(MemPolicy::LocalPreferred.to_string(), "default(local)");
+        assert_eq!(MemPolicy::bind(7).to_string(), "--membind=7");
+        assert_eq!(MemPolicy::Preferred(NodeId(3)).to_string(), "--preferred=3");
+        assert_eq!(
+            MemPolicy::interleave_all(3).to_string(),
+            "--interleave=0,1,2"
+        );
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //! bundles those curves so every consumer — fio lowering, storage
 //! characterization, serve, fleet — derives ceilings from one place.
 
-use crate::ratemap::RateMap;
+use crate::ratemap::{calibrated, RateMap};
 use crate::ssd::IoEngine;
+use std::borrow::Cow;
 
 /// The performance shape of one storage device (or a set of identical
 /// cards): how its streaming ceiling scales with request size, queue
@@ -20,7 +21,7 @@ use crate::ssd::IoEngine;
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeviceProfile {
     /// Human-readable device name for reports.
-    pub name: String,
+    pub name: Cow<'static, str>,
     /// Request-size efficiency: block size (KiB) → fraction of the
     /// streaming ceiling. Small blocks pay per-command overhead; the curve
     /// saturates at 1.0 for large sequential requests.
@@ -48,14 +49,8 @@ impl DeviceProfile {
     /// reach ~a third of streaming, saturating near 1 MiB.
     pub fn nytro_warpdrive() -> Self {
         DeviceProfile {
-            name: "nytro-warpdrive".to_string(),
-            block_curve: RateMap::monotone(vec![
-                (4.0, 0.34),
-                (16.0, 0.62),
-                (64.0, 0.85),
-                (256.0, 0.96),
-                (1024.0, 1.0),
-            ]),
+            name: Cow::Borrowed("nytro-warpdrive"),
+            block_curve: calibrated::nytro_block(),
             qd_knee: 2.0,
             qd_ref: 16,
             write_asymmetry: 29.1 / 34.7,

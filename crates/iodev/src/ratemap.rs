@@ -15,6 +15,8 @@
 //! contention noise. [`RateMap::monotone`] enforces monotonicity where it
 //! is expected; [`RateMap::empirical`] admits measured wiggle.
 
+use std::borrow::Cow;
+
 /// Everything that can go wrong building or querying a [`RateMap`]. The
 /// `Display` text matches the panic messages of the infallible
 /// constructors, which delegate here.
@@ -68,10 +70,12 @@ impl std::fmt::Display for RateMapError {
 
 impl std::error::Error for RateMapError {}
 
-/// A piecewise-linear `x -> y` map with clamping.
+/// A piecewise-linear `x -> y` map with clamping. The calibrated curves
+/// borrow their control points from static tables, so building or
+/// cloning one copies nothing.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RateMap {
-    points: Vec<(f64, f64)>,
+    points: Cow<'static, [(f64, f64)]>,
 }
 
 impl RateMap {
@@ -121,7 +125,18 @@ impl RateMap {
                 });
             }
         }
-        Ok(RateMap { points })
+        Ok(RateMap {
+            points: Cow::Owned(points),
+        })
+    }
+
+    /// A calibrated curve over a static table, borrowed as is: the
+    /// tables are checked once, by `calibrated_tables_pass_their_checks`,
+    /// not on every model build.
+    fn calibrated(points: &'static [(f64, f64)]) -> Self {
+        RateMap {
+            points: Cow::Borrowed(points),
+        }
     }
 
     /// Evaluate with linear interpolation, clamping outside the range.
@@ -173,98 +188,143 @@ impl RateMap {
 /// 27.9, 39.9, 40.2, 40.9, 46.9, 47.1, 50.3, 53.5); y values are the
 /// per-node protocol bandwidths implied by the class rows of Tables IV/V
 /// (and, for RDMA_READ, the exact per-class figures quoted in the Eq. 1
-/// worked example).
+/// worked example). The SSDs' request-size curve sits here too. Each
+/// curve is a static table, so a model holds it without a copy.
 pub mod calibrated {
     use super::RateMap;
 
     /// TCP sender (Table IV row 2). Node 7 additionally loses CPU to IRQ
     /// handling, modelled in [`crate::NicModel`], not here.
     pub fn tcp_send() -> RateMap {
-        RateMap::monotone(vec![
-            (26.0, 16.2),
-            (27.3, 16.3),
-            (42.9, 20.0),
-            (44.6, 20.4),
-            (45.0, 20.5),
-            (46.5, 20.9),
-            (53.5, 21.2),
-        ])
+        RateMap::calibrated(&TCP_SEND)
     }
+
+    static TCP_SEND: [(f64, f64); 7] = [
+        (26.0, 16.2),
+        (27.3, 16.3),
+        (42.9, 20.0),
+        (44.6, 20.4),
+        (45.0, 20.5),
+        (46.5, 20.9),
+        (53.5, 21.2),
+    ];
 
     /// TCP receiver (Table V row 2). Slightly non-monotone mid-range, as
     /// measured.
     pub fn tcp_recv() -> RateMap {
-        RateMap::empirical(vec![
-            (27.9, 14.4),
-            (39.9, 20.4),
-            (40.2, 20.6),
-            (40.9, 20.8),
-            (46.9, 20.1),
-            (47.1, 20.3),
-            (50.3, 19.9),
-            (53.5, 22.0),
-        ])
+        RateMap::calibrated(&TCP_RECV)
     }
+
+    static TCP_RECV: [(f64, f64); 8] = [
+        (27.9, 14.4),
+        (39.9, 20.4),
+        (40.2, 20.6),
+        (40.9, 20.8),
+        (46.9, 20.1),
+        (47.1, 20.3),
+        (50.3, 19.9),
+        (53.5, 22.0),
+    ];
 
     /// RDMA_WRITE (Table IV row 3): offloaded, port-clamped at 23.3 for
     /// every class except the starved {2,3} path.
     pub fn rdma_write() -> RateMap {
-        RateMap::monotone(vec![
-            (26.0, 17.05),
-            (27.3, 17.1),
-            (42.9, 23.2),
-            (44.6, 23.2),
-            (45.0, 23.25),
-            (46.5, 23.3),
-            (53.5, 23.3),
-        ])
+        RateMap::calibrated(&RDMA_WRITE)
     }
+
+    static RDMA_WRITE: [(f64, f64); 7] = [
+        (26.0, 17.05),
+        (27.3, 17.1),
+        (42.9, 23.2),
+        (44.6, 23.2),
+        (45.0, 23.25),
+        (46.5, 23.3),
+        (53.5, 23.3),
+    ];
 
     /// RDMA_READ (Table V row 3). Anchors include the exact class
     /// bandwidths of the paper's Eq. 1 example (18.036 and 21.998 Gbps).
     pub fn rdma_read() -> RateMap {
-        RateMap::monotone(vec![
-            (27.9, 16.1),
-            (39.9, 18.036),
-            (40.2, 18.3),
-            (40.9, 18.5),
-            (46.9, 21.998),
-            (47.1, 22.0),
-            (53.5, 22.0),
-        ])
+        RateMap::calibrated(&RDMA_READ)
     }
+
+    static RDMA_READ: [(f64, f64); 7] = [
+        (27.9, 16.1),
+        (39.9, 18.036),
+        (40.2, 18.3),
+        (40.9, 18.5),
+        (46.9, 21.998),
+        (47.1, 22.0),
+        (53.5, 22.0),
+    ];
 
     /// SSD write, both cards aggregate (Table IV row 4).
     pub fn ssd_write() -> RateMap {
-        RateMap::monotone(vec![
-            (26.0, 17.9),
-            (27.3, 18.0),
-            (42.9, 28.1),
-            (44.6, 28.5),
-            (45.0, 28.55),
-            (46.5, 28.6),
-            (53.5, 29.1),
-        ])
+        RateMap::calibrated(&SSD_WRITE)
     }
+
+    static SSD_WRITE: [(f64, f64); 7] = [
+        (26.0, 17.9),
+        (27.3, 18.0),
+        (42.9, 28.1),
+        (44.6, 28.5),
+        (45.0, 28.55),
+        (46.5, 28.6),
+        (53.5, 29.1),
+    ];
+
+    /// Request-size efficiency of the Nytro WarpDrive cards: block size
+    /// (KiB) to the fraction of the streaming ceiling (see
+    /// [`crate::DeviceProfile::nytro_warpdrive`]).
+    pub fn nytro_block() -> RateMap {
+        RateMap::calibrated(&NYTRO_BLOCK)
+    }
+
+    static NYTRO_BLOCK: [(f64, f64); 5] = [
+        (4.0, 0.34),
+        (16.0, 0.62),
+        (64.0, 0.85),
+        (256.0, 0.96),
+        (1024.0, 1.0),
+    ];
 
     /// SSD read, both cards aggregate (Table V row 4).
     pub fn ssd_read() -> RateMap {
-        RateMap::empirical(vec![
-            (27.9, 18.5),
-            (39.9, 29.7),
-            (40.2, 30.0),
-            (40.9, 30.9),
-            (46.9, 32.3),
-            (47.1, 34.7),
-            (50.3, 32.9),
-            (53.5, 34.7),
-        ])
+        RateMap::calibrated(&SSD_READ)
     }
+
+    static SSD_READ: [(f64, f64); 8] = [
+        (27.9, 18.5),
+        (39.9, 29.7),
+        (40.2, 30.0),
+        (40.9, 30.9),
+        (46.9, 32.3),
+        (47.1, 34.7),
+        (50.3, 32.9),
+        (53.5, 34.7),
+    ];
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn calibrated_tables_pass_their_checks() {
+        use calibrated::*;
+        for m in [
+            tcp_send(),
+            rdma_write(),
+            rdma_read(),
+            ssd_write(),
+            nytro_block(),
+        ] {
+            assert_eq!(RateMap::try_monotone(m.points().to_vec()), Ok(m));
+        }
+        for m in [tcp_recv(), ssd_read()] {
+            assert_eq!(RateMap::try_empirical(m.points().to_vec()), Ok(m));
+        }
+    }
 
     #[test]
     fn eval_interpolates_and_clamps() {

@@ -69,10 +69,19 @@ impl SsdModel {
     /// The calibrated testbed SSDs at node 7.
     pub fn paper() -> Self {
         SsdModel {
+            device_ids: vec![1, 2],
+            ..Self::calibrated()
+        }
+    }
+
+    /// [`Self::paper`] without card ids: the calibrated curves and
+    /// constants that [`Self::for_fabric`] keeps.
+    fn calibrated() -> Self {
+        SsdModel {
             node: NodeId(7),
             cards: 2,
             buffered_penalty: 0.55,
-            device_ids: vec![1, 2],
+            device_ids: Vec::new(),
             profile: DeviceProfile::nytro_warpdrive(),
             write_map: calibrated::ssd_write(),
             read_map: calibrated::ssd_read(),
@@ -81,20 +90,16 @@ impl SsdModel {
 
     /// Locate the SSDs on a generic fabric.
     pub fn for_fabric(fabric: &Fabric) -> Option<Self> {
-        let ssds: Vec<(u16, &numa_topology::DeviceSpec)> = fabric
-            .topology()
-            .devices()
-            .iter()
-            .enumerate()
-            .filter(|(_, d)| d.kind == DeviceKind::Ssd)
-            .map(|(i, d)| (i as u16, d))
+        let devices = fabric.topology().devices();
+        let first = devices.iter().find(|d| d.kind == DeviceKind::Ssd)?;
+        let device_ids: Vec<u16> = (0..devices.len() as u16)
+            .filter(|&i| devices[usize::from(i)].kind == DeviceKind::Ssd)
             .collect();
-        let &(_, first) = ssds.first()?;
         Some(SsdModel {
             node: first.attached_to,
-            cards: ssds.len() as u32,
-            device_ids: ssds.iter().map(|&(i, _)| i).collect(),
-            ..Self::paper()
+            cards: device_ids.len() as u32,
+            device_ids,
+            ..Self::calibrated()
         })
     }
 
