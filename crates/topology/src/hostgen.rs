@@ -193,12 +193,9 @@ impl TopoGen {
         let sockets = [2u16, 4, 8][(next() % 3) as usize];
         let nodes_per_socket = [1u16, 2, 4][(next() % 3) as usize];
         let wiring = {
-            let choices: Vec<Wiring> = Wiring::ALL
-                .iter()
-                .copied()
-                .filter(|w| w.supports(sockets))
-                .collect();
-            choices[(next() % choices.len() as u64) as usize]
+            let mut choices = Wiring::ALL.into_iter().filter(|w| w.supports(sockets));
+            let pick = next() % choices.clone().count() as u64;
+            choices.nth(pick as usize).expect("pick < count")
         };
         let n = sockets * nodes_per_socket;
         let io_node = (next() % u64::from(n)) as u16;
@@ -367,7 +364,19 @@ fn build_from_spec(spec: &HostSpec) -> Result<Topology, TopologyError> {
 
     let s = spec.sockets as usize;
     let k = spec.nodes_per_socket as usize;
-    let mut b = Topology::builder(spec.name.clone());
+    // Room for every node, link and device, so no list grows: the
+    // intra-socket meshes plus, per die index, a link per socket pair
+    // (full mesh) or at most one per socket (the other wirings).
+    let inter_pairs = match spec.wiring {
+        Wiring::FullMesh => s * (s - 1) / 2,
+        _ => s,
+    };
+    let mut b = TopologyBuilder::with_capacity(
+        spec.name.clone(),
+        s * k,
+        s * k * (k - 1) / 2 + inter_pairs * k,
+        usize::from(spec.nics + spec.ssds),
+    );
 
     // Nodes: socket-major, die-minor — node id = socket * k + die.
     for socket in 0..s {
@@ -404,38 +413,38 @@ fn build_from_spec(spec: &HostSpec) -> Result<Topology, TopologyError> {
     // Inter-socket links, per wiring family. Each socket pair (a, b) gets
     // one link per die index d: (a*k + d, b*k + d) — except BoardRing,
     // which chains boards with a single narrow link.
-    let die_links = |b: &mut TopologyBuilder, pairs: &[(usize, usize)], width: HtWidth| {
-        for &(sa, sb) in pairs {
-            for d in 0..k {
-                b.link(NodeId::new(sa * k + d), NodeId::new(sb * k + d), width);
-            }
+    let die_links = |b: &mut TopologyBuilder, (sa, sb): (usize, usize)| {
+        for d in 0..k {
+            b.link(
+                NodeId::new(sa * k + d),
+                NodeId::new(sb * k + d),
+                spec.inter_width,
+            );
         }
     };
     match spec.wiring {
         Wiring::FullMesh => {
-            let mut pairs = Vec::new();
             for a in 0..s {
                 for c in (a + 1)..s {
-                    pairs.push((a, c));
+                    die_links(&mut b, (a, c));
                 }
             }
-            die_links(&mut b, &pairs, spec.inter_width);
         }
         Wiring::SocketRing => {
-            die_links(&mut b, &ring_pairs(s), spec.inter_width);
+            for pair in ring_pairs(s) {
+                die_links(&mut b, pair);
+            }
         }
         Wiring::Ladder => {
             let half = s / 2;
-            let mut pairs = Vec::new();
             for rail in 0..2 {
                 let base = rail * half;
                 for i in 0..(half - 1) {
-                    pairs.push((base + i, base + i + 1));
+                    die_links(&mut b, (base + i, base + i + 1));
                 }
             }
-            pairs.push((0, half));
-            pairs.push((half - 1, s - 1));
-            die_links(&mut b, &pairs, spec.inter_width);
+            die_links(&mut b, (0, half));
+            die_links(&mut b, (half - 1, s - 1));
         }
         Wiring::BoardRing => {
             // One narrow link per board pair, staggered onto die 1 of the
@@ -472,23 +481,28 @@ fn build_from_spec(spec: &HostSpec) -> Result<Topology, TopologyError> {
 /// Ring order over sockets. Power-of-two socket counts use reflected
 /// Gray-code order (`i ^ (i >> 1)`), which is what real multi-socket boards
 /// wire and what reproduces the amd-4s8n preset; other counts fall back to
-/// identity order. Edges are normalized and sorted for a canonical emission
-/// order.
-fn ring_pairs(s: usize) -> Vec<(usize, usize)> {
-    let order: Vec<usize> = if s.is_power_of_two() {
-        (0..s).map(|i| i ^ (i >> 1)).collect()
-    } else {
-        (0..s).collect()
+/// identity order. Edges come normalized (`a < c`) and in ascending order
+/// for a canonical emission order: every pair is tested in that order for
+/// ring adjacency, so no list is built.
+fn ring_pairs(s: usize) -> impl Iterator<Item = (usize, usize)> {
+    let position = move |x: usize| {
+        if !s.is_power_of_two() {
+            return x;
+        }
+        // The inverse of the Gray code: xor of every right shift of x.
+        let (mut pos, mut shift) = (x, x >> 1);
+        while shift != 0 {
+            pos ^= shift;
+            shift >>= 1;
+        }
+        pos
     };
-    let mut pairs: Vec<(usize, usize)> = (0..s)
-        .map(|i| {
-            let a = order[i];
-            let b = order[(i + 1) % s];
-            (a.min(b), a.max(b))
+    (0..s)
+        .flat_map(move |a| ((a + 1)..s).map(move |c| (a, c)))
+        .filter(move |&(a, c)| {
+            let (pa, pc) = (position(a), position(c));
+            (pa + 1) % s == pc || (pc + 1) % s == pa
         })
-        .collect();
-    pairs.sort_unstable();
-    pairs
 }
 
 #[cfg(test)]
@@ -590,7 +604,39 @@ mod tests {
 
     #[test]
     fn gray_ring_matches_dl585_wiring() {
-        assert_eq!(ring_pairs(4), vec![(0, 1), (0, 2), (1, 3), (2, 3)]);
+        assert_eq!(
+            ring_pairs(4).collect::<Vec<_>>(),
+            vec![(0, 1), (0, 2), (1, 3), (2, 3)]
+        );
+    }
+
+    /// The ring as first written: normalized consecutive pairs of the
+    /// ring order, sorted.
+    fn ring_pairs_reference(s: usize) -> Vec<(usize, usize)> {
+        let order: Vec<usize> = if s.is_power_of_two() {
+            (0..s).map(|i| i ^ (i >> 1)).collect()
+        } else {
+            (0..s).collect()
+        };
+        let mut pairs: Vec<(usize, usize)> = (0..s)
+            .map(|i| {
+                let (a, b) = (order[i], order[(i + 1) % s]);
+                (a.min(b), a.max(b))
+            })
+            .collect();
+        pairs.sort_unstable();
+        pairs
+    }
+
+    #[test]
+    fn ring_pairs_match_the_sorted_ring_order() {
+        for s in 3..=64 {
+            assert_eq!(
+                ring_pairs(s).collect::<Vec<_>>(),
+                ring_pairs_reference(s),
+                "{s} sockets"
+            );
+        }
     }
 
     #[test]
