@@ -14,8 +14,9 @@
 
 use crate::device::DeviceSpec;
 use crate::hostgen::{TopoGen, Wiring};
-use crate::ids::NodeId;
+use crate::ids::{NodeId, PackageId};
 use crate::link::HtWidth;
+use crate::node::NodeSpec;
 use crate::routing::RouteTable;
 use crate::topology::{Topology, TopologyBuilder};
 
@@ -120,10 +121,21 @@ pub fn fig1_variants() -> Vec<Topology> {
 /// paper itself demonstrates that the real wiring cannot be inferred from
 /// measurements (§IV-A).
 pub fn dl585_testbed() -> Topology {
-    let mut b = Topology::builder("dl585-g7");
-    let ids = b.magny_cours_dies(8);
+    dl585_shape("dl585-g7", NodeId(7))
+}
+
+/// The DL585 wiring with its NIC on node 7 and both SSDs on `ssd_node`,
+/// built in one pass: node 0 is the OS home (kernel buffers and shared
+/// libraries; the paper observes only ~1.5 GiB of its 4 GiB free at
+/// idle), so its spec carries the flag from the start.
+fn dl585_shape(name: &str, ssd_node: NodeId) -> Topology {
+    let mut b = TopologyBuilder::with_capacity(name.to_string(), 8, 12, 3);
+    for die in 0..8 {
+        let spec = NodeSpec::magny_cours(PackageId::new(die / 2));
+        b.node(if die == 0 { spec.with_os_home() } else { spec });
+    }
     for p in 0..4 {
-        b.link(ids[2 * p], ids[2 * p + 1], HtWidth::W16);
+        b.link(NodeId(2 * p), NodeId(2 * p + 1), HtWidth::W16);
     }
     b.links(&[
         (0, 2, HtWidth::W8),
@@ -136,33 +148,10 @@ pub fn dl585_testbed() -> Topology {
         (5, 7, HtWidth::W8),
     ]);
     b.device(DeviceSpec::nic(NodeId(7)));
-    b.device(DeviceSpec::ssd(NodeId(7)));
-    b.device(DeviceSpec::ssd(NodeId(7)));
+    b.device(DeviceSpec::ssd(ssd_node));
+    b.device(DeviceSpec::ssd(ssd_node));
     b.ht_port_budget(G34_PORT_BUDGET);
-    let mut topo = b.build().expect("dl585 testbed is valid");
-    // Mark node 0 as the OS home (kernel buffers + shared libraries; the
-    // paper observes only ~1.5 GiB of its 4 GiB free at idle).
-    // NodeSpec is immutable post-build, so rebuild with the flag instead.
-    topo = rebuild_with_os_home(topo, NodeId(0));
-    topo
-}
-
-fn rebuild_with_os_home(topo: Topology, home: NodeId) -> Topology {
-    let mut b = Topology::builder(topo.name().to_string());
-    for n in topo.node_ids() {
-        let mut spec = topo.node(n).clone();
-        spec.os_home = n == home;
-        // has_io_hub is re-derived from devices below; keep flag to preserve
-        // hub-only nodes.
-        b.node(spec);
-    }
-    for l in topo.links() {
-        b.link(l.a, l.b, l.width);
-    }
-    for d in topo.devices() {
-        b.device(*d);
-    }
-    b.build().expect("rebuild preserves validity")
+    b.build().unwrap_or_else(|e| panic!("{name} is valid: {e}"))
 }
 
 /// A split-I/O variant of the testbed: the NIC stays on node 7 but both
@@ -171,27 +160,7 @@ fn rebuild_with_os_home(topo: Topology, home: NodeId) -> Topology {
 /// generalized to other nodes in the host", §V-B) — every device node is
 /// characterized as its own target with its own class structure.
 pub fn dl585_split_io() -> Topology {
-    let mut b = Topology::builder("dl585-split-io");
-    let ids = b.magny_cours_dies(8);
-    for p in 0..4 {
-        b.link(ids[2 * p], ids[2 * p + 1], HtWidth::W16);
-    }
-    b.links(&[
-        (0, 2, HtWidth::W8),
-        (1, 3, HtWidth::W8),
-        (0, 4, HtWidth::W8),
-        (1, 5, HtWidth::W8),
-        (2, 6, HtWidth::W8),
-        (3, 7, HtWidth::W8),
-        (4, 6, HtWidth::W8),
-        (5, 7, HtWidth::W8),
-    ]);
-    b.device(DeviceSpec::nic(NodeId(7)));
-    b.device(DeviceSpec::ssd(NodeId(3)));
-    b.device(DeviceSpec::ssd(NodeId(3)));
-    b.ht_port_budget(G34_PORT_BUDGET);
-    let topo = b.build().expect("split-io testbed is valid");
-    rebuild_with_os_home(topo, NodeId(0))
+    dl585_shape("dl585-split-io", NodeId(3))
 }
 
 /// The firmware routing table of the testbed: BFS defaults plus the
